@@ -240,11 +240,12 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
 
     t0 = time.perf_counter()
     q_cap = len(sols) if q_max is None else int(q_max)
+    _, etas, taus = zip(*(asm.element_fields(u, params)
+                          for u, params in zip(u_fulls, materials)))
     eims = {}
-    for tag, col, tol in (("eta", 1, tol_eim_eta), ("tau", 2, tol_eim_tau)):
-        fields = np.column_stack([asm.element_fields(u, params)[col]
-                                  for u, params in zip(u_fulls, materials)])
-        approx = eim_greedy(FieldSampleSet(tag, fields), tol=tol, q_max=q_cap)
+    for tag, cols, tol in (("eta", etas, tol_eim_eta), ("tau", taus, tol_eim_tau)):
+        approx = eim_greedy(FieldSampleSet(tag, np.column_stack(cols)),
+                            tol=tol, q_max=q_cap)
         approx.mesh_hash = mesh.content_hash()
         eims[tag] = approx
     timings["eim_s"] = time.perf_counter() - t0
@@ -400,23 +401,15 @@ def run_study(config, *, sweep=None, plan=None, mesh=None, pipeline=None,
                           n_test=int(config.plan["n_test"]),
                           seed=int(config.plan["seed"]))
     samples = generate_samples(plan)
-    picard_tol = float(config.solver.get("picard_tol", 1e-8))
-    picard_max = int(config.solver.get("picard_max", 50))
+    picard = config.picard_options()
     if pipeline is None:
         if mesh is None:
             mesh = cases.build_mesh(config)
         problem = cases.build_problem(config, mesh)
-        rom_opts = dict(config.rom)
-        pipeline = offline_build(
-            mesh, problem, samples.training,
-            tol_eim_eta=float(rom_opts.get("tol_eim_eta", 1e-12)),
-            tol_eim_tau=float(rom_opts.get("tol_eim_tau", 1e-12)),
-            energy_threshold=float(rom_opts.get("energy_threshold", 1.0)),
-            rank_cutoff=rom_opts.get("rank_cutoff"),
-            picard_tol=picard_tol, picard_max=picard_max)
+        pipeline = offline_build(mesh, problem, samples.training,
+                                 **config.offline_options(), **picard)
     pairs = sweep_pairs(sweep, pipeline.pkg)
-    tests = evaluate_tests(pipeline, samples.testing, pairs,
-                           picard_tol=picard_tol, picard_max=picard_max)
+    tests = evaluate_tests(pipeline, samples.testing, pairs, **picard)
     return make_report(config, pipeline, plan, samples, tests, pairs,
                        fom_workers=fom_workers)
 

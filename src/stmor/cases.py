@@ -18,8 +18,8 @@ import numpy as np
 
 from . import mesh as msh
 from .constitutive import (SEMANTICS_BC_SCALE, SEMANTICS_MATERIAL, BodyForce,
-                           CarreauYasudaParams, ParameterBox, ParameterSpace,
-                           relative_box)
+                           CarreauYasudaParams, ParameterError, ParameterSpace,
+                           relative_box, space_from_dict, space_to_dict)
 from .fom import DirichletSpec, FomProblem
 
 SCHEMA_VERSION = 1
@@ -410,21 +410,31 @@ class CaseConfig:
                 for e in self.boundary
             ],
             "amplitudes": {k: float(v) for k, v in self.amplitudes.items()},
-            "parameters": None,
+            "parameters": space_to_dict(self.space),
             "body_force_m_s2": None if self.body_force is None
                                else [float(f) for f in self.body_force],
             "solver": json.loads(json.dumps(self.solver)),
             "plan": json.loads(json.dumps(self.plan)),
             "rom": json.loads(json.dumps(self.rom)),
         }
-        if self.space is not None:
-            box = self.space.box
-            out["parameters"] = {"names": list(box.names),
-                                 "lower": [float(v) for v in box.lower],
-                                 "upper": [float(v) for v in box.upper],
-                                 "semantics": self.space.semantics,
-                                 "targets": list(self.space.targets)}
         return out
+
+    def picard_options(self):
+        """solve_fom / solve_rom keyword arguments of the solver section."""
+        return {"picard_tol": float(self.solver.get("picard_tol", 1e-8)),
+                "picard_max": int(self.solver.get("picard_max", 50))}
+
+    def offline_options(self, **overrides):
+        """offline_build keyword arguments of the rom section.
+
+        Overrides (command-line flags) replace entries unless they are None.
+        """
+        opts = dict(self.rom)
+        opts.update((k, v) for k, v in overrides.items() if v is not None)
+        return {"tol_eim_eta": float(opts.get("tol_eim_eta", 1e-12)),
+                "tol_eim_tau": float(opts.get("tol_eim_tau", 1e-12)),
+                "energy_threshold": float(opts.get("energy_threshold", 1.0)),
+                "rank_cutoff": opts.get("rank_cutoff")}
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -442,23 +452,6 @@ def _material_from_dict(d):
     if missing:
         raise CaseError("material key %r is missing" % sorted(missing)[0])
     return CarreauYasudaParams(**{attr: float(d[key]) for key, attr in _MATERIAL_KEYS})
-
-
-def _space_from_dict(d):
-    if d is None:
-        return None
-    keys = {"names", "lower", "upper", "semantics", "targets"}
-    extra = set(d) - keys
-    if extra:
-        raise CaseError("unknown parameters key %r" % sorted(extra)[0])
-    missing = keys - set(d)
-    if missing:
-        raise CaseError("parameters key %r is missing" % sorted(missing)[0])
-    box = ParameterBox(names=tuple(d["names"]),
-                       lower=tuple(float(v) for v in d["lower"]),
-                       upper=tuple(float(v) for v in d["upper"]))
-    return ParameterSpace(box=box, semantics=str(d["semantics"]),
-                          targets=tuple(d["targets"]))
 
 
 def _checked_section(d, allowed, where):
@@ -496,13 +489,17 @@ def config_from_dict(data):
         make_profile(entry["profile"], entry["params"])   # fail fast on bad params
         boundary.append(entry)
     body = data.get("body_force_m_s2")
+    try:
+        space = space_from_dict(data.get("parameters"))
+    except ParameterError as exc:
+        raise CaseError(str(exc)) from None
     return CaseConfig(
         case_id=str(data["case_id"]),
         geometry=dict(data["geometry"]),
         material=_material_from_dict(data["material"]),
         boundary=tuple(boundary),
         amplitudes={str(k): float(v) for k, v in (data.get("amplitudes") or {}).items()},
-        space=_space_from_dict(data.get("parameters")),
+        space=space,
         body_force=None if body is None else tuple(float(f) for f in body),
         solver=_checked_section(data.get("solver"), _SOLVER_KEYS, "solver"),
         plan=_checked_section(data.get("plan"), _PLAN_KEYS, "plan"),

@@ -113,6 +113,13 @@ def _plan_from(config, args):
                       n_test=int(config.plan["n_test"]), seed=seed)
 
 
+def _offline_options(config, args):
+    """offline_build options of the config with the command-line overrides."""
+    return config.offline_options(tol_eim_eta=args.tol_eim_eta,
+                                  tol_eim_tau=args.tol_eim_tau,
+                                  energy_threshold=args.energy_threshold)
+
+
 def _out_dir(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -125,26 +132,25 @@ def _out_dir(args):
 _WORKER = {}
 
 
-def _worker_init(config_dict):
-    config = cases.config_from_dict(config_dict)
-    mesh = cases.build_mesh(config)
-    problem = cases.build_problem(config, mesh)
-    _WORKER["mesh"] = mesh
-    _WORKER["problem"] = problem
-    _WORKER["assembler"] = FomAssembler(mesh)
-    _WORKER["dof_map"] = build_dof_map(mesh, problem.dirichlet)
-    _WORKER["solver"] = dict(config.solver)
+def _worker_init(config, mesh=None, problem=None):
+    """Per-process solve state; pool workers receive the config as a dict."""
+    if isinstance(config, dict):
+        config = cases.config_from_dict(config)
+    if mesh is None:
+        mesh = cases.build_mesh(config)
+    if problem is None:
+        problem = cases.build_problem(config, mesh)
+    _WORKER.update(mesh=mesh, problem=problem, assembler=FomAssembler(mesh),
+                   dof_map=build_dof_map(mesh, problem.dirichlet),
+                   picard=config.picard_options())
 
 
 def _worker_solve(task):
     index, mu = task
-    solver = _WORKER["solver"]
     t0 = time.perf_counter()
     sol = solve_fom(_WORKER["mesh"], _WORKER["problem"], mu=np.asarray(mu),
-                    picard_tol=float(solver.get("picard_tol", 1e-8)),
-                    picard_max=int(solver.get("picard_max", 50)),
                     assembler=_WORKER["assembler"],
-                    dof_map=_WORKER["dof_map"])
+                    dof_map=_WORKER["dof_map"], **_WORKER["picard"])
     return index, sol, time.perf_counter() - t0
 
 
@@ -152,11 +158,7 @@ def solve_training(config, mus, workers=1, mesh=None, problem=None):
     """All training solves, index-ordered regardless of worker count."""
     tasks = [(i, np.asarray(mu, dtype=np.float64)) for i, mu in enumerate(mus)]
     if workers <= 1:
-        if mesh is None:
-            mesh = cases.build_mesh(config)
-        if problem is None:
-            problem = cases.build_problem(config, mesh)
-        _worker_init_local(mesh, problem, config)
+        _worker_init(config, mesh, problem)
         results = [_worker_solve(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers,
@@ -165,14 +167,6 @@ def solve_training(config, mus, workers=1, mesh=None, problem=None):
             results = list(pool.map(_worker_solve, tasks))
     results.sort(key=lambda r: r[0])
     return [sol for _, sol, _ in results], [t for _, _, t in results]
-
-
-def _worker_init_local(mesh, problem, config):
-    _WORKER["mesh"] = mesh
-    _WORKER["problem"] = problem
-    _WORKER["assembler"] = FomAssembler(mesh)
-    _WORKER["dof_map"] = build_dof_map(mesh, problem.dirichlet)
-    _WORKER["solver"] = dict(config.solver)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +195,7 @@ def cmd_fom(args):
     problem = cases.build_problem(config, mesh)
     mu = parse_mu(args.mu)
     t0 = time.perf_counter()
-    sol = solve_fom(mesh, problem, mu=mu,
-                    picard_tol=float(config.solver.get("picard_tol", 1e-8)),
-                    picard_max=int(config.solver.get("picard_max", 50)))
+    sol = solve_fom(mesh, problem, mu=mu, **config.picard_options())
     elapsed = time.perf_counter() - t0
     path = out / "fom_solution.stm"
     write_snapshot(path, sol, extra_header={"wall_time_s": elapsed})
@@ -265,19 +257,8 @@ def cmd_build_rom(args):
     problem = cases.build_problem(config, mesh)
     sols = _read_training(out / "snapshots", mesh.content_hash(),
                           config.case_id)
-    rom_opts = dict(config.rom)
-    if args.tol_eim_eta is not None:
-        rom_opts["tol_eim_eta"] = args.tol_eim_eta
-    if args.tol_eim_tau is not None:
-        rom_opts["tol_eim_tau"] = args.tol_eim_tau
-    if args.energy_threshold is not None:
-        rom_opts["energy_threshold"] = args.energy_threshold
-    pipe = offline_build(
-        mesh, problem, solutions=sols,
-        tol_eim_eta=float(rom_opts.get("tol_eim_eta", 1e-12)),
-        tol_eim_tau=float(rom_opts.get("tol_eim_tau", 1e-12)),
-        energy_threshold=float(rom_opts.get("energy_threshold", 1.0)),
-        rank_cutoff=rom_opts.get("rank_cutoff"))
+    pipe = offline_build(mesh, problem, solutions=sols,
+                         **_offline_options(config, args))
     digest = hashlib.sha256("".join(solution_digest(s)
                                     for s in sols).encode()).hexdigest()
     path = out / "rom_package.stm"
@@ -298,9 +279,7 @@ def cmd_eval_rom(args):
                             % (pkg.case_id, config.case_id))
     mu = parse_mu(args.mu)
     t0 = time.perf_counter()
-    red = solve_rom(pkg, mu=mu,
-                    picard_tol=float(config.solver.get("picard_tol", 1e-8)),
-                    picard_max=int(config.solver.get("picard_max", 50)))
+    red = solve_rom(pkg, mu=mu, **config.picard_options())
     elapsed = time.perf_counter() - t0
     path = out / "rom_solution.stm"
     from .io import write_artifact
@@ -321,24 +300,13 @@ def cmd_study(args):
     out = _out_dir(args)
     plan = _plan_from(config, args)
     sweep = parse_sweep(args.sweep) if args.sweep else None
-    rom_opts = dict(config.rom)
-    if args.tol_eim_eta is not None:
-        rom_opts["tol_eim_eta"] = args.tol_eim_eta
-    if args.tol_eim_tau is not None:
-        rom_opts["tol_eim_tau"] = args.tol_eim_tau
-    if args.energy_threshold is not None:
-        rom_opts["energy_threshold"] = args.energy_threshold
     mesh = cases.build_mesh(config)
     problem = cases.build_problem(config, mesh)
     samples = generate_samples(plan)
     sols, _ = solve_training(config, samples.training, workers=args.workers,
                              mesh=mesh, problem=problem)
-    pipeline = offline_build(
-        mesh, problem, solutions=sols,
-        tol_eim_eta=float(rom_opts.get("tol_eim_eta", 1e-12)),
-        tol_eim_tau=float(rom_opts.get("tol_eim_tau", 1e-12)),
-        energy_threshold=float(rom_opts.get("energy_threshold", 1.0)),
-        rank_cutoff=rom_opts.get("rank_cutoff"))
+    pipeline = offline_build(mesh, problem, solutions=sols,
+                             **_offline_options(config, args))
     report = run_study(config, sweep=sweep, plan=plan, pipeline=pipeline,
                        fom_workers=args.workers)
     json_path = out / "study_report.json"

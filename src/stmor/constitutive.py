@@ -1,11 +1,12 @@
-"""Shear rate, Carreau-Yasuda viscosity, and parameter-vector semantics.
+"""Shear rate, Carreau-Yasuda viscosity, the element-field kernel, and
+parameter-vector semantics.
 
 All quantities are SI.  The velocity gradient entering the shear rate is the
 spatial gradient of the discrete P1 field, constant per element, so viscosity
-values naturally live on elements.
+and the stabilization parameter naturally live on elements.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,6 +111,24 @@ def viscosity(gamma_dot, params):
         1.0 + (params.lam * gd) ** params.a) ** expo
 
 
+def field_values(gx, h_t, h_s, u_elems, params):
+    """Per-element (shear rate, viscosity, tau) at frozen nodal velocities.
+
+    gx (m, D+1, d) holds the spatial shape-function gradients, h_t and h_s
+    (m,) the temporal extent and spatial diameter, u_elems (m, D+1, d) the
+    element nodal velocities.  tau is the GLS momentum parameter built from
+    the temporal, advective (element-mean speed) and viscous scales.
+    """
+    grad = np.einsum("eac,eaj->ecj", u_elems, gx)
+    gd = shear_rate(grad)
+    eta = viscosity(gd, params)
+    speed = np.linalg.norm(u_elems.mean(axis=1), axis=-1)
+    nu = eta / params.rho
+    tau = 1.0 / np.sqrt((2.0 / h_t) ** 2 + (2.0 * speed / h_s) ** 2
+                        + (4.0 * nu / h_s ** 2) ** 2)
+    return gd, eta, tau
+
+
 # parameter semantics of the bundled problem families:
 #   material: components override fields of CarreauYasudaParams by name
 #   bc_scale: components multiply the amplitude of named boundary profiles
@@ -132,16 +151,49 @@ class ParameterSpace:
             raise ParameterError("unknown parameter semantics %r" % self.semantics)
 
 
+_SPACE_KEYS = {"names", "lower", "upper", "semantics", "targets"}
+
+
+def space_to_dict(space):
+    """JSON-ready form of a ParameterSpace (None passes through)."""
+    if space is None:
+        return None
+    box = space.box
+    return {"names": list(box.names),
+            "lower": [float(v) for v in box.lower],
+            "upper": [float(v) for v in box.upper],
+            "semantics": space.semantics, "targets": list(space.targets)}
+
+
+def space_from_dict(d):
+    """Inverse of space_to_dict; unknown or missing keys are a ParameterError."""
+    if d is None:
+        return None
+    extra = set(d) - _SPACE_KEYS
+    if extra:
+        raise ParameterError("unknown parameters key %r" % sorted(extra)[0])
+    missing = _SPACE_KEYS - set(d)
+    if missing:
+        raise ParameterError("parameters key %r is missing" % sorted(missing)[0])
+    box = ParameterBox(names=tuple(d["names"]),
+                       lower=tuple(float(v) for v in d["lower"]),
+                       upper=tuple(float(v) for v in d["upper"]))
+    return ParameterSpace(box=box, semantics=str(d["semantics"]),
+                          targets=tuple(d["targets"]))
+
+
 def apply_parameters(base, bc_amplitudes, mu, space):
     """Effective (material params, bc amplitude map) at the parameter point mu.
 
     bc_amplitudes maps boundary-profile names to scalar amplitudes.  Material
     semantics override the named fields of ``base``; bc_scale semantics set
     the amplitude of every profile listed in space.targets to the single
-    component of mu.
+    component of mu.  Without mu or space the base data is returned as is.
     """
-    mu = space.box.validate(mu)
     amps = dict(bc_amplitudes)
+    if mu is None or space is None:
+        return base, amps
+    mu = space.box.validate(mu)
     if space.semantics == SEMANTICS_MATERIAL:
         updates = {}
         for name, v in zip(space.box.names, mu):

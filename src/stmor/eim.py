@@ -13,9 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .constitutive import shear_rate, viscosity
-from .io import check_mesh_hash, read_artifact, write_artifact
-
 logger = logging.getLogger(__name__)
 
 FIELD_TAGS = ("eta", "tau")
@@ -42,10 +39,14 @@ class FieldSampleSet:
 
 @dataclass
 class EimApproximation:
-    """Interpolation data of one field: basis, magic elements, T, history."""
+    """Interpolation data of one field: basis, magic elements, T, history.
+
+    Online solves need only magic, T and history (the basis values at the
+    magic elements are T), so a package read from disk carries basis=None.
+    """
 
     tag: str
-    basis: np.ndarray           # (n_elements, Q)
+    basis: np.ndarray           # (n_elements, Q), or None
     magic: np.ndarray           # (Q,) element ids
     T: np.ndarray               # (Q, Q) unit lower triangular
     history: np.ndarray         # (Q+1,) greedy max errors, history[0] = 1
@@ -53,14 +54,17 @@ class EimApproximation:
 
     @property
     def n_terms(self):
-        return self.basis.shape[1]
+        return self.T.shape[0]
 
     def coefficients(self, values_at_magic):
-        """Solve T c = field(magic); O(Q^2), independent of the mesh size."""
+        """Solve T c = field(magic); O(Q^2), independent of the mesh size.
+
+        values_at_magic has shape (Q,), or (Q, k) for k fields at once.
+        """
         values = np.asarray(values_at_magic, dtype=np.float64)
-        if values.shape[0] != self.n_terms:
-            raise EimError("expected %d magic-element values, got %d"
-                           % (self.n_terms, values.shape[0]))
+        if values.ndim not in (1, 2) or values.shape[0] != self.n_terms:
+            raise EimError("expected %d magic-element values, got shape %s"
+                           % (self.n_terms, values.shape))
         if self.n_terms == 0:
             return values[:0]
         return solve_triangular(self.T, values, lower=True, unit_diagonal=True)
@@ -118,80 +122,3 @@ def eim_greedy(samples, tol, q_max):
     logger.info("EIM %s: %d terms, final training error %.3e",
                 samples.tag, Q, approx.history[-1])
     return approx
-
-
-def eim_coefficients(approx, values_at_magic):
-    return approx.coefficients(values_at_magic)
-
-
-# ---------------------------------------------------------------------------
-# field evaluation restricted to chosen elements
-
-def _tau_kernel(h_t, h_s, speed, nu):
-    return 1.0 / np.sqrt((2.0 / h_t) ** 2 + (2.0 * speed / h_s) ** 2
-                         + (4.0 * nu / h_s ** 2) ** 2)
-
-
-def field_values(gx, h_t, h_s, u_elems, params, tag):
-    """Viscosity or tau from element geometry and element nodal velocities.
-
-    gx (m, D+1, d) spatial shape-function gradients, u_elems (m, D+1, d).
-    """
-    grad = np.einsum("eac,eaj->ecj", u_elems, gx)
-    gd = shear_rate(grad)
-    eta = viscosity(gd, params)
-    if tag == "eta":
-        return eta
-    if tag != "tau":
-        raise EimError("unknown field tag %r" % tag)
-    speed = np.linalg.norm(u_elems.mean(axis=1), axis=-1)
-    return _tau_kernel(h_t, h_s, speed, eta / params.rho)
-
-
-def element_geometry_subset(mesh, element_ids):
-    """(gx, h_t, h_s) of the chosen elements, computed locally."""
-    ids = np.asarray(element_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= mesh.n_elements):
-        raise EimError("element id out of range")
-    d = mesh.d
-    x = mesh.nodes[mesh.elements[ids]]
-    M = np.swapaxes(x[:, 1:, :] - x[:, :1, :], 1, 2)
-    Minv = np.linalg.inv(M)
-    grads = np.empty((ids.size, mesh.dimension + 1, mesh.dimension))
-    grads[:, 1:, :] = Minv
-    grads[:, 0, :] = -Minv.sum(axis=1)
-    h_t = x[:, :, -1].max(axis=1) - x[:, :, -1].min(axis=1)
-    diffs = x[:, :, None, :d] - x[:, None, :, :d]
-    h_s = np.sqrt((diffs ** 2).sum(-1)).max(axis=(1, 2))
-    return grads[:, :, :d], h_t, h_s
-
-
-def evaluate_field_at_elements(mesh, element_ids, u_nodal, params, tag):
-    """Field values on a subset of elements; cost scales with the subset."""
-    ids = np.asarray(element_ids, dtype=np.int64)
-    gx, h_t, h_s = element_geometry_subset(mesh, ids)
-    u_elems = np.asarray(u_nodal)[mesh.elements[ids]]
-    return field_values(gx, h_t, h_s, u_elems, params, tag)
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def write_eim(path, approx, extra_header=None):
-    header = {"tag": approx.tag, "n_terms": int(approx.n_terms),
-              "mesh_hash": approx.mesh_hash}
-    header.update(extra_header or {})
-    write_artifact(path, "eim", header,
-                   {"basis": approx.basis, "magic": approx.magic,
-                    "T": approx.T, "history": approx.history})
-
-
-def read_eim(path, mesh_hash=None):
-    header, arrays = read_artifact(path, expect_kind="eim")
-    if mesh_hash is not None:
-        check_mesh_hash(header, mesh_hash, path=str(path))
-    approx = EimApproximation(tag=header["tag"], basis=arrays["basis"],
-                              magic=arrays["magic"].astype(np.int64),
-                              T=arrays["T"], history=arrays["history"],
-                              mesh_hash=header.get("mesh_hash", ""))
-    return header, approx

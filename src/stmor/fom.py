@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .constitutive import apply_parameters, shear_rate, viscosity
+from .constitutive import apply_parameters, field_values
 from .io import read_artifact, write_artifact
 
 logger = logging.getLogger(__name__)
@@ -197,30 +197,6 @@ def combine_liftings(liftings, n_nodes, d):
 
 
 # ---------------------------------------------------------------------------
-# element fields and stabilization parameter
-
-def _tau_from_scales(h_t, h_s, speed, nu):
-    return 1.0 / np.sqrt((2.0 / h_t) ** 2 + (2.0 * speed / h_s) ** 2
-                         + (4.0 * nu / h_s ** 2) ** 2)
-
-
-def tau_mom(mesh, element_id, u_elem, params):
-    """Stabilization parameter of one element at the frozen velocity iterate.
-
-    u_elem holds the nodal velocities of the element, shape (D+1, d).
-    """
-    geo = mesh.element_geometry(element_id)
-    x = mesh.nodes[mesh.elements[element_id]]
-    h_t = x[:, -1].max() - x[:, -1].min()
-    diffs = x[:, None, :-1] - x[None, :, :-1]
-    h_s = np.sqrt((diffs ** 2).sum(-1)).max()
-    grad = np.einsum("ac,aj->cj", u_elem, geo.grad_x)
-    nu = viscosity(shear_rate(grad), params) / params.rho
-    speed = np.linalg.norm(u_elem.mean(axis=0))
-    return float(_tau_from_scales(h_t, h_s, speed, nu))
-
-
-# ---------------------------------------------------------------------------
 # vectorized assembly
 
 class FomAssembler:
@@ -352,12 +328,8 @@ class FomAssembler:
 
     def element_fields(self, u_full, params):
         """Per-element (shear rate, viscosity, tau) at a frozen velocity field."""
-        ue = u_full[self.elems]
-        grad = np.einsum("eac,eaj->ecj", ue, self.gx)
-        gd = shear_rate(grad)
-        eta = viscosity(gd, params)
-        speed = np.linalg.norm(ue.mean(axis=1), axis=1)
-        tau = _tau_from_scales(self.h_t, self.h_s, speed, eta / params.rho)
+        gd, eta, tau = field_values(self.gx, self.h_t, self.h_s,
+                                    u_full[self.elems], params)
         bad = np.flatnonzero(~(np.isfinite(eta) & np.isfinite(tau)))
         if bad.size:
             raise SolverError("non-finite viscosity or tau in element %d" % bad[0])
@@ -540,8 +512,6 @@ class FomProblem:
     neumann: dict = field(default_factory=dict)
 
     def effective(self, mu):
-        if mu is None or self.space is None:
-            return self.material, dict(self.amplitudes)
         return apply_parameters(self.material, self.amplitudes, mu, self.space)
 
 

@@ -1,12 +1,14 @@
 """Binary artifact container used by every pipeline stage.
 
-Layout: magic ``STMOR``, a kind byte string, a format version, a
-length-prefixed JSON header, then named little-endian arrays.  The header
-always embeds {schema version, case id, mesh hash, upstream hashes} so a
-stage can refuse stale inputs.
+Layout: magic ``STMOR``, a format version, a length-prefixed kind string,
+a length-prefixed JSON header, then named little-endian arrays and nothing
+after them.  The header always embeds the schema version and kind; every
+stage also stores its case id and mesh hash there, so a stage handed a file
+built on another mesh refuses it (check_mesh_hash).
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -51,27 +53,42 @@ def write_artifact(path, kind, header, arrays):
 
 
 def read_artifact(path, expect_kind=None):
-    """Read (header, arrays); optionally check the artifact kind."""
+    """Read (header, arrays); optionally check the artifact kind.
+
+    A cut anywhere in the file, an unreadable header and bytes after the
+    last array are all reported as ArtifactError.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n, what):
+            if not 0 <= n <= size - fh.tell():
+                raise ArtifactError("%s: truncated %s" % (path, what))
+            return fh.read(n)
+
         if fh.read(5) != MAGIC:
             raise ArtifactError("%s: not an artifact file" % path)
-        (ver,) = struct.unpack("<H", fh.read(2))
+        (ver,) = struct.unpack("<H", take(2, "version"))
         if ver != FORMAT_VERSION:
             raise ArtifactError("%s: unsupported format version %d" % (path, ver))
-        (klen,) = struct.unpack("<H", fh.read(2))
-        kind = fh.read(klen).decode()
-        if expect_kind is not None and kind != expect_kind:
-            raise ArtifactError("%s: expected a %r artifact, found %r"
-                                % (path, expect_kind, kind))
-        (plen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(plen).decode())
-        arrays = {}
-        for name, code, shape in header.pop("_arrays"):
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ArtifactError("%s: truncated array %r" % (path, name))
-            arrays[name] = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(shape).copy()
+        try:
+            (klen,) = struct.unpack("<H", take(2, "kind"))
+            kind = take(klen, "kind").decode()
+            if expect_kind is not None and kind != expect_kind:
+                raise ArtifactError("%s: expected a %r artifact, found %r"
+                                    % (path, expect_kind, kind))
+            (plen,) = struct.unpack("<Q", take(8, "header"))
+            header = json.loads(take(plen, "header").decode())
+            arrays = {}
+            for name, code, shape in header.pop("_arrays"):
+                count = int(np.prod(shape)) if shape else 1
+                raw = take(count * 8, "array %r" % name)
+                arrays[name] = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(shape).copy()
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ArtifactError("%s: malformed header (%s: %s)"
+                                % (path, type(exc).__name__, exc)) from None
+        if fh.read(1):
+            raise ArtifactError("%s: trailing bytes after the last array" % path)
     return header, arrays
 
 
@@ -81,11 +98,3 @@ def check_mesh_hash(header, mesh_hash, path="artifact"):
     if found != mesh_hash:
         raise ArtifactError("%s was built on mesh %s, current mesh is %s; "
                             "rebuild the stale stage" % (path, found, mesh_hash))
-
-
-def check_upstream(header, key, expected, path="artifact"):
-    """Hard error if an upstream-stage hash embedded in the header mismatches."""
-    found = header.get("upstream", {}).get(key)
-    if found != expected:
-        raise ArtifactError("%s: upstream %s hash %s does not match %s"
-                            % (path, key, found, expected))

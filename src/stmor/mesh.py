@@ -95,16 +95,6 @@ class SpatialMesh:
 
 
 @dataclass
-class ElementGeometry:
-    """Affine P1 geometry data of one space-time simplex."""
-
-    measure: float
-    grad_x: np.ndarray          # (D+1, d) spatial parts of the shape-function gradients
-    grad_t: np.ndarray          # (D+1,) temporal parts
-    normals: np.ndarray         # (D+1, D) outward unit normal of the facet opposite node i
-
-
-@dataclass
 class SpaceTimeMesh:
     """Simplex mesh of Q; the last node coordinate is time.
 
@@ -169,24 +159,6 @@ class SpaceTimeMesh:
             grads[:, 0, :] = -Minv.sum(axis=1)
             self._geom = (det / _FACTORIAL[D], grads)
         return self._geom
-
-    def element_geometry(self, element_id):
-        """Measure, shape-function gradients (space/time split) and facet normals."""
-        if not 0 <= element_id < self.n_elements:
-            raise MeshError("invalid element id %s" % element_id)
-        measures, grads = self.all_element_geometry()
-        meas = float(measures[element_id])
-        if meas <= 0.0:
-            raise MeshError("element %d is degenerate" % element_id)
-        g = grads[element_id]
-        norms = np.linalg.norm(g, axis=1)
-        normals = -g / norms[:, None]
-        return ElementGeometry(measure=meas, grad_x=g[:, :-1].copy(),
-                               grad_t=g[:, -1].copy(), normals=normals)
-
-    def facet_nodes(self):
-        """Node ids per boundary facet, in the canonical (sorted) order."""
-        return list(self.boundary_facets.keys())
 
     def facet_measure(self, facet):
         """(D-1)-measure of a facet given by node ids."""

@@ -25,13 +25,13 @@ import logging
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .constitutive import (CarreauYasudaParams, ParameterBox, ParameterSpace,
-                           apply_parameters)
-from .eim import element_geometry_subset, field_values
+from .constitutive import (CarreauYasudaParams, ParameterError, ParameterSpace,
+                           apply_parameters, field_values, space_from_dict,
+                           space_to_dict)
+from .eim import EimApproximation
 from .fom import FomAssembler, build_dof_map, build_lifting, pressure_pins
-from .io import check_mesh_hash, read_artifact, write_artifact
+from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
 from .pod import project_coefficients
 
 logger = logging.getLogger(__name__)
@@ -43,37 +43,6 @@ class RomError(Exception):
 
 # ---------------------------------------------------------------------------
 # online data carried by the package
-
-@dataclass
-class EimOnline:
-    """Interpolation data needed online: magic ids, T, greedy history.
-
-    The element-length basis columns stay in the eim artifact; their
-    values at the magic elements equal T, so nothing online is lost.
-    """
-
-    tag: str
-    magic: np.ndarray           # (Q,) element ids
-    T: np.ndarray               # (Q, Q) unit lower triangular
-    history: np.ndarray
-
-    @classmethod
-    def from_approximation(cls, approx):
-        return cls(tag=approx.tag, magic=np.asarray(approx.magic, dtype=np.int64),
-                   T=np.asarray(approx.T, dtype=np.float64),
-                   history=np.asarray(approx.history, dtype=np.float64))
-
-    @property
-    def n_terms(self):
-        return self.T.shape[0]
-
-    def coefficients(self, values_at_magic):
-        vals = np.asarray(values_at_magic, dtype=np.float64)
-        if vals.shape != (self.n_terms,):
-            raise RomError("expected %d magic-element values, got shape %s"
-                           % (self.n_terms, vals.shape))
-        return solve_triangular(self.T, vals, lower=True, unit_diagonal=True)
-
 
 @dataclass
 class MagicElementData:
@@ -127,14 +96,21 @@ class RomPackage:
     G: np.ndarray               # (n_lifts, N_p) divergence lift loads
     L: np.ndarray               # (Q_eta, n_lifts, N_u) viscous lift loads
     D: np.ndarray               # (Q_tau, n_lifts, N_p) stabilization lift loads
-    eim_eta: EimOnline
-    eim_tau: EimOnline
+    eim_eta: EimApproximation   # basis=None once read from disk
+    eim_tau: EimApproximation
     data_eta: MagicElementData
     data_tau: MagicElementData
     basis: object = None        # optional ReducedBasis, never serialized
 
     def __post_init__(self):
         self._validate()
+        # the magic elements of both fields in one block, eta first, so an
+        # iterate costs one velocity product and one kernel call
+        de, dt = self.data_eta, self.data_tau
+        self.data_all = MagicElementData(
+            gx=np.concatenate([de.gx, dt.gx]), h_t=np.concatenate([de.h_t, dt.h_t]),
+            h_s=np.concatenate([de.h_s, dt.h_s]),
+            Z_rows=np.concatenate([de.Z_rows, dt.Z_rows]))
 
     @property
     def n_u(self):
@@ -187,8 +163,6 @@ class RomPackage:
 
     def effective(self, mu):
         """Material parameters and group amplitudes at the sample mu."""
-        if mu is None or self.space is None:
-            return self.material, dict(self.amplitudes)
         return apply_parameters(self.material, self.amplitudes, mu, self.space)
 
     def lift_coefficients(self, amps):
@@ -225,12 +199,11 @@ def _zero_lift_columns(P, n_lifts):
     return out
 
 
-def _magic_data(mesh, Z_v, magic, d):
-    gx, h_t, h_s = element_geometry_subset(mesh, magic)
-    nodes = mesh.elements[np.asarray(magic, dtype=np.int64)]
-    Z_rows = np.ascontiguousarray(
-        Z_v.reshape(mesh.n_nodes, d, Z_v.shape[1])[nodes])
-    return MagicElementData(gx=gx, h_t=h_t, h_s=h_s, Z_rows=Z_rows)
+def _magic_data(asm, Z_v, magic):
+    """Assembler geometry and velocity-basis rows sliced at the magic elements."""
+    Z_rows = Z_v.reshape(-1, asm.d, Z_v.shape[1])[asm.elems[magic]]
+    return MagicElementData(gx=asm.gx[magic], h_t=asm.h_t[magic],
+                            h_s=asm.h_s[magic], Z_rows=Z_rows)
 
 
 def project_offline(mesh, problem, basis, eim_eta, eim_tau,
@@ -263,6 +236,9 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
                            "values, mesh has %d" % (approx.tag,
                                                     approx.basis.shape[0],
                                                     mesh.n_elements))
+        if np.any((approx.magic < 0) | (approx.magic >= mesh.n_elements)):
+            raise RomError("%s interpolation has a magic element outside "
+                           "[0, %d)" % (approx.tag, mesh.n_elements))
     if pressure_pins(mesh, dof_map).size:
         raise RomError("case leaves no natural pressure gauge; the reduced "
                        "solver carries no pressure pinning")
@@ -319,10 +295,9 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         space=problem.space,
         E=E_N, A=A_N, B=B_N, C=C_N, S=S_N, H=H_N,
         F_body=F_body, F_trac=F_trac, G=G_N, L=L_N, D=D_N,
-        eim_eta=EimOnline.from_approximation(eim_eta),
-        eim_tau=EimOnline.from_approximation(eim_tau),
-        data_eta=_magic_data(mesh, Z_v, eim_eta.magic, mesh.d),
-        data_tau=_magic_data(mesh, Z_v, eim_tau.magic, mesh.d),
+        eim_eta=eim_eta, eim_tau=eim_tau,
+        data_eta=_magic_data(asm, Z_v, eim_eta.magic),
+        data_tau=_magic_data(asm, Z_v, eim_tau.magic),
         basis=basis)
     logger.info("projected %s: N_u=%d N_p=%d (N=%d vs N^h=%d), Q_eta=%d Q_tau=%d",
                 problem.name, pkg.n_u, pkg.n_p, pkg.n_reduced, pkg.n_fom_dofs,
@@ -376,11 +351,10 @@ def assemble_rom(pkg, v_iterate, mu=None):
     s = pkg.lift_coefficients(amps)
     rho = params.rho
 
-    de, dt = pkg.data_eta, pkg.data_tau
-    c_eta = pkg.eim_eta.coefficients(
-        field_values(de.gx, de.h_t, de.h_s, de.velocity(v_it), params, "eta"))
-    c_tau = pkg.eim_tau.coefficients(
-        field_values(dt.gx, dt.h_t, dt.h_s, dt.velocity(v_it), params, "tau"))
+    m, qe = pkg.data_all, pkg.q_eta
+    _, eta, tau = field_values(m.gx, m.h_t, m.h_s, m.velocity(v_it), params)
+    c_eta = pkg.eim_eta.coefficients(eta[:qe])
+    c_tau = pkg.eim_tau.coefficients(tau[qe:])
 
     n_u, n_p, nl = pkg.n_u, pkg.n_p, pkg.n_lifts
     A = np.tensordot(c_eta, pkg.A, axes=1)
@@ -531,30 +505,8 @@ def rom_info(pkg):
             "eim_tau_final_error": float(pkg.eim_tau.history[-1]),
             "spatial_dimension": pkg.d, "n_spacetime_nodes": pkg.n_nodes}
     if pkg.space is not None:
-        info["parameters"] = {"names": list(pkg.space.box.names),
-                              "lower": [float(v) for v in pkg.space.box.lower],
-                              "upper": [float(v) for v in pkg.space.box.upper],
-                              "semantics": pkg.space.semantics}
+        info["parameters"] = space_to_dict(pkg.space)
     return info
-
-
-def _space_header(space):
-    if space is None:
-        return None
-    return {"names": list(space.box.names),
-            "lower": [float(v) for v in space.box.lower],
-            "upper": [float(v) for v in space.box.upper],
-            "semantics": space.semantics, "targets": list(space.targets)}
-
-
-def _space_from_header(data):
-    if data is None:
-        return None
-    box = ParameterBox(names=tuple(data["names"]),
-                       lower=tuple(float(v) for v in data["lower"]),
-                       upper=tuple(float(v) for v in data["upper"]))
-    return ParameterSpace(box=box, semantics=data["semantics"],
-                          targets=tuple(data.get("targets", ())))
 
 
 def write_rom(path, pkg, extra_header=None):
@@ -564,16 +516,16 @@ def write_rom(path, pkg, extra_header=None):
               "lift_groups": list(pkg.lift_groups),
               "material": asdict(pkg.material),
               "amplitudes": {k: float(v) for k, v in pkg.amplitudes.items()},
-              "space": _space_header(pkg.space)}
+              "space": space_to_dict(pkg.space)}
     header.update(extra_header or {})
     arrays = {"E": pkg.E, "A": pkg.A, "B": pkg.B, "C": pkg.C, "S": pkg.S,
               "H": pkg.H, "F_body": pkg.F_body, "F_trac": pkg.F_trac,
               "G": pkg.G, "L": pkg.L, "D": pkg.D}
-    for tag, online, data in (("eta", pkg.eim_eta, pkg.data_eta),
-                              ("tau", pkg.eim_tau, pkg.data_tau)):
-        arrays[tag + "_magic"] = online.magic
-        arrays[tag + "_T"] = online.T
-        arrays[tag + "_history"] = online.history
+    for tag, eim, data in (("eta", pkg.eim_eta, pkg.data_eta),
+                           ("tau", pkg.eim_tau, pkg.data_tau)):
+        arrays[tag + "_magic"] = eim.magic
+        arrays[tag + "_T"] = eim.T
+        arrays[tag + "_history"] = eim.history
         arrays[tag + "_gx"] = data.gx
         arrays[tag + "_ht"] = data.h_t
         arrays[tag + "_hs"] = data.h_s
@@ -585,29 +537,33 @@ def read_rom(path, mesh_hash=None):
     header, arrays = read_artifact(path, expect_kind="rom")
     if mesh_hash is not None:
         check_mesh_hash(header, mesh_hash, path=str(path))
-    online = {}
-    data = {}
-    for tag in ("eta", "tau"):
-        online[tag] = EimOnline(tag=tag,
-                                magic=arrays[tag + "_magic"].astype(np.int64),
-                                T=arrays[tag + "_T"],
-                                history=arrays[tag + "_history"])
-        data[tag] = MagicElementData(gx=arrays[tag + "_gx"],
-                                     h_t=arrays[tag + "_ht"],
-                                     h_s=arrays[tag + "_hs"],
-                                     Z_rows=arrays[tag + "_Z"])
-    pkg = RomPackage(
-        case_id=header.get("case_id", ""), mesh_hash=header.get("mesh_hash", ""),
-        d=int(header["d"]), n_nodes=int(header["n_nodes"]),
-        n_fom_dofs=int(header["n_fom_dofs"]),
-        lift_groups=tuple(header["lift_groups"]),
-        material=CarreauYasudaParams(**{k: float(v) for k, v
-                                        in header["material"].items()}),
-        amplitudes={k: float(v) for k, v in header["amplitudes"].items()},
-        space=_space_from_header(header.get("space")),
-        E=arrays["E"], A=arrays["A"], B=arrays["B"], C=arrays["C"],
-        S=arrays["S"], H=arrays["H"], F_body=arrays["F_body"],
-        F_trac=arrays["F_trac"], G=arrays["G"], L=arrays["L"], D=arrays["D"],
-        eim_eta=online["eta"], eim_tau=online["tau"],
-        data_eta=data["eta"], data_tau=data["tau"])
+    try:
+        eim, data = {}, {}
+        for tag in ("eta", "tau"):
+            eim[tag] = EimApproximation(
+                tag=tag, basis=None, magic=arrays[tag + "_magic"].astype(np.int64),
+                T=arrays[tag + "_T"], history=arrays[tag + "_history"])
+            data[tag] = MagicElementData(gx=arrays[tag + "_gx"],
+                                         h_t=arrays[tag + "_ht"],
+                                         h_s=arrays[tag + "_hs"],
+                                         Z_rows=arrays[tag + "_Z"])
+        pkg = RomPackage(
+            case_id=header.get("case_id", ""),
+            mesh_hash=header.get("mesh_hash", ""),
+            d=int(header["d"]), n_nodes=int(header["n_nodes"]),
+            n_fom_dofs=int(header["n_fom_dofs"]),
+            lift_groups=tuple(header["lift_groups"]),
+            material=CarreauYasudaParams(**{k: float(v) for k, v
+                                            in header["material"].items()}),
+            amplitudes={k: float(v) for k, v in header["amplitudes"].items()},
+            space=space_from_dict(header.get("space")),
+            E=arrays["E"], A=arrays["A"], B=arrays["B"], C=arrays["C"],
+            S=arrays["S"], H=arrays["H"], F_body=arrays["F_body"],
+            F_trac=arrays["F_trac"], G=arrays["G"], L=arrays["L"], D=arrays["D"],
+            eim_eta=eim["eta"], eim_tau=eim["tau"],
+            data_eta=data["eta"], data_tau=data["tau"])
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ParameterError) as exc:
+        raise ArtifactError("%s: malformed rom package (%s: %s)"
+                            % (path, type(exc).__name__, exc)) from None
     return header, pkg

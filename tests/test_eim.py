@@ -4,19 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stmor.constitutive import CarreauYasudaParams
-from stmor.eim import (
-    EimApproximation,
-    EimError,
-    FieldSampleSet,
-    eim_coefficients,
-    eim_greedy,
-    evaluate_field_at_elements,
-    read_eim,
-    write_eim,
-)
-from stmor.fom import FomAssembler, tau_mom
-from stmor.io import ArtifactError
+from stmor.constitutive import CarreauYasudaParams, field_values
+from stmor.eim import EimApproximation, EimError, FieldSampleSet, eim_greedy
+from stmor.fom import FomAssembler
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
 
 BLOOD = CarreauYasudaParams(eta_0=0.056, eta_inf=0.00345, lam=1.902, a=1.25,
@@ -109,7 +99,7 @@ class TestCoefficients:
         samples = rank_k_samples(50, 8, 4, seed=5)
         approx = eim_greedy(samples, tol=1e-15, q_max=4)
         for q in range(4):
-            c = eim_coefficients(approx, approx.T[:, q])
+            c = approx.coefficients(approx.T[:, q])
             np.testing.assert_allclose(c, np.eye(4)[q], atol=1e-13)
 
     def test_held_out_column_of_rank_q_family(self):
@@ -127,7 +117,27 @@ class TestCoefficients:
         samples = rank_k_samples(30, 5, 2, seed=7)
         approx = eim_greedy(samples, tol=1e-15, q_max=2)
         with pytest.raises(EimError, match="magic"):
-            eim_coefficients(approx, np.ones(5))
+            approx.coefficients(np.ones(5))
+        with pytest.raises(EimError, match="magic"):
+            approx.coefficients(np.ones((2, 1, 1)))
+
+    def test_online_copy_without_basis(self):
+        # a package read from disk keeps magic, T and history only
+        samples = rank_k_samples(30, 5, 3, seed=10)
+        approx = eim_greedy(samples, tol=1e-15, q_max=3)
+        online = EimApproximation(tag="eta", basis=None, magic=approx.magic,
+                                  T=approx.T, history=approx.history)
+        assert online.n_terms == 3
+        vals = samples.values[approx.magic, 1]
+        np.testing.assert_array_equal(online.coefficients(vals),
+                                      approx.coefficients(vals))
+
+
+def subset_fields(asm, ids, u, params):
+    """The element-field kernel on chosen elements, from assembler geometry."""
+    ids = np.asarray(ids)
+    return field_values(asm.gx[ids], asm.h_t[ids], asm.h_s[ids],
+                        u[asm.elems[ids]], params)
 
 
 class TestFieldEvaluation:
@@ -141,53 +151,25 @@ class TestFieldEvaluation:
         rng = np.random.default_rng(8)
         u = rng.standard_normal((mesh.n_nodes, 2))
         asm = FomAssembler(mesh)
-        _, eta_full, tau_full = asm.element_fields(u, BLOOD)
-        ids = np.arange(mesh.n_elements)
-        eta = evaluate_field_at_elements(mesh, ids, u, BLOOD, "eta")
-        tau = evaluate_field_at_elements(mesh, ids, u, BLOOD, "tau")
-        np.testing.assert_allclose(eta, eta_full, rtol=1e-14)
-        np.testing.assert_allclose(tau, tau_full, rtol=1e-14)
+        full = asm.element_fields(u, BLOOD)
+        for ids in (np.arange(mesh.n_elements), np.array([7, 0, 5, 5])):
+            for got, want in zip(subset_fields(asm, ids, u, BLOOD), full):
+                np.testing.assert_array_equal(got, want[ids])
 
     def test_zero_velocity_gives_eta0(self):
         mesh = self.mesh()
         u = np.zeros((mesh.n_nodes, 2))
-        eta = evaluate_field_at_elements(mesh, [0, 5, 7], u, BLOOD, "eta")
+        _, eta, _ = subset_fields(FomAssembler(mesh), [0, 5, 7], u, BLOOD)
         np.testing.assert_allclose(eta, BLOOD.eta_0, rtol=1e-15)
 
     def test_single_element_tau_rest_limit(self):
         mesh = extrude(interval_mesh(0.0, 1.0, 2), [0.0, 0.5, 1.0])
         u = np.zeros((mesh.n_nodes, 1))
-        tau = evaluate_field_at_elements(mesh, [3], u, INVISCID, "tau")
-        assert tau[0] == pytest.approx(tau_mom(mesh, 3, u[mesh.elements[3]], INVISCID),
-                                       rel=1e-14)
+        _, _, tau = subset_fields(FomAssembler(mesh), [3], u, INVISCID)
         assert tau[0] == pytest.approx(0.25, rel=1e-14)   # h_t = 0.5 on this level
-
-    def test_invalid_element_rejected(self):
-        mesh = self.mesh()
-        u = np.zeros((mesh.n_nodes, 2))
-        with pytest.raises(EimError):
-            evaluate_field_at_elements(mesh, [999], u, BLOOD, "eta")
 
     def test_cost_scales_with_subset(self):
         mesh = self.mesh()
         u = np.zeros((mesh.n_nodes, 2))
-        few = evaluate_field_at_elements(mesh, [2], u, BLOOD, "eta")
-        assert few.shape == (1,)
-
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        samples = rank_k_samples(40, 6, 3, seed=9, tag="tau")
-        approx = eim_greedy(samples, tol=1e-15, q_max=3)
-        approx.mesh_hash = "feedc0de"
-        path = tmp_path / "eim.bin"
-        write_eim(path, approx, extra_header={"case_id": "demo"})
-        header, back = read_eim(path, mesh_hash="feedc0de")
-        assert header["case_id"] == "demo"
-        assert back.tag == "tau"
-        np.testing.assert_array_equal(back.basis, approx.basis)
-        np.testing.assert_array_equal(back.magic, approx.magic)
-        np.testing.assert_array_equal(back.T, approx.T)
-        np.testing.assert_array_equal(back.history, approx.history)
-        with pytest.raises(ArtifactError):
-            read_eim(path, mesh_hash="wrong")
+        gd, eta, tau = subset_fields(FomAssembler(mesh), [2], u, BLOOD)
+        assert gd.shape == eta.shape == tau.shape == (1,)

@@ -18,7 +18,6 @@ from stmor.fom import (
     pressure_pins,
     read_snapshot,
     solve_fom,
-    tau_mom,
     write_snapshot,
 )
 from stmor.io import ArtifactError
@@ -144,39 +143,44 @@ class TestLifting:
             build_lifting(mesh, specs, {})
 
 
+def tau_of(mesh, u, params):
+    """tau of element 0 from the assembler's element-field kernel."""
+    return FomAssembler(mesh).element_fields(u, params)[2][0]
+
+
 class TestTau:
     def test_inviscid_rest_limit(self):
         # u = 0, nu = 0 leaves only the temporal scale: tau = h_t / 2
         mesh = extrude(interval_mesh(0.0, 1.0, 1), [0.0, 1.0])
-        u = np.zeros((3, 1))
-        assert tau_mom(mesh, 0, u, INVISCID) == pytest.approx(0.5, rel=1e-14)
+        u = np.zeros((mesh.n_nodes, 1))
+        assert tau_of(mesh, u, INVISCID) == pytest.approx(0.5, rel=1e-14)
 
     def test_doubling_scales_doubles_tau(self):
         small = extrude(interval_mesh(0.0, 1.0, 1), [0.0, 1.0])
         big = extrude(interval_mesh(0.0, 2.0, 1), [0.0, 2.0])
-        t1 = tau_mom(small, 0, np.zeros((3, 1)), INVISCID)
-        t2 = tau_mom(big, 0, np.zeros((3, 1)), INVISCID)
+        t1 = tau_of(small, np.zeros((small.n_nodes, 1)), INVISCID)
+        t2 = tau_of(big, np.zeros((big.n_nodes, 1)), INVISCID)
         assert t2 == pytest.approx(2.0 * t1, rel=1e-14)
 
     def test_monotone_in_viscosity(self):
         mesh = extrude(interval_mesh(0.0, 1.0, 1), [0.0, 1.0])
-        u = np.zeros((3, 1))
-        taus = [tau_mom(mesh, 0, u,
-                        CarreauYasudaParams(eta_0=eta, eta_inf=0.0, lam=1.0,
-                                            a=1.0, n=1.0, rho=1.0))
+        u = np.zeros((mesh.n_nodes, 1))
+        taus = [tau_of(mesh, u,
+                       CarreauYasudaParams(eta_0=eta, eta_inf=0.0, lam=1.0,
+                                           a=1.0, n=1.0, rho=1.0))
                 for eta in (0.1, 1.0, 10.0, 100.0)]
         assert all(a > b for a, b in zip(taus, taus[1:]))
         assert all(t > 0 for t in taus)
         # dominant-viscosity limit: tau -> h_s^2/(4 nu)
         eta = 1e8
-        t = tau_mom(mesh, 0, u, CarreauYasudaParams(eta_0=eta, eta_inf=0.0,
-                                                    lam=1.0, a=1.0, n=1.0, rho=1.0))
+        t = tau_of(mesh, u, CarreauYasudaParams(eta_0=eta, eta_inf=0.0,
+                                                lam=1.0, a=1.0, n=1.0, rho=1.0))
         assert t == pytest.approx(1.0 / (4.0 * eta), rel=1e-6)
 
     def test_velocity_enters(self):
         mesh = extrude(interval_mesh(0.0, 1.0, 1), [0.0, 1.0])
-        t0 = tau_mom(mesh, 0, np.zeros((3, 1)), INVISCID)
-        t1 = tau_mom(mesh, 0, np.full((3, 1), 10.0), INVISCID)
+        t0 = tau_of(mesh, np.zeros((mesh.n_nodes, 1)), INVISCID)
+        t1 = tau_of(mesh, np.full((mesh.n_nodes, 1), 10.0), INVISCID)
         assert t1 < t0
 
 

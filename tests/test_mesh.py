@@ -130,35 +130,26 @@ class TestExtrude:
 class TestGeometry:
     def test_unit_right_triangle_measure(self):
         st_mesh = extrude(interval_mesh(0.0, 1.0, 1), [0.0, 1.0])
-        for e in range(st_mesh.n_elements):
-            geo = st_mesh.element_geometry(e)
-            np.testing.assert_allclose(geo.measure, 0.5, rtol=1e-14)
+        measures, _ = st_mesh.all_element_geometry()
+        np.testing.assert_allclose(measures, 0.5, rtol=1e-14)
 
     def test_reference_tetrahedron(self):
         nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         mesh = SpaceTimeMesh(dimension=3, nodes=nodes,
                              elements=np.array([[0, 1, 2, 3]]), boundary_facets={})
-        geo = mesh.element_geometry(0)
-        np.testing.assert_allclose(geo.measure, 1.0 / 6.0, rtol=1e-14)
-        # facet opposite the origin is the plane x + y + t = 1
-        np.testing.assert_allclose(geo.normals[0], np.full(3, 1 / np.sqrt(3)), atol=1e-14)
-        np.testing.assert_allclose(geo.grad_x[1], [1.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(geo.grad_t[3], 1.0, rtol=1e-14)
+        measures, grads = mesh.all_element_geometry()
+        np.testing.assert_allclose(measures[0], 1.0 / 6.0, rtol=1e-14)
+        # spatial parts are the leading columns, time the last one
+        np.testing.assert_allclose(grads[0, 1, :-1], [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(grads[0, 3, -1], 1.0, rtol=1e-14)
 
     def test_gradient_partition_of_unity(self):
         spatial = rectangle_mesh([0, 0.3, 1.0], [0, 0.7, 1.0],
                                  "dirichlet:l", "dirichlet:r", "dirichlet:b", "dirichlet:t")
         st_mesh = deform(extrude(spatial, [0.0, 0.4, 1.0]), channel_narrowing_map(r0=1.0))
-        for e in range(st_mesh.n_elements):
-            geo = st_mesh.element_geometry(e)
-            np.testing.assert_allclose(geo.grad_x.sum(axis=0), 0.0, atol=1e-13)
-            np.testing.assert_allclose(geo.grad_t.sum(), 0.0, atol=1e-13)
-
-    def test_invalid_element_id(self):
-        st_mesh = extrude(unit_triangle(), [0.0, 1.0])
-        with pytest.raises(MeshError):
-            st_mesh.element_geometry(99)
+        _, grads = st_mesh.all_element_geometry()
+        np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-13)
 
 
 class TestDeform:

@@ -17,7 +17,7 @@ from stmor.fom import (DirichletSpec, FomAssembler, FomProblem, build_dof_map,
 from stmor.io import ArtifactError
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
 from stmor.pod import assemble_basis, compute_pod
-from stmor.rom import (EimOnline, MagicElementData, ReducedSolution, RomError,
+from stmor.rom import (MagicElementData, ReducedSolution, RomError,
                        RomPackage, assemble_rom, attach_basis, project_fields,
                        project_offline, read_rom, reconstruct, rom_info,
                        solve_rom, truncate, write_rom)
@@ -258,6 +258,16 @@ class TestProjection:
                             duct.eims["tau"], duct.eims["tau"],
                             dof_map=duct.dof_map, assembler=duct.asm)
 
+    def test_rejects_magic_outside_mesh(self, duct):
+        n_e = duct.mesh.n_elements
+        for bad in (-1, n_e):
+            eta = replace(duct.eims["eta"],
+                          magic=np.r_[duct.eims["eta"].magic[:-1], bad])
+            with pytest.raises(RomError, match="magic element outside"):
+                project_offline(duct.mesh, duct.problem, duct.basis,
+                                eta, duct.eims["tau"],
+                                dof_map=duct.dof_map, assembler=duct.asm)
+
     def test_rejects_cases_without_natural_gauge(self):
         spatial = rectangle_mesh(np.linspace(0.0, 1.0, 3),
                                  np.linspace(0.0, 1.0, 3),
@@ -374,8 +384,8 @@ class TestSolve:
     def test_singular_reduced_system_reports_sizes(self):
         mat = CarreauYasudaParams(eta_0=1.0, eta_inf=0.0, lam=1.0, a=2.0,
                                   n=1.0, rho=1.0)
-        online = {tag: EimOnline(tag=tag, magic=np.array([0]), T=np.eye(1),
-                                 history=np.array([1.0, 0.0]))
+        online = {tag: EimApproximation(tag=tag, basis=None, magic=np.array([0]),
+                                        T=np.eye(1), history=np.array([1.0, 0.0]))
                   for tag in ("eta", "tau")}
         data = MagicElementData(gx=np.zeros((1, 3, 2)), h_t=np.ones(1),
                                 h_s=np.ones(1), Z_rows=np.zeros((1, 3, 2, 1)))
@@ -490,6 +500,10 @@ class TestPersistence:
         for name in ("E", "A", "B", "C", "S", "H", "F_body", "F_trac",
                      "G", "L", "D"):
             assert np.array_equal(getattr(loaded, name), getattr(duct.pkg, name))
+        for tag in ("eta", "tau"):
+            eim = getattr(loaded, "eim_" + tag)
+            assert eim.basis is None and eim.n_terms == duct.eims[tag].n_terms
+            np.testing.assert_array_equal(eim.magic, duct.eims[tag].magic)
         mu = np.array([1.01])
         a = solve_rom(duct.pkg, mu=mu)
         b = solve_rom(loaded, mu=mu)
@@ -501,6 +515,14 @@ class TestPersistence:
         write_rom(path, duct.pkg)
         with pytest.raises(ArtifactError, match="mesh"):
             read_rom(path, mesh_hash="0" * 16)
+
+    def test_malformed_header_rejected(self, duct, tmp_path):
+        path = tmp_path / "bad.rom"
+        for bad in ({"space": {"names": ["u_in"]}},
+                    {"material": {"rho": 1.0}}, {"lift_groups": 3}):
+            write_rom(path, duct.pkg, extra_header=bad)
+            with pytest.raises(ArtifactError, match="malformed rom package"):
+                read_rom(path)
 
     def test_attach_basis_after_load(self, duct, tmp_path):
         path = tmp_path / "trunc.rom"
