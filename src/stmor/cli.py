@@ -273,7 +273,8 @@ def cmd_build_rom(args):
 def cmd_eval_rom(args):
     config = resolve_case(args.case)
     out = _out_dir(args)
-    _, pkg = read_rom(out / "rom_package.stm")
+    mesh = cases.build_mesh(config)
+    _, pkg = read_rom(out / "rom_package.stm", mesh_hash=mesh.content_hash())
     if pkg.case_id != config.case_id:
         raise ArtifactError("rom package belongs to case %r, expected %r"
                             % (pkg.case_id, config.case_id))

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .constitutive import apply_parameters, field_values
-from .io import read_artifact, write_artifact
+from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
 
 logger = logging.getLogger(__name__)
 
@@ -525,6 +525,8 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     iteration returns the last iterate flagged as not converged instead of
     raising.
     """
+    if picard_max < 1:
+        raise SolverError("picard_max must be at least 1")
     params, amps = problem.effective(mu)
     dof_map = dof_map if dof_map is not None else build_dof_map(mesh, problem.dirichlet)
     liftings = build_lifting(mesh, problem.dirichlet, amps)
@@ -588,13 +590,16 @@ def write_snapshot(path, solution, extra_header=None):
 
 
 def read_snapshot(path, mesh_hash=None):
-    from .io import check_mesh_hash
     header, arrays = read_artifact(path, expect_kind="snapshot")
     if mesh_hash is not None:
         check_mesh_hash(header, mesh_hash, path=str(path))
-    sol = FieldSolution(v=arrays["v"], p=arrays["p"],
-                        mu=np.asarray(header.get("mu", []), dtype=np.float64),
-                        converged=bool(header.get("converged", True)),
-                        iterations=[], mesh_hash=header.get("mesh_hash", ""),
-                        case_id=header.get("case_id", ""))
+    try:
+        sol = FieldSolution(v=arrays["v"], p=arrays["p"],
+                            mu=np.asarray(header.get("mu", []), dtype=np.float64),
+                            converged=bool(header.get("converged", True)),
+                            iterations=[], mesh_hash=header.get("mesh_hash", ""),
+                            case_id=header.get("case_id", ""))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError("%s: malformed snapshot (%s: %s)"
+                            % (path, type(exc).__name__, exc)) from None
     return header, sol

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import check_mesh_hash, read_artifact, write_artifact
-
 logger = logging.getLogger(__name__)
 
 RANK_CUTOFF = 1e-12
@@ -21,52 +19,6 @@ DEFAULT_ENERGY = 1.0 - 1e-8
 
 class PodError(Exception):
     """Raised for empty or degenerate snapshot input and bad truncation."""
-
-
-@dataclass
-class SnapshotSet:
-    """Training records sharing one mesh: parameters and coefficient vectors."""
-
-    case_id: str
-    mesh_hash: str
-    mu: np.ndarray              # (N, n_params)
-    V: np.ndarray               # (N, n_velocity) homogeneous velocity DOFs
-    P: np.ndarray               # (N, n_pressure)
-
-    def __post_init__(self):
-        if self.V.shape[0] != self.P.shape[0] or self.V.shape[0] != self.mu.shape[0]:
-            raise PodError("snapshot record counts disagree")
-        if self.mu.shape[0] > 1:
-            uniq = np.unique(self.mu, axis=0)
-            if uniq.shape[0] != self.mu.shape[0]:
-                raise PodError("duplicate parameter points in the training set")
-
-    @property
-    def n_train(self):
-        return self.mu.shape[0]
-
-
-def load_snapshot_set(paths, mesh_hash=None):
-    """Assemble a SnapshotSet from snapshot files, enforcing consistency."""
-    from .fom import read_snapshot
-
-    if not paths:
-        raise PodError("no snapshot files given")
-    mus, vs, ps = [], [], []
-    case_id, found_hash = None, None
-    for path in paths:
-        header, sol = read_snapshot(path, mesh_hash=mesh_hash)
-        if found_hash is None:
-            found_hash = header.get("mesh_hash")
-            case_id = header.get("case_id", "")
-        elif header.get("mesh_hash") != found_hash:
-            raise PodError("%s: snapshot meshes disagree" % path)
-        mus.append(sol.mu)
-        vs.append(sol.v)
-        ps.append(sol.p)
-    return SnapshotSet(case_id=case_id, mesh_hash=found_hash,
-                       mu=np.atleast_2d(np.array(mus)),
-                       V=np.array(vs), P=np.array(ps))
 
 
 def _gram_dot(gram, X):
@@ -168,7 +120,6 @@ class ReducedBasis:
     n_lifts: int
     mesh_hash: str = ""
     case_id: str = ""
-    inner_product: str = "h1_l2"
 
     @property
     def n_u(self):
@@ -204,27 +155,3 @@ def assemble_basis(velocity_modes, pressure_modes, liftings, gram_v=None,
         cond = np.linalg.cond(red)
         logger.info("reduced velocity gram condition number %.3e", cond)
     return basis
-
-
-def write_basis(path, basis, extra_header=None):
-    header = {"mesh_hash": basis.mesh_hash, "case_id": basis.case_id,
-              "n_lifts": basis.n_lifts, "inner_product": basis.inner_product,
-              "n_u": basis.n_u, "n_p": basis.n_p}
-    header.update(extra_header or {})
-    write_artifact(path, "basis", header,
-                   {"Z_v": basis.Z_v, "Z_p": basis.Z_p,
-                    "spectrum_v": basis.spectrum_v, "spectrum_p": basis.spectrum_p})
-
-
-def read_basis(path, mesh_hash=None):
-    header, arrays = read_artifact(path, expect_kind="basis")
-    if mesh_hash is not None:
-        check_mesh_hash(header, mesh_hash, path=str(path))
-    basis = ReducedBasis(Z_v=arrays["Z_v"], Z_p=arrays["Z_p"],
-                         spectrum_v=arrays["spectrum_v"],
-                         spectrum_p=arrays["spectrum_p"],
-                         n_lifts=int(header["n_lifts"]),
-                         mesh_hash=header.get("mesh_hash", ""),
-                         case_id=header.get("case_id", ""),
-                         inner_product=header.get("inner_product", "h1_l2"))
-    return header, basis

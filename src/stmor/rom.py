@@ -9,16 +9,33 @@ term by term of the elementwise interpolations of viscosity and tau:
 where Zh is the velocity basis with constrained rows zeroed, so the
 leading lifting columns drop out of the operators and reappear as
 per-lift right-hand sides (H, L^q from the time/viscous blocks, G, D^q
-from the pressure rows).  Online, a dense (N_u + N_p) system is formed
-in O(Q N^2) from the stored blocks; the velocity needed for the
-interpolation coefficients is reconstructed at the magic elements only,
-so no pass over the mesh remains.  Lifting coefficients are not solved
-for: their rows are pinned to the prescribed amplitude scaling, which
-keeps the Dirichlet data exact for every truncation.
+from the pressure rows).  Each projected block is written into one slot
+of two stacks that are affine in the coefficient vector
 
-Density scaling stays parameter-affine: E and H are stored per unit
-density, S per unit inverse density, and the body-force vector per unit
-density; the effective density multiplies them online.
+    theta = [rho, 1, c_eta (Q_eta terms), c_tau (Q_tau), c_tau / rho (Q_tau)]
+
+    slot            K (Q, N, N), N = N_u + N_p     R (Q, n_lifts + 1, N)
+    0               E                              H ; F_body
+    1               [0, -B^T; B, 0] + I_lift       G + I_lift ; F_trac
+    2 .. 1+Q_eta    A^q                            L^q
+    next Q_tau      C^q                            D^q
+    last Q_tau      S^q                            0
+
+with Q = 2 + Q_eta + 2 Q_tau.  The rows of R are the per-lift loads, then
+one unit row for the body-force and traction loads.  Online, a dense
+(N_u + N_p) system is K(v) = theta @ K and rhs = [s, 1] @ (theta @ R),
+where s are the lift coefficients; the velocity needed for the
+interpolation coefficients is reconstructed at the magic elements only,
+so no pass over the mesh remains.
+
+Density convention: E, H and F_body are stored per unit density (slot 0
+carries rho), S per unit inverse density (its slots carry c_tau / rho),
+so a parameter-dependent density stays affine.
+
+Lifting coefficients are not solved for.  Zh zeroes the lift rows of
+every projected block, so the identities I_lift in slot 1 make the
+leading n_lifts rows of the system read x[:n_lifts] = s exactly, which
+keeps the Dirichlet data exact for every truncation.
 """
 
 import logging
@@ -69,11 +86,12 @@ class MagicElementData:
 class RomPackage:
     """Everything an online solve needs; mesh access is not required.
 
-    Scaling conventions: E, H, and F_body are stored per unit density and S
-    per unit inverse density, so a parameter-dependent density stays affine.
-    The leading n_lifts columns of every operator are zero; the lifting data
-    enters through the per-lift right-hand sides scaled by the effective
-    group amplitudes.
+    The operator is the pair of affine stacks K (Q, N, N) and R (Q,
+    n_lifts + 1, N) over theta = [rho, 1, c_eta, c_tau, c_tau / rho],
+    Q = 2 + Q_eta + 2 Q_tau, N = N_u + N_p; the slot layout and the density
+    convention are given in the module docstring.  The leading n_lifts
+    columns of every operator block are zero and the leading n_lifts rows
+    of K and R pin the lift coefficients to the effective group amplitudes.
     """
 
     case_id: str
@@ -85,17 +103,8 @@ class RomPackage:
     material: CarreauYasudaParams
     amplitudes: dict            # group name -> base amplitude
     space: ParameterSpace       # or None for a parameter-free package
-    E: np.ndarray               # (N_u, N_u) time-derivative mass / density
-    A: np.ndarray               # (Q_eta, N_u, N_u) viscous stack
-    B: np.ndarray               # (N_p, N_u) divergence
-    C: np.ndarray               # (Q_tau, N_p, N_u) stabilization coupling
-    S: np.ndarray               # (Q_tau, N_p, N_p) pressure stabilization * density
-    H: np.ndarray               # (n_lifts, N_u) time-mass lift loads / density
-    F_body: np.ndarray          # (N_u,) body-force load / density
-    F_trac: np.ndarray          # (N_u,) traction load
-    G: np.ndarray               # (n_lifts, N_p) divergence lift loads
-    L: np.ndarray               # (Q_eta, n_lifts, N_u) viscous lift loads
-    D: np.ndarray               # (Q_tau, n_lifts, N_p) stabilization lift loads
+    K: np.ndarray               # (Q, N, N) operator stack
+    R: np.ndarray               # (Q, n_lifts + 1, N) load stack
     eim_eta: EimApproximation   # basis=None once read from disk
     eim_tau: EimApproximation
     data_eta: MagicElementData
@@ -114,11 +123,11 @@ class RomPackage:
 
     @property
     def n_u(self):
-        return self.E.shape[0]
+        return self.data_eta.Z_rows.shape[-1]
 
     @property
     def n_p(self):
-        return self.B.shape[0]
+        return self.n_reduced - self.n_u
 
     @property
     def n_lifts(self):
@@ -126,37 +135,29 @@ class RomPackage:
 
     @property
     def q_eta(self):
-        return self.A.shape[0]
+        return self.eim_eta.n_terms
 
     @property
     def q_tau(self):
-        return self.C.shape[0]
+        return self.eim_tau.n_terms
 
     @property
     def n_reduced(self):
-        return self.n_u + self.n_p
+        return self.K.shape[-1]
 
     def _validate(self):
-        n_u, n_p, nl = self.n_u, self.n_p, self.n_lifts
-        qe, qt = self.q_eta, self.q_tau
-        want = {"E": (n_u, n_u), "A": (qe, n_u, n_u), "B": (n_p, n_u),
-                "C": (qt, n_p, n_u), "S": (qt, n_p, n_p), "H": (nl, n_u),
-                "F_body": (n_u,), "F_trac": (n_u,), "G": (nl, n_p),
-                "L": (qe, nl, n_u), "D": (qt, nl, n_p)}
-        for name, shape in want.items():
+        n_u, n, nl = self.n_u, self.n_reduced, self.n_lifts
+        q = 2 + self.q_eta + 2 * self.q_tau
+        for name, want in (("K", (q, n, n)), ("R", (q, nl + 1, n))):
             got = getattr(self, name).shape
-            if got != shape:
-                raise RomError("dimension mismatch: block %s has shape %s, "
-                               "expected %s" % (name, got, shape))
-        if nl > n_u:
-            raise RomError("dimension mismatch: %d lifting columns exceed N_u=%d"
-                           % (nl, n_u))
-        if self.eim_eta.n_terms != qe or self.eim_tau.n_terms != qt:
-            raise RomError("dimension mismatch: interpolation term counts %d/%d "
-                           "do not match the operator stacks %d/%d"
-                           % (self.eim_eta.n_terms, self.eim_tau.n_terms, qe, qt))
-        for data, q in ((self.data_eta, qe), (self.data_tau, qt)):
-            if data.Z_rows.shape[0] != q or data.Z_rows.shape[-1] != n_u \
+            if got != want:
+                raise RomError("dimension mismatch: stack %s has shape %s, "
+                               "expected %s" % (name, got, want))
+        if nl > n_u or n_u > n:
+            raise RomError("dimension mismatch: %d lifting columns, N_u=%d, "
+                           "N=%d" % (nl, n_u, n))
+        for data, qf in ((self.data_eta, self.q_eta), (self.data_tau, self.q_tau)):
+            if data.Z_rows.shape[0] != qf or data.Z_rows.shape[-1] != n_u \
                     or data.Z_rows.shape[:3] != data.gx.shape:
                 raise RomError("dimension mismatch: magic-element data shape %s"
                                % (data.Z_rows.shape,))
@@ -192,12 +193,6 @@ class ReducedSolution:
 
 # ---------------------------------------------------------------------------
 # offline projection
-
-def _zero_lift_columns(P, n_lifts):
-    out = np.array(P)
-    out[:, :n_lifts] = 0.0
-    return out
-
 
 def _magic_data(asm, Z_v, magic):
     """Assembler geometry and velocity-basis rows sliced at the magic elements."""
@@ -259,42 +254,43 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
     Zh = np.array(Z_v)
     Zh[dof_map.constrained.ravel(), :] = 0.0
 
-    # one sparse product per operator serves both the Galerkin block and the
-    # per-lift loads: columns j < nl of Zh^T Op Z_v are Zh^T Op l_j
-    P = Zh.T @ (asm.mass_time() @ Z_v)
-    E_N, H_N = _zero_lift_columns(P, nl), -P[:, :nl].T
-    P = Z_p.T @ (asm.divergence() @ Z_v)
-    B_N, G_N = _zero_lift_columns(P, nl), -P[:, :nl].T
-
     qe, qt = eim_eta.n_terms, eim_tau.n_terms
-    n_u, n_p = Z_v.shape[1], Z_p.shape[1]
-    A_N = np.empty((qe, n_u, n_u))
-    L_N = np.empty((qe, nl, n_u))
-    for q in range(qe):
-        P = Zh.T @ (asm.viscous(eim_eta.basis[:, q]) @ Z_v)
-        A_N[q], L_N[q] = _zero_lift_columns(P, nl), -P[:, :nl].T
-    C_N = np.empty((qt, n_p, n_u))
-    D_N = np.empty((qt, nl, n_p))
-    S_N = np.empty((qt, n_p, n_p))
-    for q in range(qt):
-        P = Z_p.T @ (asm.stab_pv(eim_tau.basis[:, q]) @ Z_v)
-        C_N[q], D_N[q] = _zero_lift_columns(P, nl), -P[:, :nl].T
-        S_N[q] = Z_p.T @ (asm.stab_pp(eim_tau.basis[:, q]) @ Z_p)
+    n_u, n = Z_v.shape[1], Z_v.shape[1] + Z_p.shape[1]
+    K = np.zeros((2 + qe + 2 * qt, n, n))
+    R = np.zeros((2 + qe + 2 * qt, nl + 1, n))
+    vel, pre = slice(0, n_u), slice(n_u, n)
 
-    fb = np.zeros(mesh.n_nodes * mesh.d)
+    def put(slot, rows, Z_test, op):
+        # one sparse product serves both the Galerkin block and the per-lift
+        # loads: columns j < nl of Z^T Op Z_v are Z^T Op l_j; the block keeps
+        # its lift columns zero
+        P = Z_test.T @ (op @ Z_v)
+        K[slot, rows, nl:n_u] = P[:, nl:]
+        R[slot, :nl, rows] = -P[:, :nl].T
+
+    put(0, vel, Zh, asm.mass_time())
+    put(1, pre, Z_p, asm.divergence())
+    K[1, vel, pre] = -K[1, pre, vel].T
+    K[1, range(nl), range(nl)] = 1.0
+    R[1, range(nl), range(nl)] = 1.0
+    for q in range(qe):
+        put(2 + q, vel, Zh, asm.viscous(eim_eta.basis[:, q]))
+    for q in range(qt):
+        put(2 + qe + q, pre, Z_p, asm.stab_pv(eim_tau.basis[:, q]))
+        S_q = asm.stab_pp(eim_tau.basis[:, q])
+        K[2 + qe + qt + q, pre, pre] = Z_p.T @ (S_q @ Z_p)
+
     if problem.body_force is not None:
         fb = asm.body_rhs(problem.body_force.vector(mesh.d), 1.0)
-    F_body = Zh.T @ fb
-    F_trac = Zh.T @ asm.traction_rhs(problem.neumann or {})
+        R[0, nl, vel] = Zh.T @ fb
+    R[1, nl, vel] = Zh.T @ asm.traction_rhs(problem.neumann or {})
 
     pkg = RomPackage(
         case_id=problem.name, mesh_hash=mh, d=mesh.d, n_nodes=mesh.n_nodes,
         n_fom_dofs=dof_map.n_total,
         lift_groups=tuple(lf.group for lf in liftings),
         material=problem.material, amplitudes=dict(problem.amplitudes),
-        space=problem.space,
-        E=E_N, A=A_N, B=B_N, C=C_N, S=S_N, H=H_N,
-        F_body=F_body, F_trac=F_trac, G=G_N, L=L_N, D=D_N,
+        space=problem.space, K=K, R=R,
         eim_eta=eim_eta, eim_tau=eim_tau,
         data_eta=_magic_data(asm, Z_v, eim_eta.magic),
         data_tau=_magic_data(asm, Z_v, eim_tau.magic),
@@ -316,17 +312,13 @@ def truncate(pkg, n_u, n_p):
     if basis is not None:
         basis = replace(basis, Z_v=np.ascontiguousarray(basis.Z_v[:, :n_u]),
                         Z_p=np.ascontiguousarray(basis.Z_p[:, :n_p]))
-    c = np.ascontiguousarray
+    keep = np.r_[:n_u, pkg.n_u:pkg.n_u + n_p]
     return RomPackage(
         case_id=pkg.case_id, mesh_hash=pkg.mesh_hash, d=pkg.d,
         n_nodes=pkg.n_nodes, n_fom_dofs=pkg.n_fom_dofs,
         lift_groups=pkg.lift_groups, material=pkg.material,
         amplitudes=dict(pkg.amplitudes), space=pkg.space,
-        E=c(pkg.E[:n_u, :n_u]), A=c(pkg.A[:, :n_u, :n_u]),
-        B=c(pkg.B[:n_p, :n_u]), C=c(pkg.C[:, :n_p, :n_u]),
-        S=c(pkg.S[:, :n_p, :n_p]), H=c(pkg.H[:, :n_u]),
-        F_body=c(pkg.F_body[:n_u]), F_trac=c(pkg.F_trac[:n_u]),
-        G=c(pkg.G[:, :n_p]), L=c(pkg.L[:, :, :n_u]), D=c(pkg.D[:, :, :n_p]),
+        K=pkg.K[:, keep[:, None], keep], R=pkg.R[:, :, keep],
         eim_eta=pkg.eim_eta, eim_tau=pkg.eim_tau,
         data_eta=pkg.data_eta.truncated(n_u),
         data_tau=pkg.data_tau.truncated(n_u),
@@ -339,9 +331,10 @@ def truncate(pkg, n_u, n_p):
 def assemble_rom(pkg, v_iterate, mu=None):
     """Dense reduced system at the frozen velocity iterate.
 
-    Returns (K, rhs) of size N_u + N_p with the leading n_lifts rows pinned
-    to the effective lift amplitudes.  Cost is O((Q_eta + Q_tau) N^2); the
-    iterate enters only through the magic-element velocities.
+    Returns (K, rhs) of size N_u + N_p, whose leading n_lifts rows pin the
+    lift coefficients to the effective amplitudes.  Cost is
+    O((Q_eta + Q_tau) N^2); the iterate enters only through the
+    magic-element velocities.
     """
     v_it = np.asarray(v_iterate, dtype=np.float64)
     if v_it.shape != (pkg.n_u,):
@@ -349,32 +342,16 @@ def assemble_rom(pkg, v_iterate, mu=None):
                        % (v_it.shape, pkg.n_u))
     params, amps = pkg.effective(mu)
     s = pkg.lift_coefficients(amps)
-    rho = params.rho
 
     m, qe = pkg.data_all, pkg.q_eta
     _, eta, tau = field_values(m.gx, m.h_t, m.h_s, m.velocity(v_it), params)
     c_eta = pkg.eim_eta.coefficients(eta[:qe])
     c_tau = pkg.eim_tau.coefficients(tau[qe:])
+    theta = np.concatenate(([params.rho, 1.0], c_eta, c_tau, c_tau / params.rho))
 
-    n_u, n_p, nl = pkg.n_u, pkg.n_p, pkg.n_lifts
-    A = np.tensordot(c_eta, pkg.A, axes=1)
-    C = np.tensordot(c_tau, pkg.C, axes=1)
-    S = np.tensordot(c_tau, pkg.S, axes=1) / rho
-
-    K = np.empty((n_u + n_p, n_u + n_p))
-    K[:n_u, :n_u] = rho * pkg.E + A
-    K[:n_u, n_u:] = -pkg.B.T
-    K[n_u:, :n_u] = pkg.B + C
-    K[n_u:, n_u:] = S
-
-    rhs = np.empty(n_u + n_p)
-    rhs[:n_u] = rho * (s @ pkg.H) + rho * pkg.F_body + pkg.F_trac \
-        + s @ np.tensordot(c_eta, pkg.L, axes=1)
-    rhs[n_u:] = s @ pkg.G + s @ np.tensordot(c_tau, pkg.D, axes=1)
-
-    K[:nl, :] = 0.0
-    K[np.arange(nl), np.arange(nl)] = 1.0
-    rhs[:nl] = s
+    q, n = pkg.K.shape[:2]
+    K = (theta @ pkg.K.reshape(q, n * n)).reshape(n, n)
+    rhs = theta @ (np.append(s, 1.0) @ pkg.R)
     return K, rhs
 
 
@@ -518,9 +495,7 @@ def write_rom(path, pkg, extra_header=None):
               "amplitudes": {k: float(v) for k, v in pkg.amplitudes.items()},
               "space": space_to_dict(pkg.space)}
     header.update(extra_header or {})
-    arrays = {"E": pkg.E, "A": pkg.A, "B": pkg.B, "C": pkg.C, "S": pkg.S,
-              "H": pkg.H, "F_body": pkg.F_body, "F_trac": pkg.F_trac,
-              "G": pkg.G, "L": pkg.L, "D": pkg.D}
+    arrays = {"K": pkg.K, "R": pkg.R}
     for tag, eim, data in (("eta", pkg.eim_eta, pkg.data_eta),
                            ("tau", pkg.eim_tau, pkg.data_tau)):
         arrays[tag + "_magic"] = eim.magic
@@ -557,12 +532,10 @@ def read_rom(path, mesh_hash=None):
                                             in header["material"].items()}),
             amplitudes={k: float(v) for k, v in header["amplitudes"].items()},
             space=space_from_dict(header.get("space")),
-            E=arrays["E"], A=arrays["A"], B=arrays["B"], C=arrays["C"],
-            S=arrays["S"], H=arrays["H"], F_body=arrays["F_body"],
-            F_trac=arrays["F_trac"], G=arrays["G"], L=arrays["L"], D=arrays["D"],
+            K=arrays["K"], R=arrays["R"],
             eim_eta=eim["eta"], eim_tau=eim["tau"],
             data_eta=data["eta"], data_tau=data["tau"])
-    except (KeyError, TypeError, ValueError, AttributeError,
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             ParameterError) as exc:
         raise ArtifactError("%s: malformed rom package (%s: %s)"
                             % (path, type(exc).__name__, exc)) from None

@@ -15,7 +15,7 @@ from stmor import cli
 from stmor.cli import (CliError, main, parse_mu, parse_sweep,
                        parse_train_grid)
 from stmor.fom import read_snapshot
-from stmor.io import read_artifact
+from stmor.io import read_artifact, write_artifact
 from stmor.rom import read_rom
 
 from test_analysis import duct_config
@@ -228,6 +228,44 @@ class TestFailureModes:
         payload = self.error_of(capsys)
         assert payload["error"] == "ArtifactError"
         assert "duct-variant" in payload["message"]
+
+    def test_rom_package_from_other_mesh_is_refused(self, workdir, capsys,
+                                                     tmp_path):
+        _, case = workdir
+        cfg = json.loads(case.read_text())
+        paths = {}
+        for name, levels in (("two", [0.0, 1.0]), ("three", [0.0, 0.5, 1.0])):
+            cfg["geometry"]["time_levels_s"] = levels
+            paths[name] = tmp_path / ("duct_%s.json" % name)
+            paths[name].write_text(json.dumps(cfg))
+        for argv in (["snapshots", "--train-grid", "3"], ["build-rom"]):
+            assert main(argv + ["--case", str(paths["two"]),
+                                "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["eval-rom", "--case", str(paths["three"]),
+                     "--out-dir", str(tmp_path), "--mu", "1.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ArtifactError"
+        assert "stale" in payload["message"]
+        assert not (tmp_path / "rom_solution.stm").exists()
+
+    def test_malformed_snapshot_is_refused(self, workdir, capsys, tmp_path):
+        root, case = workdir
+        (tmp_path / "snapshots").mkdir()
+        header, arrays = read_artifact(root / "snapshots" / "snap_0000.stm")
+        kind = header.pop("kind")
+        del header["schema_version"]
+        write_artifact(tmp_path / "snapshots" / "snap_0000.stm", kind, header,
+                       {"p": arrays["p"]})
+        assert main(["build-rom", "--case", str(case),
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ArtifactError"
+        assert "malformed snapshot" in payload["message"]
 
     def test_snapshots_without_parameter_space(self, capsys, tmp_path):
         assert main(["snapshots", "--case", "couette",

@@ -20,7 +20,7 @@ from stmor.fom import (
     solve_fom,
     write_snapshot,
 )
-from stmor.io import ArtifactError
+from stmor.io import ArtifactError, write_artifact
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
 
 NEWTONIAN = CarreauYasudaParams(eta_0=270.0, eta_inf=0.0, lam=1.2e-3, a=1.0,
@@ -312,6 +312,11 @@ class TestCouette:
         assert sol.converged
         assert len(sol.iterations) <= 50
 
+    def test_empty_picard_budget_rejected(self):
+        with pytest.raises(SolverError, match="picard_max"):
+            solve_fom(channel_mesh(n=2, levels=3), couette_problem(),
+                      picard_max=0)
+
 
 class TestInnerProducts:
     def test_constant_velocity_has_zero_seminorm(self):
@@ -381,3 +386,14 @@ class TestSnapshots:
         write_snapshot(path, sol)
         with pytest.raises(ArtifactError, match="mesh"):
             read_snapshot(path, mesh_hash="deadbeef")
+
+    def test_missing_array_or_bad_header_is_artifact_error(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        head = {"case_id": "couette", "mesh_hash": "m", "mu": []}
+        for header, arrays in ((head, {"p": np.zeros(3)}),
+                               (head, {"v": np.zeros(3)}),
+                               (dict(head, mu=["fast"]),
+                                {"v": np.zeros(3), "p": np.zeros(3)})):
+            write_artifact(path, "snapshot", header, arrays)
+            with pytest.raises(ArtifactError, match="malformed snapshot"):
+                read_snapshot(path)

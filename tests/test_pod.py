@@ -3,19 +3,9 @@
 import numpy as np
 import pytest
 
-from stmor.fom import FieldSolution, LiftingFunction, fom_inner_products, write_snapshot
-from stmor.io import ArtifactError
+from stmor.fom import LiftingFunction, fom_inner_products
 from stmor.mesh import extrude, rectangle_mesh
-from stmor.pod import (
-    PodError,
-    SnapshotSet,
-    assemble_basis,
-    compute_pod,
-    load_snapshot_set,
-    projection_error,
-    read_basis,
-    write_basis,
-)
+from stmor.pod import PodError, assemble_basis, compute_pod, projection_error
 
 
 def small_gram():
@@ -170,48 +160,3 @@ class TestAssembleBasis:
         assert basis.n_u == 5 and basis.n_lifts == 2
         np.testing.assert_array_equal(basis.Z_v[:, 0], l1.vector.ravel())
         np.testing.assert_array_equal(basis.Z_v[:, 1], l2.vector.ravel())
-
-    def test_file_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        basis = assemble_basis(rng.standard_normal((20, 3)),
-                               rng.standard_normal((7, 2)),
-                               [LiftingFunction(group="fixed",
-                                                vector=rng.standard_normal((10, 2)),
-                                                coefficient=1.0)],
-                               spectrum_v=np.array([1.0, 0.5, 0.1]),
-                               spectrum_p=np.array([1.0, 0.2]),
-                               mesh_hash="abc123", case_id="demo")
-        path = tmp_path / "basis.bin"
-        write_basis(path, basis)
-        header, back = read_basis(path, mesh_hash="abc123")
-        np.testing.assert_array_equal(back.Z_v, basis.Z_v)
-        np.testing.assert_array_equal(back.Z_p, basis.Z_p)
-        np.testing.assert_array_equal(back.spectrum_v, basis.spectrum_v)
-        assert back.n_lifts == 1 and back.case_id == "demo"
-        with pytest.raises(ArtifactError, match="mesh"):
-            read_basis(path, mesh_hash="other")
-
-
-class TestSnapshotSet:
-    def test_load_and_duplicate_detection(self, tmp_path):
-        paths = []
-        for i, mu in enumerate([(1.0, 2.0), (1.5, 2.5)]):
-            sol = FieldSolution(v=np.full(6, float(i)), p=np.full(4, -float(i)),
-                                mu=np.array(mu), converged=True, iterations=[],
-                                mesh_hash="m1", case_id="demo")
-            path = tmp_path / ("s%d.bin" % i)
-            write_snapshot(path, sol)
-            paths.append(path)
-        ss = load_snapshot_set(paths)
-        assert ss.n_train == 2
-        assert ss.V.shape == (2, 6) and ss.P.shape == (2, 4)
-        np.testing.assert_array_equal(ss.mu, [[1.0, 2.0], [1.5, 2.5]])
-
-        with pytest.raises(PodError, match="duplicate"):
-            SnapshotSet(case_id="demo", mesh_hash="m1",
-                        mu=np.array([[1.0], [1.0]]),
-                        V=np.zeros((2, 6)), P=np.zeros((2, 4)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(PodError):
-            load_snapshot_set([])

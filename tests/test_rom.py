@@ -9,12 +9,12 @@ import pytest
 
 from stmor.constitutive import (SEMANTICS_BC_SCALE, BodyForce,
                                 CarreauYasudaParams, ParameterError,
-                                ParameterSpace, relative_box)
+                                ParameterSpace, field_values, relative_box)
 from stmor.eim import EimApproximation, FieldSampleSet, eim_greedy
 from stmor.fom import (DirichletSpec, FomAssembler, FomProblem, build_dof_map,
                        build_lifting, combine_liftings, fom_inner_products,
                        solve_fom)
-from stmor.io import ArtifactError
+from stmor.io import ArtifactError, read_artifact, write_artifact
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
 from stmor.pod import assemble_basis, compute_pod
 from stmor.rom import (MagicElementData, ReducedSolution, RomError,
@@ -115,6 +115,18 @@ def duct():
                            liftings=liftings, eims=eims, pkg=pkg)
 
 
+def blocks(pkg):
+    """The projected blocks, read back out of their slots of pkg.K and pkg.R."""
+    n_u, nl, qe, qt = pkg.n_u, pkg.n_lifts, pkg.q_eta, pkg.q_tau
+    K, R = pkg.K, pkg.R
+    v, p = slice(0, n_u), slice(n_u, None)
+    a, c, s = slice(2, 2 + qe), slice(2 + qe, 2 + qe + qt), slice(2 + qe + qt, None)
+    return {"E": K[0, v, v], "A": K[a, v, v], "B": K[1, p, v],
+            "C": K[c, p, v], "S": K[s, p, p], "H": R[0, :nl, v],
+            "F_body": R[0, nl, v], "F_trac": R[1, nl, v], "G": R[1, :nl, p],
+            "L": R[a, :nl, v], "D": R[c, :nl, p]}
+
+
 def field_errors(basis, grams, reduced, u_ref_flat, p_ref):
     u_r, p_r = reconstruct(basis, reduced)
     eu = gram_norm(grams["K_u"], u_r - u_ref_flat) \
@@ -130,31 +142,24 @@ class TestProjection:
         qe = duct.eims["eta"].n_terms
         qt = duct.eims["tau"].n_terms
         assert pkg.n_u == n_u and pkg.n_p == n_p and pkg.n_lifts == nl
-        assert pkg.E.shape == (n_u, n_u)
-        assert pkg.A.shape == (qe, n_u, n_u)
-        assert pkg.B.shape == (n_p, n_u)
-        assert pkg.C.shape == (qt, n_p, n_u)
-        assert pkg.S.shape == (qt, n_p, n_p)
-        assert pkg.H.shape == (nl, n_u)
-        assert pkg.G.shape == (nl, n_p)
-        assert pkg.L.shape == (qe, nl, n_u)
-        assert pkg.D.shape == (qt, nl, n_p)
-        assert pkg.F_body.shape == (n_u,) and pkg.F_trac.shape == (n_u,)
+        q = 2 + qe + 2 * qt
+        assert pkg.K.shape == (q, n_u + n_p, n_u + n_p)
+        assert pkg.R.shape == (q, nl + 1, n_u + n_p)
         assert pkg.n_reduced == n_u + n_p < pkg.n_fom_dofs
         assert pkg.lift_groups == ("fixed", "inflow")
 
     def test_lift_rows_and_columns_vanish(self, duct):
-        pkg, nl = duct.pkg, duct.pkg.n_lifts
-        for blk in (pkg.E, pkg.B) + tuple(pkg.A) + tuple(pkg.C):
+        b, nl = blocks(duct.pkg), duct.pkg.n_lifts
+        for blk in (b["E"], b["B"]) + tuple(b["A"]) + tuple(b["C"]):
             assert np.all(blk[..., :nl] == 0.0)
-        for blk in (pkg.E,) + tuple(pkg.A):
+        for blk in (b["E"],) + tuple(b["A"]):
             assert np.all(blk[:nl, :] == 0.0)
-        assert np.all(pkg.F_body[:nl] == 0.0)
-        assert np.all(pkg.F_trac[:nl] == 0.0)
+        assert np.all(b["F_body"][:nl] == 0.0)
+        assert np.all(b["F_trac"][:nl] == 0.0)
 
     def test_viscous_blocks_symmetric(self, duct):
         nl = duct.pkg.n_lifts
-        for Aq in duct.pkg.A:
+        for Aq in blocks(duct.pkg)["A"]:
             sub = Aq[nl:, nl:]
             assert np.max(np.abs(sub - sub.T)) <= 1e-12 * max(
                 1.0, np.max(np.abs(sub)))
@@ -166,6 +171,7 @@ class TestProjection:
         pkg = project_offline(duct.mesh, prob, duct.basis,
                               duct.eims["eta"], duct.eims["tau"],
                               dof_map=duct.dof_map, assembler=duct.asm)
+        b = blocks(pkg)
         asm, dof_map, basis = duct.asm, duct.dof_map, duct.basis
         free = dof_map.free_full
         nl = basis.n_lifts
@@ -178,23 +184,23 @@ class TestProjection:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
 
         Mt = asm.mass_time()
-        close(pkg.E, Zf.T @ Mt[free][:, free].toarray() @ Zf)
-        close(pkg.H, (-Zf.T @ (Mt @ lifts)[free]).T)
+        close(b["E"], Zf.T @ Mt[free][:, free].toarray() @ Zf)
+        close(b["H"], (-Zf.T @ (Mt @ lifts)[free]).T)
         Bf = asm.divergence()
-        close(pkg.B, Zp.T @ Bf[:, free].toarray() @ Zf)
-        close(pkg.G, (-Zp.T @ (Bf @ lifts)).T)
+        close(b["B"], Zp.T @ Bf[:, free].toarray() @ Zf)
+        close(b["G"], (-Zp.T @ (Bf @ lifts)).T)
         for q in range(pkg.q_eta):
             Aq = asm.viscous(duct.eims["eta"].basis[:, q])
-            close(pkg.A[q], Zf.T @ Aq[free][:, free].toarray() @ Zf)
-            close(pkg.L[q], (-Zf.T @ (Aq @ lifts)[free]).T)
+            close(b["A"][q], Zf.T @ Aq[free][:, free].toarray() @ Zf)
+            close(b["L"][q], (-Zf.T @ (Aq @ lifts)[free]).T)
         for q in range(pkg.q_tau):
             Cq = asm.stab_pv(duct.eims["tau"].basis[:, q])
-            close(pkg.C[q], Zp.T @ Cq[:, free].toarray() @ Zf)
-            close(pkg.D[q], (-Zp.T @ (Cq @ lifts)).T)
+            close(b["C"][q], Zp.T @ Cq[:, free].toarray() @ Zf)
+            close(b["D"][q], (-Zp.T @ (Cq @ lifts)).T)
             Sq = asm.stab_pp(duct.eims["tau"].basis[:, q])
-            close(pkg.S[q], Zp.T @ Sq.toarray() @ Zp)
-        close(pkg.F_body, Zf.T @ asm.body_rhs((0.3, -0.1), 1.0)[free])
-        close(pkg.F_trac,
+            close(b["S"][q], Zp.T @ Sq.toarray() @ Zp)
+        close(b["F_body"], Zf.T @ asm.body_rhs((0.3, -0.1), 1.0)[free])
+        close(b["F_trac"],
               Zf.T @ asm.traction_rhs({"dirichlet:right": (0.2, 0.1)})[free])
 
     def test_scalar_blocks_on_two_element_strip(self):
@@ -232,13 +238,14 @@ class TestProjection:
         pkg = project_offline(mesh, problem, basis,
                               ones_eim["eta"], ones_eim["tau"])
         assert pkg.n_u == 1 and pkg.n_p == 1 and pkg.n_lifts == 1
-        np.testing.assert_allclose(pkg.G, [[1.0 / 6.0]], atol=1e-15)
-        np.testing.assert_allclose(pkg.S[0], [[0.5]], atol=1e-15)
-        np.testing.assert_allclose(pkg.D[0], [[0.5]], atol=1e-15)
+        b = blocks(pkg)
+        np.testing.assert_allclose(b["G"], [[1.0 / 6.0]], atol=1e-15)
+        np.testing.assert_allclose(b["S"][0], [[0.5]], atol=1e-15)
+        np.testing.assert_allclose(b["D"][0], [[0.5]], atol=1e-15)
         for name in ("E", "B", "H", "F_body", "F_trac"):
-            assert np.all(getattr(pkg, name) == 0.0)
-        assert np.all(pkg.A == 0.0) and np.all(pkg.C == 0.0)
-        assert np.all(pkg.L == 0.0)
+            assert np.all(b[name] == 0.0)
+        assert np.all(b["A"] == 0.0) and np.all(b["C"] == 0.0)
+        assert np.all(b["L"] == 0.0)
 
     def test_rejects_mismatched_inputs(self, duct):
         bad_basis = assemble_basis(duct.modes_v, duct.modes_p,
@@ -318,6 +325,40 @@ class TestAssemble:
             res = np.linalg.norm(K @ x - rhs) / np.linalg.norm(rhs)
             assert res <= 1e-6
 
+    def test_stacks_match_blockwise_system(self, duct):
+        """theta @ K and [s, 1] @ (theta @ R) equal the system written out
+        block by block, with the lift rows replaced by the pins."""
+        prob = replace(duct.problem, body_force=BodyForce((0.3, -0.1)),
+                       neumann={"dirichlet:right": (0.2, 0.1)})
+        pkg = project_offline(duct.mesh, prob, duct.basis,
+                              duct.eims["eta"], duct.eims["tau"],
+                              dof_map=duct.dof_map, assembler=duct.asm)
+        b, nl, mu = blocks(pkg), pkg.n_lifts, TRAIN_MUS[2]
+        v = solve_rom(duct.pkg, mu=mu).v_N
+        params, amps = pkg.effective(mu)
+        s, rho = pkg.lift_coefficients(amps), params.rho
+        m = pkg.data_all
+        _, eta, tau = field_values(m.gx, m.h_t, m.h_s, m.velocity(v), params)
+        c_e = pkg.eim_eta.coefficients(eta[:pkg.q_eta])
+        c_t = pkg.eim_tau.coefficients(tau[pkg.q_eta:])
+
+        def term(c, name):
+            return np.tensordot(c, b[name], axes=1)
+
+        want_K = np.block([[rho * b["E"] + term(c_e, "A"), -b["B"].T],
+                           [b["B"] + term(c_t, "C"), term(c_t, "S") / rho]])
+        want_r = np.concatenate([
+            rho * (s @ b["H"] + b["F_body"]) + b["F_trac"] + s @ term(c_e, "L"),
+            s @ b["G"] + s @ term(c_t, "D")])
+        want_K[:nl] = 0.0
+        want_K[range(nl), range(nl)] = 1.0
+        want_r[:nl] = s
+        K, rhs = assemble_rom(pkg, v, mu)
+        np.testing.assert_allclose(K, want_K, rtol=0.0,
+                                   atol=1e-13 * np.abs(want_K).max())
+        np.testing.assert_allclose(rhs, want_r, rtol=0.0,
+                                   atol=1e-13 * np.abs(want_r).max())
+
     def test_bad_iterate_shape_rejected(self, duct):
         with pytest.raises(RomError, match="shape"):
             assemble_rom(duct.pkg, np.zeros(duct.pkg.n_u + 1), TRAIN_MUS[0])
@@ -372,6 +413,10 @@ class TestSolve:
         assert eu <= 1e-2
         assert ep <= 1e-2
 
+    def test_empty_picard_budget_rejected(self, duct):
+        with pytest.raises(RomError, match="picard_max"):
+            solve_rom(duct.pkg, mu=TRAIN_MUS[0], picard_max=0)
+
     def test_mu_outside_box_rejected(self, duct):
         with pytest.raises(ParameterError, match="outside"):
             solve_rom(duct.pkg, mu=np.array([2.0]))
@@ -392,19 +437,17 @@ class TestSolve:
         pkg = RomPackage(case_id="x", mesh_hash="", d=2, n_nodes=3,
                          n_fom_dofs=9, lift_groups=(), material=mat,
                          amplitudes={}, space=None,
-                         E=np.zeros((1, 1)), A=np.zeros((1, 1, 1)),
-                         B=np.zeros((1, 1)), C=np.zeros((1, 1, 1)),
-                         S=np.zeros((1, 1, 1)), H=np.zeros((0, 1)),
-                         F_body=np.zeros(1), F_trac=np.zeros(1),
-                         G=np.zeros((0, 1)), L=np.zeros((1, 0, 1)),
-                         D=np.zeros((1, 0, 1)), eim_eta=online["eta"],
-                         eim_tau=online["tau"], data_eta=data, data_tau=data)
+                         K=np.zeros((5, 2, 2)), R=np.zeros((5, 1, 2)),
+                         eim_eta=online["eta"], eim_tau=online["tau"],
+                         data_eta=data, data_tau=data)
         with pytest.raises(RomError, match=r"N_u=1, N_p=1"):
             solve_rom(pkg)
 
     def test_dimension_validation(self, duct):
         with pytest.raises(RomError, match="dimension mismatch"):
-            replace(duct.pkg, B=np.zeros((duct.pkg.n_p, duct.pkg.n_u + 1)))
+            replace(duct.pkg, K=duct.pkg.K[:, :, 1:])
+        with pytest.raises(RomError, match="dimension mismatch"):
+            replace(duct.pkg, R=duct.pkg.R[1:])
 
 
 class TestTruncate:
@@ -497,9 +540,8 @@ class TestPersistence:
         assert loaded.lift_groups == duct.pkg.lift_groups
         assert loaded.space.box.names == ("u_in",)
         assert loaded.material == duct.pkg.material
-        for name in ("E", "A", "B", "C", "S", "H", "F_body", "F_trac",
-                     "G", "L", "D"):
-            assert np.array_equal(getattr(loaded, name), getattr(duct.pkg, name))
+        assert np.array_equal(loaded.K, duct.pkg.K)
+        assert np.array_equal(loaded.R, duct.pkg.R)
         for tag in ("eta", "tau"):
             eim = getattr(loaded, "eim_" + tag)
             assert eim.basis is None and eim.n_terms == duct.eims[tag].n_terms
@@ -523,6 +565,18 @@ class TestPersistence:
             write_rom(path, duct.pkg, extra_header=bad)
             with pytest.raises(ArtifactError, match="malformed rom package"):
                 read_rom(path)
+
+    def test_eleven_block_layout_rejected(self, duct, tmp_path):
+        """A package file holding the separate E, A, ..., D blocks is refused."""
+        path = tmp_path / "duct.rom"
+        write_rom(path, duct.pkg)
+        header, arrays = read_artifact(path, expect_kind="rom")
+        del header["schema_version"], header["kind"]
+        old = dict(blocks(duct.pkg),
+                   **{k: v for k, v in arrays.items() if k not in ("K", "R")})
+        write_artifact(path, "rom", header, old)
+        with pytest.raises(ArtifactError, match="malformed rom package"):
+            read_rom(path)
 
     def test_attach_basis_after_load(self, duct, tmp_path):
         path = tmp_path / "trunc.rom"
