@@ -199,8 +199,9 @@ def cmd_fom(args):
     elapsed = time.perf_counter() - t0
     path = out / "fom_solution.stm"
     write_snapshot(path, sol, extra_header={"wall_time_s": elapsed})
-    print("case %s: %d iterations, rel update %.3e, %.2f s"
+    print("case %s: %d iterations, %d factorizations, rel update %.3e, %.2f s"
           % (config.case_id, len(sol.iterations),
+             sum(rec["factorized"] for rec in sol.iterations),
              sol.iterations[-1]["rel_update"], elapsed))
     print("wrote %s" % path)
     return 0

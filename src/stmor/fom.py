@@ -20,6 +20,17 @@ C    pressure-velocity coupling  -sum_e tau_e int grad phi_k . d_t psi_j
 S    pressure laplacian          +sum_e tau_e/rho int grad phi_k . grad phi_l
 with the right-hand side carrying tractions, body force, and the lifting
 of the Dirichlet data.  All spatial derivatives are taken in x only.
+
+Linear solves: a Picard iterate changes only the eta- and tau-weighted
+blocks, so one solve_fom call factors its first system (sparse LU plus two
+refinement steps) and keeps that factor.  Each later system gets one GMRES
+cycle of at most KRYLOV_MAX_ITS iterations, preconditioned by the kept
+factor and started from the previous iterate.  Its result is accepted only
+if the true relative residual ||rhs - K x|| / ||rhs|| meets
+LINEAR_RESIDUAL_TOL (1e-10), the same contract a direct solve must meet;
+otherwise the old factor is released and the system is factored afresh.
+The factor never outlives the call, so a solution does not depend on what
+was solved before it.
 """
 
 import logging
@@ -27,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .constitutive import apply_parameters, field_values
 from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
@@ -35,6 +46,8 @@ from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
 logger = logging.getLogger(__name__)
 
 LINEAR_RESIDUAL_TOL = 1e-10
+KRYLOV_MAX_ITS = 20         # GMRES iterations on a lagged factor before refactoring
+KRYLOV_RTOL = 1e-14         # near round-off: re-solves match a fresh factor
 CONFLICT_TOL = 1e-10
 
 
@@ -275,11 +288,11 @@ class FomAssembler:
     def viscous(self, weights):
         """int 2 w eps(psi_i):eps(psi_j) with elementwise weight w."""
         wV = np.asarray(weights) * self.V
-        D1, d = self.D + 1, self.d
-        eye = np.eye(d)
-        blk = (self.G[:, :, None, :, None] * eye[None, None, :, None, :]
-               + self.gx[:, :, None, None, :] * self.gx.transpose(0, 2, 1)[:, None, :, :, None])
-        blk = blk * wV[:, None, None, None, None]
+        eye = np.eye(self.d)
+        # in place: every (E, D+1, d, D+1, d) temporary is as large as blk
+        blk = self.G[:, :, None, :, None] * eye[None, None, :, None, :]
+        blk += self.gx[:, :, None, None, :] * self.gx.transpose(0, 2, 1)[:, None, :, :, None]
+        blk *= wV[:, None, None, None, None]
         return self._coo(blk, self.ix_vv_full, (self.n_vfull, self.n_vfull))
 
     def divergence(self):
@@ -460,8 +473,48 @@ def _apply_pins(K, rhs, rows):
     return K.tocsr(), rhs
 
 
-def direct_solve(K, rhs):
-    """Sparse LU with iterative refinement; enforces the residual contract."""
+def _relative_residual(K, rhs, x):
+    norm_rhs = np.linalg.norm(rhs)
+    return np.linalg.norm(rhs - K @ x) / norm_rhs if norm_rhs > 0 else 0.0
+
+
+def _krylov_resolve(K, rhs, lu, x0):
+    """One GMRES cycle preconditioned by an earlier factor; (x, iterations)."""
+    its = 0
+
+    def count(_):
+        nonlocal its
+        its += 1
+
+    M = LinearOperator(K.shape, matvec=lu.solve, dtype=np.float64)
+    x, _ = gmres(K, rhs, x0=x0, rtol=KRYLOV_RTOL, atol=0.0,
+                 restart=KRYLOV_MAX_ITS, maxiter=1, M=M,
+                 callback=count, callback_type="pr_norm")
+    return x, its
+
+
+def direct_solve(K, rhs, factor=None, x0=None):
+    """Solve K x = rhs to the residual contract.
+
+    factor is an optional one-item list holding the sparse LU of an earlier
+    system with the same pattern, or None.  A held factor preconditions one
+    GMRES cycle of at most KRYLOV_MAX_ITS iterations started from x0, whose
+    result is kept if its true relative residual meets LINEAR_RESIDUAL_TOL.
+    Otherwise the held factor is dropped, K is factored (sparse LU plus two
+    refinement steps) and the new factor is stored in factor[0].
+
+    Returns (x, rel, factorized, krylov_its).
+    """
+    factor = [None] if factor is None else factor
+    its = 0
+    if factor[0] is not None:
+        x, its = _krylov_resolve(K, rhs, factor[0], x0)
+        rel = _relative_residual(K, rhs, x)
+        if np.isfinite(rel) and rel <= LINEAR_RESIDUAL_TOL:
+            return x, rel, False, its
+        logger.debug("lagged factor missed the residual contract (%.3e after "
+                     "%d GMRES iterations); refactoring", rel, its)
+        factor[0] = None    # release the old factor before building the next
     try:
         lu = splu(K.tocsc())
     except RuntimeError as err:
@@ -471,13 +524,13 @@ def direct_solve(K, rhs):
     for _ in range(2):
         r = rhs - K @ x
         x = x + lu.solve(r)
-    norm_rhs = np.linalg.norm(rhs)
-    rel = np.linalg.norm(rhs - K @ x) / norm_rhs if norm_rhs > 0 else 0.0
+    rel = _relative_residual(K, rhs, x)
     if not np.isfinite(rel) or rel > LINEAR_RESIDUAL_TOL:
         raise SolverError("direct solve residual %.3e exceeds %.0e; system is "
                           "near-singular (missing pressure constraint?)"
                           % (rel, LINEAR_RESIDUAL_TOL))
-    return x, rel
+    factor[0] = lu
+    return x, rel, True, its
 
 
 @dataclass
@@ -538,19 +591,25 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     l_full = combine_liftings(liftings, mesh.n_nodes, asm.d)
     u = l_full.copy()
     x = np.zeros(dof_map.n_total)
+    factor = [None]     # the lagged LU, never shared between calls
     log = []
     converged = False
     for it in range(1, picard_max + 1):
         sys = assemble_fom(mesh, dof_map, liftings, u, params,
                            body_force=problem.body_force, neumann=problem.neumann,
                            assembler=asm)
+        # the factor lives on through the next assembly; the blocks and the
+        # system need not, or they add to the solve's peak memory
         K, rhs = _apply_pins(sys.matrix(), sys.rhs(), dof_map.n_velocity + pins)
-        x_new, lin_res = direct_solve(K, rhs)
+        del sys
+        x_new, lin_res, factorized, its = direct_solve(K, rhs, factor, x0=x)
+        del K, rhs
         dx = np.linalg.norm(x_new - x)
         nx = np.linalg.norm(x_new)
         rel = dx / nx if nx > 0 else (0.0 if dx == 0.0 else np.inf)
         log.append({"iteration": it, "rel_update": float(rel),
-                    "linear_residual": float(lin_res)})
+                    "linear_residual": float(lin_res),
+                    "factorized": factorized, "krylov_its": its})
         x = x_new
         u = l_full + dof_map.expand(x[:dof_map.n_velocity])
         if rel <= picard_tol:
@@ -562,8 +621,9 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
         if strict:
             raise SolverError(msg)
         logger.warning(msg)
-    logger.info("solve_fom %s: %d iterations, rel update %.2e",
-                problem.name, len(log), log[-1]["rel_update"])
+    logger.info("solve_fom %s: %d iterations, %d factorizations, rel update %.2e",
+                problem.name, len(log), sum(r["factorized"] for r in log),
+                log[-1]["rel_update"])
     return FieldSolution(v=x[:dof_map.n_velocity], p=x[dof_map.n_velocity:],
                          mu=np.asarray([] if mu is None else mu, dtype=np.float64),
                          converged=converged, iterations=log,

@@ -328,20 +328,27 @@ def truncate(pkg, n_u, n_p):
 # ---------------------------------------------------------------------------
 # online assembly and solve
 
-def assemble_rom(pkg, v_iterate, mu=None):
+def _mu_terms(pkg, mu):
+    """(params, s, R_mu): material, lift coefficients and [s, 1] @ R at mu."""
+    params, amps = pkg.effective(mu)
+    s = pkg.lift_coefficients(amps)
+    return params, s, np.append(s, 1.0) @ pkg.R
+
+
+def assemble_rom(pkg, v_iterate, mu=None, mu_terms=None):
     """Dense reduced system at the frozen velocity iterate.
 
     Returns (K, rhs) of size N_u + N_p, whose leading n_lifts rows pin the
     lift coefficients to the effective amplitudes.  Cost is
     O((Q_eta + Q_tau) N^2); the iterate enters only through the
-    magic-element velocities.
+    magic-element velocities.  mu_terms, the result of _mu_terms(pkg, mu),
+    lets a Picard loop compute the mu-only part once.
     """
     v_it = np.asarray(v_iterate, dtype=np.float64)
     if v_it.shape != (pkg.n_u,):
         raise RomError("iterate has shape %s, expected (%d,)"
                        % (v_it.shape, pkg.n_u))
-    params, amps = pkg.effective(mu)
-    s = pkg.lift_coefficients(amps)
+    params, _, R_mu = mu_terms if mu_terms is not None else _mu_terms(pkg, mu)
 
     m, qe = pkg.data_all, pkg.q_eta
     _, eta, tau = field_values(m.gx, m.h_t, m.h_s, m.velocity(v_it), params)
@@ -351,8 +358,7 @@ def assemble_rom(pkg, v_iterate, mu=None):
 
     q, n = pkg.K.shape[:2]
     K = (theta @ pkg.K.reshape(q, n * n)).reshape(n, n)
-    rhs = theta @ (np.append(s, 1.0) @ pkg.R)
-    return K, rhs
+    return K, theta @ R_mu
 
 
 def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
@@ -364,8 +370,8 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
     """
     if picard_max < 1:
         raise RomError("picard_max must be at least 1")
-    params, amps = pkg.effective(mu)
-    s = pkg.lift_coefficients(amps)
+    terms = _mu_terms(pkg, mu)
+    s = terms[1]
     n_u, n_p, nl = pkg.n_u, pkg.n_p, pkg.n_lifts
 
     v_N = np.zeros(n_u)
@@ -375,7 +381,7 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
     log = []
     converged = False
     for it in range(1, picard_max + 1):
-        K, rhs = assemble_rom(pkg, v_N, mu)
+        K, rhs = assemble_rom(pkg, v_N, mu, terms)
         try:
             x = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:

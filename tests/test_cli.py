@@ -7,6 +7,7 @@ and the failure tests run against stale or mismatched inputs.
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,16 @@ class TestStages:
         assert "64 nodes" in out and "162 elements" in out
         assert (tmp_path / "mesh.stmesh").exists()
         assert (tmp_path / "mesh.vtk").exists()
+
+    def test_fom_prints_iterations_and_factorizations(self, workdir, capsys,
+                                                      tmp_path):
+        _, case = workdir
+        assert main(["fom", "--case", str(case), "--mu", "1.02",
+                     "--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        found = re.search(r"(\d+) iterations, (\d+) factorizations", out)
+        assert found, out
+        assert 1 <= int(found.group(2)) <= int(found.group(1))
 
     def test_fom_snapshot_artifact_embeds_mu_and_flags(self, workdir):
         root, _ = workdir

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import gmres
 
+from stmor import fom
+from stmor.cases import artery_analog_config, build_mesh, build_problem
 from stmor.constitutive import BodyForce, CarreauYasudaParams
 from stmor.fom import (
+    KRYLOV_MAX_ITS,
+    LINEAR_RESIDUAL_TOL,
     DirichletSpec,
     FomAssembler,
     FomProblem,
@@ -316,6 +322,64 @@ class TestCouette:
         with pytest.raises(SolverError, match="picard_max"):
             solve_fom(channel_mesh(n=2, levels=3), couette_problem(),
                       picard_max=0)
+
+
+def _relative_difference(a, b):
+    xa, xb = np.concatenate([a.v, a.p]), np.concatenate([b.v, b.p])
+    return np.linalg.norm(xa - xb) / np.linalg.norm(xb)
+
+
+class TestLaggedFactor:
+    @pytest.mark.parametrize("case", ["couette", "artery"])
+    def test_matches_factor_every_iteration(self, case, monkeypatch):
+        if case == "couette":
+            mesh, opts = channel_mesh(n=3, levels=4), {}
+            prob = couette_problem(SHEAR_THINNING)
+        else:
+            cfg = artery_analog_config(n_x=12, n_y=5, n_levels=6)
+            mesh, opts = build_mesh(cfg), cfg.picard_options()
+            prob = build_problem(cfg, mesh)
+        lagged = solve_fom(mesh, prob, **opts)
+        with monkeypatch.context() as m:
+            # every Krylov re-solve misses the contract: each system is factored
+            m.setattr(fom, "_krylov_resolve",
+                      lambda K, rhs, lu, x0: (np.zeros_like(rhs), 0))
+            factored = solve_fom(mesh, prob, **opts)
+        assert all(rec["factorized"] for rec in factored.iterations)
+        assert len(lagged.iterations) == len(factored.iterations) > 2
+        assert _relative_difference(lagged, factored) <= 1e-10
+        for rec in lagged.iterations:
+            assert rec["linear_residual"] <= LINEAR_RESIDUAL_TOL
+        recs = lagged.iterations
+        assert recs[0]["factorized"] and recs[0]["krylov_its"] == 0
+        assert not any(rec["factorized"] for rec in recs[-2:])
+        assert all(0 < rec["krylov_its"] <= KRYLOV_MAX_ITS for rec in recs[1:])
+        assert sum(rec["factorized"] for rec in recs) < len(recs) / 2
+
+    def test_wrong_krylov_result_refactors(self, monkeypatch):
+        mesh, prob = channel_mesh(n=3, levels=4), couette_problem(SHEAR_THINNING)
+        reference = solve_fom(mesh, prob)
+        calls = []
+
+        def first_call_wrong(K, rhs, **kw):
+            x, info = gmres(K, rhs, **kw)
+            calls.append(info)
+            return (x + 1.0 if len(calls) == 1 else x), info
+
+        monkeypatch.setattr(fom, "gmres", first_call_wrong)
+        sol = solve_fom(mesh, prob)
+        assert sol.converged
+        assert [rec["factorized"] for rec in sol.iterations[:3]] == [True, True, False]
+        assert sol.iterations[1]["krylov_its"] > 0
+        assert sol.iterations[1]["linear_residual"] <= LINEAR_RESIDUAL_TOL
+        assert len(sol.iterations) == len(reference.iterations)
+        assert _relative_difference(sol, reference) <= 1e-10
+
+    def test_plain_call_factors(self):
+        K = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
+        x, rel, factorized, its = direct_solve(K, np.array([1.0, 2.0]))
+        assert factorized and its == 0 and rel <= LINEAR_RESIDUAL_TOL
+        np.testing.assert_allclose(K @ x, [1.0, 2.0], rtol=1e-14)
 
 
 class TestInnerProducts:
