@@ -1,9 +1,9 @@
 """Parameter sampling, error metrics, and the error/performance study.
 
-The study runner drives the whole pipeline for one case: training solves,
-reduction, reference solves at random test parameters, truncated online
-solves over a basis-size sweep, and a versioned report with flat CSV tables
-for external plotting.  Wall times exclude file I/O and include assembly
+The offline build runs the training solves and the reduction; the study
+runner takes its result to reference solves at random test parameters,
+truncated online solves over a basis-size sweep, and a versioned report
+with flat CSV tables for external plotting.  Wall times exclude file I/O and include assembly
 plus the nonlinear solve on both sides; that convention is written into the
 report so the numbers cannot be misread.
 """
@@ -21,7 +21,6 @@ from types import SimpleNamespace
 import numpy as np
 import scipy
 
-from . import cases
 from .constitutive import ParameterBox
 from .eim import FieldSampleSet, eim_greedy
 from .fom import (FomAssembler, build_dof_map, build_lifting,
@@ -384,32 +383,19 @@ def make_report(config, pipeline, plan, samples, tests, pairs, fom_workers=1):
     }
 
 
-def run_study(config, *, sweep=None, plan=None, mesh=None, pipeline=None,
-              fom_workers=1):
-    """Full error/performance sweep of one case configuration.
+def run_study(config, *, pipeline, plan, sweep=None, fom_workers=1):
+    """Error/performance sweep of one case over a built reduction pipeline.
 
-    Builds mesh, problem, and the reduction pipeline unless given, draws the
-    sample plan from the config, and returns the report dict.  Passing a
-    previously built pipeline reuses its basis and training solves.
+    Draws the samples of plan, solves the full and reduced models at its
+    test points over the basis-size sweep, and returns the report dict.
     """
     if config.space is None:
         raise AnalysisError("case %r has no parameter space; a study needs "
                             "one" % config.case_id)
-    if plan is None:
-        plan = SamplePlan(box=config.space.box,
-                          train_counts=tuple(config.plan["train_counts"]),
-                          n_test=int(config.plan["n_test"]),
-                          seed=int(config.plan["seed"]))
     samples = generate_samples(plan)
-    picard = config.picard_options()
-    if pipeline is None:
-        if mesh is None:
-            mesh = cases.build_mesh(config)
-        problem = cases.build_problem(config, mesh)
-        pipeline = offline_build(mesh, problem, samples.training,
-                                 **config.offline_options(), **picard)
     pairs = sweep_pairs(sweep, pipeline.pkg)
-    tests = evaluate_tests(pipeline, samples.testing, pairs, **picard)
+    tests = evaluate_tests(pipeline, samples.testing, pairs,
+                           **config.picard_options())
     return make_report(config, pipeline, plan, samples, tests, pairs,
                        fom_workers=fom_workers)
 

@@ -297,7 +297,14 @@ def _reject_extra(given, where):
 
 def build_mesh(config):
     """Deformed space-time mesh of the configured geometry."""
-    g = dict(config.geometry)
+    try:
+        return _geometry_mesh(dict(config.geometry))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CaseError("malformed geometry (%s: %s)"
+                        % (type(exc).__name__, exc)) from None
+
+
+def _geometry_mesh(g):
     kind = g.pop("kind", None)
     if kind == "valve":
         refine = float(g.pop("refine", 1.0))
@@ -424,6 +431,12 @@ class CaseConfig:
         return {"picard_tol": float(self.solver.get("picard_tol", 1e-8)),
                 "picard_max": int(self.solver.get("picard_max", 50))}
 
+    def plan_options(self):
+        """Training grid counts, test count and seed of the plan section."""
+        p = self.plan
+        return {"train_counts": tuple(int(c) for c in p.get("train_counts", (4, 4))),
+                "n_test": int(p.get("n_test", 10)), "seed": int(p.get("seed", 1234))}
+
     def offline_options(self, **overrides):
         """offline_build keyword arguments of the rom section.
 
@@ -434,7 +447,8 @@ class CaseConfig:
         return {"tol_eim_eta": float(opts.get("tol_eim_eta", 1e-12)),
                 "tol_eim_tau": float(opts.get("tol_eim_tau", 1e-12)),
                 "energy_threshold": float(opts.get("energy_threshold", 1.0)),
-                "rank_cutoff": opts.get("rank_cutoff")}
+                "rank_cutoff": None if opts.get("rank_cutoff") is None
+                               else float(opts["rank_cutoff"])}
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -475,36 +489,43 @@ def config_from_dict(data):
     for key in ("case_id", "geometry", "material", "boundary"):
         if key not in data:
             raise CaseError("configuration key %r is missing" % key)
-    boundary = []
-    for e in data["boundary"]:
-        extra = set(e) - _BOUNDARY_KEYS
-        if extra:
-            raise CaseError("unknown boundary key %r" % sorted(extra)[0])
-        if "tag" not in e or "profile" not in e or "components" not in e:
-            raise CaseError("boundary entries need tag, profile and components")
-        entry = {"tag": str(e["tag"]), "profile": str(e["profile"]),
-                 "components": [int(c) for c in e["components"]],
-                 "group": str(e.get("group", "fixed")),
-                 "params": dict(e.get("params", {}))}
-        make_profile(entry["profile"], entry["params"])   # fail fast on bad params
-        boundary.append(entry)
-    body = data.get("body_force_m_s2")
     try:
-        space = space_from_dict(data.get("parameters"))
-    except ParameterError as exc:
-        raise CaseError(str(exc)) from None
-    return CaseConfig(
-        case_id=str(data["case_id"]),
-        geometry=dict(data["geometry"]),
-        material=_material_from_dict(data["material"]),
-        boundary=tuple(boundary),
-        amplitudes={str(k): float(v) for k, v in (data.get("amplitudes") or {}).items()},
-        space=space,
-        body_force=None if body is None else tuple(float(f) for f in body),
-        solver=_checked_section(data.get("solver"), _SOLVER_KEYS, "solver"),
-        plan=_checked_section(data.get("plan"), _PLAN_KEYS, "plan"),
-        rom=_checked_section(data.get("rom"), _ROM_KEYS, "rom"),
-    )
+        boundary = []
+        for e in data["boundary"]:
+            extra = set(e) - _BOUNDARY_KEYS
+            if extra:
+                raise CaseError("unknown boundary key %r" % sorted(extra)[0])
+            if "tag" not in e or "profile" not in e or "components" not in e:
+                raise CaseError("boundary entries need tag, profile and components")
+            entry = {"tag": str(e["tag"]), "profile": str(e["profile"]),
+                     "components": [int(c) for c in e["components"]],
+                     "group": str(e.get("group", "fixed")),
+                     "params": dict(e.get("params", {}))}
+            make_profile(entry["profile"], entry["params"])   # fail fast on bad params
+            boundary.append(entry)
+        body = data.get("body_force_m_s2")
+        try:
+            space = space_from_dict(data.get("parameters"))
+        except ParameterError as exc:
+            raise CaseError(str(exc)) from None
+        config = CaseConfig(
+            case_id=str(data["case_id"]),
+            geometry=dict(data["geometry"]),
+            material=_material_from_dict(data["material"]),
+            boundary=tuple(boundary),
+            amplitudes={str(k): float(v) for k, v in (data.get("amplitudes") or {}).items()},
+            space=space,
+            body_force=None if body is None else tuple(float(f) for f in body),
+            solver=_checked_section(data.get("solver"), _SOLVER_KEYS, "solver"),
+            plan=_checked_section(data.get("plan"), _PLAN_KEYS, "plan"),
+            rom=_checked_section(data.get("rom"), _ROM_KEYS, "rom"),
+        )
+        # read every option once, so a bad value fails at load time
+        config.picard_options(), config.plan_options(), config.offline_options()
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise CaseError("malformed configuration (%s: %s)"
+                        % (type(exc).__name__, exc)) from None
+    return config
 
 
 def load_case(path):

@@ -28,7 +28,7 @@ from .constitutive import ParameterError
 from .eim import EimError
 from .fom import (FomAssembler, SolverError, build_dof_map, build_lifting,
                   read_snapshot, solve_fom, write_snapshot)
-from .io import ArtifactError
+from .io import ArtifactError, write_artifact
 from .mesh import MeshError, write_mesh, write_vtk
 from .pod import PodError
 from .rom import RomError, read_rom, rom_info, solve_rom, write_rom
@@ -106,11 +106,12 @@ def _plan_from(config, args):
     """Sample plan of the config with --train-grid / --seed overrides."""
     if config.space is None:
         raise CliError("case %r has no parameter space" % config.case_id)
+    plan = config.plan_options()
     counts = (parse_train_grid(args.train_grid) if args.train_grid
-              else tuple(config.plan["train_counts"]))
-    seed = args.seed if args.seed is not None else int(config.plan["seed"])
+              else plan["train_counts"])
+    seed = args.seed if args.seed is not None else plan["seed"]
     return SamplePlan(box=config.space.box, train_counts=counts,
-                      n_test=int(config.plan["n_test"]), seed=seed)
+                      n_test=plan["n_test"], seed=seed)
 
 
 def _offline_options(config, args):
@@ -284,7 +285,6 @@ def cmd_eval_rom(args):
     red = solve_rom(pkg, mu=mu, **config.picard_options())
     elapsed = time.perf_counter() - t0
     path = out / "rom_solution.stm"
-    from .io import write_artifact
     write_artifact(path, "rom_solution",
                    {"case_id": pkg.case_id, "mesh_hash": pkg.mesh_hash,
                     "mu": list(map(float, red.mu)),

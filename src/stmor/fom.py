@@ -31,6 +31,8 @@ LINEAR_RESIDUAL_TOL (1e-10), the same contract a direct solve must meet;
 otherwise the old factor is released and the system is factored afresh.
 The factor never outlives the call, so a solution does not depend on what
 was solved before it.
+
+picard() is the one nonlinear driver: solve_fom and rom.solve_rom pass it a step.
 """
 
 import logging
@@ -568,18 +570,41 @@ class FomProblem:
         return apply_parameters(self.material, self.amplitudes, mu, self.space)
 
 
+def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
+    """Fixed-point iteration x <- step(x) of both solvers; (x, records, converged).
+
+    step(x) returns the next iterate and the extra fields of its record.  It
+    stops once ||dx[skip:]|| / ||x_new[skip:]|| <= tol, so pinned leading
+    entries are not judged.  A stall after max_it steps raises error when
+    strict, else it is logged on logger and the last iterate is returned.
+    """
+    if max_it < 1:
+        raise error("picard_max must be at least 1")
+    x, records = x0, []
+    for it in range(1, max_it + 1):
+        x_new, extra = step(x)
+        dx = np.linalg.norm(x_new[skip:] - x[skip:])
+        nx = np.linalg.norm(x_new[skip:])
+        rel = dx / nx if nx > 0 else (0.0 if dx == 0.0 else np.inf)
+        records.append({"iteration": it, "rel_update": float(rel), **extra})
+        x = x_new
+        if rel <= tol:
+            return x, records, True
+    msg = "%s stalled at rel update %.3e after %d iterations" % (what, rel, max_it)
+    if strict:
+        raise error(msg)
+    logger.warning(msg)
+    return x, records, False
+
+
 def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
               assembler=None, dof_map=None, strict=True):
     """Picard iteration on the frozen-coefficient linear systems.
 
     Viscosity and tau are re-evaluated from the previous full velocity field
-    each round; iteration stops when the relative coefficient update
-    ||dx||/||x|| drops below picard_tol.  With strict=False a stalled
-    iteration returns the last iterate flagged as not converged instead of
-    raising.
+    each round, until ||dx||/||x|| <= picard_tol.  With strict=False a stalled
+    iteration returns the last iterate flagged as not converged.
     """
-    if picard_max < 1:
-        raise SolverError("picard_max must be at least 1")
     params, amps = problem.effective(mu)
     dof_map = dof_map if dof_map is not None else build_dof_map(mesh, problem.dirichlet)
     liftings = build_lifting(mesh, problem.dirichlet, amps)
@@ -589,42 +614,28 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
         logger.info("pinning %d pressure nodes (no natural gauge)", pins.size)
 
     l_full = combine_liftings(liftings, mesh.n_nodes, asm.d)
-    u = l_full.copy()
-    x = np.zeros(dof_map.n_total)
+    n_v = dof_map.n_velocity
     factor = [None]     # the lagged LU, never shared between calls
-    log = []
-    converged = False
-    for it in range(1, picard_max + 1):
+
+    def step(x):
+        u = l_full + dof_map.expand(x[:n_v])
         sys = assemble_fom(mesh, dof_map, liftings, u, params,
                            body_force=problem.body_force, neumann=problem.neumann,
                            assembler=asm)
         # the factor lives on through the next assembly; the blocks and the
         # system need not, or they add to the solve's peak memory
-        K, rhs = _apply_pins(sys.matrix(), sys.rhs(), dof_map.n_velocity + pins)
+        K, rhs = _apply_pins(sys.matrix(), sys.rhs(), n_v + pins)
         del sys
         x_new, lin_res, factorized, its = direct_solve(K, rhs, factor, x0=x)
-        del K, rhs
-        dx = np.linalg.norm(x_new - x)
-        nx = np.linalg.norm(x_new)
-        rel = dx / nx if nx > 0 else (0.0 if dx == 0.0 else np.inf)
-        log.append({"iteration": it, "rel_update": float(rel),
-                    "linear_residual": float(lin_res),
-                    "factorized": factorized, "krylov_its": its})
-        x = x_new
-        u = l_full + dof_map.expand(x[:dof_map.n_velocity])
-        if rel <= picard_tol:
-            converged = True
-            break
-    if not converged:
-        msg = ("Picard stalled at rel update %.3e after %d iterations"
-               % (log[-1]["rel_update"], len(log)))
-        if strict:
-            raise SolverError(msg)
-        logger.warning(msg)
+        return x_new, {"linear_residual": float(lin_res),
+                       "factorized": factorized, "krylov_its": its}
+
+    x, log, converged = picard(step, np.zeros(dof_map.n_total), picard_tol,
+                               picard_max, strict, SolverError, logger, "Picard")
     logger.info("solve_fom %s: %d iterations, %d factorizations, rel update %.2e",
                 problem.name, len(log), sum(r["factorized"] for r in log),
                 log[-1]["rel_update"])
-    return FieldSolution(v=x[:dof_map.n_velocity], p=x[dof_map.n_velocity:],
+    return FieldSolution(v=x[:n_v], p=x[n_v:],
                          mu=np.asarray([] if mu is None else mu, dtype=np.float64),
                          converged=converged, iterations=log,
                          mesh_hash=mesh.content_hash(), case_id=problem.name)

@@ -47,7 +47,8 @@ from .constitutive import (CarreauYasudaParams, ParameterError, ParameterSpace,
                            apply_parameters, field_values, space_from_dict,
                            space_to_dict)
 from .eim import EimApproximation
-from .fom import FomAssembler, build_dof_map, build_lifting, pressure_pins
+from .fom import (FomAssembler, build_dof_map, build_lifting, picard,
+                  pressure_pins)
 from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
 from .pod import project_coefficients
 
@@ -364,48 +365,28 @@ def assemble_rom(pkg, v_iterate, mu=None, mu_terms=None):
 def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
     """Picard iteration on the reduced system with frozen field coefficients.
 
-    Mirrors the full-order loop: the initial iterate carries the lifting
-    alone and convergence is judged on the relative update of the free
-    coefficients (lift entries are pinned and excluded).
+    The initial iterate carries the lifting alone; the pinned lift entries
+    are left out of the relative-update test.
     """
-    if picard_max < 1:
-        raise RomError("picard_max must be at least 1")
     terms = _mu_terms(pkg, mu)
-    s = terms[1]
     n_u, n_p, nl = pkg.n_u, pkg.n_p, pkg.n_lifts
+    dims = "N_u=%d, N_p=%d" % (n_u, n_p)
 
-    v_N = np.zeros(n_u)
-    v_N[:nl] = s
-    trail = np.zeros(n_u - nl + n_p)
-    x = np.concatenate([v_N, np.zeros(n_p)])
-    log = []
-    converged = False
-    for it in range(1, picard_max + 1):
-        K, rhs = assemble_rom(pkg, v_N, mu, terms)
+    def step(x):
+        K, rhs = assemble_rom(pkg, x[:n_u], mu, terms)
         try:
-            x = np.linalg.solve(K, rhs)
+            x_new = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
-            raise RomError("reduced system is singular at N_u=%d, N_p=%d"
-                           % (n_u, n_p)) from None
-        if not np.all(np.isfinite(x)):
-            raise RomError("reduced solve returned non-finite values at "
-                           "N_u=%d, N_p=%d" % (n_u, n_p))
-        new_trail = np.concatenate([x[nl:n_u], x[n_u:]])
-        dx = np.linalg.norm(new_trail - trail)
-        nx = np.linalg.norm(new_trail)
-        rel = dx / nx if nx > 0 else (0.0 if dx == 0.0 else np.inf)
-        log.append({"iteration": it, "rel_update": float(rel)})
-        trail = new_trail
-        v_N = x[:n_u]
-        if rel <= picard_tol:
-            converged = True
-            break
-    if not converged:
-        msg = ("reduced Picard stalled at rel update %.3e after %d iterations "
-               "(N_u=%d, N_p=%d)" % (log[-1]["rel_update"], len(log), n_u, n_p))
-        if strict:
-            raise RomError(msg)
-        logger.warning(msg)
+            raise RomError("reduced system is singular at " + dims) from None
+        if not np.all(np.isfinite(x_new)):
+            raise RomError("reduced solve returned non-finite values at " + dims)
+        return x_new, {}
+
+    x0 = np.zeros(n_u + n_p)
+    x0[:nl] = terms[1]
+    x, log, converged = picard(step, x0, picard_tol, picard_max, strict,
+                               RomError, logger, "reduced Picard (%s)" % dims,
+                               skip=nl)
     logger.debug("solve_rom %s: %d iterations, rel update %.2e",
                  pkg.case_id, len(log), log[-1]["rel_update"])
     return ReducedSolution(v_N=x[:n_u], p_N=x[n_u:],

@@ -380,7 +380,7 @@ class TestStudy:
 
     def test_study_requires_a_parameter_space(self):
         with pytest.raises(AnalysisError, match="parameter space"):
-            run_study(cases.couette_config(n=2))
+            run_study(cases.couette_config(n=2), pipeline=None, plan=None)
 
     def test_recomputed_reference_hashes_identically(self, duct):
         _, _, samples, pipe = duct

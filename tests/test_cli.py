@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from stmor import cli
+from stmor import cases, cli
 from stmor.cli import (CliError, main, parse_mu, parse_sweep,
                        parse_train_grid)
 from stmor.fom import read_snapshot
@@ -291,6 +291,29 @@ class TestFailureModes:
         payload = self.error_of(capsys)
         assert payload["error"] == "ArtifactError"
         assert "snapshots" in payload["message"]
+
+    @pytest.mark.parametrize("broken", [
+        {"geometry": 5},
+        {"boundary": 5},
+        {"amplitudes": [1]},
+        {"solver": {"picard_tol": "abc"}},
+        {"components": "ab"},
+        {"geometry": {"kind": "rectangle"}},
+    ], ids=["geometry", "boundary", "amplitudes", "solver", "components",
+            "geometry-key"])
+    def test_malformed_case_config(self, broken, capsys, tmp_path):
+        cfg = cases.couette_config(n=2).to_dict()
+        if "components" in broken:
+            cfg["boundary"][0]["components"] = broken["components"]
+        else:
+            cfg.update(broken)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["fom", "--case", str(path),
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "CaseError"
 
     def test_unknown_report_action(self, workdir, capsys):
         root, _ = workdir

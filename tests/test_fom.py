@@ -323,6 +323,49 @@ class TestCouette:
             solve_fom(channel_mesh(n=2, levels=3), couette_problem(),
                       picard_max=0)
 
+    def test_stall_raises_when_strict(self):
+        with pytest.raises(SolverError, match="stalled"):
+            solve_fom(channel_mesh(n=2, levels=3), couette_problem(SHEAR_THINNING),
+                      picard_tol=1e-300, picard_max=1)
+
+    def test_stall_returns_last_iterate_when_not_strict(self, caplog):
+        with caplog.at_level("WARNING", logger="stmor.fom"):
+            sol = solve_fom(channel_mesh(n=2, levels=3),
+                            couette_problem(SHEAR_THINNING),
+                            picard_tol=1e-300, picard_max=1, strict=False)
+        assert not sol.converged
+        assert len(sol.iterations) == 1
+        assert "stalled" in caplog.text
+
+
+class TestPicardDriver:
+    @staticmethod
+    def step(x):
+        # x[0] flips sign forever; x[1:] contracts to the fixed point 2
+        new = np.concatenate([-x[:1], 0.5 * x[1:] + 1.0])
+        return new, {"pinned": float(new[0])}
+
+    def test_skipped_entries_do_not_count(self):
+        x0 = np.array([1.0, 0.0, 0.0])
+        x, records, converged = fom.picard(self.step, x0, 1e-12, 100, True,
+                                           SolverError, fom.logger, "test",
+                                           skip=1)
+        assert converged
+        np.testing.assert_allclose(x[1:], 2.0, rtol=1e-11)
+        prev = x0
+        for it, rec in enumerate(records, start=1):
+            new, _ = self.step(prev)
+            rel = np.linalg.norm(new[1:] - prev[1:]) / np.linalg.norm(new[1:])
+            assert rec == {"iteration": it, "rel_update": rel,
+                           "pinned": float(new[0])}
+            prev = new
+        assert records[-1]["rel_update"] <= 1e-12 < records[-2]["rel_update"]
+
+    def test_counted_entries_can_stall(self):
+        with pytest.raises(SolverError, match="test stalled"):
+            fom.picard(self.step, np.array([1.0, 0.0, 0.0]), 1e-12, 100, True,
+                       SolverError, fom.logger, "test", skip=0)
+
 
 def _relative_difference(a, b):
     xa, xb = np.concatenate([a.v, a.p]), np.concatenate([b.v, b.p])

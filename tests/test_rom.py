@@ -417,6 +417,21 @@ class TestSolve:
         with pytest.raises(RomError, match="picard_max"):
             solve_rom(duct.pkg, mu=TRAIN_MUS[0], picard_max=0)
 
+    def test_stall_raises_when_strict(self, duct):
+        with pytest.raises(RomError, match=r"N_u=%d, N_p=%d\) stalled"
+                           % (duct.pkg.n_u, duct.pkg.n_p)):
+            solve_rom(duct.pkg, mu=TRAIN_MUS[0], picard_tol=1e-300,
+                      picard_max=1)
+
+    def test_stall_returns_last_iterate_when_not_strict(self, duct, caplog):
+        with caplog.at_level("WARNING", logger="stmor.rom"):
+            red = solve_rom(duct.pkg, mu=TRAIN_MUS[0], picard_tol=1e-300,
+                            picard_max=1, strict=False)
+        assert not red.converged
+        assert len(red.iterations) == 1
+        assert [r.name for r in caplog.records] == ["stmor.rom"]
+        assert "stalled" in caplog.text
+
     def test_mu_outside_box_rejected(self, duct):
         with pytest.raises(ParameterError, match="outside"):
             solve_rom(duct.pkg, mu=np.array([2.0]))
