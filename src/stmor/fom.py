@@ -21,26 +21,35 @@ S    pressure laplacian          +sum_e tau_e/rho int grad phi_k . grad phi_l
 with the right-hand side carrying tractions, body force, and the lifting
 of the Dirichlet data.  All spatial derivatives are taken in x only.
 
-Linear solves: a Picard iterate changes only the eta- and tau-weighted
-blocks, so one solve_fom call factors its first system (sparse LU plus two
-refinement steps) and keeps that factor.  Each later system gets one GMRES
-cycle of at most KRYLOV_MAX_ITS iterations, preconditioned by the kept
-factor and started from the previous iterate.  Its result is accepted only
-if the true relative residual ||rhs - K x|| / ||rhs|| meets
-LINEAR_RESIDUAL_TOL (1e-10), the same contract a direct solve must meet;
-otherwise the old factor is released and the system is factored afresh.
-The factor never outlives the call, so a solution does not depend on what
-was solved before it.
+Assembly: a Picard iterate changes only the eta- and tau-weighted blocks,
+so the pattern of the pinned, free-restricted system is fixed.  An
+assembler builds it once per DOF map and pins (SystemPattern), with maps
+from element entries to its CSR slots; each iterate is then three sparse
+matrix-vector products of the element weights plus constant base vectors,
+and the lifting load comes from the entries in constrained columns.
+
+Linear solves: one solve_fom call factors its first system (sparse LU plus
+two refinement steps) and keeps that factor.  Each later system gets one
+cycle of a right-preconditioned GMRES (gmres) of at most KRYLOV_MAX_ITS
+iterations, preconditioned by the kept factor and started from the previous
+iterate.  The cycle stops early once its observed rate cannot meet the
+contract within KRYLOV_MAX_ITS.  Its result is accepted only if the true
+relative residual ||rhs - K x|| / ||rhs|| meets LINEAR_RESIDUAL_TOL (1e-10),
+the same contract a direct solve must meet; otherwise the old factor is
+released and the system is factored afresh.  The factor never outlives the
+call, so a solution does not depend on what was solved before it.
 
 picard() is the one nonlinear driver: solve_fom and rom.solve_rom pass it a step.
 """
 
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import splu
 
 from .constitutive import apply_parameters, field_values
 from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
@@ -49,7 +58,7 @@ logger = logging.getLogger(__name__)
 
 LINEAR_RESIDUAL_TOL = 1e-10
 KRYLOV_MAX_ITS = 20         # GMRES iterations on a lagged factor before refactoring
-KRYLOV_RTOL = 1e-14         # near round-off: re-solves match a fresh factor
+KRYLOV_RTOL = 1e-14         # true relative residual at which GMRES stops
 CONFLICT_TOL = 1e-10
 
 
@@ -215,12 +224,13 @@ def combine_liftings(liftings, n_nodes, d):
 # vectorized assembly
 
 class FomAssembler:
-    """Assembles the space-time blocks over full-length nodal indices.
+    """Element kernels of the space-time blocks, and what is built from them.
 
     Weighted blocks (viscous, stabilization) accept an arbitrary per-element
-    weight vector, which serves both the nonlinear loop (weights = eta or
-    tau) and affine decompositions (weights = one interpolation basis
-    vector).  Rows/columns are restricted to free DOFs by the caller.
+    weight vector.  The full-index operators serve affine decompositions
+    (weights = one interpolation basis vector) and norms; they are assembled
+    from COO index templates built on first use.  The Picard loop instead
+    fills the fixed pattern of its restricted system (system_pattern).
     """
 
     def __init__(self, mesh):
@@ -239,35 +249,38 @@ class FomAssembler:
         self.G = np.einsum("eaj,ebj->eab", self.gx, self.gx)
         self.n_vfull = mesh.n_nodes * self.d
         self._cache = {}
-        self._build_index_templates()
+        self._pattern = None        # (key, SystemPattern) of the last system
 
-    def _build_index_templates(self):
+    def _index_templates(self):
+        """COO (rows, cols) of each element-block layout on full indices."""
+        if "ix" in self._cache:
+            return self._cache["ix"]
         d, D1 = self.d, self.D + 1
         e = self.elems.astype(np.int32)
+        E = e.shape[0]
         comp = np.arange(d, dtype=np.int32)
-        # velocity-velocity, component diagonal: (e, a, b, c)
-        rows = np.broadcast_to(e[:, :, None, None] * d, (e.shape[0], D1, D1, d)) + comp
-        cols = np.broadcast_to(e[:, None, :, None] * d, (e.shape[0], D1, D1, d)) + comp
-        self.ix_vv_diag = (np.ascontiguousarray(rows), np.ascontiguousarray(cols))
-        # velocity-velocity, full coupling: (e, a, c, b, c2)
-        rows = np.broadcast_to((e[:, :, None] * d + comp)[:, :, :, None, None],
-                               (e.shape[0], D1, d, D1, d))
-        cols = np.broadcast_to((e[:, :, None] * d + comp)[:, None, None, :, :],
-                               (e.shape[0], D1, d, D1, d))
-        self.ix_vv_full = (np.ascontiguousarray(rows), np.ascontiguousarray(cols))
-        # pressure-velocity: (e, k, b, c)
-        rows = np.broadcast_to(e[:, :, None, None], (e.shape[0], D1, D1, d))
-        cols = np.broadcast_to((e[:, :, None] * d + comp)[:, None, :, :],
-                               (e.shape[0], D1, D1, d))
-        self.ix_pv = (np.ascontiguousarray(rows), np.ascontiguousarray(cols))
-        # pressure-pressure: (e, k, l)
-        rows = np.broadcast_to(e[:, :, None], (e.shape[0], D1, D1))
-        cols = np.broadcast_to(e[:, None, :], (e.shape[0], D1, D1))
-        self.ix_pp = (np.ascontiguousarray(rows), np.ascontiguousarray(cols))
+        vdof = e[:, :, None] * d + comp             # (e, a, c)
+        layouts = {
+            # velocity-velocity, component diagonal: (e, a, b, c)
+            "vv_diag": (vdof[:, :, None, :], vdof[:, None, :, :], (E, D1, D1, d)),
+            # velocity-velocity, full coupling: (e, a, c, b, c2)
+            "vv_full": (vdof[:, :, :, None, None], vdof[:, None, None, :, :],
+                        (E, D1, d, D1, d)),
+            # pressure-velocity: (e, k, b, c)
+            "pv": (e[:, :, None, None], vdof[:, None, :, :], (E, D1, D1, d)),
+            # pressure-pressure: (e, k, l)
+            "pp": (e[:, :, None], e[:, None, :], (E, D1, D1)),
+        }
+        ix = {name: (np.ascontiguousarray(np.broadcast_to(rows, shape)),
+                     np.ascontiguousarray(np.broadcast_to(cols, shape)))
+              for name, (rows, cols, shape) in layouts.items()}
+        self._cache["ix"] = ix
+        return ix
 
-    def _coo(self, data, ix, shape):
-        self._check_finite(data)
-        rows, cols = ix
+    def _coo(self, blk, layout, shape):
+        self._check_finite(blk)
+        rows, cols = self._index_templates()[layout]
+        data = np.broadcast_to(blk, rows.shape)
         m = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
         return m.tocsr()
 
@@ -277,57 +290,71 @@ class FomAssembler:
         if bad.size:
             raise SolverError("non-finite assembly data in element %d" % bad[0])
 
+    # element blocks, laid out as the templates of the same name
+
+    def mass_block(self):
+        """(e, a, b, 1): int psi_a d_t psi_b, the same for every component."""
+        return ((self.V / (self.D + 1))[:, None, None] * self.gt[:, None, :])[..., None]
+
+    def viscous_block(self, weights):
+        """(e, a, c, b, c2): int 2 w eps(psi_a e_c) : eps(psi_b e_c2)."""
+        wV = np.asarray(weights) * self.V
+        blk = np.einsum("ead,ebc->eacbd", self.gx, self.gx)
+        for c in range(self.d):
+            blk[:, :, c, :, c] += self.G
+        blk *= wV[:, None, None, None, None]
+        return blk
+
+    def divergence_block(self):
+        """(e, 1, b, c): int phi_k d_c psi_b, the same for every k."""
+        return (self.V / (self.D + 1))[:, None, None, None] * self.gx[:, None, :, :]
+
+    def stab_pv_block(self, weights):
+        """(e, k, b, c): -w int d_c phi_k d_t psi_b."""
+        wV = np.asarray(weights) * self.V
+        return -np.einsum("e,ekc,eb->ekbc", wV, self.gx, self.gt)
+
+    def stab_pp_block(self, weights):
+        """(e, k, l): w int grad phi_k . grad phi_l."""
+        return (np.asarray(weights) * self.V)[:, None, None] * self.G
+
+    # full-index operators
+
     def mass_time(self):
         """int psi_i d_t psi_j without the density factor."""
         if "mass_time" not in self._cache:
-            blk = (self.V / (self.D + 1))[:, None, None] * self.gt[:, None, :]
-            data = np.broadcast_to(blk[:, :, :, None], self.ix_vv_diag[0].shape)
-            self._cache["mass_time"] = self._coo(np.ascontiguousarray(data),
-                                                 self.ix_vv_diag,
+            self._cache["mass_time"] = self._coo(self.mass_block(), "vv_diag",
                                                  (self.n_vfull, self.n_vfull))
         return self._cache["mass_time"]
 
     def viscous(self, weights):
         """int 2 w eps(psi_i):eps(psi_j) with elementwise weight w."""
-        wV = np.asarray(weights) * self.V
-        eye = np.eye(self.d)
-        # in place: every (E, D+1, d, D+1, d) temporary is as large as blk
-        blk = self.G[:, :, None, :, None] * eye[None, None, :, None, :]
-        blk += self.gx[:, :, None, None, :] * self.gx.transpose(0, 2, 1)[:, None, :, :, None]
-        blk *= wV[:, None, None, None, None]
-        return self._coo(blk, self.ix_vv_full, (self.n_vfull, self.n_vfull))
+        return self._coo(self.viscous_block(weights), "vv_full",
+                         (self.n_vfull, self.n_vfull))
 
     def divergence(self):
         """int phi_k div psi_j."""
         if "divergence" not in self._cache:
-            blk = (self.V / (self.D + 1))[:, None, None, None] \
-                * self.gx[:, None, :, :]
-            data = np.broadcast_to(blk, self.ix_pv[0].shape)
-            self._cache["divergence"] = self._coo(np.ascontiguousarray(data),
-                                                  self.ix_pv,
+            self._cache["divergence"] = self._coo(self.divergence_block(), "pv",
                                                   (self.mesh.n_nodes, self.n_vfull))
         return self._cache["divergence"]
 
     def stab_pv(self, weights):
         """-sum_e w_e int grad phi_k . d_t psi_j."""
-        wV = np.asarray(weights) * self.V
-        blk = -np.einsum("e,ekc,eb->ekbc", wV, self.gx, self.gt)
-        return self._coo(blk, self.ix_pv, (self.mesh.n_nodes, self.n_vfull))
+        return self._coo(self.stab_pv_block(weights), "pv",
+                         (self.mesh.n_nodes, self.n_vfull))
 
     def stab_pp(self, weights):
         """+sum_e w_e int grad phi_k . grad phi_l (density handled by caller)."""
-        wV = np.asarray(weights) * self.V
-        blk = wV[:, None, None] * self.G
-        return self._coo(blk, self.ix_pp, (self.mesh.n_nodes, self.mesh.n_nodes))
+        return self._coo(self.stab_pp_block(weights), "pp",
+                         (self.mesh.n_nodes, self.mesh.n_nodes))
 
     def grad_gram(self):
         """Spatial-gradient seminorm matrix on full velocity indices."""
         if "grad_gram" not in self._cache:
-            data = np.broadcast_to((self.V[:, None, None] * self.G)[:, :, :, None],
-                                   self.ix_vv_diag[0].shape)
-            self._cache["grad_gram"] = self._coo(np.ascontiguousarray(data),
-                                                 self.ix_vv_diag,
-                                                 (self.n_vfull, self.n_vfull))
+            self._cache["grad_gram"] = self._coo(
+                (self.V[:, None, None] * self.G)[..., None], "vv_diag",
+                (self.n_vfull, self.n_vfull))
         return self._cache["grad_gram"]
 
     def mass_pressure(self):
@@ -337,9 +364,22 @@ class FomAssembler:
             blk = (self.V / (D1 * (self.D + 2)))[:, None, None] \
                 * (1.0 + np.eye(D1))[None, :, :]
             self._cache["mass_pressure"] = self._coo(
-                np.ascontiguousarray(blk), self.ix_pp,
-                (self.mesh.n_nodes, self.mesh.n_nodes))
+                blk, "pp", (self.mesh.n_nodes, self.mesh.n_nodes))
         return self._cache["mass_pressure"]
+
+    def system_pattern(self, dof_map, pins):
+        """The SystemPattern of dof_map's system with these pressure pins.
+
+        It is built on first use and kept until a call with other
+        constraints or pins, so the Picard iterates of one solve, and the
+        solves that follow on the same DOF map, share one pattern.
+        """
+        pins = np.asarray(pins, dtype=np.int64)
+        key = (dof_map.constrained.tobytes(), pins.tobytes())
+        if self._pattern is None or self._pattern[0] != key:
+            self._pattern = None    # release the old maps before the build
+            self._pattern = (key, SystemPattern(self, dof_map, pins))
+        return self._pattern[1]
 
     def element_fields(self, u_full, params):
         """Per-element (shear rate, viscosity, tau) at a frozen velocity field."""
@@ -377,69 +417,191 @@ class FomAssembler:
 # ---------------------------------------------------------------------------
 # system assembly and solve
 
+def _indptr(rows, n):
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(np.int32)
+
+
+class SystemPattern:
+    """Fixed CSR pattern of the pinned, free-restricted monolithic system.
+
+    Rows and columns follow the unknowns x = [free velocity, all pressure].
+    Slots [0, nnz) are the entries of the system matrix; the slots after
+    them are the entries of its rows in constrained velocity columns, which
+    carry the lifting into the load.  Every slot value is affine in the
+    element weights of one Picard iterate,
+
+        W_eta @ eta + W_tau @ tau + W_pp @ (tau / rho) + rho * mass + const,
+
+    where the weights W map the viscous, the tau-weighted coupling and the
+    pressure blocks of unit element weight onto the slots, mass is the
+    time-derivative block per unit density and const holds +-B and the unit
+    diagonals of pinned pressure rows.
+
+    The build never forms the dof-level COO: the node adjacency gives the
+    unrestricted layout, in which every row of node a holds the velocity
+    columns (b, 0..d-1) and then the pressure columns b of its neighbours b,
+    and each element entry finds its slot by arithmetic on that layout.
+    """
+
+    def __init__(self, asm, dof_map, pins):
+        n, d = asm.mesh.n_nodes, asm.d
+        nvf = n * d
+        n_el, D1 = asm.elems.shape
+        elems = asm.elems.astype(np.int64)
+        comp = np.arange(d)
+
+        # node adjacency as sorted keys a * n + b; nbr_start[a] opens node
+        # a's neighbour list and rank is b's place in it
+        pair = (elems[:, :, None] * n + elems[:, None, :]).ravel()
+        adj = np.sort(pair)
+        adj = adj[np.concatenate([[True], adj[1:] != adj[:-1]])]
+        node_a, node_b = np.divmod(adj, n)
+        nbr_start = np.searchsorted(node_a, np.arange(n + 1))
+        deg = np.diff(nbr_start)
+        rank = np.arange(adj.size) - nbr_start[node_a]
+
+        # unrestricted layout over full indices (velocity node-major, then
+        # pressure), and the row and column of each of its slots
+        row_node = np.concatenate([np.repeat(np.arange(n), d), np.arange(n)])
+        row_len = (d + 1) * deg[row_node]
+        row_start = np.concatenate([[0], np.cumsum(row_len)])
+        node_start = np.concatenate([[0], np.cumsum((d + 1) * deg)])
+        node_cols = np.empty(node_start[-1], dtype=np.int64)
+        node_cols[(node_start[node_a] + d * rank)[:, None] + comp] = \
+            d * node_b[:, None] + comp
+        node_cols[node_start[node_a] + d * deg[node_a] + rank] = nvf + node_b
+        row = np.repeat(np.arange(row_node.size), row_len)
+        col = node_cols[np.repeat(node_start[row_node] - row_start[:-1], row_len)
+                        + np.arange(row_start[-1])]
+        del node_cols
+
+        # restriction: free velocity and unpinned pressure rows; the matrix
+        # keeps free velocity and pressure columns, the lift the others
+        free = np.concatenate([~dof_map.constrained.ravel(), np.ones(n, dtype=bool)])
+        pinned = np.zeros(nvf + n, dtype=bool)
+        pinned[nvf + pins] = True
+        pin_diag = pinned[row] & (col == row)
+        in_matrix = (free & ~pinned)[row] & free[col] | pin_diag
+        in_lift = (free & ~pinned)[row] & ~free[col]
+        self.nnz = int(np.count_nonzero(in_matrix))
+        n_slots = self.nnz + int(np.count_nonzero(in_lift))
+        # slot + 1 of each full entry, 0 where it is dropped
+        slot = np.zeros(row.size, dtype=np.int32)
+        slot[in_matrix] = np.arange(1, self.nnz + 1)
+        slot[in_lift] = np.arange(self.nnz + 1, n_slots + 1)
+        x_index = np.concatenate([dof_map.vdof.ravel(),
+                                  dof_map.n_velocity + np.arange(n)])
+        n_total = dof_map.n_total
+        self.shape = (n_total, n_total)
+        self.indices = x_index[col[in_matrix]].astype(np.int32)
+        self.indptr = _indptr(x_index[row[in_matrix]], n_total)
+        self.lift_shape = (n_total, nvf)
+        self.lift_indices = col[in_lift].astype(np.int32)
+        self.lift_indptr = _indptr(x_index[row[in_lift]], n_total)
+        pin_slots = slot[pin_diag] - 1
+        slot[pin_diag] = 0          # a pinned row takes no element entries
+        del row, col, in_matrix, in_lift
+
+        # slot of each element entry: the start of its row plus the offset of
+        # its column in that row; k[e, i, j] ranks node j among i's neighbours
+        k = rank[np.searchsorted(adj, pair)].reshape(n_el, D1, D1)
+        del pair, adj
+        v_off = (d * k).astype(np.int32)                # velocity columns (b, .)
+        p_off = (d * deg[elems][:, :, None] + k).astype(np.int32)   # pressure b
+        v_row = row_start[d * elems[:, :, None] + comp].astype(np.int32)  # (e, a, c)
+        p_row = row_start[nvf + elems].astype(np.int32)                   # (e, k)
+        comp = comp.astype(np.int32)
+        slots = {
+            "vv_diag": slot[v_row[:, :, None, :] + v_off[..., None] + comp],
+            "vv_full": slot[v_row[..., None, None] + v_off[:, :, None, :, None] + comp],
+            "pv": slot[p_row[:, :, None, None] + v_off[..., None] + comp],
+            "vp": slot[v_row[:, None, :, :] + p_off.transpose(0, 2, 1)[..., None]],
+            "pp": slot[p_row[:, :, None] + p_off],
+        }
+        del slot, v_off, p_off, v_row, p_row
+
+        def summed(layout, blk):
+            # unit-weight sum of a constant element block into the slots
+            s = slots[layout]
+            vals = np.broadcast_to(blk, s.shape).ravel()
+            return np.bincount(s.ravel(), vals, minlength=n_slots + 1)[1:]
+
+        def element_map(layout, blk):
+            # (n_slots, E) CSC map of a weighted element block onto the slots;
+            # its entries are element-major already, so no sort is needed
+            s = slots[layout].reshape(n_el, -1)
+            keep = s > 0
+            indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+            return sp.csc_matrix((blk.reshape(n_el, -1)[keep], s[keep] - 1, indptr),
+                                 shape=(n_slots, n_el))
+
+        unit = np.ones(n_el)
+        self.mass = summed("vv_diag", asm.mass_block())
+        div = asm.divergence_block()
+        self.const = summed("pv", div) + summed("vp", -div)
+        self.const[pin_slots] = 1.0
+        self.weights = (element_map("vv_full", asm.viscous_block(unit)),
+                        element_map("pv", asm.stab_pv_block(unit)),
+                        element_map("pp", asm.stab_pp_block(unit)))
+
+    def fill(self, eta, tau, rho):
+        """Slot values at per-element eta and tau and density rho."""
+        w_eta, w_tau, w_pp = self.weights
+        values = w_eta @ eta
+        values += w_tau @ tau
+        values += w_pp @ (tau / rho)
+        values += rho * self.mass
+        values += self.const
+        return values
+
+    def matrix(self, values):
+        return sp.csr_matrix((values[:self.nnz], self.indices, self.indptr),
+                             shape=self.shape)
+
+    def lift_matrix(self, values):
+        """Entries in constrained columns, on full velocity column indices."""
+        return sp.csr_matrix((values[self.nnz:], self.lift_indices, self.lift_indptr),
+                             shape=self.lift_shape)
+
+
 @dataclass
 class FomSystem:
-    """Assembled blocks restricted to free DOFs, plus the right-hand side."""
+    """One linearization: slot values on a shared pattern, and the load."""
 
-    E: sp.csr_matrix
-    A: sp.csr_matrix
-    B: sp.csr_matrix
-    C: sp.csr_matrix
-    S: sp.csr_matrix
-    H: np.ndarray
-    F: np.ndarray
-    L: np.ndarray
-    G: np.ndarray
-    D: np.ndarray
+    pattern: SystemPattern
+    values: np.ndarray
+    load: np.ndarray
 
     def matrix(self):
-        return sp.bmat([[self.E + self.A, -self.B.T],
-                        [self.B + self.C, self.S]], format="csr")
+        return self.pattern.matrix(self.values)
 
     def rhs(self):
-        return np.concatenate([self.H + self.F + self.L, self.G + self.D])
+        return self.load
 
 
-def assemble_fom(mesh, dof_map, liftings, u_iterate, params,
-                 body_force=None, neumann=None, assembler=None):
+def fixed_load(asm, dof_map, problem, rho):
+    """The iterate-independent load: body force and tractions on free rows."""
+    f = asm.traction_rhs(problem.neumann or {})
+    if problem.body_force is not None:
+        f += asm.body_rhs(problem.body_force.vector(asm.d), rho)
+    return np.concatenate([dof_map.restrict(f), np.zeros(dof_map.n_pressure)])
+
+
+def assemble_fom(asm, pattern, u_iterate, params, lift, load):
     """One linearization of the space-time system at the iterate u_iterate.
 
     u_iterate is the full nodal velocity (previous iterate including lifts);
-    viscosity and tau are evaluated from it per element and frozen.
+    viscosity and tau are evaluated from it per element, frozen and filled
+    into the pattern.  lift is the flat full lifting vector, which enters the
+    right-hand side through the entries in constrained columns, and load
+    the fixed rest of it (fixed_load).
     """
-    asm = assembler if assembler is not None else FomAssembler(mesh)
     _, eta, tau = asm.element_fields(u_iterate, params)
-    rho = params.rho
-
-    E_full = rho * asm.mass_time()
-    A_full = asm.viscous(eta)
-    B_full = asm.divergence()
-    C_full = asm.stab_pv(tau)
-    S = asm.stab_pp(tau / rho)
-
-    free = dof_map.free_full
-    l_flat = combine_liftings(liftings, mesh.n_nodes, asm.d).ravel()
-    fb = np.zeros(asm.n_vfull)
-    if body_force is not None:
-        fb += asm.body_rhs(body_force.vector(asm.d), rho)
-    fb += asm.traction_rhs(neumann or {})
-
-    sys = FomSystem(
-        E=E_full[free][:, free],
-        A=A_full[free][:, free],
-        B=B_full[:, free],
-        C=C_full[:, free],
-        S=S,
-        H=-(E_full @ l_flat)[free],
-        F=fb[free],
-        L=-(A_full @ l_flat)[free],
-        G=-(B_full @ l_flat),
-        D=-(C_full @ l_flat),
-    )
-    for name in ("H", "F", "L", "G", "D"):
-        if not np.all(np.isfinite(getattr(sys, name))):
-            raise SolverError("non-finite entries in right-hand side %s" % name)
-    return sys
+    values = pattern.fill(eta, tau, params.rho)
+    rhs = load - pattern.lift_matrix(values) @ lift
+    if not np.all(np.isfinite(rhs)):
+        raise SolverError("non-finite entries in the right-hand side")
+    return FomSystem(pattern, values, rhs)
 
 
 def pressure_pins(mesh, dof_map):
@@ -463,36 +625,62 @@ def pressure_pins(mesh, dof_map):
     return np.array([0], dtype=np.int64)
 
 
-def _apply_pins(K, rhs, rows):
-    if rows.size == 0:
-        return K, rhs
-    keep = np.ones(K.shape[0])
-    keep[rows] = 0.0
-    K = sp.diags(keep) @ K + sp.coo_matrix(
-        (np.ones(rows.size), (rows, rows)), shape=K.shape)
-    rhs = rhs.copy()
-    rhs[rows] = 0.0
-    return K.tocsr(), rhs
-
-
 def _relative_residual(K, rhs, x):
     norm_rhs = np.linalg.norm(rhs)
     return np.linalg.norm(rhs - K @ x) / norm_rhs if norm_rhs > 0 else 0.0
 
 
-def _krylov_resolve(K, rhs, lu, x0):
-    """One GMRES cycle preconditioned by an earlier factor; (x, iterations)."""
-    its = 0
+def gmres(K, rhs, psolve, x0):
+    """One right-preconditioned GMRES cycle for K x = rhs; (x, iterations).
 
-    def count(_):
-        nonlocal its
-        its += 1
-
-    M = LinearOperator(K.shape, matvec=lu.solve, dtype=np.float64)
-    x, _ = gmres(K, rhs, x0=x0, rtol=KRYLOV_RTOL, atol=0.0,
-                 restart=KRYLOV_MAX_ITS, maxiter=1, M=M,
-                 callback=count, callback_type="pr_norm")
-    return x, its
+    The Krylov space is built on K M^-1 with M^-1 = psolve, so the Arnoldi
+    estimate |g_k| is the true residual ||rhs - K x_k||, the quantity the
+    residual contract tests (Saad & Schultz 1986).  Each iteration costs one
+    psolve and one product with K.  The cycle stops once the estimate meets
+    KRYLOV_RTOL ||rhs||, after KRYLOV_MAX_ITS iterations, or as soon as the
+    mean rate so far cannot bring it under LINEAR_RESIDUAL_TOL ||rhs|| within
+    KRYLOV_MAX_ITS, since such a result would be refused anyway.
+    """
+    m = KRYLOV_MAX_ITS
+    x0 = np.zeros_like(rhs) if x0 is None else x0
+    norm_b = np.linalg.norm(rhs)
+    r = rhs - K @ x0
+    beta = np.linalg.norm(r)
+    if beta <= KRYLOV_RTOL * norm_b:
+        return x0, 0
+    V = np.empty((m + 1, rhs.size))     # orthonormal basis of the Krylov space
+    Z = np.empty((m, rhs.size))         # its preconditioned images
+    R = np.zeros((m, m))                # the Hessenberg matrix, rotated
+    rot = np.zeros((m, 2))              # Givens rotations (cos, sin)
+    g = np.zeros(m + 1)                 # rotated beta e_1
+    g[0] = beta
+    V[0] = r / beta
+    for k in range(m):
+        Z[k] = psolve(V[k])
+        w = K @ Z[k]
+        h = np.zeros(k + 2)
+        for _ in range(2):              # classical Gram-Schmidt, done twice
+            c = V[:k + 1] @ w
+            w -= c @ V[:k + 1]
+            h[:k + 1] += c
+        h[k + 1] = np.linalg.norm(w)
+        for i in range(k):
+            c, s = rot[i]
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        rho = np.hypot(h[k], h[k + 1])
+        rot[k] = h[k] / rho, h[k + 1] / rho
+        R[:k, k] = h[:k]
+        R[k, k] = rho
+        g[k + 1] = -rot[k, 1] * g[k]
+        g[k] *= rot[k, 0]
+        its, res = k + 1, abs(g[k + 1])
+        rate = (res / beta) ** (1.0 / its)
+        if res <= KRYLOV_RTOL * norm_b or h[k + 1] == 0.0 \
+                or res * rate ** (m - its) > LINEAR_RESIDUAL_TOL * norm_b:
+            break
+        V[k + 1] = w / h[k + 1]
+    y = solve_triangular(R[:its, :its], g[:its])
+    return x0 + y @ Z[:its], its
 
 
 def direct_solve(K, rhs, factor=None, x0=None):
@@ -500,17 +688,17 @@ def direct_solve(K, rhs, factor=None, x0=None):
 
     factor is an optional one-item list holding the sparse LU of an earlier
     system with the same pattern, or None.  A held factor preconditions one
-    GMRES cycle of at most KRYLOV_MAX_ITS iterations started from x0, whose
-    result is kept if its true relative residual meets LINEAR_RESIDUAL_TOL.
-    Otherwise the held factor is dropped, K is factored (sparse LU plus two
-    refinement steps) and the new factor is stored in factor[0].
+    GMRES cycle (gmres) started from x0, whose result is kept if its true
+    relative residual meets LINEAR_RESIDUAL_TOL.  Otherwise the held factor
+    is dropped, K is factored (sparse LU plus two refinement steps) and the
+    new factor is stored in factor[0].
 
     Returns (x, rel, factorized, krylov_its).
     """
     factor = [None] if factor is None else factor
     its = 0
     if factor[0] is not None:
-        x, its = _krylov_resolve(K, rhs, factor[0], x0)
+        x, its = gmres(K, rhs, factor[0].solve, x0)
         rel = _relative_residual(K, rhs, x)
         if np.isfinite(rel) and rel <= LINEAR_RESIDUAL_TOL:
             return x, rel, False, its
@@ -612,23 +800,25 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     pins = pressure_pins(mesh, dof_map)
     if pins.size:
         logger.info("pinning %d pressure nodes (no natural gauge)", pins.size)
+    pattern = asm.system_pattern(dof_map, pins)
 
     l_full = combine_liftings(liftings, mesh.n_nodes, asm.d)
+    lift = l_full.ravel()
+    load = fixed_load(asm, dof_map, problem, params.rho)
     n_v = dof_map.n_velocity
     factor = [None]     # the lagged LU, never shared between calls
 
     def step(x):
+        t0 = time.perf_counter()
         u = l_full + dof_map.expand(x[:n_v])
-        sys = assemble_fom(mesh, dof_map, liftings, u, params,
-                           body_force=problem.body_force, neumann=problem.neumann,
-                           assembler=asm)
-        # the factor lives on through the next assembly; the blocks and the
-        # system need not, or they add to the solve's peak memory
-        K, rhs = _apply_pins(sys.matrix(), sys.rhs(), n_v + pins)
-        del sys
+        sys = assemble_fom(asm, pattern, u, params, lift, load)
+        K, rhs = sys.matrix(), sys.rhs()
+        t1 = time.perf_counter()
         x_new, lin_res, factorized, its = direct_solve(K, rhs, factor, x0=x)
         return x_new, {"linear_residual": float(lin_res),
-                       "factorized": factorized, "krylov_its": its}
+                       "factorized": factorized, "krylov_its": its,
+                       "assemble_s": t1 - t0,
+                       "solve_s": time.perf_counter() - t1}
 
     x, log, converged = picard(step, np.zeros(dof_map.n_total), picard_tol,
                                picard_max, strict, SolverError, logger, "Picard")

@@ -10,6 +10,7 @@ built on another mesh refuses it (check_mesh_hash).
 import json
 import os
 import struct
+import uuid
 
 import numpy as np
 
@@ -25,31 +26,41 @@ class ArtifactError(Exception):
 
 
 def write_artifact(path, kind, header, arrays):
-    """Write named arrays with a JSON header to a versioned binary file."""
+    """Write named arrays with a JSON header to a versioned binary file.
+
+    The bytes go to a temporary file in the target directory, which then
+    replaces path in one step: a write that fails midway leaves an earlier
+    file at path as it was, and no partial file behind.
+    """
     head = dict(header)
     head["schema_version"] = FORMAT_VERSION
     head["kind"] = kind
-    order = list(arrays)
     head["_arrays"] = []
-    blobs = []
-    for name in order:
-        arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype not in _CODES:
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-        code = _CODES[arr.dtype]
+    contents = []
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        code = _CODES.get(arr.dtype, "f")
         head["_arrays"].append([name, code, list(arr.shape)])
-        blobs.append(arr.astype(_DTYPES[code], copy=False).tobytes())
+        contents.append((arr, _DTYPES[code]))
     payload = json.dumps(head, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", FORMAT_VERSION))
-        kb = kind.encode()
-        fh.write(struct.pack("<H", len(kb)))
-        fh.write(kb)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
+    path = os.fspath(path)
+    tmp = "%s.%s.tmp" % (path, uuid.uuid4().hex[:12])
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<H", FORMAT_VERSION))
+            kb = kind.encode()
+            fh.write(struct.pack("<H", len(kb)))
+            fh.write(kb)
+            fh.write(struct.pack("<Q", len(payload)))
+            fh.write(payload)
+            for arr, dtype in contents:
+                fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_artifact(path, expect_kind=None):

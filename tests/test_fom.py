@@ -1,9 +1,13 @@
 """Assembly, boundary data handling, and the nonlinear full-order solve."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import gmres
+from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import gmres as scipy_gmres
 
 from stmor import fom
 from stmor.cases import artery_analog_config, build_mesh, build_problem
@@ -20,7 +24,9 @@ from stmor.fom import (
     build_lifting,
     combine_liftings,
     direct_solve,
+    fixed_load,
     fom_inner_products,
+    gmres,
     pressure_pins,
     read_snapshot,
     solve_fom,
@@ -190,20 +196,64 @@ class TestTau:
         assert t1 < t0
 
 
+def reference_blocks(asm, dof_map, liftings, u, params, problem):
+    """Free-restricted blocks and loads built from the full-index operators."""
+    _, eta, tau = asm.element_fields(u, params)
+    rho = params.rho
+    E_full, A_full = rho * asm.mass_time(), asm.viscous(eta)
+    B_full, C_full = asm.divergence(), asm.stab_pv(tau)
+    free = dof_map.free_full
+    l_flat = combine_liftings(liftings, dof_map.n_nodes, dof_map.d).ravel()
+    fb = asm.traction_rhs(problem.neumann or {})
+    if problem.body_force is not None:
+        fb = fb + asm.body_rhs(problem.body_force.vector(asm.d), rho)
+    return SimpleNamespace(
+        E=E_full[free][:, free], A=A_full[free][:, free], B=B_full[:, free],
+        C=C_full[:, free], S=asm.stab_pp(tau / rho), H=-(E_full @ l_flat)[free],
+        F=fb[free], L=-(A_full @ l_flat)[free], G=-(B_full @ l_flat),
+        D=-(C_full @ l_flat))
+
+
+def reference_system(asm, dof_map, liftings, u, params, problem, pins):
+    """The monolithic system assembled block by block, then pinned: rows of
+    pinned pressure nodes become unit rows with a zero load."""
+    b = reference_blocks(asm, dof_map, liftings, u, params, problem)
+    K = sp.bmat([[b.E + b.A, -b.B.T], [b.B + b.C, b.S]], format="csr")
+    rhs = np.concatenate([b.H + b.F + b.L, b.G + b.D])
+    rows = dof_map.n_velocity + pins
+    keep = np.ones(K.shape[0])
+    keep[rows] = 0.0
+    K = sp.diags(keep) @ K + sp.coo_matrix((np.ones(rows.size), (rows, rows)),
+                                           shape=K.shape)
+    rhs[rows] = 0.0
+    return K.tocsr(), rhs
+
+
+def fixed_pattern_system(asm, dof_map, liftings, u, params, problem):
+    pattern = asm.system_pattern(dof_map, pressure_pins(asm.mesh, dof_map))
+    lift = combine_liftings(liftings, dof_map.n_nodes, dof_map.d).ravel()
+    sys = assemble_fom(asm, pattern, u, params, lift,
+                       fixed_load(asm, dof_map, problem, params.rho))
+    return sys.matrix(), sys.rhs()
+
+
 class TestAssembly:
     def test_block_dimensions(self):
         mesh = channel_mesh(n=2, levels=3)
         dm = build_dof_map(mesh, couette_specs())
         lifts = build_lifting(mesh, couette_specs(), {})
         u = combine_liftings(lifts, mesh.n_nodes, 2)
-        sys = assemble_fom(mesh, dm, lifts, u, SHEAR_THINNING)
+        asm = FomAssembler(mesh)
+        sys = reference_blocks(asm, dm, lifts, u, SHEAR_THINNING, couette_problem())
         nv, npr = dm.n_velocity, dm.n_pressure
         assert sys.E.shape == (nv, nv) and sys.A.shape == (nv, nv)
         assert sys.B.shape == (npr, nv) and sys.C.shape == (npr, nv)
         assert sys.S.shape == (npr, npr)
         assert sys.H.shape == (nv,) and sys.F.shape == (nv,) and sys.L.shape == (nv,)
         assert sys.G.shape == (npr,) and sys.D.shape == (npr,)
-        assert sys.matrix().shape == (dm.n_total, dm.n_total)
+        K, rhs = fixed_pattern_system(asm, dm, lifts, u, SHEAR_THINNING,
+                                      couette_problem())
+        assert K.shape == (dm.n_total, dm.n_total) and rhs.shape == (dm.n_total,)
 
     def test_viscous_block_symmetric_psd(self):
         mesh = channel_mesh(n=3, levels=4)
@@ -211,12 +261,13 @@ class TestAssembly:
         lifts = build_lifting(mesh, couette_specs(), {})
         rng = np.random.default_rng(0)
         u = rng.standard_normal((mesh.n_nodes, 2))
-        sys = assemble_fom(mesh, dm, lifts, u, SHEAR_THINNING)
-        gap = abs(sys.A - sys.A.T).max()
-        assert gap <= 1e-12 * abs(sys.A).max()
+        asm = FomAssembler(mesh)
+        A = reference_blocks(asm, dm, lifts, u, SHEAR_THINNING, couette_problem()).A
+        gap = abs(A - A.T).max()
+        assert gap <= 1e-12 * abs(A).max()
         for _ in range(10):
             x = rng.standard_normal(dm.n_velocity)
-            assert x @ (sys.A @ x) >= -1e-12 * (x @ x)
+            assert x @ (A @ x) >= -1e-12 * (x @ x)
 
     def test_zero_data_zero_solution(self):
         mesh = channel_mesh(n=2, levels=3)
@@ -246,6 +297,84 @@ class TestAssembly:
         # sum over shape functions is the traction times the facet area (T = 2)
         assert F.sum() == pytest.approx(3.0 * 2.0, rel=1e-12)
         assert np.all(F.reshape(-1, 1)[mesh.nodes_of_tag("dirichlet:left")] == 0.0)
+
+
+def open_couette_problem(material=SHEAR_THINNING):
+    """Couette data with the y-velocity left free on the right wall: no pins."""
+    specs = list(couette_specs())
+    specs[1] = DirichletSpec(tag="dirichlet:right", components=(0,),
+                             profile=lambda x, t: x[:, 1:2])
+    return FomProblem(name="couette-open", material=material,
+                      dirichlet=tuple(specs), amplitudes={})
+
+
+def coarse_artery():
+    cfg = artery_analog_config(n_x=12, n_y=5, n_levels=6)
+    mesh = build_mesh(cfg)
+    return cfg, mesh, build_problem(cfg, mesh)
+
+
+def random_iterate(mesh, problem, dof_map, seed):
+    """A full velocity with the problem's lifts and random free values."""
+    _, amps = problem.effective(None)
+    lifts = build_lifting(mesh, problem.dirichlet, amps)
+    rng = np.random.default_rng(seed)
+    u = combine_liftings(lifts, mesh.n_nodes, mesh.d)
+    return lifts, u + dof_map.expand(rng.standard_normal(dof_map.n_velocity))
+
+
+class TestFixedPattern:
+    @staticmethod
+    def case(name):
+        if name == "artery":
+            # the outlet is a natural boundary; give it a non-zero traction
+            _, mesh, prob = coarse_artery()
+            return mesh, replace(prob, neumann={"outlet": (1.5, -0.5)})
+        mesh = channel_mesh(n=3, levels=4)
+        if name == "couette":
+            return mesh, open_couette_problem()
+        if name == "pinned":
+            return mesh, couette_problem(SHEAR_THINNING)
+        return mesh, FomProblem(name="forced", material=SHEAR_THINNING,
+                                dirichlet=couette_specs(), amplitudes={},
+                                body_force=BodyForce((0.3, -0.1)))
+
+    @staticmethod
+    def assert_matches_reference(asm, mesh, prob, dm, seed):
+        lifts, u = random_iterate(mesh, prob, dm, seed)
+        params = prob.effective(None)[0]
+        K, rhs = fixed_pattern_system(asm, dm, lifts, u, params, prob)
+        K_ref, rhs_ref = reference_system(asm, dm, lifts, u, params, prob,
+                                          pressure_pins(mesh, dm))
+        assert K.shape == K_ref.shape == (dm.n_total, dm.n_total)
+        assert abs(K - K_ref).max() <= 1e-13 * abs(K_ref).max()
+        assert np.abs(rhs - rhs_ref).max() <= 1e-13 * np.abs(rhs_ref).max()
+
+    @pytest.mark.parametrize("name", ["couette", "artery", "pinned", "forced"])
+    def test_matches_block_assembly(self, name):
+        mesh, prob = self.case(name)
+        asm = FomAssembler(mesh)
+        dm = build_dof_map(mesh, prob.dirichlet)
+        pins = pressure_pins(mesh, dm)
+        load = fixed_load(asm, dm, prob, prob.material.rho)
+        # each case covers what its name says
+        assert {"couette": pins.size == 0,
+                "artery": pins.size == 0 and np.any(load != 0.0),
+                "pinned": pins.size > 0,
+                "forced": pins.size > 0 and np.any(load != 0.0)}[name]
+        self.assert_matches_reference(asm, mesh, prob, dm, seed=1)
+
+    def test_one_assembler_serves_two_dof_maps(self):
+        mesh = channel_mesh(n=3, levels=4)
+        asm = FomAssembler(mesh)
+        sizes = []
+        for seed, prob in enumerate((couette_problem(SHEAR_THINNING),
+                                     open_couette_problem(),
+                                     couette_problem(SHEAR_THINNING))):
+            dm = build_dof_map(mesh, prob.dirichlet)
+            self.assert_matches_reference(asm, mesh, prob, dm, seed)
+            sizes.append(dm.n_total)
+        assert sizes[0] == sizes[2] != sizes[1]
 
 
 class TestPressureGauge:
@@ -385,8 +514,8 @@ class TestLaggedFactor:
         lagged = solve_fom(mesh, prob, **opts)
         with monkeypatch.context() as m:
             # every Krylov re-solve misses the contract: each system is factored
-            m.setattr(fom, "_krylov_resolve",
-                      lambda K, rhs, lu, x0: (np.zeros_like(rhs), 0))
+            m.setattr(fom, "gmres",
+                      lambda K, rhs, psolve, x0: (np.zeros_like(rhs), 0))
             factored = solve_fom(mesh, prob, **opts)
         assert all(rec["factorized"] for rec in factored.iterations)
         assert len(lagged.iterations) == len(factored.iterations) > 2
@@ -404,10 +533,10 @@ class TestLaggedFactor:
         reference = solve_fom(mesh, prob)
         calls = []
 
-        def first_call_wrong(K, rhs, **kw):
-            x, info = gmres(K, rhs, **kw)
-            calls.append(info)
-            return (x + 1.0 if len(calls) == 1 else x), info
+        def first_call_wrong(K, rhs, psolve, x0):
+            x, its = gmres(K, rhs, psolve, x0)
+            calls.append(its)
+            return (x + 1.0 if len(calls) == 1 else x), its
 
         monkeypatch.setattr(fom, "gmres", first_call_wrong)
         sol = solve_fom(mesh, prob)
@@ -423,6 +552,106 @@ class TestLaggedFactor:
         x, rel, factorized, its = direct_solve(K, np.array([1.0, 2.0]))
         assert factorized and its == 0 and rel <= LINEAR_RESIDUAL_TOL
         np.testing.assert_allclose(K @ x, [1.0, 2.0], rtol=1e-14)
+
+
+    def test_hopeless_cycles_stop_early(self):
+        # coarse artery: systems 2 and 3 cannot meet the contract on the first
+        # factor; their cycles stop early and the system is refactored
+        cfg, mesh, prob = coarse_artery()
+        recs = solve_fom(mesh, prob, **cfg.picard_options()).iterations
+        assert [rec["factorized"] for rec in recs[:3]] == [True, True, True]
+        assert sum(rec["factorized"] for rec in recs) == 3
+        assert all(0 < rec["krylov_its"] < KRYLOV_MAX_ITS for rec in recs[1:3])
+
+    def test_records_carry_step_timings(self):
+        sol = solve_fom(channel_mesh(n=3, levels=4), couette_problem(SHEAR_THINNING))
+        assert len(sol.iterations) > 2
+        for rec in sol.iterations:
+            assert rec["assemble_s"] >= 0.0 and rec["solve_s"] >= 0.0
+
+
+def block_gmres(K, rhs, psolve, x0):
+    """scipy's GMRES cycle as the block-assembly solver ran it: it stops on
+    the preconditioned residual 1e-14."""
+    its = 0
+
+    def count(_):
+        nonlocal its
+        its += 1
+
+    M = LinearOperator(K.shape, matvec=psolve, dtype=np.float64)
+    x, _ = scipy_gmres(K, rhs, x0=x0, rtol=1e-14, atol=0.0,
+                       restart=KRYLOV_MAX_ITS, maxiter=1, M=M,
+                       callback=count, callback_type="pr_norm")
+    return x, its
+
+
+def block_assembly(mesh, problem, mu):
+    """An assemble_fom stand-in that builds reference_system at mu."""
+    params, amps = problem.effective(mu)
+    dm = build_dof_map(mesh, problem.dirichlet)
+    lifts = build_lifting(mesh, problem.dirichlet, amps)
+    pins = pressure_pins(mesh, dm)
+
+    def assemble(asm, pattern, u, params, lift, load):
+        K, rhs = reference_system(asm, dm, lifts, u, params, problem, pins)
+        return SimpleNamespace(matrix=lambda: K, rhs=lambda: rhs)
+
+    return assemble
+
+
+class TestMatchesBlockSolver:
+    @pytest.mark.parametrize("case", ["couette", "artery"])
+    def test_same_solutions_and_counts(self, case, monkeypatch):
+        if case == "couette":
+            mesh, prob, opts = channel_mesh(n=3, levels=4), couette_problem(SHEAR_THINNING), {}
+            mus = [None]
+        else:
+            cfg, mesh, prob = coarse_artery()
+            opts = cfg.picard_options()
+            lo, hi = np.asarray(cfg.space.box.lower), np.asarray(cfg.space.box.upper)
+            mus = [lo, 0.5 * (lo + hi), hi]
+        for mu in mus:
+            new = solve_fom(mesh, prob, mu=mu, **opts)
+            with monkeypatch.context() as m:
+                m.setattr(fom, "assemble_fom", block_assembly(mesh, prob, mu))
+                m.setattr(fom, "gmres", block_gmres)
+                old = solve_fom(mesh, prob, mu=mu, **opts)
+            assert len(new.iterations) == len(old.iterations) > 2
+            assert sum(r["factorized"] for r in new.iterations) \
+                <= sum(r["factorized"] for r in old.iterations)
+            assert all(r["linear_residual"] <= LINEAR_RESIDUAL_TOL
+                       for r in new.iterations)
+            assert _relative_difference(new, old) <= 1e-10
+
+
+class TestGmres:
+    def test_exact_preconditioner_converges_in_one_iteration(self):
+        rng = np.random.default_rng(2)
+        K = sp.csr_matrix(4.0 * np.eye(30) + rng.standard_normal((30, 30)))
+        rhs = rng.standard_normal(30)
+        x, its = gmres(K, rhs, splu(K.tocsc()).solve, np.zeros(30))
+        assert its == 1
+        assert np.linalg.norm(rhs - K @ x) <= 1e-13 * np.linalg.norm(rhs)
+
+    def test_identity_preconditioner_matches_dense_solve(self):
+        rng = np.random.default_rng(3)
+        n = 12
+        A = 2.0 * np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        rhs = rng.standard_normal(n)
+        x, its = gmres(sp.csr_matrix(A), rhs, lambda v: v, np.zeros(n))
+        assert 0 < its <= n
+        want = np.linalg.solve(A, rhs)
+        assert np.linalg.norm(x - want) <= 1e-11 * np.linalg.norm(want)
+
+    def test_slow_convergence_stops_before_the_cap(self):
+        # a spread spectrum and no preconditioner: the contract is out of reach
+        n = 400
+        K = sp.diags(np.logspace(0, 6, n)).tocsr()
+        rhs = np.ones(n)
+        x, its = gmres(K, rhs, lambda v: v, np.zeros(n))
+        assert 0 < its < KRYLOV_MAX_ITS
+        assert np.linalg.norm(rhs - K @ x) > LINEAR_RESIDUAL_TOL * np.linalg.norm(rhs)
 
 
 class TestInnerProducts:

@@ -58,6 +58,18 @@ def test_wrong_kind_rejected():
         read_bytes(small_artifact(), expect_kind="rom")
 
 
+def test_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "kept.stm"
+    write_artifact(path, "demo", {"case_id": "x"}, ARRAYS)
+    old = path.read_bytes()
+    # the header and the first array are written before the second fails
+    arrays = {"a": np.arange(4.0), "bad": np.array(["not a number"], dtype=object)}
+    with pytest.raises(ValueError):
+        write_artifact(path, "demo", {"case_id": "y"}, arrays)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.stm"]
+
+
 @settings(max_examples=200, deadline=None)
 @given(where=st.floats(0.0, 1.0, exclude_max=True), value=st.integers(0, 255))
 def test_corrupted_byte_reads_or_raises_artifact_error(where, value):
