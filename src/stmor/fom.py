@@ -430,12 +430,12 @@ class SystemPattern:
     carry the lifting into the load.  Every slot value is affine in the
     element weights of one Picard iterate,
 
-        W_eta @ eta + W_tau @ tau + W_pp @ (tau / rho) + rho * mass + const,
+        base @ [rho, 1] + W_eta @ eta + W_tau @ tau + W_pp @ (tau / rho),
 
-    where the weights W map the viscous, the tau-weighted coupling and the
-    pressure blocks of unit element weight onto the slots, mass is the
-    time-derivative block per unit density and const holds +-B and the unit
-    diagonals of pinned pressure rows.
+    where the columns of base are the time-derivative block per unit density
+    and the constant entries (+-B and the unit diagonals of pinned pressure
+    rows), and the weights W map the viscous, the tau-weighted coupling and
+    the pressure blocks of unit element weight onto the slots.
 
     The build never forms the dof-level COO: the node adjacency gives the
     unrestricted layout, in which every row of node a holds the velocity
@@ -464,13 +464,16 @@ class SystemPattern:
         # pressure), and the row and column of each of its slots
         row_node = np.concatenate([np.repeat(np.arange(n), d), np.arange(n)])
         row_len = (d + 1) * deg[row_node]
-        row_start = np.concatenate([[0], np.cumsum(row_len)])
+        row_start = np.concatenate([[0], np.cumsum(row_len)]).astype(np.int32)
         node_start = np.concatenate([[0], np.cumsum((d + 1) * deg)])
-        node_cols = np.empty(node_start[-1], dtype=np.int64)
+        node_cols = np.empty(node_start[-1], dtype=np.int32)
         node_cols[(node_start[node_a] + d * rank)[:, None] + comp] = \
             d * node_b[:, None] + comp
         node_cols[node_start[node_a] + d * deg[node_a] + rank] = nvf + node_b
-        row = np.repeat(np.arange(row_node.size), row_len)
+        # temporaries go as soon as they are used: the heap keeps the build's
+        # high-water mark resident, beneath the factor of the first system
+        del node_a, node_b
+        row = np.repeat(np.arange(row_node.size, dtype=np.int32), row_len)
         col = node_cols[np.repeat(node_start[row_node] - row_start[:-1], row_len)
                         + np.arange(row_start[-1])]
         del node_cols
@@ -490,56 +493,61 @@ class SystemPattern:
         slot[in_matrix] = np.arange(1, self.nnz + 1)
         slot[in_lift] = np.arange(self.nnz + 1, n_slots + 1)
         x_index = np.concatenate([dof_map.vdof.ravel(),
-                                  dof_map.n_velocity + np.arange(n)])
+                                  dof_map.n_velocity + np.arange(n)]).astype(np.int32)
         n_total = dof_map.n_total
         self.shape = (n_total, n_total)
-        self.indices = x_index[col[in_matrix]].astype(np.int32)
+        self.indices = x_index[col[in_matrix]]
         self.indptr = _indptr(x_index[row[in_matrix]], n_total)
         self.lift_shape = (n_total, nvf)
-        self.lift_indices = col[in_lift].astype(np.int32)
+        self.lift_indices = col[in_lift]
         self.lift_indptr = _indptr(x_index[row[in_lift]], n_total)
         pin_slots = slot[pin_diag] - 1
         slot[pin_diag] = 0          # a pinned row takes no element entries
-        del row, col, in_matrix, in_lift
+        del row, col, in_matrix, in_lift, pin_diag
 
         # slot of each element entry: the start of its row plus the offset of
         # its column in that row; k[e, i, j] ranks node j among i's neighbours
-        k = rank[np.searchsorted(adj, pair)].reshape(n_el, D1, D1)
-        del pair, adj
-        v_off = (d * k).astype(np.int32)                # velocity columns (b, .)
-        p_off = (d * deg[elems][:, :, None] + k).astype(np.int32)   # pressure b
-        v_row = row_start[d * elems[:, :, None] + comp].astype(np.int32)  # (e, a, c)
-        p_row = row_start[nvf + elems].astype(np.int32)                   # (e, k)
+        k = rank[np.searchsorted(adj, pair)].reshape(n_el, D1, D1).astype(np.int32)
+        del pair, adj, rank
+        v_off = d * k                                   # velocity columns (b, .)
+        p_off = (d * deg[elems])[:, :, None].astype(np.int32) + k   # pressure b
+        v_row = row_start[d * elems[:, :, None] + comp]   # (e, a, c)
+        p_row = row_start[nvf + elems]                    # (e, k)
         comp = comp.astype(np.int32)
-        slots = {
-            "vv_diag": slot[v_row[:, :, None, :] + v_off[..., None] + comp],
-            "vv_full": slot[v_row[..., None, None] + v_off[:, :, None, :, None] + comp],
-            "pv": slot[p_row[:, :, None, None] + v_off[..., None] + comp],
-            "vp": slot[v_row[:, None, :, :] + p_off.transpose(0, 2, 1)[..., None]],
-            "pp": slot[p_row[:, :, None] + p_off],
+        del k, row_start
+        entry = {
+            "vv_diag": lambda: v_row[:, :, None, :] + v_off[..., None] + comp,
+            "vv_full": lambda: v_row[..., None, None] + v_off[:, :, None, :, None] + comp,
+            "pv": lambda: p_row[:, :, None, None] + v_off[..., None] + comp,
+            "vp": lambda: v_row[:, None, :, :] + p_off.transpose(0, 2, 1)[..., None],
+            "pp": lambda: p_row[:, :, None] + p_off,
         }
-        del slot, v_off, p_off, v_row, p_row
 
         def summed(layout, blk):
             # unit-weight sum of a constant element block into the slots
-            s = slots[layout]
+            s = slot[entry[layout]()]
             vals = np.broadcast_to(blk, s.shape).ravel()
             return np.bincount(s.ravel(), vals, minlength=n_slots + 1)[1:]
 
         def element_map(layout, blk):
             # (n_slots, E) CSC map of a weighted element block onto the slots;
             # its entries are element-major already, so no sort is needed
-            s = slots[layout].reshape(n_el, -1)
+            s = slot[entry[layout]()].reshape(n_el, -1)
             keep = s > 0
             indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-            return sp.csc_matrix((blk.reshape(n_el, -1)[keep], s[keep] - 1, indptr),
-                                 shape=(n_slots, n_el))
+            data = blk.reshape(n_el, -1)[keep]
+            s = s[keep]
+            s -= 1
+            return sp.csc_matrix((data, s, indptr), shape=(n_slots, n_el))
 
-        unit = np.ones(n_el)
-        self.mass = summed("vv_diag", asm.mass_block())
         div = asm.divergence_block()
-        self.const = summed("pv", div) + summed("vp", -div)
-        self.const[pin_slots] = 1.0
+        const = summed("pv", div)
+        const -= summed("vp", div)
+        const[pin_slots] = 1.0
+        self.base = sp.csc_matrix(np.column_stack([summed("vv_diag", asm.mass_block()),
+                                                   const]))
+        del const
+        unit = np.ones(n_el)
         self.weights = (element_map("vv_full", asm.viscous_block(unit)),
                         element_map("pv", asm.stab_pv_block(unit)),
                         element_map("pp", asm.stab_pp_block(unit)))
@@ -547,11 +555,10 @@ class SystemPattern:
     def fill(self, eta, tau, rho):
         """Slot values at per-element eta and tau and density rho."""
         w_eta, w_tau, w_pp = self.weights
-        values = w_eta @ eta
+        values = self.base @ np.array([rho, 1.0])
+        values += w_eta @ eta
         values += w_tau @ tau
         values += w_pp @ (tau / rho)
-        values += rho * self.mass
-        values += self.const
         return values
 
     def matrix(self, values):
