@@ -228,9 +228,9 @@ class FomAssembler:
 
     Weighted blocks (viscous, stabilization) accept an arbitrary per-element
     weight vector.  The full-index operators serve affine decompositions
-    (weights = one interpolation basis vector) and norms; they are assembled
-    from COO index templates built on first use.  The Picard loop instead
-    fills the fixed pattern of its restricted system (system_pattern).
+    (weights = one interpolation basis vector) and norms; each is assembled
+    through COO on call.  The Picard loop instead fills the fixed pattern of
+    its restricted system (system_pattern).
     """
 
     def __init__(self, mesh):
@@ -251,38 +251,25 @@ class FomAssembler:
         self._cache = {}
         self._pattern = None        # (key, SystemPattern) of the last system
 
-    def _index_templates(self):
-        """COO (rows, cols) of each element-block layout on full indices."""
-        if "ix" in self._cache:
-            return self._cache["ix"]
-        d, D1 = self.d, self.D + 1
-        e = self.elems.astype(np.int32)
-        E = e.shape[0]
-        comp = np.arange(d, dtype=np.int32)
-        vdof = e[:, :, None] * d + comp             # (e, a, c)
-        layouts = {
-            # velocity-velocity, component diagonal: (e, a, b, c)
-            "vv_diag": (vdof[:, :, None, :], vdof[:, None, :, :], (E, D1, D1, d)),
-            # velocity-velocity, full coupling: (e, a, c, b, c2)
-            "vv_full": (vdof[:, :, :, None, None], vdof[:, None, None, :, :],
-                        (E, D1, d, D1, d)),
-            # pressure-velocity: (e, k, b, c)
-            "pv": (e[:, :, None, None], vdof[:, None, :, :], (E, D1, D1, d)),
-            # pressure-pressure: (e, k, l)
-            "pp": (e[:, :, None], e[:, None, :], (E, D1, D1)),
-        }
-        ix = {name: (np.ascontiguousarray(np.broadcast_to(rows, shape)),
-                     np.ascontiguousarray(np.broadcast_to(cols, shape)))
-              for name, (rows, cols, shape) in layouts.items()}
-        self._cache["ix"] = ix
-        return ix
-
     def _coo(self, blk, layout, shape):
+        """An element block scattered on full nodal indices, as CSR.
+
+        The index arrays are broadcast per call rather than kept: they would
+        take twice the memory of the block for a few percent of its time.
+        """
         self._check_finite(blk)
-        rows, cols = self._index_templates()[layout]
-        data = np.broadcast_to(blk, rows.shape)
-        m = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-        return m.tocsr()
+        e = self.elems.astype(np.int32)
+        vdof = e[:, :, None] * self.d + np.arange(self.d, dtype=np.int32)   # (e, a, c)
+        rows, cols = {
+            "vv_diag": (vdof[:, :, None, :], vdof[:, None, :, :]),         # (e, a, b, c)
+            "vv_full": (vdof[:, :, :, None, None],
+                        vdof[:, None, None, :, :]),                       # (e, a, c, b, c2)
+            "pv": (e[:, :, None, None], vdof[:, None, :, :]),             # (e, k, b, c)
+            "pp": (e[:, :, None], e[:, None, :]),                         # (e, k, l)
+        }[layout]
+        full = np.broadcast_shapes(blk.shape, rows.shape, cols.shape)
+        data, rows, cols = (np.broadcast_to(a, full).ravel() for a in (blk, rows, cols))
+        return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
     def _check_finite(self, data):
         flat = data.reshape(data.shape[0], -1)
@@ -290,7 +277,7 @@ class FomAssembler:
         if bad.size:
             raise SolverError("non-finite assembly data in element %d" % bad[0])
 
-    # element blocks, laid out as the templates of the same name
+    # element blocks, in the layouts _coo scatters
 
     def mass_block(self):
         """(e, a, b, 1): int psi_a d_t psi_b, the same for every component."""
