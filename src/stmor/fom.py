@@ -228,9 +228,9 @@ class FomAssembler:
 
     Weighted blocks (viscous, stabilization) accept an arbitrary per-element
     weight vector.  The full-index operators serve affine decompositions
-    (weights = one interpolation basis vector) and norms; each is assembled
-    through COO on call.  The Picard loop instead fills the fixed pattern of
-    its restricted system (system_pattern).
+    (weights = one interpolation basis vector) and norms; both they and the
+    fixed pattern the Picard loop fills (system_pattern) follow the node
+    adjacency, so no assembly sorts COO entries.
     """
 
     def __init__(self, mesh):
@@ -251,33 +251,88 @@ class FomAssembler:
         self._cache = {}
         self._pattern = None        # (key, SystemPattern) of the last system
 
-    def _coo(self, blk, layout, shape):
-        """An element block scattered on full nodal indices, as CSR.
+    def adjacency(self):
+        """Node adjacency of the mesh as (start, nbr, rank), built on first use.
 
-        The index arrays are broadcast per call rather than kept: they would
-        take twice the memory of the block for a few percent of its time.
+        nbr[start[a]:start[a+1]] lists the neighbours of node a in ascending
+        order, a included, and rank[e, i, j] is the place of node j of element
+        e in the list of its node i.
+        """
+        if "adjacency" not in self._cache:
+            n, D1 = self.mesh.n_nodes, self.D + 1
+            elems = self.elems.astype(np.int64)
+            pair = (elems[:, :, None] * n + elems[:, None, :]).ravel()
+            keys = np.sort(pair)
+            keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+            node_a, nbr = np.divmod(keys, n)
+            start = np.searchsorted(node_a, np.arange(n + 1))
+            rank = np.searchsorted(keys, pair).reshape(-1, D1, D1) - start[elems][:, :, None]
+            self._cache["adjacency"] = (start, nbr, rank.astype(np.int32))
+        return self._cache["adjacency"]
+
+    def _layout(self, name):
+        """CSR structure (indptr, indices, shape) of a full-index block, cached.
+
+        Velocity row (a, c) or pressure row a lists, for each neighbour b of
+        node a in order, the velocity columns (b, 0..d-1) ("vv_full", "pv"),
+        the single column (b, c) ("vv_diag") or the pressure column b ("pp").
+        """
+        key = "layout:" + name
+        if key not in self._cache:
+            start, nbr, _ = self.adjacency()
+            d, n = self.d, self.mesh.n_nodes
+            comp = np.arange(d)
+            if name == "pp":
+                indptr, indices, shape = start, nbr, (n, n)
+            elif name == "pv":
+                indptr, indices, shape = d * start, (d * nbr[:, None] + comp).ravel(), (n, d * n)
+            else:
+                # velocity rows repeat their node's list, with d or 1 column
+                # per neighbour
+                width = d if name == "vv_full" else 1
+                row_node = np.repeat(np.arange(n), d)
+                lens = width * np.diff(start)[row_node]
+                indptr = np.concatenate([[0], np.cumsum(lens)])
+                src = np.repeat(width * start[row_node] - indptr[:-1], lens) \
+                    + np.arange(indptr[-1])
+                indices = ((d * nbr[:, None] + comp).ravel()[src] if width == d
+                           else d * nbr[src] + np.repeat(np.tile(comp, n), lens))
+                shape = (d * n, d * n)
+            self._cache[key] = (indptr.astype(np.int32), indices.astype(np.int32), shape)
+        return self._cache[key]
+
+    def _scatter(self, blk, layout):
+        """An element block summed into its full-index CSR block (_layout).
+
+        Each element entry finds its slot by arithmetic on the layout, so the
+        sum is one bincount, with no sort.
         """
         self._check_finite(blk)
-        e = self.elems.astype(np.int32)
-        vdof = e[:, :, None] * self.d + np.arange(self.d, dtype=np.int32)   # (e, a, c)
-        rows, cols = {
-            "vv_diag": (vdof[:, :, None, :], vdof[:, None, :, :]),         # (e, a, b, c)
-            "vv_full": (vdof[:, :, :, None, None],
-                        vdof[:, None, None, :, :]),                       # (e, a, c, b, c2)
-            "pv": (e[:, :, None, None], vdof[:, None, :, :]),             # (e, k, b, c)
-            "pp": (e[:, :, None], e[:, None, :]),                         # (e, k, l)
-        }[layout]
-        full = np.broadcast_shapes(blk.shape, rows.shape, cols.shape)
-        data, rows, cols = (np.broadcast_to(a, full).ravel() for a in (blk, rows, cols))
-        return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+        indptr, indices, shape = self._layout(layout)
+        rank = self.adjacency()[2]
+        d, e = self.d, self.elems
+        comp = np.arange(d, dtype=np.int32)
+        if layout in ("pp", "pv"):
+            first = indptr[e][:, :, None]                   # (e, k, 1)
+            slot = first + rank if layout == "pp" \
+                else (first + d * rank)[..., None] + comp   # (e, k, b, c)
+        else:
+            first = indptr[d * e[:, :, None] + comp]         # (e, a, c)
+            slot = first[..., None, None] + (d * rank)[:, :, None, :, None] + comp \
+                if layout == "vv_full" else first[:, :, None, :] + rank[..., None]
+        data = np.bincount(slot.ravel(), np.broadcast_to(blk, slot.shape).ravel(),
+                           minlength=indices.size)
+        # the cached structure is not handed out: callers may edit theirs
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
 
     def _check_finite(self, data):
-        flat = data.reshape(data.shape[0], -1)
-        bad = np.flatnonzero(~np.isfinite(flat).all(axis=1))
+        if np.isfinite(data.sum()):
+            return
+        bad = np.flatnonzero(~np.isfinite(data.reshape(data.shape[0], -1)).all(axis=1))
         if bad.size:
             raise SolverError("non-finite assembly data in element %d" % bad[0])
 
-    # element blocks, in the layouts _coo scatters
+    # element blocks, in the layouts _scatter sums
 
     def mass_block(self):
         """(e, a, b, 1): int psi_a d_t psi_b, the same for every component."""
@@ -310,38 +365,32 @@ class FomAssembler:
     def mass_time(self):
         """int psi_i d_t psi_j without the density factor."""
         if "mass_time" not in self._cache:
-            self._cache["mass_time"] = self._coo(self.mass_block(), "vv_diag",
-                                                 (self.n_vfull, self.n_vfull))
+            self._cache["mass_time"] = self._scatter(self.mass_block(), "vv_diag")
         return self._cache["mass_time"]
 
     def viscous(self, weights):
         """int 2 w eps(psi_i):eps(psi_j) with elementwise weight w."""
-        return self._coo(self.viscous_block(weights), "vv_full",
-                         (self.n_vfull, self.n_vfull))
+        return self._scatter(self.viscous_block(weights), "vv_full")
 
     def divergence(self):
         """int phi_k div psi_j."""
         if "divergence" not in self._cache:
-            self._cache["divergence"] = self._coo(self.divergence_block(), "pv",
-                                                  (self.mesh.n_nodes, self.n_vfull))
+            self._cache["divergence"] = self._scatter(self.divergence_block(), "pv")
         return self._cache["divergence"]
 
     def stab_pv(self, weights):
         """-sum_e w_e int grad phi_k . d_t psi_j."""
-        return self._coo(self.stab_pv_block(weights), "pv",
-                         (self.mesh.n_nodes, self.n_vfull))
+        return self._scatter(self.stab_pv_block(weights), "pv")
 
     def stab_pp(self, weights):
         """+sum_e w_e int grad phi_k . grad phi_l (density handled by caller)."""
-        return self._coo(self.stab_pp_block(weights), "pp",
-                         (self.mesh.n_nodes, self.mesh.n_nodes))
+        return self._scatter(self.stab_pp_block(weights), "pp")
 
     def grad_gram(self):
         """Spatial-gradient seminorm matrix on full velocity indices."""
         if "grad_gram" not in self._cache:
-            self._cache["grad_gram"] = self._coo(
-                (self.V[:, None, None] * self.G)[..., None], "vv_diag",
-                (self.n_vfull, self.n_vfull))
+            self._cache["grad_gram"] = self._scatter(
+                (self.V[:, None, None] * self.G)[..., None], "vv_diag")
         return self._cache["grad_gram"]
 
     def mass_pressure(self):
@@ -350,8 +399,7 @@ class FomAssembler:
             D1 = self.D + 1
             blk = (self.V / (D1 * (self.D + 2)))[:, None, None] \
                 * (1.0 + np.eye(D1))[None, :, :]
-            self._cache["mass_pressure"] = self._coo(
-                blk, "pp", (self.mesh.n_nodes, self.mesh.n_nodes))
+            self._cache["mass_pressure"] = self._scatter(blk, "pp")
         return self._cache["mass_pressure"]
 
     def system_pattern(self, dof_map, pins):
@@ -424,10 +472,11 @@ class SystemPattern:
     rows), and the weights W map the viscous, the tau-weighted coupling and
     the pressure blocks of unit element weight onto the slots.
 
-    The build never forms the dof-level COO: the node adjacency gives the
-    unrestricted layout, in which every row of node a holds the velocity
-    columns (b, 0..d-1) and then the pressure columns b of its neighbours b,
-    and each element entry finds its slot by arithmetic on that layout.
+    The build never forms the dof-level COO: the node adjacency
+    (FomAssembler.adjacency) gives the unrestricted layout, in which every
+    row of node a holds the velocity columns (b, 0..d-1) and then the
+    pressure columns b of its neighbours b, and each element entry finds its
+    slot by arithmetic on that layout.
     """
 
     def __init__(self, asm, dof_map, pins):
@@ -437,15 +486,10 @@ class SystemPattern:
         elems = asm.elems.astype(np.int64)
         comp = np.arange(d)
 
-        # node adjacency as sorted keys a * n + b; nbr_start[a] opens node
-        # a's neighbour list and rank is b's place in it
-        pair = (elems[:, :, None] * n + elems[:, None, :]).ravel()
-        adj = np.sort(pair)
-        adj = adj[np.concatenate([[True], adj[1:] != adj[:-1]])]
-        node_a, node_b = np.divmod(adj, n)
-        nbr_start = np.searchsorted(node_a, np.arange(n + 1))
+        nbr_start, node_b, k = asm.adjacency()
         deg = np.diff(nbr_start)
-        rank = np.arange(adj.size) - nbr_start[node_a]
+        node_a = np.repeat(np.arange(n), deg)
+        rank = np.arange(node_b.size) - nbr_start[node_a]
 
         # unrestricted layout over full indices (velocity node-major, then
         # pressure), and the row and column of each of its slots
@@ -494,14 +538,12 @@ class SystemPattern:
 
         # slot of each element entry: the start of its row plus the offset of
         # its column in that row; k[e, i, j] ranks node j among i's neighbours
-        k = rank[np.searchsorted(adj, pair)].reshape(n_el, D1, D1).astype(np.int32)
-        del pair, adj, rank
         v_off = d * k                                   # velocity columns (b, .)
         p_off = (d * deg[elems])[:, :, None].astype(np.int32) + k   # pressure b
         v_row = row_start[d * elems[:, :, None] + comp]   # (e, a, c)
         p_row = row_start[nvf + elems]                    # (e, k)
         comp = comp.astype(np.int32)
-        del k, row_start
+        del row_start
         entry = {
             "vv_diag": lambda: v_row[:, :, None, :] + v_off[..., None] + comp,
             "vv_full": lambda: v_row[..., None, None] + v_off[:, :, None, :, None] + comp,
