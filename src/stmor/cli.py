@@ -29,7 +29,7 @@ from .eim import EimError
 from .fom import (FomAssembler, SolverError, build_dof_map, build_lifting,
                   read_snapshot, solve_fom, write_snapshot)
 from .io import ArtifactError, write_artifact
-from .mesh import MeshError, write_mesh, write_vtk
+from .mesh import MeshError, write_vtk
 from .pod import PodError
 from .rom import RomError, read_rom, rom_info, solve_rom, write_rom
 
@@ -177,14 +177,11 @@ def cmd_mesh(args):
     config = resolve_case(args.case)
     out = _out_dir(args)
     mesh = cases.build_mesh(config)
-    mesh_path = out / "mesh.stmesh"
     vtk_path = out / "mesh.vtk"
-    write_mesh(mesh, mesh_path)
     write_vtk(mesh, vtk_path)
     print("case %s: %d nodes, %d elements, %d time levels, hash %s"
           % (config.case_id, mesh.n_nodes, mesh.n_elements,
              mesh.time_levels.size, mesh.content_hash()[:12]))
-    print("wrote %s" % mesh_path)
     print("wrote %s" % vtk_path)
     return 0
 

@@ -26,7 +26,10 @@ so the pattern of the pinned, free-restricted system is fixed.  An
 assembler builds it once per DOF map and pins (SystemPattern), with maps
 from element entries to its CSR slots; each iterate is then three sparse
 matrix-vector products of the element weights plus constant base vectors,
-and the lifting load comes from the entries in constrained columns.
+and the lifting load comes from the entries in constrained columns.  The
+same slot arithmetic serves the offline projection (rom.project_offline),
+which fills the pattern with one interpolation basis vector at a time; no
+other sparse layout of the system exists.
 
 Linear solves: one solve_fom call factors its first system (sparse LU plus
 two refinement steps) and keeps that factor.  Each later system gets one
@@ -226,11 +229,12 @@ def combine_liftings(liftings, n_nodes, d):
 class FomAssembler:
     """Element kernels of the space-time blocks, and what is built from them.
 
-    Weighted blocks (viscous, stabilization) accept an arbitrary per-element
-    weight vector.  The full-index operators serve affine decompositions
-    (weights = one interpolation basis vector) and norms; both they and the
-    fixed pattern the Picard loop fills (system_pattern) follow the node
-    adjacency, so no assembly sorts COO entries.
+    The element blocks (mass, viscous, divergence, stab_pv, stab_pp) are
+    dense per-element arrays; the weighted ones accept an arbitrary
+    per-element weight vector.  SystemPattern sums them, at unit weight, into
+    the fixed CSR pattern of the system, which both the Picard loop and the
+    offline projection fill.  The norm matrices (grad_gram, mass_pressure)
+    are summed on the node adjacency.  No assembly sorts COO entries.
     """
 
     def __init__(self, mesh):
@@ -247,7 +251,6 @@ class FomAssembler:
         diffs = x[:, :, None, :-1] - x[:, None, :, :-1]
         self.h_s = np.sqrt((diffs ** 2).sum(-1)).max(axis=(1, 2))
         self.G = np.einsum("eaj,ebj->eab", self.gx, self.gx)
-        self.n_vfull = mesh.n_nodes * self.d
         self._cache = {}
         self._pattern = None        # (key, SystemPattern) of the last system
 
@@ -270,60 +273,20 @@ class FomAssembler:
             self._cache["adjacency"] = (start, nbr, rank.astype(np.int32))
         return self._cache["adjacency"]
 
-    def _layout(self, name):
-        """CSR structure (indptr, indices, shape) of a full-index block, cached.
+    def _sum_pp(self, blk):
+        """An (e, k, l) element block summed on the node adjacency pattern.
 
-        Velocity row (a, c) or pressure row a lists, for each neighbour b of
-        node a in order, the velocity columns (b, 0..d-1) ("vv_full", "pv"),
-        the single column (b, c) ("vv_diag") or the pressure column b ("pp").
-        """
-        key = "layout:" + name
-        if key not in self._cache:
-            start, nbr, _ = self.adjacency()
-            d, n = self.d, self.mesh.n_nodes
-            comp = np.arange(d)
-            if name == "pp":
-                indptr, indices, shape = start, nbr, (n, n)
-            elif name == "pv":
-                indptr, indices, shape = d * start, (d * nbr[:, None] + comp).ravel(), (n, d * n)
-            else:
-                # velocity rows repeat their node's list, with d or 1 column
-                # per neighbour
-                width = d if name == "vv_full" else 1
-                row_node = np.repeat(np.arange(n), d)
-                lens = width * np.diff(start)[row_node]
-                indptr = np.concatenate([[0], np.cumsum(lens)])
-                src = np.repeat(width * start[row_node] - indptr[:-1], lens) \
-                    + np.arange(indptr[-1])
-                indices = ((d * nbr[:, None] + comp).ravel()[src] if width == d
-                           else d * nbr[src] + np.repeat(np.tile(comp, n), lens))
-                shape = (d * n, d * n)
-            self._cache[key] = (indptr.astype(np.int32), indices.astype(np.int32), shape)
-        return self._cache[key]
-
-    def _scatter(self, blk, layout):
-        """An element block summed into its full-index CSR block (_layout).
-
-        Each element entry finds its slot by arithmetic on the layout, so the
-        sum is one bincount, with no sort.
+        Each element entry finds its slot by arithmetic on the adjacency, so
+        the sum is one bincount, with no sort.
         """
         self._check_finite(blk)
-        indptr, indices, shape = self._layout(layout)
-        rank = self.adjacency()[2]
-        d, e = self.d, self.elems
-        comp = np.arange(d, dtype=np.int32)
-        if layout in ("pp", "pv"):
-            first = indptr[e][:, :, None]                   # (e, k, 1)
-            slot = first + rank if layout == "pp" \
-                else (first + d * rank)[..., None] + comp   # (e, k, b, c)
-        else:
-            first = indptr[d * e[:, :, None] + comp]         # (e, a, c)
-            slot = first[..., None, None] + (d * rank)[:, :, None, :, None] + comp \
-                if layout == "vv_full" else first[:, :, None, :] + rank[..., None]
+        start, nbr, rank = self.adjacency()
+        slot = start[self.elems][:, :, None] + rank
         data = np.bincount(slot.ravel(), np.broadcast_to(blk, slot.shape).ravel(),
-                           minlength=indices.size)
-        # the cached structure is not handed out: callers may edit theirs
-        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
+                           minlength=nbr.size)
+        n = self.mesh.n_nodes
+        return sp.csr_matrix((data, nbr.astype(np.int32), start.astype(np.int32)),
+                             shape=(n, n))
 
     def _check_finite(self, data):
         if np.isfinite(data.sum()):
@@ -332,13 +295,14 @@ class FomAssembler:
         if bad.size:
             raise SolverError("non-finite assembly data in element %d" % bad[0])
 
-    # element blocks, in the layouts _scatter sums
+    # element blocks of unit or given element weight, which SystemPattern
+    # maps onto its slots
 
-    def mass_block(self):
+    def mass(self):
         """(e, a, b, 1): int psi_a d_t psi_b, the same for every component."""
         return ((self.V / (self.D + 1))[:, None, None] * self.gt[:, None, :])[..., None]
 
-    def viscous_block(self, weights):
+    def viscous(self, weights):
         """(e, a, c, b, c2): int 2 w eps(psi_a e_c) : eps(psi_b e_c2)."""
         wV = np.asarray(weights) * self.V
         blk = np.einsum("ead,ebc->eacbd", self.gx, self.gx)
@@ -347,50 +311,26 @@ class FomAssembler:
         blk *= wV[:, None, None, None, None]
         return blk
 
-    def divergence_block(self):
+    def divergence(self):
         """(e, 1, b, c): int phi_k d_c psi_b, the same for every k."""
         return (self.V / (self.D + 1))[:, None, None, None] * self.gx[:, None, :, :]
 
-    def stab_pv_block(self, weights):
+    def stab_pv(self, weights):
         """(e, k, b, c): -w int d_c phi_k d_t psi_b."""
         wV = np.asarray(weights) * self.V
         return -np.einsum("e,ekc,eb->ekbc", wV, self.gx, self.gt)
 
-    def stab_pp_block(self, weights):
+    def stab_pp(self, weights):
         """(e, k, l): w int grad phi_k . grad phi_l."""
         return (np.asarray(weights) * self.V)[:, None, None] * self.G
 
-    # full-index operators
-
-    def mass_time(self):
-        """int psi_i d_t psi_j without the density factor."""
-        if "mass_time" not in self._cache:
-            self._cache["mass_time"] = self._scatter(self.mass_block(), "vv_diag")
-        return self._cache["mass_time"]
-
-    def viscous(self, weights):
-        """int 2 w eps(psi_i):eps(psi_j) with elementwise weight w."""
-        return self._scatter(self.viscous_block(weights), "vv_full")
-
-    def divergence(self):
-        """int phi_k div psi_j."""
-        if "divergence" not in self._cache:
-            self._cache["divergence"] = self._scatter(self.divergence_block(), "pv")
-        return self._cache["divergence"]
-
-    def stab_pv(self, weights):
-        """-sum_e w_e int grad phi_k . d_t psi_j."""
-        return self._scatter(self.stab_pv_block(weights), "pv")
-
-    def stab_pp(self, weights):
-        """+sum_e w_e int grad phi_k . grad phi_l (density handled by caller)."""
-        return self._scatter(self.stab_pp_block(weights), "pp")
+    # norms on full nodal indices
 
     def grad_gram(self):
         """Spatial-gradient seminorm matrix on full velocity indices."""
         if "grad_gram" not in self._cache:
-            self._cache["grad_gram"] = self._scatter(
-                (self.V[:, None, None] * self.G)[..., None], "vv_diag")
+            lap = self._sum_pp(self.V[:, None, None] * self.G)
+            self._cache["grad_gram"] = sp.kron(lap, sp.identity(self.d), format="csr")
         return self._cache["grad_gram"]
 
     def mass_pressure(self):
@@ -399,7 +339,7 @@ class FomAssembler:
             D1 = self.D + 1
             blk = (self.V / (D1 * (self.D + 2)))[:, None, None] \
                 * (1.0 + np.eye(D1))[None, :, :]
-            self._cache["mass_pressure"] = self._scatter(blk, "pp")
+            self._cache["mass_pressure"] = self._sum_pp(blk)
         return self._cache["mass_pressure"]
 
     def system_pattern(self, dof_map, pins):
@@ -569,17 +509,17 @@ class SystemPattern:
             s -= 1
             return sp.csc_matrix((data, s, indptr), shape=(n_slots, n_el))
 
-        div = asm.divergence_block()
+        div = asm.divergence()
         const = summed("pv", div)
         const -= summed("vp", div)
         const[pin_slots] = 1.0
-        self.base = sp.csc_matrix(np.column_stack([summed("vv_diag", asm.mass_block()),
+        self.base = sp.csc_matrix(np.column_stack([summed("vv_diag", asm.mass()),
                                                    const]))
         del const
         unit = np.ones(n_el)
-        self.weights = (element_map("vv_full", asm.viscous_block(unit)),
-                        element_map("pv", asm.stab_pv_block(unit)),
-                        element_map("pp", asm.stab_pp_block(unit)))
+        self.weights = (element_map("vv_full", asm.viscous(unit)),
+                        element_map("pv", asm.stab_pv(unit)),
+                        element_map("pp", asm.stab_pp(unit)))
 
     def fill(self, eta, tau, rho):
         """Slot values at per-element eta and tau and density rho."""

@@ -22,7 +22,7 @@ _FACTORIAL = (1, 1, 2, 6, 24)
 
 
 class MeshError(Exception):
-    """Raised for invalid meshes, maps, or mesh files."""
+    """Raised for invalid meshes or deformation maps."""
 
 
 def _canonical(facet):
@@ -123,6 +123,7 @@ class SpaceTimeMesh:
         self.boundary_facets = {_canonical(f): str(t) for f, t in self.boundary_facets.items()}
         self._geom = None
         self._hash = None
+        self._valid = False         # set by validate(), carried by deform()
 
     @property
     def d(self):
@@ -194,6 +195,13 @@ class SpaceTimeMesh:
         return self._hash
 
     def validate(self):
+        """Check node ids, element orientation and boundary tags, once.
+
+        A passing check is recorded on the mesh, so later calls return at
+        once; the arrays are not meant to be edited after construction.
+        """
+        if self._valid:
+            return self
         if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
             raise MeshError("element references a node id out of range")
         meas = self.signed_measures()
@@ -204,6 +212,7 @@ class SpaceTimeMesh:
         tagged = set(self.boundary_facets)
         if boundary != tagged:
             raise MeshError("boundary tags do not cover the topological boundary")
+        self._valid = True
         return self
 
 
@@ -315,9 +324,9 @@ def extrude(spatial, time_levels):
 class DeformationMap:
     """Prescribed deformation (x, t) -> displaced x; continuous in t.
 
-    kind is one of valve_plug, channel_narrowing, identity, analytic; the
-    named scalar parameters are kept so that boundary data can be derived
-    from the same description that moved the mesh.
+    kind is valve_plug or channel_narrowing; the named scalar parameters
+    are kept so that boundary data can be derived from the same description
+    that moved the mesh.
     """
 
     kind: str
@@ -326,15 +335,6 @@ class DeformationMap:
 
     def __call__(self, x, t):
         return self.fn(np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64))
-
-
-def identity_map():
-    return DeformationMap(kind="identity", parameters={},
-                          fn=lambda x, t: x)
-
-
-def analytic_map(fn, parameters=None):
-    return DeformationMap(kind="analytic", parameters=dict(parameters or {}), fn=fn)
 
 
 def plug_displacement(t, speed, schedule):
@@ -435,7 +435,8 @@ def deform(mesh, dmap):
 
     Spatial coordinates are replaced by map(x, t) with t unchanged; boundary
     tags and connectivity are untouched.  Raises MeshError naming the first
-    element whose measure becomes non-positive.
+    element whose measure becomes non-positive.  With the measures checked
+    here, a validated input gives a validated output.
     """
     d = mesh.d
     new_nodes = mesh.nodes.copy()
@@ -450,6 +451,7 @@ def deform(mesh, dmap):
     if bad.size:
         raise MeshError("deformation inverts element %d (measure %.3e)"
                         % (bad[0], meas[bad[0]]))
+    out._valid = mesh._valid
     return out
 
 
@@ -538,65 +540,6 @@ def rectangle_mesh(x_breaks, y_breaks, left, right, bottom, top):
     mesh = SpatialMesh(dimension=2, nodes=nodes, elements=tris, boundary_markers={})
     mesh.boundary_markers = tag_boundary_by_midpoint(nodes, mesh.boundary_facets(), classify)
     return mesh.validate()
-
-
-# ---------------------------------------------------------------------------
-# mesh file format: line-oriented text, versioned header
-
-def write_mesh(mesh, path):
-    """Write the mesh in the ``stmesh v1`` text format."""
-    d = mesh.d
-    with open(path, "w") as fh:
-        fh.write("stmesh v1 d=%d\n" % d)
-        fh.write("N %d\n" % mesh.n_nodes)
-        for row in mesh.nodes:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")
-        fh.write("E %d\n" % mesh.n_elements)
-        for row in mesh.elements:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
-        fh.write("B %d\n" % len(mesh.boundary_facets))
-        for f in sorted(mesh.boundary_facets):
-            fh.write(" ".join(str(int(v)) for v in f)
-                     + " " + mesh.boundary_facets[f] + "\n")
-
-
-def read_mesh(path):
-    """Read a ``stmesh v1`` file.  Imported meshes carry no time levels."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("stmesh v1 d="):
-        raise MeshError("%s: not a stmesh v1 file" % path)
-    try:
-        d = int(lines[0].split("d=")[1])
-    except (IndexError, ValueError):
-        raise MeshError("%s: malformed header" % path) from None
-    D = d + 1
-    pos = 1
-
-    def expect_block(letter):
-        nonlocal pos
-        parts = lines[pos].split()
-        if len(parts) != 2 or parts[0] != letter:
-            raise MeshError("%s: expected '%s <count>' at line %d" % (path, letter, pos + 1))
-        pos += 1
-        return int(parts[1])
-
-    n = expect_block("N")
-    nodes = np.array([[float(v) for v in lines[pos + i].split()] for i in range(n)])
-    pos += n
-    m = expect_block("E")
-    elements = np.array([[int(v) for v in lines[pos + i].split()] for i in range(m)],
-                        dtype=np.int64).reshape(m, D + 1)
-    pos += m
-    nb = expect_block("B")
-    boundary = {}
-    for i in range(nb):
-        parts = lines[pos + i].split()
-        boundary[tuple(int(v) for v in parts[:D])] = parts[D]
-    if nodes.size and nodes.shape[1] != D:
-        raise MeshError("%s: node rows must have %d coordinates" % (path, D))
-    return SpaceTimeMesh(dimension=D, nodes=nodes.reshape(n, D), elements=elements,
-                         boundary_facets=boundary).validate()
 
 
 # ---------------------------------------------------------------------------

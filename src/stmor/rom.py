@@ -1,18 +1,20 @@
 """Reduced-order model: offline Galerkin projection and the online solve.
 
-Offline, every full-order block is projected onto the reduced bases,
-term by term of the elementwise interpolations of viscosity and tau:
-
-    E_N = Zh^T E Zh        A_N^q = Zh^T A^q Zh      B_N = Z_p^T B Zh
-    C_N^q = Z_p^T C^q Zh   S_N^q = Z_p^T S^q Z_p
-
-where Zh is the velocity basis with constrained rows zeroed, so the
-leading lifting columns drop out of the operators and reappear as
-per-lift right-hand sides (H, L^q from the time/viscous blocks, G, D^q
-from the pressure rows).  Each projected block is written into one slot
-of two stacks that are affine in the coefficient vector
+Offline, the full-order system is projected onto the reduced bases, term
+by term of the elementwise interpolations of viscosity and tau.  Its slot
+values on the FOM's fixed pattern (fom.SystemPattern) are affine in
 
     theta = [rho, 1, c_eta (Q_eta terms), c_tau (Q_tau), c_tau / rho (Q_tau)]
+
+and the fill column Theta_q of one coefficient (a base column, or a weight
+map times one interpolation basis vector) is projected as
+
+    P_q = Y^T (Theta_q Y + Theta_q^lift [Z_v, 0]),   Y = blockdiag(Z_v|free, Z_p)
+
+where Theta_q^lift holds the entries in constrained velocity columns.  The
+lift vectors vanish on free rows, so the leading lifting columns of Y are
+zero: the lifts drop out of the operators and reappear, through
+Theta_q^lift, as per-lift right-hand sides.  Slot q of the two stacks holds
 
     slot            K (Q, N, N), N = N_u + N_p     R (Q, n_lifts + 1, N)
     0               E                              H ; F_body
@@ -21,19 +23,19 @@ of two stacks that are affine in the coefficient vector
     next Q_tau      C^q                            D^q
     last Q_tau      S^q                            0
 
-with Q = 2 + Q_eta + 2 Q_tau.  The rows of R are the per-lift loads, then
-one unit row for the body-force and traction loads.  Online, a dense
-(N_u + N_p) system is K(v) = theta @ K and rhs = [s, 1] @ (theta @ R),
-where s are the lift coefficients; the velocity needed for the
-interpolation coefficients is reconstructed at the magic elements only,
-so no pass over the mesh remains.
+with Q = 2 + Q_eta + 2 Q_tau: K[q] is P_q without its lift columns, and
+R[q, :n_lifts] = -(lift columns of P_q)^T.  The last row of R carries the
+body-force and traction loads.  Online, a dense (N_u + N_p) system is
+K(v) = theta @ K and rhs = [s, 1] @ (theta @ R), where s are the lift
+coefficients; the velocity needed for the interpolation coefficients is
+reconstructed at the magic elements only, so no pass over the mesh remains.
 
 Density convention: E, H and F_body are stored per unit density (slot 0
 carries rho), S per unit inverse density (its slots carry c_tau / rho),
 so a parameter-dependent density stays affine.
 
-Lifting coefficients are not solved for.  Zh zeroes the lift rows of
-every projected block, so the identities I_lift in slot 1 make the
+Lifting coefficients are not solved for.  The lift rows of every
+projected block are zero, so the identities I_lift in slot 1 make the
 leading n_lifts rows of the system read x[:n_lifts] = s exactly, which
 keeps the Dirichlet data exact for every truncation.
 """
@@ -42,6 +44,7 @@ import logging
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .constitutive import (CarreauYasudaParams, ParameterError, ParameterSpace,
                            apply_parameters, field_values, space_from_dict,
@@ -204,12 +207,13 @@ def _magic_data(asm, Z_v, magic):
 
 def project_offline(mesh, problem, basis, eim_eta, eim_tau,
                     dof_map=None, assembler=None):
-    """Project the full-order blocks onto the basis, one term at a time.
+    """Project the full-order system onto the basis, one affine term at a time.
 
-    Each per-term operator is assembled sparse, projected, and released, so
-    peak memory stays at one full-order matrix.  The basis must carry the
-    problem's lifting vectors as leading columns; the projected operators
-    then lose those columns exactly and the per-lift loads take over.
+    Each term is one fill column of the FOM's SystemPattern, projected and
+    released, so peak memory stays at one column of slot values.  The basis
+    must carry the problem's lifting vectors as leading columns; the
+    projected operators then lose those columns exactly and the per-lift
+    loads take over.
     """
     for approx, tag in ((eim_eta, "eta"), (eim_tau, "tau")):
         if approx is None or getattr(approx, "tag", None) != tag:
@@ -235,7 +239,8 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         if np.any((approx.magic < 0) | (approx.magic >= mesh.n_elements)):
             raise RomError("%s interpolation has a magic element outside "
                            "[0, %d)" % (approx.tag, mesh.n_elements))
-    if pressure_pins(mesh, dof_map).size:
+    pins = pressure_pins(mesh, dof_map)
+    if pins.size:
         raise RomError("case leaves no natural pressure gauge; the reduced "
                        "solver carries no pressure pinning")
 
@@ -252,39 +257,38 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
 
     Z_v, Z_p = basis.Z_v, basis.Z_p
     nl = basis.n_lifts
-    Zh = np.array(Z_v)
-    Zh[dof_map.constrained.ravel(), :] = 0.0
-
-    qe, qt = eim_eta.n_terms, eim_tau.n_terms
     n_u, n = Z_v.shape[1], Z_v.shape[1] + Z_p.shape[1]
-    K = np.zeros((2 + qe + 2 * qt, n, n))
-    R = np.zeros((2 + qe + 2 * qt, nl + 1, n))
-    vel, pre = slice(0, n_u), slice(n_u, n)
+    Zf = Z_v[dof_map.free_full]
+    Y = block_diag(Zf, Z_p)
 
-    def put(slot, rows, Z_test, op):
-        # one sparse product serves both the Galerkin block and the per-lift
-        # loads: columns j < nl of Z^T Op Z_v are Z^T Op l_j; the block keeps
-        # its lift columns zero
-        P = Z_test.T @ (op @ Z_v)
-        K[slot, rows, nl:n_u] = P[:, nl:]
-        R[slot, :nl, rows] = -P[:, :nl].T
+    pattern = asm.system_pattern(dof_map, pins)
+    w_eta, w_tau, w_pp = pattern.weights
 
-    put(0, vel, Zh, asm.mass_time())
-    put(1, pre, Z_p, asm.divergence())
-    K[1, vel, pre] = -K[1, pre, vel].T
+    def columns():
+        # the affine columns of the slot values, in theta order, one at a time
+        yield from pattern.base.T.toarray()
+        for W, basis_q in ((w_eta, eim_eta.basis), (w_tau, eim_tau.basis),
+                           (w_pp, eim_tau.basis)):
+            for b in basis_q.T:
+                yield W @ b
+
+    q_all = 2 + eim_eta.n_terms + 2 * eim_tau.n_terms
+    K = np.zeros((q_all, n, n))
+    R = np.zeros((q_all, nl + 1, n))
+    for q, values in enumerate(columns()):
+        # Y^T (Theta_q Y + lift entries @ [Z_v, 0]); its leading nl columns,
+        # the operator applied to the lifts, become the per-lift loads
+        P = Y.T @ (pattern.matrix(values) @ Y)
+        P[:, :n_u] += Y.T @ (pattern.lift_matrix(values) @ Z_v)
+        K[q, :, nl:] = P[:, nl:]
+        R[q, :nl] = -P[:, :nl].T
     K[1, range(nl), range(nl)] = 1.0
     R[1, range(nl), range(nl)] = 1.0
-    for q in range(qe):
-        put(2 + q, vel, Zh, asm.viscous(eim_eta.basis[:, q]))
-    for q in range(qt):
-        put(2 + qe + q, pre, Z_p, asm.stab_pv(eim_tau.basis[:, q]))
-        S_q = asm.stab_pp(eim_tau.basis[:, q])
-        K[2 + qe + qt + q, pre, pre] = Z_p.T @ (S_q @ Z_p)
 
     if problem.body_force is not None:
         fb = asm.body_rhs(problem.body_force.vector(mesh.d), 1.0)
-        R[0, nl, vel] = Zh.T @ fb
-    R[1, nl, vel] = Zh.T @ asm.traction_rhs(problem.neumann or {})
+        R[0, nl, :n_u] = dof_map.restrict(fb) @ Zf
+    R[1, nl, :n_u] = dof_map.restrict(asm.traction_rhs(problem.neumann or {})) @ Zf
 
     pkg = RomPackage(
         case_id=problem.name, mesh_hash=mh, d=mesh.d, n_nodes=mesh.n_nodes,
@@ -298,7 +302,7 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         basis=basis)
     logger.info("projected %s: N_u=%d N_p=%d (N=%d vs N^h=%d), Q_eta=%d Q_tau=%d",
                 problem.name, pkg.n_u, pkg.n_p, pkg.n_reduced, pkg.n_fom_dofs,
-                qe, qt)
+                pkg.q_eta, pkg.q_tau)
     return pkg
 
 
@@ -401,14 +405,15 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
 def reconstruct(source, reduced):
     """Expand reduced coefficients to full nodal fields.
 
-    source is a ReducedBasis, or a RomPackage with one attached.  Returns
-    the flat node-major velocity vector (Dirichlet values included via the
-    lifting columns) and the pressure vector.
+    source is a ReducedBasis, or a RomPackage that carries one (as built by
+    project_offline, not as read from disk).  Returns the flat node-major
+    velocity vector (Dirichlet values included via the lifting columns) and
+    the pressure vector.
     """
     basis = source if hasattr(source, "Z_v") else getattr(source, "basis", None)
     if basis is None:
-        raise RomError("reconstruction needs the reduced basis; attach it to "
-                       "the package or pass it directly")
+        raise RomError("reconstruction needs the reduced basis; a package "
+                       "read from disk carries none, so pass the basis")
     v_N = np.asarray(reduced.v_N, dtype=np.float64)
     p_N = np.asarray(reduced.p_N, dtype=np.float64)
     if basis.Z_v.shape[1] != v_N.size or basis.Z_p.shape[1] != p_N.size:
@@ -435,23 +440,6 @@ def project_fields(basis, u_full, p_full, gram_v, gram_p, lift_coefficients):
         s, project_coefficients(basis.Z_v[:, nl:], gram_v, u_hom)])
     p_N = project_coefficients(basis.Z_p, gram_p, np.asarray(p_full))
     return v_N, p_N
-
-
-def attach_basis(pkg, basis):
-    """Re-attach a (possibly wider) basis to a loaded or truncated package."""
-    if basis.n_u < pkg.n_u or basis.n_p < pkg.n_p or basis.n_lifts != pkg.n_lifts:
-        raise RomError("basis with N_u=%d N_p=%d lifts=%d cannot serve a "
-                       "package with N_u=%d N_p=%d lifts=%d"
-                       % (basis.n_u, basis.n_p, basis.n_lifts,
-                          pkg.n_u, pkg.n_p, pkg.n_lifts))
-    if basis.mesh_hash and pkg.mesh_hash and basis.mesh_hash != pkg.mesh_hash:
-        raise RomError("basis was built on mesh %s, package on %s"
-                       % (basis.mesh_hash, pkg.mesh_hash))
-    if basis.n_u > pkg.n_u or basis.n_p > pkg.n_p:
-        basis = replace(basis, Z_v=np.ascontiguousarray(basis.Z_v[:, :pkg.n_u]),
-                        Z_p=np.ascontiguousarray(basis.Z_p[:, :pkg.n_p]))
-    pkg.basis = basis
-    return pkg
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ class TestStages:
                      "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "64 nodes" in out and "162 elements" in out
-        assert (tmp_path / "mesh.stmesh").exists()
         assert (tmp_path / "mesh.vtk").exists()
+        assert not (tmp_path / "mesh.stmesh").exists()
 
     def test_fom_prints_iterations_and_factorizations(self, workdir, capsys,
                                                       tmp_path):

@@ -196,12 +196,34 @@ class TestTau:
         assert t1 < t0
 
 
+def coo_operators(asm):
+    """Full-index operators summed from the element blocks through COO, with
+    rows and columns taken from the element nodes (no node adjacency)."""
+    e, n, d = asm.elems, asm.mesh.n_nodes, asm.d
+    v = d * e[:, :, None] + np.arange(d)        # (e, a, c) full velocity index
+    p = e[:, :, None, None]                     # (e, k, 1, 1) pressure row
+
+    def coo(blk, rows, cols, shape):
+        rows, cols, vals = np.broadcast_arrays(rows, cols, blk)
+        return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=shape).tocsr()
+
+    return SimpleNamespace(
+        E=coo(asm.mass(), v[:, :, None], v[:, None], (n * d, n * d)),
+        A=lambda w: coo(asm.viscous(w), v[..., None, None], v[:, None, None],
+                        (n * d, n * d)),
+        B=coo(asm.divergence(), p, v[:, None], (n, n * d)),
+        C=lambda w: coo(asm.stab_pv(w), p, v[:, None], (n, n * d)),
+        S=lambda w: coo(asm.stab_pp(w), e[:, :, None], e[:, None], (n, n)))
+
+
 def reference_blocks(asm, dof_map, liftings, u, params, problem):
-    """Free-restricted blocks and loads built from the full-index operators."""
+    """Free-restricted blocks and loads built from the COO operators."""
     _, eta, tau = asm.element_fields(u, params)
     rho = params.rho
-    E_full, A_full = rho * asm.mass_time(), asm.viscous(eta)
-    B_full, C_full = asm.divergence(), asm.stab_pv(tau)
+    ops = coo_operators(asm)
+    E_full, A_full = rho * ops.E, ops.A(eta)
+    B_full, C_full = ops.B, ops.C(tau)
     free = dof_map.free_full
     l_flat = combine_liftings(liftings, dof_map.n_nodes, dof_map.d).ravel()
     fb = asm.traction_rhs(problem.neumann or {})
@@ -209,7 +231,7 @@ def reference_blocks(asm, dof_map, liftings, u, params, problem):
         fb = fb + asm.body_rhs(problem.body_force.vector(asm.d), rho)
     return SimpleNamespace(
         E=E_full[free][:, free], A=A_full[free][:, free], B=B_full[:, free],
-        C=C_full[:, free], S=asm.stab_pp(tau / rho), H=-(E_full @ l_flat)[free],
+        C=C_full[:, free], S=ops.S(tau / rho), H=-(E_full @ l_flat)[free],
         F=fb[free], L=-(A_full @ l_flat)[free], G=-(B_full @ l_flat),
         D=-(C_full @ l_flat))
 

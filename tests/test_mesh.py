@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stmor import mesh as mesh_module
+from stmor.fom import FomAssembler
 from stmor.mesh import (
     MeshError,
     SpaceTimeMesh,
@@ -11,16 +13,13 @@ from stmor.mesh import (
     channel_narrowing_map,
     deform,
     extrude,
-    identity_map,
     interval_mesh,
     narrowing_scale,
     plug_displacement,
     plug_velocity,
-    read_mesh,
     rectangle_mesh,
     triangulate_tensor_grid,
     valve_plug_map,
-    write_mesh,
     write_vtk,
     write_vtk_slice,
 )
@@ -127,6 +126,30 @@ class TestExtrude:
         assert st_mesh.n_elements == spatial.n_elements * (nl - 1) * 3
 
 
+class TestValidate:
+    def test_invalid_mesh_still_rejected_by_assembler(self):
+        nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        untagged = SpaceTimeMesh(dimension=3, nodes=nodes,
+                                 elements=np.array([[0, 1, 2, 3]]), boundary_facets={})
+        with pytest.raises(MeshError, match="boundary tags"):
+            FomAssembler(untagged)
+
+    def test_validated_mesh_is_not_scanned_again(self, monkeypatch):
+        st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0]).validate()
+        unchecked = extrude(unit_triangle(), [0.0, 0.5, 1.0])
+
+        def scan(*args):
+            raise AssertionError("boundary facets scanned again")
+
+        monkeypatch.setattr(mesh_module, "_boundary_facets_of", scan)
+        FomAssembler(st_mesh)
+        moved = deform(st_mesh, channel_narrowing_map(r0=1.0))
+        FomAssembler(moved)         # deform checked the measures itself
+        with pytest.raises(AssertionError, match="scanned"):
+            deform(unchecked, channel_narrowing_map(r0=1.0)).validate()
+
+
 class TestGeometry:
     def test_unit_right_triangle_measure(self):
         st_mesh = extrude(interval_mesh(0.0, 1.0, 1), [0.0, 1.0])
@@ -155,7 +178,7 @@ class TestGeometry:
 class TestDeform:
     def test_identity_bit_identical(self):
         st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])
-        out = deform(st_mesh, identity_map())
+        out = deform(st_mesh, lambda x, t: x)
         assert np.array_equal(out.nodes, st_mesh.nodes)
         assert np.array_equal(out.elements, st_mesh.elements)
         assert out.boundary_facets == st_mesh.boundary_facets
@@ -201,10 +224,8 @@ class TestDeform:
 
     def test_deform_rejects_inverted(self):
         st_mesh = extrude(unit_triangle(), [0.0, 1.0])
-        from stmor.mesh import analytic_map
-        flip = analytic_map(lambda x, t: x * np.array([1.0, -1.0]))
         with pytest.raises(MeshError, match="element"):
-            deform(st_mesh, flip)
+            deform(st_mesh, lambda x, t: x * np.array([1.0, -1.0]))
 
     def test_valve_plug_map_moves_tip_only_in_band(self):
         dmap = valve_plug_map(x_gate_rest=0.0495, x_wall=0.05, speed=0.0625,
@@ -228,24 +249,6 @@ class TestDeform:
 
 
 class TestIO:
-    def test_mesh_roundtrip(self, tmp_path):
-        spatial = rectangle_mesh([0, 1.0], [0, 0.5],
-                                 "dirichlet:l", "neumann:r", "dirichlet:b", "dirichlet:t")
-        st_mesh = deform(extrude(spatial, [0.0, 0.5, 1.0]), channel_narrowing_map(r0=0.5))
-        path = tmp_path / "m.stmesh"
-        write_mesh(st_mesh, path)
-        back = read_mesh(path)
-        np.testing.assert_array_equal(back.nodes, st_mesh.nodes)   # %.17g is lossless
-        np.testing.assert_array_equal(back.elements, st_mesh.elements)
-        assert back.boundary_facets == st_mesh.boundary_facets
-        assert back.time_levels.size == 0
-
-    def test_read_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.stmesh"
-        path.write_text("hello\n")
-        with pytest.raises(MeshError, match="stmesh"):
-            read_mesh(path)
-
     def test_content_hash_tracks_geometry(self):
         a = extrude(unit_triangle(), [0.0, 1.0])
         b = extrude(unit_triangle(), [0.0, 1.0])

@@ -18,9 +18,11 @@ from stmor.io import ArtifactError, read_artifact, write_artifact
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
 from stmor.pod import assemble_basis, compute_pod
 from stmor.rom import (MagicElementData, ReducedSolution, RomError,
-                       RomPackage, assemble_rom, attach_basis, project_fields,
+                       RomPackage, assemble_rom, project_fields,
                        project_offline, read_rom, reconstruct, rom_info,
                        solve_rom, truncate, write_rom)
+
+from test_fom import coo_operators
 
 MAT = CarreauYasudaParams(eta_0=0.5, eta_inf=0.05, lam=1.0, a=2.0, n=0.5,
                           rho=1.3)
@@ -183,21 +185,21 @@ class TestProjection:
             tol = 1e-11 * max(1.0, float(np.max(np.abs(want))) if want.size else 0.0)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
 
-        Mt = asm.mass_time()
+        ops = coo_operators(asm)
+        Mt, Bf = ops.E, ops.B
         close(b["E"], Zf.T @ Mt[free][:, free].toarray() @ Zf)
         close(b["H"], (-Zf.T @ (Mt @ lifts)[free]).T)
-        Bf = asm.divergence()
         close(b["B"], Zp.T @ Bf[:, free].toarray() @ Zf)
         close(b["G"], (-Zp.T @ (Bf @ lifts)).T)
         for q in range(pkg.q_eta):
-            Aq = asm.viscous(duct.eims["eta"].basis[:, q])
+            Aq = ops.A(duct.eims["eta"].basis[:, q])
             close(b["A"][q], Zf.T @ Aq[free][:, free].toarray() @ Zf)
             close(b["L"][q], (-Zf.T @ (Aq @ lifts)[free]).T)
         for q in range(pkg.q_tau):
-            Cq = asm.stab_pv(duct.eims["tau"].basis[:, q])
+            Cq = ops.C(duct.eims["tau"].basis[:, q])
             close(b["C"][q], Zp.T @ Cq[:, free].toarray() @ Zf)
             close(b["D"][q], (-Zp.T @ (Cq @ lifts)).T)
-            Sq = asm.stab_pp(duct.eims["tau"].basis[:, q])
+            Sq = ops.S(duct.eims["tau"].basis[:, q])
             close(b["S"][q], Zp.T @ Sq.toarray() @ Zp)
         close(b["F_body"], Zf.T @ asm.body_rhs((0.3, -0.1), 1.0)[free])
         close(b["F_trac"],
@@ -592,21 +594,6 @@ class TestPersistence:
         write_artifact(path, "rom", header, old)
         with pytest.raises(ArtifactError, match="malformed rom package"):
             read_rom(path)
-
-    def test_attach_basis_after_load(self, duct, tmp_path):
-        path = tmp_path / "trunc.rom"
-        small = truncate(duct.pkg, duct.pkg.n_lifts + 1, 1)
-        write_rom(path, small)
-        _, loaded = read_rom(path)
-        assert loaded.basis is None
-        attach_basis(loaded, duct.basis)
-        assert loaded.basis.Z_v.shape[1] == loaded.n_u
-        red = solve_rom(loaded, mu=TRAIN_MUS[2], strict=False, picard_max=80)
-        u, p = reconstruct(loaded, red)
-        assert u.shape == (duct.mesh.n_nodes * 2,)
-        wrong = replace(duct.basis, Z_p=duct.basis.Z_p[:, :0])
-        with pytest.raises(RomError, match="cannot serve"):
-            attach_basis(loaded, wrong)
 
     def test_rom_info_reports_dimensions(self, duct):
         info = rom_info(duct.pkg)
