@@ -133,7 +133,7 @@ def _out_dir(args):
 _WORKER = {}
 
 
-def _worker_init(config, mesh=None, problem=None):
+def _worker_init(config, mesh=None, problem=None, assembler=None):
     """Per-process solve state; pool workers receive the config as a dict."""
     if isinstance(config, dict):
         config = cases.config_from_dict(config)
@@ -141,7 +141,8 @@ def _worker_init(config, mesh=None, problem=None):
         mesh = cases.build_mesh(config)
     if problem is None:
         problem = cases.build_problem(config, mesh)
-    _WORKER.update(mesh=mesh, problem=problem, assembler=FomAssembler(mesh),
+    asm = assembler if assembler is not None else FomAssembler(mesh)
+    _WORKER.update(mesh=mesh, problem=problem, assembler=asm,
                    dof_map=build_dof_map(mesh, problem.dirichlet),
                    picard=config.picard_options())
 
@@ -155,11 +156,15 @@ def _worker_solve(task):
     return index, sol, time.perf_counter() - t0
 
 
-def solve_training(config, mus, workers=1, mesh=None, problem=None):
-    """All training solves, index-ordered regardless of worker count."""
+def solve_training(config, mus, workers=1, mesh=None, problem=None,
+                   assembler=None):
+    """All training solves, index-ordered regardless of worker count.
+
+    A serial run solves with the given assembler of mesh, if any.
+    """
     tasks = [(i, np.asarray(mu, dtype=np.float64)) for i, mu in enumerate(mus)]
     if workers <= 1:
-        _worker_init(config, mesh, problem)
+        _worker_init(config, mesh, problem, assembler)
         results = [_worker_solve(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers,
@@ -302,9 +307,11 @@ def cmd_study(args):
     mesh = cases.build_mesh(config)
     problem = cases.build_problem(config, mesh)
     samples = generate_samples(plan)
+    # one assembler, and so one system pattern, for training and projection
+    asm = FomAssembler(mesh)
     sols, _ = solve_training(config, samples.training, workers=args.workers,
-                             mesh=mesh, problem=problem)
-    pipeline = offline_build(mesh, problem, solutions=sols,
+                             mesh=mesh, problem=problem, assembler=asm)
+    pipeline = offline_build(mesh, problem, solutions=sols, assembler=asm,
                              **_offline_options(config, args))
     report = run_study(config, sweep=sweep, plan=plan, pipeline=pipeline,
                        fom_workers=args.workers)

@@ -111,18 +111,20 @@ def viscosity(gamma_dot, params):
         1.0 + (params.lam * gd) ** params.a) ** expo
 
 
-def field_values(gx, h_t, h_s, u_elems, params):
-    """Per-element (shear rate, viscosity, tau) at frozen nodal velocities.
+def field_values(grad, mean_u, h_t, h_s, params):
+    """Per-element (shear rate, viscosity, tau) at a frozen velocity.
 
-    gx (m, D+1, d) holds the spatial shape-function gradients, h_t and h_s
-    (m,) the temporal extent and spatial diameter, u_elems (m, D+1, d) the
-    element nodal velocities.  tau is the GLS momentum parameter built from
-    the temporal, advective (element-mean speed) and viscous scales.
+    grad (m, d, d) holds the element velocity gradients du_i/dx_j, mean_u
+    (m, d) the element-mean velocities, h_t and h_s (m,) the temporal extent
+    and spatial diameter.  Both inputs are linear in the nodal velocities, so
+    the full-order assembler forms them from nodal values and the reduced
+    solver from one product with the reduced coefficients.  tau is the GLS
+    momentum parameter built from the temporal, advective (element-mean
+    speed) and viscous scales.
     """
-    grad = np.einsum("eac,eaj->ecj", u_elems, gx)
     gd = shear_rate(grad)
     eta = viscosity(gd, params)
-    speed = np.linalg.norm(u_elems.mean(axis=1), axis=-1)
+    speed = np.sqrt((mean_u * mean_u).sum(axis=-1))     # np.linalg.norm, bit for bit
     nu = eta / params.rho
     tau = 1.0 / np.sqrt((2.0 / h_t) ** 2 + (2.0 * speed / h_s) ** 2
                         + (4.0 * nu / h_s ** 2) ** 2)

@@ -3,8 +3,10 @@
 Viscosity and the stabilization parameter are constant per element for P1
 velocities, so interpolating per-element values is lossless.  The greedy
 produces basis fields h_q, magic elements m_q, and a unit-lower-triangular
-interpolation matrix T with T[i, q] = h_q(m_i); online coefficients come from
-one forward substitution on the field values at the magic elements.
+interpolation matrix T with T[i, q] = h_q(m_i); the coefficients of a field
+come from one forward substitution on its values at the magic elements.  A
+stack of terms that is affine in the coefficients is affine in those values
+too, through T^-T (fold), so an online solve never forms the coefficients.
 """
 
 import logging
@@ -71,6 +73,18 @@ class EimApproximation:
         # Q ~ 10 solve.  T^T upper-transposed is the path solve_triangular
         # takes for a C-ordered T, so the result is bitwise the same.
         return dtrtrs(self.T.T, values, lower=0, trans=1, unitdiag=1)[0]
+
+    def fold(self, stack):
+        """T^-T along the leading axis of a (Q, ...) stack, so that
+        coefficients(f) @ stack == f @ fold(stack)."""
+        stack = np.asarray(stack, dtype=np.float64)
+        if stack.shape[0] != self.n_terms:
+            raise EimError("expected a stack of %d terms, got shape %s"
+                           % (self.n_terms, stack.shape))
+        if self.n_terms == 0:
+            return stack.copy()
+        flat = stack.reshape(self.n_terms, -1)
+        return dtrtrs(self.T.T, flat, lower=0, trans=0, unitdiag=1)[0].reshape(stack.shape)
 
     def interpolate(self, values_at_magic):
         """Full per-element field from its magic-element values."""

@@ -358,8 +358,10 @@ class FomAssembler:
 
     def element_fields(self, u_full, params):
         """Per-element (shear rate, viscosity, tau) at a frozen velocity field."""
-        gd, eta, tau = field_values(self.gx, self.h_t, self.h_s,
-                                    u_full[self.elems], params)
+        u = u_full[self.elems]
+        grad = np.einsum("eac,eaj->ecj", u, self.gx)
+        gd, eta, tau = field_values(grad, u.mean(axis=1), self.h_t, self.h_s,
+                                    params)
         bad = np.flatnonzero(~(np.isfinite(eta) & np.isfinite(tau)))
         if bad.size:
             raise SolverError("non-finite viscosity or tau in element %d" % bad[0])

@@ -25,10 +25,21 @@ Theta_q^lift, as per-lift right-hand sides.  Slot q of the two stacks holds
 
 with Q = 2 + Q_eta + 2 Q_tau: K[q] is P_q without its lift columns, and
 R[q, :n_lifts] = -(lift columns of P_q)^T.  The last row of R carries the
-body-force and traction loads.  Online, a dense (N_u + N_p) system is
-K(v) = theta @ K and rhs = [s, 1] @ (theta @ R), where s are the lift
-coefficients; the velocity needed for the interpolation coefficients is
-reconstructed at the magic elements only, so no pass over the mesh remains.
+body-force and traction loads.  The stored stacks keep this convention, in
+the interpolation coefficients c_eta and c_tau, in memory and on disk.
+
+Online, a Picard iterate is one product, one kernel call, one theta
+contraction and one LAPACK solve.  The velocity gradients and mean
+velocities at the magic elements are linear in v_N, and the coefficients
+c = T^-1 f are linear in the field values f there, so each package derives
+once, and never stores, an operator strain_op from v_N to the former and
+the stacks K_fold, R_fold with T^-T folded into the slots of each field
+(EimApproximation.fold; "cardinal" interpolation).  Then K(v) = theta @
+K_fold and rhs = [s, 1] @ (theta @ R_fold), s the lift coefficients, over
+
+    theta = [rho, 1, eta(magic_eta), tau(magic_tau), tau(magic_tau) / rho]
+
+with eta and tau from constitutive.field_values; no mesh pass remains.
 
 Density convention: E, H and F_body are stored per unit density (slot 0
 carries rho), S per unit inverse density (its slots carry c_tau / rho),
@@ -41,10 +52,11 @@ keeps the Dirichlet data exact for every truncation.
 """
 
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import InitVar, asdict, dataclass, replace
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.linalg.lapack import dgesv
 
 from .constitutive import (CarreauYasudaParams, ParameterError, ParameterSpace,
                            apply_parameters, field_values, space_from_dict,
@@ -53,7 +65,6 @@ from .eim import EimApproximation
 from .fom import (FomAssembler, build_dof_map, build_lifting, picard,
                   pressure_pins)
 from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
-from .pod import project_coefficients
 
 logger = logging.getLogger(__name__)
 
@@ -74,10 +85,6 @@ class MagicElementData:
     h_s: np.ndarray             # (Q,) spatial diameter
     Z_rows: np.ndarray          # (Q, D+1, d, N_u) rows of Z_v at the element nodes
 
-    def velocity(self, v_N):
-        """Nodal velocities of the magic elements at reduced coefficients v_N."""
-        return self.Z_rows @ np.asarray(v_N, dtype=np.float64)
-
     def truncated(self, n_u):
         return MagicElementData(gx=self.gx, h_t=self.h_t, h_s=self.h_s,
                                 Z_rows=np.ascontiguousarray(self.Z_rows[..., :n_u]))
@@ -96,6 +103,8 @@ class RomPackage:
     convention are given in the module docstring.  The leading n_lifts
     columns of every operator block are zero and the leading n_lifts rows
     of K and R pin the lift coefficients to the effective group amplitudes.
+    Construction derives the online arrays (_online_arrays); truncate
+    slices those of its parent.
     """
 
     case_id: str
@@ -114,16 +123,13 @@ class RomPackage:
     data_eta: MagicElementData
     data_tau: MagicElementData
     basis: object = None        # optional ReducedBasis, never serialized
+    online: InitVar[tuple] = None   # derived arrays of a parent, sliced
 
-    def __post_init__(self):
+    def __post_init__(self, online):
         self._validate()
-        # the magic elements of both fields in one block, eta first, so an
-        # iterate costs one velocity product and one kernel call
-        de, dt = self.data_eta, self.data_tau
-        self.data_all = MagicElementData(
-            gx=np.concatenate([de.gx, dt.gx]), h_t=np.concatenate([de.h_t, dt.h_t]),
-            h_s=np.concatenate([de.h_s, dt.h_s]),
-            Z_rows=np.concatenate([de.Z_rows, dt.Z_rows]))
+        if online is None:
+            online = _online_arrays(self)
+        self.strain_op, self.h_t, self.h_s, self.K_fold, self.R_fold = online
 
     @property
     def n_u(self):
@@ -193,6 +199,29 @@ class ReducedSolution:
     iterations: list
     case_id: str = ""
     mesh_hash: str = ""
+
+
+def _online_arrays(pkg):
+    """(strain_op, h_t, h_s, K_fold, R_fold) of a package.
+
+    strain_op (m (d^2 + d), N_u) maps v_N to the velocity gradients and mean
+    velocities at the m = Q_eta + Q_tau magic elements, eta first.
+    """
+    de, dt = pkg.data_eta, pkg.data_tau
+    Z = np.concatenate([de.Z_rows, dt.Z_rows])
+    grad = np.einsum("eacn,eaj->ecjn", Z, np.concatenate([de.gx, dt.gx]))
+    m, d, _, n_u = grad.shape
+    strain_op = np.concatenate([grad.reshape(m, d * d, n_u), Z.mean(axis=1)],
+                               axis=1).reshape(-1, n_u)
+    qe, qt = pkg.q_eta, pkg.q_tau
+
+    def fold(stack):
+        fields = ((pkg.eim_eta, 2), (pkg.eim_tau, 2 + qe), (pkg.eim_tau, 2 + qe + qt))
+        return np.concatenate([stack[:2]] + [approx.fold(stack[lo:lo + approx.n_terms])
+                                             for approx, lo in fields])
+
+    return (strain_op, np.concatenate([de.h_t, dt.h_t]),
+            np.concatenate([de.h_s, dt.h_s]), fold(pkg.K), fold(pkg.R))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +347,10 @@ def truncate(pkg, n_u, n_p):
         basis = replace(basis, Z_v=np.ascontiguousarray(basis.Z_v[:, :n_u]),
                         Z_p=np.ascontiguousarray(basis.Z_p[:, :n_p]))
     keep = np.r_[:n_u, pkg.n_u:pkg.n_u + n_p]
+    # folding acts on the slot axis and strain_op on the columns, so slicing
+    # commutes with both
+    online = (np.ascontiguousarray(pkg.strain_op[:, :n_u]), pkg.h_t, pkg.h_s,
+              pkg.K_fold[:, keep[:, None], keep], pkg.R_fold[:, :, keep])
     return RomPackage(
         case_id=pkg.case_id, mesh_hash=pkg.mesh_hash, d=pkg.d,
         n_nodes=pkg.n_nodes, n_fom_dofs=pkg.n_fom_dofs,
@@ -327,7 +360,7 @@ def truncate(pkg, n_u, n_p):
         eim_eta=pkg.eim_eta, eim_tau=pkg.eim_tau,
         data_eta=pkg.data_eta.truncated(n_u),
         data_tau=pkg.data_tau.truncated(n_u),
-        basis=basis)
+        basis=basis, online=online)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +370,7 @@ def _mu_terms(pkg, mu):
     """(params, s, R_mu): material, lift coefficients and [s, 1] @ R at mu."""
     params, amps = pkg.effective(mu)
     s = pkg.lift_coefficients(amps)
-    return params, s, np.append(s, 1.0) @ pkg.R
+    return params, s, np.append(s, 1.0) @ pkg.R_fold
 
 
 def assemble_rom(pkg, v_iterate, mu=None, mu_terms=None):
@@ -345,9 +378,9 @@ def assemble_rom(pkg, v_iterate, mu=None, mu_terms=None):
 
     Returns (K, rhs) of size N_u + N_p, whose leading n_lifts rows pin the
     lift coefficients to the effective amplitudes.  Cost is
-    O((Q_eta + Q_tau) N^2); the iterate enters only through the
-    magic-element velocities.  mu_terms, the result of _mu_terms(pkg, mu),
-    lets a Picard loop compute the mu-only part once.
+    O((Q_eta + Q_tau) N^2); the iterate enters only through the strain at
+    the magic elements.  mu_terms, the result of _mu_terms(pkg, mu), lets a
+    Picard loop compute the mu-only part once.
     """
     v_it = np.asarray(v_iterate, dtype=np.float64)
     if v_it.shape != (pkg.n_u,):
@@ -355,14 +388,15 @@ def assemble_rom(pkg, v_iterate, mu=None, mu_terms=None):
                        % (v_it.shape, pkg.n_u))
     params, _, R_mu = mu_terms if mu_terms is not None else _mu_terms(pkg, mu)
 
-    m, qe = pkg.data_all, pkg.q_eta
-    _, eta, tau = field_values(m.gx, m.h_t, m.h_s, m.velocity(v_it), params)
-    c_eta = pkg.eim_eta.coefficients(eta[:qe])
-    c_tau = pkg.eim_tau.coefficients(tau[qe:])
-    theta = np.concatenate(([params.rho, 1.0], c_eta, c_tau, c_tau / params.rho))
+    d, qe = pkg.d, pkg.q_eta
+    y = (pkg.strain_op @ v_it).reshape(-1, d * (d + 1))
+    _, eta, tau = field_values(y[:, :d * d].reshape(-1, d, d), y[:, d * d:],
+                               pkg.h_t, pkg.h_s, params)
+    theta = np.concatenate(([params.rho, 1.0], eta[:qe], tau[qe:],
+                            tau[qe:] / params.rho))
 
-    q, n = pkg.K.shape[:2]
-    K = (theta @ pkg.K.reshape(q, n * n)).reshape(n, n)
+    q, n = pkg.K_fold.shape[:2]
+    K = (theta @ pkg.K_fold.reshape(q, n * n)).reshape(n, n)
     return K, theta @ R_mu
 
 
@@ -378,10 +412,11 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
 
     def step(x):
         K, rhs = assemble_rom(pkg, x[:n_u], mu, terms)
-        try:
-            x_new = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            raise RomError("reduced system is singular at " + dims) from None
+        # LAPACK directly: np.linalg.solve's wrapper costs more than an
+        # N ~ 10 solve
+        x_new, info = dgesv(K, rhs)[2:]
+        if info:
+            raise RomError("reduced system is singular at " + dims)
         if not np.all(np.isfinite(x_new)):
             raise RomError("reduced solve returned non-finite values at " + dims)
         return x_new, {}
@@ -400,7 +435,7 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
 
 
 # ---------------------------------------------------------------------------
-# field reconstruction and snapshot projection
+# field reconstruction
 
 def reconstruct(source, reduced):
     """Expand reduced coefficients to full nodal fields.
@@ -421,25 +456,6 @@ def reconstruct(source, reduced):
                        "%d/%d" % (basis.Z_v.shape[1], basis.Z_p.shape[1],
                                   v_N.size, p_N.size))
     return basis.Z_v @ v_N, basis.Z_p @ p_N
-
-
-def project_fields(basis, u_full, p_full, gram_v, gram_p, lift_coefficients):
-    """Reduced coefficients of full fields: pinned lifts plus gram projections.
-
-    The velocity modes (trailing columns of Z_v) must be gram_v-orthonormal,
-    the pressure columns gram_p-orthonormal; the lifting contribution is
-    removed before projecting.
-    """
-    s = np.asarray(lift_coefficients, dtype=np.float64)
-    nl = basis.n_lifts
-    if s.shape != (nl,):
-        raise RomError("expected %d lift coefficients, got shape %s"
-                       % (nl, s.shape))
-    u_hom = np.asarray(u_full, dtype=np.float64).ravel() - basis.Z_v[:, :nl] @ s
-    v_N = np.concatenate([
-        s, project_coefficients(basis.Z_v[:, nl:], gram_v, u_hom)])
-    p_N = project_coefficients(basis.Z_p, gram_p, np.asarray(p_full))
-    return v_N, p_N
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from stmor import analysis, cases
+from stmor import analysis, cases, fom
 from stmor import mesh as msh
 from stmor.analysis import (AnalysisError, SamplePlan, error_pressure,
                             error_velocity, evaluate_tests, generate_samples,
@@ -270,6 +270,27 @@ class TestOfflineBuild:
         assert rebuilt.pkg.n_p == pipe.pkg.n_p
         np.testing.assert_allclose(rebuilt.basis.spectrum_v,
                                    pipe.basis.spectrum_v, rtol=1e-12)
+
+    def test_given_assembler_is_reused(self, duct, monkeypatch):
+        _, _, _, pipe = duct
+        opts = dict(solutions=pipe.solutions, tol_eim_eta=1e-13,
+                    tol_eim_tau=1e-13, energy_threshold=1.0, rank_cutoff=1e-14)
+        default = offline_build(pipe.mesh, pipe.problem, **opts)
+        built = []
+        real = fom.SystemPattern
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fom, "SystemPattern", counted)
+        asm = default.assembler
+        reused = offline_build(pipe.mesh, pipe.problem, assembler=asm,
+                               dof_map=default.dof_map, **opts)
+        assert reused.assembler is asm and reused.dof_map is default.dof_map
+        assert built == []
+        assert np.array_equal(reused.pkg.K, default.pkg.K)
+        assert np.array_equal(reused.pkg.R, default.pkg.R)
 
     def test_nonconverged_training_solve_aborts(self, duct):
         _, _, samples, pipe = duct

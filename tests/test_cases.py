@@ -7,7 +7,7 @@ from stmor import mesh as msh
 from stmor.cases import (CaseConfig, CaseError, artery_analog_config,
                          build_mesh, build_problem, bundled_case,
                          bundled_case_ids, config_from_dict, couette_config,
-                         level_slice_flux, load_case, make_profile,
+                         load_case, make_profile,
                          poiseuille_body_config, valve_analog_config,
                          valve_spatial_mesh)
 from stmor.fom import build_dof_map, build_lifting, solve_fom
@@ -24,6 +24,51 @@ def tag_lengths(spatial):
         a, b = facet
         out[tag] = out.get(tag, 0.0) + float(np.linalg.norm(spatial.nodes[a] - spatial.nodes[b]))
     return out
+
+
+def level_slice_flux(mesh, u_field, axis, value, lo, hi, level, tol=1e-9):
+    """Signed flux of a nodal velocity field through a straight mesh cut.
+
+    The cut is picked in reference coordinates: spatial nodes whose `axis`
+    coordinate equals `value` and whose other coordinate lies in [lo, hi].
+    Edge geometry uses the deformed node positions at the given time level,
+    so the result is the flux through the material line.  Positive values
+    mean flow toward increasing `axis` coordinate.  Exact for P1 fields as
+    long as the cut follows mesh edges.
+    """
+    sp = mesh.spatial
+    if sp is None or sp.dimension != 2:
+        raise CaseError("slice flux needs a mesh extruded from a 2d planform")
+    if not 0 <= level < mesh.time_levels.size:
+        raise CaseError("time level %d out of range" % level)
+    ref = sp.nodes
+    other = 1 - axis
+    mask = ((np.abs(ref[:, axis] - value) <= tol)
+            & (ref[:, other] >= lo - tol) & (ref[:, other] <= hi + tol))
+    ids = np.flatnonzero(mask)
+    if ids.size < 2:
+        raise CaseError("cut %s = %g matches fewer than two nodes"
+                        % ("xy"[axis], value))
+    idset = set(ids.tolist())
+    edges = set()
+    for tri in sp.elements:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])):
+            a, b = int(a), int(b)
+            if a in idset and b in idset:
+                edges.add((min(a, b), max(a, b)))
+    if not edges:
+        raise CaseError("cut nodes are not connected by mesh edges")
+    u = np.asarray(u_field, dtype=np.float64).reshape(mesh.n_nodes, -1)
+    base = level * mesh.n_spatial
+    flux = 0.0
+    for a, b in edges:
+        if ref[a, other] > ref[b, other]:     # ascending cut coordinate
+            a, b = b, a
+        dx, dy = mesh.nodes[base + b, :2] - mesh.nodes[base + a, :2]
+        normal = (-dy, dx) if axis == 1 else (dy, -dx)
+        um = 0.5 * (u[base + a, :2] + u[base + b, :2])
+        flux += um[0] * normal[0] + um[1] * normal[1]
+    return float(flux)
 
 
 class TestProfiles:

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from stmor import cases, cli
+from stmor import cases, cli, fom
 from stmor.cli import (CliError, main, parse_mu, parse_sweep,
                        parse_train_grid)
 from stmor.fom import read_snapshot
@@ -195,6 +195,17 @@ class TestStudyCommand:
 
         assert (error_columns(out / "study_report.csv")
                 == error_columns(again / "study_report.csv"))
+
+    def test_serial_study_builds_one_system_pattern(self, workdir, tmp_path,
+                                                    monkeypatch):
+        # training, projection and the test solves share one assembler
+        _, case = workdir
+        built, real = [], fom.SystemPattern
+        monkeypatch.setattr(fom, "SystemPattern",
+                            lambda *a: built.append(a) or real(*a))
+        assert main(["study", "--case", str(case), "--out-dir", str(tmp_path),
+                     "--sweep", "Nu=3,Np=1"]) == 0
+        assert len(built) == 1
 
     def test_summarize_prints_tables(self, study_dir, capsys):
         out, _ = study_dir

@@ -121,6 +121,19 @@ class TestCoefficients:
         with pytest.raises(EimError, match="magic"):
             approx.coefficients(np.ones((2, 1, 1)))
 
+    def test_fold_moves_stack_onto_magic_values(self):
+        approx = eim_greedy(rank_k_samples(40, 8, 5, seed=12), tol=1e-15,
+                            q_max=5)
+        rng = np.random.default_rng(13)
+        stack = rng.standard_normal((5, 3, 4))
+        f = rng.standard_normal(5)
+        want = np.tensordot(approx.coefficients(f), stack, axes=1)
+        got = np.tensordot(f, approx.fold(stack), axes=1)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max())
+        with pytest.raises(EimError, match="stack of 5 terms"):
+            approx.fold(stack[1:])
+
     def test_online_copy_without_basis(self):
         # a package read from disk keeps magic, T and history only
         samples = rank_k_samples(30, 5, 3, seed=10)
@@ -136,8 +149,10 @@ class TestCoefficients:
 def subset_fields(asm, ids, u, params):
     """The element-field kernel on chosen elements, from assembler geometry."""
     ids = np.asarray(ids)
-    return field_values(asm.gx[ids], asm.h_t[ids], asm.h_s[ids],
-                        u[asm.elems[ids]], params)
+    u_e = u[asm.elems[ids]]
+    grad = np.einsum("eac,eaj->ecj", u_e, asm.gx[ids])
+    return field_values(grad, u_e.mean(axis=1), asm.h_t[ids], asm.h_s[ids],
+                        params)
 
 
 class TestFieldEvaluation:

@@ -16,11 +16,10 @@ from stmor.fom import (DirichletSpec, FomAssembler, FomProblem, build_dof_map,
                        solve_fom)
 from stmor.io import ArtifactError, read_artifact, write_artifact
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
-from stmor.pod import assemble_basis, compute_pod
+from stmor.pod import assemble_basis, compute_pod, project_coefficients
 from stmor.rom import (MagicElementData, ReducedSolution, RomError,
-                       RomPackage, assemble_rom, project_fields,
-                       project_offline, read_rom, reconstruct, rom_info,
-                       solve_rom, truncate, write_rom)
+                       RomPackage, assemble_rom, project_offline, read_rom,
+                       reconstruct, rom_info, solve_rom, truncate, write_rom)
 
 from test_fom import coo_operators
 
@@ -127,6 +126,30 @@ def blocks(pkg):
             "C": K[c, p, v], "S": K[s, p, p], "H": R[0, :nl, v],
             "F_body": R[0, nl, v], "F_trac": R[1, nl, v], "G": R[1, :nl, p],
             "L": R[a, :nl, v], "D": R[c, :nl, p]}
+
+
+def project_fields(basis, u_full, p_full, gram_v, gram_p, s):
+    """Reduced coefficients of full fields: the pinned lifts s plus the gram
+    projections of the rest on the (gram-orthonormal) modes."""
+    nl = basis.n_lifts
+    u_hom = np.asarray(u_full, dtype=np.float64).ravel() - basis.Z_v[:, :nl] @ s
+    v_N = np.concatenate([
+        s, project_coefficients(basis.Z_v[:, nl:], gram_v, u_hom)])
+    return v_N, project_coefficients(basis.Z_p, gram_p, np.asarray(p_full))
+
+
+def magic_coefficients(pkg, v, params):
+    """Interpolation coefficients at v the way the stacks were written:
+    nodal velocities at the magic elements, the element-field kernel on
+    them, then one triangular solve per field."""
+    out = []
+    for data, approx, col in ((pkg.data_eta, pkg.eim_eta, 1),
+                              (pkg.data_tau, pkg.eim_tau, 2)):
+        u = data.Z_rows @ v
+        grad = np.einsum("eac,eaj->ecj", u, data.gx)
+        values = field_values(grad, u.mean(axis=1), data.h_t, data.h_s, params)
+        out.append(approx.coefficients(values[col]))
+    return out
 
 
 def field_errors(basis, grams, reduced, u_ref_flat, p_ref):
@@ -339,10 +362,7 @@ class TestAssemble:
         v = solve_rom(duct.pkg, mu=mu).v_N
         params, amps = pkg.effective(mu)
         s, rho = pkg.lift_coefficients(amps), params.rho
-        m = pkg.data_all
-        _, eta, tau = field_values(m.gx, m.h_t, m.h_s, m.velocity(v), params)
-        c_e = pkg.eim_eta.coefficients(eta[:pkg.q_eta])
-        c_t = pkg.eim_tau.coefficients(tau[pkg.q_eta:])
+        c_e, c_t = magic_coefficients(pkg, v, params)
 
         def term(c, name):
             return np.tensordot(c, b[name], axes=1)
@@ -497,6 +517,59 @@ class TestTruncate:
             truncate(pkg, pkg.n_u, 0)
 
 
+def oracle_solve(pkg, mu, tol, max_it):
+    """Reduced Picard loop with every iterate formed as the stacks were
+    written: magic_coefficients, then theta @ pkg.K and np.linalg.solve."""
+    params, amps = pkg.effective(mu)
+    s = pkg.lift_coefficients(amps)
+    R_mu = np.append(s, 1.0) @ pkg.R
+    n_u, nl = pkg.n_u, pkg.n_lifts
+    x = np.zeros(pkg.n_reduced)
+    x[:nl] = s
+    for it in range(1, max_it + 1):
+        c_e, c_t = magic_coefficients(pkg, x[:n_u], params)
+        theta = np.concatenate(([params.rho, 1.0], c_e, c_t, c_t / params.rho))
+        x_new = np.linalg.solve(np.tensordot(theta, pkg.K, axes=1), theta @ R_mu)
+        rel = np.linalg.norm(x_new[nl:] - x[nl:]) / np.linalg.norm(x_new[nl:])
+        x = x_new
+        if rel <= tol:
+            break
+    return x, it
+
+
+class TestOnlineEquivalence:
+    """The folded online path against the interpolation solves it replaces."""
+
+    def mus(self, pkg):
+        box = pkg.space.box
+        rng = np.random.default_rng(11)
+        lo, hi = np.asarray(box.lower), np.asarray(box.upper)
+        return np.vstack([box.corners(), box.center()[None],
+                          lo + (hi - lo) * rng.random((18, lo.size))])
+
+    @pytest.mark.parametrize("cut", [None, (3, 1)])
+    def test_matches_oracle_picard(self, duct, cut):
+        pkg = duct.pkg if cut is None else truncate(duct.pkg, *cut)
+        for mu in self.mus(pkg):
+            red = solve_rom(pkg, mu=mu, picard_tol=1e-10, picard_max=80)
+            want, its = oracle_solve(pkg, mu, 1e-10, 80)
+            got = np.concatenate([red.v_N, red.p_N])
+            assert len(red.iterations) == its
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_truncation_slices_derived_arrays(self, duct):
+        small = truncate(duct.pkg, 3, 1)
+        direct = replace(small)       # derives them from the sliced K, R
+        for name in ("strain_op", "h_t", "h_s", "K_fold", "R_fold"):
+            assert np.array_equal(getattr(small, name), getattr(direct, name)), name
+
+    def test_nan_in_system_raises(self, duct):
+        K = duct.pkg.K.copy()
+        K[1, -1, -1] = np.nan
+        with pytest.raises(RomError, match="non-finite"):
+            solve_rom(replace(duct.pkg, K=K), mu=TRAIN_MUS[0])
+
+
 class TestReconstruct:
     def test_unit_lift_coefficient_returns_lifting(self, duct):
         pkg = duct.pkg
@@ -563,11 +636,13 @@ class TestPersistence:
             eim = getattr(loaded, "eim_" + tag)
             assert eim.basis is None and eim.n_terms == duct.eims[tag].n_terms
             np.testing.assert_array_equal(eim.magic, duct.eims[tag].magic)
-        mu = np.array([1.01])
-        a = solve_rom(duct.pkg, mu=mu)
-        b = solve_rom(loaded, mu=mu)
-        assert np.array_equal(a.v_N, b.v_N)
-        assert np.array_equal(a.p_N, b.p_N)
+        # the loaded package derives its online arrays from the same stacks
+        for mu in ([1.01], [0.95], [1.05], [0.9731]):
+            a = solve_rom(duct.pkg, mu=np.array(mu))
+            b = solve_rom(loaded, mu=np.array(mu))
+            assert np.array_equal(a.v_N, b.v_N)
+            assert np.array_equal(a.p_N, b.p_N)
+            assert a.iterations == b.iterations
 
     def test_mesh_hash_mismatch_rejected(self, duct, tmp_path):
         path = tmp_path / "duct.rom"
