@@ -174,21 +174,21 @@ def solution_digest(solution):
 def offline_build(mesh, problem, train_mus=None, *, solutions=None,
                   tol_eim_eta=1e-12, tol_eim_tau=1e-12, energy_threshold=1.0,
                   rank_cutoff=None, q_max=None, picard_tol=1e-8, picard_max=50,
-                  assembler=None, dof_map=None):
+                  assembler=None):
     """Training solves, POD, EIM, and Galerkin projection in one sweep.
 
     Either train_mus (parameters to solve for) or solutions (already solved
     training snapshots carrying their mu) must be given.  A training solve
     that fails to converge aborts the build: a basis built from an untrusted
-    snapshot would poison everything downstream.  A caller's assembler and
-    DOF map are reused, so their system pattern is not built again.
+    snapshot would poison everything downstream.  A caller's assembler of mesh
+    is reused, so its system pattern is not built again.
 
     Returns a namespace holding every intermediate: mesh, problem, dof_map,
     assembler, grams, train_mus, solutions, u_fulls, basis, eims, pkg, and
     stage timings.
     """
     asm = assembler if assembler is not None else FomAssembler(mesh)
-    dof_map = dof_map if dof_map is not None else build_dof_map(mesh, problem.dirichlet)
+    dof_map = build_dof_map(mesh, problem.dirichlet)
     grams = fom_inner_products(mesh, asm)
     timings = {}
 

@@ -133,39 +133,40 @@ def _out_dir(args):
 _WORKER = {}
 
 
-def _worker_init(config, mesh=None, problem=None, assembler=None):
-    """Per-process solve state; pool workers receive the config as a dict."""
-    if isinstance(config, dict):
-        config = cases.config_from_dict(config)
-    if mesh is None:
-        mesh = cases.build_mesh(config)
-    if problem is None:
-        problem = cases.build_problem(config, mesh)
-    asm = assembler if assembler is not None else FomAssembler(mesh)
-    _WORKER.update(mesh=mesh, problem=problem, assembler=asm,
-                   dof_map=build_dof_map(mesh, problem.dirichlet),
-                   picard=config.picard_options())
+def _solve_state(config, mesh=None, problem=None, assembler=None):
+    """Mesh, problem, assembler, DOF map and Picard options of the solves."""
+    mesh = cases.build_mesh(config) if mesh is None else mesh
+    problem = cases.build_problem(config, mesh) if problem is None else problem
+    return dict(mesh=mesh, problem=problem, dof_map=build_dof_map(mesh, problem.dirichlet),
+                assembler=FomAssembler(mesh) if assembler is None else assembler,
+                picard=config.picard_options())
 
 
-def _worker_solve(task):
+def _worker_init(config):
+    """Pool worker state; workers receive the config as a dict."""
+    _WORKER.update(_solve_state(cases.config_from_dict(config)))
+
+
+def _worker_solve(task, state=None):
     index, mu = task
+    state = _WORKER if state is None else state
     t0 = time.perf_counter()
-    sol = solve_fom(_WORKER["mesh"], _WORKER["problem"], mu=np.asarray(mu),
-                    assembler=_WORKER["assembler"],
-                    dof_map=_WORKER["dof_map"], **_WORKER["picard"])
+    sol = solve_fom(state["mesh"], state["problem"], mu=np.asarray(mu),
+                    assembler=state["assembler"], dof_map=state["dof_map"],
+                    **state["picard"])
     return index, sol, time.perf_counter() - t0
 
 
 def solve_training(config, mus, workers=1, mesh=None, problem=None,
                    assembler=None):
-    """All training solves, index-ordered regardless of worker count.
+    """All training solves, index-ordered; a serial run keeps no state.
 
     A serial run solves with the given assembler of mesh, if any.
     """
     tasks = [(i, np.asarray(mu, dtype=np.float64)) for i, mu in enumerate(mus)]
     if workers <= 1:
-        _worker_init(config, mesh, problem, assembler)
-        results = [_worker_solve(t) for t in tasks]
+        state = _solve_state(config, mesh, problem, assembler)
+        results = [_worker_solve(t, state) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_worker_init,

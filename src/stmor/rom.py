@@ -129,6 +129,10 @@ class RomPackage:
         self._validate()
         if online is None:
             online = _online_arrays(self)
+        m, got = self.q_eta + self.q_tau, tuple(a.shape for a in online)
+        want = ((m * self.d * (self.d + 1), self.n_u), (m,), (m,), self.K.shape, self.R.shape)
+        if got != want:
+            raise RomError("dimension mismatch: online arrays %s, expected %s" % (got, want))
         self.strain_op, self.h_t, self.h_s, self.K_fold, self.R_fold = online
 
     @property

@@ -206,6 +206,7 @@ class TestStudyCommand:
         assert main(["study", "--case", str(case), "--out-dir", str(tmp_path),
                      "--sweep", "Nu=3,Np=1"]) == 0
         assert len(built) == 1
+        assert cli._WORKER == {}      # the serial solves keep no state
 
     def test_summarize_prints_tables(self, study_dir, capsys):
         out, _ = study_dir

@@ -563,6 +563,16 @@ class TestOnlineEquivalence:
         for name in ("strain_op", "h_t", "h_s", "K_fold", "R_fold"):
             assert np.array_equal(getattr(small, name), getattr(direct, name)), name
 
+    @pytest.mark.parametrize("slot", range(5))
+    def test_mismatched_derived_arrays_rejected(self, duct, slot):
+        # a parent's arrays do not fit the sliced stacks of a sub-package
+        small = truncate(duct.pkg, 3, 1)
+        online = [small.strain_op, small.h_t, small.h_s, small.K_fold, small.R_fold]
+        online[slot] = (duct.pkg.strain_op, duct.pkg.h_t[1:], duct.pkg.h_s[1:],
+                        duct.pkg.K_fold, duct.pkg.R_fold)[slot]
+        with pytest.raises(RomError, match="dimension mismatch"):
+            replace(small, online=tuple(online))
+
     def test_nan_in_system_raises(self, duct):
         K = duct.pkg.K.copy()
         K[1, -1, -1] = np.nan
