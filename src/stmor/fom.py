@@ -31,16 +31,25 @@ same slot arithmetic serves the offline projection (rom.project_offline),
 which fills the pattern with one interpolation basis vector at a time; no
 other sparse layout of the system exists.
 
-Linear solves: one solve_fom call factors its first system (sparse LU plus
-two refinement steps) and keeps that factor.  Each later system gets one
-cycle of a right-preconditioned GMRES (gmres) of at most KRYLOV_MAX_ITS
-iterations, preconditioned by the kept factor and started from the previous
-iterate.  The cycle stops early once its observed rate cannot meet the
-contract within KRYLOV_MAX_ITS.  Its result is accepted only if the true
-relative residual ||rhs - K x|| / ||rhs|| meets LINEAR_RESIDUAL_TOL (1e-10),
-the same contract a direct solve must meet; otherwise the old factor is
-released and the system is factored afresh.  The factor never outlives the
-call, so a solution does not depend on what was solved before it.
+Linear solves: one solve_fom call factors its first system and keeps that
+factor.  The factor is a sparse LU of the system in the pattern's
+fill-reducing order (SystemPattern.order): a geometric nested dissection of
+the mesh nodes (George 1973), each node's free velocity DOFs followed by its
+pressure DOF.  SuperLU factors it in symmetric mode, refining that order by
+minimum degree, with diagonal pivots: the largest entry of a column is taken
+only where its diagonal is zero (static pivoting, Li & Demmel 2003).  Two
+refinement steps follow.  Should that factor break down or its refined
+residual miss the contract, it is dropped and the system is factored again
+with column ordering and partial pivoting; a system is reported singular
+only if that factor fails too.  Each later system gets one cycle of a
+right-preconditioned GMRES (gmres) of at most KRYLOV_MAX_ITS iterations,
+preconditioned by the kept factor and started from the previous iterate.
+The cycle stops early once its observed rate cannot meet the contract within
+KRYLOV_MAX_ITS.  Its result is accepted only if the true relative residual
+||rhs - K x|| / ||rhs|| meets LINEAR_RESIDUAL_TOL (1e-10), the same contract
+a direct solve must meet; otherwise the old factor is released and the
+system is factored afresh.  The factor never outlives the call, so a
+solution does not depend on what was solved before it.
 
 picard() is the one nonlinear driver: solve_fom and rom.solve_rom pass it a step.
 """
@@ -62,6 +71,7 @@ logger = logging.getLogger(__name__)
 LINEAR_RESIDUAL_TOL = 1e-10
 KRYLOV_MAX_ITS = 20         # GMRES iterations on a lagged factor before refactoring
 KRYLOV_RTOL = 1e-14         # true relative residual at which GMRES stops
+DISSECTION_LEAF = 16        # nodes of a part that nested dissection leaves whole
 CONFLICT_TOL = 1e-10
 
 
@@ -398,6 +408,57 @@ def _indptr(rows, n):
     return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(np.int32)
 
 
+def nested_dissection(coords, start, nbr):
+    """Fill-reducing order of the nodes of a mesh graph (George 1973).
+
+    coords are the node coordinates and (start, nbr) the node adjacency
+    (FomAssembler.adjacency).  Each part of more than DISSECTION_LEAF nodes is
+    split at the median of its longest axis, every axis measured in units of
+    its median edge length.  The nodes of one half that touch the other half
+    form its separator, taken from whichever half gives the smaller one.  A
+    part is ordered lower half, upper half, separator.  All parts of one
+    level are split at once: a node's key gains one base-3 digit per level,
+    and the order is the stable sort of the keys.
+    """
+    n, dim = coords.shape
+    a = np.repeat(np.arange(n), np.diff(start))
+    edge = a != nbr
+    a, b = a[edge], nbr[edge]
+    ext = np.abs(coords[a] - coords[b])
+    unit = [np.median(e[e > 0]) if np.any(e > 0) else 1.0 for e in ext.T]
+    x = coords / unit
+    key = np.zeros(n, dtype=np.int64)
+    live = np.ones(n, dtype=bool)
+    while live.any():
+        key *= 3
+        nodes = np.flatnonzero(live)
+        _, part, size = np.unique(key[nodes], return_inverse=True, return_counts=True)
+        big = size[part] > DISSECTION_LEAF
+        live[nodes[~big]] = False               # a leaf keeps its node order
+        nodes, part = nodes[big], part[big]
+        lo = np.full((size.size, dim), np.inf)
+        hi = np.full((size.size, dim), -np.inf)
+        np.minimum.at(lo, part, x[nodes])
+        np.maximum.at(hi, part, x[nodes])
+        axis = np.argmax(hi - lo, axis=1)
+        o = np.lexsort((x[nodes, axis[part]], part))
+        nodes, part = nodes[o], part[o]
+        rank = np.arange(nodes.size) - np.searchsorted(part, part)
+        key[nodes] += rank >= size[part] // 2  # digit 1: upper half
+        keep = live[a] & live[b]
+        a, b = a[keep], b[keep]
+        cut = (key[a] // 3 == key[b] // 3) & (key[a] < key[b])
+        low, up = np.unique(a[cut]), np.unique(b[cut])
+        pid = np.zeros(n, dtype=np.int64)
+        pid[nodes] = part
+        use_low = np.bincount(pid[low], minlength=size.size) \
+            <= np.bincount(pid[up], minlength=size.size)
+        sep = np.concatenate([low[use_low[pid[low]]], up[~use_low[pid[up]]]])
+        key[sep] += 2 - key[sep] % 3            # digit 2: separator, placed
+        live[sep] = False
+    return np.argsort(key, kind="stable")
+
+
 class SystemPattern:
     """Fixed CSR pattern of the pinned, free-restricted monolithic system.
 
@@ -467,6 +528,10 @@ class SystemPattern:
         slot[in_lift] = np.arange(self.nnz + 1, n_slots + 1)
         x_index = np.concatenate([dof_map.vdof.ravel(),
                                   dof_map.n_velocity + np.arange(n)]).astype(np.int32)
+        # the DOFs of each node, velocity components (-1 where constrained)
+        # then pressure, for the factor order built on first use
+        self._node_dofs = np.column_stack([dof_map.vdof, dof_map.n_velocity + np.arange(n)])
+        self._order = None
         n_total = dof_map.n_total
         self.shape = (n_total, n_total)
         self.indices = x_index[col[in_matrix]]
@@ -531,6 +596,20 @@ class SystemPattern:
         values += w_tau @ tau
         values += w_pp @ (tau / rho)
         return values
+
+    def order(self, asm):
+        """Fill-reducing DOF order of the system, built on first use.
+
+        The nodes of asm's mesh in nested-dissection order, each expanded
+        into its free velocity DOFs followed by its pressure DOF.  asm is
+        passed, not kept: an assembler holds its pattern, and a pattern that
+        held its assembler would keep both alive until a cyclic collection.
+        """
+        if self._order is None:
+            start, nbr, _ = asm.adjacency()
+            dofs = self._node_dofs[nested_dissection(asm.mesh.nodes, start, nbr)].ravel()
+            self._order = dofs[dofs >= 0]
+        return self._order
 
     def matrix(self, values):
         return sp.csr_matrix((values[:self.nnz], self.indices, self.indptr),
@@ -661,7 +740,29 @@ def gmres(K, rhs, psolve, x0):
     return x0 + y @ Z[:its], its
 
 
-def direct_solve(K, rhs, factor=None, x0=None):
+class OrderedFactor:
+    """Sparse LU of K[order][:, order] that solves in K's own numbering."""
+
+    def __init__(self, lu, order):
+        self.lu = lu
+        self.order = order
+        self.inverse = np.empty_like(order)
+        self.inverse[order] = np.arange(order.size)
+
+    def solve(self, b):
+        return self.lu.solve(b[self.order])[self.inverse]
+
+
+def _refined(K, rhs, lu):
+    """lu's solution of K x = rhs after two refinement steps, and its residual."""
+    x = lu.solve(rhs)
+    for _ in range(2):
+        r = rhs - K @ x
+        x = x + lu.solve(r)
+    return x, _relative_residual(K, rhs, x)
+
+
+def direct_solve(K, rhs, factor=None, x0=None, order=None):
     """Solve K x = rhs to the residual contract.
 
     factor is an optional one-item list holding the sparse LU of an earlier
@@ -671,7 +772,15 @@ def direct_solve(K, rhs, factor=None, x0=None):
     is dropped, K is factored (sparse LU plus two refinement steps) and the
     new factor is stored in factor[0].
 
-    Returns (x, rel, factorized, krylov_its).
+    order (None for the identity) is the DOF order of the factor.  SuperLU
+    factors K[order][:, order] in symmetric mode, refining the order by
+    minimum degree on K + K^T, with diagonal pivots wherever they are
+    non-zero.  If that factor breaks down or misses the contract after
+    refinement, K is factored with SuperLU's defaults (column ordering and
+    partial pivoting) instead.
+
+    Returns (x, rel, factorized, krylov_its, factor_s), where factor_s is
+    the wall time of factorization and refinement.
     """
     factor = [None] if factor is None else factor
     its = 0
@@ -679,26 +788,37 @@ def direct_solve(K, rhs, factor=None, x0=None):
         x, its = gmres(K, rhs, factor[0].solve, x0)
         rel = _relative_residual(K, rhs, x)
         if np.isfinite(rel) and rel <= LINEAR_RESIDUAL_TOL:
-            return x, rel, False, its
+            return x, rel, False, its, 0.0
         logger.debug("lagged factor missed the residual contract (%.3e after "
                      "%d GMRES iterations); refactoring", rel, its)
         factor[0] = None    # release the old factor before building the next
+    t0 = time.perf_counter()
+    order = np.arange(K.shape[0]) if order is None else order
     try:
-        lu = splu(K.tocsc())
+        lu = OrderedFactor(splu(K[order][:, order].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True}), order)
+        x, rel = _refined(K, rhs, lu)
     except RuntimeError as err:
-        raise SolverError("linear system is singular (%s); a fully Dirichlet "
-                          "case may be missing its pressure constraint" % err) from None
-    x = lu.solve(rhs)
-    for _ in range(2):
-        r = rhs - K @ x
-        x = x + lu.solve(r)
-    rel = _relative_residual(K, rhs, x)
-    if not np.isfinite(rel) or rel > LINEAR_RESIDUAL_TOL:
-        raise SolverError("direct solve residual %.3e exceeds %.0e; system is "
-                          "near-singular (missing pressure constraint?)"
-                          % (rel, LINEAR_RESIDUAL_TOL))
+        logger.debug("diagonal-pivot factor broke down (%s)", err)
+        lu, rel = None, np.inf
+    if not rel <= LINEAR_RESIDUAL_TOL:
+        logger.debug("diagonal-pivot factor gave residual %.3e; factoring with "
+                     "partial pivoting", rel)
+        lu = None           # release it before the fallback factor
+        try:
+            lu = splu(K.tocsc())
+        except RuntimeError as err:
+            raise SolverError("linear system is singular (%s); a fully Dirichlet "
+                              "case may be missing its pressure constraint"
+                              % err) from None
+        x, rel = _refined(K, rhs, lu)
+        if not rel <= LINEAR_RESIDUAL_TOL:
+            raise SolverError("direct solve residual %.3e exceeds %.0e; system is "
+                              "near-singular (missing pressure constraint?)"
+                              % (rel, LINEAR_RESIDUAL_TOL))
     factor[0] = lu
-    return x, rel, True, its
+    return x, rel, True, its, time.perf_counter() - t0
 
 
 @dataclass
@@ -792,10 +912,11 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
         sys = assemble_fom(asm, pattern, u, params, lift, load)
         K, rhs = sys.matrix(), sys.rhs()
         t1 = time.perf_counter()
-        x_new, lin_res, factorized, its = direct_solve(K, rhs, factor, x0=x)
+        x_new, lin_res, factorized, its, factor_s = direct_solve(
+            K, rhs, factor, x0=x, order=pattern.order(asm))
         return x_new, {"linear_residual": float(lin_res),
                        "factorized": factorized, "krylov_its": its,
-                       "assemble_s": t1 - t0,
+                       "assemble_s": t1 - t0, "factor_s": factor_s,
                        "solve_s": time.perf_counter() - t1}
 
     x, log, converged = picard(step, np.zeros(dof_map.n_total), picard_tol,

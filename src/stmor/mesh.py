@@ -584,25 +584,3 @@ def write_vtk(mesh, path, point_data=None):
     """Export the full space-time grid (with optional nodal fields) to VTK."""
     with open(path, "w") as fh:
         _write_vtk_grid(fh, mesh.nodes, mesh.elements, mesh.dimension, point_data or {})
-
-
-def write_vtk_slice(mesh, path, level_index, point_data=None):
-    """Export the constant-t slice at an extrusion level to VTK.
-
-    Only extruded meshes carry the level structure needed here; nodal fields
-    are restricted to the slice.
-    """
-    if mesh.n_spatial is None or mesh.spatial is None:
-        raise MeshError("constant-t slices require an extruded mesh")
-    L = mesh.time_levels.size
-    if not 0 <= level_index < L:
-        raise MeshError("level index %d outside 0..%d" % (level_index, L - 1))
-    ns = mesh.n_spatial
-    sel = slice(level_index * ns, (level_index + 1) * ns)
-    pts = mesh.nodes[sel, :mesh.d]
-    data = {}
-    for name, arr in (point_data or {}).items():
-        arr = np.asarray(arr)
-        data[name] = arr[sel]
-    with open(path, "w") as fh:
-        _write_vtk_grid(fh, pts, mesh.spatial.elements, mesh.d, data)

@@ -1,5 +1,7 @@
 """Assembly, boundary data handling, and the nonlinear full-order solve."""
 
+import gc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -571,7 +573,7 @@ class TestLaggedFactor:
 
     def test_plain_call_factors(self):
         K = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-        x, rel, factorized, its = direct_solve(K, np.array([1.0, 2.0]))
+        x, rel, factorized, its, factor_s = direct_solve(K, np.array([1.0, 2.0]))
         assert factorized and its == 0 and rel <= LINEAR_RESIDUAL_TOL
         np.testing.assert_allclose(K @ x, [1.0, 2.0], rtol=1e-14)
 
@@ -590,6 +592,133 @@ class TestLaggedFactor:
         assert len(sol.iterations) > 2
         for rec in sol.iterations:
             assert rec["assemble_s"] >= 0.0 and rec["solve_s"] >= 0.0
+            # factorization and refinement time, none on an accepted Krylov step
+            if rec["factorized"]:
+                assert 0.0 < rec["factor_s"] <= rec["solve_s"]
+            else:
+                assert rec["factor_s"] == 0.0
+        assert not all(rec["factorized"] for rec in sol.iterations)
+
+
+def counting_splu(ordered_failure=None):
+    """A stand-in for fom.splu that records each call's column ordering.
+
+    ordered_failure, if given, replaces the result of the first call, the
+    ordered (diagonal-pivot) one: "raise" makes it break down, "miss" returns
+    a factor whose solves miss the residual contract.
+    """
+    calls = []
+
+    def call(A, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        if ordered_failure and calls == ["MMD_AT_PLUS_A"]:
+            if ordered_failure == "raise":
+                raise RuntimeError("Factor is exactly singular")
+            return SimpleNamespace(solve=np.zeros_like)
+        return splu(A, **kwargs)
+
+    return call, calls
+
+
+def partial_pivot_only(A, **kwargs):
+    """fom.splu with every ordered call broken: each factor is splu(K.tocsc())."""
+    if kwargs:
+        raise RuntimeError("Factor is exactly singular")
+    return splu(A)
+
+
+class TestOrderedFactor:
+    @pytest.mark.parametrize("name", ["couette", "artery", "pinned", "forced"])
+    def test_matches_partial_pivot_factor(self, name, monkeypatch):
+        mesh, prob = TestFixedPattern.case(name)
+        ordered = solve_fom(mesh, prob, picard_max=60)
+        with monkeypatch.context() as m:
+            m.setattr(fom, "splu", partial_pivot_only)
+            plain = solve_fom(mesh, prob, picard_max=60)
+        assert ordered.converged and plain.converged
+        assert len(ordered.iterations) == len(plain.iterations) > 1
+        assert [r["factorized"] for r in ordered.iterations] \
+            == [r["factorized"] for r in plain.iterations]
+        assert all(r["linear_residual"] <= LINEAR_RESIDUAL_TOL
+                   for r in ordered.iterations + plain.iterations)
+        assert _relative_difference(ordered, plain) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["couette", "artery"])
+    def test_order_is_a_node_blocked_permutation(self, name, monkeypatch):
+        mesh, prob = TestFixedPattern.case(name)
+        asm = FomAssembler(mesh)
+        dm = build_dof_map(mesh, prob.dirichlet)
+        builds = []
+        dissect = fom.nested_dissection
+        monkeypatch.setattr(fom, "nested_dissection",
+                            lambda *a: builds.append(1) or dissect(*a))
+        pattern = asm.system_pattern(dm, pressure_pins(mesh, dm))
+        assert not builds           # built on first use, not with the pattern
+        order = pattern.order(asm)
+        np.testing.assert_array_equal(np.sort(order), np.arange(dm.n_total))
+        # node and kind (velocity component, or d for pressure) of each DOF
+        d = mesh.d
+        node_of = np.empty(dm.n_total, dtype=np.int64)
+        kind_of = np.empty(dm.n_total, dtype=np.int64)
+        free = dm.vdof >= 0
+        node_of[dm.vdof[free]] = np.nonzero(free)[0]
+        kind_of[dm.vdof[free]] = np.nonzero(free)[1]
+        node_of[dm.n_velocity:] = np.arange(mesh.n_nodes)
+        kind_of[dm.n_velocity:] = d
+        nodes, kinds = node_of[order], kind_of[order]
+        first = np.r_[True, nodes[1:] != nodes[:-1]]
+        assert np.count_nonzero(first) == mesh.n_nodes     # each node contiguous
+        assert np.all(kinds[1:][~first[1:]] > kinds[:-1][~first[1:]])
+        assert np.all(kinds[np.r_[first[1:], True]] == d)  # pressure last
+        if name == "couette":
+            assert np.any(free[:, 0] != free[:, 1])     # one free component
+        assert pattern.order(asm) is order and len(builds) == 1
+
+    @pytest.mark.parametrize("failure", ["raise", "miss"])
+    def test_failed_ordered_factor_falls_back(self, failure, monkeypatch):
+        mesh, prob = TestFixedPattern.case("pinned")
+        ref_splu, ref_calls = counting_splu()
+        monkeypatch.setattr(fom, "splu", ref_splu)
+        reference = solve_fom(mesh, prob)
+        patched, calls = counting_splu(failure)
+        monkeypatch.setattr(fom, "splu", patched)
+        sol = solve_fom(mesh, prob)
+        assert sol.converged
+        assert len(calls) == len(ref_calls) + 1
+        assert calls[:2] == ["MMD_AT_PLUS_A", None]     # the fallback factor
+        assert [r["factorized"] for r in sol.iterations] \
+            == [r["factorized"] for r in reference.iterations]
+        assert all(r["linear_residual"] <= LINEAR_RESIDUAL_TOL for r in sol.iterations)
+        assert _relative_difference(sol, reference) <= 1e-10
+
+    def test_missing_pressure_pins_still_report_constraint_hint(self, monkeypatch):
+        # all-Dirichlet Couette data leaves the pressure free per time level
+        mesh = channel_mesh(n=1, levels=2)
+        assert pressure_pins(mesh, build_dof_map(mesh, couette_specs())).size
+        patched, calls = counting_splu()
+        monkeypatch.setattr(fom, "splu", patched)
+        monkeypatch.setattr(fom, "pressure_pins",
+                            lambda mesh, dm: np.empty(0, dtype=np.int64))
+        with pytest.raises(SolverError, match="pressure constraint"):
+            solve_fom(mesh, couette_problem())
+        assert calls == ["MMD_AT_PLUS_A", None]
+
+    def test_pattern_does_not_keep_its_assembler(self):
+        # a pattern -> assembler reference would be a cycle through
+        # asm._pattern, kept until the cyclic collector ran
+        mesh, prob = TestFixedPattern.case("pinned")
+        gc.disable()
+        try:
+            asm = FomAssembler(mesh)
+            dm = build_dof_map(mesh, prob.dirichlet)
+            solve_fom(mesh, prob, assembler=asm, dof_map=dm)
+            pattern = asm.system_pattern(dm, pressure_pins(mesh, dm))
+            assert pattern.order(asm).size == dm.n_total
+            ref = weakref.ref(asm)
+            del asm
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def block_gmres(K, rhs, psolve, x0):

@@ -21,7 +21,6 @@ from stmor.mesh import (
     triangulate_tensor_grid,
     valve_plug_map,
     write_vtk,
-    write_vtk_slice,
 )
 
 
@@ -264,19 +263,6 @@ class TestIO:
         text = full.read_text()
         assert text.startswith("# vtk DataFile Version 3.0")
         assert "CELL_TYPES 6" in text and "\n10\n" in text
-        sl = tmp_path / "slice.vtk"
-        write_vtk_slice(st_mesh, sl, 1, point_data={"p": np.arange(9.0)})
-        text = sl.read_text()
-        assert "CELL_TYPES 1" in text and "\n5\n" in text
-        assert "POINTS 3 double" in text
-
-    def test_slice_requires_extruded(self, tmp_path):
-        nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        mesh = SpaceTimeMesh(dimension=3, nodes=nodes,
-                             elements=np.array([[0, 1, 2, 3]]), boundary_facets={})
-        with pytest.raises(MeshError, match="extruded"):
-            write_vtk_slice(mesh, tmp_path / "s.vtk", 0)
 
 
 class TestGenerators:
