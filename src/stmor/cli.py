@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,6 +38,8 @@ from .rom import RomError, read_rom, rom_info, solve_rom, write_rom
 class CliError(Exception):
     """Malformed command-line flag values."""
 
+
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 _ERRORS = (CliError, CaseError, AnalysisError, ParameterError, EimError,
            SolverError, ArtifactError, MeshError, PodError, RomError,
@@ -373,6 +376,9 @@ def build_parser():
         prog="stmor",
         description="Projection-based model order reduction for "
                     "shear-thinning Stokes flow on space-time meshes.")
+    parser.add_argument("--log-level", default="warning", choices=LOG_LEVELS,
+                        help="level of the library's log lines on stderr "
+                             "(default: warning)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -439,6 +445,13 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # the library's log lines go to stderr, so stdout keeps the result lines
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log = logging.getLogger("stmor")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except _ERRORS as exc:
@@ -446,6 +459,9 @@ def main(argv=None):
                   sys.stderr)
         sys.stderr.write("\n")
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -111,23 +111,33 @@ def viscosity(gamma_dot, params):
         1.0 + (params.lam * gd) ** params.a) ** expo
 
 
-def field_values(grad, mean_u, h_t, h_s, params):
+def tau_scales(h_t, h_s):
+    """The geometric scales of tau, ((2/h_t)^2, h_s, h_s^2), per element.
+
+    h_t and h_s (m,) are the temporal extent and spatial diameter.  They do
+    not change between iterates, so a solver computes them once and passes
+    them to every field_values call.
+    """
+    return (2.0 / h_t) ** 2, h_s, h_s ** 2
+
+
+def field_values(grad, mean_u, scales, params):
     """Per-element (shear rate, viscosity, tau) at a frozen velocity.
 
     grad (m, d, d) holds the element velocity gradients du_i/dx_j, mean_u
-    (m, d) the element-mean velocities, h_t and h_s (m,) the temporal extent
-    and spatial diameter.  Both inputs are linear in the nodal velocities, so
-    the full-order assembler forms them from nodal values and the reduced
-    solver from one product with the reduced coefficients.  tau is the GLS
-    momentum parameter built from the temporal, advective (element-mean
-    speed) and viscous scales.
+    (m, d) the element-mean velocities, and scales the elements' tau_scales.
+    Both inputs are linear in the nodal velocities, so the full-order
+    assembler forms them from nodal values and the reduced solver from one
+    product with the reduced coefficients.  tau is the GLS momentum
+    parameter built from the temporal, advective (element-mean speed) and
+    viscous scales.
     """
+    temporal, h_s, h_s2 = scales
     gd = shear_rate(grad)
     eta = viscosity(gd, params)
     speed = np.sqrt((mean_u * mean_u).sum(axis=-1))     # np.linalg.norm, bit for bit
     nu = eta / params.rho
-    tau = 1.0 / np.sqrt((2.0 / h_t) ** 2 + (2.0 * speed / h_s) ** 2
-                        + (4.0 * nu / h_s ** 2) ** 2)
+    tau = 1.0 / np.sqrt(temporal + (2.0 * speed / h_s) ** 2 + (4.0 * nu / h_s2) ** 2)
     return gd, eta, tau
 
 

@@ -43,27 +43,39 @@ residual miss the contract, it is dropped and the system is factored again
 with column ordering and partial pivoting; a system is reported singular
 only if that factor fails too.  Each later system gets one cycle of a
 right-preconditioned GMRES (gmres) of at most KRYLOV_MAX_ITS iterations,
-preconditioned by the kept factor and started from the previous iterate.
-The cycle stops early once its observed rate cannot meet the contract within
-KRYLOV_MAX_ITS.  Its result is accepted only if the true relative residual
+preconditioned by the kept factor and started from the iterate it
+linearizes at.  The cycle stops early once its observed rate cannot meet the
+contract within KRYLOV_MAX_ITS.  Its result is accepted only if the true relative residual
 ||rhs - K x|| / ||rhs|| meets LINEAR_RESIDUAL_TOL (1e-10), the same contract
 a direct solve must meet; otherwise the old factor is released and the
 system is factored afresh.  The factor never outlives the call, so a
 solution does not depend on what was solved before it.
 
-picard() is the one nonlinear driver: solve_fom and rom.solve_rom pass it a step.
+Nonlinear iteration: picard() is the one driver; solve_fom and
+rom.solve_rom pass it a step, the linearized solve at a frozen iterate.  It
+mixes the last MIXING_DEPTH (3) steps by type II Anderson acceleration, the
+fixed-point form of GMRES on the linearized map (Walker & Ni 2011), which
+raises the linear rate of a contractive Picard map (Pollock, Rebholz & Xiao
+2019): on the coarse artery the FOM takes 12 iterations instead of 16 and
+the ROM 8-9 instead of 14-15.  On the FOM side the mixed iterate is both the
+linearization point and the start of the GMRES cycle.  Convergence is still
+judged on the unmixed update of a step, and the step is what is returned;
+MIXING_DEPTH = 0 is the plain Picard iteration, bit for bit.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemv
+from scipy.linalg.lapack import dgels
 from scipy.sparse.linalg import splu
 
-from .constitutive import apply_parameters, field_values
+from .constitutive import apply_parameters, field_values, tau_scales
 from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
 
 logger = logging.getLogger(__name__)
@@ -72,6 +84,9 @@ LINEAR_RESIDUAL_TOL = 1e-10
 KRYLOV_MAX_ITS = 20         # GMRES iterations on a lagged factor before refactoring
 KRYLOV_RTOL = 1e-14         # true relative residual at which GMRES stops
 DISSECTION_LEAF = 16        # nodes of a part that nested dissection leaves whole
+MAP_CHUNK = 4096            # elements per piece of a SystemPattern element map
+MIXING_DEPTH = 3            # Anderson history pairs of the Picard driver; 0 is plain Picard
+MIXING_RANK_TOL = 1e-12     # relative size of R's diagonal below which the history goes
 CONFLICT_TOL = 1e-10
 
 
@@ -260,6 +275,7 @@ class FomAssembler:
         self.h_t = x[:, :, -1].max(axis=1) - x[:, :, -1].min(axis=1)
         diffs = x[:, :, None, :-1] - x[:, None, :, :-1]
         self.h_s = np.sqrt((diffs ** 2).sum(-1)).max(axis=(1, 2))
+        self.tau_scales = tau_scales(self.h_t, self.h_s)
         self.G = np.einsum("eaj,ebj->eab", self.gx, self.gx)
         self._cache = {}
         self._pattern = None        # (key, SystemPattern) of the last system
@@ -312,12 +328,18 @@ class FomAssembler:
         """(e, a, b, 1): int psi_a d_t psi_b, the same for every component."""
         return ((self.V / (self.D + 1))[:, None, None] * self.gt[:, None, :])[..., None]
 
-    def viscous(self, weights):
-        """(e, a, c, b, c2): int 2 w eps(psi_a e_c) : eps(psi_b e_c2)."""
-        wV = np.asarray(weights) * self.V
-        blk = np.einsum("ead,ebc->eacbd", self.gx, self.gx)
+    def viscous(self, weights, part=slice(None)):
+        """(e, a, c, b, c2): int 2 w eps(psi_a e_c) : eps(psi_b e_c2).
+
+        Like stab_pv and stab_pp, it covers the elements in part (a slice,
+        all by default), and weights holds one entry per such element.
+        """
+        wV = np.asarray(weights) * self.V[part]
+        gx = self.gx[part]
+        blk = np.einsum("ead,ebc->eacbd", gx, gx)
+        G = self.G[part]
         for c in range(self.d):
-            blk[:, :, c, :, c] += self.G
+            blk[:, :, c, :, c] += G
         blk *= wV[:, None, None, None, None]
         return blk
 
@@ -325,14 +347,14 @@ class FomAssembler:
         """(e, 1, b, c): int phi_k d_c psi_b, the same for every k."""
         return (self.V / (self.D + 1))[:, None, None, None] * self.gx[:, None, :, :]
 
-    def stab_pv(self, weights):
+    def stab_pv(self, weights, part=slice(None)):
         """(e, k, b, c): -w int d_c phi_k d_t psi_b."""
-        wV = np.asarray(weights) * self.V
-        return -np.einsum("e,ekc,eb->ekbc", wV, self.gx, self.gt)
+        wV = np.asarray(weights) * self.V[part]
+        return -np.einsum("e,ekc,eb->ekbc", wV, self.gx[part], self.gt[part])
 
-    def stab_pp(self, weights):
+    def stab_pp(self, weights, part=slice(None)):
         """(e, k, l): w int grad phi_k . grad phi_l."""
-        return (np.asarray(weights) * self.V)[:, None, None] * self.G
+        return (np.asarray(weights) * self.V[part])[:, None, None] * self.G[part]
 
     # norms on full nodal indices
 
@@ -370,8 +392,7 @@ class FomAssembler:
         """Per-element (shear rate, viscosity, tau) at a frozen velocity field."""
         u = u_full[self.elems]
         grad = np.einsum("eac,eaj->ecj", u, self.gx)
-        gd, eta, tau = field_values(grad, u.mean(axis=1), self.h_t, self.h_s,
-                                    params)
+        gd, eta, tau = field_values(grad, u.mean(axis=1), self.tau_scales, params)
         bad = np.flatnonzero(~(np.isfinite(eta) & np.isfinite(tau)))
         if bad.size:
             raise SolverError("non-finite viscosity or tau in element %d" % bad[0])
@@ -551,42 +572,65 @@ class SystemPattern:
         p_row = row_start[nvf + elems]                    # (e, k)
         comp = comp.astype(np.int32)
         del row_start
+        # the slots of the entries of the elements in part, per layout
         entry = {
-            "vv_diag": lambda: v_row[:, :, None, :] + v_off[..., None] + comp,
-            "vv_full": lambda: v_row[..., None, None] + v_off[:, :, None, :, None] + comp,
-            "pv": lambda: p_row[:, :, None, None] + v_off[..., None] + comp,
-            "vp": lambda: v_row[:, None, :, :] + p_off.transpose(0, 2, 1)[..., None],
-            "pp": lambda: p_row[:, :, None] + p_off,
+            "vv_diag": lambda e: v_row[e][:, :, None, :] + v_off[e][..., None] + comp,
+            "vv_full": lambda e: (v_row[e][..., None, None] + v_off[e][:, :, None, :, None]
+                                  + comp),
+            "pv": lambda e: p_row[e][:, :, None, None] + v_off[e][..., None] + comp,
+            "vp": lambda e: v_row[e][:, None, :, :] + p_off[e].transpose(0, 2, 1)[..., None],
+            "pp": lambda e: p_row[e][:, :, None] + p_off[e],
         }
 
         def summed(layout, blk):
             # unit-weight sum of a constant element block into the slots
-            s = slot[entry[layout]()]
+            s = slot[entry[layout](slice(None))]
             vals = np.broadcast_to(blk, s.shape).ravel()
             return np.bincount(s.ravel(), vals, minlength=n_slots + 1)[1:]
 
-        def element_map(layout, blk):
-            # (n_slots, E) CSC map of a weighted element block onto the slots;
-            # its entries are element-major already, so no sort is needed
-            s = slot[entry[layout]()].reshape(n_el, -1)
-            keep = s > 0
-            indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-            data = blk.reshape(n_el, -1)[keep]
-            s = s[keep]
-            s -= 1
-            return sp.csc_matrix((data, s, indptr), shape=(n_slots, n_el))
+        def element_map(layout, block):
+            # (n_slots, E) CSC map of the unit-weight element block onto the
+            # slots, built MAP_CHUNK elements at a time so that the element
+            # block, its slots and their mask stay small.  A first pass counts
+            # the kept entries, so the map is filled in place rather than
+            # joined from pieces (9 MB less peak RSS on the valve); its
+            # entries are element-major already, so no sort is needed.
+            parts = [slice(lo, min(lo + MAP_CHUNK, n_el)) for lo in range(0, n_el, MAP_CHUNK)]
+
+            def kept(part):
+                s = slot[entry[layout](part)].reshape(part.stop - part.start, -1)
+                return s, s > 0
+
+            indptr = np.zeros(n_el + 1, dtype=np.int64)
+            for part in parts:
+                indptr[part.start + 1:part.stop + 1] = kept(part)[1].sum(axis=1)
+            np.cumsum(indptr, out=indptr)
+            data = np.empty(indptr[-1])
+            rows = np.empty(indptr[-1], dtype=np.int32)
+            for part in parts:
+                s, keep = kept(part)
+                at = slice(indptr[part.start], indptr[part.stop])
+                data[at] = block(np.ones(s.shape[0]), part).reshape(s.shape)[keep]
+                rows[at] = s[keep]
+            rows -= 1
+            return sp.csc_matrix((data, rows, indptr), shape=(n_slots, n_el))
 
         div = asm.divergence()
         const = summed("pv", div)
         const -= summed("vp", div)
         const[pin_slots] = 1.0
-        self.base = sp.csc_matrix(np.column_stack([summed("vv_diag", asm.mass()),
-                                                   const]))
+        # the non-zeros of the two columns, with no dense (n_slots, 2) copy
+        cols = [summed("vv_diag", asm.mass()), const]
         del const
-        unit = np.ones(n_el)
-        self.weights = (element_map("vv_full", asm.viscous(unit)),
-                        element_map("pv", asm.stab_pv(unit)),
-                        element_map("pp", asm.stab_pp(unit)))
+        rows = [np.flatnonzero(c).astype(np.int32) for c in cols]
+        self.base = sp.csc_matrix(
+            (np.concatenate([c[r] for c, r in zip(cols, rows)]), np.concatenate(rows),
+             np.cumsum([0] + [r.size for r in rows], dtype=np.int32)),
+            shape=(n_slots, 2))
+        del cols, rows
+        self.weights = (element_map("vv_full", asm.viscous),
+                        element_map("pv", asm.stab_pv),
+                        element_map("pp", asm.stab_pp))
 
     def fill(self, eta, tau, rho):
         """Slot values at per-element eta and tau and density rho."""
@@ -857,39 +901,77 @@ class FomProblem:
 
 
 def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
-    """Fixed-point iteration x <- step(x) of both solvers; (x, records, converged).
+    """Anderson-mixed fixed-point iteration of both solvers; (g, records, converged).
 
-    step(x) returns the next iterate and the extra fields of its record.  It
-    stops once ||dx[skip:]|| / ||x_new[skip:]|| <= tol, so pinned leading
-    entries are not judged.  A stall after max_it steps raises error when
-    strict, else it is logged on logger and the last iterate is returned.
+    step(x) returns the step g = G(x) and the extra fields of its record.
+    The iteration stops once ||f[skip:]|| / ||g[skip:]|| <= tol for the
+    residual f = g - x, so pinned leading entries are not judged, and it
+    returns that g: a converged result is always an unmixed step.  A stall
+    after max_it steps raises error when strict, else it is logged on logger
+    and the last step is returned.
+
+    The next iterate is not g itself but the type II Anderson mixture
+    x = g - gamma @ dG (Walker & Ni 2011), where the rows of dF and dG hold
+    the differences of the last MIXING_DEPTH residuals f[skip:] and steps g,
+    and gamma minimizes ||f[skip:] - gamma @ dF|| (LAPACK dgels).  The
+    history is dropped when ||f[skip:]|| grows, and when the least-squares
+    problem is rank-deficient (info > 0, or a diagonal entry of its R at most
+    MIXING_RANK_TOL ||f[skip:]||) or gives a non-finite gamma; the next
+    iterate is then g.  Entries on which every step agrees stay exact, since
+    dG vanishes there.  Each record's ``mixing`` is the number of history
+    pairs that formed the iterate its step was evaluated at.  MIXING_DEPTH = 0
+    is the plain iteration x <- g.
     """
     if max_it < 1:
         raise error("picard_max must be at least 1")
-    x, records = x0, []
+    m = min(MIXING_DEPTH, x0.size - skip)
+    dF = np.empty((m, x0.size - skip))  # residual differences, oldest overwritten
+    dG = np.empty((m, x0.size))         # step differences, the same rows
+    pairs, filled = 0, 0                # history pairs stored, pairs in the iterate
+    x, records, f_old, g_old, dx_old = x0, [], None, None, np.inf
     for it in range(1, max_it + 1):
-        x_new, extra = step(x)
-        dx = np.linalg.norm(x_new[skip:] - x[skip:])
-        nx = np.linalg.norm(x_new[skip:])
+        g, extra = step(x)
+        gs = g[skip:]
+        f = gs - x[skip:]
+        dx = math.sqrt(f @ f)           # np.linalg.norm, bit for bit
+        nx = math.sqrt(gs @ gs)
         rel = dx / nx if nx > 0 else (0.0 if dx == 0.0 else np.inf)
-        records.append({"iteration": it, "rel_update": float(rel), **extra})
-        x = x_new
+        records.append({"iteration": it, "rel_update": float(rel), "mixing": filled, **extra})
         if rel <= tol:
-            return x, records, True
+            return g, records, True
+        x, filled = g, 0
+        if m:
+            if dx > dx_old:
+                pairs = 0               # the mixed step did not contract: restart
+            elif f_old is not None:
+                row = pairs % m
+                np.subtract(f, f_old, out=dF[row])
+                np.subtract(g, g_old, out=dG[row])
+                pairs += 1
+                k = min(pairs, m)
+                qr, gamma, info = dgels(dF[:k].T, f)
+                gamma = gamma[:k]
+                if info or min(map(abs, qr.diagonal().tolist())) <= MIXING_RANK_TOL * dx \
+                        or not math.isfinite(sum(gamma.tolist())):
+                    pairs = 0
+                else:
+                    x, filled = dgemv(-1.0, dG[:k].T, gamma, 1.0, g), k    # g - gamma @ dG
+            f_old, g_old, dx_old = f, g, dx
     msg = "%s stalled at rel update %.3e after %d iterations" % (what, rel, max_it)
     if strict:
         raise error(msg)
     logger.warning(msg)
-    return x, records, False
+    return g, records, False
 
 
 def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
               assembler=None, dof_map=None, strict=True):
     """Picard iteration on the frozen-coefficient linear systems.
 
-    Viscosity and tau are re-evaluated from the previous full velocity field
-    each round, until ||dx||/||x|| <= picard_tol.  With strict=False a stalled
-    iteration returns the last iterate flagged as not converged.
+    Viscosity and tau are re-evaluated from the full velocity field of each
+    (Anderson-mixed, see picard) iterate, until ||dx||/||x|| <= picard_tol.
+    With strict=False a stalled iteration returns the last iterate flagged as
+    not converged.
     """
     params, amps = problem.effective(mu)
     dof_map = dof_map if dof_map is not None else build_dof_map(mesh, problem.dirichlet)

@@ -60,7 +60,7 @@ from scipy.linalg.lapack import dgesv
 
 from .constitutive import (CarreauYasudaParams, ParameterError, ParameterSpace,
                            apply_parameters, field_values, space_from_dict,
-                           space_to_dict)
+                           space_to_dict, tau_scales)
 from .eim import EimApproximation
 from .fom import (FomAssembler, build_dof_map, build_lifting, picard,
                   pressure_pins)
@@ -134,6 +134,7 @@ class RomPackage:
         if got != want:
             raise RomError("dimension mismatch: online arrays %s, expected %s" % (got, want))
         self.strain_op, self.h_t, self.h_s, self.K_fold, self.R_fold = online
+        self.tau_scales = tau_scales(self.h_t, self.h_s)
 
     @property
     def n_u(self):
@@ -395,7 +396,7 @@ def assemble_rom(pkg, v_iterate, mu=None, mu_terms=None):
     d, qe = pkg.d, pkg.q_eta
     y = (pkg.strain_op @ v_it).reshape(-1, d * (d + 1))
     _, eta, tau = field_values(y[:, :d * d].reshape(-1, d, d), y[:, d * d:],
-                               pkg.h_t, pkg.h_s, params)
+                               pkg.tau_scales, params)
     theta = np.concatenate(([params.rho, 1.0], eta[:qe], tau[qe:],
                             tau[qe:] / params.rho))
 
@@ -407,8 +408,9 @@ def assemble_rom(pkg, v_iterate, mu=None, mu_terms=None):
 def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
     """Picard iteration on the reduced system with frozen field coefficients.
 
-    The initial iterate carries the lifting alone; the pinned lift entries
-    are left out of the relative-update test.
+    The iteration is the Anderson-mixed fom.picard.  The initial iterate
+    carries the lifting alone; the pinned lift entries are left out of the
+    relative-update test.
     """
     terms = _mu_terms(pkg, mu)
     n_u, n_p, nl = pkg.n_u, pkg.n_p, pkg.n_lifts

@@ -7,6 +7,7 @@ and the failure tests run against stale or mismatched inputs.
 
 import csv
 import json
+import logging
 import re
 
 import numpy as np
@@ -82,6 +83,21 @@ class TestStages:
         found = re.search(r"(\d+) iterations, (\d+) factorizations", out)
         assert found, out
         assert 1 <= int(found.group(2)) <= int(found.group(1))
+
+    def test_log_level_sends_library_lines_to_stderr_only(self, workdir, capsys,
+                                                          tmp_path):
+        _, case = workdir
+        outs = []
+        for flags in ([], ["--log-level", "info"]):
+            assert main(flags + ["fom", "--case", str(case), "--mu", "1.02",
+                                 "--out-dir", str(tmp_path)]) == 0
+            outs.append(capsys.readouterr())
+        assert "solve_fom" not in outs[0].err
+        assert "INFO stmor.fom: solve_fom duct-study:" in outs[1].err
+        # stdout differs only in the wall time of the solve
+        plain, logged = (re.sub(r"\d+\.\d+ s$", "T s", o.out, flags=re.M) for o in outs)
+        assert plain == logged and "solve_fom" not in logged
+        assert not logging.getLogger("stmor").handlers
 
     def test_fom_snapshot_artifact_embeds_mu_and_flags(self, workdir):
         root, _ = workdir

@@ -13,8 +13,10 @@ from stmor.constitutive import (
     SEMANTICS_BC_SCALE,
     SEMANTICS_MATERIAL,
     apply_parameters,
+    field_values,
     relative_box,
     shear_rate,
+    tau_scales,
     viscosity,
 )
 
@@ -88,6 +90,28 @@ class TestViscosity:
             CarreauYasudaParams(eta_0=1.0, eta_inf=0.0, lam=1.0, a=0.0, n=0.5, rho=1.0)
         with pytest.raises(ParameterError):
             CarreauYasudaParams(eta_0=1.0, eta_inf=0.0, lam=1.0, a=1.0, n=0.5, rho=-1.0)
+
+
+class TestFieldValues:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_hoisted_scales_are_bitwise_the_inline_formula(self, d):
+        rng = np.random.default_rng(d)
+        m = 50
+        grad = rng.standard_normal((m, d, d))
+        mean_u = rng.standard_normal((m, d))
+        h_t = rng.uniform(0.01, 1.0, m)
+        h_s = rng.uniform(0.01, 1.0, m)
+        for params in (PC_MELT, BLOOD):
+            gd, eta, tau = field_values(grad, mean_u, tau_scales(h_t, h_s), params)
+            # the kernel with its geometric scales written inline
+            want_gd = shear_rate(grad)
+            want_eta = viscosity(want_gd, params)
+            speed = np.sqrt((mean_u * mean_u).sum(axis=-1))
+            nu = want_eta / params.rho
+            want_tau = 1.0 / np.sqrt((2.0 / h_t) ** 2 + (2.0 * speed / h_s) ** 2
+                                     + (4.0 * nu / h_s ** 2) ** 2)
+            for got, want in ((gd, want_gd), (eta, want_eta), (tau, want_tau)):
+                assert np.array_equal(got, want)
 
 
 class TestParameters:

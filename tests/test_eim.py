@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stmor.constitutive import CarreauYasudaParams, field_values
+from stmor.constitutive import CarreauYasudaParams, field_values, tau_scales
 from stmor.eim import EimApproximation, EimError, FieldSampleSet, eim_greedy
 from stmor.fom import FomAssembler
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
@@ -151,7 +151,7 @@ def subset_fields(asm, ids, u, params):
     ids = np.asarray(ids)
     u_e = u[asm.elems[ids]]
     grad = np.einsum("eac,eaj->ecj", u_e, asm.gx[ids])
-    return field_values(grad, u_e.mean(axis=1), asm.h_t[ids], asm.h_s[ids],
+    return field_values(grad, u_e.mean(axis=1), tau_scales(asm.h_t[ids], asm.h_s[ids]),
                         params)
 
 

@@ -400,6 +400,25 @@ class TestFixedPattern:
             sizes.append(dm.n_total)
         assert sizes[0] == sizes[2] != sizes[1]
 
+    @pytest.mark.parametrize("name", ["artery", "pinned"])
+    def test_maps_do_not_depend_on_the_chunk(self, name, monkeypatch):
+        mesh, prob = self.case(name)
+        dm = build_dof_map(mesh, prob.dirichlet)
+        pins = pressure_pins(mesh, dm)
+        built = []
+        for chunk in (7, fom.MAP_CHUNK, mesh.n_elements):
+            monkeypatch.setattr(fom, "MAP_CHUNK", chunk)
+            pattern = FomAssembler(mesh).system_pattern(dm, pins)
+            built.append((pattern.base,) + pattern.weights)
+        # base as a dense (n_slots, 2) array would convert it
+        dense = sp.csc_matrix(built[0][0].toarray())
+        for got in built[1:] + [(dense,) + built[0][1:]]:
+            for a, b in zip(got, built[0]):
+                assert a.shape == b.shape
+                for x, y in ((a.data, b.data), (a.indices, b.indices),
+                             (a.indptr, b.indptr)):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+
 
 class TestPressureGauge:
     def test_all_dirichlet_pins_one_per_level(self):
@@ -498,7 +517,8 @@ class TestPicardDriver:
         new = np.concatenate([-x[:1], 0.5 * x[1:] + 1.0])
         return new, {"pinned": float(new[0])}
 
-    def test_skipped_entries_do_not_count(self):
+    def test_skipped_entries_do_not_count(self, monkeypatch):
+        monkeypatch.setattr(fom, "MIXING_DEPTH", 0)     # the plain sequence
         x0 = np.array([1.0, 0.0, 0.0])
         x, records, converged = fom.picard(self.step, x0, 1e-12, 100, True,
                                            SolverError, fom.logger, "test",
@@ -509,15 +529,118 @@ class TestPicardDriver:
         for it, rec in enumerate(records, start=1):
             new, _ = self.step(prev)
             rel = np.linalg.norm(new[1:] - prev[1:]) / np.linalg.norm(new[1:])
-            assert rec == {"iteration": it, "rel_update": rel,
+            assert rec == {"iteration": it, "rel_update": rel, "mixing": 0,
                            "pinned": float(new[0])}
             prev = new
         assert records[-1]["rel_update"] <= 1e-12 < records[-2]["rel_update"]
 
-    def test_counted_entries_can_stall(self):
+    def test_counted_entries_can_stall(self, monkeypatch):
+        monkeypatch.setattr(fom, "MIXING_DEPTH", 0)
         with pytest.raises(SolverError, match="test stalled"):
             fom.picard(self.step, np.array([1.0, 0.0, 0.0]), 1e-12, 100, True,
                        SolverError, fom.logger, "test", skip=0)
+
+
+def plain_picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
+    """The Picard driver as it was before Anderson mixing: x <- step(x)."""
+    if max_it < 1:
+        raise error("picard_max must be at least 1")
+    x, records = x0, []
+    for it in range(1, max_it + 1):
+        x_new, extra = step(x)
+        dx = np.linalg.norm(x_new[skip:] - x[skip:])
+        nx = np.linalg.norm(x_new[skip:])
+        rel = dx / nx if nx > 0 else (0.0 if dx == 0.0 else np.inf)
+        records.append({"iteration": it, "rel_update": float(rel), **extra})
+        x = x_new
+        if rel <= tol:
+            return x, records, True
+    msg = "%s stalled at rel update %.3e after %d iterations" % (what, rel, max_it)
+    if strict:
+        raise error(msg)
+    logger.warning(msg)
+    return x, records, False
+
+
+TIMINGS = ("assemble_s", "factor_s", "solve_s")
+
+
+class TestAndersonMixing:
+    def test_depth_zero_is_the_plain_loop(self, monkeypatch):
+        cfg, mesh, prob = coarse_artery()
+        opts = cfg.picard_options()
+        box = cfg.space.box
+        for mu in (np.asarray(box.lower), box.center()):
+            with monkeypatch.context() as m:
+                m.setattr(fom, "MIXING_DEPTH", 0)
+                new = solve_fom(mesh, prob, mu=mu, **opts)
+            with monkeypatch.context() as m:
+                m.setattr(fom, "picard", plain_picard)
+                old = solve_fom(mesh, prob, mu=mu, **opts)
+            assert np.array_equal(new.v, old.v) and np.array_equal(new.p, old.p)
+            assert len(new.iterations) == len(old.iterations) > 2
+            for a, b in zip(new.iterations, old.iterations):
+                assert a.pop("mixing") == 0
+                for key in TIMINGS:
+                    a.pop(key), b.pop(key)
+                assert a == b
+
+    def test_same_fixed_point_in_fewer_iterations(self, monkeypatch):
+        cfg, mesh, prob = coarse_artery()
+        opts = cfg.picard_options()
+        mixed = solve_fom(mesh, prob, **opts)
+        tight = solve_fom(mesh, prob, picard_tol=1e-12, picard_max=60)
+        with monkeypatch.context() as m:
+            m.setattr(fom, "MIXING_DEPTH", 0)
+            plain = solve_fom(mesh, prob, **opts)
+            plain_tight = solve_fom(mesh, prob, picard_tol=1e-12, picard_max=60)
+        assert _relative_difference(tight, plain_tight) <= 1e-10
+        assert len(mixed.iterations) <= 13 < len(plain.iterations)
+        assert sum(r["factorized"] for r in mixed.iterations) \
+            == sum(r["factorized"] for r in plain.iterations)
+        assert all(r["linear_residual"] <= LINEAR_RESIDUAL_TOL for r in mixed.iterations)
+        assert max(r["mixing"] for r in mixed.iterations) == fom.MIXING_DEPTH
+
+    def test_linear_contraction_converges_like_gmres(self):
+        # a linear map with spectral radius 0.95: plain steps need hundreds of
+        # iterations, a full mixing history solves it in a handful
+        rng = np.random.default_rng(4)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        A = Q @ np.diag([0.95, -0.6, 0.3]) @ Q.T
+        b = rng.standard_normal(3)
+        x, records, converged = fom.picard(lambda x: (A @ x + b, {}), np.zeros(3),
+                                           1e-12, 50, True, SolverError,
+                                           fom.logger, "test")
+        assert converged and len(records) <= 8
+        want = np.linalg.solve(np.eye(3) - A, b)
+        assert np.linalg.norm(x - want) <= 1e-11 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("start", [0.0, 0.1])
+    def test_no_fixed_point_empties_the_history(self, start, monkeypatch):
+        # x -> x + 1: every residual difference is zero or round-off, so each
+        # least-squares problem is rank-deficient and no mixed iterate forms
+        lstsq = []
+
+        def spy(a, b):
+            out = fom_dgels(a, b)
+            lstsq.append(a.shape[1])
+            return out
+
+        fom_dgels = fom.dgels
+        monkeypatch.setattr(fom, "dgels", spy)
+        step = lambda x: (x + 1.0, {})     # noqa: E731
+        x0 = np.full(4, start)
+        with pytest.raises(SolverError, match="test stalled"):
+            fom.picard(step, x0, 1e-12, 30, True, SolverError, fom.logger, "test")
+        # one pair at a time, dropped every time (or the history restarts on
+        # a residual that grew by round-off before any least squares)
+        assert lstsq and set(lstsq) == {1}
+        lstsq.clear()
+        x, records, converged = fom.picard(step, x0, 1e-12, 30, False, SolverError,
+                                           fom.logger, "test")
+        assert not converged and np.all(np.isfinite(x))
+        assert all(r["mixing"] == 0 for r in records)
+        np.testing.assert_allclose(x, start + 30.0, rtol=1e-14)
 
 
 def _relative_difference(a, b):
@@ -578,9 +701,10 @@ class TestLaggedFactor:
         np.testing.assert_allclose(K @ x, [1.0, 2.0], rtol=1e-14)
 
 
-    def test_hopeless_cycles_stop_early(self):
+    def test_hopeless_cycles_stop_early(self, monkeypatch):
         # coarse artery: systems 2 and 3 cannot meet the contract on the first
         # factor; their cycles stop early and the system is refactored
+        monkeypatch.setattr(fom, "MIXING_DEPTH", 0)     # the plain sequence
         cfg, mesh, prob = coarse_artery()
         recs = solve_fom(mesh, prob, **cfg.picard_options()).iterations
         assert [rec["factorized"] for rec in recs[:3]] == [True, True, True]
@@ -631,6 +755,11 @@ class TestOrderedFactor:
     @pytest.mark.parametrize("name", ["couette", "artery", "pinned", "forced"])
     def test_matches_partial_pivot_factor(self, name, monkeypatch):
         mesh, prob = TestFixedPattern.case(name)
+        if name == "couette":
+            # its pressure level is undetermined (no pin, and the free wall
+            # component is tangential), so only velocity feeds back into the
+            # steps of the plain sequence; mixing would feed it the pressure
+            monkeypatch.setattr(fom, "MIXING_DEPTH", 0)
         ordered = solve_fom(mesh, prob, picard_max=60)
         with monkeypatch.context() as m:
             m.setattr(fom, "splu", partial_pivot_only)

@@ -7,9 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from stmor import cases, fom, rom
+from stmor.analysis import offline_build
 from stmor.constitutive import (SEMANTICS_BC_SCALE, BodyForce,
                                 CarreauYasudaParams, ParameterError,
-                                ParameterSpace, field_values, relative_box)
+                                ParameterSpace, field_values, relative_box,
+                                tau_scales)
 from stmor.eim import EimApproximation, FieldSampleSet, eim_greedy
 from stmor.fom import (DirichletSpec, FomAssembler, FomProblem, build_dof_map,
                        build_lifting, combine_liftings, fom_inner_products,
@@ -21,7 +24,7 @@ from stmor.rom import (MagicElementData, ReducedSolution, RomError,
                        RomPackage, assemble_rom, project_offline, read_rom,
                        reconstruct, rom_info, solve_rom, truncate, write_rom)
 
-from test_fom import coo_operators
+from test_fom import coo_operators, plain_picard
 
 MAT = CarreauYasudaParams(eta_0=0.5, eta_inf=0.05, lam=1.0, a=2.0, n=0.5,
                           rho=1.3)
@@ -147,7 +150,8 @@ def magic_coefficients(pkg, v, params):
                               (pkg.data_tau, pkg.eim_tau, 2)):
         u = data.Z_rows @ v
         grad = np.einsum("eac,eaj->ecj", u, data.gx)
-        values = field_values(grad, u.mean(axis=1), data.h_t, data.h_s, params)
+        values = field_values(grad, u.mean(axis=1), tau_scales(data.h_t, data.h_s),
+                              params)
         out.append(approx.coefficients(values[col]))
     return out
 
@@ -537,20 +541,23 @@ def oracle_solve(pkg, mu, tol, max_it):
     return x, it
 
 
+def query_mus(pkg):
+    """The box corners and centre of a package, then 18 random points."""
+    box = pkg.space.box
+    rng = np.random.default_rng(11)
+    lo, hi = np.asarray(box.lower), np.asarray(box.upper)
+    return np.vstack([box.corners(), box.center()[None],
+                      lo + (hi - lo) * rng.random((18, lo.size))])
+
+
 class TestOnlineEquivalence:
     """The folded online path against the interpolation solves it replaces."""
 
-    def mus(self, pkg):
-        box = pkg.space.box
-        rng = np.random.default_rng(11)
-        lo, hi = np.asarray(box.lower), np.asarray(box.upper)
-        return np.vstack([box.corners(), box.center()[None],
-                          lo + (hi - lo) * rng.random((18, lo.size))])
-
     @pytest.mark.parametrize("cut", [None, (3, 1)])
-    def test_matches_oracle_picard(self, duct, cut):
+    def test_matches_oracle_picard(self, duct, cut, monkeypatch):
+        monkeypatch.setattr(fom, "MIXING_DEPTH", 0)     # the oracle's plain sequence
         pkg = duct.pkg if cut is None else truncate(duct.pkg, *cut)
-        for mu in self.mus(pkg):
+        for mu in query_mus(pkg):
             red = solve_rom(pkg, mu=mu, picard_tol=1e-10, picard_max=80)
             want, its = oracle_solve(pkg, mu, 1e-10, 80)
             got = np.concatenate([red.v_N, red.p_N])
@@ -578,6 +585,55 @@ class TestOnlineEquivalence:
         K[1, -1, -1] = np.nan
         with pytest.raises(RomError, match="non-finite"):
             solve_rom(replace(duct.pkg, K=K), mu=TRAIN_MUS[0])
+
+
+@pytest.fixture(scope="module")
+def coarse_artery_rom():
+    """The coarse artery's case and the package of its training grid."""
+    cfg = cases.bundled_case("artery-analog", n_x=12, n_y=5, n_levels=6)
+    mesh = cases.build_mesh(cfg)
+    box = cfg.space.box
+    axes = [np.linspace(box.lower[j], box.upper[j], int(c))
+            for j, c in enumerate(cfg.plan["train_counts"])]
+    train = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    pipe = offline_build(mesh, cases.build_problem(cfg, mesh), train_mus=train,
+                         **cfg.picard_options(), **cfg.offline_options())
+    return cfg, pipe.pkg
+
+
+class TestAndersonMixing:
+    @pytest.mark.parametrize("cut", [None, (3, 1)])
+    def test_depth_zero_is_the_plain_loop(self, duct, cut, monkeypatch):
+        pkg = duct.pkg if cut is None else truncate(duct.pkg, *cut)
+        for mu in query_mus(pkg):
+            with monkeypatch.context() as m:
+                m.setattr(fom, "MIXING_DEPTH", 0)
+                new = solve_rom(pkg, mu=mu, picard_tol=1e-10, picard_max=80)
+            with monkeypatch.context() as m:
+                m.setattr(rom, "picard", plain_picard)
+                old = solve_rom(pkg, mu=mu, picard_tol=1e-10, picard_max=80)
+            assert np.array_equal(new.v_N, old.v_N) and np.array_equal(new.p_N, old.p_N)
+            assert [r.pop("mixing") for r in new.iterations] == [0] * len(old.iterations)
+            assert new.iterations == old.iterations
+
+    def test_same_fixed_point_in_fewer_iterations(self, coarse_artery_rom, monkeypatch):
+        cfg, pkg = coarse_artery_rom
+        box = cfg.space.box
+        opts = cfg.picard_options()
+        for mu in np.vstack([box.corners(), box.center()[None]]):
+            mixed = solve_rom(pkg, mu=mu, **opts)
+            tight = solve_rom(pkg, mu=mu, picard_tol=1e-12, picard_max=60)
+            with monkeypatch.context() as m:
+                m.setattr(fom, "MIXING_DEPTH", 0)
+                plain = solve_rom(pkg, mu=mu, **opts)
+                plain_tight = solve_rom(pkg, mu=mu, picard_tol=1e-12, picard_max=60)
+            got = np.concatenate([tight.v_N, tight.p_N])
+            want = np.concatenate([plain_tight.v_N, plain_tight.p_N])
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            assert len(mixed.iterations) <= 10 < len(plain.iterations)
+            # the pinned lift coefficients stay exact through the mixing
+            np.testing.assert_array_equal(tight.v_N[:pkg.n_lifts],
+                                          plain_tight.v_N[:pkg.n_lifts])
 
 
 class TestReconstruct:
