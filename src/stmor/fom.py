@@ -71,7 +71,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemv
 from scipy.linalg.lapack import dgels
 from scipy.sparse.linalg import splu
 
@@ -619,15 +618,9 @@ class SystemPattern:
         const = summed("pv", div)
         const -= summed("vp", div)
         const[pin_slots] = 1.0
-        # the non-zeros of the two columns, with no dense (n_slots, 2) copy
-        cols = [summed("vv_diag", asm.mass()), const]
+        self.base = sp.csc_matrix(np.column_stack([summed("vv_diag", asm.mass()),
+                                                   const]))
         del const
-        rows = [np.flatnonzero(c).astype(np.int32) for c in cols]
-        self.base = sp.csc_matrix(
-            (np.concatenate([c[r] for c, r in zip(cols, rows)]), np.concatenate(rows),
-             np.cumsum([0] + [r.size for r in rows], dtype=np.int32)),
-            shape=(n_slots, 2))
-        del cols, rows
         self.weights = (element_map("vv_full", asm.viscous),
                         element_map("pv", asm.stab_pv),
                         element_map("pp", asm.stab_pp))
@@ -724,6 +717,41 @@ def pressure_pins(mesh, dof_map):
     logger.warning("pinning a single pressure node on a mesh without level "
                    "structure; fully Dirichlet imported meshes may stay singular")
     return np.array([0], dtype=np.int64)
+
+
+def free_pressure_levels(asm, dof_map):
+    """Time levels whose pressure level no equation fixes: (n_levels,) bool.
+
+    A pressure constant on one time level has no spatial gradient, so it
+    reaches the momentum rows only through the boundary term of the
+    divergence, at lateral nodes with a free velocity component.  That term
+    vanishes when each such component is tangential to the walls its node
+    sits on (a free slip velocity, say), and the level is then undetermined
+    although pressure_pins pins nothing.  Meshes without level structure
+    report none.
+    """
+    mesh, d = asm.mesh, asm.d
+    if not mesh.n_spatial:
+        return np.zeros(0, dtype=bool)
+    lateral = np.zeros(mesh.n_nodes, dtype=bool)
+    lateral[np.asarray([f for f, tag in mesh.boundary_facets.items()
+                        if tag not in ("initial", "terminal")], dtype=np.int64)] = True
+    wall = np.full((mesh.n_nodes, d), -1, dtype=np.int64)   # free lateral components
+    free = (dof_map.vdof >= 0) & lateral[:, None]
+    n_wall = np.count_nonzero(free)
+    wall[free] = np.arange(n_wall)
+    near = np.flatnonzero(free[asm.elems].any(axis=(1, 2)))
+    elems, w = asm.elems[near], wall[asm.elems[near]]           # (e, b), (e, b, c)
+    keep = w >= 0
+    term = ((asm.V[near] / (asm.D + 1))[:, None, None] * asm.gx[near])[keep]
+    # int p_L d_c psi_b, summed over the vertices k of level L of each element
+    n_levels = mesh.time_levels.size
+    force, size = np.zeros(n_levels * n_wall), np.zeros(n_levels * n_wall)
+    for level in (elems // mesh.n_spatial).T:
+        at = (level[:, None, None] * n_wall + w)[keep]
+        force += np.bincount(at, term, minlength=force.size)
+        size += np.bincount(at, np.abs(term), minlength=force.size)
+    return ~(np.abs(force) > 1e-8 * size).reshape(n_levels, n_wall).any(axis=1)
 
 
 def _relative_residual(K, rhs, x):
@@ -955,7 +983,7 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
                         or not math.isfinite(sum(gamma.tolist())):
                     pairs = 0
                 else:
-                    x, filled = dgemv(-1.0, dG[:k].T, gamma, 1.0, g), k    # g - gamma @ dG
+                    x, filled = g - gamma @ dG[:k], k
             f_old, g_old, dx_old = f, g, dx
     msg = "%s stalled at rel update %.3e after %d iterations" % (what, rel, max_it)
     if strict:
@@ -971,7 +999,8 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     Viscosity and tau are re-evaluated from the full velocity field of each
     (Anderson-mixed, see picard) iterate, until ||dx||/||x|| <= picard_tol.
     With strict=False a stalled iteration returns the last iterate flagged as
-    not converged.
+    not converged.  The pressure of a time level that no equation gauges
+    (free_pressure_levels) has zero mean in every step.
     """
     params, amps = problem.effective(mu)
     dof_map = dof_map if dof_map is not None else build_dof_map(mesh, problem.dirichlet)
@@ -981,6 +1010,13 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     if pins.size:
         logger.info("pinning %d pressure nodes (no natural gauge)", pins.size)
     pattern = asm.system_pattern(dof_map, pins)
+    # levels no equation gauges get zero mean, so each step's pressure, and
+    # with it the update test, carries no arbitrary level
+    open_levels = (free_pressure_levels(asm, dof_map) if not pins.size
+                   else np.zeros(0, dtype=bool))
+    if open_levels.any():
+        logger.info("fixing the mean pressure of %d time levels (no natural gauge)",
+                    np.count_nonzero(open_levels))
 
     l_full = combine_liftings(liftings, mesh.n_nodes, asm.d)
     lift = l_full.ravel()
@@ -996,6 +1032,10 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
         t1 = time.perf_counter()
         x_new, lin_res, factorized, its, factor_s = direct_solve(
             K, rhs, factor, x0=x, order=pattern.order(asm))
+        if open_levels.any():   # on a copy: a cycle that starts converged returns x
+            x_new = x_new.copy()
+            p = x_new[n_v:].reshape(open_levels.size, -1)
+            p[open_levels] -= p[open_levels].mean(axis=1, keepdims=True)
         return x_new, {"linear_residual": float(lin_res),
                        "factorized": factorized, "krylov_its": its,
                        "assemble_s": t1 - t0, "factor_s": factor_s,

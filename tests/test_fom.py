@@ -410,9 +410,7 @@ class TestFixedPattern:
             monkeypatch.setattr(fom, "MAP_CHUNK", chunk)
             pattern = FomAssembler(mesh).system_pattern(dm, pins)
             built.append((pattern.base,) + pattern.weights)
-        # base as a dense (n_slots, 2) array would convert it
-        dense = sp.csc_matrix(built[0][0].toarray())
-        for got in built[1:] + [(dense,) + built[0][1:]]:
+        for got in built[1:]:
             for a, b in zip(got, built[0]):
                 assert a.shape == b.shape
                 for x, y in ((a.data, b.data), (a.indices, b.indices),
@@ -435,6 +433,35 @@ class TestPressureGauge:
                                  profile=lambda x, t: np.zeros((len(x), 1)))
         dm = build_dof_map(mesh, specs)
         assert pressure_pins(mesh, dm).size == 0
+
+    @pytest.mark.parametrize("free_comp, free", [(1, True), (0, False)])
+    def test_only_a_free_normal_component_gauges_the_levels(self, free_comp, free):
+        # the right wall is x = const: its free y-velocity is tangential and
+        # leaves every level's pressure undetermined, a free x-velocity not
+        mesh = channel_mesh(n=3, levels=4)
+        specs = list(couette_specs())
+        specs[1] = DirichletSpec(tag="dirichlet:right", components=(1 - free_comp,),
+                                 profile=lambda x, t: np.zeros((len(x), 1)))
+        dm = build_dof_map(mesh, specs)
+        assert pressure_pins(mesh, dm).size == 0
+        np.testing.assert_array_equal(fom.free_pressure_levels(FomAssembler(mesh), dm),
+                                      [free] * 4)
+
+    def test_outflow_gauges_every_level(self):
+        _, mesh, prob = coarse_artery()
+        dm = build_dof_map(mesh, prob.dirichlet)
+        assert not fom.free_pressure_levels(FomAssembler(mesh), dm).any()
+
+    def test_free_levels_are_solved_at_zero_mean(self):
+        # without the gauge each factor and GMRES cycle chose its own levels,
+        # so the update test saw them jump and the solve ended only once a
+        # cycle returned its start unchanged (rel update 0 after 34 steps)
+        mesh = channel_mesh(n=3, levels=4)
+        sol = solve_fom(mesh, open_couette_problem())
+        p = sol.p.reshape(4, -1)
+        assert sol.converged and len(sol.iterations) <= 6
+        assert 0.0 < sol.iterations[-1]["rel_update"] <= 1e-8
+        assert np.abs(p.mean(axis=1)).max() <= 1e-12 * np.abs(p).max()
 
     def test_singular_factorization_reports_constraint_hint(self):
         import scipy.sparse as sp
@@ -755,11 +782,6 @@ class TestOrderedFactor:
     @pytest.mark.parametrize("name", ["couette", "artery", "pinned", "forced"])
     def test_matches_partial_pivot_factor(self, name, monkeypatch):
         mesh, prob = TestFixedPattern.case(name)
-        if name == "couette":
-            # its pressure level is undetermined (no pin, and the free wall
-            # component is tangential), so only velocity feeds back into the
-            # steps of the plain sequence; mixing would feed it the pressure
-            monkeypatch.setattr(fom, "MIXING_DEPTH", 0)
         ordered = solve_fom(mesh, prob, picard_max=60)
         with monkeypatch.context() as m:
             m.setattr(fom, "splu", partial_pivot_only)
