@@ -453,9 +453,9 @@ class TestPressureGauge:
         assert not fom.free_pressure_levels(FomAssembler(mesh), dm).any()
 
     def test_free_levels_are_solved_at_zero_mean(self):
-        # without the gauge each factor and GMRES cycle chose its own levels,
-        # so the update test saw them jump and the solve ended only once a
-        # cycle returned its start unchanged (rel update 0 after 34 steps)
+        # a level left to each factor and GMRES cycle would jump between
+        # steps, so the update test would end only on a cycle that returns
+        # its start unchanged (rel update 0); gauged, it ends on a real update
         mesh = channel_mesh(n=3, levels=4)
         sol = solve_fom(mesh, open_couette_problem())
         p = sol.p.reshape(4, -1)
