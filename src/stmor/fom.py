@@ -952,8 +952,8 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
         g, extra = step(x)
         gs = g[skip:]
         f = gs - x[skip:]
-        dx = math.sqrt(f @ f)           # np.linalg.norm, bit for bit
-        nx = math.sqrt(gs @ gs)
+        dx = math.sqrt(f.dot(f))        # what np.linalg.norm computes, bit for bit
+        nx = math.sqrt(gs.dot(gs))
         rel = dx / nx if nx > 0 else (0.0 if dx == 0.0 else np.inf)
         records.append({"iteration": it, "rel_update": float(rel), "mixing": filled, **extra})
         if rel <= tol:
@@ -974,7 +974,7 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
                         or not math.isfinite(sum(gamma.tolist())):
                     pairs = 0
                 else:
-                    x, filled = g - gamma @ dG[:k], k
+                    x, filled = g - gamma.dot(dG[:k]), k
             f_old, g_old, dx_old = f, g, dx
     msg = "%s stalled at rel update %.3e after %d iterations" % (what, rel, max_it)
     if strict:
