@@ -937,9 +937,11 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
     problem is rank-deficient (info > 0, or a diagonal entry of its R at most
     MIXING_RANK_TOL ||f[skip:]||) or gives a non-finite gamma; the next
     iterate is then g.  Entries on which every step agrees stay exact, since
-    dG vanishes there.  Each record's ``mixing`` is the number of history
-    pairs that formed the iterate its step was evaluated at.  MIXING_DEPTH = 0
-    is the plain iteration x <- g.
+    dG vanishes there.  Every judged entry must be fixed by the equations: a
+    free pressure level would steer both the test and gamma by round-off,
+    which is why solve_fom gauges such levels.  Each record's ``mixing`` is
+    the number of history pairs that formed the iterate its step was
+    evaluated at.  MIXING_DEPTH = 0 is the plain iteration x <- g.
     """
     if max_it < 1:
         raise error("picard_max must be at least 1")
