@@ -99,6 +99,8 @@ def parse_sweep(text):
                 values = [int(val)]
         except ValueError:
             raise CliError("cannot parse --sweep range %r" % val) from None
+        if not values:
+            raise CliError("--sweep range %r is empty" % val)
         out.setdefault("n_u" if key == "nu" else "n_p", []).extend(values)
     if set(out) != {"n_u", "n_p"}:
         raise CliError("--sweep needs both Nu= and Np= ranges")

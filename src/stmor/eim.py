@@ -6,7 +6,8 @@ produces basis fields h_q, magic elements m_q, and a unit-lower-triangular
 interpolation matrix T with T[i, q] = h_q(m_i); the coefficients of a field
 come from one forward substitution on its values at the magic elements.  A
 stack of terms that is affine in the coefficients is affine in those values
-too, through T^-T (fold), so an online solve never forms the coefficients.
+too, through T^-T (fold), so a reduced model folded once offline never forms
+the coefficients online.
 """
 
 import logging
@@ -43,20 +44,21 @@ class FieldSampleSet:
 class EimApproximation:
     """Interpolation data of one field: basis, magic elements, T, history.
 
-    Online solves need only magic, T and history (the basis values at the
-    magic elements are T), so a package read from disk carries basis=None.
+    A rom package stores its stacks folded (fold), so online solves need
+    only magic and history: a package read from disk carries basis=None and
+    T=None.
     """
 
     tag: str
     basis: np.ndarray           # (n_elements, Q), or None
     magic: np.ndarray           # (Q,) element ids
-    T: np.ndarray               # (Q, Q) unit lower triangular
+    T: np.ndarray               # (Q, Q) unit lower triangular, or None
     history: np.ndarray         # (Q+1,) greedy max errors, history[0] = 1
     mesh_hash: str = ""
 
     @property
     def n_terms(self):
-        return self.T.shape[0]
+        return self.magic.shape[0]
 
     def coefficients(self, values_at_magic):
         """Solve T c = field(magic); O(Q^2), independent of the mesh size.

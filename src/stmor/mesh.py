@@ -320,23 +320,6 @@ def extrude(spatial, time_levels):
     return mesh
 
 
-@dataclass
-class DeformationMap:
-    """Prescribed deformation (x, t) -> displaced x; continuous in t.
-
-    kind is valve_plug or channel_narrowing; the named scalar parameters
-    are kept so that boundary data can be derived from the same description
-    that moved the mesh.
-    """
-
-    kind: str
-    parameters: dict
-    fn: callable
-
-    def __call__(self, x, t):
-        return self.fn(np.asarray(x, dtype=np.float64), np.asarray(t, dtype=np.float64))
-
-
 def plug_displacement(t, speed, schedule):
     """Plug displacement for a rest/in/rest/out/rest schedule.
 
@@ -360,7 +343,8 @@ def plug_velocity(t, speed, schedule):
 
 def valve_plug_map(x_gate_rest, x_wall, speed, schedule,
                    band_lo, band_hi, blend_len):
-    """Piecewise-linear x-remap that slides a gate tip from x_gate_rest.
+    """Piecewise-linear x-remap (x, t) -> x that slides a gate tip from
+    x_gate_rest; continuous in t.
 
     The zone [0, x_gate_rest] stretches to [0, x_tip(t)] and the slot
     [x_gate_rest, x_wall] to [x_tip(t), x_wall]; beyond x_wall the map is the
@@ -368,10 +352,6 @@ def valve_plug_map(x_gate_rest, x_wall, speed, schedule,
     and fades linearly to the identity over blend_len outside it, so distant
     boundary portions (inlet, outlet) stay fixed.
     """
-    params = dict(x_gate_rest=x_gate_rest, x_wall=x_wall, speed=speed,
-                  schedule=tuple(schedule), band_lo=band_lo, band_hi=band_hi,
-                  blend_len=blend_len)
-
     def fn(x, t):
         xc = x[:, 0]
         y = x[:, 1]
@@ -388,7 +368,7 @@ def valve_plug_map(x_gate_rest, x_wall, speed, schedule,
         out[:, 0] = xc + beta * (remap - xc)
         return out
 
-    return DeformationMap(kind="valve_plug", parameters=params, fn=fn)
+    return fn
 
 
 def narrowing_scale(t):
@@ -412,14 +392,13 @@ def narrowing_blend(x, x_center, x_halfwidth):
 
 
 def channel_narrowing_map(r0, x_center=None, x_halfwidth=None):
-    """Scale the channel height so walls at +-r0 follow the narrowing law.
+    """Map (x, t) -> x that scales the channel height so walls at +-r0
+    follow the narrowing law.
 
     Interior nodes are blended linearly in y.  With x_center set, the
     narrowing is localized in a window of the given halfwidth; by default it
     acts uniformly along the channel.
     """
-    params = dict(r0=r0, x_center=x_center, x_halfwidth=x_halfwidth)
-
     def fn(x, t):
         g = narrowing_blend(x[:, 0], x_center, x_halfwidth)
         scale = 1.0 + g * (narrowing_scale(t) - 1.0)
@@ -427,7 +406,7 @@ def channel_narrowing_map(r0, x_center=None, x_halfwidth=None):
         out[:, 1] = x[:, 1] * scale
         return out
 
-    return DeformationMap(kind="channel_narrowing", parameters=params, fn=fn)
+    return fn
 
 
 def deform(mesh, dmap):

@@ -4,10 +4,11 @@ Offline, the full-order system is projected onto the reduced bases, term
 by term of the elementwise interpolations of viscosity and tau.  Its slot
 values on the FOM's fixed pattern (fom.SystemPattern) are affine in
 
-    theta = [rho, 1, c_eta (Q_eta terms), c_tau (Q_tau), c_tau / rho (Q_tau)]
+    [rho, 1, c_eta (Q_eta terms), c_tau (Q_tau), c_tau / rho (Q_tau)],
 
-and the fill column Theta_q of one coefficient (a base column, or a weight
-map times one interpolation basis vector) is projected as
+c the interpolation coefficients, and the fill column Theta_q of one
+coefficient (a base column, or a weight map times one interpolation basis
+vector) is projected as
 
     P_q = Y^T (Theta_q Y + Theta_q^lift [Z_v, 0]),   Y = blockdiag(Z_v|free, Z_p)
 
@@ -25,21 +26,23 @@ Theta_q^lift, as per-lift right-hand sides.  Slot q of the two stacks holds
 
 with Q = 2 + Q_eta + 2 Q_tau: K[q] is P_q without its lift columns, and
 R[q, :n_lifts] = -(lift columns of P_q)^T.  The last row of R carries the
-body-force and traction loads.  The stored stacks keep this convention, in
-the interpolation coefficients c_eta and c_tau, in memory and on disk.
+body-force and traction loads.
 
-Online, a Picard iterate is one product, one kernel call, one theta
-contraction and one LAPACK solve.  The velocity gradients and mean
-velocities at the magic elements are linear in v_N, and the coefficients
-c = T^-1 f are linear in the field values f there, so each package derives
-once, and never stores, an operator strain_op from v_N to the former and
-the stacks K_fold, R_fold with T^-T folded into the slots of each field
-(EimApproximation.fold; "cardinal" interpolation).  Then K(v) = theta @
-K_fold and rhs = [s, 1] @ (theta @ R_fold), s the lift coefficients, over
+The coefficients c = T^-1 f are linear in the field values f at the magic
+elements, so project_offline then folds T^-T of each field into its slots
+(EimApproximation.fold; "cardinal" interpolation).  The stacks K and R, as
+kept in memory and on disk, are affine in
 
     theta = [rho, 1, eta(magic_eta), tau(magic_tau), tau(magic_tau) / rho]
 
-with eta and tau from constitutive.field_values; no mesh pass remains.
+and their field slots hold the blocks above with T^-T applied along the
+slot axis.  Online, a Picard iterate is one product, one kernel call, one
+theta contraction and one LAPACK solve.  The velocity gradients and mean
+velocities at the magic elements are linear in v_N, so each package
+derives once, and never stores, an operator strain_op from v_N to them;
+eta and tau there come from constitutive.field_values.  Then K(v) = theta @
+K and rhs = [s, 1] @ (theta @ R), s the lift coefficients; no mesh pass
+remains.
 
 Density convention: E, H and F_body are stored per unit density (slot 0
 carries rho), S per unit inverse density (its slots carry c_tau / rho),
@@ -98,13 +101,13 @@ class RomPackage:
     """Everything an online solve needs; mesh access is not required.
 
     The operator is the pair of affine stacks K (Q, N, N) and R (Q,
-    n_lifts + 1, N) over theta = [rho, 1, c_eta, c_tau, c_tau / rho],
-    Q = 2 + Q_eta + 2 Q_tau, N = N_u + N_p; the slot layout and the density
-    convention are given in the module docstring.  The leading n_lifts
-    columns of every operator block are zero and the leading n_lifts rows
-    of K and R pin the lift coefficients to the effective group amplitudes.
-    Construction derives the online arrays (_online_arrays); truncate
-    slices those of its parent.
+    n_lifts + 1, N) over theta = [rho, 1, eta(magic_eta), tau(magic_tau),
+    tau(magic_tau) / rho], Q = 2 + Q_eta + 2 Q_tau, N = N_u + N_p; the slot
+    layout, the EIM fold and the density convention are given in the module
+    docstring.  The leading n_lifts columns of every operator block are zero
+    and the leading n_lifts rows of K and R pin the lift coefficients to the
+    effective group amplitudes.  Construction derives strain_op from the
+    magic-element data; truncate slices that of its parent instead.
     """
 
     case_id: str
@@ -118,23 +121,32 @@ class RomPackage:
     space: ParameterSpace       # or None for a parameter-free package
     K: np.ndarray               # (Q, N, N) operator stack
     R: np.ndarray               # (Q, n_lifts + 1, N) load stack
-    eim_eta: EimApproximation   # basis=None once read from disk
+    eim_eta: EimApproximation   # basis=None, T=None once read from disk
     eim_tau: EimApproximation
     data_eta: MagicElementData
     data_tau: MagicElementData
     basis: object = None        # optional ReducedBasis, never serialized
-    online: InitVar[tuple] = None   # derived arrays of a parent, sliced
+    parent_strain_op: InitVar[np.ndarray] = None    # a parent's, sliced
 
-    def __post_init__(self, online):
+    def __post_init__(self, parent_strain_op):
         self._validate()
-        if online is None:
-            online = _online_arrays(self)
-        m, got = self.q_eta + self.q_tau, tuple(a.shape for a in online)
-        want = ((m * self.d * (self.d + 1), self.n_u), (m,), (m,), self.K.shape, self.R.shape)
-        if got != want:
-            raise RomError("dimension mismatch: online arrays %s, expected %s" % (got, want))
-        self.strain_op, self.h_t, self.h_s, self.K_fold, self.R_fold = online
-        self.tau_scales = tau_scales(self.h_t, self.h_s)
+        de, dt = self.data_eta, self.data_tau
+        op = parent_strain_op
+        if op is None:
+            # v_N to the velocity gradients and mean velocities at the
+            # Q_eta + Q_tau magic elements, eta first
+            Z = np.concatenate([de.Z_rows, dt.Z_rows])
+            grad = np.einsum("eacn,eaj->ecjn", Z, np.concatenate([de.gx, dt.gx]))
+            m, d, _, n_u = grad.shape
+            op = np.concatenate([grad.reshape(m, d * d, n_u), Z.mean(axis=1)],
+                                axis=1).reshape(-1, n_u)
+        want = ((self.q_eta + self.q_tau) * self.d * (self.d + 1), self.n_u)
+        if op.shape != want:
+            raise RomError("dimension mismatch: strain_op has shape %s, expected %s"
+                           % (op.shape, want))
+        self.strain_op = op
+        self.tau_scales = tau_scales(np.concatenate([de.h_t, dt.h_t]),
+                                     np.concatenate([de.h_s, dt.h_s]))
 
     @property
     def n_u(self):
@@ -204,29 +216,6 @@ class ReducedSolution:
     iterations: list
     case_id: str = ""
     mesh_hash: str = ""
-
-
-def _online_arrays(pkg):
-    """(strain_op, h_t, h_s, K_fold, R_fold) of a package.
-
-    strain_op (m (d^2 + d), N_u) maps v_N to the velocity gradients and mean
-    velocities at the m = Q_eta + Q_tau magic elements, eta first.
-    """
-    de, dt = pkg.data_eta, pkg.data_tau
-    Z = np.concatenate([de.Z_rows, dt.Z_rows])
-    grad = np.einsum("eacn,eaj->ecjn", Z, np.concatenate([de.gx, dt.gx]))
-    m, d, _, n_u = grad.shape
-    strain_op = np.concatenate([grad.reshape(m, d * d, n_u), Z.mean(axis=1)],
-                               axis=1).reshape(-1, n_u)
-    qe, qt = pkg.q_eta, pkg.q_tau
-
-    def fold(stack):
-        fields = ((pkg.eim_eta, 2), (pkg.eim_tau, 2 + qe), (pkg.eim_tau, 2 + qe + qt))
-        return np.concatenate([stack[:2]] + [approx.fold(stack[lo:lo + approx.n_terms])
-                                             for approx, lo in fields])
-
-    return (strain_op, np.concatenate([de.h_t, dt.h_t]),
-            np.concatenate([de.h_s, dt.h_s]), fold(pkg.K), fold(pkg.R))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +312,11 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         fb = asm.body_rhs(problem.body_force.vector(mesh.d), 1.0)
         R[0, nl, :n_u] = dof_map.restrict(fb) @ Zf
     R[1, nl, :n_u] = dof_map.restrict(asm.traction_rhs(problem.neumann or {})) @ Zf
+    # from coefficients to magic-element values: T^-T on each field's slots
+    qe, qt = eim_eta.n_terms, eim_tau.n_terms
+    for approx, lo in ((eim_eta, 2), (eim_tau, 2 + qe), (eim_tau, 2 + qe + qt)):
+        for stack in (K, R):
+            stack[lo:lo + approx.n_terms] = approx.fold(stack[lo:lo + approx.n_terms])
 
     pkg = RomPackage(
         case_id=problem.name, mesh_hash=mh, d=mesh.d, n_nodes=mesh.n_nodes,
@@ -352,10 +346,6 @@ def truncate(pkg, n_u, n_p):
         basis = replace(basis, Z_v=np.ascontiguousarray(basis.Z_v[:, :n_u]),
                         Z_p=np.ascontiguousarray(basis.Z_p[:, :n_p]))
     keep = np.r_[:n_u, pkg.n_u:pkg.n_u + n_p]
-    # folding acts on the slot axis and strain_op on the columns, so slicing
-    # commutes with both
-    online = (np.ascontiguousarray(pkg.strain_op[:, :n_u]), pkg.h_t, pkg.h_s,
-              pkg.K_fold[:, keep[:, None], keep], pkg.R_fold[:, :, keep])
     return RomPackage(
         case_id=pkg.case_id, mesh_hash=pkg.mesh_hash, d=pkg.d,
         n_nodes=pkg.n_nodes, n_fom_dofs=pkg.n_fom_dofs,
@@ -365,7 +355,8 @@ def truncate(pkg, n_u, n_p):
         eim_eta=pkg.eim_eta, eim_tau=pkg.eim_tau,
         data_eta=pkg.data_eta.truncated(n_u),
         data_tau=pkg.data_tau.truncated(n_u),
-        basis=basis, online=online)
+        basis=basis,
+        parent_strain_op=np.ascontiguousarray(pkg.strain_op[:, :n_u]))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +366,7 @@ def _mu_terms(pkg, mu):
     """(params, s, R_mu): material, lift coefficients and [s, 1] @ R at mu."""
     params, amps = pkg.effective(mu)
     s = pkg.lift_coefficients(amps)
-    return params, s, np.append(s, 1.0) @ pkg.R_fold
+    return params, s, np.append(s, 1.0) @ pkg.R
 
 
 def assemble_rom(pkg, v_iterate, mu=None, mu_terms=None):
@@ -400,8 +391,8 @@ def assemble_rom(pkg, v_iterate, mu=None, mu_terms=None):
     theta = np.concatenate(([params.rho, 1.0], eta[:qe], tau[qe:],
                             tau[qe:] / params.rho))
 
-    q, n = pkg.K_fold.shape[:2]
-    K = (theta @ pkg.K_fold.reshape(q, n * n)).reshape(n, n)
+    q, n = pkg.K.shape[:2]
+    K = (theta @ pkg.K.reshape(q, n * n)).reshape(n, n)
     return K, theta @ R_mu
 
 
@@ -496,7 +487,6 @@ def write_rom(path, pkg, extra_header=None):
     for tag, eim, data in (("eta", pkg.eim_eta, pkg.data_eta),
                            ("tau", pkg.eim_tau, pkg.data_tau)):
         arrays[tag + "_magic"] = eim.magic
-        arrays[tag + "_T"] = eim.T
         arrays[tag + "_history"] = eim.history
         arrays[tag + "_gx"] = data.gx
         arrays[tag + "_ht"] = data.h_t
@@ -505,20 +495,34 @@ def write_rom(path, pkg, extra_header=None):
     write_artifact(path, "rom", header, arrays)
 
 
+_ROM_ARRAYS = {"K", "R"} | {tag + part for tag in ("eta", "tau") for part in
+                            ("_magic", "_history", "_gx", "_ht", "_hs", "_Z")}
+
+
 def read_rom(path, mesh_hash=None):
     header, arrays = read_artifact(path, expect_kind="rom")
     if mesh_hash is not None:
         check_mesh_hash(header, mesh_hash, path=str(path))
+    if set(arrays) != _ROM_ARRAYS:
+        # an earlier layout (coefficient stacks with the EIM T, or separate
+        # blocks) holds other arrays
+        raise ArtifactError("%s: malformed rom package (arrays %s unexpected, %s "
+                            "missing); rebuild it with build-rom"
+                            % (path, sorted(set(arrays) - _ROM_ARRAYS),
+                               sorted(_ROM_ARRAYS - set(arrays))))
     try:
         eim, data = {}, {}
         for tag in ("eta", "tau"):
-            eim[tag] = EimApproximation(
-                tag=tag, basis=None, magic=arrays[tag + "_magic"].astype(np.int64),
-                T=arrays[tag + "_T"], history=arrays[tag + "_history"])
-            data[tag] = MagicElementData(gx=arrays[tag + "_gx"],
-                                         h_t=arrays[tag + "_ht"],
-                                         h_s=arrays[tag + "_hs"],
-                                         Z_rows=arrays[tag + "_Z"])
+            magic, history = arrays[tag + "_magic"], arrays[tag + "_history"]
+            q = arrays[tag + "_Z"].shape[0]
+            if magic.shape != (q,) or history.shape != (q + 1,):
+                raise ArtifactError("%s: malformed rom package (%s magic %s and "
+                                    "history %s for %d terms)"
+                                    % (path, tag, magic.shape, history.shape, q))
+            eim[tag] = EimApproximation(tag=tag, basis=None, T=None, history=history,
+                                        magic=magic.astype(np.int64))
+            data[tag] = MagicElementData(gx=arrays[tag + "_gx"], h_t=arrays[tag + "_ht"],
+                                         h_s=arrays[tag + "_hs"], Z_rows=arrays[tag + "_Z"])
         pkg = RomPackage(
             case_id=header.get("case_id", ""),
             mesh_hash=header.get("mesh_hash", ""),

@@ -54,6 +54,9 @@ class TestFlagParsing:
             parse_sweep("Nv=1..2")
         with pytest.raises(CliError, match="both"):
             parse_sweep("Nu=1..2")
+        for text in ("Nu=6..2,Np=1..2", "Nu=2..6,Np=3..2"):
+            with pytest.raises(CliError, match="empty"):
+                parse_sweep(text)
 
     def test_mu(self):
         np.testing.assert_array_equal(parse_mu("1.2e-3,0.78"),
@@ -243,6 +246,19 @@ class TestFailureModes:
         payload = self.error_of(capsys)
         assert payload["error"] == "CliError"
         assert "nosuchcase" in payload["message"]
+
+    def test_rom_info_on_package_without_eim_history(self, workdir, capsys,
+                                                      tmp_path):
+        root, _ = workdir
+        header, arrays = read_artifact(root / "rom_package.stm", expect_kind="rom")
+        del header["schema_version"], header["kind"]
+        arrays["eta_history"] = arrays["eta_history"][:0]
+        path = tmp_path / "no_history.stm"
+        write_artifact(path, "rom", header, arrays)
+        assert main(["rom-info", str(path)]) == 1
+        payload = self.error_of(capsys)
+        assert payload["error"] == "ArtifactError"
+        assert "history" in payload["message"]
 
     def test_stale_snapshots_are_refused(self, workdir, capsys):
         root, case = workdir

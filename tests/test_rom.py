@@ -119,10 +119,26 @@ def duct():
                            liftings=liftings, eims=eims, pkg=pkg)
 
 
+def coefficient_stacks(pkg):
+    """pkg.K and pkg.R over the interpolation coefficients: T^T on the slots
+    of each field undoes the fold of project_offline."""
+    qe, qt = pkg.q_eta, pkg.q_tau
+    out = []
+    for stack in (pkg.K, pkg.R):
+        stack = stack.copy()
+        for approx, lo in ((pkg.eim_eta, 2), (pkg.eim_tau, 2 + qe),
+                           (pkg.eim_tau, 2 + qe + qt)):
+            hi = lo + approx.n_terms
+            stack[lo:hi] = np.tensordot(approx.T.T, stack[lo:hi], axes=1)
+        out.append(stack)
+    return out
+
+
 def blocks(pkg):
-    """The projected blocks, read back out of their slots of pkg.K and pkg.R."""
+    """The projected blocks, read back out of their slots of the
+    coefficient stacks."""
     n_u, nl, qe, qt = pkg.n_u, pkg.n_lifts, pkg.q_eta, pkg.q_tau
-    K, R = pkg.K, pkg.R
+    K, R = coefficient_stacks(pkg)
     v, p = slice(0, n_u), slice(n_u, None)
     a, c, s = slice(2, 2 + qe), slice(2 + qe, 2 + qe + qt), slice(2 + qe + qt, None)
     return {"E": K[0, v, v], "A": K[a, v, v], "B": K[1, p, v],
@@ -523,17 +539,19 @@ class TestTruncate:
 
 def oracle_solve(pkg, mu, tol, max_it):
     """Reduced Picard loop with every iterate formed as the stacks were
-    written: magic_coefficients, then theta @ pkg.K and np.linalg.solve."""
+    projected: magic_coefficients, then theta @ K over the coefficient
+    stacks and np.linalg.solve."""
     params, amps = pkg.effective(mu)
     s = pkg.lift_coefficients(amps)
-    R_mu = np.append(s, 1.0) @ pkg.R
+    K_c, R_c = coefficient_stacks(pkg)
+    R_mu = np.append(s, 1.0) @ R_c
     n_u, nl = pkg.n_u, pkg.n_lifts
     x = np.zeros(pkg.n_reduced)
     x[:nl] = s
     for it in range(1, max_it + 1):
         c_e, c_t = magic_coefficients(pkg, x[:n_u], params)
         theta = np.concatenate(([params.rho, 1.0], c_e, c_t, c_t / params.rho))
-        x_new = np.linalg.solve(np.tensordot(theta, pkg.K, axes=1), theta @ R_mu)
+        x_new = np.linalg.solve(np.tensordot(theta, K_c, axes=1), theta @ R_mu)
         rel = np.linalg.norm(x_new[nl:] - x[nl:]) / np.linalg.norm(x_new[nl:])
         x = x_new
         if rel <= tol:
@@ -566,19 +584,20 @@ class TestOnlineEquivalence:
 
     def test_truncation_slices_derived_arrays(self, duct):
         small = truncate(duct.pkg, 3, 1)
-        direct = replace(small)       # derives them from the sliced K, R
-        for name in ("strain_op", "h_t", "h_s", "K_fold", "R_fold"):
-            assert np.array_equal(getattr(small, name), getattr(direct, name)), name
+        direct = replace(small)       # derives strain_op from the sliced data
+        assert np.array_equal(small.strain_op, direct.strain_op)
+        for got, want in zip(small.tau_scales, direct.tau_scales):
+            assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("slot", range(5))
-    def test_mismatched_derived_arrays_rejected(self, duct, slot):
-        # a parent's arrays do not fit the sliced stacks of a sub-package
+    @pytest.mark.parametrize("case", range(5))
+    def test_mismatched_derived_arrays_rejected(self, duct, case):
+        # strain_op, the one array a sub-package takes from its parent, must
+        # fit the sliced magic-element data
         small = truncate(duct.pkg, 3, 1)
-        online = [small.strain_op, small.h_t, small.h_s, small.K_fold, small.R_fold]
-        online[slot] = (duct.pkg.strain_op, duct.pkg.h_t[1:], duct.pkg.h_s[1:],
-                        duct.pkg.K_fold, duct.pkg.R_fold)[slot]
+        op = small.strain_op
+        bad = (duct.pkg.strain_op, op[1:], op[:, 1:], op.T, op.ravel())[case]
         with pytest.raises(RomError, match="dimension mismatch"):
-            replace(small, online=tuple(online))
+            replace(small, parent_strain_op=bad)
 
     def test_nan_in_system_raises(self, duct):
         K = duct.pkg.K.copy()
@@ -702,7 +721,7 @@ class TestPersistence:
             eim = getattr(loaded, "eim_" + tag)
             assert eim.basis is None and eim.n_terms == duct.eims[tag].n_terms
             np.testing.assert_array_equal(eim.magic, duct.eims[tag].magic)
-        # the loaded package derives its online arrays from the same stacks
+        # the loaded package derives strain_op from the same magic-element data
         for mu in ([1.01], [0.95], [1.05], [0.9731]):
             a = solve_rom(duct.pkg, mu=np.array(mu))
             b = solve_rom(loaded, mu=np.array(mu))
@@ -724,15 +743,44 @@ class TestPersistence:
             with pytest.raises(ArtifactError, match="malformed rom package"):
                 read_rom(path)
 
-    def test_eleven_block_layout_rejected(self, duct, tmp_path):
-        """A package file holding the separate E, A, ..., D blocks is refused."""
-        path = tmp_path / "duct.rom"
-        write_rom(path, duct.pkg)
+    def rewritten(self, pkg, path, edit):
+        """Write pkg to path, then write the file again with edit(arrays)."""
+        write_rom(path, pkg)
         header, arrays = read_artifact(path, expect_kind="rom")
         del header["schema_version"], header["kind"]
-        old = dict(blocks(duct.pkg),
-                   **{k: v for k, v in arrays.items() if k not in ("K", "R")})
-        write_artifact(path, "rom", header, old)
+        edit(arrays)
+        write_artifact(path, "rom", header, arrays)
+        return path
+
+    def test_eleven_block_layout_rejected(self, duct, tmp_path):
+        """A package file holding the separate E, A, ..., D blocks is refused."""
+        def edit(arrays):
+            del arrays["K"], arrays["R"]
+            arrays.update(blocks(duct.pkg))
+
+        path = self.rewritten(duct.pkg, tmp_path / "duct.rom", edit)
+        with pytest.raises(ArtifactError, match="malformed rom package"):
+            read_rom(path)
+
+    def test_coefficient_layout_rejected(self, duct, tmp_path):
+        """A package file holding the coefficient stacks and the EIM T is
+        refused: its K and R have the shapes of the folded ones."""
+        def edit(arrays):
+            arrays["K"], arrays["R"] = coefficient_stacks(duct.pkg)
+            arrays["eta_T"], arrays["tau_T"] = duct.eims["eta"].T, duct.eims["tau"].T
+
+        path = self.rewritten(duct.pkg, tmp_path / "duct.rom", edit)
+        with pytest.raises(ArtifactError, match="rebuild"):
+            read_rom(path)
+
+    @pytest.mark.parametrize("name, cut", [("eta_history", slice(0, 0)),
+                                           ("tau_history", slice(1, None)),
+                                           ("eta_magic", slice(1, None))])
+    def test_eim_data_of_wrong_length_rejected(self, duct, tmp_path, name, cut):
+        def edit(arrays):
+            arrays[name] = arrays[name][cut]
+
+        path = self.rewritten(duct.pkg, tmp_path / "duct.rom", edit)
         with pytest.raises(ArtifactError, match="malformed rom package"):
             read_rom(path)
 
