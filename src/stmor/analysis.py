@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import platform
 import time
 from dataclasses import dataclass
@@ -32,6 +33,8 @@ REPORT_SCHEMA_VERSION = 1
 TIMING_CONVENTION = ("wall time excludes file I/O and includes assembly plus "
                      "the nonlinear solve, for both the full and the reduced model")
 RNG_NAME = "pcg64"
+
+logger = logging.getLogger(__name__)
 
 
 class AnalysisError(Exception):
@@ -171,6 +174,55 @@ def solution_digest(solution):
 # ---------------------------------------------------------------------------
 # offline pipeline
 
+def training_chains(mus):
+    """Index runs of mus that are each solved by one continuation (solve_chain).
+
+    A chain is a maximal run of consecutive mu that differ only in their last
+    coordinate: one line of an ``ij`` tensor grid (generate_samples), the
+    whole of a 1-D grid.  The points of an arbitrary set, such as a Latin
+    hypercube, form chains of one and are solved cold; so does a mu of None.
+    The partition depends on the list alone, never on how it is shared out.
+    """
+    chains, prev = [], None
+    for i, mu in enumerate(mus):
+        mu = None if mu is None else np.asarray(mu, dtype=np.float64).ravel()
+        if mu is not None and prev is not None and mu.size == prev.size > 0 \
+                and np.array_equal(mu[:-1], prev[:-1]):
+            chains[-1].append(i)
+        else:
+            chains.append([i])
+        prev = mu
+    return chains
+
+
+def solve_chain(mesh, problem, mus, *, assembler, dof_map, picard_tol=1e-8,
+                picard_max=50, strict=True):
+    """Natural-parameter continuation over mus, in order; (solutions, seconds).
+
+    The first solve is cold.  Each later one starts from its predecessor's
+    solution and inherits the factor list of the run, so its first systems
+    are mostly GMRES cycles on a factor from a neighbouring mu (solve_fom's
+    x0 and factor).  A solve that did not converge hands nothing on: the
+    next starts cold with a fresh factor.  The factor dies with the call.
+    Results agree with cold solves at the picard_tol level and repeat bit
+    for bit for the same mus.
+    """
+    factor, x0 = [None], None
+    sols, times = [], []
+    for mu in mus:
+        t0 = time.perf_counter()
+        sol = solve_fom(mesh, problem, mu=mu, picard_tol=picard_tol,
+                        picard_max=picard_max, assembler=assembler,
+                        dof_map=dof_map, strict=strict, x0=x0, factor=factor)
+        times.append(time.perf_counter() - t0)
+        sols.append(sol)
+        if sol.converged:
+            x0 = np.concatenate([sol.v, sol.p])
+        else:
+            x0, factor[0] = None, None
+    return sols, times
+
+
 def offline_build(mesh, problem, train_mus=None, *, solutions=None,
                   tol_eim_eta=1e-12, tol_eim_tau=1e-12, energy_threshold=1.0,
                   rank_cutoff=None, q_max=None, picard_tol=1e-8, picard_max=50,
@@ -182,6 +234,13 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     that fails to converge aborts the build: a basis built from an untrusted
     snapshot would poison everything downstream.  A caller's assembler of mesh
     is reused, so its system pattern is not built again.
+
+    The training solves run as continuations over the chains of train_mus
+    (training_chains, solve_chain): along each line of the grid a solve
+    starts from its neighbour's solution and reuses its factor.  Snapshots
+    therefore depend on the order of train_mus at the picard_tol level; the
+    same list gives the same snapshots bit for bit, the ones
+    cli.solve_training gives with any number of workers.
 
     Returns a namespace holding every intermediate: mesh, problem, dof_map,
     assembler, grams, train_mus, solutions, u_fulls, basis, eims, pkg, and
@@ -205,15 +264,22 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
             raise AnalysisError("offline_build needs train_mus or solutions")
         mus = [None if m is None else np.asarray(m, dtype=np.float64)
                for m in train_mus]
+        chains = training_chains(mus)
         sols = []
-        for mu in mus:
-            sol = solve_fom(mesh, problem, mu=mu, picard_tol=picard_tol,
-                            picard_max=picard_max, assembler=asm,
-                            dof_map=dof_map, strict=False)
-            if not sol.converged:
-                raise AnalysisError("training solve at mu=%s did not converge "
-                                    "within %d iterations" % (mu, picard_max))
-            sols.append(sol)
+        for chain in chains:
+            chain_sols, _ = solve_chain(mesh, problem, [mus[i] for i in chain],
+                                        assembler=asm, dof_map=dof_map,
+                                        picard_tol=picard_tol,
+                                        picard_max=picard_max, strict=False)
+            for i, sol in zip(chain, chain_sols):
+                if not sol.converged:
+                    raise AnalysisError("training solve at mu=%s did not converge "
+                                        "within %d iterations" % (mus[i], picard_max))
+            sols += chain_sols
+        records = [r for s in sols for r in s.iterations]
+        logger.info("offline_build: %d training solves in %d chains, %d Picard "
+                    "iterations, %d factorizations", len(sols), len(chains),
+                    len(records), sum(r["factorized"] for r in records))
     timings["training_s"] = time.perf_counter() - t0
 
     u_fulls, materials = [], []

@@ -331,8 +331,8 @@ def _geometry_mesh(g):
         st = msh.extrude(sp, np.linspace(0.0, t_end, n_levels))
         if center is None:
             return st
-        return msh.deform(st, msh.channel_narrowing_map(
-            halfwidth, float(center), float(narrow_hw)))
+        return msh.deform(st, msh.channel_narrowing_map(float(center),
+                                                         float(narrow_hw)))
     if kind == "rectangle":
         xb = np.asarray(g.pop("x_breaks_m"), dtype=np.float64)
         yb = np.asarray(g.pop("y_breaks_m"), dtype=np.float64)

@@ -40,6 +40,10 @@ class CliError(Exception):
 
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
+WORKERS_HELP = ("processes for the training solves (default 1); each solves "
+                "whole lines of the training grid in order, every solve "
+                "continuing from its neighbour, so the snapshots do not "
+                "depend on this count")
 
 _ERRORS = (CliError, CaseError, AnalysisError, ParameterError, EimError,
            SolverError, ArtifactError, MeshError, PodError, RomError,
@@ -153,22 +157,27 @@ def _worker_init(config):
 
 
 def _worker_solve(task, state=None):
-    index, mu = task
+    """One chain of training solves: (index of its first mu, solutions, times)."""
+    index, mus = task
     state = _WORKER if state is None else state
-    t0 = time.perf_counter()
-    sol = solve_fom(state["mesh"], state["problem"], mu=np.asarray(mu),
-                    assembler=state["assembler"], dof_map=state["dof_map"],
-                    **state["picard"])
-    return index, sol, time.perf_counter() - t0
+    sols, times = analysis.solve_chain(state["mesh"], state["problem"], mus,
+                                       assembler=state["assembler"],
+                                       dof_map=state["dof_map"], **state["picard"])
+    return index, sols, times
 
 
 def solve_training(config, mus, workers=1, mesh=None, problem=None,
                    assembler=None):
     """All training solves, index-ordered; a serial run keeps no state.
 
-    A serial run solves with the given assembler of mesh, if any.
+    The solves run as continuations over analysis.training_chains(mus), one
+    chain per task, so the snapshots are those of offline_build(train_mus=mus)
+    bit for bit whatever the number of workers.  A serial run solves with
+    the given assembler of mesh, if any.
     """
-    tasks = [(i, np.asarray(mu, dtype=np.float64)) for i, mu in enumerate(mus)]
+    mus = [np.asarray(mu, dtype=np.float64) for mu in mus]
+    tasks = [(chain[0], [mus[i] for i in chain])
+             for chain in analysis.training_chains(mus)]
     if workers <= 1:
         state = _solve_state(config, mesh, problem, assembler)
         results = [_worker_solve(t, state) for t in tasks]
@@ -178,7 +187,8 @@ def solve_training(config, mus, workers=1, mesh=None, problem=None,
                                  initargs=(config.to_dict(),)) as pool:
             results = list(pool.map(_worker_solve, tasks))
     results.sort(key=lambda r: r[0])
-    return [sol for _, sol, _ in results], [t for _, _, t in results]
+    return ([sol for _, sols, _ in results for sol in sols],
+            [t for _, _, times in results for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +411,7 @@ def build_parser():
                        help="training sweep over the parameter grid")
     p.add_argument("--train-grid", help="per-axis counts, e.g. 4x4")
     p.add_argument("--seed", type=int, help="sample plan seed override")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_snapshots)
 
     p = sub.add_parser("build-rom", parents=[common],
@@ -420,7 +430,7 @@ def build_parser():
                        help="full error/performance sweep with report")
     p.add_argument("--train-grid", help="per-axis counts, e.g. 4x4")
     p.add_argument("--seed", type=int, help="sample plan seed override")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--sweep", help="basis-size grid, e.g. Nu=2..6,Np=1..4")
     p.add_argument("--tol-eim-eta", type=float)
     p.add_argument("--tol-eim-tau", type=float)

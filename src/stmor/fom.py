@@ -48,8 +48,12 @@ linearizes at.  The cycle stops early once its observed rate cannot meet the
 contract within KRYLOV_MAX_ITS.  Its result is accepted only if the true relative residual
 ||rhs - K x|| / ||rhs|| meets LINEAR_RESIDUAL_TOL (1e-10), the same contract
 a direct solve must meet; otherwise the old factor is released and the
-system is factored afresh.  The factor never outlives the call, so a
-solution does not depend on what was solved before it.
+system is factored afresh.  A call given neither x0 nor factor starts from
+zero with a factor of its own, which dies with the call, so its solution
+does not depend on what was solved before it.  A caller continuing over a
+sequence of mu (analysis.solve_chain) hands each call the previous solution
+as x0 and one factor list for the whole sequence; those results depend on
+the order of the mu at the picard_tol level.
 
 Nonlinear iteration: picard() is the one driver; solve_fom and
 rom.solve_rom pass it a step, the linearized solve at a frozen iterate.  It
@@ -809,6 +813,7 @@ class OrderedFactor:
     def __init__(self, lu, order):
         self.lu = lu
         self.order = order
+        self.shape = (order.size, order.size)
         self.inverse = np.empty_like(order)
         self.inverse[order] = np.arange(order.size)
 
@@ -985,8 +990,32 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
     return g, records, False
 
 
+def _check_continuation(dof_map, x0, factor):
+    """x0 as a fresh float64 start vector (zeros if None), after the checks."""
+    if factor is not None and not (isinstance(factor, list) and len(factor) == 1):
+        raise SolverError("factor must be a one-item list holding a factor or "
+                          "None, got %s" % type(factor).__name__)
+    n = dof_map.n_total
+    if factor is not None and factor[0] is not None \
+            and getattr(factor[0], "shape", None) != (n, n):
+        raise SolverError("factor holds a factor of shape %s; the DOF map needs "
+                          "(%d, %d)" % (getattr(factor[0], "shape", None), n, n))
+    if x0 is None:
+        return np.zeros(n)
+    try:
+        x = np.array(x0, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SolverError("x0 is not a numeric vector (%s)" % exc) from None
+    if x.shape != (n,):
+        raise SolverError("x0 has shape %s; the DOF map needs (%d,), the free "
+                          "velocity then every pressure" % (x.shape, n))
+    if not np.all(np.isfinite(x)):
+        raise SolverError("x0 has non-finite entries")
+    return x
+
+
 def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
-              assembler=None, dof_map=None, strict=True):
+              assembler=None, dof_map=None, strict=True, x0=None, factor=None):
     """Picard iteration on the frozen-coefficient linear systems.
 
     Viscosity and tau are re-evaluated from the full velocity field of each
@@ -994,9 +1023,18 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     With strict=False a stalled iteration returns the last iterate flagged as
     not converged.  The pressure of a time level that no equation gauges
     (free_pressure_levels) has zero mean in every step.
+
+    Continuation: x0 is the first iterate, the free-DOF vector [v, p] of an
+    earlier solution on the same DOF map (the Dirichlet values always come
+    from this mu's liftings), and factor is a caller-owned one-item list
+    (see direct_solve) whose factor preconditions the first system and which
+    holds the last factor on return.  Without them the solve starts from
+    zero with a factor list of its own, and its result does not depend on
+    earlier calls; with them it does, at the picard_tol level.
     """
     params, amps = problem.effective(mu)
     dof_map = dof_map if dof_map is not None else build_dof_map(mesh, problem.dirichlet)
+    x_start = _check_continuation(dof_map, x0, factor)
     liftings = build_lifting(mesh, problem.dirichlet, amps)
     asm = assembler if assembler is not None else FomAssembler(mesh)
     pins = pressure_pins(mesh, dof_map)
@@ -1015,7 +1053,7 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     lift = l_full.ravel()
     load = fixed_load(asm, dof_map, problem, params.rho)
     n_v = dof_map.n_velocity
-    factor = [None]     # the lagged LU, never shared between calls
+    factor = [None] if factor is None else factor   # the lagged LU
 
     def step(x):
         t0 = time.perf_counter()
@@ -1034,7 +1072,7 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
                        "assemble_s": t1 - t0, "factor_s": factor_s,
                        "solve_s": time.perf_counter() - t1}
 
-    x, log, converged = picard(step, np.zeros(dof_map.n_total), picard_tol,
+    x, log, converged = picard(step, x_start, picard_tol,
                                picard_max, strict, SolverError, logger, "Picard")
     logger.info("solve_fom %s: %d iterations, %d factorizations, rel update %.2e",
                 problem.name, len(log), sum(r["factorized"] for r in log),

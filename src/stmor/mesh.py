@@ -391,9 +391,9 @@ def narrowing_blend(x, x_center, x_halfwidth):
     return np.where(np.abs(xi) < 1.0, np.cos(0.5 * np.pi * xi) ** 2, 0.0)
 
 
-def channel_narrowing_map(r0, x_center=None, x_halfwidth=None):
-    """Map (x, t) -> x that scales the channel height so walls at +-r0
-    follow the narrowing law.
+def channel_narrowing_map(x_center=None, x_halfwidth=None):
+    """Map (x, t) -> x that scales the channel height, so the walls follow
+    the narrowing law.
 
     Interior nodes are blended linearly in y.  With x_center set, the
     narrowing is localized in a window of the given halfwidth; by default it

@@ -322,6 +322,33 @@ class TestFailureModes:
         assert payload["error"] == "ArtifactError"
         assert "malformed snapshot" in payload["message"]
 
+    @pytest.mark.parametrize("bad, match", [("shape", "x0 has shape"),
+                                            ("nan", "non-finite"),
+                                            ("factor", "one-item list")])
+    def test_bad_continuation_input_is_one_json_line(self, workdir, capsys,
+                                                    tmp_path, monkeypatch,
+                                                    bad, match):
+        # no flag hands solve_fom a start or a factor; a caller that passes
+        # bad ones gets the typed error, which stmor prints as one line
+        _, case = workdir
+
+        def solve(mesh, problem, **kwargs):
+            n = fom.build_dof_map(mesh, problem.dirichlet).n_total
+            extra = {"shape": {"x0": np.zeros(n + 1)},
+                     "nan": {"x0": np.full(n, np.nan)},
+                     "factor": {"factor": (None,)}}[bad]
+            return fom.solve_fom(mesh, problem, **kwargs, **extra)
+
+        monkeypatch.setattr(cli, "solve_fom", solve)
+        assert main(["fom", "--case", str(case), "--mu", "1.02",
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "SolverError"
+        assert match in payload["message"]
+        assert not (tmp_path / "fom_solution.stm").exists()
+
     def test_snapshots_without_parameter_space(self, capsys, tmp_path):
         assert main(["snapshots", "--case", "couette",
                      "--out-dir", str(tmp_path)]) == 1

@@ -143,10 +143,10 @@ class TestValidate:
 
         monkeypatch.setattr(mesh_module, "_boundary_facets_of", scan)
         FomAssembler(st_mesh)
-        moved = deform(st_mesh, channel_narrowing_map(r0=1.0))
+        moved = deform(st_mesh, channel_narrowing_map())
         FomAssembler(moved)         # deform checked the measures itself
         with pytest.raises(AssertionError, match="scanned"):
-            deform(unchecked, channel_narrowing_map(r0=1.0)).validate()
+            deform(unchecked, channel_narrowing_map()).validate()
 
 
 class TestGeometry:
@@ -169,7 +169,7 @@ class TestGeometry:
     def test_gradient_partition_of_unity(self):
         spatial = rectangle_mesh([0, 0.3, 1.0], [0, 0.7, 1.0],
                                  "dirichlet:l", "dirichlet:r", "dirichlet:b", "dirichlet:t")
-        st_mesh = deform(extrude(spatial, [0.0, 0.4, 1.0]), channel_narrowing_map(r0=1.0))
+        st_mesh = deform(extrude(spatial, [0.0, 0.4, 1.0]), channel_narrowing_map())
         _, grads = st_mesh.all_element_geometry()
         np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-13)
 
@@ -185,7 +185,7 @@ class TestDeform:
     def test_narrowing_wall_node(self):
         # wall publishes the law directly: (0, r0) at t=1 -> (0, 0.2 r0)
         r0 = 5e-3
-        dmap = channel_narrowing_map(r0=r0)
+        dmap = channel_narrowing_map()
         out = dmap(np.array([[0.0, r0], [0.0, -r0], [0.2, 0.5 * r0]]), np.array([1.0, 1.0, 1.0]))
         np.testing.assert_allclose(out[0], [0.0, 0.2 * r0], atol=1e-18)
         np.testing.assert_allclose(out[1], [0.0, -0.2 * r0], atol=1e-18)
@@ -216,7 +216,7 @@ class TestDeform:
         spatial = rectangle_mesh([0, 0.5, 1.0], [-1.0, 0.0, 1.0],
                                  "dirichlet:l", "dirichlet:r", "dirichlet:b", "dirichlet:t")
         st_mesh = extrude(spatial, np.linspace(0.0, 1.0, 5))
-        out = deform(st_mesh, channel_narrowing_map(r0=1.0))
+        out = deform(st_mesh, channel_narrowing_map())
         assert np.all(out.signed_measures() > 0)
         # total volume shrinks: integral of the width scale over time
         assert out.signed_measures().sum() < st_mesh.signed_measures().sum()
@@ -242,7 +242,7 @@ class TestDeform:
 
     def test_reference_nodes_survive_deform(self):
         st_mesh = extrude(unit_triangle(), [0.0, 1.0])
-        out = deform(st_mesh, channel_narrowing_map(r0=1.0))
+        out = deform(st_mesh, channel_narrowing_map())
         assert np.array_equal(out.reference_nodes, st_mesh.nodes)
         assert not np.array_equal(out.nodes, st_mesh.nodes)
 
@@ -252,7 +252,7 @@ class TestIO:
         a = extrude(unit_triangle(), [0.0, 1.0])
         b = extrude(unit_triangle(), [0.0, 1.0])
         assert a.content_hash() == b.content_hash()
-        c = deform(a, channel_narrowing_map(r0=1.0))
+        c = deform(a, channel_narrowing_map())
         assert c.content_hash() != a.content_hash()
 
     def test_vtk_export(self, tmp_path):
