@@ -167,8 +167,8 @@ class TestContinuation:
         n_cold = [sum(r["factorized"] for r in sol.iterations) for sol in cold]
         assert sum(n_chain) < sum(n_cold)
         if name == "artery":
-            # the factor of the first solve serves all later ones
-            assert sum(n_chain[1:]) == 0
+            # the factor of the first solve serves (nearly) all later ones
+            assert 4 * sum(n_chain[1:]) < sum(n_cold[1:])
             assert sum(map(len, (c.iterations for c in chain))) \
                 < sum(map(len, (c.iterations for c in cold)))
 
