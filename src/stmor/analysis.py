@@ -29,7 +29,7 @@ from .fom import (FomAssembler, build_dof_map, build_lifting,
 from .pod import RANK_CUTOFF, assemble_basis, compute_pod
 from .rom import project_offline, reconstruct, solve_rom, truncate
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 TIMING_CONVENTION = ("wall time excludes file I/O and includes assembly plus "
                      "the nonlinear solve, for both the full and the reduced model")
 RNG_NAME = "pcg64"
@@ -174,27 +174,6 @@ def solution_digest(solution):
 # ---------------------------------------------------------------------------
 # offline pipeline
 
-def training_chains(mus):
-    """Index runs of mus that are each solved by one continuation (solve_chain).
-
-    A chain is a maximal run of consecutive mu that differ only in their last
-    coordinate: one line of an ``ij`` tensor grid (generate_samples), the
-    whole of a 1-D grid.  The points of an arbitrary set, such as a Latin
-    hypercube, form chains of one and are solved cold; so does a mu of None.
-    The partition depends on the list alone, never on how it is shared out.
-    """
-    chains, prev = [], None
-    for i, mu in enumerate(mus):
-        mu = None if mu is None else np.asarray(mu, dtype=np.float64).ravel()
-        if mu is not None and prev is not None and mu.size == prev.size > 0 \
-                and np.array_equal(mu[:-1], prev[:-1]):
-            chains[-1].append(i)
-        else:
-            chains.append([i])
-        prev = mu
-    return chains
-
-
 def solve_chain(mesh, problem, mus, *, assembler, dof_map, picard_tol=1e-8,
                 picard_max=50, strict=True):
     """Natural-parameter continuation over mus, in order; (solutions, seconds).
@@ -202,10 +181,12 @@ def solve_chain(mesh, problem, mus, *, assembler, dof_map, picard_tol=1e-8,
     The first solve is cold.  Each later one starts from its predecessor's
     solution and inherits the factor list of the run, so its first systems
     are mostly GMRES cycles on a factor from a neighbouring mu (solve_fom's
-    x0 and factor).  A solve that did not converge hands nothing on: the
-    next starts cold with a fresh factor.  The factor dies with the call.
-    Results agree with cold solves at the picard_tol level and repeat bit
-    for bit for the same mus.
+    x0 and factor).  This is the one training loop: a whole list, such as
+    an ``ij`` grid (generate_samples), runs as one continuation, the jump at
+    the end of a grid line included.  A solve that did not converge hands
+    nothing on: the next starts cold with a fresh factor.  The factor dies
+    with the call.  Results agree with cold solves at the picard_tol level
+    and repeat bit for bit for the same mus.
     """
     factor, x0 = [None], None
     sols, times = [], []
@@ -225,7 +206,7 @@ def solve_chain(mesh, problem, mus, *, assembler, dof_map, picard_tol=1e-8,
 
 def offline_build(mesh, problem, train_mus=None, *, solutions=None,
                   tol_eim_eta=1e-12, tol_eim_tau=1e-12, energy_threshold=1.0,
-                  rank_cutoff=None, q_max=None, picard_tol=1e-8, picard_max=50,
+                  rank_cutoff=None, picard_tol=1e-8, picard_max=50,
                   assembler=None):
     """Training solves, POD, EIM, and Galerkin projection in one sweep.
 
@@ -235,12 +216,11 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     snapshot would poison everything downstream.  A caller's assembler of mesh
     is reused, so its system pattern is not built again.
 
-    The training solves run as continuations over the chains of train_mus
-    (training_chains, solve_chain): along each line of the grid a solve
-    starts from its neighbour's solution and reuses its factor.  Snapshots
-    therefore depend on the order of train_mus at the picard_tol level; the
-    same list gives the same snapshots bit for bit, the ones
-    cli.solve_training gives with any number of workers.
+    The training solves run as one continuation over train_mus in list
+    order (solve_chain): each solve starts from its predecessor's solution
+    and reuses its factor.  Snapshots therefore depend on the order of
+    train_mus at the picard_tol level; the same list gives the same
+    snapshots bit for bit, the ones ``stmor snapshots`` writes.
 
     Returns a namespace holding every intermediate: mesh, problem, dof_map,
     assembler, grams, train_mus, solutions, u_fulls, basis, eims, pkg, and
@@ -264,22 +244,17 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
             raise AnalysisError("offline_build needs train_mus or solutions")
         mus = [None if m is None else np.asarray(m, dtype=np.float64)
                for m in train_mus]
-        chains = training_chains(mus)
-        sols = []
-        for chain in chains:
-            chain_sols, _ = solve_chain(mesh, problem, [mus[i] for i in chain],
-                                        assembler=asm, dof_map=dof_map,
-                                        picard_tol=picard_tol,
-                                        picard_max=picard_max, strict=False)
-            for i, sol in zip(chain, chain_sols):
-                if not sol.converged:
-                    raise AnalysisError("training solve at mu=%s did not converge "
-                                        "within %d iterations" % (mus[i], picard_max))
-            sols += chain_sols
+        sols, _ = solve_chain(mesh, problem, mus, assembler=asm,
+                              dof_map=dof_map, picard_tol=picard_tol,
+                              picard_max=picard_max, strict=False)
+        for mu, sol in zip(mus, sols):
+            if not sol.converged:
+                raise AnalysisError("training solve at mu=%s did not converge "
+                                    "within %d iterations" % (mu, picard_max))
         records = [r for s in sols for r in s.iterations]
-        logger.info("offline_build: %d training solves in %d chains, %d Picard "
-                    "iterations, %d factorizations", len(sols), len(chains),
-                    len(records), sum(r["factorized"] for r in records))
+        logger.info("offline_build: %d training solves, %d Picard iterations, "
+                    "%d factorizations", len(sols), len(records),
+                    sum(r["factorized"] for r in records))
     timings["training_s"] = time.perf_counter() - t0
 
     u_fulls, materials = [], []
@@ -306,13 +281,12 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     timings["pod_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    q_cap = len(sols) if q_max is None else int(q_max)
     _, etas, taus = zip(*(asm.element_fields(u, params)
                           for u, params in zip(u_fulls, materials)))
     eims = {}
     for tag, cols, tol in (("eta", etas, tol_eim_eta), ("tau", taus, tol_eim_tau)):
         approx = eim_greedy(FieldSampleSet(tag, np.column_stack(cols)),
-                            tol=tol, q_max=q_cap)
+                            tol=tol, q_max=len(sols))
         approx.mesh_hash = mesh.content_hash()
         eims[tag] = approx
     timings["eim_s"] = time.perf_counter() - t0
@@ -415,7 +389,7 @@ def _aggregate_cells(tests, pairs):
     return cells
 
 
-def make_report(config, pipeline, plan, samples, tests, pairs, fom_workers=1):
+def make_report(config, pipeline, plan, samples, tests, pairs):
     """Versioned study report; every cell is backed by the raw records."""
     pkg = pipeline.pkg
     box = plan.box
@@ -430,8 +404,7 @@ def make_report(config, pipeline, plan, samples, tests, pairs, fom_workers=1):
         "mesh_hash": pipeline.mesh.content_hash(),
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__, "scipy": scipy.__version__,
-                        "platform": platform.platform(),
-                        "fom_workers": int(fom_workers), "rom_workers": 1},
+                        "platform": platform.platform()},
         "timing_convention": TIMING_CONVENTION,
         "rng": {"name": plan.rng, "seed": int(plan.seed)},
         "parameters": {"names": list(box.names),
@@ -451,7 +424,7 @@ def make_report(config, pipeline, plan, samples, tests, pairs, fom_workers=1):
     }
 
 
-def run_study(config, *, pipeline, plan, sweep=None, fom_workers=1):
+def run_study(config, *, pipeline, plan, sweep=None):
     """Error/performance sweep of one case over a built reduction pipeline.
 
     Draws the samples of plan, solves the full and reduced models at its
@@ -464,8 +437,7 @@ def run_study(config, *, pipeline, plan, sweep=None, fom_workers=1):
     pairs = sweep_pairs(sweep, pipeline.pkg)
     tests = evaluate_tests(pipeline, samples.testing, pairs,
                            **config.picard_options())
-    return make_report(config, pipeline, plan, samples, tests, pairs,
-                       fom_workers=fom_workers)
+    return make_report(config, pipeline, plan, samples, tests, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +449,38 @@ def write_study_report(report, path):
         fh.write("\n")
 
 
+def _missing(obj, keys, where):
+    if not isinstance(obj, dict):
+        return [where.rstrip(".")]
+    return [where + k for k in keys if k not in obj]
+
+
 def read_study_report(path):
+    """A study report file, checked for every key summarize_report reads."""
     with open(path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except ValueError as exc:
+            raise AnalysisError("%s is not a JSON study report: %s"
+                                % (path, exc)) from None
+    if not isinstance(report, dict):
+        raise AnalysisError("%s holds a JSON %s, not a study report object"
+                            % (path, type(report).__name__))
     if report.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise AnalysisError("unsupported report schema_version %r"
                             % report.get("schema_version"))
+    missing = _missing(report, ("case_id", "basis", "tests", "cells",
+                                "speedup"), "")
+    if not missing:
+        cells = report["cells"] if isinstance(report["cells"], list) else [None]
+        missing = (_missing(report["basis"], ("n_u", "n_p"), "basis.")
+                   + _missing(report["speedup"], ("mean", "max"), "speedup.")
+                   + [m for i, cell in enumerate(cells)
+                      for m in _missing(cell, ("n_u", "n_p", "max_eps_u",
+                                               "max_eps_p", "mean_speedup",
+                                               "n_flagged"), "cells[%d]." % i)])
+    if missing:
+        raise AnalysisError("study report %s lacks %s" % (path, ", ".join(missing)))
     return report
 
 

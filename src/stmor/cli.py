@@ -15,7 +15,6 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +39,6 @@ class CliError(Exception):
 
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
-WORKERS_HELP = ("processes for the training solves (default 1); each solves "
-                "whole lines of the training grid in order, every solve "
-                "continuing from its neighbour, so the snapshots do not "
-                "depend on this count")
 
 _ERRORS = (CliError, CaseError, AnalysisError, ParameterError, EimError,
            SolverError, ArtifactError, MeshError, PodError, RomError,
@@ -137,61 +132,6 @@ def _out_dir(args):
 
 
 # ---------------------------------------------------------------------------
-# parallel training solves
-
-_WORKER = {}
-
-
-def _solve_state(config, mesh=None, problem=None, assembler=None):
-    """Mesh, problem, assembler, DOF map and Picard options of the solves."""
-    mesh = cases.build_mesh(config) if mesh is None else mesh
-    problem = cases.build_problem(config, mesh) if problem is None else problem
-    return dict(mesh=mesh, problem=problem, dof_map=build_dof_map(mesh, problem.dirichlet),
-                assembler=FomAssembler(mesh) if assembler is None else assembler,
-                picard=config.picard_options())
-
-
-def _worker_init(config):
-    """Pool worker state; workers receive the config as a dict."""
-    _WORKER.update(_solve_state(cases.config_from_dict(config)))
-
-
-def _worker_solve(task, state=None):
-    """One chain of training solves: (index of its first mu, solutions, times)."""
-    index, mus = task
-    state = _WORKER if state is None else state
-    sols, times = analysis.solve_chain(state["mesh"], state["problem"], mus,
-                                       assembler=state["assembler"],
-                                       dof_map=state["dof_map"], **state["picard"])
-    return index, sols, times
-
-
-def solve_training(config, mus, workers=1, mesh=None, problem=None,
-                   assembler=None):
-    """All training solves, index-ordered; a serial run keeps no state.
-
-    The solves run as continuations over analysis.training_chains(mus), one
-    chain per task, so the snapshots are those of offline_build(train_mus=mus)
-    bit for bit whatever the number of workers.  A serial run solves with
-    the given assembler of mesh, if any.
-    """
-    mus = [np.asarray(mu, dtype=np.float64) for mu in mus]
-    tasks = [(chain[0], [mus[i] for i in chain])
-             for chain in analysis.training_chains(mus)]
-    if workers <= 1:
-        state = _solve_state(config, mesh, problem, assembler)
-        results = [_worker_solve(t, state) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_worker_init,
-                                 initargs=(config.to_dict(),)) as pool:
-            results = list(pool.map(_worker_solve, tasks))
-    results.sort(key=lambda r: r[0])
-    return ([sol for _, sols, _ in results for sol in sols],
-            [t for _, _, times in results for t in times])
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_mesh(args):
@@ -232,10 +172,13 @@ def cmd_snapshots(args):
     plan = _plan_from(config, args)
     samples = generate_samples(plan)
     mesh = cases.build_mesh(config)
+    problem = cases.build_problem(config, mesh)
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
-    sols, times = solve_training(config, samples.training,
-                                 workers=args.workers, mesh=mesh)
+    sols, times = analysis.solve_chain(
+        mesh, problem, samples.training, assembler=FomAssembler(mesh),
+        dof_map=build_dof_map(mesh, problem.dirichlet),
+        **config.picard_options())
     files = []
     for i, sol in enumerate(sols):
         path = snap_dir / ("snap_%04d.stm" % i)
@@ -323,14 +266,10 @@ def cmd_study(args):
     mesh = cases.build_mesh(config)
     problem = cases.build_problem(config, mesh)
     samples = generate_samples(plan)
-    # one assembler, and so one system pattern, for training and projection
-    asm = FomAssembler(mesh)
-    sols, _ = solve_training(config, samples.training, workers=args.workers,
-                             mesh=mesh, problem=problem, assembler=asm)
-    pipeline = offline_build(mesh, problem, solutions=sols, assembler=asm,
+    pipeline = offline_build(mesh, problem, train_mus=samples.training,
+                             **config.picard_options(),
                              **_offline_options(config, args))
-    report = run_study(config, sweep=sweep, plan=plan, pipeline=pipeline,
-                       fom_workers=args.workers)
+    report = run_study(config, sweep=sweep, plan=plan, pipeline=pipeline)
     json_path = out / "study_report.json"
     csv_path = out / "study_report.csv"
     write_study_report(report, json_path)
@@ -411,7 +350,6 @@ def build_parser():
                        help="training sweep over the parameter grid")
     p.add_argument("--train-grid", help="per-axis counts, e.g. 4x4")
     p.add_argument("--seed", type=int, help="sample plan seed override")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.set_defaults(func=cmd_snapshots)
 
     p = sub.add_parser("build-rom", parents=[common],
@@ -430,7 +368,6 @@ def build_parser():
                        help="full error/performance sweep with report")
     p.add_argument("--train-grid", help="per-axis counts, e.g. 4x4")
     p.add_argument("--seed", type=int, help="sample plan seed override")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--sweep", help="basis-size grid, e.g. Nu=2..6,Np=1..4")
     p.add_argument("--tol-eim-eta", type=float)
     p.add_argument("--tol-eim-tau", type=float)

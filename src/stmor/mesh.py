@@ -71,13 +71,7 @@ class SpatialMesh:
 
     def boundary_facets(self):
         """All topological boundary facets (facets referenced by exactly one element)."""
-        d = self.dimension
-        counts = {}
-        for elem in self.elements:
-            for i in range(d + 1):
-                f = _canonical(np.delete(elem, i))
-                counts[f] = counts.get(f, 0) + 1
-        return [f for f, c in counts.items() if c == 1]
+        return _boundary_facets_of(self.elements, self.dimension)
 
     def validate(self):
         if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
@@ -217,7 +211,7 @@ class SpaceTimeMesh:
 
 
 def _boundary_facets_of(elements, D):
-    """Facets referenced by exactly one element (vectorized over all elements)."""
+    """Facets referenced by exactly one element, as sorted tuples of ints."""
     m = elements.shape[0]
     if m == 0:
         return []
@@ -226,7 +220,7 @@ def _boundary_facets_of(elements, D):
         faces[i * m:(i + 1) * m] = np.delete(elements, i, axis=1)
     faces.sort(axis=1)
     uniq, counts = np.unique(faces, axis=0, return_counts=True)
-    return [tuple(f) for f in uniq[counts == 1]]
+    return [tuple(f) for f in uniq[counts == 1].tolist()]
 
 
 def _orient_positive(nodes, elements, D):

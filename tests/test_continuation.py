@@ -1,6 +1,6 @@
-"""Continuation over training mu: solve_fom's x0 and factor, the chain
-partition, and the training loops built on them (analysis.solve_chain,
-offline_build, cli.solve_training)."""
+"""Continuation over training mu: solve_fom's x0 and factor, and the one
+training loop built on them (analysis.solve_chain), which offline_build and
+``stmor snapshots`` both run."""
 
 import logging
 from dataclasses import replace
@@ -10,13 +10,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from stmor import cases, cli
+from stmor import cases
 from stmor.analysis import (SamplePlan, generate_samples, offline_build,
-                            solve_chain, training_chains)
-from stmor.constitutive import (SEMANTICS_MATERIAL, ParameterBox,
-                                ParameterSpace, relative_box)
+                            solve_chain)
+from stmor.cli import main
+from stmor.constitutive import (SEMANTICS_MATERIAL, ParameterSpace,
+                                relative_box)
 from stmor.fom import (FomAssembler, SolverError, build_dof_map, build_lifting,
-                       combine_liftings, solve_fom)
+                       combine_liftings, read_snapshot, solve_fom)
 
 from test_analysis import duct_config
 
@@ -75,29 +76,10 @@ def artery():
     return cfg, setting(cfg)
 
 
-class TestChainPartition:
-    def test_1d_grid_is_one_chain(self):
-        mus = generate_samples(SamplePlan(box=ParameterBox(("a",), (0.0,), (1.0,)),
-                                          train_counts=(5,), n_test=1, seed=0)).training
-        assert training_chains(mus) == [[0, 1, 2, 3, 4]]
-
-    def test_ij_grid_chains_are_its_lines(self):
-        box = ParameterBox(("a", "b", "c"), (0.0, 2.0, 5.0), (1.0, 3.0, 6.0))
-        mus = generate_samples(SamplePlan(box=box, train_counts=(2, 2, 3),
-                                          n_test=1, seed=0)).training
-        assert training_chains(mus) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
-        assert training_chains(mus[:, :2]) == [[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]]
-
-    def test_scattered_points_are_solved_cold(self):
-        rng = np.random.default_rng(3)
-        n = 8
-        lhs = np.column_stack([(rng.permutation(n) + rng.random(n)) / n
-                               for _ in range(2)])
-        assert training_chains(lhs) == [[i] for i in range(n)]
-        # a mu of None, or of another length, breaks a chain too
-        assert training_chains([None, None, [1.0], [2.0], [1.0, 2.0]]) \
-            == [[0], [1], [2, 3], [4]]
-        assert training_chains([]) == []
+@pytest.fixture(scope="module")
+def duct_2d():
+    cfg = duct_2d_config()
+    return cfg, setting(cfg)
 
 
 class TestTypedErrors:
@@ -151,8 +133,9 @@ class TestColdSolve:
 
 
 class TestContinuation:
-    @pytest.mark.parametrize("name", ["artery", "duct"])
+    @pytest.mark.parametrize("name", ["artery", "duct", "duct_2d"])
     def test_chain_agrees_with_cold_solves(self, name, request):
+        # duct_2d runs its 2x3 grid as one chain, across the end of its first line
         cfg, s = request.getfixturevalue(name)
         opts = cfg.picard_options()
         mus = grid(cfg)
@@ -206,33 +189,27 @@ class TestContinuation:
 
 
 class TestTrainingLoops:
-    @pytest.fixture(scope="class")
-    def duct_2d(self):
-        cfg = duct_2d_config()
-        return cfg, setting(cfg), grid(cfg)
-
     def test_offline_build_logs_the_training_loop(self, duct, caplog):
         cfg, s = duct
         with caplog.at_level(logging.INFO, logger="stmor.analysis"):
             pipe = offline_build(s["mesh"], s["problem"], grid(cfg), assembler=s["assembler"],
                                  **cfg.picard_options(), **cfg.offline_options())
         records = [r for sol in pipe.solutions for r in sol.iterations]
-        line = ("offline_build: 3 training solves in 1 chains, %d Picard iterations, "
+        line = ("offline_build: 3 training solves, %d Picard iterations, "
                 "%d factorizations" % (len(records), sum(r["factorized"] for r in records)))
         assert line in caplog.messages
 
-    def test_solve_training_is_offline_build(self, duct_2d):
-        cfg, s, mus = duct_2d
-        assert training_chains(mus) == [[0, 1, 2], [3, 4, 5]]
-        pipe = offline_build(s["mesh"], s["problem"], mus, assembler=s["assembler"],
+    def test_snapshots_are_offline_build_solutions(self, duct_2d, tmp_path):
+        cfg, s = duct_2d
+        pipe = offline_build(s["mesh"], s["problem"], grid(cfg), assembler=s["assembler"],
                              **cfg.picard_options(), **cfg.offline_options())
-        serial, times = cli.solve_training(cfg, mus, mesh=s["mesh"])
-        assert_bitwise(serial, pipe.solutions)
-        assert len(times) == len(mus) and min(times) > 0.0
-        assert cli._WORKER == {}
-
-    def test_pooled_training_is_serial_training(self, duct_2d):
-        cfg, s, mus = duct_2d
-        serial, _ = cli.solve_training(cfg, mus, mesh=s["mesh"])
-        pooled, _ = cli.solve_training(cfg, mus, workers=2)
-        assert_bitwise(serial, pooled)
+        case = tmp_path / "duct_2d.json"
+        cfg.save(case)
+        assert main(["snapshots", "--case", str(case), "--out-dir", str(tmp_path)]) == 0
+        paths = sorted((tmp_path / "snapshots").glob("snap_*.stm"))
+        assert len(paths) == len(pipe.solutions) == 6
+        for path, want in zip(paths, pipe.solutions):
+            header, sol = read_snapshot(path)
+            assert np.array_equal(sol.v, want.v) and np.array_equal(sol.p, want.p)
+            assert np.array_equal(sol.mu, want.mu)
+            assert header["wall_time_s"] > 0.0
