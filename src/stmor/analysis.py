@@ -455,8 +455,20 @@ def _missing(obj, keys, where):
     return [where + k for k in keys if k not in obj]
 
 
+def _int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number_or_null(v):
+    return v is None or (isinstance(v, (int, float)) and not isinstance(v, bool))
+
+
+def _ill_typed(obj, checks, where):
+    return [where + k for k, ok in checks if not ok(obj[k])]
+
+
 def read_study_report(path):
-    """A study report file, checked for every key summarize_report reads."""
+    """A study report file, checked for every key summarize_report reads and its type."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
@@ -481,6 +493,21 @@ def read_study_report(path):
                                                "n_flagged"), "cells[%d]." % i)])
     if missing:
         raise AnalysisError("study report %s lacks %s" % (path, ", ".join(missing)))
+    speedup = report["speedup"]
+    wrong = (([] if isinstance(report["tests"], list) else ["tests"])
+             + _ill_typed(report["basis"], (("n_u", _int), ("n_p", _int)), "basis.")
+             + _ill_typed(speedup, (("mean", _number_or_null), ("max", _number_or_null)),
+                          "speedup.")
+             + ([] if (speedup["mean"] is None) == (speedup["max"] is None)
+                else ["speedup.max"])
+             + [m for i, cell in enumerate(report["cells"]) for m in _ill_typed(
+                 cell, (("n_u", _int), ("n_p", _int), ("max_eps_u", _number_or_null),
+                        ("max_eps_p", _number_or_null), ("mean_speedup", _number_or_null),
+                        ("n_flagged", _int)), "cells[%d]." % i)])
+    if wrong:
+        raise AnalysisError("study report %s has values of the wrong type at %s (counts "
+                            "must be integers, errors and speedups numbers or null)"
+                            % (path, ", ".join(dict.fromkeys(wrong))))
     return report
 
 

@@ -276,8 +276,9 @@ class FomAssembler:
         self.elems = mesh.elements
         x = mesh.nodes[self.elems]
         self.h_t = x[:, :, -1].max(axis=1) - x[:, :, -1].min(axis=1)
-        diffs = x[:, :, None, :-1] - x[:, None, :, :-1]
-        self.h_s = np.sqrt((diffs ** 2).sum(-1)).max(axis=(1, 2))
+        a, b = np.triu_indices(self.D + 1, 1)              # each node pair once
+        diffs = x[:, a, :-1] - x[:, b, :-1]
+        self.h_s = np.sqrt((diffs ** 2).sum(-1)).max(axis=1)
         self.tau_scales = tau_scales(self.h_t, self.h_s)
         self.G = np.einsum("eaj,ebj->eab", self.gx, self.gx)
         self._cache = {}
@@ -700,12 +701,8 @@ def pressure_pins(mesh, dof_map):
     discrete pressure is defined only up to a function of time; one pressure
     node per time level is then fixed to zero.
     """
-    for facet, tag in mesh.boundary_facets.items():
-        if tag in ("initial", "terminal"):
-            continue
-        for node in facet:
-            if np.any(dof_map.vdof[node, :] >= 0):
-                return np.empty(0, dtype=np.int64)
+    if np.any(dof_map.vdof[mesh.lateral_nodes()] >= 0):
+        return np.empty(0, dtype=np.int64)
     if mesh.n_spatial:
         levels = np.arange(mesh.time_levels.size, dtype=np.int64)
         return levels * mesh.n_spatial
@@ -729,8 +726,7 @@ def free_pressure_levels(asm, dof_map):
     if not mesh.n_spatial:
         return np.zeros(0, dtype=bool)
     lateral = np.zeros(mesh.n_nodes, dtype=bool)
-    lateral[np.asarray([f for f, tag in mesh.boundary_facets.items()
-                        if tag not in ("initial", "terminal")], dtype=np.int64)] = True
+    lateral[mesh.lateral_nodes()] = True
     wall = np.full((mesh.n_nodes, d), -1, dtype=np.int64)   # free lateral components
     free = (dof_map.vdof >= 0) & lateral[:, None]
     n_wall = np.count_nonzero(free)

@@ -25,10 +25,6 @@ class MeshError(Exception):
     """Raised for invalid meshes or deformation maps."""
 
 
-def _canonical(facet):
-    return tuple(sorted(int(i) for i in facet))
-
-
 @dataclass
 class SpatialMesh:
     """Simplex mesh of the spatial domain Omega (d = 1: intervals, d = 2: triangles).
@@ -49,7 +45,8 @@ class SpatialMesh:
             raise MeshError("spatial node array must be (n, %d)" % self.dimension)
         if self.elements.ndim != 2 or self.elements.shape[1] != self.dimension + 1:
             raise MeshError("spatial elements must have %d nodes" % (self.dimension + 1))
-        self.boundary_markers = {_canonical(f): str(t) for f, t in self.boundary_markers.items()}
+        self.boundary_markers = {tuple(sorted(map(int, f))): str(t)
+                                 for f, t in self.boundary_markers.items()}
 
     @property
     def n_nodes(self):
@@ -84,7 +81,10 @@ class SpatialMesh:
         marked = set(self.boundary_markers)
         if marked - boundary:
             raise MeshError("boundary marker on a non-boundary facet: %s"
-                            % sorted(marked - boundary)[0])
+                            % (min(marked - boundary),))
+        if boundary - marked:       # extrusion could not tag the lateral facets
+            raise MeshError("spatial boundary facet %s carries no marker"
+                            % (min(boundary - marked),))
         return self
 
 
@@ -97,6 +97,10 @@ class SpaceTimeMesh:
     time_levels holds the extrusion levels (empty for imported meshes).
     reference_nodes are the undeformed extrusion coordinates; boundary profiles
     and deformation maps are evaluated on them.
+
+    The arrays and the facet dict are read-only after construction: the
+    geometry, the hash and the facet rows with their tag index (which answer
+    nodes_of_tag, lateral_nodes and tags) are derived from them once.
     """
 
     dimension: int
@@ -114,7 +118,20 @@ class SpaceTimeMesh:
         self.time_levels = np.asarray(self.time_levels, dtype=np.float64)
         if self.reference_nodes is None:
             self.reference_nodes = self.nodes
-        self.boundary_facets = {_canonical(f): str(t) for f, t in self.boundary_facets.items()}
+        keys, tags = list(self.boundary_facets), list(map(str, self.boundary_facets.values()))
+        try:
+            rows = np.array(keys).reshape(len(keys), self.dimension)
+        except ValueError:
+            raise MeshError("each boundary facet must list %d node ids" % self.dimension) from None
+        if (rows.dtype != np.int64 or np.any(rows[:, 1:] < rows[:, :-1])
+                or tags != list(self.boundary_facets.values())):    # not yet canonical
+            rows = np.sort(rows.astype(np.int64), axis=1)
+            self.boundary_facets = dict(zip(map(tuple, rows.tolist()), tags))
+            if len(self.boundary_facets) < len(keys):
+                raise MeshError("a boundary facet is listed twice, in two node orders")
+        self._facets = rows         # (n, D), in the order of boundary_facets
+        self._tag_code = {t: i for i, t in enumerate(sorted(set(tags)))}
+        self._tag_of = np.fromiter(map(self._tag_code.get, tags), np.int64, len(tags))
         self._geom = None
         self._hash = None
         self._valid = False         # set by validate(), carried by deform()
@@ -131,12 +148,6 @@ class SpaceTimeMesh:
     @property
     def n_elements(self):
         return self.elements.shape[0]
-
-    def signed_measures(self):
-        D = self.dimension
-        x = self.nodes[self.elements]
-        edges = x[:, 1:, :] - x[:, :1, :]
-        return np.linalg.det(edges) / _FACTORIAL[D]
 
     def all_element_geometry(self):
         """Vectorized geometry: (measures, grads) with grads (n_e, D+1, D), cached."""
@@ -162,16 +173,22 @@ class SpaceTimeMesh:
         gram = v @ v.T
         return float(np.sqrt(max(np.linalg.det(gram), 0.0)) / _FACTORIAL[len(facet) - 1])
 
+    def _nodes_of_facets(self, chosen):
+        hit = np.zeros(self.n_nodes, dtype=bool)
+        hit[self._facets[chosen]] = True
+        return np.flatnonzero(hit)
+
     def nodes_of_tag(self, tag):
         """Sorted unique node ids lying on facets with the given tag."""
-        ids = set()
-        for f, t in self.boundary_facets.items():
-            if t == tag:
-                ids.update(f)
-        return np.array(sorted(ids), dtype=np.int64)
+        return self._nodes_of_facets(self._tag_of == self._tag_code.get(tag, -1))
+
+    def lateral_nodes(self):
+        """Sorted unique node ids on facets tagged neither initial nor terminal."""
+        caps = [self._tag_code.get(t, -1) for t in (TAG_INITIAL, TAG_TERMINAL)]
+        return self._nodes_of_facets(~np.isin(self._tag_of, caps))
 
     def tags(self):
-        return sorted(set(self.boundary_facets.values()))
+        return list(self._tag_code)
 
     def content_hash(self):
         """Hex digest identifying the mesh (geometry, topology, tags, levels)."""
@@ -192,48 +209,38 @@ class SpaceTimeMesh:
         """Check node ids, element orientation and boundary tags, once.
 
         A passing check is recorded on the mesh, so later calls return at
-        once; the arrays are not meant to be edited after construction.
+        once.
         """
         if self._valid:
             return self
         if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
             raise MeshError("element references a node id out of range")
-        meas = self.signed_measures()
-        bad = np.flatnonzero(meas <= 0.0)
+        bad = np.flatnonzero(self.all_element_geometry()[0] <= 0.0)
         if bad.size:
             raise MeshError("element %d has non-positive measure" % bad[0])
         boundary = set(_boundary_facets_of(self.elements, self.dimension))
         tagged = set(self.boundary_facets)
         if boundary != tagged:
-            raise MeshError("boundary tags do not cover the topological boundary")
+            first = min(boundary ^ tagged)
+            raise MeshError("boundary tags do not cover the topological boundary: facet %s %s"
+                            % (first, "has no tag" if first in boundary else "is tagged but inner"))
         self._valid = True
         return self
 
 
+def _boundary_facet_rows(elements, D):
+    """Facets referenced once, as (n, D) sorted rows in lexicographic order (no id limit)."""
+    ordered = np.sort(elements, axis=1)                     # so every face row is sorted
+    faces = np.concatenate([np.delete(ordered, i, axis=1) for i in range(D + 1)])
+    faces = faces[np.lexsort(faces.T[::-1])]
+    start = np.ones(faces.shape[0] + 1, dtype=bool)     # a face differs from the one before
+    start[1:-1] = (faces[1:] != faces[:-1]).any(axis=1)
+    return faces[start[:-1] & start[1:]]
+
+
 def _boundary_facets_of(elements, D):
     """Facets referenced by exactly one element, as sorted tuples of ints."""
-    m = elements.shape[0]
-    if m == 0:
-        return []
-    faces = np.empty((m * (D + 1), D), dtype=np.int64)
-    for i in range(D + 1):
-        faces[i * m:(i + 1) * m] = np.delete(elements, i, axis=1)
-    faces.sort(axis=1)
-    uniq, counts = np.unique(faces, axis=0, return_counts=True)
-    return [tuple(f) for f in uniq[counts == 1].tolist()]
-
-
-def _orient_positive(nodes, elements, D):
-    """Swap the last two nodes of any simplex with negative signed measure."""
-    x = nodes[elements]
-    edges = x[:, 1:, :] - x[:, :1, :]
-    det = np.linalg.det(edges)
-    flip = det < 0
-    if np.any(flip):
-        elements = elements.copy()
-        elements[flip, -2], elements[flip, -1] = (elements[flip, -1].copy(),
-                                                  elements[flip, -2].copy())
-    return elements
+    return list(map(tuple, _boundary_facet_rows(elements, D).tolist()))
 
 
 def extrude(spatial, time_levels):
@@ -267,44 +274,40 @@ def extrude(spatial, time_levels):
     ns = spatial.n_nodes
     L = levels.size
 
-    # complete marker coverage is required, otherwise lateral facets are untaggable
-    missing = set(spatial.boundary_facets()) - set(spatial.boundary_markers)
-    if missing:
-        raise MeshError("spatial boundary facet %s carries no marker" % (sorted(missing)[0],))
-
     nodes = np.empty((ns * L, D))
     nodes[:, :d] = np.tile(spatial.nodes, (L, 1))
     nodes[:, d] = np.repeat(levels, ns)
 
     vsort = np.sort(spatial.elements, axis=1)              # consistent global ordering
-    m = spatial.n_elements
-    elements = np.empty((m * (L - 1) * (d + 1), D + 1), dtype=np.int64)
-    row = 0
-    for k in range(L - 1):
-        bot = vsort + k * ns
-        top = vsort + (k + 1) * ns
-        for j in range(d + 1):
-            # simplex j of the prism: bottom copies of v_0..v_j, top copies of v_j..v_d
-            elements[row:row + m, :j + 1] = bot[:, :j + 1]
-            elements[row:row + m, j + 1:] = top[:, j:]
-            row += m
-    elements = _orient_positive(nodes, elements, D)
+    x = spatial.nodes[vsort]
+    spatial_sign = np.sign(np.linalg.det(x[:, 1:] - x[:, :1]))
+    prism = np.empty((d + 1, spatial.n_elements, D + 1), dtype=np.int64)
+    for j in range(d + 1):
+        # simplex j of the prism: bottom copies of v_0..v_j, top copies of v_j..v_d.
+        # Its signed measure is (-1)^(d+j) dt det[v_1-v_0 .. v_d-v_0] / D!, so
+        # where that is negative the last two nodes are swapped.
+        prism[j, :, :j + 1] = vsort[:, :j + 1]
+        prism[j, :, j + 1:] = vsort[:, j:] + ns
+        flip = (-1) ** (d + j) * spatial_sign < 0
+        prism[j, flip, -2:] = prism[j, flip, :-3:-1]
+    elements = (prism + ns * np.arange(L - 1)[:, None, None, None]).reshape(-1, D + 1)
 
-    t0, T = levels[0], levels[-1]
-    boundary = {}
-    for f in _boundary_facets_of(elements, D):
-        t = nodes[list(f), d]
-        if np.all(t == t0):
-            boundary[f] = TAG_INITIAL
-        elif np.all(t == T):
-            boundary[f] = TAG_TERMINAL
-        else:
-            key = tuple(sorted(set(int(i) % ns for i in f)))
-            try:
-                boundary[f] = spatial.boundary_markers[key]
-            except KeyError:
-                raise MeshError("lateral facet %s matches no spatial marker "
-                                "(inconsistent numbering)" % (f,)) from None
+    facets = _boundary_facet_rows(elements, D)
+    level = facets // ns
+    initial, terminal = (level == 0).all(axis=1), (level == L - 1).all(axis=1)
+    tags = np.where(terminal, TAG_TERMINAL, TAG_INITIAL).astype(object)
+    lateral = np.flatnonzero(~initial & ~terminal)
+    # a lateral facet spans one spatial facet: its d spatial ids, one of them twice
+    sp = np.sort(facets[lateral] % ns, axis=1)
+    first = np.ones(sp.shape, dtype=bool)
+    first[:, 1:] = sp[:, 1:] != sp[:, :-1]
+    keys = np.take_along_axis(sp, np.argsort(~first, axis=1, kind="stable"), axis=1)[:, :d]
+    for i, key, ok in zip(lateral, map(tuple, keys.tolist()), first.sum(axis=1) == d):
+        tags[i] = spatial.boundary_markers.get(key) if ok else None
+        if tags[i] is None:
+            raise MeshError("lateral facet %s matches no spatial marker "
+                            "(inconsistent numbering)" % (tuple(facets[i].tolist()),))
+    boundary = dict(zip(map(tuple, facets.tolist()), tags.tolist()))
 
     mesh = SpaceTimeMesh(dimension=D, nodes=nodes, elements=elements,
                          boundary_facets=boundary, time_levels=levels,
@@ -419,7 +422,7 @@ def deform(mesh, dmap):
                         time_levels=mesh.time_levels,
                         reference_nodes=mesh.reference_nodes,
                         n_spatial=mesh.n_spatial, spatial=mesh.spatial)
-    meas = out.signed_measures()
+    meas = out.all_element_geometry()[0]
     bad = np.flatnonzero(meas <= 0.0)
     if bad.size:
         raise MeshError("deformation inverts element %d (measure %.3e)"
@@ -479,6 +482,7 @@ def triangulate_tensor_grid(x_breaks, y_breaks, keep=None):
 def tag_boundary_by_midpoint(nodes, facets, classify):
     """Build a boundary-marker dict by classifying facet midpoints.
 
+    facets are sorted node tuples, as boundary_facets() lists them.
     classify(x, y) must return a tag string for every midpoint; returning
     None raises, so untagged boundary cannot slip through.
     """
@@ -488,7 +492,7 @@ def tag_boundary_by_midpoint(nodes, facets, classify):
         tag = classify(*mid)
         if tag is None:
             raise MeshError("no tag for boundary facet at %s" % (mid,))
-        markers[_canonical(f)] = tag
+        markers[f] = tag
     return markers
 
 

@@ -382,7 +382,15 @@ class TestFailureModes:
         ("{not json", "not a JSON study report"),
         ("[]", "JSON list, not a study report object"),
         ('{"schema_version": 2}', "lacks case_id, basis, tests, cells, speedup"),
-    ], ids=["not-json", "not-object", "no-keys"])
+        ('{"schema_version": 2, "case_id": "c", "basis": {"n_u": "5", "n_p": 3},'
+         ' "tests": [], "cells": [], "speedup": {"mean": null, "max": null}}',
+         "wrong type at basis.n_u ("),
+        ('{"schema_version": 2, "case_id": "c", "basis": {"n_u": 5, "n_p": 3},'
+         ' "tests": [], "speedup": {"mean": 2.0, "max": null}, "cells": [{"n_u": 1,'
+         ' "n_p": 1.0, "max_eps_u": "1e-3", "max_eps_p": null, "mean_speedup": 9,'
+         ' "n_flagged": true}]}',
+         "wrong type at speedup.max, cells[0].n_p, cells[0].max_eps_u, cells[0].n_flagged ("),
+    ], ids=["not-json", "not-object", "no-keys", "string-count", "bad-cell-types"])
     def test_bad_report_is_one_json_line(self, text, match, capsys, tmp_path):
         path = tmp_path / "report.json"
         path.write_text(text)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stmor import mesh as mesh_module
+from stmor.cases import build_mesh, bundled_case, bundled_case_ids
 from stmor.fom import FomAssembler
 from stmor.mesh import (
     MeshError,
@@ -42,6 +43,128 @@ def facet_counts(mesh):
     return counts
 
 
+def oracle_boundary_facets(elements, D):
+    """Facets referenced once, found with a row-wise np.unique (the reference finder)."""
+    m = elements.shape[0]
+    faces = np.empty((m * (D + 1), D), dtype=np.int64)
+    for i in range(D + 1):
+        faces[i * m:(i + 1) * m] = np.delete(elements, i, axis=1)
+    faces.sort(axis=1)
+    uniq, counts = np.unique(faces, axis=0, return_counts=True)
+    return [tuple(f) for f in uniq[counts == 1].tolist()]
+
+
+def oracle_extruded_elements(spatial, n_levels):
+    """Prism subdivision level by level, each simplex oriented by its determinant."""
+    d, ns, m = spatial.dimension, spatial.n_nodes, spatial.n_elements
+    vsort = np.sort(spatial.elements, axis=1)
+    elements = np.empty((m * (n_levels - 1) * (d + 1), d + 2), dtype=np.int64)
+    row = 0
+    for k in range(n_levels - 1):
+        for j in range(d + 1):
+            elements[row:row + m, :j + 1] = vsort[:, :j + 1] + k * ns
+            elements[row:row + m, j + 1:] = vsort[:, j:] + (k + 1) * ns
+            row += m
+    nodes = np.column_stack([np.tile(spatial.nodes, (n_levels, 1)),
+                             np.repeat(np.arange(n_levels, dtype=float), ns)])
+    x = nodes[elements]
+    flip = np.linalg.det(x[:, 1:] - x[:, :1]) < 0
+    elements[flip, -2:] = elements[flip, :-3:-1]
+    return elements
+
+
+def relabel(spatial, seed):
+    """The same spatial mesh with its nodes numbered in a random order."""
+    new = np.random.default_rng(seed).permutation(spatial.n_nodes)
+    nodes = np.empty_like(spatial.nodes)
+    nodes[new] = spatial.nodes
+    return SpatialMesh(dimension=spatial.dimension, nodes=nodes, elements=new[spatial.elements],
+                       boundary_markers={tuple(new[list(f)]): t
+                                         for f, t in spatial.boundary_markers.items()})
+
+
+def oracle_extrusion_tags(st_mesh):
+    """Tags of an extruded (possibly deformed) mesh, found facet by facet."""
+    ns, t = st_mesh.n_spatial, st_mesh.nodes[:, -1]
+    t0, T = st_mesh.time_levels[0], st_mesh.time_levels[-1]
+    boundary = {}
+    for f in oracle_boundary_facets(st_mesh.elements, st_mesh.dimension):
+        if np.all(t[list(f)] == t0):
+            boundary[f] = "initial"
+        elif np.all(t[list(f)] == T):
+            boundary[f] = "terminal"
+        else:
+            key = tuple(sorted(set(int(i) % ns for i in f)))
+            boundary[f] = st_mesh.spatial.boundary_markers[key]
+    return boundary
+
+
+def assert_matches_oracle(st_mesh):
+    D = st_mesh.dimension
+    np.testing.assert_array_equal(
+        st_mesh.elements, oracle_extruded_elements(st_mesh.spatial, st_mesh.time_levels.size))
+    assert mesh_module._boundary_facets_of(st_mesh.elements, D) == \
+        oracle_boundary_facets(st_mesh.elements, D)
+    expected = oracle_extrusion_tags(st_mesh)
+    assert list(st_mesh.boundary_facets.items()) == list(expected.items())
+    assert st_mesh.tags() == sorted(set(expected.values()))
+    for tag in st_mesh.tags() + ["dirichlet:none"]:
+        ids = sorted({i for f, t in expected.items() if t == tag for i in f})
+        assert st_mesh.nodes_of_tag(tag).tolist() == ids
+    lateral = sorted({i for f, t in expected.items()
+                      if t not in ("initial", "terminal") for i in f})
+    assert st_mesh.lateral_nodes().tolist() == lateral
+
+
+BUNDLED_HASHES = {"artery-analog": "4f0653219e9c45ff", "couette": "1730dbfe2c29bdb5",
+                  "poiseuille-body": "4cfb86211f773ec6", "valve-analog": "ca48b92f677b3599"}
+
+
+class TestFacetSearch:
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 5), nl=st.integers(2, 4), seed=st.integers(0, 2 ** 16))
+    def test_interval_extrusion_matches_oracle(self, n, nl, seed):
+        spatial = relabel(interval_mesh(0.0, 1.0, n, "dirichlet:in", "neumann:out"), seed)
+        assert_matches_oracle(extrude(spatial, np.linspace(0.0, 1.0, nl)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(nx=st.integers(1, 3), ny=st.integers(1, 3), nl=st.integers(2, 4),
+           seed=st.integers(0, 2 ** 16))
+    def test_rectangle_extrusion_matches_oracle(self, nx, ny, nl, seed):
+        spatial = relabel(rectangle_mesh(np.linspace(0, 2, nx + 1), np.linspace(-1, 1, ny + 1),
+                                         "dirichlet:l", "dirichlet:r", "dirichlet:b",
+                                         "neumann:t"), seed)
+        assert spatial.boundary_facets() == oracle_boundary_facets(spatial.elements, 2)
+        assert_matches_oracle(extrude(spatial, np.linspace(0.0, 1.0, nl)))
+
+    @pytest.mark.parametrize("case_id", sorted(BUNDLED_HASHES))
+    def test_bundled_meshes_match_oracle(self, case_id):
+        assert bundled_case_ids() == sorted(BUNDLED_HASHES)
+        st_mesh = build_mesh(bundled_case(case_id))
+        assert st_mesh.content_hash() == BUNDLED_HASHES[case_id]
+        assert_matches_oracle(st_mesh)
+
+    def test_non_canonical_facets_are_canonicalized(self):
+        st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])
+        shuffled = {tuple(np.int32(i) for i in f[::-1]): t
+                    for f, t in st_mesh.boundary_facets.items()}
+        again = SpaceTimeMesh(dimension=3, nodes=st_mesh.nodes, elements=st_mesh.elements,
+                              boundary_facets=shuffled, time_levels=st_mesh.time_levels)
+        assert list(again.boundary_facets.items()) == list(st_mesh.boundary_facets.items())
+        assert all(type(i) is int for f in again.boundary_facets for i in f)
+        assert again.content_hash() == st_mesh.content_hash()
+
+    def test_malformed_facet_keys_are_rejected(self):
+        nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                          [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        for facets, match in (({(0, 1): "a"}, "3 node ids"),
+                              ({(0, 1, 2): "a", (0, 1): "b"}, "3 node ids"),
+                              ({(0, 1, 2): "a", (2, 1, 0): "b"}, "listed twice")):
+            with pytest.raises(MeshError, match=match):
+                SpaceTimeMesh(dimension=3, nodes=nodes, elements=np.array([[0, 1, 2, 3]]),
+                              boundary_facets=facets)
+
+
 class TestExtrude:
     def test_single_interval_single_slab(self):
         # one quad splits into 2 triangles
@@ -49,7 +172,7 @@ class TestExtrude:
         assert st_mesh.n_nodes == 4
         assert st_mesh.n_elements == 2
         st_mesh.validate()
-        np.testing.assert_allclose(st_mesh.signed_measures().sum(), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(st_mesh.all_element_geometry()[0].sum(), 1.0, rtol=1e-12)
 
     def test_single_triangle_two_slabs(self):
         # 3 nodes x 3 levels = 9; 1 prism x 2 slabs x 3 tets = 6; volume = 0.5 * 1.0
@@ -57,7 +180,7 @@ class TestExtrude:
         assert st_mesh.n_nodes == 9
         assert st_mesh.n_elements == 6
         st_mesh.validate()
-        meas = st_mesh.signed_measures()
+        meas = st_mesh.all_element_geometry()[0]
         assert np.all(meas > 0)
         np.testing.assert_allclose(meas.sum(), 0.5, rtol=1e-12)
 
@@ -108,6 +231,16 @@ class TestExtrude:
         with pytest.raises(MeshError, match="marker"):
             extrude(spatial, [0.0, 1.0])
 
+    def test_rejects_lateral_facet_without_marker(self, monkeypatch):
+        spatial = unit_triangle()
+        del spatial.boundary_markers[(0, 1)]
+        # hide the gap from the spatial checks, so only the lateral lookup meets it
+        monkeypatch.setattr(SpatialMesh, "boundary_facets",
+                            lambda self: list(self.boundary_markers))
+        with pytest.raises(MeshError, match=r"lateral facet \(0, 1, 4\) matches no "
+                                            r"spatial marker"):
+            extrude(spatial, [0.0, 1.0])
+
     @settings(max_examples=15, deadline=None)
     @given(nx=st.integers(1, 3), ny=st.integers(1, 3), nl=st.integers(2, 4),
            T=st.floats(0.5, 3.0))
@@ -120,7 +253,7 @@ class TestExtrude:
         assert set(counts.values()) <= {1, 2}
         boundary = {f for f, c in counts.items() if c == 1}
         assert boundary == set(st_mesh.boundary_facets)
-        np.testing.assert_allclose(st_mesh.signed_measures().sum(), 4.0 * T, rtol=1e-12)
+        np.testing.assert_allclose(st_mesh.all_element_geometry()[0].sum(), 4.0 * T, rtol=1e-12)
         assert st_mesh.n_nodes == spatial.n_nodes * nl
         assert st_mesh.n_elements == spatial.n_elements * (nl - 1) * 3
 
@@ -133,6 +266,35 @@ class TestValidate:
                                  elements=np.array([[0, 1, 2, 3]]), boundary_facets={})
         with pytest.raises(MeshError, match="boundary tags"):
             FomAssembler(untagged)
+
+    def retagged(self, change):
+        st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])
+        facets = dict(st_mesh.boundary_facets)
+        change(facets)
+        return SpaceTimeMesh(dimension=3, nodes=st_mesh.nodes, elements=st_mesh.elements,
+                             boundary_facets=facets, time_levels=st_mesh.time_levels)
+
+    def test_names_the_first_untagged_facet(self):
+        untagged = [(0, 1, 4), (3, 6, 7)]
+        mesh = self.retagged(lambda facets: [facets.pop(f) for f in untagged[::-1]])
+        with pytest.raises(MeshError, match=r"boundary tags do not cover the topological "
+                                            r"boundary: facet \(0, 1, 4\) has no tag"):
+            mesh.validate()
+
+    def test_names_the_first_tagged_inner_facet(self):
+        # (0, 1, 5) is shared by two elements of the first slab
+        mesh = self.retagged(lambda facets: facets.update({(0, 4, 5): "dirichlet:a",
+                                                           (0, 1, 5): "dirichlet:a"}))
+        with pytest.raises(MeshError, match=r"facet \(0, 1, 5\) is tagged but inner"):
+            mesh.validate()
+
+    def test_degenerate_element_is_rejected(self):
+        flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        mesh = SpaceTimeMesh(dimension=3, nodes=flat, elements=np.array([[0, 1, 2, 3]]),
+                             boundary_facets={})
+        with pytest.raises(MeshError, match="element 0 is degenerate"):
+            mesh.validate()
 
     def test_validated_mesh_is_not_scanned_again(self, monkeypatch):
         st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0]).validate()
@@ -217,9 +379,9 @@ class TestDeform:
                                  "dirichlet:l", "dirichlet:r", "dirichlet:b", "dirichlet:t")
         st_mesh = extrude(spatial, np.linspace(0.0, 1.0, 5))
         out = deform(st_mesh, channel_narrowing_map())
-        assert np.all(out.signed_measures() > 0)
+        assert np.all(out.all_element_geometry()[0] > 0)
         # total volume shrinks: integral of the width scale over time
-        assert out.signed_measures().sum() < st_mesh.signed_measures().sum()
+        assert out.all_element_geometry()[0].sum() < st_mesh.all_element_geometry()[0].sum()
 
     def test_deform_rejects_inverted(self):
         st_mesh = extrude(unit_triangle(), [0.0, 1.0])
@@ -274,6 +436,14 @@ class TestGenerators:
         mesh = SpatialMesh(dimension=2, nodes=nodes, elements=tris, boundary_markers={})
         # hole adds an inner boundary loop of 4 edges; outer loop has 12
         assert len(mesh.boundary_facets()) == 16
+
+    def test_marker_on_an_inner_edge_is_rejected(self):
+        nodes, tris = triangulate_tensor_grid([0, 1], [0, 1])
+        inner = tuple(sorted(set(tris[0]) & set(tris[1])))
+        mesh = SpatialMesh(dimension=2, nodes=nodes, elements=tris,
+                           boundary_markers={inner: "dirichlet:a"})
+        with pytest.raises(MeshError, match=r"non-boundary facet: \(0, 3\)"):
+            mesh.validate()
 
     def test_interval_tags(self):
         m = interval_mesh(0.0, 3.0, 3, "dirichlet:a", "neumann:b")
