@@ -120,15 +120,12 @@ class SpaceTimeMesh:
             self.reference_nodes = self.nodes
         keys, tags = list(self.boundary_facets), list(map(str, self.boundary_facets.values()))
         try:
-            rows = np.array(keys).reshape(len(keys), self.dimension)
+            rows = np.sort(np.array(keys, dtype=np.int64).reshape(len(keys), self.dimension), axis=1)
         except ValueError:
             raise MeshError("each boundary facet must list %d node ids" % self.dimension) from None
-        if (rows.dtype != np.int64 or np.any(rows[:, 1:] < rows[:, :-1])
-                or tags != list(self.boundary_facets.values())):    # not yet canonical
-            rows = np.sort(rows.astype(np.int64), axis=1)
-            self.boundary_facets = dict(zip(map(tuple, rows.tolist()), tags))
-            if len(self.boundary_facets) < len(keys):
-                raise MeshError("a boundary facet is listed twice, in two node orders")
+        self.boundary_facets = dict(zip(map(tuple, rows.tolist()), tags))
+        if len(self.boundary_facets) < len(keys):
+            raise MeshError("a boundary facet is listed twice, in two node orders")
         self._facets = rows         # (n, D), in the order of boundary_facets
         self._tag_code = {t: i for i, t in enumerate(sorted(set(tags)))}
         self._tag_of = np.fromiter(map(self._tag_code.get, tags), np.int64, len(tags))

@@ -154,6 +154,16 @@ class TestFacetSearch:
         assert all(type(i) is int for f in again.boundary_facets for i in f)
         assert again.content_hash() == st_mesh.content_hash()
 
+    def test_sorted_numpy_facets_become_plain(self):
+        st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])
+        numpy_keys = {tuple(np.int64(i) for i in f): np.str_(t)
+                      for f, t in st_mesh.boundary_facets.items()}
+        again = SpaceTimeMesh(dimension=3, nodes=st_mesh.nodes, elements=st_mesh.elements,
+                              boundary_facets=numpy_keys, time_levels=st_mesh.time_levels)
+        assert list(again.boundary_facets.items()) == list(st_mesh.boundary_facets.items())
+        assert all(type(i) is int for f in again.boundary_facets for i in f)
+        assert all(type(t) is str for t in again.boundary_facets.values())
+
     def test_malformed_facet_keys_are_rejected(self):
         nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
