@@ -24,7 +24,7 @@ import scipy
 
 from .constitutive import ParameterBox
 from .eim import FieldSampleSet, eim_greedy
-from .fom import (FomAssembler, build_dof_map, build_lifting,
+from .fom import (assembler_for, build_dof_map, build_lifting,
                   fom_inner_products, solve_fom)
 from .pod import RANK_CUTOFF, assemble_basis, compute_pod
 from .rom import project_offline, reconstruct, solve_rom, truncate
@@ -52,7 +52,6 @@ class SamplePlan:
     train_counts: tuple
     n_test: int
     seed: int
-    rng: str = RNG_NAME
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,6 @@ def generate_samples(plan):
     axes = [np.linspace(box.lower[j], box.upper[j], counts[j]) for j in range(k)]
     grids = np.meshgrid(*axes, indexing="ij")
     training = np.column_stack([g.ravel() for g in grids])
-    if plan.rng != RNG_NAME:
-        raise AnalysisError("unknown rng %r; sample sets are pinned to %r for "
-                            "portability" % (plan.rng, RNG_NAME))
     gen = np.random.Generator(np.random.PCG64(int(plan.seed)))
     lower = np.asarray(box.lower, dtype=np.float64)
     upper = np.asarray(box.upper, dtype=np.float64)
@@ -226,7 +222,7 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     assembler, grams, train_mus, solutions, u_fulls, basis, eims, pkg, and
     stage timings.
     """
-    asm = assembler if assembler is not None else FomAssembler(mesh)
+    asm = assembler_for(mesh, assembler, AnalysisError)
     dof_map = build_dof_map(mesh, problem.dirichlet)
     grams = fom_inner_products(mesh, asm)
     timings = {}
@@ -406,7 +402,7 @@ def make_report(config, pipeline, plan, samples, tests, pairs):
                         "numpy": np.__version__, "scipy": scipy.__version__,
                         "platform": platform.platform()},
         "timing_convention": TIMING_CONVENTION,
-        "rng": {"name": plan.rng, "seed": int(plan.seed)},
+        "rng": {"name": RNG_NAME, "seed": int(plan.seed)},
         "parameters": {"names": list(box.names),
                        "lower": [float(v) for v in box.lower],
                        "upper": [float(v) for v in box.upper]},

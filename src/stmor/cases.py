@@ -261,12 +261,10 @@ def valve_spatial_mesh(refine=1.0):
     xb = _graded_breaks(_VALVE_X_ANCHORS, _VALVE_X_COUNTS, refine)
     yb = _graded_breaks(_VALVE_Y_ANCHORS, _VALVE_Y_COUNTS, refine)
     nodes, tris = msh.triangulate_tensor_grid(xb, yb, keep=_valve_keep)
-    shell = msh.SpatialMesh(dimension=2, nodes=nodes, elements=tris,
-                            boundary_markers={})
-    markers = msh.tag_boundary_by_midpoint(nodes, shell.boundary_facets(),
+    markers = msh.tag_boundary_by_midpoint(nodes, msh._boundary_facets_of(tris, 2),
                                            _valve_classify)
     return msh.SpatialMesh(dimension=2, nodes=nodes, elements=tris,
-                           boundary_markers=markers).validate()
+                           boundary_markers=markers)
 
 
 def valve_deformation():
@@ -314,8 +312,8 @@ def _geometry_mesh(g):
         n = int(round(t_end / dt))
         if n < 1 or abs(n * dt - t_end) > 1e-9 * t_end:
             raise CaseError("dt_s must divide t_end_s evenly")
-        st = msh.extrude(valve_spatial_mesh(refine), np.linspace(0.0, t_end, n + 1))
-        return msh.deform(st, valve_deformation())
+        return msh.extrude(valve_spatial_mesh(refine), np.linspace(0.0, t_end, n + 1),
+                           valve_deformation())
     if kind == "channel":
         length = float(g.pop("length_m"))
         halfwidth = float(g.pop("halfwidth_m"))
@@ -327,12 +325,10 @@ def _geometry_mesh(g):
         _reject_extra(g, "geometry")
         if n_levels < 2:
             raise CaseError("channel geometry needs n_levels >= 2")
-        sp = channel_spatial_mesh(length, halfwidth, n_x, n_y)
-        st = msh.extrude(sp, np.linspace(0.0, t_end, n_levels))
-        if center is None:
-            return st
-        return msh.deform(st, msh.channel_narrowing_map(float(center),
-                                                         float(narrow_hw)))
+        narrowing = (None if center is None
+                     else msh.channel_narrowing_map(float(center), float(narrow_hw)))
+        return msh.extrude(channel_spatial_mesh(length, halfwidth, n_x, n_y),
+                           np.linspace(0.0, t_end, n_levels), narrowing)
     if kind == "rectangle":
         xb = np.asarray(g.pop("x_breaks_m"), dtype=np.float64)
         yb = np.asarray(g.pop("y_breaks_m"), dtype=np.float64)

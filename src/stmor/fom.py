@@ -23,7 +23,7 @@ of the Dirichlet data.  All spatial derivatives are taken in x only.
 
 Assembly: a Picard iterate changes only the eta- and tau-weighted blocks,
 so the pattern of the pinned, free-restricted system is fixed.  An
-assembler builds it once per DOF map and pins (SystemPattern), with maps
+assembler builds it once per DOF map (SystemPattern), with maps
 from element entries to its CSR slots; each iterate is then three sparse
 matrix-vector products of the element weights plus constant base vectors,
 and the lifting load comes from the entries in constrained columns.  The
@@ -266,7 +266,6 @@ class FomAssembler:
     """
 
     def __init__(self, mesh):
-        mesh.validate()
         self.mesh = mesh
         self.d = mesh.d
         self.D = mesh.dimension
@@ -378,18 +377,17 @@ class FomAssembler:
             self._cache["mass_pressure"] = self._sum_pp(blk)
         return self._cache["mass_pressure"]
 
-    def system_pattern(self, dof_map, pins):
-        """The SystemPattern of dof_map's system with these pressure pins.
+    def system_pattern(self, dof_map):
+        """The SystemPattern of dof_map's system, with its pressure gauge.
 
         It is built on first use and kept until a call with other
-        constraints or pins, so the Picard iterates of one solve, and the
-        solves that follow on the same DOF map, share one pattern.
+        constraints, so the Picard iterates of one solve, and the solves
+        that follow on the same DOF map, share one pattern.
         """
-        pins = np.asarray(pins, dtype=np.int64)
-        key = (dof_map.constrained.tobytes(), pins.tobytes())
+        key = dof_map.constrained.tobytes()
         if self._pattern is None or self._pattern[0] != key:
             self._pattern = None    # release the old maps before the build
-            self._pattern = (key, SystemPattern(self, dof_map, pins))
+            self._pattern = (key, SystemPattern(self, dof_map))
         return self._pattern[1]
 
     def element_fields(self, u_full, params):
@@ -498,7 +496,10 @@ class SystemPattern:
     where the columns of base are the time-derivative block per unit density
     and the constant entries (+-B and the unit diagonals of pinned pressure
     rows), and the weights W map the viscous, the tau-weighted coupling and
-    the pressure blocks of unit element weight onto the slots.
+    the pressure blocks of unit element weight onto the slots.  The pressure
+    gauge is decided with the pattern: pins holds the pinned pressure nodes
+    (pressure_pins), and open_levels the time levels gauged by zero mean
+    instead (free_pressure_levels).
 
     The build never forms the dof-level COO: the node adjacency
     (FomAssembler.adjacency) gives the unrestricted layout, in which every
@@ -507,7 +508,12 @@ class SystemPattern:
     slot by arithmetic on that layout.
     """
 
-    def __init__(self, asm, dof_map, pins):
+    def __init__(self, asm, dof_map):
+        # the pressure gauge: pinned nodes where no velocity datum sets one,
+        # else the time levels no equation fixes, which each step centres
+        self.pins = pins = pressure_pins(asm.mesh, dof_map)
+        self.open_levels = (free_pressure_levels(asm, dof_map) if not pins.size
+                            else np.zeros(0, dtype=bool))
         n, d = asm.mesh.n_nodes, asm.d
         nvf = n * d
         n_el, D1 = asm.elems.shape
@@ -986,6 +992,20 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
     return g, records, False
 
 
+def assembler_for(mesh, assembler, error):
+    """assembler, or a new FomAssembler(mesh) if it is None.
+
+    An assembler built on another mesh, one of different content, raises
+    error: its solution would carry mesh's hash while solving on its own.
+    """
+    if assembler is None:
+        return FomAssembler(mesh)
+    if assembler.mesh is not mesh and assembler.mesh.content_hash() != mesh.content_hash():
+        raise error("assembler was built on mesh %s, not on mesh %s"
+                    % (assembler.mesh.content_hash(), mesh.content_hash()))
+    return assembler
+
+
 def _check_continuation(dof_map, x0, factor):
     """x0 as a fresh float64 start vector (zeros if None), after the checks."""
     if factor is not None and not (isinstance(factor, list) and len(factor) == 1):
@@ -1032,15 +1052,13 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     dof_map = dof_map if dof_map is not None else build_dof_map(mesh, problem.dirichlet)
     x_start = _check_continuation(dof_map, x0, factor)
     liftings = build_lifting(mesh, problem.dirichlet, amps)
-    asm = assembler if assembler is not None else FomAssembler(mesh)
-    pins = pressure_pins(mesh, dof_map)
-    if pins.size:
-        logger.info("pinning %d pressure nodes (no natural gauge)", pins.size)
-    pattern = asm.system_pattern(dof_map, pins)
+    asm = assembler_for(mesh, assembler, SolverError)
+    pattern = asm.system_pattern(dof_map)
+    if pattern.pins.size:
+        logger.info("pinning %d pressure nodes (no natural gauge)", pattern.pins.size)
     # levels no equation gauges get zero mean, so each step's pressure, and
     # with it the update test, carries no arbitrary level
-    open_levels = (free_pressure_levels(asm, dof_map) if not pins.size
-                   else np.zeros(0, dtype=bool))
+    open_levels = pattern.open_levels
     if open_levels.any():
         logger.info("fixing the mean pressure of %d time levels (no natural gauge)",
                     np.count_nonzero(open_levels))
@@ -1081,7 +1099,7 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
 
 def fom_inner_products(mesh, assembler=None):
     """Velocity H1-seminorm and pressure L2 Gram matrices (full nodal indices)."""
-    asm = assembler if assembler is not None else FomAssembler(mesh)
+    asm = assembler_for(mesh, assembler, SolverError)
     return {"K_u": asm.grad_gram(), "M_p": asm.mass_pressure()}
 
 

@@ -3,8 +3,12 @@
 The spatial mesh (d = 1 or 2) is extruded level by level into a simplex mesh
 of dimension D = d+1 whose last coordinate is time.  Prisms are subdivided
 with the sorted-global-index rule, so neighboring prisms always share
-conforming facets.  Prescribed domain deformations are applied by moving the
-space-time nodes; the element topology never changes.
+conforming facets.  A prescribed domain deformation is applied by extrude
+to the nodes it lays out, so the element topology never changes.
+
+Both mesh classes check themselves once, at construction: node ids in
+range, positive element measures, and boundary tags that cover exactly the
+topological boundary.  A mesh that exists is valid.
 """
 
 import hashlib
@@ -47,6 +51,19 @@ class SpatialMesh:
             raise MeshError("spatial elements must have %d nodes" % (self.dimension + 1))
         self.boundary_markers = {tuple(sorted(map(int, f))): str(t)
                                  for f, t in self.boundary_markers.items()}
+        if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
+            raise MeshError("element references a node id out of range")
+        bad = np.flatnonzero(self.element_measures() <= 0.0)
+        if bad.size:
+            raise MeshError("spatial element %d has non-positive measure" % bad[0])
+        boundary = set(_boundary_facets_of(self.elements, self.dimension))
+        marked = set(self.boundary_markers)
+        if marked - boundary:
+            raise MeshError("boundary marker on a non-boundary facet: %s"
+                            % (min(marked - boundary),))
+        if boundary - marked:
+            raise MeshError("spatial boundary facet %s carries no marker"
+                            % (min(boundary - marked),))
 
     @property
     def n_nodes(self):
@@ -66,27 +83,6 @@ class SpatialMesh:
             det = np.linalg.det(edges)
         return np.abs(det) / _FACTORIAL[d]
 
-    def boundary_facets(self):
-        """All topological boundary facets (facets referenced by exactly one element)."""
-        return _boundary_facets_of(self.elements, self.dimension)
-
-    def validate(self):
-        if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
-            raise MeshError("element references a node id out of range")
-        meas = self.element_measures()
-        bad = np.flatnonzero(meas <= 0.0)
-        if bad.size:
-            raise MeshError("spatial element %d has non-positive measure" % bad[0])
-        boundary = set(self.boundary_facets())
-        marked = set(self.boundary_markers)
-        if marked - boundary:
-            raise MeshError("boundary marker on a non-boundary facet: %s"
-                            % (min(marked - boundary),))
-        if boundary - marked:       # extrusion could not tag the lateral facets
-            raise MeshError("spatial boundary facet %s carries no marker"
-                            % (min(boundary - marked),))
-        return self
-
 
 @dataclass
 class SpaceTimeMesh:
@@ -100,7 +96,9 @@ class SpaceTimeMesh:
 
     The arrays and the facet dict are read-only after construction: the
     geometry, the hash and the facet rows with their tag index (which answer
-    nodes_of_tag, lateral_nodes and tags) are derived from them once.
+    nodes_of_tag, lateral_nodes and tags) are derived from them once.  The
+    constructor checks node ids, element orientation and that the tagged
+    facets are exactly the topological boundary, by one facet search.
     """
 
     dimension: int
@@ -115,14 +113,18 @@ class SpaceTimeMesh:
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
         self.elements = np.ascontiguousarray(self.elements, dtype=np.int64)
+        D = self.dimension
+        if self.nodes.ndim != 2 or self.nodes.shape[1] != D \
+                or self.elements.ndim != 2 or self.elements.shape[1] != D + 1:
+            raise MeshError("space-time nodes must be (n, %d) and elements (m, %d)" % (D, D + 1))
         self.time_levels = np.asarray(self.time_levels, dtype=np.float64)
         if self.reference_nodes is None:
             self.reference_nodes = self.nodes
         keys, tags = list(self.boundary_facets), list(map(str, self.boundary_facets.values()))
         try:
-            rows = np.sort(np.array(keys, dtype=np.int64).reshape(len(keys), self.dimension), axis=1)
+            rows = np.sort(np.array(keys, dtype=np.int64).reshape(len(keys), D), axis=1)
         except ValueError:
-            raise MeshError("each boundary facet must list %d node ids" % self.dimension) from None
+            raise MeshError("each boundary facet must list %d node ids" % D) from None
         self.boundary_facets = dict(zip(map(tuple, rows.tolist()), tags))
         if len(self.boundary_facets) < len(keys):
             raise MeshError("a boundary facet is listed twice, in two node orders")
@@ -131,7 +133,18 @@ class SpaceTimeMesh:
         self._tag_of = np.fromiter(map(self._tag_code.get, tags), np.int64, len(tags))
         self._geom = None
         self._hash = None
-        self._valid = False         # set by validate(), carried by deform()
+        if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
+            raise MeshError("element references a node id out of range")
+        meas = self.all_element_geometry()[0]
+        bad = np.flatnonzero(meas <= 0.0)
+        if bad.size:
+            raise MeshError("element %d has non-positive measure %.3e" % (bad[0], meas[bad[0]]))
+        boundary = _boundary_facet_rows(self.elements, D)
+        if not np.array_equal(boundary, rows[np.lexsort(rows.T[::-1])]):
+            boundary, tagged = set(map(tuple, boundary.tolist())), set(self.boundary_facets)
+            first = min(boundary ^ tagged)
+            raise MeshError("boundary tags do not cover the topological boundary: facet %s %s"
+                            % (first, "has no tag" if first in boundary else "is tagged but inner"))
 
     @property
     def d(self):
@@ -202,28 +215,6 @@ class SpaceTimeMesh:
             self._hash = h.hexdigest()[:16]
         return self._hash
 
-    def validate(self):
-        """Check node ids, element orientation and boundary tags, once.
-
-        A passing check is recorded on the mesh, so later calls return at
-        once.
-        """
-        if self._valid:
-            return self
-        if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
-            raise MeshError("element references a node id out of range")
-        bad = np.flatnonzero(self.all_element_geometry()[0] <= 0.0)
-        if bad.size:
-            raise MeshError("element %d has non-positive measure" % bad[0])
-        boundary = set(_boundary_facets_of(self.elements, self.dimension))
-        tagged = set(self.boundary_facets)
-        if boundary != tagged:
-            first = min(boundary ^ tagged)
-            raise MeshError("boundary tags do not cover the topological boundary: facet %s %s"
-                            % (first, "has no tag" if first in boundary else "is tagged but inner"))
-        self._valid = True
-        return self
-
 
 def _boundary_facet_rows(elements, D):
     """Facets referenced once, as (n, D) sorted rows in lexicographic order (no id limit)."""
@@ -240,20 +231,26 @@ def _boundary_facets_of(elements, D):
     return list(map(tuple, _boundary_facet_rows(elements, D).tolist()))
 
 
-def extrude(spatial, time_levels):
+def extrude(spatial, time_levels, deformation=None):
     """Extrude a spatial simplex mesh over the given time levels.
 
     Each prism (spatial simplex x time slab) is cut into d+1 simplices with the
     deterministic sorted-global-index rule, so the result is conforming.  Node
-    ids are level-major: node = level * n_spatial + spatial_id.  Spatial
-    boundary markers are propagated to the lateral facets; the t = t0 and
-    t = T caps are tagged ``initial`` and ``terminal``.
+    ids are level-major: node = level * n_spatial + spatial_id.  The boundary
+    is written down, not searched: the t = t0 and t = T caps are the spatial
+    elements, tagged ``initial`` and ``terminal``, and in each slab the side
+    of a marked spatial facet f_0 < ... < f_{d-1} splits, by the same rule,
+    into the d facets (f_0..f_i at the bottom, f_i..f_{d-1} at the top), each
+    tagged with the facet's marker.  The mesh constructor checks the result.
 
     Parameters
     ----------
     spatial : SpatialMesh
     time_levels : sequence of float
         Strictly increasing, at least two entries.
+    deformation : callable (x, t) -> x, optional
+        Maps the spatial coordinates of the reference nodes; time and
+        topology are unchanged, and the reference nodes are kept.
 
     Returns
     -------
@@ -264,16 +261,19 @@ def extrude(spatial, time_levels):
         raise MeshError("need at least two time levels")
     if not np.all(np.diff(levels) > 0):
         raise MeshError("time levels must be strictly increasing")
-    spatial.validate()
 
     d = spatial.dimension
     D = d + 1
     ns = spatial.n_nodes
     L = levels.size
 
-    nodes = np.empty((ns * L, D))
-    nodes[:, :d] = np.tile(spatial.nodes, (L, 1))
-    nodes[:, d] = np.repeat(levels, ns)
+    reference = np.empty((ns * L, D))
+    reference[:, :d] = np.tile(spatial.nodes, (L, 1))
+    reference[:, d] = np.repeat(levels, ns)
+    nodes = reference
+    if deformation is not None:
+        nodes = reference.copy()
+        nodes[:, :d] = deformation(reference[:, :d], reference[:, d])
 
     vsort = np.sort(spatial.elements, axis=1)              # consistent global ordering
     x = spatial.nodes[vsort]
@@ -287,28 +287,21 @@ def extrude(spatial, time_levels):
         prism[j, :, j + 1:] = vsort[:, j:] + ns
         flip = (-1) ** (d + j) * spatial_sign < 0
         prism[j, flip, -2:] = prism[j, flip, :-3:-1]
-    elements = (prism + ns * np.arange(L - 1)[:, None, None, None]).reshape(-1, D + 1)
+    slab = ns * np.arange(L - 1)[:, None, None]
+    elements = (prism + slab[..., None]).reshape(-1, D + 1)
 
-    facets = _boundary_facet_rows(elements, D)
-    level = facets // ns
-    initial, terminal = (level == 0).all(axis=1), (level == L - 1).all(axis=1)
-    tags = np.where(terminal, TAG_TERMINAL, TAG_INITIAL).astype(object)
-    lateral = np.flatnonzero(~initial & ~terminal)
-    # a lateral facet spans one spatial facet: its d spatial ids, one of them twice
-    sp = np.sort(facets[lateral] % ns, axis=1)
-    first = np.ones(sp.shape, dtype=bool)
-    first[:, 1:] = sp[:, 1:] != sp[:, :-1]
-    keys = np.take_along_axis(sp, np.argsort(~first, axis=1, kind="stable"), axis=1)[:, :d]
-    for i, key, ok in zip(lateral, map(tuple, keys.tolist()), first.sum(axis=1) == d):
-        tags[i] = spatial.boundary_markers.get(key) if ok else None
-        if tags[i] is None:
-            raise MeshError("lateral facet %s matches no spatial marker "
-                            "(inconsistent numbering)" % (tuple(facets[i].tolist()),))
-    boundary = dict(zip(map(tuple, facets.tolist()), tags.tolist()))
+    marked = np.array(list(spatial.boundary_markers), dtype=np.int64).reshape(-1, d)
+    sides = [np.concatenate([marked[:, :i + 1], marked[:, i:] + ns], axis=1) + slab
+             for i in range(d)]
+    facets = np.concatenate([vsort, vsort + (L - 1) * ns] + [f.reshape(-1, D) for f in sides])
+    tags = np.array([TAG_INITIAL] * len(vsort) + [TAG_TERMINAL] * len(vsort)
+                    + list(spatial.boundary_markers.values()) * (d * (L - 1)))
+    order = np.lexsort(facets.T[::-1])
+    boundary = dict(zip(map(tuple, facets[order].tolist()), tags[order].tolist()))
 
     mesh = SpaceTimeMesh(dimension=D, nodes=nodes, elements=elements,
                          boundary_facets=boundary, time_levels=levels,
-                         n_spatial=ns, spatial=spatial)
+                         reference_nodes=reference, n_spatial=ns, spatial=spatial)
     logger.info("extruded mesh: %d nodes, %d elements, %d levels",
                 mesh.n_nodes, mesh.n_elements, L)
     return mesh
@@ -403,31 +396,6 @@ def channel_narrowing_map(x_center=None, x_halfwidth=None):
     return fn
 
 
-def deform(mesh, dmap):
-    """Apply a deformation map to the node coordinates of a space-time mesh.
-
-    Spatial coordinates are replaced by map(x, t) with t unchanged; boundary
-    tags and connectivity are untouched.  Raises MeshError naming the first
-    element whose measure becomes non-positive.  With the measures checked
-    here, a validated input gives a validated output.
-    """
-    d = mesh.d
-    new_nodes = mesh.nodes.copy()
-    new_nodes[:, :d] = dmap(mesh.nodes[:, :d], mesh.nodes[:, d])
-    out = SpaceTimeMesh(dimension=mesh.dimension, nodes=new_nodes,
-                        elements=mesh.elements, boundary_facets=mesh.boundary_facets,
-                        time_levels=mesh.time_levels,
-                        reference_nodes=mesh.reference_nodes,
-                        n_spatial=mesh.n_spatial, spatial=mesh.spatial)
-    meas = out.all_element_geometry()[0]
-    bad = np.flatnonzero(meas <= 0.0)
-    if bad.size:
-        raise MeshError("deformation inverts element %d (measure %.3e)"
-                        % (bad[0], meas[bad[0]]))
-    out._valid = mesh._valid
-    return out
-
-
 # ---------------------------------------------------------------------------
 # spatial mesh generators
 
@@ -439,7 +407,7 @@ def interval_mesh(x0, x1, n, left_tag="dirichlet:left", right_tag="dirichlet:rig
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     markers = {(0,): left_tag, (n,): right_tag}
     return SpatialMesh(dimension=1, nodes=nodes, elements=elements,
-                       boundary_markers=markers).validate()
+                       boundary_markers=markers)
 
 
 def triangulate_tensor_grid(x_breaks, y_breaks, keep=None):
@@ -479,7 +447,7 @@ def triangulate_tensor_grid(x_breaks, y_breaks, keep=None):
 def tag_boundary_by_midpoint(nodes, facets, classify):
     """Build a boundary-marker dict by classifying facet midpoints.
 
-    facets are sorted node tuples, as boundary_facets() lists them.
+    facets are sorted node tuples, as _boundary_facets_of lists them.
     classify(x, y) must return a tag string for every midpoint; returning
     None raises, so untagged boundary cannot slip through.
     """
@@ -511,9 +479,8 @@ def rectangle_mesh(x_breaks, y_breaks, left, right, bottom, top):
             return top
         return None
 
-    mesh = SpatialMesh(dimension=2, nodes=nodes, elements=tris, boundary_markers={})
-    mesh.boundary_markers = tag_boundary_by_midpoint(nodes, mesh.boundary_facets(), classify)
-    return mesh.validate()
+    markers = tag_boundary_by_midpoint(nodes, _boundary_facets_of(tris, 2), classify)
+    return SpatialMesh(dimension=2, nodes=nodes, elements=tris, boundary_markers=markers)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,7 @@ from .constitutive import (CarreauYasudaParams, ParameterError, ParameterSpace,
                            apply_parameters, field_values, space_from_dict,
                            space_to_dict, tau_scales)
 from .eim import EimApproximation
-from .fom import (FomAssembler, build_dof_map, build_lifting, picard,
-                  pressure_pins)
+from .fom import assembler_for, build_dof_map, build_lifting, picard
 from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
 
 logger = logging.getLogger(__name__)
@@ -241,7 +240,7 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
     for approx, tag in ((eim_eta, "eta"), (eim_tau, "tau")):
         if approx is None or getattr(approx, "tag", None) != tag:
             raise RomError("missing elementwise interpolation for field %r" % tag)
-    asm = assembler if assembler is not None else FomAssembler(mesh)
+    asm = assembler_for(mesh, assembler, RomError)
     dof_map = dof_map if dof_map is not None else build_dof_map(mesh, problem.dirichlet)
     mh = mesh.content_hash()
     for label, h in (("basis", basis.mesh_hash), ("eta interpolation", eim_eta.mesh_hash),
@@ -262,8 +261,8 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         if np.any((approx.magic < 0) | (approx.magic >= mesh.n_elements)):
             raise RomError("%s interpolation has a magic element outside "
                            "[0, %d)" % (approx.tag, mesh.n_elements))
-    pins = pressure_pins(mesh, dof_map)
-    if pins.size:
+    pattern = asm.system_pattern(dof_map)
+    if pattern.pins.size:
         raise RomError("case leaves no natural pressure gauge; the reduced "
                        "solver carries no pressure pinning")
 
@@ -284,7 +283,6 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
     Zf = Z_v[dof_map.free_full]
     Y = block_diag(Zf, Z_p)
 
-    pattern = asm.system_pattern(dof_map, pins)
     w_eta, w_tau, w_pp = pattern.weights
 
     def columns():

@@ -20,6 +20,7 @@ from stmor.analysis import (SamplePlan, error_pressure, error_velocity,
 from stmor.eim import FieldSampleSet, eim_greedy
 from stmor.fom import (FomAssembler, build_dof_map, build_lifting,
                        combine_liftings, fom_inner_products, solve_fom)
+from stmor.mesh import SpaceTimeMesh
 from stmor.pod import assemble_basis, compute_pod, projection_error
 from stmor.rom import project_offline, reconstruct, solve_rom
 
@@ -324,8 +325,10 @@ def test_criterion_9_invariant_suites(valve):
     checks = {}
 
     # mesh conformity and measure conservation: the deformed cylinder volume
-    # is the base planform over 1.8 s plus the gate sweep volume
-    mesh.validate()
+    # is the base planform over 1.8 s plus the gate sweep volume; the
+    # constructor checks the orientation and the boundary tags again
+    SpaceTimeMesh(dimension=mesh.dimension, nodes=mesh.nodes, elements=mesh.elements,
+                  boundary_facets=mesh.boundary_facets, time_levels=mesh.time_levels)
     measures, _ = mesh.all_element_geometry()
     volume = float(measures.sum())
     want = 0.0081375 * 1.8 + 0.0005

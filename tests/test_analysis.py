@@ -130,11 +130,6 @@ class TestSampling:
             generate_samples(SamplePlan(box=BOX_2D, train_counts=(3,),
                                         n_test=1, seed=1))
 
-    def test_unknown_rng_rejected(self):
-        with pytest.raises(AnalysisError, match="rng"):
-            generate_samples(SamplePlan(box=BOX_1D, train_counts=(2,),
-                                        n_test=1, seed=1, rng="mt19937"))
-
 
 @pytest.fixture(scope="module")
 def metric_mesh():

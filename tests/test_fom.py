@@ -12,6 +12,7 @@ from scipy.sparse.linalg import LinearOperator, splu
 from scipy.sparse.linalg import gmres as scipy_gmres
 
 from stmor import fom
+from stmor.analysis import AnalysisError, offline_build
 from stmor.cases import artery_analog_config, build_mesh, build_problem
 from stmor.constitutive import BodyForce, CarreauYasudaParams
 from stmor.fom import (
@@ -36,6 +37,7 @@ from stmor.fom import (
 )
 from stmor.io import ArtifactError, write_artifact
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
+from stmor.rom import RomError, project_offline
 
 NEWTONIAN = CarreauYasudaParams(eta_0=270.0, eta_inf=0.0, lam=1.2e-3, a=1.0,
                                 n=1.0, rho=1200.0)
@@ -254,7 +256,7 @@ def reference_system(asm, dof_map, liftings, u, params, problem, pins):
 
 
 def fixed_pattern_system(asm, dof_map, liftings, u, params, problem):
-    pattern = asm.system_pattern(dof_map, pressure_pins(asm.mesh, dof_map))
+    pattern = asm.system_pattern(dof_map)
     lift = combine_liftings(liftings, dof_map.n_nodes, dof_map.d).ravel()
     sys = assemble_fom(asm, pattern, u, params, lift,
                        fixed_load(asm, dof_map, problem, params.rho))
@@ -404,11 +406,10 @@ class TestFixedPattern:
     def test_maps_do_not_depend_on_the_chunk(self, name, monkeypatch):
         mesh, prob = self.case(name)
         dm = build_dof_map(mesh, prob.dirichlet)
-        pins = pressure_pins(mesh, dm)
         built = []
         for chunk in (7, fom.MAP_CHUNK, mesh.n_elements):
             monkeypatch.setattr(fom, "MAP_CHUNK", chunk)
-            pattern = FomAssembler(mesh).system_pattern(dm, pins)
+            pattern = FomAssembler(mesh).system_pattern(dm)
             built.append((pattern.base,) + pattern.weights)
         for got in built[1:]:
             for a, b in zip(got, built[0]):
@@ -446,6 +447,22 @@ class TestPressureGauge:
         assert pressure_pins(mesh, dm).size == 0
         np.testing.assert_array_equal(fom.free_pressure_levels(FomAssembler(mesh), dm),
                                       [free] * 4)
+
+    def test_gauge_is_decided_once_per_dof_map(self, monkeypatch):
+        mesh = channel_mesh(n=3, levels=4)
+        asm, calls = FomAssembler(mesh), []
+        for name in ("pressure_pins", "free_pressure_levels"):
+            monkeypatch.setattr(fom, name, lambda *a, f=getattr(fom, name), name=name:
+                                calls.append(name) or f(*a))
+        for prob in (open_couette_problem(), open_couette_problem(), couette_problem()):
+            dm = build_dof_map(mesh, prob.dirichlet)
+            assert solve_fom(mesh, prob, assembler=asm, dof_map=dm).converged
+            pattern = asm.system_pattern(dm)
+            pinned = prob.name == "couette"
+            assert pattern.pins.size == (4 if pinned else 0)
+            assert pattern.open_levels.tolist() == ([] if pinned else [True] * 4)
+        # the second open solve reuses the first one's pattern and gauge
+        assert calls == ["pressure_pins", "free_pressure_levels", "pressure_pins"]
 
     def test_outflow_gauges_every_level(self):
         _, mesh, prob = coarse_artery()
@@ -803,7 +820,7 @@ class TestOrderedFactor:
         dissect = fom.nested_dissection
         monkeypatch.setattr(fom, "nested_dissection",
                             lambda *a: builds.append(1) or dissect(*a))
-        pattern = asm.system_pattern(dm, pressure_pins(mesh, dm))
+        pattern = asm.system_pattern(dm)
         assert not builds           # built on first use, not with the pattern
         order = pattern.order(asm)
         np.testing.assert_array_equal(np.sort(order), np.arange(dm.n_total))
@@ -863,7 +880,7 @@ class TestOrderedFactor:
             asm = FomAssembler(mesh)
             dm = build_dof_map(mesh, prob.dirichlet)
             solve_fom(mesh, prob, assembler=asm, dof_map=dm)
-            pattern = asm.system_pattern(dm, pressure_pins(mesh, dm))
+            pattern = asm.system_pattern(dm)
             assert pattern.order(asm).size == dm.n_total
             ref = weakref.ref(asm)
             del asm
@@ -954,6 +971,30 @@ class TestGmres:
         x, its = gmres(K, rhs, lambda v: v, np.zeros(n))
         assert 0 < its < KRYLOV_MAX_ITS
         assert np.linalg.norm(rhs - K @ x) > LINEAR_RESIDUAL_TOL * np.linalg.norm(rhs)
+
+
+class TestForeignAssembler:
+    def test_assembler_of_another_mesh_is_refused(self):
+        # both coarse artery meshes have the same node count; a solve on the
+        # wider narrowing's assembler would carry the other mesh's hash
+        cfg, mesh, prob = coarse_artery()
+        other = build_mesh(replace(cfg, geometry={**cfg.geometry, "narrow_halfwidth_m": 10e-3}))
+        assert other.n_nodes == mesh.n_nodes and other.content_hash() != mesh.content_hash()
+        asm = FomAssembler(other)
+        match = "assembler was built on mesh %s, not on mesh %s" % (other.content_hash(),
+                                                                   mesh.content_hash())
+        with pytest.raises(SolverError, match=match):
+            solve_fom(mesh, prob, assembler=asm)
+        with pytest.raises(SolverError, match=match):
+            fom_inner_products(mesh, asm)
+        with pytest.raises(AnalysisError, match=match):
+            offline_build(mesh, prob, [[0.1]], assembler=asm)
+        with pytest.raises(RomError, match=match):
+            project_offline(mesh, prob, None, SimpleNamespace(tag="eta"),
+                            SimpleNamespace(tag="tau"), assembler=asm)
+        # an equal mesh built again is the same mesh
+        assert fom_inner_products(build_mesh(cfg), FomAssembler(mesh))["M_p"].shape \
+            == (mesh.n_nodes, mesh.n_nodes)
 
 
 class TestInnerProducts:

@@ -12,7 +12,6 @@ from stmor.mesh import (
     SpaceTimeMesh,
     SpatialMesh,
     channel_narrowing_map,
-    deform,
     extrude,
     interval_mesh,
     narrowing_scale,
@@ -134,7 +133,8 @@ class TestFacetSearch:
         spatial = relabel(rectangle_mesh(np.linspace(0, 2, nx + 1), np.linspace(-1, 1, ny + 1),
                                          "dirichlet:l", "dirichlet:r", "dirichlet:b",
                                          "neumann:t"), seed)
-        assert spatial.boundary_facets() == oracle_boundary_facets(spatial.elements, 2)
+        assert mesh_module._boundary_facets_of(spatial.elements, 2) == \
+            oracle_boundary_facets(spatial.elements, 2)
         assert_matches_oracle(extrude(spatial, np.linspace(0.0, 1.0, nl)))
 
     @pytest.mark.parametrize("case_id", sorted(BUNDLED_HASHES))
@@ -181,7 +181,6 @@ class TestExtrude:
         st_mesh = extrude(interval_mesh(0.0, 1.0, 1), [0.0, 1.0])
         assert st_mesh.n_nodes == 4
         assert st_mesh.n_elements == 2
-        st_mesh.validate()
         np.testing.assert_allclose(st_mesh.all_element_geometry()[0].sum(), 1.0, rtol=1e-12)
 
     def test_single_triangle_two_slabs(self):
@@ -189,7 +188,6 @@ class TestExtrude:
         st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])
         assert st_mesh.n_nodes == 9
         assert st_mesh.n_elements == 6
-        st_mesh.validate()
         meas = st_mesh.all_element_geometry()[0]
         assert np.all(meas > 0)
         np.testing.assert_allclose(meas.sum(), 0.5, rtol=1e-12)
@@ -236,20 +234,16 @@ class TestExtrude:
             extrude(unit_triangle(), [0.0, 0.0, 1.0])
 
     def test_rejects_unmarked_spatial_boundary(self):
-        spatial = unit_triangle()
-        del spatial.boundary_markers[(0, 1)]
-        with pytest.raises(MeshError, match="marker"):
-            extrude(spatial, [0.0, 1.0])
-
-    def test_rejects_lateral_facet_without_marker(self, monkeypatch):
-        spatial = unit_triangle()
-        del spatial.boundary_markers[(0, 1)]
-        # hide the gap from the spatial checks, so only the lateral lookup meets it
-        monkeypatch.setattr(SpatialMesh, "boundary_facets",
-                            lambda self: list(self.boundary_markers))
-        with pytest.raises(MeshError, match=r"lateral facet \(0, 1, 4\) matches no "
-                                            r"spatial marker"):
-            extrude(spatial, [0.0, 1.0])
+        tri = unit_triangle()
+        markers = dict(tri.boundary_markers)
+        del markers[(0, 1)]
+        with pytest.raises(MeshError, match=r"spatial boundary facet \(0, 1\) carries no marker"):
+            SpatialMesh(dimension=2, nodes=tri.nodes, elements=tri.elements,
+                        boundary_markers=markers)
+        # a marker dropped after construction leaves the sides of its facet untagged
+        del tri.boundary_markers[(0, 1)]
+        with pytest.raises(MeshError, match=r"facet \(0, 1, 4\) has no tag"):
+            extrude(tri, [0.0, 1.0])
 
     @settings(max_examples=15, deadline=None)
     @given(nx=st.integers(1, 3), ny=st.integers(1, 3), nl=st.integers(2, 4),
@@ -258,7 +252,6 @@ class TestExtrude:
         spatial = rectangle_mesh(np.linspace(0, 2, nx + 1), np.linspace(-1, 1, ny + 1),
                                  "dirichlet:l", "dirichlet:r", "dirichlet:b", "dirichlet:t")
         st_mesh = extrude(spatial, np.linspace(0.0, T, nl))
-        st_mesh.validate()
         counts = facet_counts(st_mesh)
         assert set(counts.values()) <= {1, 2}
         boundary = {f for f, c in counts.items() if c == 1}
@@ -269,13 +262,15 @@ class TestExtrude:
 
 
 class TestValidate:
-    def test_invalid_mesh_still_rejected_by_assembler(self):
+    """A mesh checks itself at construction."""
+
+    def test_untagged_mesh_is_rejected_at_construction(self):
         nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        untagged = SpaceTimeMesh(dimension=3, nodes=nodes,
-                                 elements=np.array([[0, 1, 2, 3]]), boundary_facets={})
-        with pytest.raises(MeshError, match="boundary tags"):
-            FomAssembler(untagged)
+        with pytest.raises(MeshError, match=r"boundary tags do not cover the topological "
+                                            r"boundary: facet \(0, 1, 2\) has no tag"):
+            SpaceTimeMesh(dimension=3, nodes=nodes, elements=np.array([[0, 1, 2, 3]]),
+                          boundary_facets={})
 
     def retagged(self, change):
         st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])
@@ -286,39 +281,46 @@ class TestValidate:
 
     def test_names_the_first_untagged_facet(self):
         untagged = [(0, 1, 4), (3, 6, 7)]
-        mesh = self.retagged(lambda facets: [facets.pop(f) for f in untagged[::-1]])
         with pytest.raises(MeshError, match=r"boundary tags do not cover the topological "
                                             r"boundary: facet \(0, 1, 4\) has no tag"):
-            mesh.validate()
+            self.retagged(lambda facets: [facets.pop(f) for f in untagged[::-1]])
 
     def test_names_the_first_tagged_inner_facet(self):
         # (0, 1, 5) is shared by two elements of the first slab
-        mesh = self.retagged(lambda facets: facets.update({(0, 4, 5): "dirichlet:a",
-                                                           (0, 1, 5): "dirichlet:a"}))
         with pytest.raises(MeshError, match=r"facet \(0, 1, 5\) is tagged but inner"):
-            mesh.validate()
+            self.retagged(lambda facets: facets.update({(0, 4, 5): "dirichlet:a",
+                                                        (0, 1, 5): "dirichlet:a"}))
 
     def test_degenerate_element_is_rejected(self):
         flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                          [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-        mesh = SpaceTimeMesh(dimension=3, nodes=flat, elements=np.array([[0, 1, 2, 3]]),
-                             boundary_facets={})
         with pytest.raises(MeshError, match="element 0 is degenerate"):
-            mesh.validate()
+            SpaceTimeMesh(dimension=3, nodes=flat, elements=np.array([[0, 1, 2, 3]]),
+                          boundary_facets={})
 
-    def test_validated_mesh_is_not_scanned_again(self, monkeypatch):
-        st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0]).validate()
-        unchecked = extrude(unit_triangle(), [0.0, 0.5, 1.0])
+    def test_inverted_element_and_bad_ids_are_rejected(self):
+        st_mesh = extrude(unit_triangle(), [0.0, 1.0])
+        for elements, match in ((st_mesh.elements[:, [1, 0, 2, 3]], "element 0 has non-positive"),
+                                (st_mesh.elements + 3, "node id out of range"),
+                                (st_mesh.elements[:, :3], r"elements \(m, 4\)")):
+            with pytest.raises(MeshError, match=match):
+                SpaceTimeMesh(dimension=3, nodes=st_mesh.nodes, elements=elements,
+                              boundary_facets=st_mesh.boundary_facets)
 
-        def scan(*args):
-            raise AssertionError("boundary facets scanned again")
+    def test_mesh_build_scans_boundary_once(self, monkeypatch):
+        scanned = []
+        search = mesh_module._boundary_facet_rows
 
-        monkeypatch.setattr(mesh_module, "_boundary_facets_of", scan)
+        def counted(elements, D):
+            scanned.append(elements.shape)
+            return search(elements, D)
+
+        monkeypatch.setattr(mesh_module, "_boundary_facet_rows", counted)
+        st_mesh = build_mesh(bundled_case("valve-analog"))
+        assert [s for s in scanned if s[1] == 4] == [st_mesh.elements.shape]
+        scanned.clear()
         FomAssembler(st_mesh)
-        moved = deform(st_mesh, channel_narrowing_map())
-        FomAssembler(moved)         # deform checked the measures itself
-        with pytest.raises(AssertionError, match="scanned"):
-            deform(unchecked, channel_narrowing_map()).validate()
+        assert scanned == []
 
 
 class TestGeometry:
@@ -330,8 +332,10 @@ class TestGeometry:
     def test_reference_tetrahedron(self):
         nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        facets = {(0, 1, 2): "initial", (0, 1, 3): "dirichlet:y", (0, 2, 3): "dirichlet:x",
+                  (1, 2, 3): "neumann:slant"}
         mesh = SpaceTimeMesh(dimension=3, nodes=nodes,
-                             elements=np.array([[0, 1, 2, 3]]), boundary_facets={})
+                             elements=np.array([[0, 1, 2, 3]]), boundary_facets=facets)
         measures, grads = mesh.all_element_geometry()
         np.testing.assert_allclose(measures[0], 1.0 / 6.0, rtol=1e-14)
         # spatial parts are the leading columns, time the last one
@@ -341,7 +345,7 @@ class TestGeometry:
     def test_gradient_partition_of_unity(self):
         spatial = rectangle_mesh([0, 0.3, 1.0], [0, 0.7, 1.0],
                                  "dirichlet:l", "dirichlet:r", "dirichlet:b", "dirichlet:t")
-        st_mesh = deform(extrude(spatial, [0.0, 0.4, 1.0]), channel_narrowing_map())
+        st_mesh = extrude(spatial, [0.0, 0.4, 1.0], channel_narrowing_map())
         _, grads = st_mesh.all_element_geometry()
         np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-13)
 
@@ -349,10 +353,12 @@ class TestGeometry:
 class TestDeform:
     def test_identity_bit_identical(self):
         st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])
-        out = deform(st_mesh, lambda x, t: x)
+        out = extrude(unit_triangle(), [0.0, 0.5, 1.0], deformation=lambda x, t: x)
         assert np.array_equal(out.nodes, st_mesh.nodes)
+        assert np.array_equal(out.reference_nodes, st_mesh.reference_nodes)
         assert np.array_equal(out.elements, st_mesh.elements)
-        assert out.boundary_facets == st_mesh.boundary_facets
+        assert list(out.boundary_facets.items()) == list(st_mesh.boundary_facets.items())
+        assert out.content_hash() == st_mesh.content_hash()
 
     def test_narrowing_wall_node(self):
         # wall publishes the law directly: (0, r0) at t=1 -> (0, 0.2 r0)
@@ -388,15 +394,14 @@ class TestDeform:
         spatial = rectangle_mesh([0, 0.5, 1.0], [-1.0, 0.0, 1.0],
                                  "dirichlet:l", "dirichlet:r", "dirichlet:b", "dirichlet:t")
         st_mesh = extrude(spatial, np.linspace(0.0, 1.0, 5))
-        out = deform(st_mesh, channel_narrowing_map())
+        out = extrude(spatial, np.linspace(0.0, 1.0, 5), channel_narrowing_map())
         assert np.all(out.all_element_geometry()[0] > 0)
         # total volume shrinks: integral of the width scale over time
         assert out.all_element_geometry()[0].sum() < st_mesh.all_element_geometry()[0].sum()
 
     def test_deform_rejects_inverted(self):
-        st_mesh = extrude(unit_triangle(), [0.0, 1.0])
-        with pytest.raises(MeshError, match="element"):
-            deform(st_mesh, lambda x, t: x * np.array([1.0, -1.0]))
+        with pytest.raises(MeshError, match="element 0 has non-positive measure -"):
+            extrude(unit_triangle(), [0.0, 1.0], lambda x, t: x * np.array([1.0, -1.0]))
 
     def test_valve_plug_map_moves_tip_only_in_band(self):
         dmap = valve_plug_map(x_gate_rest=0.0495, x_wall=0.05, speed=0.0625,
@@ -414,7 +419,7 @@ class TestDeform:
 
     def test_reference_nodes_survive_deform(self):
         st_mesh = extrude(unit_triangle(), [0.0, 1.0])
-        out = deform(st_mesh, channel_narrowing_map())
+        out = extrude(unit_triangle(), [0.0, 1.0], channel_narrowing_map())
         assert np.array_equal(out.reference_nodes, st_mesh.nodes)
         assert not np.array_equal(out.nodes, st_mesh.nodes)
 
@@ -424,7 +429,7 @@ class TestIO:
         a = extrude(unit_triangle(), [0.0, 1.0])
         b = extrude(unit_triangle(), [0.0, 1.0])
         assert a.content_hash() == b.content_hash()
-        c = deform(a, channel_narrowing_map())
+        c = extrude(unit_triangle(), [0.0, 1.0], channel_narrowing_map())
         assert c.content_hash() != a.content_hash()
 
     def test_vtk_export(self, tmp_path):
@@ -443,17 +448,15 @@ class TestGenerators:
                                               keep=lambda x, y: not (1 < x < 2 and 1 < y < 2))
         assert tris.min() == 0 and tris.max() == nodes.shape[0] - 1
         assert tris.shape[0] == 2 * 8
-        mesh = SpatialMesh(dimension=2, nodes=nodes, elements=tris, boundary_markers={})
         # hole adds an inner boundary loop of 4 edges; outer loop has 12
-        assert len(mesh.boundary_facets()) == 16
+        assert len(mesh_module._boundary_facets_of(tris, 2)) == 16
 
     def test_marker_on_an_inner_edge_is_rejected(self):
         nodes, tris = triangulate_tensor_grid([0, 1], [0, 1])
         inner = tuple(sorted(set(tris[0]) & set(tris[1])))
-        mesh = SpatialMesh(dimension=2, nodes=nodes, elements=tris,
-                           boundary_markers={inner: "dirichlet:a"})
         with pytest.raises(MeshError, match=r"non-boundary facet: \(0, 3\)"):
-            mesh.validate()
+            SpatialMesh(dimension=2, nodes=nodes, elements=tris,
+                        boundary_markers={inner: "dirichlet:a"})
 
     def test_interval_tags(self):
         m = interval_mesh(0.0, 3.0, 3, "dirichlet:a", "neumann:b")
