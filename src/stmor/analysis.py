@@ -210,7 +210,7 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     training snapshots carrying their mu) must be given.  A training solve
     that fails to converge aborts the build: a basis built from an untrusted
     snapshot would poison everything downstream.  A caller's assembler of mesh
-    is reused, so its system pattern is not built again.
+    is reused; only the training solves build or use its system pattern.
 
     The training solves run as one continuation over train_mus in list
     order (solve_chain): each solve starts from its predecessor's solution

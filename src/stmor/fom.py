@@ -26,10 +26,9 @@ so the pattern of the pinned, free-restricted system is fixed.  An
 assembler builds it once per DOF map (SystemPattern), with maps
 from element entries to its CSR slots; each iterate is then three sparse
 matrix-vector products of the element weights plus constant base vectors,
-and the lifting load comes from the entries in constrained columns.  The
-same slot arithmetic serves the offline projection (rom.project_offline),
-which fills the pattern with one interpolation basis vector at a time; no
-other sparse layout of the system exists.
+and the lifting load comes from the entries in constrained columns.  No
+other sparse layout of the system exists; the offline projection
+(rom.project_offline) reduces the element blocks directly.
 
 Linear solves: one solve_fom call factors its first system and keeps that
 factor.  The factor is a sparse LU of the system in the pattern's
@@ -87,7 +86,7 @@ LINEAR_RESIDUAL_TOL = 1e-10
 KRYLOV_MAX_ITS = 20         # GMRES iterations on a lagged factor before refactoring
 KRYLOV_RTOL = 1e-14         # true relative residual at which GMRES stops
 DISSECTION_LEAF = 16        # nodes of a part that nested dissection leaves whole
-MAP_CHUNK = 4096            # elements per piece of a SystemPattern element map
+MAP_CHUNK = 4096            # elements per piece of a SystemPattern map or a projection
 MIXING_DEPTH = 3            # Anderson history pairs of the Picard driver; 0 is plain Picard
 MIXING_RANK_TOL = 1e-12     # relative size of R's diagonal below which the history goes
 CONFLICT_TOL = 1e-10
@@ -259,10 +258,10 @@ class FomAssembler:
 
     The element blocks (mass, viscous, divergence, stab_pv, stab_pp) are
     dense per-element arrays; the weighted ones accept an arbitrary
-    per-element weight vector.  SystemPattern sums them, at unit weight, into
-    the fixed CSR pattern of the system, which both the Picard loop and the
-    offline projection fill.  The norm matrices (grad_gram, mass_pressure)
-    are summed on the node adjacency.  No assembly sorts COO entries.
+    per-element weight vector.  SystemPattern sums them at unit weight into
+    the CSR pattern the Picard loop fills; rom.project_offline reduces them
+    element by element.  The norm matrices (grad_gram, mass_pressure) are
+    summed on the node adjacency.  No assembly sorts COO entries.
     """
 
     def __init__(self, mesh):
@@ -325,10 +324,10 @@ class FomAssembler:
             raise SolverError("non-finite assembly data in element %d" % bad[0])
 
     # element blocks of unit or given element weight, which SystemPattern
-    # maps onto its slots
+    # maps onto its slots and rom.project_offline reduces
 
     def mass(self):
-        """(e, a, b, 1): int psi_a d_t psi_b, the same for every component."""
+        """(e, 1, b, 1): int psi_a d_t psi_b, the same for every a and component."""
         return ((self.V / (self.D + 1))[:, None, None] * self.gt[:, None, :])[..., None]
 
     def viscous(self, weights, part=slice(None)):

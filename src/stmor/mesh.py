@@ -128,9 +128,10 @@ class SpaceTimeMesh:
         self.boundary_facets = dict(zip(map(tuple, rows.tolist()), tags))
         if len(self.boundary_facets) < len(keys):
             raise MeshError("a boundary facet is listed twice, in two node orders")
-        self._facets = rows         # (n, D), in the order of boundary_facets
+        order = np.lexsort(rows.T[::-1])
+        self._facets = rows[order]  # (n, D), in tuple order
         self._tag_code = {t: i for i, t in enumerate(sorted(set(tags)))}
-        self._tag_of = np.fromiter(map(self._tag_code.get, tags), np.int64, len(tags))
+        self._tag_of = np.fromiter(map(self._tag_code.get, tags), np.int64, len(tags))[order]
         self._geom = None
         self._hash = None
         if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
@@ -140,7 +141,7 @@ class SpaceTimeMesh:
         if bad.size:
             raise MeshError("element %d has non-positive measure %.3e" % (bad[0], meas[bad[0]]))
         boundary = _boundary_facet_rows(self.elements, D)
-        if not np.array_equal(boundary, rows[np.lexsort(rows.T[::-1])]):
+        if not np.array_equal(boundary, self._facets):
             boundary, tagged = set(map(tuple, boundary.tolist())), set(self.boundary_facets)
             first = min(boundary ^ tagged)
             raise MeshError("boundary tags do not cover the topological boundary: facet %s %s"
@@ -208,9 +209,12 @@ class SpaceTimeMesh:
             h.update(np.int64(self.dimension).tobytes())
             h.update(np.ascontiguousarray(self.nodes).tobytes())
             h.update(np.ascontiguousarray(self.elements).tobytes())
-            for f in sorted(self.boundary_facets):
-                h.update(np.asarray(f, dtype=np.int64).tobytes())
-                h.update(self.boundary_facets[f].encode())
+            # the facets in tuple order, each its int64 node ids then its tag
+            tags = np.array(list(map(str.encode, self._tag_code)), dtype=bytes)[self._tag_of]
+            rec = np.hstack([self._facets.view(np.uint8),
+                             tags.view(np.uint8).reshape(tags.size, tags.itemsize)])
+            h.update(rec[np.arange(rec.shape[1]) < 8 * self.dimension
+                         + np.char.str_len(tags)[:, None]])
             h.update(np.ascontiguousarray(self.time_levels).tobytes())
             self._hash = h.hexdigest()[:16]
         return self._hash

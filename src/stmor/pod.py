@@ -69,6 +69,8 @@ def compute_pod(snapshots, gram=None, energy_threshold=None, n_modes=None,
         raise PodError("empty snapshot set")
     if energy_threshold is not None and not (0.0 < energy_threshold <= 1.0):
         raise PodError("energy threshold must lie in (0, 1]")
+    if not (0.0 <= rank_cutoff < 1.0):
+        raise PodError("rank cutoff must lie in [0, 1), got %r" % (rank_cutoff,))
     if energy_threshold is None and n_modes is None:
         energy_threshold = DEFAULT_ENERGY
 

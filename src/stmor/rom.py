@@ -1,21 +1,18 @@
 """Reduced-order model: offline Galerkin projection and the online solve.
 
 Offline, the full-order system is projected onto the reduced bases, term
-by term of the elementwise interpolations of viscosity and tau.  Its slot
-values on the FOM's fixed pattern (fom.SystemPattern) are affine in
-
-    [rho, 1, c_eta (Q_eta terms), c_tau (Q_tau), c_tau / rho (Q_tau)],
-
-c the interpolation coefficients, and the fill column Theta_q of one
-coefficient (a base column, or a weight map times one interpolation basis
-vector) is projected as
-
-    P_q = Y^T (Theta_q Y + Theta_q^lift [Z_v, 0]),   Y = blockdiag(Z_v|free, Z_p)
-
-where Theta_q^lift holds the entries in constrained velocity columns.  The
-lift vectors vanish on free rows, so the leading lifting columns of Y are
-zero: the lifts drop out of the operators and reappear, through
-Theta_q^lift, as per-lift right-hand sides.  Slot q of the two stacks holds
+by term of the elementwise interpolations of viscosity and tau, in which
+it is affine: [rho, 1, c_eta (Q_eta terms), c_tau (Q_tau), c_tau / rho
+(Q_tau)], c the interpolation coefficients.  Term q is projected element
+by element, as reduced element contributions (ECSW; Farhat, Avery, Chapman
+& Cortial, IJNME 98, 2014): P_q = sum_e b_q[e] Yte_e^T A_e Ytr_e, with A_e
+the term's unit-weight element block (fom.FomAssembler), b_q 1 for the two
+constant terms and an interpolation basis vector otherwise, Ytr_e the
+element's rows of [Z_v, 0; 0, Z_p] and Yte_e those with the constrained
+velocity rows zeroed.  The lift vectors vanish on free rows, so the lifting
+columns of Yte are zero: the lifts drop out of the operators and reappear,
+through those of Ytr, as per-lift right-hand sides.  Slot q of the stacks
+holds
 
     slot            K (Q, N, N), N = N_u + N_p     R (Q, n_lifts + 1, N)
     0               E                              H ; F_body
@@ -58,14 +55,14 @@ import logging
 from dataclasses import InitVar, asdict, dataclass, replace
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.linalg.lapack import dgesv
 
 from .constitutive import (CarreauYasudaParams, ParameterError, ParameterSpace,
                            apply_parameters, field_values, space_from_dict,
                            space_to_dict, tau_scales)
 from .eim import EimApproximation
-from .fom import assembler_for, build_dof_map, build_lifting, picard
+from .fom import (MAP_CHUNK, assembler_for, build_dof_map, build_lifting, picard,
+                  pressure_pins)
 from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
 
 logger = logging.getLogger(__name__)
@@ -220,22 +217,15 @@ class ReducedSolution:
 # ---------------------------------------------------------------------------
 # offline projection
 
-def _magic_data(asm, Z_v, magic):
-    """Assembler geometry and velocity-basis rows sliced at the magic elements."""
-    Z_rows = Z_v.reshape(-1, asm.d, Z_v.shape[1])[asm.elems[magic]]
-    return MagicElementData(gx=asm.gx[magic], h_t=asm.h_t[magic],
-                            h_s=asm.h_s[magic], Z_rows=Z_rows)
-
-
 def project_offline(mesh, problem, basis, eim_eta, eim_tau,
                     dof_map=None, assembler=None):
-    """Project the full-order system onto the basis, one affine term at a time.
+    """Project the full-order system onto the basis, element by element.
 
-    Each term is one fill column of the FOM's SystemPattern, projected and
-    released, so peak memory stays at one column of slot values.  The basis
-    must carry the problem's lifting vectors as leading columns; the
-    projected operators then lose those columns exactly and the per-lift
-    loads take over.
+    Each slot P_q of the module docstring is summed over MAP_CHUNK elements
+    at a time, so no system matrix is formed and peak memory stays at one
+    chunk of element blocks.  The basis must carry the problem's lifting
+    vectors as leading columns; the projected operators then lose those
+    columns exactly and the per-lift loads take over.
     """
     for approx, tag in ((eim_eta, "eta"), (eim_tau, "tau")):
         if approx is None or getattr(approx, "tag", None) != tag:
@@ -261,8 +251,7 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         if np.any((approx.magic < 0) | (approx.magic >= mesh.n_elements)):
             raise RomError("%s interpolation has a magic element outside "
                            "[0, %d)" % (approx.tag, mesh.n_elements))
-    pattern = asm.system_pattern(dof_map)
-    if pattern.pins.size:
+    if pressure_pins(mesh, dof_map).size:
         raise RomError("case leaves no natural pressure gauge; the reduced "
                        "solver carries no pressure pinning")
 
@@ -278,43 +267,58 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
                            "group %r" % (j, lf.group))
 
     Z_v, Z_p = basis.Z_v, basis.Z_p
-    nl = basis.n_lifts
+    nl, d, (n_el, d1) = basis.n_lifts, mesh.d, asm.elems.shape
     n_u, n = Z_v.shape[1], Z_v.shape[1] + Z_p.shape[1]
-    Zf = Z_v[dof_map.free_full]
-    Y = block_diag(Zf, Z_p)
-
-    w_eta, w_tau, w_pp = pattern.weights
-
-    def columns():
-        # the affine columns of the slot values, in theta order, one at a time
-        yield from pattern.base.T.toarray()
-        for W, basis_q in ((w_eta, eim_eta.basis), (w_tau, eim_tau.basis),
-                           (w_pp, eim_tau.basis)):
-            for b in basis_q.T:
-                yield W @ b
-
-    q_all = 2 + eim_eta.n_terms + 2 * eim_tau.n_terms
-    K = np.zeros((q_all, n, n))
-    R = np.zeros((q_all, nl + 1, n))
-    for q, values in enumerate(columns()):
-        # Y^T (Theta_q Y + lift entries @ [Z_v, 0]); its leading nl columns,
-        # the operator applied to the lifts, become the per-lift loads
-        P = Y.T @ (pattern.matrix(values) @ Y)
-        P[:, :n_u] += Y.T @ (pattern.lift_matrix(values) @ Z_v)
-        K[q, :, nl:] = P[:, nl:]
-        R[q, :nl] = -P[:, :nl].T
-    K[1, range(nl), range(nl)] = 1.0
-    R[1, range(nl), range(nl)] = 1.0
-
-    if problem.body_force is not None:
-        fb = asm.body_rhs(problem.body_force.vector(mesh.d), 1.0)
-        R[0, nl, :n_u] = dof_map.restrict(fb) @ Zf
-    R[1, nl, :n_u] = dof_map.restrict(asm.traction_rhs(problem.neumann or {})) @ Zf
-    # from coefficients to magic-element values: T^-T on each field's slots
     qe, qt = eim_eta.n_terms, eim_tau.n_terms
-    for approx, lo in ((eim_eta, 2), (eim_tau, 2 + qe), (eim_tau, 2 + qe + qt)):
+    v, p, a, c, s = (slice(0, n_u), slice(n_u, n), slice(2, 2 + qe),
+                     slice(2 + qe, 2 + qe + qt), slice(2 + qe + qt, None))
+    # node-major trial rows, and test rows with constrained velocities zeroed
+    trial_v = Z_v.reshape(-1, d, n_u)
+    test_v = np.where(dof_map.constrained[..., None], 0.0, trial_v)
+    mass, div, eye = asm.mass(), asm.divergence(), np.eye(d)[:, None, :]
+
+    def reduced(blk, test, trial):
+        # Yte_e^T A_e Ytr_e of each element of a chunk; a block given for one
+        # test node is the same for all of them
+        blk = np.broadcast_to(blk, (len(test), d1) + blk.shape[2:])
+        return test.transpose(0, 2, 1) @ (blk.reshape(len(test), test.shape[1], -1) @ trial)
+
+    K = np.zeros((2 + qe + 2 * qt, n, n))       # the slots P_q, lift columns included
+    for lo in range(0, n_el, MAP_CHUNK):
+        part = slice(lo, lo + MAP_CHUNK)
+        nodes = asm.elems[part]
+        e = len(nodes)
+        zv, zt = (z[nodes].reshape(e, -1, n_u) for z in (trial_v, test_v))
+        zp = Z_p[nodes]                             # (e, D+1, N_p)
+        # the constant slots: the time derivative per unit density, +B and -B^T
+        K[0, v, v] += reduced(mass[part, :, None] * eye, zt, zv).sum(axis=0)
+        K[1, p, v] += reduced(div[part], zp, zv).sum(axis=0)
+        K[1, v, p] -= reduced(div[part], zp, zt).sum(axis=0).T
+        # the weighted slots, one per interpolation basis vector b_q
+        for slots, b, kernel, test, trial in (
+                (K[a, v, v], eim_eta.basis[part], asm.viscous, zt, zv),
+                (K[c, p, v], eim_tau.basis[part], asm.stab_pv, zp, zv),
+                (K[s, p, p], eim_tau.basis[part], asm.stab_pp, zp, zp)):
+            red = reduced(kernel(1.0, part), test, trial)
+            slots += (b.T @ red.reshape(e, -1)).reshape(slots.shape)
+    # the operator applied to the lifts becomes the per-lift loads
+    R = np.zeros((len(K), nl + 1, n))
+    R[:, :nl] = -K[:, :, :nl].transpose(0, 2, 1)
+    K[:, :, :nl] = 0.0
+    K[1, range(nl), range(nl)] = R[1, range(nl), range(nl)] = 1.0
+
+    test_rows = test_v.reshape(-1, n_u)
+    if problem.body_force is not None:
+        R[0, nl, :n_u] = asm.body_rhs(problem.body_force.vector(d), 1.0) @ test_rows
+    R[1, nl, :n_u] = asm.traction_rhs(problem.neumann or {}) @ test_rows
+    # from coefficients to magic-element values: T^-T on each field's slots
+    for approx, slots in ((eim_eta, a), (eim_tau, c), (eim_tau, s)):
         for stack in (K, R):
-            stack[lo:lo + approx.n_terms] = approx.fold(stack[lo:lo + approx.n_terms])
+            stack[slots] = approx.fold(stack[slots])
+    # the geometry and velocity-basis rows at each field's magic elements
+    data = {f.tag: MagicElementData(gx=asm.gx[f.magic], h_t=asm.h_t[f.magic],
+                                    h_s=asm.h_s[f.magic], Z_rows=trial_v[asm.elems[f.magic]])
+            for f in (eim_eta, eim_tau)}
 
     pkg = RomPackage(
         case_id=problem.name, mesh_hash=mh, d=mesh.d, n_nodes=mesh.n_nodes,
@@ -323,9 +327,7 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         material=problem.material, amplitudes=dict(problem.amplitudes),
         space=problem.space, K=K, R=R,
         eim_eta=eim_eta, eim_tau=eim_tau,
-        data_eta=_magic_data(asm, Z_v, eim_eta.magic),
-        data_tau=_magic_data(asm, Z_v, eim_tau.magic),
-        basis=basis)
+        data_eta=data["eta"], data_tau=data["tau"], basis=basis)
     logger.info("projected %s: N_u=%d N_p=%d (N=%d vs N^h=%d), Q_eta=%d Q_tau=%d",
                 problem.name, pkg.n_u, pkg.n_p, pkg.n_reduced, pkg.n_fom_dofs,
                 pkg.q_eta, pkg.q_tau)

@@ -24,7 +24,9 @@ from stmor.analysis import (AnalysisError, SamplePlan, error_pressure,
                             write_study_report)
 from stmor.constitutive import (SEMANTICS_BC_SCALE, CarreauYasudaParams,
                                 ParameterBox, ParameterSpace, relative_box)
+from stmor.eim import EimError
 from stmor.fom import fom_inner_products, solve_fom
+from stmor.pod import PodError
 from stmor.rom import solve_rom, truncate
 
 BOX_1D = ParameterBox(names=("a",), lower=(0.0,), upper=(1.0,))
@@ -266,6 +268,20 @@ class TestOfflineBuild:
         np.testing.assert_allclose(rebuilt.basis.spectrum_v,
                                    pipe.basis.spectrum_v, rtol=1e-12)
 
+    def test_build_from_solutions_builds_no_system_pattern(self, duct, monkeypatch):
+        # the projection works element by element; only a Picard loop needs
+        # the pattern
+        _, _, _, pipe = duct
+        built = []
+        real = fom.SystemPattern
+        monkeypatch.setattr(fom, "SystemPattern", lambda *a: built.append(a) or real(*a))
+        fresh = offline_build(pipe.mesh, pipe.problem, solutions=pipe.solutions,
+                              tol_eim_eta=1e-13, tol_eim_tau=1e-13,
+                              energy_threshold=1.0, rank_cutoff=1e-14)
+        assert fresh.assembler is not pipe.assembler
+        assert built == []
+        assert fresh.assembler._pattern is None
+
     def test_given_assembler_is_reused(self, duct, monkeypatch):
         _, _, _, pipe = duct
         opts = dict(solutions=pipe.solutions, tol_eim_eta=1e-13,
@@ -285,6 +301,16 @@ class TestOfflineBuild:
         assert built == []
         assert np.array_equal(reused.pkg.K, default.pkg.K)
         assert np.array_equal(reused.pkg.R, default.pkg.R)
+
+    @pytest.mark.parametrize("option, error", [("tol_eim_eta", EimError),
+                                               ("rank_cutoff", PodError)])
+    def test_nan_option_is_refused(self, duct, option, error):
+        _, _, _, pipe = duct
+        opts = dict(tol_eim_eta=1e-13, tol_eim_tau=1e-13, energy_threshold=1.0,
+                    rank_cutoff=1e-14)
+        opts[option] = np.nan
+        with pytest.raises(error):
+            offline_build(pipe.mesh, pipe.problem, solutions=pipe.solutions, **opts)
 
     def test_nonconverged_training_solve_aborts(self, duct):
         _, _, samples, pipe = duct

@@ -355,6 +355,18 @@ class TestFailureModes:
         assert payload["error"] == "ArtifactError"
         assert "snapshots" in payload["message"]
 
+    def test_nan_eim_tolerance_is_one_json_line(self, workdir, capsys):
+        root, case = workdir
+        before = (root / "rom_package.stm").read_bytes()
+        assert main(["build-rom", "--case", str(case), "--out-dir", str(root),
+                     "--tol-eim-eta", "nan"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "EimError"
+        assert "tolerance" in payload["message"]
+        assert (root / "rom_package.stm").read_bytes() == before
+
     @pytest.mark.parametrize("broken", [
         {"geometry": 5},
         {"boundary": 5},

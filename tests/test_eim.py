@@ -83,8 +83,9 @@ class TestGreedy:
 
     def test_rejects_bad_input(self):
         good = FieldSampleSet(tag="eta", values=np.ones((5, 2)))
-        with pytest.raises(EimError):
-            eim_greedy(good, tol=0.0, q_max=3)
+        for tol in (0.0, -1e-12, 1.0, np.nan):
+            with pytest.raises(EimError, match="tolerance"):
+                eim_greedy(good, tol=tol, q_max=3)
         with pytest.raises(EimError, match="zero"):
             eim_greedy(FieldSampleSet(tag="eta", values=np.zeros((5, 2))),
                        tol=1e-10, q_max=3)

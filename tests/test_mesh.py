@@ -1,5 +1,7 @@
 """Extrusion, subdivision, deformation, and geometry queries."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +82,20 @@ def relabel(spatial, seed):
     return SpatialMesh(dimension=spatial.dimension, nodes=nodes, elements=new[spatial.elements],
                        boundary_markers={tuple(new[list(f)]): t
                                          for f, t in spatial.boundary_markers.items()})
+
+
+def oracle_content_hash(st_mesh):
+    """The mesh digest, fed facet by facet in tuple order."""
+    h = hashlib.sha256()
+    h.update(b"stmesh")
+    h.update(np.int64(st_mesh.dimension).tobytes())
+    h.update(st_mesh.nodes.tobytes())
+    h.update(st_mesh.elements.tobytes())
+    for f in sorted(st_mesh.boundary_facets):
+        h.update(np.asarray(f, dtype=np.int64).tobytes())
+        h.update(st_mesh.boundary_facets[f].encode())
+    h.update(st_mesh.time_levels.tobytes())
+    return h.hexdigest()[:16]
 
 
 def oracle_extrusion_tags(st_mesh):
@@ -431,6 +447,16 @@ class TestIO:
         assert a.content_hash() == b.content_hash()
         c = extrude(unit_triangle(), [0.0, 1.0], channel_narrowing_map())
         assert c.content_hash() != a.content_hash()
+
+    def test_content_hash_matches_facet_loop(self):
+        # tags of different byte lengths, one of them not ASCII, on a mesh
+        # whose node numbers do not follow the facet order
+        spatial = relabel(rectangle_mesh(np.linspace(0, 2, 4), np.linspace(-1, 1, 3),
+                                         "dirichlet:l", "neumann:outflow-wall",
+                                         "dirichlet:b", "dirichlet:top\u00e9"), 7)
+        st_mesh = extrude(spatial, [0.0, 0.4, 1.0])
+        assert len({len(t.encode()) for t in st_mesh.tags()}) == 5
+        assert st_mesh.content_hash() == oracle_content_hash(st_mesh)
 
     def test_vtk_export(self, tmp_path):
         st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])

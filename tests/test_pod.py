@@ -110,6 +110,9 @@ class TestComputePod:
             compute_pod(np.ones((2, 5)), energy_threshold=1.5)
         with pytest.raises(PodError, match="zero energy"):
             compute_pod(np.zeros((3, 5)))
+        for cutoff in (-1e-14, 1.0, np.nan):
+            with pytest.raises(PodError, match="rank cutoff"):
+                compute_pod(np.ones((2, 5)), rank_cutoff=cutoff)
 
     def test_deterministic_with_fixed_input(self):
         rng = np.random.default_rng(6)

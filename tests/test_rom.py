@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from stmor import cases, fom, rom
 from stmor.analysis import offline_build
@@ -617,7 +618,88 @@ def coarse_artery_rom():
     train = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     pipe = offline_build(mesh, cases.build_problem(cfg, mesh), train_mus=train,
                          **cfg.picard_options(), **cfg.offline_options())
-    return cfg, pipe.pkg
+    return cfg, pipe
+
+
+def columnwise_stacks(mesh, problem, basis, eim_eta, eim_tau, dof_map, asm):
+    """K and R over the interpolation coefficients, with their loads,
+    projected one affine fill column of the FOM's SystemPattern at a time as
+    Y^T (Theta_q Y + Theta_q^lift [Z_v, 0]), Y = blockdiag(Z_v|free, Z_p)."""
+    pattern = asm.system_pattern(dof_map)
+    Z_v, Z_p, nl = basis.Z_v, basis.Z_p, basis.n_lifts
+    n_u, n = Z_v.shape[1], Z_v.shape[1] + Z_p.shape[1]
+    Zf = Z_v[dof_map.free_full]
+    Y = block_diag(Zf, Z_p)
+    columns = list(pattern.base.T.toarray())
+    for W, basis_q in zip(pattern.weights, (eim_eta.basis, eim_tau.basis, eim_tau.basis)):
+        columns += [W @ b for b in basis_q.T]
+    K = np.zeros((len(columns), n, n))
+    R = np.zeros((len(columns), nl + 1, n))
+    for q, values in enumerate(columns):
+        P = Y.T @ (pattern.matrix(values) @ Y)
+        P[:, :n_u] += Y.T @ (pattern.lift_matrix(values) @ Z_v)
+        K[q, :, nl:] = P[:, nl:]
+        R[q, :nl] = -P[:, :nl].T
+    K[1, range(nl), range(nl)] = 1.0
+    R[1, range(nl), range(nl)] = 1.0
+    if problem.body_force is not None:
+        fb = asm.body_rhs(problem.body_force.vector(mesh.d), 1.0)
+        R[0, nl, :n_u] = dof_map.restrict(fb) @ Zf
+    R[1, nl, :n_u] = dof_map.restrict(asm.traction_rhs(problem.neumann or {})) @ Zf
+    return K, R
+
+
+def folded(K, R, eim_eta, eim_tau):
+    """The stacks over the magic-element values, folded as project_offline does."""
+    K, R = K.copy(), R.copy()
+    qe, qt = eim_eta.n_terms, eim_tau.n_terms
+    for approx, lo in ((eim_eta, 2), (eim_tau, 2 + qe), (eim_tau, 2 + qe + qt)):
+        for stack in (K, R):
+            stack[lo:lo + approx.n_terms] = approx.fold(stack[lo:lo + approx.n_terms])
+    return K, R
+
+
+def assert_slots_match(args, dof_map, asm, monkeypatch):
+    """The slots P_q of project_offline, taken before the fold (which mixes a
+    field's slots), equal the column-wise ones to 1e-13 relative per slot."""
+    want = columnwise_stacks(*args, dof_map, asm)
+    with monkeypatch.context() as m:
+        m.setattr(EimApproximation, "fold", lambda self, stack: stack)
+        pkg = project_offline(*args, dof_map=dof_map, assembler=asm)
+    for got, wanted in zip((pkg.K, pkg.R), want):
+        assert got.shape == wanted.shape
+        for q, (g, w) in enumerate(zip(got, wanted)):
+            np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-13 * np.abs(w).max(),
+                                       err_msg="slot %d" % q)
+    return want
+
+
+class TestElementwiseProjection:
+    """The element-by-element projection against the column-wise one it
+    replaced."""
+
+    def test_duct_with_loads_matches_columnwise(self, duct, monkeypatch):
+        prob = replace(duct.problem, body_force=BodyForce((0.3, -0.1)),
+                       neumann={"dirichlet:right": (0.2, 0.1)})
+        args = (duct.mesh, prob, duct.basis, duct.eims["eta"], duct.eims["tau"])
+        _, R = assert_slots_match(args, duct.dof_map, duct.asm, monkeypatch)
+        assert np.any(R[0, -1] != 0.0) and np.any(R[1, -1] != 0.0)
+
+    def test_coarse_artery_stacks_and_solutions_match_columnwise(self, coarse_artery_rom,
+                                                                monkeypatch):
+        cfg, pipe = coarse_artery_rom
+        eims = (pipe.eims["eta"], pipe.eims["tau"])
+        args = (pipe.mesh, pipe.problem, pipe.basis) + eims
+        K, R = assert_slots_match(args, pipe.dof_map, pipe.assembler, monkeypatch)
+        K, R = folded(K, R, *eims)
+        oracle = replace(pipe.pkg, K=K, R=R)
+        box = cfg.space.box
+        for mu in np.vstack([box.corners(), box.center()[None]]):
+            got = solve_rom(pipe.pkg, mu=mu, **cfg.picard_options())
+            want = solve_rom(oracle, mu=mu, **cfg.picard_options())
+            assert len(got.iterations) == len(want.iterations)
+            x, y = (np.concatenate([s.v_N, s.p_N]) for s in (got, want))
+            assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
 
 class TestAndersonMixing:
@@ -636,7 +718,8 @@ class TestAndersonMixing:
             assert new.iterations == old.iterations
 
     def test_same_fixed_point_in_fewer_iterations(self, coarse_artery_rom, monkeypatch):
-        cfg, pkg = coarse_artery_rom
+        cfg, pipe = coarse_artery_rom
+        pkg = pipe.pkg
         box = cfg.space.box
         opts = cfg.picard_options()
         for mu in np.vstack([box.corners(), box.center()[None]]):
