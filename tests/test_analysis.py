@@ -280,7 +280,6 @@ class TestOfflineBuild:
                               energy_threshold=1.0, rank_cutoff=1e-14)
         assert fresh.assembler is not pipe.assembler
         assert built == []
-        assert fresh.assembler._pattern is None
 
     def test_given_assembler_is_reused(self, duct, monkeypatch):
         _, _, _, pipe = duct
