@@ -220,12 +220,15 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
 
     Returns a namespace holding every intermediate: mesh, problem, dof_map,
     assembler, grams, train_mus, solutions, u_fulls, basis, eims, pkg, and
-    stage timings.
+    stage timings: grams_s (assembler, DOF map and norm matrices),
+    training_s, pod_s, eim_s (snapshot velocity fields included) and
+    projection_s.
     """
+    t0 = time.perf_counter()
     asm = assembler_for(mesh, assembler, AnalysisError)
     dof_map = build_dof_map(mesh, problem.dirichlet)
     grams = fom_inner_products(mesh, asm)
-    timings = {}
+    timings = {"grams_s": time.perf_counter() - t0}
 
     t0 = time.perf_counter()
     if solutions is not None:
@@ -253,13 +256,6 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
                     sum(r["factorized"] for r in records))
     timings["training_s"] = time.perf_counter() - t0
 
-    u_fulls, materials = [], []
-    for sol, mu in zip(sols, mus):
-        params, amps = problem.effective(mu)
-        lifts_mu = build_lifting(mesh, problem.dirichlet, amps)
-        u_fulls.append(sol.velocity_field(dof_map, lifts_mu))
-        materials.append(params)
-
     t0 = time.perf_counter()
     V = np.stack([dof_map.expand(s.v).ravel() for s in sols])
     P = np.stack([s.p for s in sols])
@@ -277,6 +273,12 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     timings["pod_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    u_fulls, materials = [], []
+    for sol, mu in zip(sols, mus):
+        params, amps = problem.effective(mu)
+        lifts_mu = build_lifting(mesh, problem.dirichlet, amps)
+        u_fulls.append(sol.velocity_field(dof_map, lifts_mu))
+        materials.append(params)
     _, etas, taus = zip(*(asm.element_fields(u, params)
                           for u, params in zip(u_fulls, materials)))
     eims = {}
@@ -407,7 +409,7 @@ def make_report(config, pipeline, plan, samples, tests, pairs):
                        "lower": [float(v) for v in box.lower],
                        "upper": [float(v) for v in box.upper]},
         "basis": {"n_u": pkg.n_u, "n_p": pkg.n_p, "n_lifts": pkg.n_lifts,
-                  "q_eta": pkg.eim_eta.n_terms, "q_tau": pkg.eim_tau.n_terms},
+                  "q_eta": pkg.q_eta, "q_tau": pkg.q_tau},
         "training": {"count": int(samples.training.shape[0]),
                      "counts_per_axis": [int(c) for c in plan.train_counts],
                      "mus": samples.training.tolist()},

@@ -44,15 +44,14 @@ class FieldSampleSet:
 class EimApproximation:
     """Interpolation data of one field: basis, magic elements, T, history.
 
-    A rom package stores its stacks folded (fold), so online solves need
-    only magic and history: a package read from disk carries basis=None and
-    T=None.
+    The offline stage folds T into the rom package's stacks (fold), which
+    then keeps of it only magic and history (rom.MagicElementData).
     """
 
     tag: str
-    basis: np.ndarray           # (n_elements, Q), or None
+    basis: np.ndarray           # (n_elements, Q)
     magic: np.ndarray           # (Q,) element ids
-    T: np.ndarray               # (Q, Q) unit lower triangular, or None
+    T: np.ndarray               # (Q, Q) unit lower triangular
     history: np.ndarray         # (Q+1,) greedy max errors, history[0] = 1
     mesh_hash: str = ""
 

@@ -257,11 +257,11 @@ class FomAssembler:
     """Element kernels of the space-time blocks, and what is built from them.
 
     The element blocks (mass, viscous, divergence, stab_pv, stab_pp) are
-    dense per-element arrays; the weighted ones accept an arbitrary
-    per-element weight vector.  SystemPattern sums them at unit weight into
-    the CSR pattern the Picard loop fills; rom.project_offline reduces them
-    element by element.  The norm matrices (grad_gram, mass_pressure) are
-    summed on the node adjacency.  No assembly sorts COO entries.
+    dense per-element arrays of unit element weight.  SystemPattern sums
+    them into the CSR pattern the Picard loop fills; rom.project_offline
+    reduces them element by element.  The norm matrices (grad_gram,
+    mass_pressure) are summed on the node adjacency.  No assembly sorts COO
+    entries.
     """
 
     def __init__(self, mesh):
@@ -323,40 +323,39 @@ class FomAssembler:
         if bad.size:
             raise SolverError("non-finite assembly data in element %d" % bad[0])
 
-    # element blocks of unit or given element weight, which SystemPattern
-    # maps onto its slots and rom.project_offline reduces
+    # element blocks of unit element weight, which SystemPattern maps onto
+    # its slots and rom.project_offline reduces
 
     def mass(self):
         """(e, 1, b, 1): int psi_a d_t psi_b, the same for every a and component."""
         return ((self.V / (self.D + 1))[:, None, None] * self.gt[:, None, :])[..., None]
 
-    def viscous(self, weights, part=slice(None)):
-        """(e, a, c, b, c2): int 2 w eps(psi_a e_c) : eps(psi_b e_c2).
+    def viscous(self, part=slice(None)):
+        """(e, a, c, b, c2): int 2 eps(psi_a e_c) : eps(psi_b e_c2).
 
         Like stab_pv and stab_pp, it covers the elements in part (a slice,
-        all by default), and weights holds one entry per such element.
+        all by default).
         """
-        wV = np.asarray(weights) * self.V[part]
+        V = self.V[part]
         gx = self.gx[part]
         blk = np.einsum("ead,ebc->eacbd", gx, gx)
         G = self.G[part]
         for c in range(self.d):
             blk[:, :, c, :, c] += G
-        blk *= wV[:, None, None, None, None]
+        blk *= V[:, None, None, None, None]
         return blk
 
     def divergence(self):
         """(e, 1, b, c): int phi_k d_c psi_b, the same for every k."""
         return (self.V / (self.D + 1))[:, None, None, None] * self.gx[:, None, :, :]
 
-    def stab_pv(self, weights, part=slice(None)):
-        """(e, k, b, c): -w int d_c phi_k d_t psi_b."""
-        wV = np.asarray(weights) * self.V[part]
-        return -np.einsum("e,ekc,eb->ekbc", wV, self.gx[part], self.gt[part])
+    def stab_pv(self, part=slice(None)):
+        """(e, k, b, c): -int d_c phi_k d_t psi_b."""
+        return -np.einsum("e,ekc,eb->ekbc", self.V[part], self.gx[part], self.gt[part])
 
-    def stab_pp(self, weights, part=slice(None)):
-        """(e, k, l): w int grad phi_k . grad phi_l."""
-        return (np.asarray(weights) * self.V[part])[:, None, None] * self.G[part]
+    def stab_pp(self, part=slice(None)):
+        """(e, k, l): int grad phi_k . grad phi_l."""
+        return self.V[part][:, None, None] * self.G[part]
 
     # norms on full nodal indices
 
@@ -498,7 +497,7 @@ class SystemPattern:
     the pressure blocks of unit element weight onto the slots.  The pressure
     gauge is decided with the pattern: pins holds the pinned pressure nodes
     (pressure_pins), and open_levels the time levels gauged by zero mean
-    instead (free_pressure_levels).
+    instead (_open_levels).
 
     The build never forms the dof-level COO: the node adjacency
     (FomAssembler.adjacency) gives the unrestricted layout, in which every
@@ -511,8 +510,6 @@ class SystemPattern:
         # the pressure gauge: pinned nodes where no velocity datum sets one,
         # else the time levels no equation fixes, which each step centres
         self.pins = pins = pressure_pins(asm.mesh, dof_map)
-        self.open_levels = (free_pressure_levels(asm, dof_map) if not pins.size
-                            else np.zeros(0, dtype=bool))
         n, d = asm.mesh.n_nodes, asm.d
         nvf = n * d
         n_el, D1 = asm.elems.shape
@@ -608,7 +605,7 @@ class SystemPattern:
                 s = slot[entry[layout](part)].reshape(part.stop - lo, -1)
                 keep = s > 0
                 counts.append(keep.sum(axis=1))
-                data.append(block(np.ones(s.shape[0]), part).reshape(s.shape)[keep])
+                data.append(block(part).reshape(s.shape)[keep])
                 rows.append(s[keep])
                 rows[-1] -= 1
             indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
@@ -619,12 +616,36 @@ class SystemPattern:
         const = summed("pv", div)
         const -= summed("vp", div)
         const[pin_slots] = 1.0
+        self.open_levels = (self._open_levels(asm.mesh, dof_map.n_velocity, const)
+                            if not pins.size else np.zeros(0, dtype=bool))
         self.base = sp.csc_matrix(np.column_stack([summed("vv_diag", asm.mass()),
                                                    const]))
         del const
         self.weights = (element_map("vv_full", asm.viscous),
                         element_map("pv", asm.stab_pv),
                         element_map("pp", asm.stab_pp))
+
+    def _open_levels(self, mesh, n_velocity, const):
+        """Time levels whose pressure level no equation fixes: (n_levels,) bool.
+
+        A pressure constant on one time level has no spatial gradient, so it
+        reaches the momentum rows only through the boundary term of -B^T, at
+        lateral nodes with a free velocity component.  That term vanishes
+        when each such component is tangential to the walls its node sits on
+        (a free slip velocity, say), and the level is then undetermined
+        although pressure_pins pins nothing.  A level is open when -B^T (the
+        free velocity rows and pressure columns of the constant slot values
+        const) times its indicator is at most 1e-8 of |-B^T| times it in
+        every row.  Meshes without level structure report none.
+        """
+        if not mesh.n_spatial:
+            return np.zeros(0, dtype=bool)
+        bt = self.matrix(const)[:n_velocity, n_velocity:].tocoo()
+        n_levels = mesh.time_levels.size
+        at = bt.row * n_levels + bt.col // mesh.n_spatial
+        force = np.bincount(at, bt.data, minlength=n_velocity * n_levels)
+        size = np.bincount(at, np.abs(bt.data), minlength=n_velocity * n_levels)
+        return ~(np.abs(force) > 1e-8 * size).reshape(n_velocity, n_levels).any(axis=0)
 
     def fill(self, eta, tau, rho):
         """Slot values at per-element eta and tau and density rho."""
@@ -714,40 +735,6 @@ def pressure_pins(mesh, dof_map):
     logger.warning("pinning a single pressure node on a mesh without level "
                    "structure; fully Dirichlet imported meshes may stay singular")
     return np.array([0], dtype=np.int64)
-
-
-def free_pressure_levels(asm, dof_map):
-    """Time levels whose pressure level no equation fixes: (n_levels,) bool.
-
-    A pressure constant on one time level has no spatial gradient, so it
-    reaches the momentum rows only through the boundary term of the
-    divergence, at lateral nodes with a free velocity component.  That term
-    vanishes when each such component is tangential to the walls its node
-    sits on (a free slip velocity, say), and the level is then undetermined
-    although pressure_pins pins nothing.  Meshes without level structure
-    report none.
-    """
-    mesh, d = asm.mesh, asm.d
-    if not mesh.n_spatial:
-        return np.zeros(0, dtype=bool)
-    lateral = np.zeros(mesh.n_nodes, dtype=bool)
-    lateral[mesh.lateral_nodes()] = True
-    wall = np.full((mesh.n_nodes, d), -1, dtype=np.int64)   # free lateral components
-    free = (dof_map.vdof >= 0) & lateral[:, None]
-    n_wall = np.count_nonzero(free)
-    wall[free] = np.arange(n_wall)
-    near = np.flatnonzero(free[asm.elems].any(axis=(1, 2)))
-    elems, w = asm.elems[near], wall[asm.elems[near]]           # (e, b), (e, b, c)
-    keep = w >= 0
-    term = ((asm.V[near] / (asm.D + 1))[:, None, None] * asm.gx[near])[keep]
-    # int p_L d_c psi_b, summed over the vertices k of level L of each element
-    n_levels = mesh.time_levels.size
-    force, size = np.zeros(n_levels * n_wall), np.zeros(n_levels * n_wall)
-    for level in (elems // mesh.n_spatial).T:
-        at = (level[:, None, None] * n_wall + w)[keep]
-        force += np.bincount(at, term, minlength=force.size)
-        size += np.bincount(at, np.abs(term), minlength=force.size)
-    return ~(np.abs(force) > 1e-8 * size).reshape(n_levels, n_wall).any(axis=1)
 
 
 def _relative_residual(K, rhs, x):
@@ -1037,7 +1024,7 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     (Anderson-mixed, see picard) iterate, until ||dx||/||x|| <= picard_tol.
     With strict=False a stalled iteration returns the last iterate flagged as
     not converged.  The pressure of a time level that no equation gauges
-    (free_pressure_levels) has zero mean in every step.
+    (SystemPattern.open_levels) has zero mean in every step.
 
     Continuation: x0 is the first iterate, the free-DOF vector [v, p] of an
     earlier solution on the same DOF map (the Dirichlet values always come

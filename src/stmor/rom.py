@@ -34,9 +34,12 @@ kept in memory and on disk, are affine in
 
 and their field slots hold the blocks above with T^-T applied along the
 slot axis.  Online, a Picard iterate is one product, one kernel call, one
-theta contraction and one LAPACK solve.  The velocity gradients and mean
-velocities at the magic elements are linear in v_N, so each package
-derives once, and never stores, an operator strain_op from v_N to them;
+theta contraction and one LAPACK solve.  Each field keeps one record
+(MagicElementData): its magic elements, greedy history, their geometry and
+the velocity-basis rows at their nodes.  The velocity gradients and mean
+velocities at the magic elements are linear in v_N, so strain_operator
+derives from the two records, where they are built or read, an operator
+strain_op from v_N to them, which the package carries and truncate slices;
 eta and tau there come from constitutive.field_values.  Then K(v) = theta @
 K and rhs = [s, 1] @ (theta @ R), s the lift coefficients; no mesh pass
 remains.
@@ -52,7 +55,7 @@ keeps the Dirichlet data exact for every truncation.
 """
 
 import logging
-from dataclasses import InitVar, asdict, dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -60,7 +63,6 @@ from scipy.linalg.lapack import dgesv
 from .constitutive import (CarreauYasudaParams, ParameterError, ParameterSpace,
                            apply_parameters, field_values, space_from_dict,
                            space_to_dict, tau_scales)
-from .eim import EimApproximation
 from .fom import (MAP_CHUNK, assembler_for, build_dof_map, build_lifting, picard,
                   pressure_pins)
 from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
@@ -77,16 +79,25 @@ class RomError(Exception):
 
 @dataclass
 class MagicElementData:
-    """Geometry and restricted velocity-basis rows at one field's magic elements."""
+    """One interpolated field's online record: its magic elements, their
+    geometry and the velocity-basis rows at their nodes."""
 
+    magic: np.ndarray           # (Q,) element ids
+    history: np.ndarray         # (Q+1,) greedy max errors, history[0] = 1
     gx: np.ndarray              # (Q, D+1, d) spatial shape-function gradients
     h_t: np.ndarray             # (Q,) temporal extent
     h_s: np.ndarray             # (Q,) spatial diameter
     Z_rows: np.ndarray          # (Q, D+1, d, N_u) rows of Z_v at the element nodes
 
-    def truncated(self, n_u):
-        return MagicElementData(gx=self.gx, h_t=self.h_t, h_s=self.h_s,
-                                Z_rows=np.ascontiguousarray(self.Z_rows[..., :n_u]))
+
+def strain_operator(data_eta, data_tau):
+    """v_N to the velocity gradients and mean velocities at the Q_eta + Q_tau
+    magic elements, eta first: ((Q_eta + Q_tau) d (d + 1), N_u)."""
+    Z = np.concatenate([data_eta.Z_rows, data_tau.Z_rows])
+    grad = np.einsum("eacn,eaj->ecjn", Z, np.concatenate([data_eta.gx, data_tau.gx]))
+    m, d, _, n_u = grad.shape
+    return np.concatenate([grad.reshape(m, d * d, n_u), Z.mean(axis=1)],
+                          axis=1).reshape(-1, n_u)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +113,9 @@ class RomPackage:
     layout, the EIM fold and the density convention are given in the module
     docstring.  The leading n_lifts columns of every operator block are zero
     and the leading n_lifts rows of K and R pin the lift coefficients to the
-    effective group amplitudes.  Construction derives strain_op from the
-    magic-element data; truncate slices that of its parent instead.
+    effective group amplitudes.  data_eta and data_tau are the fields'
+    records and strain_op = strain_operator(data_eta, data_tau); every
+    construction, replace included, checks the shapes of all of them.
     """
 
     case_id: str
@@ -117,30 +129,14 @@ class RomPackage:
     space: ParameterSpace       # or None for a parameter-free package
     K: np.ndarray               # (Q, N, N) operator stack
     R: np.ndarray               # (Q, n_lifts + 1, N) load stack
-    eim_eta: EimApproximation   # basis=None, T=None once read from disk
-    eim_tau: EimApproximation
     data_eta: MagicElementData
     data_tau: MagicElementData
+    strain_op: np.ndarray       # ((Q_eta + Q_tau) d (d + 1), N_u)
     basis: object = None        # optional ReducedBasis, never serialized
-    parent_strain_op: InitVar[np.ndarray] = None    # a parent's, sliced
 
-    def __post_init__(self, parent_strain_op):
+    def __post_init__(self):
         self._validate()
         de, dt = self.data_eta, self.data_tau
-        op = parent_strain_op
-        if op is None:
-            # v_N to the velocity gradients and mean velocities at the
-            # Q_eta + Q_tau magic elements, eta first
-            Z = np.concatenate([de.Z_rows, dt.Z_rows])
-            grad = np.einsum("eacn,eaj->ecjn", Z, np.concatenate([de.gx, dt.gx]))
-            m, d, _, n_u = grad.shape
-            op = np.concatenate([grad.reshape(m, d * d, n_u), Z.mean(axis=1)],
-                                axis=1).reshape(-1, n_u)
-        want = ((self.q_eta + self.q_tau) * self.d * (self.d + 1), self.n_u)
-        if op.shape != want:
-            raise RomError("dimension mismatch: strain_op has shape %s, expected %s"
-                           % (op.shape, want))
-        self.strain_op = op
         self.tau_scales = tau_scales(np.concatenate([de.h_t, dt.h_t]),
                                      np.concatenate([de.h_s, dt.h_s]))
 
@@ -158,32 +154,33 @@ class RomPackage:
 
     @property
     def q_eta(self):
-        return self.eim_eta.n_terms
+        return self.data_eta.magic.shape[0]
 
     @property
     def q_tau(self):
-        return self.eim_tau.n_terms
+        return self.data_tau.magic.shape[0]
 
     @property
     def n_reduced(self):
         return self.K.shape[-1]
 
     def _validate(self):
-        n_u, n, nl = self.n_u, self.n_reduced, self.n_lifts
-        q = 2 + self.q_eta + 2 * self.q_tau
-        for name, want in (("K", (q, n, n)), ("R", (q, nl + 1, n))):
-            got = getattr(self, name).shape
-            if got != want:
-                raise RomError("dimension mismatch: stack %s has shape %s, "
-                               "expected %s" % (name, got, want))
+        n_u, n, nl, d = self.n_u, self.n_reduced, self.n_lifts, self.d
+        qe, qt = self.q_eta, self.q_tau
+        checks = [("K", self.K, (2 + qe + 2 * qt, n, n)),
+                  ("R", self.R, (2 + qe + 2 * qt, nl + 1, n)),
+                  ("strain_op", self.strain_op, ((qe + qt) * d * (d + 1), n_u))]
+        for tag, data, q in (("eta", self.data_eta, qe), ("tau", self.data_tau, qt)):
+            checks += [("%s %s" % (tag, name), getattr(data, name), want) for name, want in (
+                ("magic", (q,)), ("history", (q + 1,)), ("gx", (q, d + 2, d)),
+                ("h_t", (q,)), ("h_s", (q,)), ("Z_rows", (q, d + 2, d, n_u)))]
+        for name, arr, want in checks:
+            if arr.shape != want:
+                raise RomError("dimension mismatch: %s has shape %s, expected %s"
+                               % (name, arr.shape, want))
         if nl > n_u or n_u > n:
             raise RomError("dimension mismatch: %d lifting columns, N_u=%d, "
                            "N=%d" % (nl, n_u, n))
-        for data, qf in ((self.data_eta, self.q_eta), (self.data_tau, self.q_tau)):
-            if data.Z_rows.shape[0] != qf or data.Z_rows.shape[-1] != n_u \
-                    or data.Z_rows.shape[:3] != data.gx.shape:
-                raise RomError("dimension mismatch: magic-element data shape %s"
-                               % (data.Z_rows.shape,))
 
     def effective(self, mu):
         """Material parameters and group amplitudes at the sample mu."""
@@ -299,7 +296,7 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
                 (K[a, v, v], eim_eta.basis[part], asm.viscous, zt, zv),
                 (K[c, p, v], eim_tau.basis[part], asm.stab_pv, zp, zv),
                 (K[s, p, p], eim_tau.basis[part], asm.stab_pp, zp, zp)):
-            red = reduced(kernel(1.0, part), test, trial)
+            red = reduced(kernel(part), test, trial)
             slots += (b.T @ red.reshape(e, -1)).reshape(slots.shape)
     # the operator applied to the lifts becomes the per-lift loads
     R = np.zeros((len(K), nl + 1, n))
@@ -315,9 +312,11 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
     for approx, slots in ((eim_eta, a), (eim_tau, c), (eim_tau, s)):
         for stack in (K, R):
             stack[slots] = approx.fold(stack[slots])
-    # the geometry and velocity-basis rows at each field's magic elements
-    data = {f.tag: MagicElementData(gx=asm.gx[f.magic], h_t=asm.h_t[f.magic],
-                                    h_s=asm.h_s[f.magic], Z_rows=trial_v[asm.elems[f.magic]])
+    # each field's record: its magic elements, their geometry and the
+    # velocity-basis rows at their nodes
+    data = {f.tag: MagicElementData(magic=f.magic, history=f.history, gx=asm.gx[f.magic],
+                                    h_t=asm.h_t[f.magic], h_s=asm.h_s[f.magic],
+                                    Z_rows=trial_v[asm.elems[f.magic]])
             for f in (eim_eta, eim_tau)}
 
     pkg = RomPackage(
@@ -325,9 +324,8 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         n_fom_dofs=dof_map.n_total,
         lift_groups=tuple(lf.group for lf in liftings),
         material=problem.material, amplitudes=dict(problem.amplitudes),
-        space=problem.space, K=K, R=R,
-        eim_eta=eim_eta, eim_tau=eim_tau,
-        data_eta=data["eta"], data_tau=data["tau"], basis=basis)
+        space=problem.space, K=K, R=R, data_eta=data["eta"], data_tau=data["tau"],
+        strain_op=strain_operator(data["eta"], data["tau"]), basis=basis)
     logger.info("projected %s: N_u=%d N_p=%d (N=%d vs N^h=%d), Q_eta=%d Q_tau=%d",
                 problem.name, pkg.n_u, pkg.n_p, pkg.n_reduced, pkg.n_fom_dofs,
                 pkg.q_eta, pkg.q_tau)
@@ -345,44 +343,40 @@ def truncate(pkg, n_u, n_p):
     if basis is not None:
         basis = replace(basis, Z_v=np.ascontiguousarray(basis.Z_v[:, :n_u]),
                         Z_p=np.ascontiguousarray(basis.Z_p[:, :n_p]))
+    # C-ordered copies, as read_rom returns them: the online products then
+    # take the same path, and give the same bits, on both
     keep = np.r_[:n_u, pkg.n_u:pkg.n_u + n_p]
-    return RomPackage(
-        case_id=pkg.case_id, mesh_hash=pkg.mesh_hash, d=pkg.d,
-        n_nodes=pkg.n_nodes, n_fom_dofs=pkg.n_fom_dofs,
-        lift_groups=pkg.lift_groups, material=pkg.material,
-        amplitudes=dict(pkg.amplitudes), space=pkg.space,
-        K=pkg.K[:, keep[:, None], keep], R=pkg.R[:, :, keep],
-        eim_eta=pkg.eim_eta, eim_tau=pkg.eim_tau,
-        data_eta=pkg.data_eta.truncated(n_u),
-        data_tau=pkg.data_tau.truncated(n_u),
-        basis=basis,
-        parent_strain_op=np.ascontiguousarray(pkg.strain_op[:, :n_u]))
+    eta, tau = (replace(data, Z_rows=np.ascontiguousarray(data.Z_rows[..., :n_u]))
+                for data in (pkg.data_eta, pkg.data_tau))
+    return replace(pkg, K=np.ascontiguousarray(pkg.K[:, keep[:, None], keep]),
+                   R=np.ascontiguousarray(pkg.R[:, :, keep]), data_eta=eta, data_tau=tau,
+                   strain_op=np.ascontiguousarray(pkg.strain_op[:, :n_u]), basis=basis)
 
 
 # ---------------------------------------------------------------------------
 # online assembly and solve
 
-def _mu_terms(pkg, mu):
+def mu_terms(pkg, mu):
     """(params, s, R_mu): material, lift coefficients and [s, 1] @ R at mu."""
     params, amps = pkg.effective(mu)
     s = pkg.lift_coefficients(amps)
     return params, s, np.append(s, 1.0) @ pkg.R
 
 
-def assemble_rom(pkg, v_iterate, mu=None, mu_terms=None):
+def assemble_rom(pkg, v_iterate, terms):
     """Dense reduced system at the frozen velocity iterate.
 
+    terms is mu_terms(pkg, mu), the part a Picard loop computes once per mu.
     Returns (K, rhs) of size N_u + N_p, whose leading n_lifts rows pin the
     lift coefficients to the effective amplitudes.  Cost is
     O((Q_eta + Q_tau) N^2); the iterate enters only through the strain at
-    the magic elements.  mu_terms, the result of _mu_terms(pkg, mu), lets a
-    Picard loop compute the mu-only part once.
+    the magic elements.
     """
     v_it = np.asarray(v_iterate, dtype=np.float64)
     if v_it.shape != (pkg.n_u,):
         raise RomError("iterate has shape %s, expected (%d,)"
                        % (v_it.shape, pkg.n_u))
-    params, _, R_mu = mu_terms if mu_terms is not None else _mu_terms(pkg, mu)
+    params, _, R_mu = terms
 
     d, qe = pkg.d, pkg.q_eta
     y = (pkg.strain_op @ v_it).reshape(-1, d * (d + 1))
@@ -403,12 +397,12 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
     carries the lifting alone; the pinned lift entries are left out of the
     relative-update test.
     """
-    terms = _mu_terms(pkg, mu)
+    terms = mu_terms(pkg, mu)
     n_u, n_p, nl = pkg.n_u, pkg.n_p, pkg.n_lifts
     dims = "N_u=%d, N_p=%d" % (n_u, n_p)
 
     def step(x):
-        K, rhs = assemble_rom(pkg, x[:n_u], mu, terms)
+        K, rhs = assemble_rom(pkg, x[:n_u], terms)
         # LAPACK directly: np.linalg.solve's wrapper costs more than an
         # N ~ 10 solve
         x_new, info = dgesv(K, rhs)[2:]
@@ -466,8 +460,8 @@ def rom_info(pkg):
             "n_fom_dofs": pkg.n_fom_dofs,
             "reduction_factor": pkg.n_fom_dofs / max(pkg.n_reduced, 1),
             "q_eta": pkg.q_eta, "q_tau": pkg.q_tau,
-            "eim_eta_final_error": float(pkg.eim_eta.history[-1]),
-            "eim_tau_final_error": float(pkg.eim_tau.history[-1]),
+            "eim_eta_final_error": float(pkg.data_eta.history[-1]),
+            "eim_tau_final_error": float(pkg.data_tau.history[-1]),
             "spatial_dimension": pkg.d, "n_spacetime_nodes": pkg.n_nodes}
     if pkg.space is not None:
         info["parameters"] = space_to_dict(pkg.space)
@@ -484,10 +478,9 @@ def write_rom(path, pkg, extra_header=None):
               "space": space_to_dict(pkg.space)}
     header.update(extra_header or {})
     arrays = {"K": pkg.K, "R": pkg.R}
-    for tag, eim, data in (("eta", pkg.eim_eta, pkg.data_eta),
-                           ("tau", pkg.eim_tau, pkg.data_tau)):
-        arrays[tag + "_magic"] = eim.magic
-        arrays[tag + "_history"] = eim.history
+    for tag, data in (("eta", pkg.data_eta), ("tau", pkg.data_tau)):
+        arrays[tag + "_magic"] = data.magic
+        arrays[tag + "_history"] = data.history
         arrays[tag + "_gx"] = data.gx
         arrays[tag + "_ht"] = data.h_t
         arrays[tag + "_hs"] = data.h_s
@@ -511,18 +504,11 @@ def read_rom(path, mesh_hash=None):
                             % (path, sorted(set(arrays) - _ROM_ARRAYS),
                                sorted(_ROM_ARRAYS - set(arrays))))
     try:
-        eim, data = {}, {}
-        for tag in ("eta", "tau"):
-            magic, history = arrays[tag + "_magic"], arrays[tag + "_history"]
-            q = arrays[tag + "_Z"].shape[0]
-            if magic.shape != (q,) or history.shape != (q + 1,):
-                raise ArtifactError("%s: malformed rom package (%s magic %s and "
-                                    "history %s for %d terms)"
-                                    % (path, tag, magic.shape, history.shape, q))
-            eim[tag] = EimApproximation(tag=tag, basis=None, T=None, history=history,
-                                        magic=magic.astype(np.int64))
-            data[tag] = MagicElementData(gx=arrays[tag + "_gx"], h_t=arrays[tag + "_ht"],
-                                         h_s=arrays[tag + "_hs"], Z_rows=arrays[tag + "_Z"])
+        data = {tag: MagicElementData(magic=arrays[tag + "_magic"].astype(np.int64),
+                                      history=arrays[tag + "_history"],
+                                      gx=arrays[tag + "_gx"], h_t=arrays[tag + "_ht"],
+                                      h_s=arrays[tag + "_hs"], Z_rows=arrays[tag + "_Z"])
+                for tag in ("eta", "tau")}
         pkg = RomPackage(
             case_id=header.get("case_id", ""),
             mesh_hash=header.get("mesh_hash", ""),
@@ -533,11 +519,10 @@ def read_rom(path, mesh_hash=None):
                                             in header["material"].items()}),
             amplitudes={k: float(v) for k, v in header["amplitudes"].items()},
             space=space_from_dict(header.get("space")),
-            K=arrays["K"], R=arrays["R"],
-            eim_eta=eim["eta"], eim_tau=eim["tau"],
-            data_eta=data["eta"], data_tau=data["tau"])
+            K=arrays["K"], R=arrays["R"], data_eta=data["eta"], data_tau=data["tau"],
+            strain_op=strain_operator(data["eta"], data["tau"]))
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
-            ParameterError) as exc:
+            ParameterError, RomError) as exc:
         raise ArtifactError("%s: malformed rom package (%s: %s)"
                             % (path, type(exc).__name__, exc)) from None
     return header, pkg

@@ -243,7 +243,7 @@ class TestOfflineBuild:
         assert pipe.pkg.n_u >= pipe.pkg.n_lifts + 1
         assert pipe.pkg.n_p >= 1
         assert len(pipe.solutions) == samples.training.shape[0]
-        assert set(pipe.timings) == {"training_s", "pod_s", "eim_s",
+        assert set(pipe.timings) == {"grams_s", "training_s", "pod_s", "eim_s",
                                      "projection_s"}
 
     def test_training_sample_is_reproduced(self, duct):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stmor.constitutive import CarreauYasudaParams, field_values, tau_scales
-from stmor.eim import EimApproximation, EimError, FieldSampleSet, eim_greedy
+from stmor.eim import EimError, FieldSampleSet, eim_greedy
 from stmor.fom import FomAssembler
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
 
@@ -134,17 +134,6 @@ class TestCoefficients:
                                    atol=1e-13 * np.abs(want).max())
         with pytest.raises(EimError, match="stack of 5 terms"):
             approx.fold(stack[1:])
-
-    def test_online_copy_without_basis(self):
-        # a package read from disk keeps magic, T and history only
-        samples = rank_k_samples(30, 5, 3, seed=10)
-        approx = eim_greedy(samples, tol=1e-15, q_max=3)
-        online = EimApproximation(tag="eta", basis=None, magic=approx.magic,
-                                  T=approx.T, history=approx.history)
-        assert online.n_terms == 3
-        vals = samples.values[approx.magic, 1]
-        np.testing.assert_array_equal(online.coefficients(vals),
-                                      approx.coefficients(vals))
 
 
 def subset_fields(asm, ids, u, params):

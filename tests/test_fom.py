@@ -202,7 +202,8 @@ class TestTau:
 
 def coo_operators(asm):
     """Full-index operators summed from the element blocks through COO, with
-    rows and columns taken from the element nodes (no node adjacency)."""
+    rows and columns taken from the element nodes (no node adjacency); A, C
+    and S scale the unit-weight blocks by the element weights w."""
     e, n, d = asm.elems, asm.mesh.n_nodes, asm.d
     v = d * e[:, :, None] + np.arange(d)        # (e, a, c) full velocity index
     p = e[:, :, None, None]                     # (e, k, 1, 1) pressure row
@@ -214,11 +215,11 @@ def coo_operators(asm):
 
     return SimpleNamespace(
         E=coo(asm.mass(), v[:, :, None], v[:, None], (n * d, n * d)),
-        A=lambda w: coo(asm.viscous(w), v[..., None, None], v[:, None, None],
-                        (n * d, n * d)),
+        A=lambda w: coo(asm.viscous() * w[:, None, None, None, None], v[..., None, None],
+                        v[:, None, None], (n * d, n * d)),
         B=coo(asm.divergence(), p, v[:, None], (n, n * d)),
-        C=lambda w: coo(asm.stab_pv(w), p, v[:, None], (n, n * d)),
-        S=lambda w: coo(asm.stab_pp(w), e[:, :, None], e[:, None], (n, n)))
+        C=lambda w: coo(asm.stab_pv() * w[:, None, None, None], p, v[:, None], (n, n * d)),
+        S=lambda w: coo(asm.stab_pp() * w[:, None, None], e[:, :, None], e[:, None], (n, n)))
 
 
 def reference_blocks(asm, dof_map, liftings, u, params, problem):
@@ -445,15 +446,14 @@ class TestPressureGauge:
                                  profile=lambda x, t: np.zeros((len(x), 1)))
         dm = build_dof_map(mesh, specs)
         assert pressure_pins(mesh, dm).size == 0
-        np.testing.assert_array_equal(fom.free_pressure_levels(FomAssembler(mesh), dm),
+        np.testing.assert_array_equal(FomAssembler(mesh).system_pattern(dm).open_levels,
                                       [free] * 4)
 
     def test_gauge_is_decided_once_per_dof_map(self, monkeypatch):
         mesh = channel_mesh(n=3, levels=4)
         asm, calls = FomAssembler(mesh), []
-        for name in ("pressure_pins", "free_pressure_levels"):
-            monkeypatch.setattr(fom, name, lambda *a, f=getattr(fom, name), name=name:
-                                calls.append(name) or f(*a))
+        monkeypatch.setattr(fom, "SystemPattern", lambda *a, f=fom.SystemPattern:
+                            calls.append("pattern") or f(*a))
         for prob in (open_couette_problem(), open_couette_problem(), couette_problem()):
             dm = build_dof_map(mesh, prob.dirichlet)
             assert solve_fom(mesh, prob, assembler=asm, dof_map=dm).converged
@@ -462,12 +462,12 @@ class TestPressureGauge:
             assert pattern.pins.size == (4 if pinned else 0)
             assert pattern.open_levels.tolist() == ([] if pinned else [True] * 4)
         # the second open solve reuses the first one's pattern and gauge
-        assert calls == ["pressure_pins", "free_pressure_levels", "pressure_pins"]
+        assert calls == ["pattern", "pattern"]
 
     def test_outflow_gauges_every_level(self):
         _, mesh, prob = coarse_artery()
         dm = build_dof_map(mesh, prob.dirichlet)
-        assert not fom.free_pressure_levels(FomAssembler(mesh), dm).any()
+        assert not FomAssembler(mesh).system_pattern(dm).open_levels.any()
 
     def test_free_levels_are_solved_at_zero_mean(self):
         # a level left to each factor and GMRES cycle would jump between

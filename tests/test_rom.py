@@ -1,7 +1,7 @@
 """Offline projection and online reduced solves, checked against the
 full-order solver on a small duct with a parabolic inflow."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,8 +22,9 @@ from stmor.io import ArtifactError, read_artifact, write_artifact
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
 from stmor.pod import assemble_basis, compute_pod, project_coefficients
 from stmor.rom import (MagicElementData, ReducedSolution, RomError,
-                       RomPackage, assemble_rom, project_offline, read_rom,
-                       reconstruct, rom_info, solve_rom, truncate, write_rom)
+                       RomPackage, assemble_rom, mu_terms, project_offline,
+                       read_rom, reconstruct, rom_info, solve_rom,
+                       strain_operator, truncate, write_rom)
 
 from test_fom import coo_operators, plain_picard
 
@@ -120,26 +121,27 @@ def duct():
                            liftings=liftings, eims=eims, pkg=pkg)
 
 
-def coefficient_stacks(pkg):
-    """pkg.K and pkg.R over the interpolation coefficients: T^T on the slots
-    of each field undoes the fold of project_offline."""
+def coefficient_stacks(pkg, eims):
+    """pkg.K and pkg.R over the interpolation coefficients: T^T of the
+    pipeline's interpolations eims on the slots of each field undoes the
+    fold of project_offline."""
     qe, qt = pkg.q_eta, pkg.q_tau
     out = []
     for stack in (pkg.K, pkg.R):
         stack = stack.copy()
-        for approx, lo in ((pkg.eim_eta, 2), (pkg.eim_tau, 2 + qe),
-                           (pkg.eim_tau, 2 + qe + qt)):
+        for approx, lo in ((eims["eta"], 2), (eims["tau"], 2 + qe),
+                           (eims["tau"], 2 + qe + qt)):
             hi = lo + approx.n_terms
             stack[lo:hi] = np.tensordot(approx.T.T, stack[lo:hi], axes=1)
         out.append(stack)
     return out
 
 
-def blocks(pkg):
+def blocks(pkg, eims):
     """The projected blocks, read back out of their slots of the
     coefficient stacks."""
     n_u, nl, qe, qt = pkg.n_u, pkg.n_lifts, pkg.q_eta, pkg.q_tau
-    K, R = coefficient_stacks(pkg)
+    K, R = coefficient_stacks(pkg, eims)
     v, p = slice(0, n_u), slice(n_u, None)
     a, c, s = slice(2, 2 + qe), slice(2 + qe, 2 + qe + qt), slice(2 + qe + qt, None)
     return {"E": K[0, v, v], "A": K[a, v, v], "B": K[1, p, v],
@@ -158,13 +160,13 @@ def project_fields(basis, u_full, p_full, gram_v, gram_p, s):
     return v_N, project_coefficients(basis.Z_p, gram_p, np.asarray(p_full))
 
 
-def magic_coefficients(pkg, v, params):
+def magic_coefficients(pkg, v, params, eims):
     """Interpolation coefficients at v the way the stacks were written:
     nodal velocities at the magic elements, the element-field kernel on
-    them, then one triangular solve per field."""
+    them, then one triangular solve per field of eims."""
     out = []
-    for data, approx, col in ((pkg.data_eta, pkg.eim_eta, 1),
-                              (pkg.data_tau, pkg.eim_tau, 2)):
+    for data, approx, col in ((pkg.data_eta, eims["eta"], 1),
+                              (pkg.data_tau, eims["tau"], 2)):
         u = data.Z_rows @ v
         grad = np.einsum("eac,eaj->ecj", u, data.gx)
         values = field_values(grad, u.mean(axis=1), tau_scales(data.h_t, data.h_s),
@@ -195,7 +197,7 @@ class TestProjection:
         assert pkg.lift_groups == ("fixed", "inflow")
 
     def test_lift_rows_and_columns_vanish(self, duct):
-        b, nl = blocks(duct.pkg), duct.pkg.n_lifts
+        b, nl = blocks(duct.pkg, duct.eims), duct.pkg.n_lifts
         for blk in (b["E"], b["B"]) + tuple(b["A"]) + tuple(b["C"]):
             assert np.all(blk[..., :nl] == 0.0)
         for blk in (b["E"],) + tuple(b["A"]):
@@ -205,7 +207,7 @@ class TestProjection:
 
     def test_viscous_blocks_symmetric(self, duct):
         nl = duct.pkg.n_lifts
-        for Aq in blocks(duct.pkg)["A"]:
+        for Aq in blocks(duct.pkg, duct.eims)["A"]:
             sub = Aq[nl:, nl:]
             assert np.max(np.abs(sub - sub.T)) <= 1e-12 * max(
                 1.0, np.max(np.abs(sub)))
@@ -217,7 +219,7 @@ class TestProjection:
         pkg = project_offline(duct.mesh, prob, duct.basis,
                               duct.eims["eta"], duct.eims["tau"],
                               dof_map=duct.dof_map, assembler=duct.asm)
-        b = blocks(pkg)
+        b = blocks(pkg, duct.eims)
         asm, dof_map, basis = duct.asm, duct.dof_map, duct.basis
         free = dof_map.free_full
         nl = basis.n_lifts
@@ -284,7 +286,7 @@ class TestProjection:
         pkg = project_offline(mesh, problem, basis,
                               ones_eim["eta"], ones_eim["tau"])
         assert pkg.n_u == 1 and pkg.n_p == 1 and pkg.n_lifts == 1
-        b = blocks(pkg)
+        b = blocks(pkg, ones_eim)
         np.testing.assert_allclose(b["G"], [[1.0 / 6.0]], atol=1e-15)
         np.testing.assert_allclose(b["S"][0], [[0.5]], atol=1e-15)
         np.testing.assert_allclose(b["D"][0], [[0.5]], atol=1e-15)
@@ -351,8 +353,8 @@ class TestAssemble:
         s = pkg.lift_coefficients(pkg.effective(TRAIN_MUS[1])[1])
         v0 = np.zeros(pkg.n_u)
         v0[:pkg.n_lifts] = s
-        K1, r1 = assemble_rom(pkg, v0, TRAIN_MUS[1])
-        K2, r2 = assemble_rom(pkg, v0, TRAIN_MUS[1])
+        K1, r1 = assemble_rom(pkg, v0, mu_terms(pkg, TRAIN_MUS[1]))
+        K2, r2 = assemble_rom(pkg, v0, mu_terms(pkg, TRAIN_MUS[1]))
         assert np.array_equal(K1, K2) and np.array_equal(r1, r2)
         assert np.all(np.isfinite(K1)) and np.all(np.isfinite(r1))
         assert np.array_equal(r1[:pkg.n_lifts], s)
@@ -366,7 +368,7 @@ class TestAssemble:
             s = pkg.lift_coefficients(pkg.effective(mu)[1])
             v_N, p_N = project_fields(duct.basis, u_full.ravel(), sol.p,
                                       grams["K_u"], grams["M_p"], s)
-            K, rhs = assemble_rom(pkg, v_N, mu)
+            K, rhs = assemble_rom(pkg, v_N, mu_terms(pkg, mu))
             x = np.concatenate([v_N, p_N])
             res = np.linalg.norm(K @ x - rhs) / np.linalg.norm(rhs)
             assert res <= 1e-6
@@ -379,11 +381,11 @@ class TestAssemble:
         pkg = project_offline(duct.mesh, prob, duct.basis,
                               duct.eims["eta"], duct.eims["tau"],
                               dof_map=duct.dof_map, assembler=duct.asm)
-        b, nl, mu = blocks(pkg), pkg.n_lifts, TRAIN_MUS[2]
+        b, nl, mu = blocks(pkg, duct.eims), pkg.n_lifts, TRAIN_MUS[2]
         v = solve_rom(duct.pkg, mu=mu).v_N
         params, amps = pkg.effective(mu)
         s, rho = pkg.lift_coefficients(amps), params.rho
-        c_e, c_t = magic_coefficients(pkg, v, params)
+        c_e, c_t = magic_coefficients(pkg, v, params, duct.eims)
 
         def term(c, name):
             return np.tensordot(c, b[name], axes=1)
@@ -396,7 +398,7 @@ class TestAssemble:
         want_K[:nl] = 0.0
         want_K[range(nl), range(nl)] = 1.0
         want_r[:nl] = s
-        K, rhs = assemble_rom(pkg, v, mu)
+        K, rhs = assemble_rom(pkg, v, mu_terms(pkg, mu))
         np.testing.assert_allclose(K, want_K, rtol=0.0,
                                    atol=1e-13 * np.abs(want_K).max())
         np.testing.assert_allclose(rhs, want_r, rtol=0.0,
@@ -404,7 +406,8 @@ class TestAssemble:
 
     def test_bad_iterate_shape_rejected(self, duct):
         with pytest.raises(RomError, match="shape"):
-            assemble_rom(duct.pkg, np.zeros(duct.pkg.n_u + 1), TRAIN_MUS[0])
+            assemble_rom(duct.pkg, np.zeros(duct.pkg.n_u + 1),
+                         mu_terms(duct.pkg, TRAIN_MUS[0]))
 
 
 class TestSolve:
@@ -487,17 +490,15 @@ class TestSolve:
     def test_singular_reduced_system_reports_sizes(self):
         mat = CarreauYasudaParams(eta_0=1.0, eta_inf=0.0, lam=1.0, a=2.0,
                                   n=1.0, rho=1.0)
-        online = {tag: EimApproximation(tag=tag, basis=None, magic=np.array([0]),
-                                        T=np.eye(1), history=np.array([1.0, 0.0]))
-                  for tag in ("eta", "tau")}
-        data = MagicElementData(gx=np.zeros((1, 3, 2)), h_t=np.ones(1),
-                                h_s=np.ones(1), Z_rows=np.zeros((1, 3, 2, 1)))
-        pkg = RomPackage(case_id="x", mesh_hash="", d=2, n_nodes=3,
+        data = MagicElementData(magic=np.array([0]), history=np.array([1.0, 0.0]),
+                                gx=np.zeros((1, 4, 2)), h_t=np.ones(1),
+                                h_s=np.ones(1), Z_rows=np.zeros((1, 4, 2, 1)))
+        pkg = RomPackage(case_id="x", mesh_hash="", d=2, n_nodes=4,
                          n_fom_dofs=9, lift_groups=(), material=mat,
                          amplitudes={}, space=None,
                          K=np.zeros((5, 2, 2)), R=np.zeros((5, 1, 2)),
-                         eim_eta=online["eta"], eim_tau=online["tau"],
-                         data_eta=data, data_tau=data)
+                         data_eta=data, data_tau=data,
+                         strain_op=strain_operator(data, data))
         with pytest.raises(RomError, match=r"N_u=1, N_p=1"):
             solve_rom(pkg)
 
@@ -538,19 +539,19 @@ class TestTruncate:
             truncate(pkg, pkg.n_u, 0)
 
 
-def oracle_solve(pkg, mu, tol, max_it):
+def oracle_solve(pkg, eims, mu, tol, max_it):
     """Reduced Picard loop with every iterate formed as the stacks were
     projected: magic_coefficients, then theta @ K over the coefficient
     stacks and np.linalg.solve."""
     params, amps = pkg.effective(mu)
     s = pkg.lift_coefficients(amps)
-    K_c, R_c = coefficient_stacks(pkg)
+    K_c, R_c = coefficient_stacks(pkg, eims)
     R_mu = np.append(s, 1.0) @ R_c
     n_u, nl = pkg.n_u, pkg.n_lifts
     x = np.zeros(pkg.n_reduced)
     x[:nl] = s
     for it in range(1, max_it + 1):
-        c_e, c_t = magic_coefficients(pkg, x[:n_u], params)
+        c_e, c_t = magic_coefficients(pkg, x[:n_u], params, eims)
         theta = np.concatenate(([params.rho, 1.0], c_e, c_t, c_t / params.rho))
         x_new = np.linalg.solve(np.tensordot(theta, K_c, axes=1), theta @ R_mu)
         rel = np.linalg.norm(x_new[nl:] - x[nl:]) / np.linalg.norm(x_new[nl:])
@@ -578,27 +579,27 @@ class TestOnlineEquivalence:
         pkg = duct.pkg if cut is None else truncate(duct.pkg, *cut)
         for mu in query_mus(pkg):
             red = solve_rom(pkg, mu=mu, picard_tol=1e-10, picard_max=80)
-            want, its = oracle_solve(pkg, mu, 1e-10, 80)
+            want, its = oracle_solve(pkg, duct.eims, mu, 1e-10, 80)
             got = np.concatenate([red.v_N, red.p_N])
             assert len(red.iterations) == its
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_truncation_slices_derived_arrays(self, duct):
         small = truncate(duct.pkg, 3, 1)
-        direct = replace(small)       # derives strain_op from the sliced data
-        assert np.array_equal(small.strain_op, direct.strain_op)
-        for got, want in zip(small.tau_scales, direct.tau_scales):
+        assert np.array_equal(small.strain_op,
+                              strain_operator(small.data_eta, small.data_tau))
+        for got, want in zip(small.tau_scales, duct.pkg.tau_scales):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("case", range(5))
     def test_mismatched_derived_arrays_rejected(self, duct, case):
-        # strain_op, the one array a sub-package takes from its parent, must
-        # fit the sliced magic-element data
+        # strain_op, which a sub-package slices from its parent's, must fit
+        # the sliced records
         small = truncate(duct.pkg, 3, 1)
         op = small.strain_op
         bad = (duct.pkg.strain_op, op[1:], op[:, 1:], op.T, op.ravel())[case]
         with pytest.raises(RomError, match="dimension mismatch"):
-            replace(small, parent_strain_op=bad)
+            replace(small, strain_op=bad)
 
     def test_nan_in_system_raises(self, duct):
         K = duct.pkg.K.copy()
@@ -801,10 +802,10 @@ class TestPersistence:
         assert np.array_equal(loaded.K, duct.pkg.K)
         assert np.array_equal(loaded.R, duct.pkg.R)
         for tag in ("eta", "tau"):
-            eim = getattr(loaded, "eim_" + tag)
-            assert eim.basis is None and eim.n_terms == duct.eims[tag].n_terms
-            np.testing.assert_array_equal(eim.magic, duct.eims[tag].magic)
-        # the loaded package derives strain_op from the same magic-element data
+            data = getattr(loaded, "data_" + tag)
+            np.testing.assert_array_equal(data.magic, duct.eims[tag].magic)
+            np.testing.assert_array_equal(data.history, duct.eims[tag].history)
+        # the loaded package derives strain_op from the same records
         for mu in ([1.01], [0.95], [1.05], [0.9731]):
             a = solve_rom(duct.pkg, mu=np.array(mu))
             b = solve_rom(loaded, mu=np.array(mu))
@@ -839,7 +840,7 @@ class TestPersistence:
         """A package file holding the separate E, A, ..., D blocks is refused."""
         def edit(arrays):
             del arrays["K"], arrays["R"]
-            arrays.update(blocks(duct.pkg))
+            arrays.update(blocks(duct.pkg, duct.eims))
 
         path = self.rewritten(duct.pkg, tmp_path / "duct.rom", edit)
         with pytest.raises(ArtifactError, match="malformed rom package"):
@@ -849,7 +850,7 @@ class TestPersistence:
         """A package file holding the coefficient stacks and the EIM T is
         refused: its K and R have the shapes of the folded ones."""
         def edit(arrays):
-            arrays["K"], arrays["R"] = coefficient_stacks(duct.pkg)
+            arrays["K"], arrays["R"] = coefficient_stacks(duct.pkg, duct.eims)
             arrays["eta_T"], arrays["tau_T"] = duct.eims["eta"].T, duct.eims["tau"].T
 
         path = self.rewritten(duct.pkg, tmp_path / "duct.rom", edit)
@@ -866,6 +867,46 @@ class TestPersistence:
         path = self.rewritten(duct.pkg, tmp_path / "duct.rom", edit)
         with pytest.raises(ArtifactError, match="malformed rom package"):
             read_rom(path)
+
+    @pytest.mark.parametrize("name", ["magic", "history", "h_t", "gx"])
+    def test_record_of_wrong_length_rejected(self, duct, tmp_path, name):
+        pkg = duct.pkg
+        bad = replace(pkg.data_tau, **{name: getattr(pkg.data_tau, name)[1:]})
+        given = {f.name: getattr(pkg, f.name) for f in fields(pkg)}
+        with pytest.raises(RomError, match="dimension mismatch"):
+            RomPackage(**dict(given, data_tau=bad))
+        with pytest.raises(RomError, match="dimension mismatch"):
+            replace(pkg, data_tau=bad)
+
+        def edit(arrays):
+            key = "tau_" + name.replace("_", "")
+            arrays[key] = arrays[key][1:]
+
+        path = self.rewritten(pkg, tmp_path / "duct.rom", edit)
+        with pytest.raises(ArtifactError, match="malformed rom package"):
+            read_rom(path)
+
+    @pytest.mark.parametrize("cut", [None, (4, 2)])
+    def test_coarse_artery_round_trip_is_bitwise(self, coarse_artery_rom, tmp_path, cut):
+        """A package read back, full or truncated, holds the same arrays as
+        the one written and solves to the same bits."""
+        cfg, pipe = coarse_artery_rom
+        pkg = pipe.pkg if cut is None else truncate(pipe.pkg, *cut)
+        write_rom(tmp_path / "artery.rom", pkg)
+        _, loaded = read_rom(tmp_path / "artery.rom", mesh_hash=pipe.mesh.content_hash())
+        assert (loaded.n_u, loaded.n_p) == (pkg.n_u, pkg.n_p)
+        pairs = [(loaded.K, pkg.K), (loaded.R, pkg.R), (loaded.strain_op, pkg.strain_op)]
+        pairs += zip(loaded.tau_scales, pkg.tau_scales)
+        for got, want in ((loaded.data_eta, pkg.data_eta), (loaded.data_tau, pkg.data_tau)):
+            pairs += [(getattr(got, f.name), getattr(want, f.name))
+                      for f in fields(MagicElementData)]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        box = cfg.space.box
+        for mu in np.vstack([box.corners(), box.center()[None]]):
+            a, b = (solve_rom(p, mu=mu, **cfg.picard_options()) for p in (pkg, loaded))
+            assert np.array_equal(a.v_N, b.v_N) and np.array_equal(a.p_N, b.p_N)
+            assert a.iterations == b.iterations
 
     def test_rom_info_reports_dimensions(self, duct):
         info = rom_info(duct.pkg)
