@@ -38,9 +38,9 @@ theta contraction and one LAPACK solve.  Each field keeps one record
 (MagicElementData): its magic elements, greedy history, their geometry and
 the velocity-basis rows at their nodes.  The velocity gradients and mean
 velocities at the magic elements are linear in v_N, so strain_operator
-derives from the two records, where they are built or read, an operator
-strain_op from v_N to them, which the package carries and truncate slices;
-eta and tau there come from constitutive.field_values.  Then K(v) = theta @
+derives from the two records an operator strain_op from v_N to them;
+project_offline and read_rom call it, and truncate slices its result.  Eta
+and tau there come from constitutive.field_values.  Then K(v) = theta @
 K and rhs = [s, 1] @ (theta @ R), s the lift coefficients; no mesh pass
 remains.
 
@@ -79,8 +79,8 @@ class RomError(Exception):
 
 @dataclass
 class MagicElementData:
-    """One interpolated field's online record: its magic elements, their
-    geometry and the velocity-basis rows at their nodes."""
+    """One interpolated field's online record: its magic elements, greedy
+    history, their geometry and the velocity-basis rows at their nodes."""
 
     magic: np.ndarray           # (Q,) element ids
     history: np.ndarray         # (Q+1,) greedy max errors, history[0] = 1
@@ -170,10 +170,12 @@ class RomPackage:
         checks = [("K", self.K, (2 + qe + 2 * qt, n, n)),
                   ("R", self.R, (2 + qe + 2 * qt, nl + 1, n)),
                   ("strain_op", self.strain_op, ((qe + qt) * d * (d + 1), n_u))]
-        for tag, data, q in (("eta", self.data_eta, qe), ("tau", self.data_tau, qt)):
-            checks += [("%s %s" % (tag, name), getattr(data, name), want) for name, want in (
-                ("magic", (q,)), ("history", (q + 1,)), ("gx", (q, d + 2, d)),
-                ("h_t", (q,)), ("h_s", (q,)), ("Z_rows", (q, d + 2, d, n_u)))]
+        for tag, data, q in (("eta ", self.data_eta, qe), ("tau ", self.data_tau, qt)):
+            checks += [(tag + "magic", data.magic, (q,)),
+                       (tag + "history", data.history, (q + 1,)),
+                       (tag + "gx", data.gx, (q, d + 2, d)),
+                       (tag + "h_t", data.h_t, (q,)), (tag + "h_s", data.h_s, (q,)),
+                       (tag + "Z_rows", data.Z_rows, (q, d + 2, d, n_u))]
         for name, arr, want in checks:
             if arr.shape != want:
                 raise RomError("dimension mismatch: %s has shape %s, expected %s"
