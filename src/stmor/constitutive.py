@@ -99,7 +99,7 @@ def shear_rate(grad_u):
     grad_u has shape (..., d, d) with entries du_i/dx_j.
     """
     g = np.asarray(grad_u, dtype=np.float64)
-    eps = 0.5 * (g + np.swapaxes(g, -1, -2))
+    eps = 0.5 * (g + g.swapaxes(-1, -2))
     return np.sqrt(2.0 * np.einsum("...ij,...ij->...", eps, eps))
 
 

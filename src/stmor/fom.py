@@ -197,7 +197,10 @@ def build_lifting(mesh, specs, amplitudes):
     d = mesh.d
     groups = sorted({s.group for s in specs}, key=lambda g: (g != "fixed", g))
     vec = {g: np.zeros((mesh.n_nodes, d)) for g in groups}
-    owner = {}
+    # the first prescription of a (node, component) owns it: its group index
+    # (-1: not prescribed yet) and value
+    owner = np.full((mesh.n_nodes, d), -1)
+    owner_val = np.zeros((mesh.n_nodes, d))
     for s in specs:
         nodes = mesh.nodes_of_tag(s.tag)
         if nodes.size == 0:
@@ -208,24 +211,27 @@ def build_lifting(mesh, specs, amplitudes):
         if vals.shape != (nodes.size, len(s.components)):
             raise SolverError("profile for %s returned shape %s, expected %s"
                               % (s.tag, vals.shape, (nodes.size, len(s.components))))
+        gi = groups.index(s.group)
         for j, c in enumerate(s.components):
-            for node, val in zip(nodes, vals[:, j]):
-                key = (int(node), int(c))
-                if key in owner:
-                    g0, v0 = owner[key]
-                    if g0 == s.group:
-                        if abs(v0 - val) > CONFLICT_TOL * max(1.0, abs(v0)):
-                            raise SolverError(
-                                "conflicting Dirichlet data at node %d component %d:"
-                                " %g vs %g (tag %s)" % (node, c, v0, val, s.tag))
-                    elif abs(v0) > CONFLICT_TOL or abs(val) > CONFLICT_TOL:
-                        raise SolverError(
-                            "node %d component %d prescribed by groups %s and %s "
-                            "with non-zero data; amplitudes cannot both hold"
-                            % (node, c, g0, s.group))
-                    continue
-                owner[key] = (s.group, val)
-                vec[s.group][node, c] = val
+            # nodes are unique, so the prescriptions of one component meet only
+            # earlier ones; the first conflict in node order is reported
+            val, g0, v0 = vals[:, j], owner[nodes, c], owner_val[nodes, c]
+            same = np.abs(v0 - val) > CONFLICT_TOL * np.maximum(1.0, np.abs(v0))
+            other = (np.abs(v0) > CONFLICT_TOL) | (np.abs(val) > CONFLICT_TOL)
+            bad = (g0 >= 0) & np.where(g0 == gi, same, other)
+            if bad.any():
+                k = int(bad.argmax())
+                if g0[k] == gi:
+                    raise SolverError(
+                        "conflicting Dirichlet data at node %d component %d:"
+                        " %g vs %g (tag %s)" % (nodes[k], c, v0[k], val[k], s.tag))
+                raise SolverError(
+                    "node %d component %d prescribed by groups %s and %s "
+                    "with non-zero data; amplitudes cannot both hold"
+                    % (nodes[k], c, groups[g0[k]], s.group))
+            new = nodes[g0 < 0]
+            owner[new, c] = gi
+            owner_val[new, c] = vec[s.group][new, c] = val[g0 < 0]
     out = []
     for g in groups:
         if g == "fixed":

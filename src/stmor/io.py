@@ -8,6 +8,7 @@ built on another mesh refuses it (check_mesh_hash).
 """
 
 import json
+import math
 import os
 import struct
 import uuid
@@ -17,7 +18,7 @@ import numpy as np
 MAGIC = b"STMOR"
 FORMAT_VERSION = 1
 
-_DTYPES = {"f": "<f8", "i": "<i8"}
+_DTYPES = {"f": np.dtype("<f8"), "i": np.dtype("<i8")}
 _CODES = {np.dtype("float64"): "f", np.dtype("int64"): "i"}
 
 
@@ -66,40 +67,48 @@ def write_artifact(path, kind, header, arrays):
 def read_artifact(path, expect_kind=None):
     """Read (header, arrays); optionally check the artifact kind.
 
-    A cut anywhere in the file, an unreadable header and bytes after the
-    last array are all reported as ArtifactError.
+    The file is read in one call and parsed from memory.  A cut anywhere in
+    the file, an unreadable header and bytes after the last array are all
+    reported as ArtifactError.  Each array is a fresh, aligned copy: the
+    header's length puts the data at any byte offset, and a misaligned
+    operand would take the online products off BLAS.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+    with open(path, "rb", buffering=0) as fh:
+        buf = fh.read()
+    if buf[:len(MAGIC)] != MAGIC:
+        raise ArtifactError("%s: not an artifact file" % path)
+    pos = len(MAGIC)
 
-        def take(n, what):
-            if not 0 <= n <= size - fh.tell():
-                raise ArtifactError("%s: truncated %s" % (path, what))
-            return fh.read(n)
+    def take(n, what):
+        """Offset of the next n bytes, which must lie in the file."""
+        nonlocal pos
+        if not 0 <= n <= len(buf) - pos:
+            raise ArtifactError("%s: truncated %s" % (path, what))
+        pos += n
+        return pos - n
 
-        if fh.read(5) != MAGIC:
-            raise ArtifactError("%s: not an artifact file" % path)
-        (ver,) = struct.unpack("<H", take(2, "version"))
-        if ver != FORMAT_VERSION:
-            raise ArtifactError("%s: unsupported format version %d" % (path, ver))
-        try:
-            (klen,) = struct.unpack("<H", take(2, "kind"))
-            kind = take(klen, "kind").decode()
-            if expect_kind is not None and kind != expect_kind:
-                raise ArtifactError("%s: expected a %r artifact, found %r"
-                                    % (path, expect_kind, kind))
-            (plen,) = struct.unpack("<Q", take(8, "header"))
-            header = json.loads(take(plen, "header").decode())
-            arrays = {}
-            for name, code, shape in header.pop("_arrays"):
-                count = int(np.prod(shape)) if shape else 1
-                raw = take(count * 8, "array %r" % name)
-                arrays[name] = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(shape).copy()
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ArtifactError("%s: malformed header (%s: %s)"
-                                % (path, type(exc).__name__, exc)) from None
-        if fh.read(1):
-            raise ArtifactError("%s: trailing bytes after the last array" % path)
+    (ver,) = struct.unpack_from("<H", buf, take(2, "version"))
+    if ver != FORMAT_VERSION:
+        raise ArtifactError("%s: unsupported format version %d" % (path, ver))
+    try:
+        (klen,) = struct.unpack_from("<H", buf, take(2, "kind"))
+        start = take(klen, "kind")
+        kind = buf[start:pos].decode()
+        if expect_kind is not None and kind != expect_kind:
+            raise ArtifactError("%s: expected a %r artifact, found %r"
+                                % (path, expect_kind, kind))
+        (plen,) = struct.unpack_from("<Q", buf, take(8, "header"))
+        start = take(plen, "header")
+        header = json.loads(buf[start:pos].decode())
+        arrays = {}
+        for name, code, shape in header.pop("_arrays"):
+            start = take(math.prod(shape) * 8, "array %r" % name)
+            arrays[name] = np.ndarray(shape, _DTYPES[code], buf, start).copy()
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ArtifactError("%s: malformed header (%s: %s)"
+                            % (path, type(exc).__name__, exc)) from None
+    if pos != len(buf):
+        raise ArtifactError("%s: trailing bytes after the last array" % path)
     return header, arrays
 
 

@@ -89,6 +89,24 @@ class MagicElementData:
     h_s: np.ndarray             # (Q,) spatial diameter
     Z_rows: np.ndarray          # (Q, D+1, d, N_u) rows of Z_v at the element nodes
 
+    def check(self, tag, d, n_u):
+        """RomError unless all six arrays fit one Q, d and n_u.
+
+        The record's Q is the median of the lengths its arrays give, so the
+        message names an array whose length disagrees with the others.
+        """
+        # (name, array, its length minus Q, its trailing shape)
+        arrays = [("magic", self.magic, 0, ()), ("history", self.history, 1, ()),
+                  ("gx", self.gx, 0, (d + 2, d)), ("h_t", self.h_t, 0, ()),
+                  ("h_s", self.h_s, 0, ()), ("Z_rows", self.Z_rows, 0, (d + 2, d, n_u))]
+        q = sorted(arr.shape[0] - extra if arr.ndim else -1
+                   for _, arr, extra, _ in arrays)[len(arrays) // 2 - 1]
+        for name, arr, extra, tail in arrays:
+            want = (q + extra,) + tail
+            if arr.shape != want:
+                raise RomError("dimension mismatch: %s%s has shape %s, expected %s"
+                               % (tag, name, arr.shape, want))
+
 
 def strain_operator(data_eta, data_tau):
     """v_N to the velocity gradients and mean velocities at the Q_eta + Q_tau
@@ -96,7 +114,8 @@ def strain_operator(data_eta, data_tau):
     Z = np.concatenate([data_eta.Z_rows, data_tau.Z_rows])
     grad = np.einsum("eacn,eaj->ecjn", Z, np.concatenate([data_eta.gx, data_tau.gx]))
     m, d, _, n_u = grad.shape
-    return np.concatenate([grad.reshape(m, d * d, n_u), Z.mean(axis=1)],
+    # the sum over the element's nodes over their count: Z.mean(axis=1), bit for bit
+    return np.concatenate([grad.reshape(m, d * d, n_u), Z.sum(axis=1) / Z.shape[1]],
                           axis=1).reshape(-1, n_u)
 
 
@@ -166,16 +185,12 @@ class RomPackage:
 
     def _validate(self):
         n_u, n, nl, d = self.n_u, self.n_reduced, self.n_lifts, self.d
+        self.data_eta.check("eta ", d, n_u)
+        self.data_tau.check("tau ", d, n_u)
         qe, qt = self.q_eta, self.q_tau
         checks = [("K", self.K, (2 + qe + 2 * qt, n, n)),
                   ("R", self.R, (2 + qe + 2 * qt, nl + 1, n)),
                   ("strain_op", self.strain_op, ((qe + qt) * d * (d + 1), n_u))]
-        for tag, data, q in (("eta ", self.data_eta, qe), ("tau ", self.data_tau, qt)):
-            checks += [(tag + "magic", data.magic, (q,)),
-                       (tag + "history", data.history, (q + 1,)),
-                       (tag + "gx", data.gx, (q, d + 2, d)),
-                       (tag + "h_t", data.h_t, (q,)), (tag + "h_s", data.h_s, (q,)),
-                       (tag + "Z_rows", data.Z_rows, (q, d + 2, d, n_u))]
         for name, arr, want in checks:
             if arr.shape != want:
                 raise RomError("dimension mismatch: %s has shape %s, expected %s"
@@ -359,10 +374,13 @@ def truncate(pkg, n_u, n_p):
 # online assembly and solve
 
 def mu_terms(pkg, mu):
-    """(params, s, R_mu): material, lift coefficients and [s, 1] @ R at mu."""
+    """(params, s, R_mu, theta): material, lift coefficients, [s, 1] @ R at mu,
+    and a buffer for theta holding its constant entries [rho, 1]."""
     params, amps = pkg.effective(mu)
     s = pkg.lift_coefficients(amps)
-    return params, s, np.append(s, 1.0) @ pkg.R
+    theta = np.empty(len(pkg.K))
+    theta[:2] = params.rho, 1.0
+    return params, s, np.append(s, 1.0) @ pkg.R, theta
 
 
 def assemble_rom(pkg, v_iterate, terms):
@@ -378,14 +396,17 @@ def assemble_rom(pkg, v_iterate, terms):
     if v_it.shape != (pkg.n_u,):
         raise RomError("iterate has shape %s, expected (%d,)"
                        % (v_it.shape, pkg.n_u))
-    params, _, R_mu = terms
+    params, _, R_mu, theta = terms
 
     d, qe = pkg.d, pkg.q_eta
     y = (pkg.strain_op @ v_it).reshape(-1, d * (d + 1))
     _, eta, tau = field_values(y[:, :d * d].reshape(-1, d, d), y[:, d * d:],
                                pkg.tau_scales, params)
-    theta = np.concatenate(([params.rho, 1.0], eta[:qe], tau[qe:],
-                            tau[qe:] / params.rho))
+    # theta = [rho, 1, eta(magic_eta), tau(magic_tau), tau(magic_tau) / rho]
+    q_t = len(tau) - qe
+    theta[2:2 + qe] = eta[:qe]
+    theta[2 + qe:2 + qe + q_t] = tau[qe:]
+    np.divide(tau[qe:], params.rho, out=theta[2 + qe + q_t:])
 
     q, n = pkg.K.shape[:2]
     K = (theta @ pkg.K.reshape(q, n * n)).reshape(n, n)
@@ -401,7 +422,6 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
     """
     terms = mu_terms(pkg, mu)
     n_u, n_p, nl = pkg.n_u, pkg.n_p, pkg.n_lifts
-    dims = "N_u=%d, N_p=%d" % (n_u, n_p)
 
     def step(x):
         K, rhs = assemble_rom(pkg, x[:n_u], terms)
@@ -409,16 +429,17 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
         # N ~ 10 solve
         x_new, info = dgesv(K, rhs)[2:]
         if info:
-            raise RomError("reduced system is singular at " + dims)
-        if not np.all(np.isfinite(x_new)):
-            raise RomError("reduced solve returned non-finite values at " + dims)
+            raise RomError("reduced system is singular at N_u=%d, N_p=%d" % (n_u, n_p))
+        if not np.isfinite(x_new).all():
+            raise RomError("reduced solve returned non-finite values at N_u=%d, N_p=%d"
+                           % (n_u, n_p))
         return x_new, {}
 
     x0 = np.zeros(n_u + n_p)
     x0[:nl] = terms[1]
     x, log, converged = picard(step, x0, picard_tol, picard_max, strict,
-                               RomError, logger, "reduced Picard (%s)" % dims,
-                               skip=nl)
+                               RomError, logger,
+                               "reduced Picard (N_u=%d, N_p=%d)" % (n_u, n_p), skip=nl)
     logger.debug("solve_rom %s: %d iterations, rel update %.2e",
                  pkg.case_id, len(log), log[-1]["rel_update"])
     return ReducedSolution(v_N=x[:n_u], p_N=x[n_u:],
@@ -506,15 +527,19 @@ def read_rom(path, mesh_hash=None):
                             % (path, sorted(set(arrays) - _ROM_ARRAYS),
                                sorted(_ROM_ARRAYS - set(arrays))))
     try:
-        data = {tag: MagicElementData(magic=arrays[tag + "_magic"].astype(np.int64),
+        d = int(header["d"])
+        data = {tag: MagicElementData(magic=arrays[tag + "_magic"].astype(np.int64, copy=False),
                                       history=arrays[tag + "_history"],
                                       gx=arrays[tag + "_gx"], h_t=arrays[tag + "_ht"],
                                       h_s=arrays[tag + "_hs"], Z_rows=arrays[tag + "_Z"])
                 for tag in ("eta", "tau")}
+        # strain_operator needs records of matching shapes
+        for tag, record in data.items():
+            record.check(tag + " ", d, data["eta"].Z_rows.shape[-1])
         pkg = RomPackage(
             case_id=header.get("case_id", ""),
             mesh_hash=header.get("mesh_hash", ""),
-            d=int(header["d"]), n_nodes=int(header["n_nodes"]),
+            d=d, n_nodes=int(header["n_nodes"]),
             n_fom_dofs=int(header["n_fom_dofs"]),
             lift_groups=tuple(header["lift_groups"]),
             material=CarreauYasudaParams(**{k: float(v) for k, v

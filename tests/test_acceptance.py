@@ -3,7 +3,8 @@
 Each test prints a single PASS/FAIL line with the measured numbers (stream
 them with pytest -s).  The valve-analog desk pipeline (16 training solves,
 full retained basis) is built once and shared by the reproduction,
-generalization, speedup, and invariant criteria.
+generalization, speedup, and invariant criteria, and by the check that its
+package, written and read back, solves to the same bits.
 """
 
 import logging
@@ -22,7 +23,7 @@ from stmor.fom import (FomAssembler, build_dof_map, build_lifting,
                        combine_liftings, fom_inner_products, solve_fom)
 from stmor.mesh import SpaceTimeMesh
 from stmor.pod import assemble_basis, compute_pod, projection_error
-from stmor.rom import project_offline, reconstruct, solve_rom
+from stmor.rom import project_offline, read_rom, reconstruct, solve_rom, write_rom
 
 
 def verdict(num, name, ok, detail):
@@ -390,3 +391,17 @@ def test_criterion_9_invariant_suites(valve):
                dev_eim, dev_bc, elapsed))
     assert checks == {k: True for k in checks}
     assert elapsed < 300.0
+
+
+def test_valve_package_read_back_solves_bitwise(valve, tmp_path):
+    """A cold query (the package read from its file) gives the bits of a
+    warm one on the valve's full-size package."""
+    pipe = valve.pipe
+    write_rom(tmp_path / "valve.rom", pipe.pkg)
+    _, loaded = read_rom(tmp_path / "valve.rom", mesh_hash=pipe.mesh.content_hash())
+    for mu in np.vstack([valve.samples.training[:3], valve.samples.testing[:3]]):
+        warm, cold = (solve_rom(pkg, mu=mu, **valve.cfg.picard_options())
+                      for pkg in (pipe.pkg, loaded))
+        assert warm.v_N.tobytes() == cold.v_N.tobytes()
+        assert warm.p_N.tobytes() == cold.p_N.tobytes()
+        assert warm.iterations == cold.iterations

@@ -13,7 +13,8 @@ from scipy.sparse.linalg import gmres as scipy_gmres
 
 from stmor import fom
 from stmor.analysis import AnalysisError, offline_build
-from stmor.cases import artery_analog_config, build_mesh, build_problem
+from stmor.cases import (artery_analog_config, build_mesh, build_problem, bundled_case,
+                         bundled_case_ids)
 from stmor.constitutive import BodyForce, CarreauYasudaParams
 from stmor.fom import (
     KRYLOV_MAX_ITS,
@@ -107,7 +108,85 @@ class TestDofMap:
         np.testing.assert_array_equal(dm.restrict(dm.expand(v)), v)
 
 
+def loop_lifting(mesh, specs, amplitudes):
+    """build_lifting as one loop over every prescribed (node, component),
+    first prescription kept: the reference for the array version."""
+    d = mesh.d
+    groups = sorted({s.group for s in specs}, key=lambda g: (g != "fixed", g))
+    vec = {g: np.zeros((mesh.n_nodes, d)) for g in groups}
+    owner = {}
+    for s in specs:
+        nodes = mesh.nodes_of_tag(s.tag)
+        if nodes.size == 0:
+            continue
+        ref = mesh.reference_nodes[nodes]
+        vals = np.atleast_2d(np.asarray(s.profile(ref[:, :d], ref[:, d]),
+                                        dtype=np.float64))
+        for j, c in enumerate(s.components):
+            for node, val in zip(nodes, vals[:, j]):
+                key = (int(node), int(c))
+                if key in owner:
+                    g0, v0 = owner[key]
+                    if g0 == s.group:
+                        if abs(v0 - val) > fom.CONFLICT_TOL * max(1.0, abs(v0)):
+                            raise SolverError(
+                                "conflicting Dirichlet data at node %d component %d:"
+                                " %g vs %g (tag %s)" % (node, c, v0, val, s.tag))
+                    elif abs(v0) > fom.CONFLICT_TOL or abs(val) > fom.CONFLICT_TOL:
+                        raise SolverError(
+                            "node %d component %d prescribed by groups %s and %s "
+                            "with non-zero data; amplitudes cannot both hold"
+                            % (node, c, g0, s.group))
+                    continue
+                owner[key] = (s.group, val)
+                vec[s.group][node, c] = val
+    return [(g, vec[g]) for g in groups]
+
+
+def lifting_errors(mesh, specs):
+    """The messages build_lifting and loop_lifting raise for specs."""
+    messages = []
+    for build in (build_lifting, loop_lifting):
+        with pytest.raises(SolverError) as info:
+            build(mesh, specs, {"inlet": 1.0})
+        messages.append(str(info.value))
+    return messages
+
+
 class TestLifting:
+    @pytest.mark.parametrize("case_id", bundled_case_ids())
+    def test_matches_loop_on_bundled_cases(self, case_id):
+        cfg = bundled_case(case_id)
+        mesh = build_mesh(cfg)
+        problem = build_problem(cfg, mesh)
+        got = build_lifting(mesh, problem.dirichlet, problem.amplitudes)
+        want = loop_lifting(mesh, problem.dirichlet, problem.amplitudes)
+        assert [lf.group for lf in got] == [g for g, _ in want]
+        for lf, (_, vec) in zip(got, want):
+            assert vec.any() or lf.group == "fixed"
+            assert lf.vector.tobytes() == vec.tobytes()
+
+    def test_first_conflict_matches_loop(self):
+        """The same first conflict, values and groups as the loop, with
+        conflicts at several shared nodes and in both components."""
+        mesh = channel_mesh(n=3, levels=3)
+        up = lambda x, t: np.column_stack([1.0 + x[:, 0], x[:, 1] - 2.0])
+        base = list(couette_specs())
+        within = base[:2] + [DirichletSpec(tag="dirichlet:bottom", components=(0, 1),
+                                           profile=up)] + base[3:]
+        got, want = lifting_errors(mesh, within)
+        assert got == want and got.startswith("conflicting Dirichlet data")
+        # a later component only: the x data agree, the y data do not
+        y_only = lambda x, t: np.column_stack([x[:, 1], np.full(len(x), 3.0)])
+        later = base[:1] + [DirichletSpec(tag="dirichlet:right", components=(0, 1),
+                                          profile=y_only)] + base[2:]
+        got, want = lifting_errors(mesh, later)
+        assert got == want and "component 1" in got
+        across = [DirichletSpec(tag="dirichlet:left", components=(1, 0), profile=up,
+                                group="inlet")] + base[1:]
+        got, want = lifting_errors(mesh, across)
+        assert got == want and "groups inlet and fixed" in got
+
     def test_interpolates_data_and_vanishes_inside(self):
         mesh = channel_mesh(n=3, levels=3)
         lifts = build_lifting(mesh, couette_specs(), {})

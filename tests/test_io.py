@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stmor.cli import main
+from stmor.fom import FieldSolution, read_snapshot, write_snapshot
 from stmor.io import ArtifactError, read_artifact, write_artifact
 
 ARRAYS = {"a": np.arange(3.0), "b": np.array([[1, -2]], dtype=np.int64)}
@@ -39,6 +40,35 @@ def test_roundtrip():
     for name, arr in ARRAYS.items():
         assert arrays[name].dtype == arr.dtype
         np.testing.assert_array_equal(arrays[name], arr)
+
+
+def test_arrays_are_aligned_owned_copies(tmp_path):
+    """Whatever byte offset the header leaves the data at, every array is
+    C-contiguous, aligned, writeable and owns its memory."""
+    offsets = set()
+    for pad in range(8):
+        path = tmp_path / ("pad%d.stm" % pad)
+        write_artifact(path, "demo", {"case_id": "x" * pad}, ARRAYS)
+        offsets.add((path.stat().st_size - sum(a.nbytes for a in ARRAYS.values())) % 8)
+        _, arrays = read_artifact(path)
+        for name, arr in arrays.items():
+            flags = arr.flags
+            assert flags.c_contiguous and flags.aligned and flags.writeable
+            assert flags.owndata and arr.base is None
+            np.testing.assert_array_equal(arr, ARRAYS[name])
+    assert offsets == set(range(8))
+
+
+def test_snapshot_round_trip_is_bitwise(tmp_path):
+    rng = np.random.default_rng(0)
+    sol = FieldSolution(v=rng.standard_normal(37), p=rng.standard_normal(11) * 1e-300,
+                        mu=np.array([0.3, -0.0]), converged=True, iterations=[],
+                        mesh_hash="abc", case_id="demo")
+    write_snapshot(tmp_path / "s.stm", sol)
+    _, back = read_snapshot(tmp_path / "s.stm", mesh_hash="abc")
+    for got, want in ((back.v, sol.v), (back.p, sol.p), (back.mu, sol.mu)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (back.case_id, back.mesh_hash, back.converged) == ("demo", "abc", True)
 
 
 def test_every_truncation_is_an_artifact_error():
