@@ -66,7 +66,7 @@ class ParameterBox:
         if mu.shape != (len(self.names),):
             raise ParameterError("expected %d components %s, got shape %s"
                                  % (len(self.names), self.names, mu.shape))
-        for name, lo, hi, v in zip(self.names, self.lower, self.upper, mu):
+        for name, lo, hi, v in zip(self.names, self.lower, self.upper, mu.tolist()):
             # tiny slack so box corners produced by 0.95*x arithmetic pass
             pad = 1e-12 * max(abs(lo), abs(hi))
             if not (lo - pad <= v <= hi + pad):
@@ -135,7 +135,7 @@ def field_values(grad, mean_u, scales, params):
     temporal, h_s, h_s2 = scales
     gd = shear_rate(grad)
     eta = viscosity(gd, params)
-    speed = np.sqrt((mean_u * mean_u).sum(axis=-1))     # np.linalg.norm, bit for bit
+    speed = np.sqrt(np.add.reduce(mean_u * mean_u, -1))  # np.linalg.norm, bit for bit
     nu = eta / params.rho
     tau = 1.0 / np.sqrt(temporal + (2.0 * speed / h_s) ** 2 + (4.0 * nu / h_s2) ** 2)
     return gd, eta, tau

@@ -79,11 +79,11 @@ def read_artifact(path, expect_kind=None):
         raise ArtifactError("%s: not an artifact file" % path)
     pos = len(MAGIC)
 
-    def take(n, what):
+    def take(n, what, *args):
         """Offset of the next n bytes, which must lie in the file."""
         nonlocal pos
         if not 0 <= n <= len(buf) - pos:
-            raise ArtifactError("%s: truncated %s" % (path, what))
+            raise ArtifactError("%s: truncated %s" % (path, what % args))
         pos += n
         return pos - n
 
@@ -102,7 +102,7 @@ def read_artifact(path, expect_kind=None):
         header = json.loads(buf[start:pos].decode())
         arrays = {}
         for name, code, shape in header.pop("_arrays"):
-            start = take(math.prod(shape) * 8, "array %r" % name)
+            start = take(math.prod(shape) * 8, "array %r", name)
             arrays[name] = np.ndarray(shape, _DTYPES[code], buf, start).copy()
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ArtifactError("%s: malformed header (%s: %s)"

@@ -90,22 +90,19 @@ class MagicElementData:
     Z_rows: np.ndarray          # (Q, D+1, d, N_u) rows of Z_v at the element nodes
 
     def check(self, tag, d, n_u):
-        """RomError unless all six arrays fit one Q, d and n_u.
-
-        The record's Q is the median of the lengths its arrays give, so the
-        message names an array whose length disagrees with the others.
-        """
-        # (name, array, its length minus Q, its trailing shape)
-        arrays = [("magic", self.magic, 0, ()), ("history", self.history, 1, ()),
-                  ("gx", self.gx, 0, (d + 2, d)), ("h_t", self.h_t, 0, ()),
-                  ("h_s", self.h_s, 0, ()), ("Z_rows", self.Z_rows, 0, (d + 2, d, n_u))]
-        q = sorted(arr.shape[0] - extra if arr.ndim else -1
-                   for _, arr, extra, _ in arrays)[len(arrays) // 2 - 1]
-        for name, arr, extra, tail in arrays:
-            want = (q + extra,) + tail
-            if arr.shape != want:
+        """RomError unless the six arrays fit one Q, d and n_u.  Q is the median
+        of the lengths they give, so the message names the one that differs."""
+        shapes = [self.magic.shape, self.history.shape, self.gx.shape,
+                  self.h_t.shape, self.h_s.shape, self.Z_rows.shape]
+        lengths = [shape[0] if shape else -1 for shape in shapes]
+        lengths[1] -= 1                     # the history holds Q + 1 entries
+        q = sorted(lengths)[2]
+        want = [(q,), (q + 1,), (q, d + 2, d), (q,), (q,), (q, d + 2, d, n_u)]
+        for name, got, exp in zip(("magic", "history", "gx", "h_t", "h_s", "Z_rows"),
+                                  shapes, want):
+            if got != exp:
                 raise RomError("dimension mismatch: %s%s has shape %s, expected %s"
-                               % (tag, name, arr.shape, want))
+                               % (tag, name, got, exp))
 
 
 def strain_operator(data_eta, data_tau):
@@ -115,7 +112,7 @@ def strain_operator(data_eta, data_tau):
     grad = np.einsum("eacn,eaj->ecjn", Z, np.concatenate([data_eta.gx, data_tau.gx]))
     m, d, _, n_u = grad.shape
     # the sum over the element's nodes over their count: Z.mean(axis=1), bit for bit
-    return np.concatenate([grad.reshape(m, d * d, n_u), Z.sum(axis=1) / Z.shape[1]],
+    return np.concatenate([grad.reshape(m, d * d, n_u), np.add.reduce(Z, 1) / Z.shape[1]],
                           axis=1).reshape(-1, n_u)
 
 
