@@ -3,11 +3,12 @@
     python3 tools/inproc_ab.py --base ../parent --rom artery.rom --op cold
 
 stmor is imported from the base checkout's ``src/`` as ``stmor_base`` and
-from the head checkout's (default: the one holding this script) as
-``stmor_head``.  Each repetition draws one mu from the package's box and runs
-the operation once on each side, alternating which side goes first, so both
-see the same machine state; a run-to-run drift of the machine's speed moves
-both alike.  The two sides' results must be equal bit for bit.
+from the checkout holding this script as ``stmor_head``.  Each repetition
+draws one mu from the package's box and runs the operation once on each
+side, alternating which side goes first, so both see the same machine state;
+a run-to-run drift of the machine's speed moves both alike.  The first
+WARMUP repetitions are not timed.  The two sides' results must be equal bit
+for bit.
 
 Operations:
     read_rom   rom.read_rom of the file
@@ -32,6 +33,8 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402  (after the BLAS thread pinning)
 
 HEAD = Path(__file__).resolve().parent.parent
+WARMUP = 100
+SEED = 1
 
 
 def load_rom_module(name, checkout):
@@ -83,20 +86,17 @@ def summary(us):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="checkout timed as the base")
-    parser.add_argument("--head", default=str(HEAD), help="checkout timed as the head")
     parser.add_argument("--rom", required=True, help="rom package file")
     parser.add_argument("--op", choices=("read_rom", "warm", "cold"), default="cold")
     parser.add_argument("--reps", type=int, default=2000)
-    parser.add_argument("--warmup", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.reps < 1 or args.warmup < 0:
-        parser.error("--reps must be at least 1 and --warmup at least 0")
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
 
     sides = {name: operation(load_rom_module("stmor_" + name, where), args.op, args.rom)
-             for name, where in (("base", args.base), ("head", args.head))}
+             for name, where in (("base", args.base), ("head", HEAD))}
     _, pkg = sys.modules["stmor_head.rom"].read_rom(args.rom)
-    mus = draw_mus(pkg, args.warmup + args.reps, args.seed)
+    mus = draw_mus(pkg, WARMUP + args.reps, SEED)
     times = {"base": [], "head": []}
     for i, mu in enumerate(mus):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -105,7 +105,7 @@ def main(argv=None):
             t0 = time.perf_counter()
             out[name] = sides[name](mu)
             elapsed = time.perf_counter() - t0
-            if i >= args.warmup:
+            if i >= WARMUP:
                 times[name].append(1e6 * elapsed)
         if fingerprint(out["base"]) != fingerprint(out["head"]):
             raise SystemExit("results differ at repetition %d, mu=%s" % (i, mu))
