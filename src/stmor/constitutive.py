@@ -181,15 +181,15 @@ def space_from_dict(d):
     """Inverse of space_to_dict; unknown or missing keys are a ParameterError."""
     if d is None:
         return None
-    extra = set(d) - _SPACE_KEYS
-    if extra:
-        raise ParameterError("unknown parameters key %r" % sorted(extra)[0])
-    missing = _SPACE_KEYS - set(d)
-    if missing:
-        raise ParameterError("parameters key %r is missing" % sorted(missing)[0])
-    box = ParameterBox(names=tuple(d["names"]),
-                       lower=tuple(float(v) for v in d["lower"]),
-                       upper=tuple(float(v) for v in d["upper"]))
+    keys = set(d)
+    if keys != _SPACE_KEYS:
+        extra = keys - _SPACE_KEYS
+        if extra:
+            raise ParameterError("unknown parameters key %r" % sorted(extra)[0])
+        raise ParameterError("parameters key %r is missing"
+                             % sorted(_SPACE_KEYS - keys)[0])
+    box = ParameterBox(names=tuple(d["names"]), lower=tuple(map(float, d["lower"])),
+                       upper=tuple(map(float, d["upper"])))
     return ParameterSpace(box=box, semantics=str(d["semantics"]),
                           targets=tuple(d["targets"]))
 

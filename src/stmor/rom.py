@@ -98,6 +98,8 @@ class MagicElementData:
         lengths[1] -= 1                     # the history holds Q + 1 entries
         q = sorted(lengths)[2]
         want = [(q,), (q + 1,), (q, d + 2, d), (q,), (q,), (q, d + 2, d, n_u)]
+        if shapes == want:
+            return
         for name, got, exp in zip(("magic", "history", "gx", "h_t", "h_s", "Z_rows"),
                                   shapes, want):
             if got != exp:
@@ -377,7 +379,7 @@ def mu_terms(pkg, mu):
     s = pkg.lift_coefficients(amps)
     theta = np.empty(len(pkg.K))
     theta[:2] = params.rho, 1.0
-    return params, s, np.append(s, 1.0) @ pkg.R, theta
+    return params, s, np.concatenate((s, (1.0,))) @ pkg.R, theta
 
 
 def assemble_rom(pkg, v_iterate, terms):
@@ -516,7 +518,7 @@ def read_rom(path, mesh_hash=None):
     header, arrays = read_artifact(path, expect_kind="rom")
     if mesh_hash is not None:
         check_mesh_hash(header, mesh_hash, path=str(path))
-    if set(arrays) != _ROM_ARRAYS:
+    if arrays.keys() != _ROM_ARRAYS:
         # an earlier layout (coefficient stacks with the EIM T, or separate
         # blocks) holds other arrays
         raise ArtifactError("%s: malformed rom package (arrays %s unexpected, %s "
@@ -530,9 +532,13 @@ def read_rom(path, mesh_hash=None):
                                       gx=arrays[tag + "_gx"], h_t=arrays[tag + "_ht"],
                                       h_s=arrays[tag + "_hs"], Z_rows=arrays[tag + "_Z"])
                 for tag in ("eta", "tau")}
-        # strain_operator needs records of matching shapes
-        for tag, record in data.items():
-            record.check(tag + " ", d, data["eta"].Z_rows.shape[-1])
+        try:
+            strain_op = strain_operator(data["eta"], data["tau"])
+        except ValueError:
+            # records whose shapes do not fit: name the array that differs
+            for tag, record in data.items():
+                record.check(tag + " ", d, data["eta"].Z_rows.shape[-1])
+            raise
         pkg = RomPackage(
             case_id=header.get("case_id", ""),
             mesh_hash=header.get("mesh_hash", ""),
@@ -544,7 +550,7 @@ def read_rom(path, mesh_hash=None):
             amplitudes={k: float(v) for k, v in header["amplitudes"].items()},
             space=space_from_dict(header.get("space")),
             K=arrays["K"], R=arrays["R"], data_eta=data["eta"], data_tau=data["tau"],
-            strain_op=strain_operator(data["eta"], data["tau"]))
+            strain_op=strain_op)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             ParameterError, RomError) as exc:
         raise ArtifactError("%s: malformed rom package (%s: %s)"
