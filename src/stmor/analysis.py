@@ -27,7 +27,7 @@ from .eim import FieldSampleSet, eim_greedy
 from .fom import (assembler_for, build_dof_map, build_lifting,
                   fom_inner_products, solve_fom)
 from .pod import RANK_CUTOFF, assemble_basis, compute_pod
-from .rom import project_offline, reconstruct, solve_rom, truncate
+from .rom import fit_start, project_offline, reconstruct, solve_rom, truncate
 
 REPORT_SCHEMA_VERSION = 2
 TIMING_CONVENTION = ("wall time excludes file I/O and includes assembly plus "
@@ -204,7 +204,7 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
                   tol_eim_eta=1e-12, tol_eim_tau=1e-12, energy_threshold=1.0,
                   rank_cutoff=None, picard_tol=1e-8, picard_max=50,
                   assembler=None):
-    """Training solves, POD, EIM, and Galerkin projection in one sweep.
+    """Training solves, POD, EIM, Galerkin projection and the fitted start.
 
     Either train_mus (parameters to solve for) or solutions (already solved
     training snapshots carrying their mu) must be given.  A training solve
@@ -221,8 +221,8 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     Returns a namespace holding every intermediate: mesh, problem, dof_map,
     assembler, grams, train_mus, solutions, u_fulls, basis, eims, pkg, and
     stage timings: grams_s (assembler, DOF map and norm matrices),
-    training_s, pod_s, eim_s (snapshot velocity fields included) and
-    projection_s.
+    training_s, pod_s, eim_s (snapshot velocity fields included),
+    projection_s and start_s (rom.fit_start over the training mus).
     """
     t0 = time.perf_counter()
     asm = assembler_for(mesh, assembler, AnalysisError)
@@ -293,6 +293,10 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     pkg = project_offline(mesh, problem, basis, eims["eta"], eims["tau"],
                           dof_map=dof_map, assembler=asm)
     timings["projection_s"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    pkg = fit_start(pkg, mus, picard_tol, picard_max)
+    timings["start_s"] = time.perf_counter() - t0
 
     return SimpleNamespace(mesh=mesh, problem=problem, dof_map=dof_map,
                            assembler=asm, grams=grams, train_mus=mus,

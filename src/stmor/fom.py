@@ -926,7 +926,8 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
     residual f = g - x, so pinned leading entries are not judged, and it
     returns that g: a converged result is always an unmixed step.  A stall
     after max_it steps raises error when strict, else it is logged on logger
-    and the last step is returned.
+    and the last step is returned.  A tol outside (0, 1), NaN included, or a
+    max_it below 1 raises error before the first step.
 
     The next iterate is not g itself but the type II Anderson mixture
     x = g - gamma @ dG (Walker & Ni 2011), where the rows of dF and dG hold
@@ -944,6 +945,8 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
     """
     if max_it < 1:
         raise error("picard_max must be at least 1")
+    if not (0.0 < tol < 1.0):               # written so that NaN fails
+        raise error("picard_tol must lie in (0, 1), got %g" % tol)
     m = min(MIXING_DEPTH, x0.size - skip)
     dF = np.empty((m, x0.size - skip))  # residual differences, oldest overwritten
     dG = np.empty((m, x0.size))         # step differences, the same rows

@@ -60,9 +60,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
-from .constitutive import (CarreauYasudaParams, ParameterError, ParameterSpace,
-                           apply_parameters, field_values, space_from_dict,
-                           space_to_dict, tau_scales)
+from .constitutive import (CarreauYasudaParams, ParameterBox, ParameterError,
+                           ParameterSpace, apply_parameters, field_values,
+                           space_from_dict, space_to_dict, tau_scales)
 from .fom import (MAP_CHUNK, assembler_for, build_dof_map, build_lifting, picard,
                   pressure_pins)
 from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
@@ -133,7 +133,8 @@ class RomPackage:
     and the leading n_lifts rows of K and R pin the lift coefficients to the
     effective group amplitudes.  data_eta and data_tau are the fields'
     records and strain_op = strain_operator(data_eta, data_tau); every
-    construction, replace included, checks the shapes of all of them.
+    construction, replace included, checks the shapes of all of them.  start
+    is zero from project_offline and fitted by fit_start.
     """
 
     case_id: str
@@ -150,6 +151,7 @@ class RomPackage:
     data_eta: MagicElementData
     data_tau: MagicElementData
     strain_op: np.ndarray       # ((Q_eta + Q_tau) d (d + 1), N_u)
+    start: np.ndarray           # (n_mu + 1, N) first iterate, affine in mu
     basis: object = None        # optional ReducedBasis, never serialized
 
     def __post_init__(self):
@@ -187,9 +189,11 @@ class RomPackage:
         self.data_eta.check("eta ", d, n_u)
         self.data_tau.check("tau ", d, n_u)
         qe, qt = self.q_eta, self.q_tau
+        rows = len(self.start) if self.space is None else len(self.space.box.names) + 1
         checks = [("K", self.K, (2 + qe + 2 * qt, n, n)),
                   ("R", self.R, (2 + qe + 2 * qt, nl + 1, n)),
-                  ("strain_op", self.strain_op, ((qe + qt) * d * (d + 1), n_u))]
+                  ("strain_op", self.strain_op, ((qe + qt) * d * (d + 1), n_u)),
+                  ("start", self.start, (rows, n))]
         for name, arr, want in checks:
             if arr.shape != want:
                 raise RomError("dimension mismatch: %s has shape %s, expected %s"
@@ -328,6 +332,7 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
     for approx, slots in ((eim_eta, a), (eim_tau, c), (eim_tau, s)):
         for stack in (K, R):
             stack[slots] = approx.fold(stack[slots])
+    n_mu = 0 if problem.space is None else len(problem.space.box.names)
     # each field's record: its magic elements, their geometry and the
     # velocity-basis rows at their nodes
     data = {f.tag: MagicElementData(magic=f.magic, history=f.history, gx=asm.gx[f.magic],
@@ -341,7 +346,8 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         lift_groups=tuple(lf.group for lf in liftings),
         material=problem.material, amplitudes=dict(problem.amplitudes),
         space=problem.space, K=K, R=R, data_eta=data["eta"], data_tau=data["tau"],
-        strain_op=strain_operator(data["eta"], data["tau"]), basis=basis)
+        strain_op=strain_operator(data["eta"], data["tau"]), start=np.zeros((n_mu + 1, n)),
+        basis=basis)
     logger.info("projected %s: N_u=%d N_p=%d (N=%d vs N^h=%d), Q_eta=%d Q_tau=%d",
                 problem.name, pkg.n_u, pkg.n_p, pkg.n_reduced, pkg.n_fom_dofs,
                 pkg.q_eta, pkg.q_tau)
@@ -366,7 +372,8 @@ def truncate(pkg, n_u, n_p):
                 for data in (pkg.data_eta, pkg.data_tau))
     return replace(pkg, K=np.ascontiguousarray(pkg.K[:, keep[:, None], keep]),
                    R=np.ascontiguousarray(pkg.R[:, :, keep]), data_eta=eta, data_tau=tau,
-                   strain_op=np.ascontiguousarray(pkg.strain_op[:, :n_u]), basis=basis)
+                   strain_op=np.ascontiguousarray(pkg.strain_op[:, :n_u]),
+                   start=np.ascontiguousarray(pkg.start[:, keep]), basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +422,9 @@ def assemble_rom(pkg, v_iterate, terms):
 def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
     """Picard iteration on the reduced system with frozen field coefficients.
 
-    The iteration is the Anderson-mixed fom.picard.  The initial iterate
-    carries the lifting alone; the pinned lift entries are left out of the
+    The iteration is the Anderson-mixed fom.picard.  The initial iterate is
+    the package's start at mu (see RomPackage) with the lift coefficients in
+    its leading entries; the pinned lift entries are left out of the
     relative-update test.
     """
     terms = mu_terms(pkg, mu)
@@ -434,7 +442,8 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
                            % (n_u, n_p))
         return x_new, {}
 
-    x0 = np.zeros(n_u + n_p)
+    x0 = pkg.start[-1].copy() if mu is None or pkg.space is None else \
+        np.concatenate((mu, (1.0,))) @ pkg.start
     x0[:nl] = terms[1]
     x, log, converged = picard(step, x0, picard_tol, picard_max, strict,
                                RomError, logger,
@@ -445,6 +454,31 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
                            mu=np.asarray([] if mu is None else mu, dtype=np.float64),
                            converged=converged, iterations=log,
                            case_id=pkg.case_id, mesh_hash=pkg.mesh_hash)
+
+
+def fit_start(pkg, mus, picard_tol=1e-8, picard_max=50):
+    """pkg with its start fitted to its own converged solutions at mus.
+
+    [v_N, p_N] is fitted by least squares, affine in mu in box coordinates
+    (centre 0, half-width 1); the minimum-norm fit stays finite for one,
+    repeated or collinear points.  It is stored over raw mu.  Unconverged
+    solves, and mu None with parameters, are left out; with none left pkg is
+    returned as it is.
+    """
+    box = ParameterBox((), (), ()) if pkg.space is None else pkg.space.box
+    lo, hi = np.asarray(box.lower, dtype=np.float64), np.asarray(box.upper, dtype=np.float64)
+    centre, half = (lo + hi) / 2, np.where(hi > lo, (hi - lo) / 2, 1.0)
+    reds = [solve_rom(pkg, mu, picard_tol, picard_max, strict=False)
+            for mu in mus if mu is not None or not lo.size]
+    reds = [red for red in reds if red.converged]
+    if not reds:
+        return pkg
+    # without parameters t is empty and the fit is the mean
+    T = [np.append((red.mu[:lo.size] - centre) / half, 1.0) for red in reds]
+    X = [np.concatenate((red.v_N, red.p_N)) for red in reds]
+    C = np.linalg.lstsq(np.array(T), np.array(X), rcond=1e-10)[0]
+    slope = C[:-1] / half[:, None]
+    return replace(pkg, start=np.vstack((slope, C[-1] - centre @ slope)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +533,7 @@ def write_rom(path, pkg, extra_header=None):
               "amplitudes": {k: float(v) for k, v in pkg.amplitudes.items()},
               "space": space_to_dict(pkg.space)}
     header.update(extra_header or {})
-    arrays = {"K": pkg.K, "R": pkg.R}
+    arrays = {"K": pkg.K, "R": pkg.R, "start": pkg.start}
     for tag, data in (("eta", pkg.data_eta), ("tau", pkg.data_tau)):
         arrays[tag + "_magic"] = data.magic
         arrays[tag + "_history"] = data.history
@@ -510,7 +544,7 @@ def write_rom(path, pkg, extra_header=None):
     write_artifact(path, "rom", header, arrays)
 
 
-_ROM_ARRAYS = {"K", "R"} | {tag + part for tag in ("eta", "tau") for part in
+_ROM_ARRAYS = {"K", "R", "start"} | {tag + part for tag in ("eta", "tau") for part in
                             ("_magic", "_history", "_gx", "_ht", "_hs", "_Z")}
 
 
@@ -550,7 +584,7 @@ def read_rom(path, mesh_hash=None):
             amplitudes={k: float(v) for k, v in header["amplitudes"].items()},
             space=space_from_dict(header.get("space")),
             K=arrays["K"], R=arrays["R"], data_eta=data["eta"], data_tau=data["tau"],
-            strain_op=strain_op)
+            strain_op=strain_op, start=arrays["start"])
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             ParameterError, RomError) as exc:
         raise ArtifactError("%s: malformed rom package (%s: %s)"

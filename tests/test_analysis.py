@@ -244,7 +244,7 @@ class TestOfflineBuild:
         assert pipe.pkg.n_p >= 1
         assert len(pipe.solutions) == samples.training.shape[0]
         assert set(pipe.timings) == {"grams_s", "training_s", "pod_s", "eim_s",
-                                     "projection_s"}
+                                     "projection_s", "start_s"}
 
     def test_training_sample_is_reproduced(self, duct):
         cfg, _, samples, pipe = duct

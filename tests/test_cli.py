@@ -298,6 +298,20 @@ class TestFailureModes:
         assert "stale" in payload["message"]
         assert not (tmp_path / "rom_solution.stm").exists()
 
+    def test_nan_tolerance_is_refused(self, workdir, capsys, tmp_path):
+        root, case = workdir
+        cfg = json.loads(case.read_text())
+        cfg["solver"]["picard_tol"] = float("nan")
+        path = tmp_path / "duct_nan.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["eval-rom", "--case", str(path), "--out-dir", str(root),
+                     "--mu", "1.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "RomError"
+        assert "picard_tol must lie in (0, 1), got nan" in payload["message"]
+
     def test_malformed_snapshot_is_refused(self, workdir, capsys, tmp_path):
         root, case = workdir
         (tmp_path / "snapshots").mkdir()

@@ -618,6 +618,11 @@ class TestCouette:
             solve_fom(channel_mesh(n=2, levels=3), couette_problem(),
                       picard_max=0)
 
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, 1.0, 1e308])
+    def test_tolerance_outside_unit_interval_rejected(self, tol):
+        with pytest.raises(SolverError, match=r"picard_tol must lie in \(0, 1\)"):
+            solve_fom(channel_mesh(n=2, levels=3), couette_problem(), picard_tol=tol)
+
     def test_stall_raises_when_strict(self):
         with pytest.raises(SolverError, match="stalled"):
             solve_fom(channel_mesh(n=2, levels=3), couette_problem(SHEAR_THINNING),

@@ -22,7 +22,7 @@ from stmor.io import ArtifactError, read_artifact, write_artifact
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
 from stmor.pod import assemble_basis, compute_pod, project_coefficients
 from stmor.rom import (MagicElementData, ReducedSolution, RomError,
-                       RomPackage, assemble_rom, mu_terms, project_offline,
+                       RomPackage, assemble_rom, fit_start, mu_terms, project_offline,
                        read_rom, reconstruct, rom_info, solve_rom,
                        strain_operator, truncate, write_rom)
 
@@ -463,6 +463,11 @@ class TestSolve:
         with pytest.raises(RomError, match="picard_max"):
             solve_rom(duct.pkg, mu=TRAIN_MUS[0], picard_max=0)
 
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, 1.0, 1e308])
+    def test_tolerance_outside_unit_interval_rejected(self, duct, tol):
+        with pytest.raises(RomError, match=r"picard_tol must lie in \(0, 1\)"):
+            solve_rom(duct.pkg, mu=TRAIN_MUS[0], picard_tol=tol)
+
     def test_stall_raises_when_strict(self, duct):
         with pytest.raises(RomError, match=r"N_u=%d, N_p=%d\) stalled"
                            % (duct.pkg.n_u, duct.pkg.n_p)):
@@ -498,7 +503,7 @@ class TestSolve:
                          amplitudes={}, space=None,
                          K=np.zeros((5, 2, 2)), R=np.zeros((5, 1, 2)),
                          data_eta=data, data_tau=data,
-                         strain_op=strain_operator(data, data))
+                         strain_op=strain_operator(data, data), start=np.zeros((1, 2)))
         with pytest.raises(RomError, match=r"N_u=1, N_p=1"):
             solve_rom(pkg)
 
@@ -507,6 +512,9 @@ class TestSolve:
             replace(duct.pkg, K=duct.pkg.K[:, :, 1:])
         with pytest.raises(RomError, match="dimension mismatch"):
             replace(duct.pkg, R=duct.pkg.R[1:])
+        for bad in (duct.pkg.start[:, 1:], duct.pkg.start[1:], duct.pkg.start[0]):
+            with pytest.raises(RomError, match="dimension mismatch: start"):
+                replace(duct.pkg, start=bad)
 
 
 class TestTruncate:
@@ -720,7 +728,9 @@ class TestAndersonMixing:
 
     def test_same_fixed_point_in_fewer_iterations(self, coarse_artery_rom, monkeypatch):
         cfg, pipe = coarse_artery_rom
-        pkg = pipe.pkg
+        # from the lifting alone: a fitted start brings the plain loop under
+        # 10 iterations as well
+        pkg = replace(pipe.pkg, start=np.zeros_like(pipe.pkg.start))
         box = cfg.space.box
         opts = cfg.picard_options()
         for mu in np.vstack([box.corners(), box.center()[None]]):
@@ -737,6 +747,58 @@ class TestAndersonMixing:
             # the pinned lift coefficients stay exact through the mixing
             np.testing.assert_array_equal(tight.v_N[:pkg.n_lifts],
                                           plain_tight.v_N[:pkg.n_lifts])
+
+
+class TestFittedStart:
+    """The first iterate fit_start fits, against the lifting alone."""
+
+    def test_projection_stores_a_zero_start(self, duct):
+        assert duct.pkg.start.shape == (2, duct.pkg.n_reduced)
+        assert not duct.pkg.start.any()
+
+    def test_same_solution_in_fewer_iterations(self, coarse_artery_rom):
+        cfg, pipe = coarse_artery_rom
+        pkg = pipe.pkg
+        zero = replace(pkg, start=np.zeros_like(pkg.start))
+        its = []
+        for mu in query_mus(pkg):
+            a, b = (solve_rom(p, mu=mu, picard_tol=1e-12, picard_max=60) for p in (pkg, zero))
+            got, want = (np.concatenate([s.v_N, s.p_N]) for s in (a, b))
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+            its.append([len(solve_rom(p, mu=mu, **cfg.picard_options()).iterations)
+                        for p in (pkg, zero)])
+        fitted, plain = np.array(its).T
+        assert fitted.mean() < plain.mean() and np.all(fitted <= plain + 1)
+
+    @pytest.mark.parametrize("points", ["one", "repeated", "collinear"])
+    def test_degenerate_training_points_give_a_finite_start(self, coarse_artery_rom, points):
+        cfg, pipe = coarse_artery_rom
+        box = cfg.space.box
+        lo, hi = np.asarray(box.lower), np.asarray(box.upper)
+        mus = {"one": [box.center()], "repeated": [lo, lo, lo],
+               "collinear": [lo + f * (hi - lo) for f in (0.0, 0.3, 1.0)]}[points]
+        pkg = fit_start(replace(pipe.pkg, start=np.zeros_like(pipe.pkg.start)), mus,
+                        **cfg.picard_options())
+        assert np.isfinite(pkg.start).all() and pkg.start.any()
+        for mu in query_mus(pkg):
+            assert solve_rom(pkg, mu=mu, **cfg.picard_options()).converged
+
+    def test_unconverged_solves_are_left_out(self, duct):
+        assert fit_start(duct.pkg, TRAIN_MUS, picard_max=1) is duct.pkg
+        # mu None places no point in the box either
+        assert fit_start(duct.pkg, [None]) is duct.pkg
+
+    def test_parameter_free_package_starts_from_its_solution(self, duct):
+        free = replace(duct.pkg, space=None)
+        fitted = fit_start(free, [None, None])
+        want = solve_rom(free)
+        assert fitted.start.shape == (1, free.n_reduced)
+        np.testing.assert_allclose(fitted.start[0], np.concatenate([want.v_N, want.p_N]),
+                                   rtol=1e-14, atol=1e-14)
+        got = solve_rom(fitted, mu=TRAIN_MUS[0])
+        assert len(got.iterations) == 1
+        x, y = (np.concatenate([s.v_N, s.p_N]) for s in (got, want))
+        assert np.linalg.norm(x - y) <= 1e-8 * np.linalg.norm(y)
 
 
 class TestReconstruct:
@@ -846,6 +908,14 @@ class TestPersistence:
         with pytest.raises(ArtifactError, match="malformed rom package"):
             read_rom(path)
 
+    def test_layout_without_start_rejected(self, duct, tmp_path):
+        def edit(arrays):
+            del arrays["start"]
+
+        path = self.rewritten(duct.pkg, tmp_path / "duct.rom", edit)
+        with pytest.raises(ArtifactError, match="'start'.*rebuild it with build-rom"):
+            read_rom(path)
+
     def test_coefficient_layout_rejected(self, duct, tmp_path):
         """A package file holding the coefficient stacks and the EIM T is
         refused: its K and R have the shapes of the folded ones."""
@@ -892,13 +962,16 @@ class TestPersistence:
     @pytest.mark.parametrize("cut", [None, (4, 2)])
     def test_coarse_artery_round_trip_is_bitwise(self, coarse_artery_rom, tmp_path, cut):
         """A package read back, full or truncated, holds the same arrays as
-        the one written and solves to the same bits."""
+        the one written, its fitted start included, and solves to the same
+        bits."""
         cfg, pipe = coarse_artery_rom
         pkg = pipe.pkg if cut is None else truncate(pipe.pkg, *cut)
+        assert pkg.start.any()
         write_rom(tmp_path / "artery.rom", pkg)
         _, loaded = read_rom(tmp_path / "artery.rom", mesh_hash=pipe.mesh.content_hash())
         assert (loaded.n_u, loaded.n_p) == (pkg.n_u, pkg.n_p)
-        pairs = [(loaded.K, pkg.K), (loaded.R, pkg.R), (loaded.strain_op, pkg.strain_op)]
+        pairs = [(loaded.K, pkg.K), (loaded.R, pkg.R), (loaded.strain_op, pkg.strain_op),
+                 (loaded.start, pkg.start)]
         pairs += zip(loaded.tau_scales, pkg.tau_scales)
         for got, want in ((loaded.data_eta, pkg.data_eta), (loaded.data_tau, pkg.data_tau)):
             pairs += [(getattr(got, f.name), getattr(want, f.name))

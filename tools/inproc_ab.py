@@ -16,7 +16,9 @@ Operations:
     cold       rom.read_rom of the file, then rom.solve_rom
 
 The package comes from ``stmor build-rom`` (or ``rom.write_rom``).  BLAS is
-pinned to one thread, as in perfbench.
+pinned to one thread, as in perfbench.  Both checkouts must read the same rom
+layout: a base checkout from before the fitted ``start`` array refuses the
+file, so a change of layout is measured by perfbench pairs only.
 """
 
 import argparse
@@ -73,7 +75,7 @@ def operation(rom, op, path):
 def fingerprint(out):
     """Bytes that two equal results share: a package's arrays, or a solution."""
     if hasattr(out, "K"):
-        arrays = [out.K, out.R, out.strain_op, *out.tau_scales]
+        arrays = [out.K, out.R, out.strain_op, out.start, *out.tau_scales]
         return b"".join(a.tobytes() for a in arrays)
     return (out.v_N.tobytes(), out.p_N.tobytes(), out.converged, repr(out.iterations))
 
