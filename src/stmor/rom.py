@@ -545,7 +545,7 @@ def write_rom(path, pkg, extra_header=None):
 
 
 _ROM_ARRAYS = {"K", "R", "start"} | {tag + part for tag in ("eta", "tau") for part in
-                            ("_magic", "_history", "_gx", "_ht", "_hs", "_Z")}
+                                     ("_magic", "_history", "_gx", "_ht", "_hs", "_Z")}
 
 
 def read_rom(path, mesh_hash=None):

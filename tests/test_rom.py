@@ -770,6 +770,17 @@ class TestFittedStart:
         fitted, plain = np.array(its).T
         assert fitted.mean() < plain.mean() and np.all(fitted <= plain + 1)
 
+    def test_two_points_are_interpolated_in_raw_mu(self, duct):
+        # two points fix an affine fit in one parameter: the start at each
+        # is its solution, and a solve from there converges in one step
+        pkg = fit_start(duct.pkg, TRAIN_MUS[::2])
+        for mu in TRAIN_MUS[::2]:
+            want = solve_rom(duct.pkg, mu=mu)
+            x = np.concatenate([want.v_N, want.p_N])
+            start = np.append(mu, 1.0) @ pkg.start
+            assert np.linalg.norm(start - x) <= 1e-12 * np.linalg.norm(x)
+            assert len(solve_rom(pkg, mu=mu).iterations) == 1
+
     @pytest.mark.parametrize("points", ["one", "repeated", "collinear"])
     def test_degenerate_training_points_give_a_finite_start(self, coarse_artery_rom, points):
         cfg, pipe = coarse_artery_rom
