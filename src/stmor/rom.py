@@ -189,7 +189,7 @@ class RomPackage:
         self.data_eta.check("eta ", d, n_u)
         self.data_tau.check("tau ", d, n_u)
         qe, qt = self.q_eta, self.q_tau
-        rows = len(self.start) if self.space is None else len(self.space.box.names) + 1
+        rows = 1 if self.space is None else len(self.space.box.names) + 1
         checks = [("K", self.K, (2 + qe + 2 * qt, n, n)),
                   ("R", self.R, (2 + qe + 2 * qt, nl + 1, n)),
                   ("strain_op", self.strain_op, ((qe + qt) * d * (d + 1), n_u)),
@@ -425,8 +425,16 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
     The iteration is the Anderson-mixed fom.picard.  The initial iterate is
     the package's start at mu (see RomPackage) with the lift coefficients in
     its leading entries; the pinned lift entries are left out of the
-    relative-update test.
+    relative-update test.  mu None on a package with parameters solves at
+    the base data, which need not lie in the fitted box, and starts from the
+    lifting alone.
     """
+    return _solve(pkg, mu, picard_tol, picard_max, strict)
+
+
+def _solve(pkg, mu, picard_tol, picard_max, strict):
+    # solve_rom's body.  fit_start calls it directly: its solves are offline
+    # work, and a wrapper of solve_rom (a tracer, a test) sees queries only.
     terms = mu_terms(pkg, mu)
     n_u, n_p, nl = pkg.n_u, pkg.n_p, pkg.n_lifts
 
@@ -442,8 +450,12 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
                            % (n_u, n_p))
         return x_new, {}
 
-    x0 = pkg.start[-1].copy() if mu is None or pkg.space is None else \
-        np.concatenate((mu, (1.0,))) @ pkg.start
+    if pkg.space is None:
+        x0 = pkg.start[0].copy()
+    elif mu is None:
+        x0 = np.zeros(pkg.n_reduced)
+    else:
+        x0 = np.concatenate((mu, (1.0,))) @ pkg.start
     x0[:nl] = terms[1]
     x, log, converged = picard(step, x0, picard_tol, picard_max, strict,
                                RomError, logger,
@@ -468,7 +480,7 @@ def fit_start(pkg, mus, picard_tol=1e-8, picard_max=50):
     box = ParameterBox((), (), ()) if pkg.space is None else pkg.space.box
     lo, hi = np.asarray(box.lower, dtype=np.float64), np.asarray(box.upper, dtype=np.float64)
     centre, half = (lo + hi) / 2, np.where(hi > lo, (hi - lo) / 2, 1.0)
-    reds = [solve_rom(pkg, mu, picard_tol, picard_max, strict=False)
+    reds = [_solve(pkg, mu, picard_tol, picard_max, strict=False)
             for mu in mus if mu is not None or not lo.size]
     reds = [red for red in reds if red.converged]
     if not reds:

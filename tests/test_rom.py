@@ -488,7 +488,7 @@ class TestSolve:
             solve_rom(duct.pkg, mu=np.array([2.0]))
 
     def test_missing_lift_amplitude_rejected(self, duct):
-        pkg = replace(duct.pkg, amplitudes={}, space=None)
+        pkg = replace(duct.pkg, amplitudes={}, space=None, start=duct.pkg.start[-1:])
         with pytest.raises(RomError, match="amplitude"):
             solve_rom(pkg)
 
@@ -515,6 +515,10 @@ class TestSolve:
         for bad in (duct.pkg.start[:, 1:], duct.pkg.start[1:], duct.pkg.start[0]):
             with pytest.raises(RomError, match="dimension mismatch: start"):
                 replace(duct.pkg, start=bad)
+        # without parameters the start is one row, whatever the rows given
+        for bad in (duct.pkg.start, np.zeros((5, duct.pkg.n_reduced))):
+            with pytest.raises(RomError, match="dimension mismatch: start"):
+                replace(duct.pkg, space=None, start=bad)
 
 
 class TestTruncate:
@@ -794,13 +798,35 @@ class TestFittedStart:
         for mu in query_mus(pkg):
             assert solve_rom(pkg, mu=mu, **cfg.picard_options()).converged
 
+    def test_no_mu_starts_from_the_lifting(self, coarse_artery_rom):
+        # mu None solves at the base data, which need not lie in the box the
+        # start was fitted over: the fit is not extrapolated there
+        _, pipe = coarse_artery_rom
+        pkg = pipe.pkg
+        assert pkg.start.any()
+        got = solve_rom(pkg)
+        want = solve_rom(replace(pkg, start=np.zeros_like(pkg.start)))
+        assert got.converged and got.iterations == want.iterations
+        assert np.array_equal(got.v_N, want.v_N) and np.array_equal(got.p_N, want.p_N)
+
+    def test_fit_leaves_solve_rom_to_queries(self, duct, monkeypatch):
+        # the fit's training solves do not pass through the online entry
+        # point, so a wrapper of solve_rom counts queries only
+        want = fit_start(duct.pkg, TRAIN_MUS)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_start called solve_rom")
+
+        monkeypatch.setattr(rom, "solve_rom", refuse)
+        assert np.array_equal(fit_start(duct.pkg, TRAIN_MUS).start, want.start)
+
     def test_unconverged_solves_are_left_out(self, duct):
         assert fit_start(duct.pkg, TRAIN_MUS, picard_max=1) is duct.pkg
         # mu None places no point in the box either
         assert fit_start(duct.pkg, [None]) is duct.pkg
 
     def test_parameter_free_package_starts_from_its_solution(self, duct):
-        free = replace(duct.pkg, space=None)
+        free = replace(duct.pkg, space=None, start=duct.pkg.start[-1:])
         fitted = fit_start(free, [None, None])
         want = solve_rom(free)
         assert fitted.start.shape == (1, free.n_reduced)
