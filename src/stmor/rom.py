@@ -425,9 +425,8 @@ def solve_rom(pkg, mu=None, picard_tol=1e-8, picard_max=50, strict=True):
     The iteration is the Anderson-mixed fom.picard.  The initial iterate is
     the package's start at mu (see RomPackage) with the lift coefficients in
     its leading entries; the pinned lift entries are left out of the
-    relative-update test.  mu None on a package with parameters solves at
-    the base data, which need not lie in the fitted box, and starts from the
-    lifting alone.
+    relative-update test.  Without mu a package with parameters solves at its
+    base data, which may lie outside the fitted box, from the lifting alone.
     """
     return _solve(pkg, mu, picard_tol, picard_max, strict)
 
@@ -450,12 +449,10 @@ def _solve(pkg, mu, picard_tol, picard_max, strict):
                            % (n_u, n_p))
         return x_new, {}
 
-    if pkg.space is None:
-        x0 = pkg.start[0].copy()
-    elif mu is None:
+    if mu is None and pkg.space is not None:
         x0 = np.zeros(pkg.n_reduced)
     else:
-        x0 = np.concatenate((mu, (1.0,))) @ pkg.start
+        x0 = np.concatenate((() if pkg.space is None else mu, (1.0,))) @ pkg.start
     x0[:nl] = terms[1]
     x, log, converged = picard(step, x0, picard_tol, picard_max, strict,
                                RomError, logger,
