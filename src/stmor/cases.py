@@ -461,6 +461,8 @@ def _material_from_dict(d):
     missing = keys - set(d)
     if missing:
         raise CaseError("material key %r is missing" % sorted(missing)[0])
+    if any(isinstance(v, bool) for v in d.values()):
+        raise CaseError("material values must be numbers, not booleans")
     return CarreauYasudaParams(**{attr: float(d[key]) for key, attr in _MATERIAL_KEYS})
 
 
@@ -479,7 +481,7 @@ def config_from_dict(data):
     if extra:
         raise CaseError("unknown configuration key %r" % sorted(extra)[0])
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise CaseError("unsupported schema_version %r (this build reads %d)"
                         % (version, SCHEMA_VERSION))
     for key in ("case_id", "geometry", "material", "boundary"):
@@ -500,17 +502,13 @@ def config_from_dict(data):
             make_profile(entry["profile"], entry["params"])   # fail fast on bad params
             boundary.append(entry)
         body = data.get("body_force_m_s2")
-        try:
-            space = space_from_dict(data.get("parameters"))
-        except ParameterError as exc:
-            raise CaseError(str(exc)) from None
         config = CaseConfig(
             case_id=str(data["case_id"]),
             geometry=dict(data["geometry"]),
             material=_material_from_dict(data["material"]),
             boundary=tuple(boundary),
             amplitudes={str(k): float(v) for k, v in (data.get("amplitudes") or {}).items()},
-            space=space,
+            space=space_from_dict(data.get("parameters")),
             body_force=None if body is None else tuple(float(f) for f in body),
             solver=_checked_section(data.get("solver"), _SOLVER_KEYS, "solver"),
             plan=_checked_section(data.get("plan"), _PLAN_KEYS, "plan"),
@@ -518,7 +516,7 @@ def config_from_dict(data):
         )
         # read every option once, so a bad value fails at load time
         config.picard_options(), config.plan_options(), config.offline_options()
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, ParameterError) as exc:
         raise CaseError("malformed configuration (%s: %s)"
                         % (type(exc).__name__, exc)) from None
     return config

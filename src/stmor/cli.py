@@ -245,15 +245,16 @@ def cmd_eval_rom(args):
     t0 = time.perf_counter()
     red = solve_rom(pkg, mu=mu, **config.picard_options())
     elapsed = time.perf_counter() - t0
+    gap = red.iterations[0]["rel_update"]      # how far the first iterate was off
     path = out / "rom_solution.stm"
     write_artifact(path, "rom_solution",
                    {"case_id": pkg.case_id, "mesh_hash": pkg.mesh_hash,
                     "mu": list(map(float, red.mu)),
                     "n_u": pkg.n_u, "n_p": pkg.n_p,
-                    "wall_time_s": elapsed},
+                    "wall_time_s": elapsed, "start_gap": gap},
                    {"v_N": red.v_N, "p_N": red.p_N})
-    print("case %s: reduced solve (%d+%d dofs), %d iterations, %.4f s"
-          % (config.case_id, pkg.n_u, pkg.n_p, len(red.iterations), elapsed))
+    print("case %s: reduced solve (%d+%d dofs), %d iterations, start_gap %.3e, %.4f s"
+          % (config.case_id, pkg.n_u, pkg.n_p, len(red.iterations), gap, elapsed))
     print("wrote %s" % path)
     return 0
 

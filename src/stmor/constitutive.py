@@ -6,6 +6,7 @@ spatial gradient of the discrete P1 field, constant per element, so viscosity
 and the stabilization parameter naturally live on elements.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,10 +31,12 @@ class CarreauYasudaParams:
     rho: float          # kg/m^3
 
     def __post_init__(self):
-        if not (self.eta_0 >= self.eta_inf >= 0.0):
-            raise ParameterError("need eta_0 >= eta_inf >= 0")
-        if self.lam < 0.0 or self.a <= 0.0 or self.rho <= 0.0:
-            raise ParameterError("need lambda >= 0, a > 0, rho > 0")
+        # plain float comparisons, false for NaN: the valve builds one per query
+        if not (math.inf > self.eta_0 >= self.eta_inf >= 0.0):
+            raise ParameterError("need finite eta_0 >= eta_inf >= 0")
+        if not (math.inf > self.lam >= 0.0 and math.inf > self.a > 0.0
+                and math.inf > self.rho > 0.0 and math.isfinite(self.n)):
+            raise ParameterError("need finite lambda >= 0, a > 0, rho > 0 and n")
 
 
 @dataclass(frozen=True)

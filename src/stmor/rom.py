@@ -54,15 +54,18 @@ leading n_lifts rows of the system read x[:n_lifts] = s exactly, which
 keeps the Dirichlet data exact for every truncation.
 """
 
+import itertools
 import logging
+import math
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
-from .constitutive import (CarreauYasudaParams, ParameterBox, ParameterError,
-                           ParameterSpace, apply_parameters, field_values,
-                           space_from_dict, space_to_dict, tau_scales)
+from .constitutive import (CarreauYasudaParams, ParameterError, ParameterSpace,
+                           apply_parameters, field_values, space_from_dict,
+                           space_to_dict, tau_scales)
 from .fom import (MAP_CHUNK, assembler_for, build_dof_map, build_lifting, picard,
                   pressure_pins)
 from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
@@ -118,6 +121,22 @@ def strain_operator(data_eta, data_tau):
                           axis=1).reshape(-1, n_u)
 
 
+@lru_cache(maxsize=None)
+def monomial_exponents(n_mu, degree):
+    """(terms, n_mu) exponents of the monomials of degree <= degree, by degree."""
+    E = np.array([np.bincount(c, minlength=n_mu) for k in range(degree + 1)
+                  for c in itertools.combinations_with_replacement(range(n_mu), k)], float)
+    E.flags.writeable = False
+    return E
+
+
+@lru_cache(maxsize=None)
+def box_frame(lower=(), upper=()):
+    """(centre, half-width) of a box's bounds, 1 on a degenerate axis."""
+    lo, hi = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
+    return (lo + hi) / 2, np.where(hi > lo, (hi - lo) / 2, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # the package
 
@@ -134,7 +153,8 @@ class RomPackage:
     effective group amplitudes.  data_eta and data_tau are the fields'
     records and strain_op = strain_operator(data_eta, data_tau); every
     construction, replace included, checks the shapes of all of them.  start
-    is zero from project_offline and fitted by fit_start.
+    holds coefficients of the monomials of t = (mu - centre) / half-width of
+    degree <= start_degree: a zero row from project_offline, or fit_start's.
     """
 
     case_id: str
@@ -151,11 +171,17 @@ class RomPackage:
     data_eta: MagicElementData
     data_tau: MagicElementData
     strain_op: np.ndarray       # ((Q_eta + Q_tau) d (d + 1), N_u)
-    start: np.ndarray           # (n_mu + 1, N) first iterate, affine in mu
+    start: np.ndarray           # (terms, N) first iterate over the monomials of t
     basis: object = None        # optional ReducedBasis, never serialized
+    start_degree: int = 0
+    start_loo_error: float = None       # fit_start's; None if undefined
 
     def __post_init__(self):
+        # cached lookups only: truncate and read_rom construct a package per call
+        box = self.space and self.space.box
+        self._frame = box_frame(box.lower, box.upper) if box else box_frame()
         self._validate()
+        self._exponents = monomial_exponents(len(self._frame[0]), self.start_degree)
         de, dt = self.data_eta, self.data_tau
         self.tau_scales = tau_scales(np.concatenate([de.h_t, dt.h_t]),
                                      np.concatenate([de.h_s, dt.h_s]))
@@ -185,11 +211,11 @@ class RomPackage:
         return self.K.shape[-1]
 
     def _validate(self):
-        n_u, n, nl, d = self.n_u, self.n_reduced, self.n_lifts, self.d
+        n_u, n, nl, d, n_mu = self.n_u, self.n_reduced, self.n_lifts, self.d, len(self._frame[0])
         self.data_eta.check("eta ", d, n_u)
         self.data_tau.check("tau ", d, n_u)
         qe, qt = self.q_eta, self.q_tau
-        rows = 1 if self.space is None else len(self.space.box.names) + 1
+        rows = math.comb(n_mu + self.start_degree, n_mu) if self.start_degree >= 0 else -1
         checks = [("K", self.K, (2 + qe + 2 * qt, n, n)),
                   ("R", self.R, (2 + qe + 2 * qt, nl + 1, n)),
                   ("strain_op", self.strain_op, ((qe + qt) * d * (d + 1), n_u)),
@@ -201,6 +227,11 @@ class RomPackage:
         if nl > n_u or n_u > n:
             raise RomError("dimension mismatch: %d lifting columns, N_u=%d, "
                            "N=%d" % (nl, n_u, n))
+
+    def start_at(self, mu):
+        """The first iterate at mu before its lift entries are set."""
+        t = ((() if self.space is None else mu) - self._frame[0]) / self._frame[1]
+        return (t ** self._exponents).prod(-1) @ self.start
 
     def effective(self, mu):
         """Material parameters and group amplitudes at the sample mu."""
@@ -332,7 +363,6 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
     for approx, slots in ((eim_eta, a), (eim_tau, c), (eim_tau, s)):
         for stack in (K, R):
             stack[slots] = approx.fold(stack[slots])
-    n_mu = 0 if problem.space is None else len(problem.space.box.names)
     # each field's record: its magic elements, their geometry and the
     # velocity-basis rows at their nodes
     data = {f.tag: MagicElementData(magic=f.magic, history=f.history, gx=asm.gx[f.magic],
@@ -346,7 +376,7 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         lift_groups=tuple(lf.group for lf in liftings),
         material=problem.material, amplitudes=dict(problem.amplitudes),
         space=problem.space, K=K, R=R, data_eta=data["eta"], data_tau=data["tau"],
-        strain_op=strain_operator(data["eta"], data["tau"]), start=np.zeros((n_mu + 1, n)),
+        strain_op=strain_operator(data["eta"], data["tau"]), start=np.zeros((1, n)),
         basis=basis)
     logger.info("projected %s: N_u=%d N_p=%d (N=%d vs N^h=%d), Q_eta=%d Q_tau=%d",
                 problem.name, pkg.n_u, pkg.n_p, pkg.n_reduced, pkg.n_fom_dofs,
@@ -449,10 +479,7 @@ def _solve(pkg, mu, picard_tol, picard_max, strict):
                            % (n_u, n_p))
         return x_new, {}
 
-    if mu is None and pkg.space is not None:
-        x0 = np.zeros(pkg.n_reduced)
-    else:
-        x0 = np.concatenate((() if pkg.space is None else mu, (1.0,))) @ pkg.start
+    x0 = np.zeros(pkg.n_reduced) if mu is None and pkg.space is not None else pkg.start_at(mu)
     x0[:nl] = terms[1]
     x, log, converged = picard(step, x0, picard_tol, picard_max, strict,
                                RomError, logger,
@@ -465,29 +492,42 @@ def _solve(pkg, mu, picard_tol, picard_max, strict):
                            case_id=pkg.case_id, mesh_hash=pkg.mesh_hash)
 
 
-def fit_start(pkg, mus, picard_tol=1e-8, picard_max=50):
-    """pkg with its start fitted to its own converged solutions at mus.
+def fit_monomials(T, X):
+    """(loo, degree, C): X (m, N) fitted by least squares over the monomials of
+    degree <= degree of the points T (m, n_mu), for degree from 1 while it has
+    fewer terms than points, at the smallest finite leave-one-out error loo;
+    else degree 1, minimum-norm.  loo = max ||r_i / (1 - h_ii)|| / ||x_i||, r
+    the residuals, h the hat matrix's diagonal; inf where 1 - h_ii <= 1e-8."""
+    m, n = X.shape
+    fits = []
+    for degree in itertools.count(1):
+        E = monomial_exponents(T.shape[1], degree)
+        if degree > 1 and (len(E) >= m or not T.shape[1]):
+            return min(fits, key=lambda fit: fit[0])
+        A = (T[:, None] ** E).prod(-1)
+        # pinv(A) [X, I]: the coefficients, and the hat matrix A pinv(A)
+        P = np.linalg.lstsq(A, np.hstack((X, np.eye(m))), rcond=1e-10)[0]
+        lev = 1.0 - np.einsum("ij,ji->i", A, P[:, n:])
+        res = np.linalg.norm(X - A @ P[:, :n], axis=1) / (np.linalg.norm(X, axis=1) + 1e-300)
+        fits.append((max(r / h if h > 1e-8 else math.inf for r, h in zip(res, lev)),
+                     degree, P[:, :n]))
 
-    [v_N, p_N] is fitted by least squares, affine in mu in box coordinates
-    (centre 0, half-width 1); the minimum-norm fit stays finite for one,
-    repeated or collinear points.  It is stored over raw mu.  Unconverged
-    solves, and mu None with parameters, are left out; with none left pkg is
-    returned as it is.
-    """
-    box = ParameterBox((), (), ()) if pkg.space is None else pkg.space.box
-    lo, hi = np.asarray(box.lower, dtype=np.float64), np.asarray(box.upper, dtype=np.float64)
-    centre, half = (lo + hi) / 2, np.where(hi > lo, (hi - lo) / 2, 1.0)
+
+def fit_start(pkg, mus, picard_tol=1e-8, picard_max=50):
+    """pkg with its start fitted by fit_monomials to its own converged
+    solutions at mus.  Unconverged solves, and mu None with parameters, are
+    left out; with none left pkg is returned as it is."""
+    centre, half = pkg._frame
     reds = [_solve(pkg, mu, picard_tol, picard_max, strict=False)
-            for mu in mus if mu is not None or not lo.size]
+            for mu in mus if mu is not None or not centre.size]
     reds = [red for red in reds if red.converged]
     if not reds:
         return pkg
-    # without parameters t is empty and the fit is the mean
-    T = [np.append((red.mu[:lo.size] - centre) / half, 1.0) for red in reds]
-    X = [np.concatenate((red.v_N, red.p_N)) for red in reds]
-    C = np.linalg.lstsq(np.array(T), np.array(X), rcond=1e-10)[0]
-    slope = C[:-1] / half[:, None]
-    return replace(pkg, start=np.vstack((slope, C[-1] - centre @ slope)))
+    T = np.array([(red.mu[:centre.size] - centre) / half for red in reds])
+    loo, degree, C = fit_monomials(T, np.array([np.concatenate((red.v_N, red.p_N))
+                                                for red in reds]))
+    return replace(pkg, start=C, start_degree=degree,
+                   start_loo_error=float(loo) if loo < math.inf else None)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +567,8 @@ def rom_info(pkg):
             "q_eta": pkg.q_eta, "q_tau": pkg.q_tau,
             "eim_eta_final_error": float(pkg.data_eta.history[-1]),
             "eim_tau_final_error": float(pkg.data_tau.history[-1]),
-            "spatial_dimension": pkg.d, "n_spacetime_nodes": pkg.n_nodes}
+            "spatial_dimension": pkg.d, "n_spacetime_nodes": pkg.n_nodes,
+            "start_degree": pkg.start_degree, "start_loo_error": pkg.start_loo_error}
     if pkg.space is not None:
         info["parameters"] = space_to_dict(pkg.space)
     return info
@@ -540,7 +581,8 @@ def write_rom(path, pkg, extra_header=None):
               "lift_groups": list(pkg.lift_groups),
               "material": asdict(pkg.material),
               "amplitudes": {k: float(v) for k, v in pkg.amplitudes.items()},
-              "space": space_to_dict(pkg.space)}
+              "space": space_to_dict(pkg.space), "start_degree": pkg.start_degree,
+              "start_loo_error": pkg.start_loo_error}
     header.update(extra_header or {})
     arrays = {"K": pkg.K, "R": pkg.R, "start": pkg.start}
     for tag, data in (("eta", pkg.data_eta), ("tau", pkg.data_tau)):
@@ -561,13 +603,13 @@ def read_rom(path, mesh_hash=None):
     header, arrays = read_artifact(path, expect_kind="rom")
     if mesh_hash is not None:
         check_mesh_hash(header, mesh_hash, path=str(path))
-    if arrays.keys() != _ROM_ARRAYS:
-        # an earlier layout (coefficient stacks with the EIM T, or separate
-        # blocks) holds other arrays
+    if arrays.keys() != _ROM_ARRAYS or "start_degree" not in header:
+        # an earlier layout (coefficient stacks with the EIM T, separate
+        # blocks, or a start affine in raw mu) holds other arrays or no degree
+        missing = sorted(_ROM_ARRAYS - set(arrays)) + ["start_degree"] * ("start_degree" not in header)
         raise ArtifactError("%s: malformed rom package (arrays %s unexpected, %s "
                             "missing); rebuild it with build-rom"
-                            % (path, sorted(set(arrays) - _ROM_ARRAYS),
-                               sorted(_ROM_ARRAYS - set(arrays))))
+                            % (path, sorted(set(arrays) - _ROM_ARRAYS), missing))
     try:
         d = int(header["d"])
         data = {tag: MagicElementData(magic=arrays[tag + "_magic"].astype(np.int64, copy=False),
@@ -593,7 +635,8 @@ def read_rom(path, mesh_hash=None):
             amplitudes={k: float(v) for k, v in header["amplitudes"].items()},
             space=space_from_dict(header.get("space")),
             K=arrays["K"], R=arrays["R"], data_eta=data["eta"], data_tau=data["tau"],
-            strain_op=strain_op, start=arrays["start"])
+            strain_op=strain_op, start=arrays["start"], start_degree=int(header["start_degree"]),
+            start_loo_error=header.get("start_loo_error") and float(header["start_loo_error"]))
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             ParameterError, RomError) as exc:
         raise ArtifactError("%s: malformed rom package (%s: %s)"

@@ -260,6 +260,18 @@ class TestConfigFormat:
         with pytest.raises(CaseError, match="unknown solver key"):
             config_from_dict(bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("rho_kg_m3", True), ("lambda_s", float("nan")), ("a", float("nan")),
+        ("n", float("nan")), ("eta0_pa_s", float("inf")), ("etainf_pa_s", -1.0)])
+    def test_bad_material_values_rejected(self, key, value):
+        good = valve_analog_config().to_dict()
+        with pytest.raises(CaseError, match="material values|need finite"):
+            config_from_dict(dict(good, material=dict(good["material"], **{key: value})))
+
+    def test_boolean_schema_version_rejected(self):
+        with pytest.raises(CaseError, match="schema_version True"):
+            config_from_dict(dict(valve_analog_config().to_dict(), schema_version=True))
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

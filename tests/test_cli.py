@@ -9,6 +9,7 @@ import csv
 import json
 import logging
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from stmor.cli import (CliError, main, parse_mu, parse_sweep,
                        parse_train_grid)
 from stmor.fom import read_snapshot
 from stmor.io import read_artifact, write_artifact
-from stmor.rom import read_rom
+from stmor.rom import read_rom, solve_rom
 
 from test_analysis import duct_config
 
@@ -149,6 +150,27 @@ class TestStages:
         assert header["mu"] == [0.97]
         assert arrays["v_N"].size == header["n_u"]
         assert arrays["p_N"].size == header["n_p"]
+
+    def test_start_gap_against_the_fit_error(self, workdir, capsys, tmp_path):
+        """eval-rom reports the first step's update as start_gap, and
+        rom-info the start's degree and leave-one-out error: three training
+        points on one axis fit an affine start with a finite error."""
+        root, case = workdir
+        assert main(["rom-info", "--out-dir", str(root)]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["start_degree"] == 1 and 0.0 < info["start_loo_error"] < 1e-2
+        _, pkg = read_rom(root / "rom_package.stm")
+        assert main(["eval-rom", "--case", str(case), "--out-dir", str(root),
+                     "--mu", "0.97"]) == 0
+        header, _ = read_artifact(root / "rom_solution.stm")
+        want = solve_rom(pkg, mu=np.array([0.97])).iterations[0]["rel_update"]
+        assert header["start_gap"] == want
+        assert "start_gap %.3e" % want in capsys.readouterr().out
+        # inside the box the gap stays near the fit's error; from the lifting
+        # alone it is far above it
+        assert want < 10.0 * info["start_loo_error"]
+        zero = solve_rom(replace(pkg, start=np.zeros_like(pkg.start)), mu=np.array([0.97]))
+        assert zero.iterations[0]["rel_update"] > 100.0 * info["start_loo_error"]
 
     def test_export_vtk_includes_solution_fields(self, workdir):
         root, case = workdir
@@ -311,6 +333,21 @@ class TestFailureModes:
         payload = json.loads(err)
         assert payload["error"] == "RomError"
         assert "picard_tol must lie in (0, 1), got nan" in payload["message"]
+
+    @pytest.mark.parametrize("key, value", [("rho_kg_m3", True), ("lambda_s", float("nan"))])
+    def test_bad_material_is_refused(self, workdir, capsys, tmp_path, key, value):
+        root, case = workdir
+        cfg = json.loads(case.read_text())
+        cfg["material"][key] = value
+        path = tmp_path / "duct_bad.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["eval-rom", "--case", str(path), "--out-dir", str(root),
+                     "--mu", "1.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "CaseError"
+        assert re.search("material values|need finite", payload["message"])
 
     def test_malformed_snapshot_is_refused(self, workdir, capsys, tmp_path):
         root, case = workdir

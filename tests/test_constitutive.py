@@ -91,6 +91,13 @@ class TestViscosity:
         with pytest.raises(ParameterError):
             CarreauYasudaParams(eta_0=1.0, eta_inf=0.0, lam=1.0, a=1.0, n=0.5, rho=-1.0)
 
+    @pytest.mark.parametrize("field", ["eta_0", "eta_inf", "lam", "a", "n", "rho"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_params_rejected(self, field, value):
+        good = dict(eta_0=1.0, eta_inf=0.1, lam=1.0, a=1.0, n=0.5, rho=1.0)
+        with pytest.raises(ParameterError, match="need finite"):
+            CarreauYasudaParams(**dict(good, **{field: value}))
+
 
 class TestFieldValues:
     @pytest.mark.parametrize("d", [1, 2, 3])

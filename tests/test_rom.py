@@ -515,10 +515,18 @@ class TestSolve:
         for bad in (duct.pkg.start[:, 1:], duct.pkg.start[1:], duct.pkg.start[0]):
             with pytest.raises(RomError, match="dimension mismatch: start"):
                 replace(duct.pkg, start=bad)
-        # without parameters the start is one row, whatever the rows given
-        for bad in (duct.pkg.start, np.zeros((5, duct.pkg.n_reduced))):
+        # the rows are the term count: 3 at degree 2 in one parameter, and 1
+        # without parameters whatever the degree
+        n = duct.pkg.n_reduced
+        assert replace(duct.pkg, start=np.zeros((3, n)), start_degree=2).start.shape == (3, n)
+        for bad, degree in ((np.zeros((2, n)), 2), (np.zeros((1, n)), 1)):
             with pytest.raises(RomError, match="dimension mismatch: start"):
-                replace(duct.pkg, space=None, start=bad)
+                replace(duct.pkg, start=bad, start_degree=degree)
+        for bad in (np.zeros((2, n)), np.zeros((5, n))):
+            with pytest.raises(RomError, match="dimension mismatch: start"):
+                replace(duct.pkg, space=None, start=bad, start_degree=3)
+        with pytest.raises(RomError, match="dimension mismatch: start"):
+            replace(duct.pkg, start_degree=-1)
 
 
 class TestTruncate:
@@ -757,7 +765,8 @@ class TestFittedStart:
     """The first iterate fit_start fits, against the lifting alone."""
 
     def test_projection_stores_a_zero_start(self, duct):
-        assert duct.pkg.start.shape == (2, duct.pkg.n_reduced)
+        assert duct.pkg.start.shape == (1, duct.pkg.n_reduced)
+        assert duct.pkg.start_degree == 0 and duct.pkg.start_loo_error is None
         assert not duct.pkg.start.any()
 
     def test_same_solution_in_fewer_iterations(self, coarse_artery_rom):
@@ -773,6 +782,10 @@ class TestFittedStart:
                         for p in (pkg, zero)])
         fitted, plain = np.array(its).T
         assert fitted.mean() < plain.mean() and np.all(fitted <= plain + 1)
+        # 16 points on one axis support a fit above degree 1, which brings
+        # a query down to one or two steps
+        assert pkg.start_degree > 1 and pkg.start_loo_error < 1e-6
+        assert fitted.mean() <= 1.5
 
     def test_two_points_are_interpolated_in_raw_mu(self, duct):
         # two points fix an affine fit in one parameter: the start at each
@@ -781,9 +794,56 @@ class TestFittedStart:
         for mu in TRAIN_MUS[::2]:
             want = solve_rom(duct.pkg, mu=mu)
             x = np.concatenate([want.v_N, want.p_N])
-            start = np.append(mu, 1.0) @ pkg.start
+            start = pkg.start_at(mu)
             assert np.linalg.norm(start - x) <= 1e-12 * np.linalg.norm(x)
             assert len(solve_rom(pkg, mu=mu).iterations) == 1
+
+    def test_leave_one_out_error_equals_explicit_refits(self):
+        rng = np.random.default_rng(5)
+        T = rng.uniform(-1.0, 1.0, (14, 2))
+        X = np.column_stack([np.exp(T[:, 0]) * np.cos(2.0 * T[:, 1]), 1.0 + T.sum(1) ** 3,
+                             rng.normal(size=14)])
+        loo, degree, C = rom.fit_monomials(T, X)
+        for k in range(1, 5):                       # 15 terms at degree 4
+            A = (T[:, None] ** rom.monomial_exponents(2, k)).prod(-1)
+            errors = []
+            for i in range(len(T)):
+                rest = np.arange(len(T)) != i
+                c = np.linalg.lstsq(A[rest], X[rest], rcond=None)[0]
+                errors.append(np.linalg.norm(A[i] @ c - X[i]) / np.linalg.norm(X[i]))
+            if k == degree:
+                assert abs(max(errors) - loo) <= 1e-12 * loo
+                np.testing.assert_allclose(A @ C, A @ np.linalg.lstsq(A, X, rcond=None)[0],
+                                           rtol=0.0, atol=1e-12 * np.abs(X).max())
+            else:
+                assert max(errors) >= loo * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("n_mu", [1, 2, 3])
+    def test_degree_has_fewer_terms_than_points(self, n_mu):
+        rng = np.random.default_rng(n_mu)
+        for m in range(1, 13):
+            T = rng.uniform(-1.0, 1.0, (m, n_mu))
+            X = np.column_stack([np.cos(T.sum(1)), np.ones(m)])
+            loo, degree, C = rom.fit_monomials(T, X)
+            terms = len(rom.monomial_exponents(n_mu, degree))
+            assert C.shape == (terms, 2)
+            assert degree == 1 or terms < m
+        # three points in two parameters fill the affine terms exactly: the
+        # leave-one-out error is undefined, and the fit stays affine
+        loo, degree, _ = rom.fit_monomials(rng.uniform(-1.0, 1.0, (3, 2)), X[:3])
+        assert (loo, degree) == (np.inf, 1)
+
+    def test_exact_quadratic_is_recovered(self):
+        rng = np.random.default_rng(2)
+        T = rng.uniform(-1.0, 1.0, (9, 2))
+        X = np.column_stack([1.0 + T[:, 0] - 2.0 * T[:, 0] * T[:, 1], T[:, 1] ** 2])
+        loo, degree, C = rom.fit_monomials(T, X)
+        assert degree == 2 and loo <= 1e-12
+        exps = [tuple(e) for e in rom.monomial_exponents(2, 2)]
+        want = np.zeros((6, 2))
+        want[exps.index((0, 0)), 0], want[exps.index((1, 0)), 0] = 1.0, 1.0
+        want[exps.index((1, 1)), 0], want[exps.index((0, 2)), 1] = -2.0, 1.0
+        np.testing.assert_allclose(C, want, atol=1e-12)
 
     @pytest.mark.parametrize("points", ["one", "repeated", "collinear"])
     def test_degenerate_training_points_give_a_finite_start(self, coarse_artery_rom, points):
@@ -953,6 +1013,17 @@ class TestPersistence:
         with pytest.raises(ArtifactError, match="'start'.*rebuild it with build-rom"):
             read_rom(path)
 
+    def test_layout_without_start_degree_rejected(self, duct, tmp_path):
+        """A file of the affine start in raw mu, which carries no degree."""
+        path = tmp_path / "duct.rom"
+        write_rom(path, duct.pkg)
+        header, arrays = read_artifact(path, expect_kind="rom")
+        for key in ("schema_version", "kind", "start_degree"):
+            del header[key]
+        write_artifact(path, "rom", header, arrays)
+        with pytest.raises(ArtifactError, match=r"'start_degree'\] missing.*rebuild"):
+            read_rom(path)
+
     def test_coefficient_layout_rejected(self, duct, tmp_path):
         """A package file holding the coefficient stacks and the EIM T is
         refused: its K and R have the shapes of the folded ones."""
@@ -1015,6 +1086,8 @@ class TestPersistence:
                       for f in fields(MagicElementData)]
         for got, want in pairs:
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (loaded.start_degree, loaded.start_loo_error) == \
+            (pkg.start_degree, pkg.start_loo_error)
         box = cfg.space.box
         for mu in np.vstack([box.corners(), box.center()[None]]):
             a, b = (solve_rom(p, mu=mu, **cfg.picard_options()) for p in (pkg, loaded))

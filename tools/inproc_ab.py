@@ -17,8 +17,9 @@ Operations:
 
 The package comes from ``stmor build-rom`` (or ``rom.write_rom``).  BLAS is
 pinned to one thread, as in perfbench.  Both checkouts must read the same rom
-layout: a base checkout from before the fitted ``start`` array refuses the
-file, so a change of layout is measured by perfbench pairs only.
+layout.  A base checkout from before the ``start_degree`` header key, whose
+``start`` was affine in raw mu, refuses a file with the key, and this checkout
+refuses one without it; a change of layout is measured by perfbench pairs only.
 """
 
 import argparse
@@ -76,7 +77,7 @@ def fingerprint(out):
     """Bytes that two equal results share: a package's arrays, or a solution."""
     if hasattr(out, "K"):
         arrays = [out.K, out.R, out.strain_op, out.start, *out.tau_scales]
-        return b"".join(a.tobytes() for a in arrays)
+        return b"".join(a.tobytes() for a in arrays) + repr(out.start_degree).encode()
     return (out.v_N.tobytes(), out.p_N.tobytes(), out.converged, repr(out.iterations))
 
 
