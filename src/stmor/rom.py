@@ -179,7 +179,7 @@ class RomPackage:
     def __post_init__(self):
         # cached lookups only: truncate and read_rom construct a package per call
         box = self.space and self.space.box
-        self._frame = box_frame(box.lower, box.upper) if box else box_frame()
+        self._frame = box_frame(tuple(box.lower), tuple(box.upper)) if box else box_frame()
         self._validate()
         self._exponents = monomial_exponents(len(self._frame[0]), self.start_degree)
         de, dt = self.data_eta, self.data_tau
@@ -231,7 +231,7 @@ class RomPackage:
     def start_at(self, mu):
         """The first iterate at mu before its lift entries are set."""
         t = ((() if self.space is None else mu) - self._frame[0]) / self._frame[1]
-        return (t ** self._exponents).prod(-1) @ self.start
+        return np.dot(np.multiply.reduce(t ** self._exponents, -1), self.start)  # cheapest calls
 
     def effective(self, mu):
         """Material parameters and group amplitudes at the sample mu."""
@@ -606,7 +606,7 @@ def read_rom(path, mesh_hash=None):
     if arrays.keys() != _ROM_ARRAYS or "start_degree" not in header:
         # an earlier layout (coefficient stacks with the EIM T, separate
         # blocks, or a start affine in raw mu) holds other arrays or no degree
-        missing = sorted(_ROM_ARRAYS - set(arrays)) + ["start_degree"] * ("start_degree" not in header)
+        missing = sorted(_ROM_ARRAYS - set(arrays) | {"start_degree"} - set(header))
         raise ArtifactError("%s: malformed rom package (arrays %s unexpected, %s "
                             "missing); rebuild it with build-rom"
                             % (path, sorted(set(arrays) - _ROM_ARRAYS), missing))
