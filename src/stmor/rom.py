@@ -494,10 +494,10 @@ def _solve(pkg, mu, picard_tol, picard_max, strict):
 
 def fit_monomials(T, X):
     """(loo, degree, C): X (m, N) fitted by least squares over the monomials of
-    degree <= degree of the points T (m, n_mu), for degree from 1 while it has
-    fewer terms than points, at the smallest finite leave-one-out error loo;
-    else degree 1, minimum-norm.  loo = max ||r_i / (1 - h_ii)|| / ||x_i||, r
-    the residuals, h the hat matrix's diagonal; inf where 1 - h_ii <= 1e-8."""
+    degree <= degree of the points T (m, n_mu), degree 1 up while it has fewer
+    terms than points, at the smallest finite leave-one-out error loo, else 1.
+    loo = max ||r_i / (1 - h_ii)|| / ||x_i||, r the residuals and h the hat
+    matrix's diagonal; inf for a rank-deficient design or 1 - h_ii <= 1e-8."""
     m, n = X.shape
     fits = []
     for degree in itertools.count(1):
@@ -506,11 +506,11 @@ def fit_monomials(T, X):
             return min(fits, key=lambda fit: fit[0])
         A = (T[:, None] ** E).prod(-1)
         # pinv(A) [X, I]: the coefficients, and the hat matrix A pinv(A)
-        P = np.linalg.lstsq(A, np.hstack((X, np.eye(m))), rcond=1e-10)[0]
+        P, _, rank, _ = np.linalg.lstsq(A, np.hstack((X, np.eye(m))), rcond=1e-10)
         lev = 1.0 - np.einsum("ij,ji->i", A, P[:, n:])
         res = np.linalg.norm(X - A @ P[:, :n], axis=1) / (np.linalg.norm(X, axis=1) + 1e-300)
-        fits.append((max(r / h if h > 1e-8 else math.inf for r, h in zip(res, lev)),
-                     degree, P[:, :n]))
+        loo = max(r / h if h > 1e-8 else math.inf for r, h in zip(res, lev))
+        fits.append((loo if rank == len(E) else math.inf, degree, P[:, :n]))
 
 
 def fit_start(pkg, mus, picard_tol=1e-8, picard_max=50):

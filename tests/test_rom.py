@@ -833,6 +833,24 @@ class TestFittedStart:
         loo, degree, _ = rom.fit_monomials(rng.uniform(-1.0, 1.0, (3, 2)), X[:3])
         assert (loo, degree) == (np.inf, 1)
 
+    def test_rank_deficient_degree_is_not_chosen(self):
+        """On a 4x4 grid the 15 quartic terms span 13 dimensions: the hat
+        matrix's leave-one-out error says nothing there, and the
+        minimum-norm quartic is far off between the grid points."""
+        g = np.linspace(-1.0, 1.0, 4)
+        T = np.array([(a, b) for a in g for b in g])
+        f = lambda t: np.column_stack([np.exp(0.4 * t[:, 0]) * np.cos(0.5 * t[:, 1]),
+                                       1.0 / (5.0 + t[:, 0] - t[:, 1])])
+        loo, degree, C = rom.fit_monomials(T, f(T))
+        assert degree == 3 and np.isfinite(loo)
+        off = np.random.default_rng(4).uniform(-1.0, 1.0, (50, 2))
+        errors = []
+        for k, coef in ((degree, C), (1, np.linalg.lstsq(
+                (T[:, None] ** rom.monomial_exponents(2, 1)).prod(-1), f(T), rcond=None)[0])):
+            got = (off[:, None] ** rom.monomial_exponents(2, k)).prod(-1) @ coef
+            errors.append(np.abs(got - f(off)).max())
+        assert errors[0] < 0.05 * errors[1]
+
     def test_exact_quadratic_is_recovered(self):
         rng = np.random.default_rng(2)
         T = rng.uniform(-1.0, 1.0, (9, 2))
