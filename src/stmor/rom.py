@@ -493,11 +493,11 @@ def _solve(pkg, mu, picard_tol, picard_max, strict):
 
 
 def fit_monomials(T, X):
-    """(loo, degree, C): X (m, N) fitted by least squares over the monomials of
-    degree <= degree of the points T (m, n_mu), degree 1 up while it has fewer
-    terms than points, at the smallest finite leave-one-out error loo, else 1.
-    loo = max ||r_i / (1 - h_ii)|| / ||x_i||, r the residuals and h the hat
-    matrix's diagonal; inf for a rank-deficient design or 1 - h_ii <= 1e-8."""
+    """(loo, degree, C): the least-squares fit C of X (m, N) over the monomials
+    of the points T (m, n_mu) of total degree <= degree, for the degree from 1
+    on with fewer terms than points and the smallest finite leave-one-out error
+    loo = max ||r_i / (1 - h_ii)|| / ||x_i|| (r the residuals, h the hat matrix's
+    diagonal; inf for a rank-deficient design or 1 - h_ii <= 1e-8), else 1."""
     m, n = X.shape
     fits = []
     for degree in itertools.count(1):

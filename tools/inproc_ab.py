@@ -17,9 +17,11 @@ Operations:
 
 The package comes from ``stmor build-rom`` (or ``rom.write_rom``).  BLAS is
 pinned to one thread, as in perfbench.  Both checkouts must read the same rom
-layout.  A base checkout from before the ``start_degree`` header key, whose
-``start`` was affine in raw mu, refuses a file with the key, and this checkout
-refuses one without it; a change of layout is measured by perfbench pairs only.
+layout.  This checkout refuses a file without the ``start_degree`` header key.
+A base checkout from before the key, whose ``start`` was affine in raw mu,
+refuses a file whose start has another degree than 1 and misreads one of
+degree 1; its packages carry no degree, so the fingerprints differ and the run
+stops.  A change of layout is measured by perfbench pairs only.
 """
 
 import argparse
@@ -77,7 +79,8 @@ def fingerprint(out):
     """Bytes that two equal results share: a package's arrays, or a solution."""
     if hasattr(out, "K"):
         arrays = [out.K, out.R, out.strain_op, out.start, *out.tau_scales]
-        return b"".join(a.tobytes() for a in arrays) + repr(out.start_degree).encode()
+        degree = repr(getattr(out, "start_degree", None)).encode()
+        return b"".join(a.tobytes() for a in arrays) + degree
     return (out.v_N.tobytes(), out.p_N.tobytes(), out.converged, repr(out.iterations))
 
 
