@@ -29,7 +29,7 @@ from .fom import (assembler_for, build_dof_map, build_lifting,
 from .pod import RANK_CUTOFF, assemble_basis, compute_pod
 from .rom import fit_start, project_offline, reconstruct, solve_rom, truncate
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 TIMING_CONVENTION = ("wall time excludes file I/O and includes assembly plus "
                      "the nonlinear solve, for both the full and the reduced model")
 RNG_NAME = "pcg64"
@@ -363,7 +363,8 @@ def evaluate_tests(pipeline, test_mus, pairs, *, picard_tol=1e-8,
             record["results"].append({
                 "n_u": n_u, "n_p": n_p, "eps_u": eps_u, "eps_p": eps_p,
                 "rom_time_s": rom_time, "rom_iterations": len(red.iterations),
-                "rom_converged": bool(red.converged)})
+                "rom_converged": bool(red.converged),
+                "start_gap": red.iterations[0]["rel_update"]})
         records.append(record)
     return records
 
@@ -519,7 +520,7 @@ def write_study_csv(report, path):
     header = (["case_id"] + ["mu_%s" % n for n in names]
               + ["n_u", "n_p", "eps_u", "eps_p", "fom_time_s", "rom_time_s",
                  "speedup", "fom_converged", "rom_converged",
-                 "fom_iterations", "rom_iterations"])
+                 "fom_iterations", "rom_iterations", "start_gap"])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -535,7 +536,7 @@ def write_study_csv(report, path):
                        "%.6e" % t["fom_time_s"], "%.6e" % r["rom_time_s"],
                        "" if speedup == "" else "%.3f" % speedup,
                        t["fom_converged"], r["rom_converged"],
-                       t["fom_iterations"], r["rom_iterations"]])
+                       t["fom_iterations"], r["rom_iterations"], "%.6e" % r["start_gap"]])
 
 
 def summarize_report(report):

@@ -64,6 +64,14 @@ class ParameterBox:
     lower: tuple
     upper: tuple
 
+    def __post_init__(self):
+        if not len(self.names) == len(self.lower) == len(self.upper):
+            raise ParameterError("parameter box has %d names, %d lower and %d upper bounds"
+                                 % (len(self.names), len(self.lower), len(self.upper)))
+        for name, lo, hi in zip(self.names, self.lower, self.upper):
+            if not lo <= hi:                # written so that NaN fails
+                raise ParameterError("component %s has bounds [%g, %g]" % (name, lo, hi))
+
     def validate(self, mu):
         mu = np.asarray(mu, dtype=np.float64)
         if mu.shape != (len(self.names),):

@@ -52,6 +52,10 @@ Lifting coefficients are not solved for.  The lift rows of every
 projected block are zero, so the identities I_lift in slot 1 make the
 leading n_lifts rows of the system read x[:n_lifts] = s exactly, which
 keeps the Dirichlet data exact for every truncation.
+
+A Picard solve starts from a polynomial in mu fitted to the training
+solutions (fit_start).  The package holds one such fit per truncation, each
+to that truncation's own solutions, and truncate keeps the sub-package's.
 """
 
 import itertools
@@ -153,8 +157,12 @@ class RomPackage:
     effective group amplitudes.  data_eta and data_tau are the fields'
     records and strain_op = strain_operator(data_eta, data_tau); every
     construction, replace included, checks the shapes of all of them.  start
-    holds coefficients of the monomials of t = (mu - centre) / half-width of
-    degree <= start_degree: a zero row from project_offline, or fit_start's.
+    is a table of first iterates, one per cut: entry [i, j] holds the
+    coefficients, over the monomials of t = (mu - centre) / half-width of
+    degree <= start_degree, of the cut (n_lifts + i, j + 1)'s, zero in the
+    columns that cut leaves out.  start_at evaluates entry [-1, -1], the
+    package's own; truncate keeps the cut's.  project_offline stores a zero
+    table, fit_start fits it.
     """
 
     case_id: str
@@ -171,7 +179,7 @@ class RomPackage:
     data_eta: MagicElementData
     data_tau: MagicElementData
     strain_op: np.ndarray       # ((Q_eta + Q_tau) d (d + 1), N_u)
-    start: np.ndarray           # (terms, N) first iterate over the monomials of t
+    start: np.ndarray           # (N_u - n_lifts + 1, N_p, terms, N) per-cut first iterates
     basis: object = None        # optional ReducedBasis, never serialized
     start_degree: int = 0
     start_loo_error: float = None       # fit_start's; None if undefined
@@ -214,24 +222,25 @@ class RomPackage:
         n_u, n, nl, d, n_mu = self.n_u, self.n_reduced, self.n_lifts, self.d, len(self._frame[0])
         self.data_eta.check("eta ", d, n_u)
         self.data_tau.check("tau ", d, n_u)
+        if nl > n_u or n_u > n:
+            raise RomError("dimension mismatch: %d lifting columns, N_u=%d, "
+                           "N=%d" % (nl, n_u, n))
         qe, qt = self.q_eta, self.q_tau
         rows = math.comb(n_mu + self.start_degree, n_mu) if self.start_degree >= 0 else -1
         checks = [("K", self.K, (2 + qe + 2 * qt, n, n)),
                   ("R", self.R, (2 + qe + 2 * qt, nl + 1, n)),
                   ("strain_op", self.strain_op, ((qe + qt) * d * (d + 1), n_u)),
-                  ("start", self.start, (rows, n))]
+                  ("start", self.start, (n_u - nl + 1, n - n_u, rows, n))]
         for name, arr, want in checks:
             if arr.shape != want:
                 raise RomError("dimension mismatch: %s has shape %s, expected %s"
                                % (name, arr.shape, want))
-        if nl > n_u or n_u > n:
-            raise RomError("dimension mismatch: %d lifting columns, N_u=%d, "
-                           "N=%d" % (nl, n_u, n))
 
     def start_at(self, mu):
         """The first iterate at mu before its lift entries are set."""
         t = ((() if self.space is None else mu) - self._frame[0]) / self._frame[1]
-        return np.dot(np.multiply.reduce(t ** self._exponents, -1), self.start)  # cheapest calls
+        # the cheapest calls: np.dot and a ufunc reduce
+        return np.dot(np.multiply.reduce(t ** self._exponents, -1), self.start[-1, -1])
 
     def effective(self, mu):
         """Material parameters and group amplitudes at the sample mu."""
@@ -376,7 +385,8 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         lift_groups=tuple(lf.group for lf in liftings),
         material=problem.material, amplitudes=dict(problem.amplitudes),
         space=problem.space, K=K, R=R, data_eta=data["eta"], data_tau=data["tau"],
-        strain_op=strain_operator(data["eta"], data["tau"]), start=np.zeros((1, n)),
+        strain_op=strain_operator(data["eta"], data["tau"]),
+        start=np.zeros((n_u - nl + 1, n - n_u, 1, n)),
         basis=basis)
     logger.info("projected %s: N_u=%d N_p=%d (N=%d vs N^h=%d), Q_eta=%d Q_tau=%d",
                 problem.name, pkg.n_u, pkg.n_p, pkg.n_reduced, pkg.n_fom_dofs,
@@ -385,25 +395,25 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
 
 
 def truncate(pkg, n_u, n_p):
-    """Sub-package using the leading n_u velocity and n_p pressure columns."""
+    """Sub-package using the leading n_u velocity and n_p pressure columns,
+    with the start table of the cuts it holds."""
     if not pkg.n_lifts <= n_u <= pkg.n_u:
         raise RomError("n_u must lie in [%d, %d], got %d"
                        % (pkg.n_lifts, pkg.n_u, n_u))
     if not 1 <= n_p <= pkg.n_p:
         raise RomError("n_p must lie in [1, %d], got %d" % (pkg.n_p, n_p))
-    basis = pkg.basis
-    if basis is not None:
-        basis = replace(basis, Z_v=np.ascontiguousarray(basis.Z_v[:, :n_u]),
-                        Z_p=np.ascontiguousarray(basis.Z_p[:, :n_p]))
+    basis = pkg.basis and replace(pkg.basis, Z_v=pkg.basis.Z_v[:, :n_u],
+                                  Z_p=pkg.basis.Z_p[:, :n_p])
     # C-ordered copies, as read_rom returns them: the online products then
     # take the same path, and give the same bits, on both
-    keep = np.r_[:n_u, pkg.n_u:pkg.n_u + n_p]
+    keep = np.array([*range(n_u), *range(pkg.n_u, pkg.n_u + n_p)])
     eta, tau = (replace(data, Z_rows=np.ascontiguousarray(data.Z_rows[..., :n_u]))
                 for data in (pkg.data_eta, pkg.data_tau))
     return replace(pkg, K=np.ascontiguousarray(pkg.K[:, keep[:, None], keep]),
                    R=np.ascontiguousarray(pkg.R[:, :, keep]), data_eta=eta, data_tau=tau,
                    strain_op=np.ascontiguousarray(pkg.strain_op[:, :n_u]),
-                   start=np.ascontiguousarray(pkg.start[:, keep]), basis=basis)
+                   start=np.ascontiguousarray(pkg.start[:n_u - pkg.n_lifts + 1, :n_p][..., keep]),
+                   basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +524,12 @@ def fit_monomials(T, X):
 
 
 def fit_start(pkg, mus, picard_tol=1e-8, picard_max=50):
-    """pkg with its start fitted by fit_monomials to its own converged
-    solutions at mus.  Unconverged solves, and mu None with parameters, are
-    left out; with none left pkg is returned as it is."""
+    """pkg with its start table fitted to its own converged solutions at mus:
+    the full cut's entry by fit_monomials, every other cut's by least squares
+    at that degree over the cut's solutions at the same mus, solved from the
+    full fit's slice.  Unconverged solves, and mu None with parameters, are
+    left out; a cut left with none keeps the slice, and with no full solve
+    left pkg is returned as it is."""
     centre, half = pkg._frame
     reds = [_solve(pkg, mu, picard_tol, picard_max, strict=False)
             for mu in mus if mu is not None or not centre.size]
@@ -526,8 +539,23 @@ def fit_start(pkg, mus, picard_tol=1e-8, picard_max=50):
     T = np.array([(red.mu[:centre.size] - centre) / half for red in reds])
     loo, degree, C = fit_monomials(T, np.array([np.concatenate((red.v_N, red.p_N))
                                                 for red in reds]))
-    return replace(pkg, start=C, start_degree=degree,
-                   start_loo_error=float(loo) if loo < math.inf else None)
+    nl, n_u = pkg.n_lifts, pkg.n_u
+    table = np.zeros((n_u - nl + 1, pkg.n_p) + C.shape)
+    table[-1, -1] = C
+    pkg = replace(pkg, start=table, start_degree=degree,
+                  start_loo_error=float(loo) if loo < math.inf else None)
+    A = (T[:, None] ** monomial_exponents(centre.size, degree)).prod(-1)
+    for i, j in list(np.ndindex(table.shape[:2]))[:-1]:
+        keep = np.r_[:nl + i, n_u:n_u + j + 1]
+        table[i, j][:, keep] = C[:, keep]       # the slice the cut's solves start from
+        cut = truncate(pkg, nl + i, j + 1)
+        subs = [_solve(cut, red.mu if centre.size else None, picard_tol, picard_max, False)
+                for red in reds]
+        ok = [sub.converged for sub in subs]
+        if any(ok):
+            X = np.array([np.concatenate((s.v_N, s.p_N)) for s in subs if s.converged])
+            table[i, j][:, keep] = np.linalg.lstsq(A[ok], X, rcond=1e-10)[0]
+    return pkg
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +631,15 @@ def read_rom(path, mesh_hash=None):
     header, arrays = read_artifact(path, expect_kind="rom")
     if mesh_hash is not None:
         check_mesh_hash(header, mesh_hash, path=str(path))
-    if arrays.keys() != _ROM_ARRAYS or "start_degree" not in header:
+    axes = np.ndim(arrays.get("start"))
+    if arrays.keys() != _ROM_ARRAYS or "start_degree" not in header or axes != 4:
         # an earlier layout (coefficient stacks with the EIM T, separate
-        # blocks, or a start affine in raw mu) holds other arrays or no degree
+        # blocks, a start affine in raw mu or one start for all cuts) holds
+        # other arrays, no degree or a start of two axes
         missing = sorted(_ROM_ARRAYS - set(arrays) | {"start_degree"} - set(header))
         raise ArtifactError("%s: malformed rom package (arrays %s unexpected, %s "
-                            "missing); rebuild it with build-rom"
-                            % (path, sorted(set(arrays) - _ROM_ARRAYS), missing))
+                            "missing, start has %d of 4 axes); rebuild it with build-rom"
+                            % (path, sorted(set(arrays) - _ROM_ARRAYS), missing, axes))
     try:
         d = int(header["d"])
         data = {tag: MagicElementData(magic=arrays[tag + "_magic"].astype(np.int64, copy=False),

@@ -327,7 +327,7 @@ class TestStudy:
     def test_report_identity_and_metadata(self, duct, duct_report):
         cfg, plan, _, pipe = duct
         sweep, report = duct_report
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["kind"] == "study_report"
         assert report["case_id"] == cfg.case_id
         assert report["mesh_hash"] == pipe.mesh.content_hash()
@@ -347,6 +347,18 @@ class TestStudy:
         for cell in report["cells"]:
             assert cell["n_samples"] == plan.n_test
             assert cell["n_flagged"] == 0
+
+    def test_every_result_records_its_start_gap(self, duct, duct_report):
+        """start_gap is the first step's relative update, which measures how
+        far the cut's first iterate was from its solution."""
+        cfg, _, _, pipe = duct
+        _, report = duct_report
+        for t in report["tests"]:
+            for r in t["results"]:
+                red = solve_rom(truncate(pipe.pkg, r["n_u"], r["n_p"]), mu=np.array(t["mu"]),
+                                strict=False, **cfg.picard_options())
+                assert r["start_gap"] == red.iterations[0]["rel_update"]
+                assert np.isfinite(r["start_gap"]) or not r["rom_converged"]
 
     def test_cell_max_never_below_mean(self, duct_report):
         _, report = duct_report
@@ -463,9 +475,11 @@ class TestReportFiles:
         header = rows[0]
         assert header[:2] == ["case_id", "mu_u_in"]
         i_eps, i_speed = header.index("eps_u"), header.index("speedup")
-        for row in rows[1:]:
+        gaps = [r["start_gap"] for t in report["tests"] for r in t["results"]]
+        for row, gap in zip(rows[1:], gaps):
             assert float(row[i_eps]) >= 0.0
             assert float(row[i_speed]) > 0.0
+            assert row[header.index("start_gap")] == "%.6e" % gap
 
     def test_summary_prints_error_and_speedup_tables(self, duct_report):
         _, report = duct_report

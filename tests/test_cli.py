@@ -202,7 +202,7 @@ class TestStudyCommand:
     def test_report_and_csv_written(self, study_dir):
         out, _ = study_dir
         report = json.loads((out / "study_report.json").read_text())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert len(report["cells"]) == 9
         with open(out / "study_report.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -349,6 +349,29 @@ class TestFailureModes:
         assert payload["error"] == "CaseError"
         assert re.search("material values|need finite", payload["message"])
 
+    @pytest.mark.parametrize("bounds, message", [
+        ({"lower": [0.95, 0.9], "upper": [1.05, 1.1]},
+         "parameter box has 1 names, 2 lower and 2 upper bounds"),
+        ({"upper": [1.05, 1.1]}, "parameter box has 1 names, 1 lower and 2 upper bounds"),
+        ({"lower": [1.05], "upper": [0.95]}, "component u_in has bounds [1.05, 0.95]"),
+        ({"lower": [float("nan")]}, "component u_in has bounds [nan, 1.05]")])
+    def test_malformed_parameter_box_is_refused(self, workdir, capsys, tmp_path, bounds,
+                                                message):
+        """Bounds that do not pair up with the names, or a lower bound above
+        (or not comparable to) its upper one, are a malformed case."""
+        root, case = workdir
+        cfg = json.loads(case.read_text())
+        cfg["parameters"].update(bounds)
+        path = tmp_path / "duct_box.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["eval-rom", "--case", str(path), "--out-dir", str(root),
+                     "--mu", "1.0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "CaseError"
+        assert "malformed configuration (ParameterError: %s)" % message in payload["message"]
+
     def test_malformed_snapshot_is_refused(self, workdir, capsys, tmp_path):
         root, case = workdir
         (tmp_path / "snapshots").mkdir()
@@ -444,11 +467,11 @@ class TestFailureModes:
     @pytest.mark.parametrize("text, match", [
         ("{not json", "not a JSON study report"),
         ("[]", "JSON list, not a study report object"),
-        ('{"schema_version": 2}', "lacks case_id, basis, tests, cells, speedup"),
-        ('{"schema_version": 2, "case_id": "c", "basis": {"n_u": "5", "n_p": 3},'
+        ('{"schema_version": 3}', "lacks case_id, basis, tests, cells, speedup"),
+        ('{"schema_version": 3, "case_id": "c", "basis": {"n_u": "5", "n_p": 3},'
          ' "tests": [], "cells": [], "speedup": {"mean": null, "max": null}}',
          "wrong type at basis.n_u ("),
-        ('{"schema_version": 2, "case_id": "c", "basis": {"n_u": 5, "n_p": 3},'
+        ('{"schema_version": 3, "case_id": "c", "basis": {"n_u": 5, "n_p": 3},'
          ' "tests": [], "speedup": {"mean": 2.0, "max": null}, "cells": [{"n_u": 1,'
          ' "n_p": 1.0, "max_eps_u": "1e-3", "max_eps_p": null, "mean_speedup": 9,'
          ' "n_flagged": true}]}',

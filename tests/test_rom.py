@@ -488,7 +488,7 @@ class TestSolve:
             solve_rom(duct.pkg, mu=np.array([2.0]))
 
     def test_missing_lift_amplitude_rejected(self, duct):
-        pkg = replace(duct.pkg, amplitudes={}, space=None, start=duct.pkg.start[-1:])
+        pkg = replace(duct.pkg, amplitudes={}, space=None, start=duct.pkg.start[..., -1:, :])
         with pytest.raises(RomError, match="amplitude"):
             solve_rom(pkg)
 
@@ -503,7 +503,7 @@ class TestSolve:
                          amplitudes={}, space=None,
                          K=np.zeros((5, 2, 2)), R=np.zeros((5, 1, 2)),
                          data_eta=data, data_tau=data,
-                         strain_op=strain_operator(data, data), start=np.zeros((1, 2)))
+                         strain_op=strain_operator(data, data), start=np.zeros((2, 1, 1, 2)))
         with pytest.raises(RomError, match=r"N_u=1, N_p=1"):
             solve_rom(pkg)
 
@@ -512,17 +512,22 @@ class TestSolve:
             replace(duct.pkg, K=duct.pkg.K[:, :, 1:])
         with pytest.raises(RomError, match="dimension mismatch"):
             replace(duct.pkg, R=duct.pkg.R[1:])
-        for bad in (duct.pkg.start[:, 1:], duct.pkg.start[1:], duct.pkg.start[0]):
+        start = duct.pkg.start
+        for bad in (start[..., 1:], start[:, :, 1:], start[1:], start[:, 1:], start[-1, -1],
+                    start[:, :, 0]):
             with pytest.raises(RomError, match="dimension mismatch: start"):
                 replace(duct.pkg, start=bad)
-        # the rows are the term count: 3 at degree 2 in one parameter, and 1
-        # without parameters whatever the degree
-        n = duct.pkg.n_reduced
-        assert replace(duct.pkg, start=np.zeros((3, n)), start_degree=2).start.shape == (3, n)
-        for bad, degree in ((np.zeros((2, n)), 2), (np.zeros((1, n)), 1)):
+        # one entry per cut (n_u, n_p) with n_lifts <= n_u and 1 <= n_p, its
+        # rows the term count: 3 at degree 2 in one parameter, and 1 without
+        # parameters whatever the degree
+        cuts, n = start.shape[:2], duct.pkg.n_reduced
+        assert cuts == (duct.pkg.n_u - duct.pkg.n_lifts + 1, duct.pkg.n_p)
+        table = np.zeros(cuts + (3, n))
+        assert replace(duct.pkg, start=table, start_degree=2).start.shape == cuts + (3, n)
+        for bad, degree in ((np.zeros(cuts + (2, n)), 2), (np.zeros(cuts + (1, n)), 1)):
             with pytest.raises(RomError, match="dimension mismatch: start"):
                 replace(duct.pkg, start=bad, start_degree=degree)
-        for bad in (np.zeros((2, n)), np.zeros((5, n))):
+        for bad in (np.zeros(cuts + (2, n)), np.zeros(cuts + (5, n))):
             with pytest.raises(RomError, match="dimension mismatch: start"):
                 replace(duct.pkg, space=None, start=bad, start_degree=3)
         with pytest.raises(RomError, match="dimension mismatch: start"):
@@ -548,6 +553,28 @@ class TestTruncate:
         eu_full, _ = field_errors(duct.basis, duct.grams, red_full,
                                   duct.u_fulls[0].ravel(), duct.sols[0].p)
         assert eu_full <= eu_small + 1e-12
+
+    def test_truncate_of_a_truncate_is_the_direct_cut(self, coarse_artery_rom):
+        """Bit for bit, the fitted start table included."""
+        _, pipe = coarse_artery_rom
+        pkg = pipe.pkg
+        assert pkg.start.any()
+
+        def arrays(p):
+            records = [getattr(r, f.name) for r in (p.data_eta, p.data_tau)
+                       for f in fields(MagicElementData)]
+            return [p.K, p.R, p.strain_op, p.start, *p.tau_scales, *records]
+
+        cuts = [(a, b) for a in range(pkg.n_lifts, pkg.n_u + 1) for b in range(1, pkg.n_p + 1)]
+        for a, b in cuts:
+            mid = truncate(pkg, a, b)
+            for c, e in cuts:
+                if c <= a and e <= b:
+                    got, want = truncate(mid, c, e), truncate(pkg, c, e)
+                    for x, y in zip(arrays(got), arrays(want), strict=True):
+                        assert x.shape == y.shape and np.array_equal(x, y)
+                    assert (got.start_degree, got.start_loo_error) == \
+                        (want.start_degree, want.start_loo_error)
 
     def test_truncate_bounds(self, duct):
         pkg = duct.pkg
@@ -765,7 +792,8 @@ class TestFittedStart:
     """The first iterate fit_start fits, against the lifting alone."""
 
     def test_projection_stores_a_zero_start(self, duct):
-        assert duct.pkg.start.shape == (1, duct.pkg.n_reduced)
+        pkg = duct.pkg
+        assert pkg.start.shape == (pkg.n_u - pkg.n_lifts + 1, pkg.n_p, 1, pkg.n_reduced)
         assert duct.pkg.start_degree == 0 and duct.pkg.start_loo_error is None
         assert not duct.pkg.start.any()
 
@@ -786,6 +814,73 @@ class TestFittedStart:
         # a query down to one or two steps
         assert pkg.start_degree > 1 and pkg.start_loo_error < 1e-6
         assert fitted.mean() <= 1.5
+
+    def test_full_cell_is_the_fit_of_the_full_solutions(self, coarse_artery_rom):
+        """The package's own entry, its first iterate and its solves are those
+        of fit_monomials over the full training solutions, bit for bit."""
+        cfg, pipe = coarse_artery_rom
+        pkg, opts = pipe.pkg, cfg.picard_options()
+        zero = replace(pkg, start=np.zeros(pkg.start.shape[:2] + (1, pkg.n_reduced)),
+                       start_degree=0)
+        reds = [solve_rom(zero, mu=mu, strict=False, **opts) for mu in pipe.train_mus]
+        assert all(red.converged for red in reds)
+        centre, half = pkg._frame
+        T = np.array([(mu - centre) / half for mu in pipe.train_mus])
+        loo, degree, C = rom.fit_monomials(T, np.array([np.concatenate((r.v_N, r.p_N))
+                                                        for r in reds]))
+        assert (pkg.start_degree, pkg.start_loo_error) == (degree, loo)
+        assert np.array_equal(pkg.start[-1, -1], C)
+        # every other entry is another cut's: the full solve never reads it
+        alone = replace(pkg, start=np.broadcast_to(C, pkg.start.shape).copy())
+        for mu in query_mus(pkg):
+            t = (mu - centre) / half
+            want = np.dot(np.multiply.reduce(t ** rom.monomial_exponents(1, degree), -1), C)
+            assert np.array_equal(pkg.start_at(mu), want)
+            a, b = (solve_rom(p, mu=mu, **opts) for p in (pkg, alone))
+            assert np.array_equal(a.v_N, b.v_N) and np.array_equal(a.p_N, b.p_N)
+            assert a.iterations == b.iterations
+
+    def test_each_cut_starts_from_its_own_fit(self, coarse_artery_rom):
+        """A cut's entry is the least-squares fit, at the table's degree, of
+        that cut's own converged solutions at the training mus, solved from
+        the full fit's slice.  The full cut's is fit_monomials' (above)."""
+        cfg, pipe = coarse_artery_rom
+        pkg, opts = pipe.pkg, cfg.picard_options()
+        centre, half = pkg._frame
+        E = rom.monomial_exponents(len(centre), pkg.start_degree)
+        A = (((pipe.train_mus - centre) / half)[:, None] ** E).prod(-1)
+        for n_u in range(pkg.n_lifts, pkg.n_u + 1):
+            for n_p in range(1, pkg.n_p + 1 - (n_u == pkg.n_u)):
+                cut = truncate(pkg, n_u, n_p)
+                keep = np.r_[:n_u, pkg.n_u:pkg.n_u + n_p]
+                sliced = replace(cut, start=np.broadcast_to(pkg.start[-1, -1][:, keep],
+                                                            cut.start.shape).copy())
+                reds = [solve_rom(sliced, mu=mu, strict=False, **opts) for mu in pipe.train_mus]
+                ok = [red.converged for red in reds]
+                assert any(ok)
+                X = np.array([np.concatenate((r.v_N, r.p_N)) for r in reds if r.converged])
+                coef = np.linalg.lstsq(A[ok], X, rcond=None)[0]
+                for mu in query_mus(pkg):
+                    t = ((mu - centre) / half)[None]
+                    want = (t[:, None] ** E).prod(-1)[0] @ coef
+                    got = cut.start_at(mu)
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+                    # zero in the columns the cut leaves out
+                    table = pkg.start[n_u - pkg.n_lifts, n_p - 1]
+                    assert not np.delete(table, keep, axis=1).any()
+
+    def test_every_cut_converges_in_about_one_step(self, coarse_artery_rom):
+        cfg, pipe = coarse_artery_rom
+        pkg = pipe.pkg
+        rng = np.random.default_rng(8)
+        lo, hi = np.asarray(cfg.space.box.lower), np.asarray(cfg.space.box.upper)
+        mus = lo + (hi - lo) * rng.random((30, lo.size))
+        for n_u in range(pkg.n_lifts, pkg.n_u + 1):
+            for n_p in range(1, pkg.n_p + 1):
+                cut = truncate(pkg, n_u, n_p)
+                steps = [len(solve_rom(cut, mu=mu, **cfg.picard_options()).iterations)
+                         for mu in mus]
+                assert np.mean(steps) <= 1.5, (n_u, n_p, np.mean(steps))
 
     def test_two_points_are_interpolated_in_raw_mu(self, duct):
         # two points fix an affine fit in one parameter: the start at each
@@ -904,11 +999,11 @@ class TestFittedStart:
         assert fit_start(duct.pkg, [None]) is duct.pkg
 
     def test_parameter_free_package_starts_from_its_solution(self, duct):
-        free = replace(duct.pkg, space=None, start=duct.pkg.start[-1:])
+        free = replace(duct.pkg, space=None, start=duct.pkg.start[..., -1:, :])
         fitted = fit_start(free, [None, None])
         want = solve_rom(free)
-        assert fitted.start.shape == (1, free.n_reduced)
-        np.testing.assert_allclose(fitted.start[0], np.concatenate([want.v_N, want.p_N]),
+        assert fitted.start.shape == free.start.shape[:2] + (1, free.n_reduced)
+        np.testing.assert_allclose(fitted.start[-1, -1, 0], np.concatenate([want.v_N, want.p_N]),
                                    rtol=1e-14, atol=1e-14)
         got = solve_rom(fitted, mu=TRAIN_MUS[0])
         assert len(got.iterations) == 1
@@ -1042,6 +1137,16 @@ class TestPersistence:
         with pytest.raises(ArtifactError, match=r"'start_degree'\] missing.*rebuild"):
             read_rom(path)
 
+    def test_layout_with_one_start_for_all_cuts_rejected(self, duct, tmp_path):
+        """A file of the earlier layout, whose start was the full package's
+        (terms, N) fit alone."""
+        def edit(arrays):
+            arrays["start"] = arrays["start"][-1, -1]
+
+        path = self.rewritten(duct.pkg, tmp_path / "duct.rom", edit)
+        with pytest.raises(ArtifactError, match="start has 2 of 4 axes.*rebuild it with "):
+            read_rom(path)
+
     def test_coefficient_layout_rejected(self, duct, tmp_path):
         """A package file holding the coefficient stacks and the EIM T is
         refused: its K and R have the shapes of the folded ones."""
@@ -1107,10 +1212,14 @@ class TestPersistence:
         assert (loaded.start_degree, loaded.start_loo_error) == \
             (pkg.start_degree, pkg.start_loo_error)
         box = cfg.space.box
+        # every cut of the package read back solves as the same cut in memory
+        subs = [(truncate(pkg, a, b), truncate(loaded, a, b))
+                for a in range(pkg.n_lifts, pkg.n_u + 1) for b in range(1, pkg.n_p + 1)]
         for mu in np.vstack([box.corners(), box.center()[None]]):
-            a, b = (solve_rom(p, mu=mu, **cfg.picard_options()) for p in (pkg, loaded))
-            assert np.array_equal(a.v_N, b.v_N) and np.array_equal(a.p_N, b.p_N)
-            assert a.iterations == b.iterations
+            for sub in [(pkg, loaded)] + subs:
+                a, b = (solve_rom(p, mu=mu, **cfg.picard_options()) for p in sub)
+                assert np.array_equal(a.v_N, b.v_N) and np.array_equal(a.p_N, b.p_N)
+                assert a.iterations == b.iterations
 
     def test_rom_info_reports_dimensions(self, duct):
         info = rom_info(duct.pkg)

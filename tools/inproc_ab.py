@@ -14,14 +14,16 @@ Operations:
     read_rom   rom.read_rom of the file
     warm       rom.solve_rom on a package read once before timing
     cold       rom.read_rom of the file, then rom.solve_rom
+    sweep      rom.truncate, then rom.solve_rom, for every (N_u, N_p) cut of a
+               package read once before timing, as the benchmark's sweep does
 
 The package comes from ``stmor build-rom`` (or ``rom.write_rom``).  BLAS is
 pinned to one thread, as in perfbench.  Both checkouts must read the same rom
-layout.  This checkout refuses a file without the ``start_degree`` header key.
-A base checkout from before the key, whose ``start`` was affine in raw mu,
-refuses a file whose start has another degree than 1 and misreads one of
-degree 1; its packages carry no degree, so the fingerprints differ and the run
-stops.  A change of layout is measured by perfbench pairs only.
+layout, so a change of layout is measured by perfbench pairs only.  This
+checkout refuses a file whose ``start`` is not the per-cut table of four axes,
+or that has no ``start_degree`` header key.  A base checkout from before the
+table refuses this checkout's files, and one from before the key misreads a
+file of degree 1; the fingerprints then differ and the run stops.
 """
 
 import argparse
@@ -72,15 +74,23 @@ def operation(rom, op, path):
     if op == "cold":
         return lambda mu: rom.solve_rom(rom.read_rom(path)[1], mu=mu, strict=False)
     _, pkg = rom.read_rom(path)
+    if op == "sweep":
+        cuts = [(n_u, n_p) for n_u in range(pkg.n_lifts, pkg.n_u + 1)
+                for n_p in range(1, pkg.n_p + 1)]
+        return lambda mu: [rom.solve_rom(rom.truncate(pkg, *cut), mu=mu, strict=False)
+                           for cut in cuts]
     return lambda mu: rom.solve_rom(pkg, mu=mu, strict=False)
 
 
 def fingerprint(out):
-    """Bytes that two equal results share: a package's arrays, or a solution."""
+    """Bytes that two equal results share: a package's arrays, its whole start
+    table with its shape, or a solution, or a list of solutions."""
+    if isinstance(out, list):
+        return [fingerprint(red) for red in out]
     if hasattr(out, "K"):
         arrays = [out.K, out.R, out.strain_op, out.start, *out.tau_scales]
-        degree = repr(getattr(out, "start_degree", None)).encode()
-        return b"".join(a.tobytes() for a in arrays) + degree
+        table = repr((out.start.shape, getattr(out, "start_degree", None))).encode()
+        return b"".join(a.tobytes() for a in arrays) + table
     return (out.v_N.tobytes(), out.p_N.tobytes(), out.converged, repr(out.iterations))
 
 
@@ -93,7 +103,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="checkout timed as the base")
     parser.add_argument("--rom", required=True, help="rom package file")
-    parser.add_argument("--op", choices=("read_rom", "warm", "cold"), default="cold")
+    parser.add_argument("--op", choices=("read_rom", "warm", "cold", "sweep"), default="cold")
     parser.add_argument("--reps", type=int, default=2000)
     args = parser.parse_args(argv)
     if args.reps < 1:
