@@ -834,7 +834,8 @@ class TestFittedStart:
         alone = replace(pkg, start=np.broadcast_to(C, pkg.start.shape).copy())
         for mu in query_mus(pkg):
             t = (mu - centre) / half
-            want = np.dot(np.multiply.reduce(t ** rom.monomial_exponents(1, degree), -1), C)
+            E = rom.monomial_exponents(len(centre), degree)
+            want = np.dot(np.multiply.reduce(t ** E, -1), C)
             assert np.array_equal(pkg.start_at(mu), want)
             a, b = (solve_rom(p, mu=mu, **opts) for p in (pkg, alone))
             assert np.array_equal(a.v_N, b.v_N) and np.array_equal(a.p_N, b.p_N)
@@ -853,6 +854,9 @@ class TestFittedStart:
             for n_p in range(1, pkg.n_p + 1 - (n_u == pkg.n_u)):
                 cut = truncate(pkg, n_u, n_p)
                 keep = np.r_[:n_u, pkg.n_u:pkg.n_u + n_p]
+                # zero in the columns the cut leaves out
+                table = pkg.start[n_u - pkg.n_lifts, n_p - 1]
+                assert not np.delete(table, keep, axis=1).any()
                 sliced = replace(cut, start=np.broadcast_to(pkg.start[-1, -1][:, keep],
                                                             cut.start.shape).copy())
                 reds = [solve_rom(sliced, mu=mu, strict=False, **opts) for mu in pipe.train_mus]
@@ -865,9 +869,6 @@ class TestFittedStart:
                     want = (t[:, None] ** E).prod(-1)[0] @ coef
                     got = cut.start_at(mu)
                     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-                    # zero in the columns the cut leaves out
-                    table = pkg.start[n_u - pkg.n_lifts, n_p - 1]
-                    assert not np.delete(table, keep, axis=1).any()
 
     def test_every_cut_converges_in_about_one_step(self, coarse_artery_rom):
         cfg, pipe = coarse_artery_rom
