@@ -12,6 +12,8 @@ units cannot round-trip.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,183 +31,176 @@ class CaseError(Exception):
     """Invalid case configuration or geometry request."""
 
 
-def _take(params, required, optional=()):
-    """Split a profile-parameter dict against its schema; reject strangers."""
-    given = dict(params)
+# ---------------------------------------------------------------------------
+# key tables: key -> (kind, default) per config section, read by read_section
+#
+# A kind converts one JSON value, or raises ValueError naming what the values
+# must be.  It leaves to the library the ranges that it checks with a typed
+# error (material, parameter box, Picard, EIM and POD tolerances).
+
+_REQUIRED = object()
+
+
+def _kind(noun, test, convert=lambda value: value):
+    """A kind that takes the values passing test, booleans never, and
+    converts them."""
+    def read(value):
+        if isinstance(value, bool) or not test(value):
+            raise ValueError(noun)
+        return convert(value)
+    return read
+
+
+def _list_of(kind):
+    return _kind("lists", lambda v: isinstance(v, (list, tuple)),
+                 lambda v: [kind(item) for item in v])
+
+
+def _optional(kind):
+    return lambda value: None if value is None else kind(value)
+
+
+_number = _kind("numbers", lambda v: isinstance(v, numbers.Real), float)
+_finite = _kind("finite numbers",
+                lambda v: isinstance(v, numbers.Real) and math.isfinite(v), float)
+_count = _kind("non-negative integers",
+               lambda v: isinstance(v, numbers.Integral) and v >= 0, int)
+_text = _kind("strings", lambda v: isinstance(v, str))
+_object = _kind("JSON objects", lambda v: isinstance(v, dict), dict)
+
+
+def read_section(given, table, where):
+    """The values of one config section, checked against its key table and
+    converted, with the defaults of absent keys filled in."""
+    if not isinstance(given, dict):
+        raise CaseError("%s must be a JSON object, got %r" % (where, given))
+    extra = set(given) - set(table)
+    if extra:
+        raise CaseError("unknown %s key %r (keys: %s; the unit suffix is part of the key)"
+                        % (where, sorted(extra)[0], ", ".join(table)))
     out = {}
-    for key in required:
-        if key not in given:
-            raise CaseError("profile parameter %r is missing" % key)
-        out[key] = given.pop(key)
-    for key, default in optional:
-        out[key] = given.pop(key, default)
-    if given:
-        raise CaseError("unknown profile parameter %r" % sorted(given)[0])
+    for key, (kind, default) in table.items():
+        value = given.get(key, default)
+        if value is _REQUIRED:
+            raise CaseError("%s key %r is missing" % (where, key))
+        try:
+            out[key] = kind(value)
+        except ValueError as exc:
+            raise CaseError("%s values must be %s: %r is %r"
+                            % (where, exc, key, value)) from None
     return out
 
 
 # ---------------------------------------------------------------------------
 # named boundary-profile library
 #
-# Every factory returns profile(x, t) -> (n, k) where x are reference spatial
-# coordinates of the boundary nodes and t their time coordinates.  Profiles
-# are unit-amplitude shapes; parameter-dependent scaling happens through the
-# lifting amplitude of the group they are assigned to.
+# Every profile is a key table and f(p, x, t) -> (n, k) of the read table p,
+# the reference spatial coordinates x of the boundary nodes and their times t.
+# Profiles are unit-amplitude shapes; parameter-dependent scaling happens
+# through the lifting amplitude of the group they are assigned to.
 
-def _profile_noslip(params):
-    p = _take(params, (), (("n_components", 2),))
-    k = int(p["n_components"])
-
-    def profile(x, t):
-        return np.zeros((np.asarray(x).shape[0], k))
-
-    return profile
+def _in_component(x, k, values):
+    """(n, 2) velocities at the n points x: values in component k, 0 in the other."""
+    out = np.zeros((x.shape[0], 2))
+    out[:, k] = values
+    return out
 
 
-def _profile_parallel_outflow(params):
-    _take(params, ())
-
-    def profile(x, t):
-        return np.zeros((np.asarray(x).shape[0], 1))
-
-    return profile
+def _noslip(p, x, t):
+    return np.zeros((np.asarray(x).shape[0], p["n_components"]))
 
 
-def _profile_constant(params):
-    p = _take(params, ("value_m_s",))
-    value = np.asarray(p["value_m_s"], dtype=np.float64).ravel()
-
-    def profile(x, t):
-        return np.tile(value, (np.asarray(x).shape[0], 1))
-
-    return profile
+def _parallel_outflow(p, x, t):
+    return np.zeros((np.asarray(x).shape[0], 1))
 
 
-def _profile_linear_shear(params):
-    p = _take(params, (), (("rate_1_s", 1.0),))
-    rate = float(p["rate_1_s"])
-
-    def profile(x, t):
-        out = np.zeros((x.shape[0], 2))
-        out[:, 0] = rate * x[:, 1]
-        return out
-
-    return profile
+def _constant(p, x, t):
+    return np.tile(p["value_m_s"], (np.asarray(x).shape[0], 1))
 
 
-def _profile_channel_parabola(params):
-    p = _take(params, ("u_max_m_s", "y0_m", "y1_m"))
-    umax, y0, y1 = float(p["u_max_m_s"]), float(p["y0_m"]), float(p["y1_m"])
-    if y1 <= y0:
-        raise CaseError("channel_parabola needs y1_m > y0_m")
-
-    def profile(x, t):
-        y = x[:, 1]
-        out = np.zeros((x.shape[0], 2))
-        out[:, 0] = umax * 4.0 * (y - y0) * (y1 - y) / (y1 - y0) ** 2
-        return out
-
-    return profile
+def _linear_shear(p, x, t):
+    return _in_component(x, 0, p["rate_1_s"] * x[:, 1])
 
 
-def _profile_valve_inlet(params):
+def _channel_parabola(p, x, t):
+    umax, y0, y1 = p["u_max_m_s"], p["y0_m"], p["y1_m"]
+    y = x[:, 1]
+    return _in_component(x, 0, umax * 4.0 * (y - y0) * (y1 - y) / (y1 - y0) ** 2)
+
+
+def _valve_inlet(p, x, t):
     """Downward parabolic inflow ramped like sqrt(t / t_end).
 
     The shape is coeff * xi (xi - width) with xi the offset from the left
     edge of the inlet, negative on (0, width), so the jet points in -y.
     """
-    p = _take(params, ("x0_m", "width_m", "coeff_1_m_s", "t_end_s"))
-    x0, width = float(p["x0_m"]), float(p["width_m"])
-    coeff, t_end = float(p["coeff_1_m_s"]), float(p["t_end_s"])
-
-    def profile(x, t):
-        xi = x[:, 0] - x0
-        ramp = np.sqrt(np.maximum(np.asarray(t, dtype=np.float64), 0.0) / t_end)
-        out = np.zeros((x.shape[0], 2))
-        out[:, 1] = coeff * xi * (xi - width) * ramp
-        return out
-
-    return profile
+    xi = x[:, 0] - p["x0_m"]
+    ramp = np.sqrt(np.maximum(np.asarray(t, dtype=np.float64), 0.0) / p["t_end_s"])
+    return _in_component(x, 1, p["coeff_1_m_s"] * xi * (xi - p["width_m"]) * ramp)
 
 
-def _profile_gate_slide(params):
+def _gate_slide(p, x, t):
     """Horizontal velocity of the sliding gate surface.
 
     Matches the time derivative of the valve deformation map: full plug
     velocity at the gate tip, tapering linearly to zero at the attached end
     and across the slot toward the fixed block.
     """
-    p = _take(params, ("x_gate_rest_m", "x_wall_m", "speed_m_s", "schedule_s"))
-    rest, wall = float(p["x_gate_rest_m"]), float(p["x_wall_m"])
-    speed = float(p["speed_m_s"])
-    schedule = tuple(float(v) for v in p["schedule_s"])
-
-    def profile(x, t):
-        v = msh.plug_velocity(np.asarray(t, dtype=np.float64), speed, schedule)
-        xc = x[:, 0]
-        taper = np.where(xc <= rest, xc / rest,
-                         np.clip((wall - xc) / (wall - rest), 0.0, 1.0))
-        out = np.zeros((x.shape[0], 2))
-        out[:, 0] = taper * v
-        return out
-
-    return profile
+    rest, wall = p["x_gate_rest_m"], p["x_wall_m"]
+    v = msh.plug_velocity(np.asarray(t, dtype=np.float64), p["speed_m_s"], p["schedule_s"])
+    xc = x[:, 0]
+    taper = np.where(xc <= rest, xc / rest,
+                     np.clip((wall - xc) / (wall - rest), 0.0, 1.0))
+    return _in_component(x, 0, taper * v)
 
 
-def _profile_artery_inlet(params):
+def _artery_inlet(p, x, t):
     """Unit-amplitude parabola 1 - (y/r0)^2 with a sqrt(t / t_ramp) ramp."""
-    p = _take(params, ("r0_m", "t_ramp_s"))
-    r0, t_ramp = float(p["r0_m"]), float(p["t_ramp_s"])
-
-    def profile(x, t):
-        tt = np.asarray(t, dtype=np.float64)
-        ramp = np.sqrt(np.clip(tt, 0.0, t_ramp) / t_ramp)
-        out = np.zeros((x.shape[0], 2))
-        out[:, 0] = (1.0 - (x[:, 1] / r0) ** 2) * ramp
-        return out
-
-    return profile
+    t_ramp = p["t_ramp_s"]
+    ramp = np.sqrt(np.clip(np.asarray(t, dtype=np.float64), 0.0, t_ramp) / t_ramp)
+    return _in_component(x, 0, (1.0 - (x[:, 1] / p["r0_m"]) ** 2) * ramp)
 
 
-def _profile_artery_wall(params):
+def _artery_wall(p, x, t):
     """Wall-normal velocity of the narrowing channel walls.
 
     Exactly the time derivative of the narrowing deformation at reference
     height y, so the no-slip wall moves with the mesh.
     """
-    p = _take(params, ("x_center_m", "x_halfwidth_m"))
-    center, halfwidth = float(p["x_center_m"]), float(p["x_halfwidth_m"])
+    g = msh.narrowing_blend(x[:, 0], p["x_center_m"], p["x_halfwidth_m"])
+    rate = msh.narrowing_rate(np.asarray(t, dtype=np.float64))
+    return _in_component(x, 1, x[:, 1] * g * rate)
 
-    def profile(x, t):
-        g = msh.narrowing_blend(x[:, 0], center, halfwidth)
-        out = np.zeros((x.shape[0], 2))
-        out[:, 1] = x[:, 1] * g * msh.narrowing_rate(np.asarray(t, dtype=np.float64))
-        return out
 
-    return profile
+def _finite_keys(*keys):
+    return {key: (_finite, _REQUIRED) for key in keys}
 
 
 PROFILES = {
-    "noslip": _profile_noslip,
-    "parallel_outflow": _profile_parallel_outflow,
-    "constant": _profile_constant,
-    "linear_shear": _profile_linear_shear,
-    "channel_parabola": _profile_channel_parabola,
-    "valve_inlet": _profile_valve_inlet,
-    "gate_slide": _profile_gate_slide,
-    "artery_inlet": _profile_artery_inlet,
-    "artery_wall": _profile_artery_wall,
+    "noslip": ({"n_components": (_count, 2)}, _noslip),
+    "parallel_outflow": ({}, _parallel_outflow),
+    "constant": ({"value_m_s": (_list_of(_finite), _REQUIRED)}, _constant),
+    "linear_shear": ({"rate_1_s": (_finite, 1.0)}, _linear_shear),
+    "channel_parabola": (_finite_keys("u_max_m_s", "y0_m", "y1_m"), _channel_parabola),
+    "valve_inlet": (_finite_keys("x0_m", "width_m", "coeff_1_m_s", "t_end_s"), _valve_inlet),
+    "gate_slide": (dict(_finite_keys("x_gate_rest_m", "x_wall_m", "speed_m_s"),
+                        schedule_s=(_list_of(_finite), _REQUIRED)), _gate_slide),
+    "artery_inlet": (_finite_keys("r0_m", "t_ramp_s"), _artery_inlet),
+    "artery_wall": (_finite_keys("x_center_m", "x_halfwidth_m"), _artery_wall),
 }
 
 
 def make_profile(name, params):
-    """Resolve a named profile to a callable; unknown names are errors."""
-    try:
-        factory = PROFILES[name]
-    except KeyError:
+    """Resolve a named profile to a callable profile(x, t); unknown names and
+    parameters are errors."""
+    if name not in PROFILES:
         raise CaseError("unknown boundary profile %r (available: %s)"
-                        % (name, ", ".join(sorted(PROFILES)))) from None
-    return factory(params or {})
+                        % (name, ", ".join(sorted(PROFILES))))
+    table, f = PROFILES[name]
+    p = read_section(params or {}, table, "profile parameter")
+    if name == "channel_parabola" and p["y1_m"] <= p["y0_m"]:
+        raise CaseError("channel_parabola needs y1_m > y0_m")
+    return lambda x, t: f(p, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -288,56 +283,55 @@ def channel_spatial_mesh(length, halfwidth, n_x, n_y):
                               bottom="wall", top="wall")
 
 
-def _reject_extra(given, where):
-    if given:
-        raise CaseError("unknown %s key %r" % (where, sorted(given)[0]))
+_GEOMETRY = {
+    "valve": dict(refine=(_finite, 1.0), **_finite_keys("dt_s", "t_end_s")),
+    "channel": dict(_finite_keys("length_m", "halfwidth_m", "t_end_s"),
+                    narrow_center_m=(_optional(_finite), None),
+                    narrow_halfwidth_m=(_optional(_finite), None),
+                    **{key: (_count, _REQUIRED) for key in ("n_x", "n_y", "n_levels")}),
+    "rectangle": {key: (_list_of(_finite), _REQUIRED)
+                  for key in ("x_breaks_m", "y_breaks_m", "time_levels_s")},
+}
+
+
+def _read_geometry(geometry):
+    kind = geometry.get("kind") if isinstance(geometry, dict) else None
+    if not isinstance(kind, str) or kind not in _GEOMETRY:
+        raise CaseError("unknown geometry kind %r" % (kind,))
+    return read_section(geometry, dict(_GEOMETRY[kind], kind=(_text, _REQUIRED)), "geometry")
 
 
 def build_mesh(config):
     """Deformed space-time mesh of the configured geometry."""
-    try:
-        return _geometry_mesh(dict(config.geometry))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CaseError("malformed geometry (%s: %s)"
-                        % (type(exc).__name__, exc)) from None
-
-
-def _geometry_mesh(g):
-    kind = g.pop("kind", None)
-    if kind == "valve":
-        refine = float(g.pop("refine", 1.0))
-        dt = float(g.pop("dt_s"))
-        t_end = float(g.pop("t_end_s"))
-        _reject_extra(g, "geometry")
-        n = int(round(t_end / dt))
+    g = _read_geometry(config.geometry)
+    if g["kind"] == "valve":
+        dt, t_end = g["dt_s"], g["t_end_s"]
+        n = round(t_end / dt) if dt > 0 else 0
         if n < 1 or abs(n * dt - t_end) > 1e-9 * t_end:
             raise CaseError("dt_s must divide t_end_s evenly")
-        return msh.extrude(valve_spatial_mesh(refine), np.linspace(0.0, t_end, n + 1),
+        return msh.extrude(valve_spatial_mesh(g["refine"]), np.linspace(0.0, t_end, n + 1),
                            valve_deformation())
-    if kind == "channel":
-        length = float(g.pop("length_m"))
-        halfwidth = float(g.pop("halfwidth_m"))
-        center = g.pop("narrow_center_m", None)
-        narrow_hw = g.pop("narrow_halfwidth_m", None)
-        n_x, n_y = int(g.pop("n_x")), int(g.pop("n_y"))
-        n_levels = int(g.pop("n_levels"))
-        t_end = float(g.pop("t_end_s"))
-        _reject_extra(g, "geometry")
-        if n_levels < 2:
+    if g["kind"] == "channel":
+        center, narrow_hw = g["narrow_center_m"], g["narrow_halfwidth_m"]
+        if g["n_levels"] < 2:
             raise CaseError("channel geometry needs n_levels >= 2")
-        narrowing = (None if center is None
-                     else msh.channel_narrowing_map(float(center), float(narrow_hw)))
-        return msh.extrude(channel_spatial_mesh(length, halfwidth, n_x, n_y),
-                           np.linspace(0.0, t_end, n_levels), narrowing)
-    if kind == "rectangle":
-        xb = np.asarray(g.pop("x_breaks_m"), dtype=np.float64)
-        yb = np.asarray(g.pop("y_breaks_m"), dtype=np.float64)
-        levels = np.asarray(g.pop("time_levels_s"), dtype=np.float64)
-        _reject_extra(g, "geometry")
-        sp = msh.rectangle_mesh(xb, yb, left="left", right="right",
-                                bottom="bottom", top="top")
-        return msh.extrude(sp, levels)
-    raise CaseError("unknown geometry kind %r" % kind)
+        if center is not None and narrow_hw is None:
+            raise CaseError("channel geometry with narrow_center_m needs narrow_halfwidth_m")
+        narrowing = None if center is None else msh.channel_narrowing_map(center, narrow_hw)
+        return msh.extrude(channel_spatial_mesh(g["length_m"], g["halfwidth_m"],
+                                                g["n_x"], g["n_y"]),
+                           np.linspace(0.0, g["t_end_s"], g["n_levels"]), narrowing)
+    sp = msh.rectangle_mesh(np.asarray(g["x_breaks_m"]), np.asarray(g["y_breaks_m"]),
+                            left="left", right="right", bottom="bottom", top="top")
+    return msh.extrude(sp, np.asarray(g["time_levels_s"]))
+
+
+def _read_boundary(given):
+    """One boundary entry's checked values and its DirichletSpec."""
+    e = read_section(given, _BOUNDARY, "boundary")
+    return e, DirichletSpec(tag=e["tag"], components=tuple(e["components"]),
+                            profile=make_profile(e["profile"], e["params"]),
+                            group=e["group"])
 
 
 def build_problem(config, mesh=None):
@@ -345,38 +339,66 @@ def build_problem(config, mesh=None):
 
     With a mesh given, every referenced tag must exist on it.
     """
-    if mesh is not None:
-        known = set(mesh.tags())
-        for entry in config.boundary:
-            if entry["tag"] not in known:
-                raise CaseError("boundary tag %r does not exist in the mesh "
-                                "(tags: %s)" % (entry["tag"], ", ".join(sorted(known))))
-    specs = []
-    for entry in config.boundary:
-        profile = make_profile(entry["profile"], entry.get("params", {}))
-        specs.append(DirichletSpec(tag=entry["tag"],
-                                   components=tuple(int(c) for c in entry["components"]),
-                                   profile=profile,
-                                   group=entry.get("group", "fixed")))
+    specs = tuple(_read_boundary(entry)[1] for entry in config.boundary)
+    known = {spec.tag for spec in specs} if mesh is None else set(mesh.tags())
+    for spec in specs:
+        if spec.tag not in known:
+            raise CaseError("boundary tag %r does not exist in the mesh "
+                            "(tags: %s)" % (spec.tag, ", ".join(sorted(known))))
     body = BodyForce(tuple(config.body_force)) if config.body_force else None
     return FomProblem(name=config.case_id, material=config.material,
-                      dirichlet=tuple(specs), amplitudes=dict(config.amplitudes),
+                      dirichlet=specs, amplitudes=dict(config.amplitudes),
                       space=config.space, body_force=body)
 
 
 # ---------------------------------------------------------------------------
 # configuration format
 
+def _schema_version(value):
+    if isinstance(value, bool) or value != SCHEMA_VERSION:
+        raise CaseError("unsupported schema_version %r (this build reads %d)"
+                        % (value, SCHEMA_VERSION))
+    return value
+
+
+def _section(table, where):
+    return lambda value: read_section(value, table, where)
+
+
+def _amplitudes(value):
+    return read_section(value, {key: (_finite, _REQUIRED) for key in _object(value)},
+                        "amplitudes")
+
+
 _MATERIAL_KEYS = (("rho_kg_m3", "rho"), ("eta0_pa_s", "eta_0"),
                   ("etainf_pa_s", "eta_inf"), ("lambda_s", "lam"),
                   ("a", "a"), ("n", "n"))
-_TOP_KEYS = {"schema_version", "case_id", "geometry", "material", "boundary",
-             "amplitudes", "parameters", "body_force_m_s2", "solver", "plan",
-             "rom"}
-_BOUNDARY_KEYS = {"tag", "profile", "components", "group", "params"}
-_SOLVER_KEYS = {"picard_tol", "picard_max"}
-_PLAN_KEYS = {"train_counts", "n_test", "seed"}
-_ROM_KEYS = {"tol_eim_eta", "tol_eim_tau", "energy_threshold", "rank_cutoff"}
+_MATERIAL = {key: (_number, _REQUIRED) for key, _ in _MATERIAL_KEYS}
+_BOUNDARY = {"tag": (_text, _REQUIRED), "profile": (_text, _REQUIRED),
+             "components": (_list_of(_count), _REQUIRED),
+             "group": (_text, "fixed"), "params": (_object, {})}
+_SOLVER = {"picard_tol": (_number, 1e-8), "picard_max": (_count, 50)}
+_PLAN = {"train_counts": (_list_of(_count), (4, 4)), "n_test": (_count, 10),
+         "seed": (_count, 1234)}
+_ROM = {"tol_eim_eta": (_number, 1e-12), "tol_eim_tau": (_number, 1e-12),
+        "energy_threshold": (_number, 1.0), "rank_cutoff": (_optional(_number), None)}
+_TOP = {
+    "schema_version": (_schema_version, None),
+    "case_id": (_text, _REQUIRED),
+    "geometry": (_read_geometry, _REQUIRED),
+    "material": (_section(_MATERIAL, "material"), _REQUIRED),
+    "boundary": (_list_of(lambda e: _read_boundary(e)[0]), _REQUIRED),
+    "amplitudes": (_amplitudes, {}),
+    "parameters": (_optional(_object), None),      # space_from_dict reads it
+    "body_force_m_s2": (_optional(_list_of(_number)), None),
+    "solver": (_section(_SOLVER, "solver"), {}),
+    "plan": (_section(_PLAN, "plan"), {}),
+    "rom": (_section(_ROM, "rom"), {}),
+}
+
+
+def _given(overrides):
+    return {key: value for key, value in overrides.items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -390,61 +412,45 @@ class CaseConfig:
     amplitudes: dict = field(default_factory=dict)
     space: ParameterSpace = None
     body_force: tuple = None
-    solver: dict = field(default_factory=lambda: {"picard_tol": 1e-8,
-                                                  "picard_max": 50})
-    plan: dict = field(default_factory=lambda: {"train_counts": [4, 4],
-                                                "n_test": 10, "seed": 1234})
-    rom: dict = field(default_factory=lambda: {"tol_eim_eta": 1e-12,
-                                               "tol_eim_tau": 1e-12,
-                                               "energy_threshold": 1.0})
+    solver: dict = field(default_factory=lambda: read_section({}, _SOLVER, "solver"))
+    plan: dict = field(default_factory=lambda: read_section({}, _PLAN, "plan"))
+    rom: dict = field(default_factory=lambda: read_section({}, _ROM, "rom"))
 
     def to_dict(self):
-        m = self.material
-        out = {
+        return json.loads(json.dumps({
             "schema_version": SCHEMA_VERSION,
             "case_id": self.case_id,
-            "geometry": json.loads(json.dumps(self.geometry)),
-            "material": {key: float(getattr(m, attr)) for key, attr in _MATERIAL_KEYS},
-            "boundary": [
-                {"tag": e["tag"], "profile": e["profile"],
-                 "components": [int(c) for c in e["components"]],
-                 "group": e.get("group", "fixed"),
-                 "params": json.loads(json.dumps(e.get("params", {})))}
-                for e in self.boundary
-            ],
+            "geometry": self.geometry,
+            "material": {key: float(getattr(self.material, attr))
+                         for key, attr in _MATERIAL_KEYS},
+            "boundary": [read_section(e, _BOUNDARY, "boundary") for e in self.boundary],
             "amplitudes": {k: float(v) for k, v in self.amplitudes.items()},
             "parameters": space_to_dict(self.space),
             "body_force_m_s2": None if self.body_force is None
                                else [float(f) for f in self.body_force],
-            "solver": json.loads(json.dumps(self.solver)),
-            "plan": json.loads(json.dumps(self.plan)),
-            "rom": json.loads(json.dumps(self.rom)),
-        }
-        return out
+            "solver": self.solver,
+            "plan": self.plan,
+            "rom": self.rom,
+        }))
 
     def picard_options(self):
         """solve_fom / solve_rom keyword arguments of the solver section."""
-        return {"picard_tol": float(self.solver.get("picard_tol", 1e-8)),
-                "picard_max": int(self.solver.get("picard_max", 50))}
+        return read_section(self.solver, _SOLVER, "solver")
 
-    def plan_options(self):
-        """Training grid counts, test count and seed of the plan section."""
-        p = self.plan
-        return {"train_counts": tuple(int(c) for c in p.get("train_counts", (4, 4))),
-                "n_test": int(p.get("n_test", 10)), "seed": int(p.get("seed", 1234))}
+    def plan_options(self, **overrides):
+        """Training grid counts, test count and seed of the plan section.
+
+        Overrides (command-line flags) replace entries unless they are None.
+        """
+        plan = read_section(dict(self.plan, **_given(overrides)), _PLAN, "plan")
+        return dict(plan, train_counts=tuple(plan["train_counts"]))
 
     def offline_options(self, **overrides):
         """offline_build keyword arguments of the rom section.
 
         Overrides (command-line flags) replace entries unless they are None.
         """
-        opts = dict(self.rom)
-        opts.update((k, v) for k, v in overrides.items() if v is not None)
-        return {"tol_eim_eta": float(opts.get("tol_eim_eta", 1e-12)),
-                "tol_eim_tau": float(opts.get("tol_eim_tau", 1e-12)),
-                "energy_threshold": float(opts.get("energy_threshold", 1.0)),
-                "rank_cutoff": None if opts.get("rank_cutoff") is None
-                               else float(opts["rank_cutoff"])}
+        return read_section(dict(self.rom, **_given(overrides)), _ROM, "rom")
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -452,74 +458,20 @@ class CaseConfig:
             fh.write("\n")
 
 
-def _material_from_dict(d):
-    keys = {k for k, _ in _MATERIAL_KEYS}
-    extra = set(d) - keys
-    if extra:
-        raise CaseError("unknown material key %r (the unit suffix is part of "
-                        "the key)" % sorted(extra)[0])
-    missing = keys - set(d)
-    if missing:
-        raise CaseError("material key %r is missing" % sorted(missing)[0])
-    if any(isinstance(v, bool) for v in d.values()):
-        raise CaseError("material values must be numbers, not booleans")
-    return CarreauYasudaParams(**{attr: float(d[key]) for key, attr in _MATERIAL_KEYS})
-
-
-def _checked_section(d, allowed, where):
-    out = dict(d or {})
-    extra = set(out) - allowed
-    if extra:
-        raise CaseError("unknown %s key %r" % (where, sorted(extra)[0]))
-    return out
-
-
 def config_from_dict(data):
-    if not isinstance(data, dict):
-        raise CaseError("case configuration must be a JSON object")
-    extra = set(data) - _TOP_KEYS
-    if extra:
-        raise CaseError("unknown configuration key %r" % sorted(extra)[0])
-    version = data.get("schema_version")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise CaseError("unsupported schema_version %r (this build reads %d)"
-                        % (version, SCHEMA_VERSION))
-    for key in ("case_id", "geometry", "material", "boundary"):
-        if key not in data:
-            raise CaseError("configuration key %r is missing" % key)
+    c = read_section(data, _TOP, "configuration")
     try:
-        boundary = []
-        for e in data["boundary"]:
-            extra = set(e) - _BOUNDARY_KEYS
-            if extra:
-                raise CaseError("unknown boundary key %r" % sorted(extra)[0])
-            if "tag" not in e or "profile" not in e or "components" not in e:
-                raise CaseError("boundary entries need tag, profile and components")
-            entry = {"tag": str(e["tag"]), "profile": str(e["profile"]),
-                     "components": [int(c) for c in e["components"]],
-                     "group": str(e.get("group", "fixed")),
-                     "params": dict(e.get("params", {}))}
-            make_profile(entry["profile"], entry["params"])   # fail fast on bad params
-            boundary.append(entry)
-        body = data.get("body_force_m_s2")
-        config = CaseConfig(
-            case_id=str(data["case_id"]),
-            geometry=dict(data["geometry"]),
-            material=_material_from_dict(data["material"]),
-            boundary=tuple(boundary),
-            amplitudes={str(k): float(v) for k, v in (data.get("amplitudes") or {}).items()},
-            space=space_from_dict(data.get("parameters")),
-            body_force=None if body is None else tuple(float(f) for f in body),
-            solver=_checked_section(data.get("solver"), _SOLVER_KEYS, "solver"),
-            plan=_checked_section(data.get("plan"), _PLAN_KEYS, "plan"),
-            rom=_checked_section(data.get("rom"), _ROM_KEYS, "rom"),
-        )
-        # read every option once, so a bad value fails at load time
-        config.picard_options(), config.plan_options(), config.offline_options()
-    except (TypeError, ValueError, AttributeError, ParameterError) as exc:
+        material = CarreauYasudaParams(**{attr: c["material"][key]
+                                          for key, attr in _MATERIAL_KEYS})
+        space = space_from_dict(c["parameters"])
+    except (TypeError, ValueError, ParameterError) as exc:
         raise CaseError("malformed configuration (%s: %s)"
                         % (type(exc).__name__, exc)) from None
-    return config
+    body = c["body_force_m_s2"]
+    return CaseConfig(case_id=c["case_id"], geometry=c["geometry"], material=material,
+                      boundary=tuple(c["boundary"]), amplitudes=c["amplitudes"],
+                      space=space, body_force=None if body is None else tuple(body),
+                      solver=c["solver"], plan=c["plan"], rom=c["rom"])
 
 
 def load_case(path):
@@ -571,7 +523,6 @@ def valve_analog_config(refine=2.0, dt_s=0.1):
         material=material, boundary=boundary, amplitudes={}, space=space,
         solver={"picard_tol": 1e-8, "picard_max": 60},
         plan={"train_counts": [4, 4], "n_test": 10, "seed": 7321},
-        rom={"tol_eim_eta": 1e-12, "tol_eim_tau": 1e-12, "energy_threshold": 1.0},
     )
 
 
@@ -607,7 +558,6 @@ def artery_analog_config(n_x=24, n_y=10, n_levels=11):
         space=space,
         solver={"picard_tol": 1e-8, "picard_max": 60},
         plan={"train_counts": [16], "n_test": 10, "seed": 4177},
-        rom={"tol_eim_eta": 1e-12, "tol_eim_tau": 1e-12, "energy_threshold": 1.0},
     )
 
 

@@ -110,12 +110,9 @@ def _plan_from(config, args):
     """Sample plan of the config with --train-grid / --seed overrides."""
     if config.space is None:
         raise CliError("case %r has no parameter space" % config.case_id)
-    plan = config.plan_options()
-    counts = (parse_train_grid(args.train_grid) if args.train_grid
-              else plan["train_counts"])
-    seed = args.seed if args.seed is not None else plan["seed"]
-    return SamplePlan(box=config.space.box, train_counts=counts,
-                      n_test=plan["n_test"], seed=seed)
+    counts = parse_train_grid(args.train_grid) if args.train_grid else None
+    return SamplePlan(box=config.space.box,
+                      **config.plan_options(train_counts=counts, seed=args.seed))
 
 
 def _offline_options(config, args):

@@ -167,6 +167,9 @@ def build_dof_map(mesh, specs):
         raise SolverError("no Dirichlet data for tags %s" % sorted(needed - given))
     constrained = np.zeros((mesh.n_nodes, d), dtype=bool)
     for s in specs:
+        if any(not 0 <= c < d for c in s.components):
+            raise SolverError("tag %r constrains components %s of a %d-component "
+                              "velocity" % (s.tag, list(s.components), d))
         nodes = mesh.nodes_of_tag(s.tag)
         for c in s.components:
             constrained[nodes, c] = True

@@ -1,7 +1,12 @@
 """Bundled cases: profiles, geometry, config format, and flow behavior."""
 
+import copy
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stmor import mesh as msh
 from stmor.cases import (CaseConfig, CaseError, artery_analog_config,
@@ -10,7 +15,8 @@ from stmor.cases import (CaseConfig, CaseError, artery_analog_config,
                          load_case, make_profile,
                          poiseuille_body_config, valve_analog_config,
                          valve_spatial_mesh)
-from stmor.fom import build_dof_map, build_lifting, solve_fom
+from stmor.constitutive import ParameterError
+from stmor.fom import SolverError, build_dof_map, build_lifting, solve_fom
 
 # hand-computed planform constants of the valve case
 VALVE_AREA = 0.0081375            # 0.1^2 - 0.025 * (0.0495 + 0.025)
@@ -410,3 +416,144 @@ class TestArteryFlow:
         f_in = level_slice_flux(mesh, u, 0, 0.0, -5e-3, 5e-3, level)
         f_out = level_slice_flux(mesh, u, 0, 60e-3, -5e-3, 5e-3, level)
         assert abs(f_out - f_in) <= 0.01 * abs(f_in)
+
+
+# ---------------------------------------------------------------------------
+# key tables: one reader for every config section
+
+def small_artery():
+    return artery_analog_config(n_x=6, n_y=3, n_levels=3)
+
+
+def leaves(data, path=()):
+    """Paths to the scalars of a JSON tree; an empty object or list is one."""
+    items = (data.items() if isinstance(data, dict)
+             else enumerate(data) if isinstance(data, list) else ())
+    items = list(items)
+    if not items:
+        yield path
+    for key, value in items:
+        yield from leaves(value, path + (key,))
+
+
+def set_leaf(data, path, value):
+    out = copy.deepcopy(data)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def leaf(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+FUZZ_CASES = {"couette": couette_config(n=2).to_dict(), "artery": small_artery().to_dict()}
+FUZZ_LEAVES = [(name, path) for name, data in FUZZ_CASES.items() for path in leaves(data)]
+FUZZ_VALUES = [float("nan"), float("inf"), -float("inf"), True, False, "x", None,
+               [1.0], -1, -0.5, 1e300]
+
+
+class TestKeyTables:
+    @pytest.mark.parametrize("case, path, value", [
+        ("couette", ("plan", "n_test"), -3),
+        ("couette", ("plan", "seed"), -5),
+        ("couette", ("plan", "seed"), 1.7),
+        ("couette", ("plan", "train_counts"), [2.5]),
+        ("couette", ("solver", "picard_max"), 7.9),
+        ("couette", ("solver", "picard_max"), True),
+        ("couette", ("boundary", 0, "components"), [0, -1]),
+        ("couette", ("boundary", 0, "components"), [0.7, 1]),
+        ("couette", ("boundary", 0, "params", "rate_1_s"), True),
+        ("couette", ("geometry", "x_breaks_m"), [0.0, float("nan"), 1.0]),
+        ("couette", ("body_force_m_s2",), [True, 0.0]),
+        ("artery", ("geometry", "n_x"), 6.9),
+        ("artery", ("geometry", "length_m"), float("inf")),
+        ("artery", ("geometry", "t_end_s"), float("nan")),
+        ("artery", ("amplitudes", "inflow"), float("nan")),
+        ("artery", ("boundary", 0, "params", "r0_m"), float("nan")),
+        ("artery", ("boundary", 2, "components"), [-1]),
+    ])
+    def test_bad_value_is_refused_at_load_naming_its_key(self, case, path, value):
+        data = set_leaf(FUZZ_CASES[case], path, value)
+        key = [k for k in path if isinstance(k, str)][-1]
+        with pytest.raises(CaseError, match="'%s' is" % key):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("path, value", [
+        (("solver", "picard_tol"), float("nan")),
+        (("rom", "tol_eim_eta"), -1.0),
+        (("rom", "energy_threshold"), 5.0),
+        (("rom", "rank_cutoff"), float("nan")),
+    ])
+    def test_ranges_the_library_checks_are_left_to_it(self, path, value):
+        config = config_from_dict(set_leaf(FUZZ_CASES["couette"], path, value))
+        options = {**config.picard_options(), **config.offline_options()}
+        assert options[path[1]] is value or math.isnan(options[path[1]])
+
+    def test_absent_keys_take_the_table_defaults(self):
+        data = FUZZ_CASES["couette"]
+        data = dict(data, solver={}, plan={"seed": 3}, boundary=[
+            {"tag": e["tag"], "profile": "linear_shear", "components": [0, 1]}
+            for e in data["boundary"]])
+        for key in ("amplitudes", "rom", "parameters", "body_force_m_s2"):
+            del data[key]
+        config = config_from_dict(data)
+        assert config.picard_options() == {"picard_tol": 1e-8, "picard_max": 50}
+        assert config.plan_options() == {"train_counts": (4, 4), "n_test": 10, "seed": 3}
+        assert config.offline_options() == {"tol_eim_eta": 1e-12, "tol_eim_tau": 1e-12,
+                                            "energy_threshold": 1.0, "rank_cutoff": None}
+        assert config.boundary[0]["group"] == "fixed" and config.boundary[0]["params"] == {}
+        mesh = build_mesh(config)
+        assert build_mesh(couette_config(n=2)).content_hash() == mesh.content_hash()
+        assert build_problem(config, mesh).dirichlet[0].profile(
+            np.array([[0.0, 0.5]]), np.zeros(1))[0, 0] == 0.5
+
+    def test_overrides_are_read_through_the_table(self):
+        config = couette_config(n=2)
+        assert config.plan_options(seed=None)["seed"] == 1
+        assert config.plan_options(seed=8, train_counts=(3,))["train_counts"] == (3,)
+        assert config.offline_options(tol_eim_eta=None)["tol_eim_eta"] == 1e-12
+        with pytest.raises(CaseError, match="'seed' is -5"):
+            config.plan_options(seed=-5)
+        with pytest.raises(CaseError, match="'energy_threshold' is True"):
+            config.offline_options(energy_threshold=True)
+
+    def test_geometry_without_a_valid_step_or_narrowing_width(self):
+        for dt in (0.0, -0.1):
+            with pytest.raises(CaseError, match="dt_s"):
+                build_mesh(valve_analog_config(refine=1.0, dt_s=dt))
+        data = FUZZ_CASES["artery"]
+        data = dict(data, geometry=dict(data["geometry"], narrow_halfwidth_m=None))
+        with pytest.raises(CaseError, match="narrow_halfwidth_m"):
+            build_mesh(config_from_dict(data))
+
+    def test_component_outside_the_velocity_is_a_solver_error(self):
+        config = couette_config(n=2)
+        mesh = build_mesh(config)
+        specs = build_problem(config, mesh).dirichlet
+        for components in ((0, 2), (-1,)):
+            bad = (replace(specs[0], components=components),) + specs[1:]
+            with pytest.raises(SolverError, match="components"):
+                build_dof_map(mesh, bad)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(where=st.sampled_from(FUZZ_LEAVES), value=st.sampled_from(FUZZ_VALUES))
+    def test_any_one_bad_leaf_is_kept_or_refused_with_a_typed_error(self, where, value):
+        """One leaf of a small config set to a bad value either builds with
+        that very value or stops with the case, parameter or mesh error that
+        the command line prints as one line; the mesh library keeps its own
+        range checks (increasing breaks and times)."""
+        name, path = where
+        data = set_leaf(FUZZ_CASES[name], path, value)
+        try:
+            config = config_from_dict(data)
+            build_problem(config, build_mesh(config))
+        except (CaseError, ParameterError, msh.MeshError):
+            return
+        kept = leaf(config.to_dict(), path)
+        assert kept == value or (kept != kept and value != value)
+        assert type(kept) is not bool or type(value) is bool

@@ -464,6 +464,48 @@ class TestFailureModes:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "CaseError"
 
+    @pytest.mark.parametrize("case, argv, path, value, error, key", [
+        ("duct", ["study"], ("plan", "n_test"), -3, "CaseError", "'n_test'"),
+        ("duct", ["snapshots"], ("plan", "seed"), -5, "CaseError", "'seed'"),
+        ("duct", ["study"], ("plan", "seed"), 1.7, "CaseError", "'seed'"),
+        ("duct", ["snapshots", "--seed", "-5"], None, None, "CaseError", "'seed'"),
+        ("duct", ["study", "--seed", "-5"], None, None, "CaseError", "'seed'"),
+        ("duct", ["fom"], ("boundary", 0, "components"), [0, 5], "SolverError",
+         "components [0, 5]"),
+        ("duct", ["fom"], ("boundary", 0, "components"), [0, -1], "CaseError",
+         "'components'"),
+        ("duct", ["fom"], ("boundary", 0, "components"), [0.7, 1], "CaseError",
+         "'components'"),
+        ("duct", ["fom"], ("solver", "picard_max"), 7.9, "CaseError", "'picard_max'"),
+        ("duct", ["fom"], ("solver", "picard_max"), True, "CaseError", "'picard_max'"),
+        ("duct", ["fom"], ("amplitudes", "inflow"), float("nan"), "CaseError", "'inflow'"),
+        ("artery", ["mesh"], ("geometry", "n_x"), 6.9, "CaseError", "'n_x'"),
+        ("artery", ["mesh"], ("geometry", "halfwidth_m"), float("inf"), "CaseError",
+         "'halfwidth_m'"),
+        ("artery", ["mesh"], ("boundary", 0, "params", "r0_m"), float("nan"), "CaseError",
+         "'r0_m'"),
+        ("artery", ["mesh"], ("geometry", "narrow_center_m"), "x", "CaseError",
+         "'narrow_center_m'"),
+    ])
+    def test_bad_config_value_is_one_json_line_naming_it(self, case, argv, path, value,
+                                                         error, key, capsys, tmp_path):
+        cfg = (duct_config() if case == "duct"
+               else cases.artery_analog_config(n_x=6, n_y=3, n_levels=3)).to_dict()
+        if path is not None:
+            node = cfg
+            for part in path[:-1]:
+                node = node[part]
+            node[path[-1]] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(cfg))
+        assert main(argv + ["--case", str(config), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == error
+        assert key in payload["message"]
+        assert not (tmp_path / "fom_solution.stm").exists()
+
     @pytest.mark.parametrize("text, match", [
         ("{not json", "not a JSON study report"),
         ("[]", "JSON list, not a study report object"),

@@ -1,0 +1,142 @@
+"""sha256 digests of stmor's results on a fixed list of inputs.
+
+    python3 tools/digests.py                     # this checkout's digests, as JSON
+    python3 tools/digests.py --base ../parent    # and a diff against another checkout
+
+The list:
+    mesh/<case>, lifting/<case>
+        the mesh's ``content_hash`` and the lifting vectors (group,
+        coefficient, values) of every bundled case, of the 12x5x6 artery the
+        benchmark's ``artery-rom`` workload runs, each built both from the
+        factory and from the factory's ``to_dict`` read back by
+        ``config_from_dict`` (``<case>@json``);
+    fom/<case>
+        ``solve_fom`` v, p, convergence flag, iteration count and the
+        iteration records without their timings, on couette, poiseuille-body
+        and the 12x5x6 artery, with the case's solver options;
+    rom/package, rom/<point>
+        the bytes of ``rom.write_rom`` of the 12x5x6 artery's offline build
+        over its 16-point training grid, and ``solve_rom`` (v_N, p_N, flag,
+        records without timings) at the box centre and corners.
+
+With --base, the same list runs on both checkouts' ``src/``, each in a
+subprocess, side by side, and any differing or missing entry is printed;
+the exit status is 1 then, else 0.  BLAS is pinned to one thread, as in
+perfbench, so that both sides sum in the same order.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+HEAD = Path(__file__).resolve().parent.parent
+ARTERY_ROM = {"n_x": 12, "n_y": 5, "n_levels": 6}
+FOM_CASES = (("couette", {}), ("poiseuille-body", {}), ("artery-analog", ARTERY_ROM))
+
+
+def sha(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def records(log):
+    """Iteration records without their wall-clock entries."""
+    return [{k: v for k, v in rec.items() if not k.endswith("_s")} for rec in log]
+
+
+def compute():
+    """name -> hex digest for every entry of the list."""
+    import numpy as np
+    from stmor import analysis, cases, fom, rom
+
+    out = {}
+    built = {}
+    for case_id, overrides in ([(c, {}) for c in cases.bundled_case_ids()]
+                               + [("artery-analog", ARTERY_ROM)]):
+        name = case_id + ("-%(n_x)dx%(n_y)dx%(n_levels)d" % overrides if overrides else "")
+        config = cases.bundled_case(case_id, **overrides)
+        for label, cfg in ((name, config),
+                           (name + "@json", cases.config_from_dict(config.to_dict()))):
+            mesh = cases.build_mesh(cfg)
+            problem = cases.build_problem(cfg, mesh)
+            lifts = fom.build_lifting(mesh, problem.dirichlet, problem.amplitudes)
+            out["mesh/" + label] = sha(mesh.content_hash())
+            out["lifting/" + label] = sha(*[(l.group, l.coefficient, l.vector.tobytes())
+                                            for l in lifts])
+        built[(case_id, tuple(sorted(overrides.items())))] = (config, mesh, problem)
+
+    for case_id, overrides in FOM_CASES:
+        config, mesh, problem = built[(case_id, tuple(sorted(overrides.items())))]
+        sol = fom.solve_fom(mesh, problem, **config.picard_options())
+        out["fom/" + case_id] = sha(sol.v.tobytes(), sol.p.tobytes(), sol.converged,
+                                    len(sol.iterations), records(sol.iterations))
+
+    config, mesh, problem = built[("artery-analog", tuple(sorted(ARTERY_ROM.items())))]
+    box = config.space.box
+    counts = config.plan["train_counts"]
+    axes = [np.linspace(box.lower[j], box.upper[j], int(c)) for j, c in enumerate(counts)]
+    train = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    pipe = analysis.offline_build(mesh, problem, train, **config.picard_options(),
+                                  **config.offline_options())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "artery.rom"
+        rom.write_rom(path, pipe.pkg)
+        out["rom/package"] = sha(path.read_bytes())
+    lo, hi = np.asarray(box.lower), np.asarray(box.upper)
+    points = {"centre": 0.5 * (lo + hi)}
+    for corner in np.ndindex(*(2,) * lo.size):
+        points["corner" + "".join(map(str, corner))] = np.where(np.array(corner) == 1, hi, lo)
+    for label, mu in points.items():
+        red = rom.solve_rom(pipe.pkg, mu=mu, **config.picard_options())
+        out["rom/" + label] = sha(red.v_N.tobytes(), red.p_N.tobytes(), red.converged,
+                                  records(red.iterations))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="checkout to compare with")
+    parser.add_argument("--src", default=str(HEAD / "src"),
+                        help="the src/ directory whose stmor is digested "
+                             "(default: this checkout's)")
+    args = parser.parse_args(argv)
+    if args.base is None:
+        sys.path.insert(0, args.src)
+        json.dump(compute(), sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")
+        return 0
+
+    base_src = Path(args.base).resolve() / "src"
+    if not (base_src / "stmor" / "__init__.py").is_file():
+        raise SystemExit("%s holds no src/stmor package" % args.base)
+    sides = {name: subprocess.Popen([sys.executable, __file__, "--src", str(src)],
+                                    stdout=subprocess.PIPE, text=True)
+             for name, src in (("base", base_src), ("head", Path(args.src)))}
+    digests = {}
+    for name, proc in sides.items():
+        text, _ = proc.communicate()
+        if proc.returncode != 0:
+            raise SystemExit("the %s side failed (exit %d)" % (name, proc.returncode))
+        digests[name] = json.loads(text)
+    base, head = digests["base"], digests["head"]
+    differ = sorted(k for k in set(base) | set(head) if base.get(k) != head.get(k))
+    for key in differ:
+        print("differs: %s (base %s, head %s)" % (key, base.get(key, "-")[:12],
+                                                  head.get(key, "-")[:12]))
+    print("%d of %d digests equal" % (len(set(base) | set(head)) - len(differ),
+                                      len(set(base) | set(head))))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
