@@ -328,13 +328,14 @@ def evaluate_tests(pipeline, test_mus, pairs, *, picard_tol=1e-8,
     """Reference FOM once per test sample, then every truncated online solve.
 
     The FOM reference is solved exactly once per sample and kept in memory;
-    error denominators are computed once from it.  Non-converged solves are
-    recorded with their flag and leave the error cells empty, they are never
-    dropped from the raw records.
+    error denominators are computed once from it, and each cut once for all
+    samples.  Non-converged solves are recorded with their flag and leave the
+    error cells empty, they are never dropped from the raw records.
     """
     mesh, problem = pipeline.mesh, pipeline.problem
     grams, dof_map = pipeline.grams, pipeline.dof_map
     K_u, M_p = grams["K_u"], grams["M_p"]
+    cuts = [truncate(pipeline.pkg, n_u, n_p) for n_u, n_p in pairs]
     records = []
     for mu in test_mus:
         mu = np.asarray(mu, dtype=np.float64)
@@ -349,8 +350,7 @@ def evaluate_tests(pipeline, test_mus, pairs, *, picard_tol=1e-8,
         record = {"mu": [float(v) for v in mu], "fom_time_s": fom_time,
                   "fom_iterations": len(sol.iterations),
                   "fom_converged": bool(sol.converged), "results": []}
-        for n_u, n_p in pairs:
-            trunc = truncate(pipeline.pkg, n_u, n_p)
+        for (n_u, n_p), trunc in zip(pairs, cuts):
             t0 = time.perf_counter()
             red = solve_rom(trunc, mu=mu, picard_tol=picard_tol,
                             picard_max=picard_max, strict=False)

@@ -88,6 +88,8 @@ def read_section(given, table, where):
         except ValueError as exc:
             raise CaseError("%s values must be %s: %r is %r"
                             % (where, exc, key, value)) from None
+        except OverflowError:
+            raise CaseError("%s key %r is beyond the float range" % (where, key)) from None
     return out
 
 

@@ -929,8 +929,9 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
     residual f = g - x, so pinned leading entries are not judged, and it
     returns that g: a converged result is always an unmixed step.  A stall
     after max_it steps raises error when strict, else it is logged on logger
-    and the last step is returned.  A tol outside (0, 1), NaN included, or a
-    max_it below 1 raises error before the first step.
+    and the last step is returned.  A tol that is no float or int in (0, 1),
+    NaN included, or a max_it that is no int of at least 1 (a bool is none)
+    raises error before the first step.
 
     The next iterate is not g itself but the type II Anderson mixture
     x = g - gamma @ dG (Walker & Ni 2011), where the rows of dF and dG hold
@@ -946,10 +947,11 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
     the number of history pairs that formed the iterate its step was
     evaluated at.  MIXING_DEPTH = 0 is the plain iteration x <- g.
     """
-    if max_it < 1:
-        raise error("picard_max must be at least 1")
-    if not (0.0 < tol < 1.0):               # written so that NaN fails
-        raise error("picard_tol must lie in (0, 1), got %g" % tol)
+    # concrete types: an isinstance against the numbers ABCs costs 0.5 us a query
+    if isinstance(max_it, bool) or not isinstance(max_it, (int, np.integer)) or max_it < 1:
+        raise error("picard_max must be an integer of at least 1, got %r" % (max_it,))
+    if not isinstance(tol, (float, int, np.floating)) or not 0.0 < tol < 1.0:  # NaN fails too
+        raise error("picard_tol must lie in (0, 1), got %r" % (tol,))
     m = min(MIXING_DEPTH, x0.size - skip)
     dF = np.empty((m, x0.size - skip))  # residual differences, oldest overwritten
     dG = np.empty((m, x0.size))         # step differences, the same rows
@@ -1118,10 +1120,17 @@ def read_snapshot(path, mesh_hash=None):
     header, arrays = read_artifact(path, expect_kind="snapshot")
     if mesh_hash is not None:
         check_mesh_hash(header, mesh_hash, path=str(path))
+    mu, converged = header.get("mu", []), header.get("converged", True)
+    if not isinstance(converged, bool):
+        raise ArtifactError("%s: malformed snapshot ('converged' is %r, not true or false)"
+                            % (path, converged))
+    if not isinstance(mu, list) or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                                       for v in mu):
+        raise ArtifactError("%s: malformed snapshot ('mu' is %r, not a list of numbers)"
+                            % (path, mu))
     try:
         sol = FieldSolution(v=arrays["v"], p=arrays["p"],
-                            mu=np.asarray(header.get("mu", []), dtype=np.float64),
-                            converged=bool(header.get("converged", True)),
+                            mu=np.asarray(mu, dtype=np.float64), converged=converged,
                             iterations=[], mesh_hash=header.get("mesh_hash", ""),
                             case_id=header.get("case_id", ""))
     except (KeyError, TypeError, ValueError) as exc:

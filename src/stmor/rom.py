@@ -156,13 +156,16 @@ class RomPackage:
     and the leading n_lifts rows of K and R pin the lift coefficients to the
     effective group amplitudes.  data_eta and data_tau are the fields'
     records and strain_op = strain_operator(data_eta, data_tau); every
-    construction, replace included, checks the shapes of all of them.  start
-    is a table of first iterates, one per cut: entry [i, j] holds the
-    coefficients, over the monomials of t = (mu - centre) / half-width of
-    degree <= start_degree, of the cut (n_lifts + i, j + 1)'s, zero in the
-    columns that cut leaves out.  start_at evaluates entry [-1, -1], the
-    package's own; truncate keeps the cut's.  project_offline stores a zero
-    table, fit_start fits it.
+    construction, replace included, checks the shapes of all of them.  A cut
+    (truncate) is a shallow copy instead, with K, R, strain_op, start and
+    the records' Z_rows sliced and all else shared, tau_scales and the box
+    frame included: a cut of a valid package is valid, so nothing is checked
+    or derived again.  start is a table of first iterates, one per cut:
+    entry [i, j] holds the coefficients, over the monomials of t = (mu -
+    centre) / half-width of degree <= start_degree, of the cut (n_lifts + i,
+    j + 1)'s, zero in the columns that cut leaves out.  start_at evaluates
+    entry [-1, -1], the package's own; truncate keeps the cut's.
+    project_offline stores a zero table, fit_start fits it.
     """
 
     case_id: str
@@ -185,7 +188,7 @@ class RomPackage:
     start_loo_error: float = None       # fit_start's; None if undefined
 
     def __post_init__(self):
-        # cached lookups only: truncate and read_rom construct a package per call
+        # cached lookups only: read_rom constructs a package per call
         box = self.space and self.space.box
         self._frame = box_frame(tuple(box.lower), tuple(box.upper)) if box else box_frame()
         self._validate()
@@ -395,25 +398,25 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
 
 
 def truncate(pkg, n_u, n_p):
-    """Sub-package using the leading n_u velocity and n_p pressure columns,
-    with the start table of the cuts it holds."""
+    """Sub-package using the leading n_u velocity and n_p pressure columns, with
+    the start table of the cuts it holds: a shallow copy of pkg (see RomPackage)."""
     if not pkg.n_lifts <= n_u <= pkg.n_u:
-        raise RomError("n_u must lie in [%d, %d], got %d"
-                       % (pkg.n_lifts, pkg.n_u, n_u))
+        raise RomError("n_u must lie in [%d, %d], got %d" % (pkg.n_lifts, pkg.n_u, n_u))
     if not 1 <= n_p <= pkg.n_p:
         raise RomError("n_p must lie in [1, %d], got %d" % (pkg.n_p, n_p))
-    basis = pkg.basis and replace(pkg.basis, Z_v=pkg.basis.Z_v[:, :n_u],
-                                  Z_p=pkg.basis.Z_p[:, :n_p])
-    # C-ordered copies, as read_rom returns them: the online products then
-    # take the same path, and give the same bits, on both
     keep = np.array([*range(n_u), *range(pkg.n_u, pkg.n_u + n_p)])
-    eta, tau = (replace(data, Z_rows=np.ascontiguousarray(data.Z_rows[..., :n_u]))
-                for data in (pkg.data_eta, pkg.data_tau))
-    return replace(pkg, K=np.ascontiguousarray(pkg.K[:, keep[:, None], keep]),
-                   R=np.ascontiguousarray(pkg.R[:, :, keep]), data_eta=eta, data_tau=tau,
-                   strain_op=np.ascontiguousarray(pkg.strain_op[:, :n_u]),
-                   start=np.ascontiguousarray(pkg.start[:n_u - pkg.n_lifts + 1, :n_p][..., keep]),
-                   basis=basis)
+    eta, tau = (MagicElementData(r.magic, r.history, r.gx, r.h_t, r.h_s, r.Z_rows[..., :n_u])
+                for r in (pkg.data_eta, pkg.data_tau))
+    cut = object.__new__(RomPackage)    # copy.copy(pkg) without its copyreg detour
+    # K, R, strain_op and start as fresh C-ordered copies, as read_rom returns
+    # them: the online products then take the same path, and give the same bits
+    cut.__dict__.update(vars(pkg), data_eta=eta, data_tau=tau,
+                        K=np.ascontiguousarray(pkg.K[:, keep[:, None], keep]),
+                        R=pkg.R.take(keep, 2), strain_op=pkg.strain_op[:, :n_u].copy(),
+                        start=pkg.start[:n_u - pkg.n_lifts + 1, :n_p].take(keep, 3),
+                        basis=pkg.basis and replace(pkg.basis, Z_v=pkg.basis.Z_v[:, :n_u],
+                                                    Z_p=pkg.basis.Z_p[:, :n_p]))
+    return cut
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,19 @@ class TestFailureModes:
         assert key in payload["message"]
         assert not (tmp_path / "fom_solution.stm").exists()
 
+    def test_number_beyond_the_float_range_is_one_json_line_naming_it(self, capsys,
+                                                                     tmp_path):
+        """A JSON integer that float() cannot hold raised OverflowError."""
+        cfg = cases.couette_config(n=2).to_dict()
+        cfg["material"]["rho_kg_m3"] = 10 ** 400
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["mesh", "--case", str(config), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "CaseError" and "'rho_kg_m3'" in payload["message"]
+
     @pytest.mark.parametrize("text, match", [
         ("{not json", "not a JSON study report"),
         ("[]", "JSON list, not a study report object"),

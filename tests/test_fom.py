@@ -623,6 +623,16 @@ class TestCouette:
         with pytest.raises(SolverError, match=r"picard_tol must lie in \(0, 1\)"):
             solve_fom(channel_mesh(n=2, levels=3), couette_problem(), picard_tol=tol)
 
+    @pytest.mark.parametrize("option, value", [
+        ("picard_max", True), ("picard_max", 7.9), ("picard_max", "3"),
+        ("picard_tol", "3"), ("picard_tol", None)])
+    def test_option_of_the_wrong_type_rejected(self, option, value):
+        """Options given in code, which no config key table has read: a
+        picard_max of True ran one iteration and reported a stall."""
+        kw = {"picard_tol": 1e-12, option: value}
+        with pytest.raises(SolverError, match=option):
+            solve_fom(channel_mesh(n=2, levels=3), couette_problem(), **kw)
+
     def test_stall_raises_when_strict(self):
         with pytest.raises(SolverError, match="stalled"):
             solve_fom(channel_mesh(n=2, levels=3), couette_problem(SHEAR_THINNING),

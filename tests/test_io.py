@@ -71,6 +71,36 @@ def test_snapshot_round_trip_is_bitwise(tmp_path):
     assert (back.case_id, back.mesh_hash, back.converged) == ("demo", "abc", True)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("converged", "false"), ("converged", 1), ("converged", None),
+    ("mu", [True]), ("mu", [0.5, False]), ("mu", ["0.5"]), ("mu", 0.5)])
+def test_snapshot_header_of_the_wrong_type_is_refused(tmp_path, key, value):
+    """A header value that is not a JSON bool ("converged") or a list of
+    numbers ("mu"), which bool() and np.asarray read as true or as numbers."""
+    path = tmp_path / "s.stm"
+    sol = FieldSolution(v=np.zeros(3), p=np.zeros(2), mu=np.array([0.5, 1.0]),
+                        converged=False, iterations=[], mesh_hash="abc", case_id="demo")
+    write_snapshot(path, sol)
+    header, arrays = read_artifact(path, expect_kind="snapshot")
+    del header["schema_version"], header["kind"]
+    write_artifact(path, "snapshot", dict(header, **{key: value}), arrays)
+    with pytest.raises(ArtifactError, match="malformed snapshot .'%s' is" % key):
+        read_snapshot(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.lists(st.floats(), max_size=4), converged=st.booleans())
+def test_every_written_snapshot_reads_back(mu, converged):
+    sol = FieldSolution(v=np.arange(4.0), p=np.ones(2), mu=np.array(mu, dtype=np.float64),
+                        converged=converged, iterations=[], mesh_hash="abc", case_id="demo")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_snapshot(Path(tmp) / "s.stm", sol)
+        _, back = read_snapshot(Path(tmp) / "s.stm")
+    assert back.converged is converged
+    # the header is JSON, which keeps no sign or payload of a NaN
+    assert back.mu.dtype == sol.mu.dtype and np.array_equal(back.mu, sol.mu, equal_nan=True)
+
+
 def test_every_truncation_is_an_artifact_error():
     data = small_artifact()
     for n in range(len(data)):

@@ -468,6 +468,14 @@ class TestSolve:
         with pytest.raises(RomError, match=r"picard_tol must lie in \(0, 1\)"):
             solve_rom(duct.pkg, mu=TRAIN_MUS[0], picard_tol=tol)
 
+    @pytest.mark.parametrize("option, value", [
+        ("picard_max", True), ("picard_max", 7.9), ("picard_max", "3"),
+        ("picard_tol", "3"), ("picard_tol", None)])
+    def test_option_of_the_wrong_type_rejected(self, duct, option, value):
+        """Options given in code, which no config key table has read."""
+        with pytest.raises(RomError, match=option):
+            solve_rom(duct.pkg, mu=TRAIN_MUS[0], **{option: value})
+
     def test_stall_raises_when_strict(self, duct):
         with pytest.raises(RomError, match=r"N_u=%d, N_p=%d\) stalled"
                            % (duct.pkg.n_u, duct.pkg.n_p)):
@@ -584,6 +592,38 @@ class TestTruncate:
             truncate(pkg, pkg.n_u + 1, 1)
         with pytest.raises(RomError, match="n_p"):
             truncate(pkg, pkg.n_u, 0)
+
+    def test_cut_shares_what_it_leaves_whole(self, duct):
+        pkg = duct.pkg
+        cut = truncate(pkg, pkg.n_lifts + 1, 1)
+        assert cut.tau_scales is pkg.tau_scales and cut._frame is pkg._frame
+        assert cut._exponents is pkg._exponents
+        for got, want in ((cut.data_eta, pkg.data_eta), (cut.data_tau, pkg.data_tau)):
+            assert all(getattr(got, f.name) is getattr(want, f.name)
+                       for f in fields(MagicElementData) if f.name != "Z_rows")
+            assert np.shares_memory(got.Z_rows, want.Z_rows)
+
+    def test_writing_into_a_cut_leaves_the_parent(self, coarse_artery_rom):
+        pkg = coarse_artery_rom[1].pkg
+        before = [a.copy() for a in (pkg.K, pkg.R, pkg.start)]
+        for n_u, n_p in ((pkg.n_u, pkg.n_p), (pkg.n_lifts, 1)):
+            cut = truncate(pkg, n_u, n_p)
+            for a in (cut.K, cut.R, cut.start):
+                assert a.flags.c_contiguous
+                a[...] = np.nan
+        for got, want in zip((pkg.K, pkg.R, pkg.start), before, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_cut_runs_no_post_init(self, duct, monkeypatch):
+        """A cut is checked and derived nothing again, and solves the same."""
+        want = solve_rom(truncate(duct.pkg, 3, 1), mu=TRAIN_MUS[0])
+
+        def refuse(self):
+            raise AssertionError("RomPackage.__post_init__ ran")
+
+        monkeypatch.setattr(RomPackage, "__post_init__", refuse)
+        got = solve_rom(truncate(truncate(duct.pkg, 4, 2), 3, 1), mu=TRAIN_MUS[0])
+        assert np.array_equal(got.v_N, want.v_N) and np.array_equal(got.p_N, want.p_N)
 
 
 def oracle_solve(pkg, eims, mu, tol, max_it):

@@ -17,7 +17,11 @@ The list:
     rom/package, rom/<point>
         the bytes of ``rom.write_rom`` of the 12x5x6 artery's offline build
         over its 16-point training grid, and ``solve_rom`` (v_N, p_N, flag,
-        records without timings) at the box centre and corners.
+        records without timings) at the box centre and corners;
+    rom/cut-<n_u>x<n_p>
+        for every cut ``rom.truncate(pkg, n_u, n_p)`` of that package, the
+        cut's ``solve_rom`` at the box centre (as above) and the bytes of its
+        ``rom.write_rom``.
 
 With --base, the same list runs on both checkouts' ``src/``, each in a
 subprocess, side by side, and any differing or missing entry is printed;
@@ -88,10 +92,14 @@ def compute():
     train = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     pipe = analysis.offline_build(mesh, problem, train, **config.picard_options(),
                                   **config.offline_options())
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "artery.rom"
-        rom.write_rom(path, pipe.pkg)
-        out["rom/package"] = sha(path.read_bytes())
+
+    def rom_bytes(pkg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "artery.rom"
+            rom.write_rom(path, pkg)
+            return path.read_bytes()
+
+    out["rom/package"] = sha(rom_bytes(pipe.pkg))
     lo, hi = np.asarray(box.lower), np.asarray(box.upper)
     points = {"centre": 0.5 * (lo + hi)}
     for corner in np.ndindex(*(2,) * lo.size):
@@ -100,6 +108,14 @@ def compute():
         red = rom.solve_rom(pipe.pkg, mu=mu, **config.picard_options())
         out["rom/" + label] = sha(red.v_N.tobytes(), red.p_N.tobytes(), red.converged,
                                   records(red.iterations))
+    pkg = pipe.pkg
+    for n_u in range(pkg.n_lifts, pkg.n_u + 1):
+        for n_p in range(1, pkg.n_p + 1):
+            cut = rom.truncate(pkg, n_u, n_p)
+            red = rom.solve_rom(cut, mu=points["centre"], **config.picard_options())
+            out["rom/cut-%dx%d" % (n_u, n_p)] = sha(red.v_N.tobytes(), red.p_N.tobytes(),
+                                                    red.converged, records(red.iterations),
+                                                    rom_bytes(cut))
     return out
 
 
