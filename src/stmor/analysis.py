@@ -27,7 +27,8 @@ from .eim import FieldSampleSet, eim_greedy
 from .fom import (assembler_for, build_dof_map, build_lifting,
                   fom_inner_products, solve_fom)
 from .pod import RANK_CUTOFF, assemble_basis, compute_pod
-from .rom import fit_start, project_offline, reconstruct, solve_rom, truncate
+from .rom import (box_frame, evaluate_fit, fit_monomials, fit_start, monomial_exponents,
+                  project_offline, reconstruct, solve_rom, truncate)
 
 REPORT_SCHEMA_VERSION = 3
 TIMING_CONVENTION = ("wall time excludes file I/O and includes assembly plus "
@@ -64,18 +65,20 @@ def generate_samples(plan):
     """Deterministic training grid and seeded uniform test samples."""
     box = plan.box
     k = len(box.names)
-    counts = tuple(int(c) for c in plan.train_counts)
+    for name, v in [("train_counts", c) for c in plan.train_counts] \
+            + [("n_test", plan.n_test), ("seed", plan.seed)]:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+            raise AnalysisError("%s must hold non-negative integers, got %r" % (name, v))
+    counts = tuple(plan.train_counts)
     if len(counts) != k:
         raise AnalysisError("need one training count per parameter axis "
                             "(%d axes, got %d counts)" % (k, len(counts)))
     if any(c < 2 for c in counts):
         raise AnalysisError("training grid needs at least 2 points per axis")
     axes = [np.linspace(box.lower[j], box.upper[j], counts[j]) for j in range(k)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    training = np.column_stack([g.ravel() for g in grids])
+    training = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     gen = np.random.Generator(np.random.PCG64(int(plan.seed)))
-    lower = np.asarray(box.lower, dtype=np.float64)
-    upper = np.asarray(box.upper, dtype=np.float64)
+    lower, upper = (np.asarray(b, dtype=np.float64) for b in (box.lower, box.upper))
     testing = lower + (upper - lower) * gen.random((int(plan.n_test), k))
     return SampleSet(training=training, testing=testing)
 
@@ -174,20 +177,28 @@ def solve_chain(mesh, problem, mus, *, assembler, dof_map, picard_tol=1e-8,
                 picard_max=50, strict=True):
     """Natural-parameter continuation over mus, in order; (solutions, seconds).
 
-    The first solve is cold.  Each later one starts from its predecessor's
-    solution and inherits the factor list of the run, so its first systems
-    are mostly GMRES cycles on a factor from a neighbouring mu (solve_fom's
-    x0 and factor).  This is the one training loop: a whole list, such as
-    an ``ij`` grid (generate_samples), runs as one continuation, the jump at
-    the end of a grid line included.  A solve that did not converge hands
-    nothing on: the next starts cold with a fresh factor.  The factor dies
-    with the call.  Results agree with cold solves at the picard_tol level
-    and repeat bit for bit for the same mus.
+    The first solve is cold.  Each later one inherits the factor list of the
+    run (solve_fom's factor) and starts at its mu from the reduced start's
+    fit (rom.fit_monomials in box coordinates) of the converged solves so
+    far, or from its predecessor's solution without parameters and while the
+    affine design of their mus is rank-deficient (fewer than two, or
+    collinear as on one grid line).  This is the one training loop: a whole
+    list, such as an ``ij`` grid (generate_samples), runs as one
+    continuation.  A solve that did not converge hands nothing on: the next
+    starts cold with a fresh factor, which dies with the call.  Results agree
+    with cold solves at the picard_tol level and repeat bit for bit.
     """
-    factor, x0 = [None], None
+    box = problem.space and problem.space.box
+    centre, half = box_frame(tuple(box.lower), tuple(box.upper)) if box else (None, None)
+    factor, x0, T, X = [None], None, [], []     # T, X: the converged solves' t and x
     sols, times = [], []
     for mu in mus:
         t0 = time.perf_counter()
+        t = None if mu is None or box is None else (box.validate(mu) - centre) / half
+        if x0 is not None and t is not None and len(T) > 1 \
+                and np.linalg.matrix_rank(np.c_[np.ones(len(T)), T]) > len(t):
+            _, degree, C = fit_monomials(np.array(T), np.array(X))
+            x0 = evaluate_fit(t, monomial_exponents(len(t), degree), C)
         sol = solve_fom(mesh, problem, mu=mu, picard_tol=picard_tol,
                         picard_max=picard_max, assembler=assembler,
                         dof_map=dof_map, strict=strict, x0=x0, factor=factor)
@@ -195,6 +206,8 @@ def solve_chain(mesh, problem, mus, *, assembler, dof_map, picard_tol=1e-8,
         sols.append(sol)
         if sol.converged:
             x0 = np.concatenate([sol.v, sol.p])
+            if t is not None:
+                T, X = T + [t], X + [x0]
         else:
             x0, factor[0] = None, None
     return sols, times
@@ -213,10 +226,8 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     is reused; only the training solves build or use its system pattern.
 
     The training solves run as one continuation over train_mus in list
-    order (solve_chain): each solve starts from its predecessor's solution
-    and reuses its factor.  Snapshots therefore depend on the order of
-    train_mus at the picard_tol level; the same list gives the same
-    snapshots bit for bit, the ones ``stmor snapshots`` writes.
+    order (solve_chain), so snapshots depend on that order at the picard_tol
+    level; the same list gives the snapshots ``stmor snapshots`` writes.
 
     Returns a namespace holding every intermediate: mesh, problem, dof_map,
     assembler, grams, train_mus, solutions, u_fulls, basis, eims, pkg, and
@@ -259,7 +270,7 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     t0 = time.perf_counter()
     V = np.stack([dof_map.expand(s.v).ravel() for s in sols])
     P = np.stack([s.p for s in sols])
-    cutoff = RANK_CUTOFF if rank_cutoff is None else float(rank_cutoff)
+    cutoff = RANK_CUTOFF if rank_cutoff is None else rank_cutoff
     modes_v, spec_v = compute_pod(V, gram=grams["K_u"],
                                   energy_threshold=energy_threshold,
                                   rank_cutoff=cutoff)

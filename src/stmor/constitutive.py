@@ -104,14 +104,18 @@ def relative_box(names, centers, spread=0.05):
     return ParameterBox(names=tuple(names), lower=lo, upper=hi)
 
 
-def shear_rate(grad_u):
-    """sqrt(2 eps:eps) with eps = (grad_u + grad_u^T)/2; vectorized over leading axes.
+def shear_rate_squared(grad_u):
+    """2 eps:eps with eps = (grad_u + grad_u^T)/2; vectorized over leading axes.
 
     grad_u has shape (..., d, d) with entries du_i/dx_j.
     """
     g = np.asarray(grad_u, dtype=np.float64)
     eps = 0.5 * (g + g.swapaxes(-1, -2))
-    return np.sqrt(2.0 * np.einsum("...ij,...ij->...", eps, eps))
+    return 2.0 * np.einsum("...ij,...ij->...", eps, eps)
+
+
+def shear_rate(grad_u):
+    return np.sqrt(shear_rate_squared(grad_u))
 
 
 def viscosity(gamma_dot, params):
@@ -132,23 +136,21 @@ def tau_scales(h_t, h_s):
     return (2.0 / h_t) ** 2, h_s, h_s ** 2
 
 
-def field_values(grad, mean_u, scales, params):
+def field_values(gd2, speed2, scales, params):
     """Per-element (shear rate, viscosity, tau) at a frozen velocity.
 
-    grad (m, d, d) holds the element velocity gradients du_i/dx_j, mean_u
-    (m, d) the element-mean velocities, and scales the elements' tau_scales.
-    Both inputs are linear in the nodal velocities, so the full-order
-    assembler forms them from nodal values and the reduced solver from one
-    product with the reduced coefficients.  tau is the GLS momentum
-    parameter built from the temporal, advective (element-mean speed) and
-    viscous scales.
+    gd2 (m,) holds the elements' squared shear rates 2 eps:eps, speed2 (m,)
+    their squared mean speeds, and scales their tau_scales.  The full-order
+    assembler forms both from nodal values (shear_rate_squared), the reduced
+    solver as sums of squares of one product with the reduced coefficients.
+    tau is the GLS momentum parameter built from the temporal, advective
+    (element-mean speed) and viscous scales.
     """
     temporal, h_s, h_s2 = scales
-    gd = shear_rate(grad)
+    gd = np.sqrt(gd2)
     eta = viscosity(gd, params)
-    speed = np.sqrt(np.add.reduce(mean_u * mean_u, -1))  # np.linalg.norm, bit for bit
     nu = eta / params.rho
-    tau = 1.0 / np.sqrt(temporal + (2.0 * speed / h_s) ** 2 + (4.0 * nu / h_s2) ** 2)
+    tau = 1.0 / np.sqrt(temporal + (2.0 * np.sqrt(speed2) / h_s) ** 2 + (4.0 * nu / h_s2) ** 2)
     return gd, eta, tau
 
 

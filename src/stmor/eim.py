@@ -100,7 +100,7 @@ def eim_greedy(samples, tol, q_max):
     index on ties) donates its residual, normalized at the residual's own
     argmax element.  Stops when the error drops to tol or q_max is reached.
     """
-    if not (0.0 < tol < 1.0):
+    if not isinstance(tol, (float, int, np.floating)) or not 0.0 < tol < 1.0:  # as fom.picard
         raise EimError("tolerance must lie in (0, 1), got %r" % (tol,))
     if q_max < 1:
         raise EimError("q_max must be at least 1")

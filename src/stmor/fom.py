@@ -77,7 +77,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgels
 from scipy.sparse.linalg import splu
 
-from .constitutive import apply_parameters, field_values, tau_scales
+from .constitutive import apply_parameters, field_values, shear_rate_squared, tau_scales
 from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
 
 logger = logging.getLogger(__name__)
@@ -400,8 +400,8 @@ class FomAssembler:
     def element_fields(self, u_full, params):
         """Per-element (shear rate, viscosity, tau) at a frozen velocity field."""
         u = u_full[self.elems]
-        grad = np.einsum("eac,eaj->ecj", u, self.gx)
-        gd, eta, tau = field_values(grad, u.mean(axis=1), self.tau_scales, params)
+        gd2 = shear_rate_squared(np.einsum("eac,eaj->ecj", u, self.gx))
+        gd, eta, tau = field_values(gd2, np.square(u.mean(1)).sum(-1), self.tau_scales, params)
         bad = np.flatnonzero(~(np.isfinite(eta) & np.isfinite(tau)))
         if bad.size:
             raise SolverError("non-finite viscosity or tau in element %d" % bad[0])
@@ -953,8 +953,7 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
     if not isinstance(tol, (float, int, np.floating)) or not 0.0 < tol < 1.0:  # NaN fails too
         raise error("picard_tol must lie in (0, 1), got %r" % (tol,))
     m = min(MIXING_DEPTH, x0.size - skip)
-    dF = np.empty((m, x0.size - skip))  # residual differences, oldest overwritten
-    dG = np.empty((m, x0.size))         # step differences, the same rows
+    dF = dG = None                      # residual and step differences, oldest overwritten
     pairs, filled = 0, 0                # history pairs stored, pairs in the iterate
     x, records, f_old, g_old, dx_old = x0, [], None, None, np.inf
     for it in range(1, max_it + 1):
@@ -972,6 +971,8 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
             if dx > dx_old:
                 pairs = 0               # the mixed step did not contract: restart
             elif f_old is not None:
+                if dF is None:          # a one-step solve allocates no history
+                    dF, dG = np.empty((m, gs.size)), np.empty((m, g.size))
                 row = pairs % m
                 np.subtract(f, f_old, out=dF[row])
                 np.subtract(g, g_old, out=dG[row])

@@ -67,9 +67,11 @@ def compute_pod(snapshots, gram=None, energy_threshold=None, n_modes=None,
     S = np.atleast_2d(np.asarray(snapshots, dtype=np.float64))
     if S.shape[0] == 0 or S.size == 0:
         raise PodError("empty snapshot set")
-    if energy_threshold is not None and not (0.0 < energy_threshold <= 1.0):
-        raise PodError("energy threshold must lie in (0, 1]")
-    if not (0.0 <= rank_cutoff < 1.0):
+    if energy_threshold is not None and (isinstance(energy_threshold, bool) or not isinstance(
+            energy_threshold, (float, int, np.floating)) or not 0.0 < energy_threshold <= 1.0):
+        raise PodError("energy threshold must lie in (0, 1], got %r" % (energy_threshold,))
+    if isinstance(rank_cutoff, bool) or not isinstance(rank_cutoff, (float, int, np.floating)) \
+            or not 0.0 <= rank_cutoff < 1.0:
         raise PodError("rank cutoff must lie in [0, 1), got %r" % (rank_cutoff,))
     if energy_threshold is None and n_modes is None:
         energy_threshold = DEFAULT_ENERGY

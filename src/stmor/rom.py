@@ -33,16 +33,16 @@ kept in memory and on disk, are affine in
     theta = [rho, 1, eta(magic_eta), tau(magic_tau), tau(magic_tau) / rho]
 
 and their field slots hold the blocks above with T^-T applied along the
-slot axis.  Online, a Picard iterate is one product, one kernel call, one
-theta contraction and one LAPACK solve.  Each field keeps one record
+slot axis.  Online, a Picard iterate is two small products, one kernel
+call, two theta contractions and one LAPACK solve.  Each field keeps one record
 (MagicElementData): its magic elements, greedy history, their geometry and
 the velocity-basis rows at their nodes.  The velocity gradients and mean
 velocities at the magic elements are linear in v_N, so strain_operator
 derives from the two records an operator strain_op from v_N to them;
-project_offline and read_rom call it, and truncate slices its result.  Eta
-and tau there come from constitutive.field_values.  Then K(v) = theta @
-K and rhs = [s, 1] @ (theta @ R), s the lift coefficients; no mesh pass
-remains.
+project_offline and read_rom call it, and truncate slices its result.  The
+squares of their image under invariant_map sum to the squared shear rates
+and speeds, of which constitutive.field_values gives eta and tau.  Then K(v)
+= theta @ K and rhs = [s, 1] @ (theta @ R), s the lift coefficients.
 
 Density convention: E, H and F_body are stored per unit density (slot 0
 carries rho), S per unit inverse density (its slots carry c_tau / rho),
@@ -242,8 +242,7 @@ class RomPackage:
     def start_at(self, mu):
         """The first iterate at mu before its lift entries are set."""
         t = ((() if self.space is None else mu) - self._frame[0]) / self._frame[1]
-        # the cheapest calls: np.dot and a ufunc reduce
-        return np.dot(np.multiply.reduce(t ** self._exponents, -1), self.start[-1, -1])
+        return evaluate_fit(t, self._exponents, self.start[-1, -1])
 
     def effective(self, mu):
         """Material parameters and group amplitudes at the sample mu."""
@@ -422,6 +421,20 @@ def truncate(pkg, n_u, n_p):
 # ---------------------------------------------------------------------------
 # online assembly and solve
 
+@lru_cache(maxsize=None)
+def invariant_map(d):
+    """Map of an element's d^2 gradient and d mean entries to w = [sqrt(2) g_ii,
+    g_ij + g_ji (i < j), mean velocity], whose squares sum to 2 eps:eps before
+    its last d entries and to the squared mean speed over them."""
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    M = np.zeros((d * d + d, len(pairs) + d))
+    for col, (i, j) in enumerate(pairs):
+        M[i * d + j, col] = M[j * d + i, col] = math.sqrt(2.0) if i == j else 1.0
+    M[d * d:, len(pairs):] = np.eye(d)
+    M.flags.writeable = False
+    return M
+
+
 def mu_terms(pkg, mu):
     """(params, s, R_mu, theta): material, lift coefficients, [s, 1] @ R at mu,
     and a buffer for theta holding its constant entries [rho, 1]."""
@@ -448,8 +461,9 @@ def assemble_rom(pkg, v_iterate, terms):
     params, _, R_mu, theta = terms
 
     d, qe = pkg.d, pkg.q_eta
-    y = (pkg.strain_op @ v_it).reshape(-1, d * (d + 1))
-    _, eta, tau = field_values(y[:, :d * d].reshape(-1, d, d), y[:, d * d:],
+    w = (pkg.strain_op @ v_it).reshape(-1, d * (d + 1)) @ invariant_map(d)
+    w *= w
+    _, eta, tau = field_values(np.add.reduce(w[:, :-d], 1), np.add.reduce(w[:, -d:], 1),
                                pkg.tau_scales, params)
     # theta = [rho, 1, eta(magic_eta), tau(magic_tau), tau(magic_tau) / rho]
     q_t = len(tau) - qe
@@ -524,6 +538,11 @@ def fit_monomials(T, X):
         res = np.linalg.norm(X - A @ P[:, :n], axis=1) / (np.linalg.norm(X, axis=1) + 1e-300)
         loo = max(r / h if h > 1e-8 else math.inf for r, h in zip(res, lev))
         fits.append((loo if rank == len(E) else math.inf, degree, P[:, :n]))
+
+
+def evaluate_fit(t, exponents, C):
+    """fit_monomials' fit C, over the monomials of exponents, at the box point t."""
+    return np.dot(np.multiply.reduce(t ** exponents, -1), C)  # the cheapest calls
 
 
 def fit_start(pkg, mus, picard_tol=1e-8, picard_max=50):

@@ -127,6 +127,24 @@ class TestSampling:
             generate_samples(SamplePlan(box=BOX_1D, train_counts=(1,),
                                         n_test=1, seed=1))
 
+    @pytest.mark.parametrize("field, plan", [
+        ("train_counts", dict(train_counts=(2.5,))), ("train_counts", dict(train_counts=(True,))),
+        ("train_counts", dict(train_counts=(-3,))), ("seed", dict(seed=1.5)),
+        ("seed", dict(seed=True)), ("seed", dict(seed=-1)), ("n_test", dict(n_test=-1)),
+        ("n_test", dict(n_test=2.0)), ("n_test", dict(n_test="4"))])
+    def test_non_integer_or_negative_plan_value_rejected(self, field, plan):
+        plan = SamplePlan(**dict(dict(box=BOX_1D, train_counts=(3,), n_test=2, seed=1), **plan))
+        with pytest.raises(AnalysisError, match="%s must hold non-negative integers" % field):
+            generate_samples(plan)
+
+    def test_numpy_integers_are_integers(self):
+        plan = SamplePlan(box=BOX_1D, train_counts=(np.int64(3),), n_test=np.int32(2),
+                          seed=np.uint8(1))
+        want = generate_samples(SamplePlan(box=BOX_1D, train_counts=(3,), n_test=2, seed=1))
+        got = generate_samples(plan)
+        assert np.array_equal(got.training, want.training)
+        assert np.array_equal(got.testing, want.testing)
+
     def test_axis_count_mismatch_rejected(self):
         with pytest.raises(AnalysisError, match="per parameter axis"):
             generate_samples(SamplePlan(box=BOX_2D, train_counts=(3,),
@@ -309,6 +327,18 @@ class TestOfflineBuild:
                     rank_cutoff=1e-14)
         opts[option] = np.nan
         with pytest.raises(error):
+            offline_build(pipe.mesh, pipe.problem, solutions=pipe.solutions, **opts)
+
+    @pytest.mark.parametrize("option, value, error", [
+        ("tol_eim_eta", "1e-12", EimError), ("tol_eim_tau", [1e-12], EimError),
+        ("energy_threshold", "1.0", PodError), ("energy_threshold", True, PodError),
+        ("rank_cutoff", "1e-14", PodError), ("rank_cutoff", False, PodError)])
+    def test_non_number_option_is_refused(self, duct, option, value, error):
+        _, _, _, pipe = duct
+        opts = dict(tol_eim_eta=1e-13, tol_eim_tau=1e-13, energy_threshold=1.0,
+                    rank_cutoff=1e-14)
+        opts[option] = value
+        with pytest.raises(error, match="must lie in"):
             offline_build(pipe.mesh, pipe.problem, solutions=pipe.solutions, **opts)
 
     def test_nonconverged_training_solve_aborts(self, duct):

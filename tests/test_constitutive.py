@@ -16,6 +16,7 @@ from stmor.constitutive import (
     field_values,
     relative_box,
     shear_rate,
+    shear_rate_squared,
     tau_scales,
     viscosity,
 )
@@ -109,7 +110,8 @@ class TestFieldValues:
         h_t = rng.uniform(0.01, 1.0, m)
         h_s = rng.uniform(0.01, 1.0, m)
         for params in (PC_MELT, BLOOD):
-            gd, eta, tau = field_values(grad, mean_u, tau_scales(h_t, h_s), params)
+            gd, eta, tau = field_values(shear_rate_squared(grad), (mean_u * mean_u).sum(axis=-1),
+                                        tau_scales(h_t, h_s), params)
             # the kernel with its geometric scales written inline
             want_gd = shear_rate(grad)
             want_eta = viscosity(want_gd, params)

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from stmor import cases
+from stmor import analysis, cases
 from stmor.analysis import (SamplePlan, generate_samples, offline_build,
                             solve_chain)
 from stmor.cli import main
@@ -18,6 +18,7 @@ from stmor.constitutive import (SEMANTICS_MATERIAL, ParameterSpace,
                                 relative_box)
 from stmor.fom import (FomAssembler, SolverError, build_dof_map, build_lifting,
                        combine_liftings, read_snapshot, solve_fom)
+from stmor.rom import fit_monomials
 
 from test_analysis import duct_config
 
@@ -154,6 +155,33 @@ class TestContinuation:
             assert 4 * sum(n_chain[1:]) < sum(n_cold[1:])
             assert sum(map(len, (c.iterations for c in chain))) \
                 < sum(map(len, (c.iterations for c in cold)))
+
+    def test_coarse_artery_chain_takes_at_most_60_steps(self, artery):
+        # 132 from the predecessors alone: 12 for the cold solve, then 8 each
+        cfg, s = artery
+        chain, _ = solve_chain(mus=grid(cfg), **s, **cfg.picard_options())
+        assert all(sol.converged for sol in chain)
+        assert sum(len(sol.iterations) for sol in chain) <= 60
+
+    def test_fit_only_on_a_full_rank_affine_design(self, duct_2d, monkeypatch):
+        # the 2x3 grid in ij order: its first line is collinear, so solves 2-4
+        # start from their predecessors and only solves 5 and 6 from a fit
+        cfg, s = duct_2d
+        sizes = []
+
+        def spy(T, X):
+            sizes.append(len(T))
+            return fit_monomials(T, X)
+
+        monkeypatch.setattr(analysis, "fit_monomials", spy)
+        mus = grid(cfg)
+        chain, _ = solve_chain(mus=mus, **s, **cfg.picard_options())
+        assert sizes == [4, 5] and all(sol.converged for sol in chain)
+        # without parameters every solve starts from its predecessor
+        sizes.clear()
+        free = dict(s, problem=replace(s["problem"], space=None))
+        chain, _ = solve_chain(mus=[None] * 3, **free, **cfg.picard_options())
+        assert sizes == [] and all(sol.converged for sol in chain)
 
     def test_rerun_is_bitwise(self, duct):
         cfg, s = duct

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stmor.constitutive import CarreauYasudaParams, field_values, tau_scales
+from stmor.constitutive import (CarreauYasudaParams, field_values, shear_rate_squared,
+                                tau_scales)
 from stmor.eim import EimError, FieldSampleSet, eim_greedy
 from stmor.fom import FomAssembler
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
@@ -33,6 +34,11 @@ class TestGreedy:
         assert approx.n_terms == 1
         assert approx.history[0] == 1.0
         assert approx.history[-1] <= 1e-13
+
+    @pytest.mark.parametrize("tol", ["1e-12", None, [1e-12], np.nan, 0.0, 1.0])
+    def test_tolerance_must_be_a_number_in_the_open_unit_interval(self, tol):
+        with pytest.raises(EimError, match="tolerance must lie in"):
+            eim_greedy(rank_k_samples(20, 4, 2, seed=3), tol=tol, q_max=4)
 
     def test_rank_three_family(self):
         samples = rank_k_samples(80, 9, 3, seed=1)
@@ -141,8 +147,8 @@ def subset_fields(asm, ids, u, params):
     ids = np.asarray(ids)
     u_e = u[asm.elems[ids]]
     grad = np.einsum("eac,eaj->ecj", u_e, asm.gx[ids])
-    return field_values(grad, u_e.mean(axis=1), tau_scales(asm.h_t[ids], asm.h_s[ids]),
-                        params)
+    return field_values(shear_rate_squared(grad), (u_e.mean(axis=1) ** 2).sum(-1),
+                        tau_scales(asm.h_t[ids], asm.h_s[ids]), params)
 
 
 class TestFieldEvaluation:

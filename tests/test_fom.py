@@ -15,7 +15,7 @@ from stmor import fom
 from stmor.analysis import AnalysisError, offline_build
 from stmor.cases import (artery_analog_config, build_mesh, build_problem, bundled_case,
                          bundled_case_ids)
-from stmor.constitutive import BodyForce, CarreauYasudaParams
+from stmor.constitutive import BodyForce, CarreauYasudaParams, tau_scales, viscosity
 from stmor.fom import (
     KRYLOV_MAX_ITS,
     LINEAR_RESIDUAL_TOL,
@@ -277,6 +277,41 @@ class TestTau:
         t0 = tau_of(mesh, np.zeros((mesh.n_nodes, 1)), INVISCID)
         t1 = tau_of(mesh, np.full((mesh.n_nodes, 1), 10.0), INVISCID)
         assert t1 < t0
+
+
+def kernel_before_squares(grad, mean_u, scales, params):
+    """The element-field kernel as it was before it took squared invariants:
+    (shear rate, viscosity, tau) from gradients (m, d, d) and means (m, d)."""
+    temporal, h_s, h_s2 = scales
+    eps = 0.5 * (grad + grad.swapaxes(-1, -2))
+    gd = np.sqrt(2.0 * np.einsum("...ij,...ij->...", eps, eps))
+    eta = viscosity(gd, params)
+    speed = np.sqrt(np.add.reduce(mean_u * mean_u, -1))
+    nu = eta / params.rho
+    tau = 1.0 / np.sqrt(temporal + (2.0 * speed / h_s) ** 2 + (4.0 * nu / h_s2) ** 2)
+    return gd, eta, tau
+
+
+class TestElementFields:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_the_kernel_of_gradients_and_means(self, d):
+        # element_fields on a stand-in of its assembler: random elements,
+        # shape-function gradients and scales for a d-dimensional space
+        rng = np.random.default_rng(d)
+        m, n_nodes = 60, 40
+        asm = SimpleNamespace(elems=rng.integers(0, n_nodes, (m, d + 2)),
+                              gx=rng.standard_normal((m, d + 2, d)),
+                              tau_scales=tau_scales(rng.uniform(0.01, 1.0, m),
+                                                    rng.uniform(0.01, 1.0, m)))
+        u_full = rng.standard_normal((n_nodes, d))
+        u = u_full[asm.elems]
+        strong = CarreauYasudaParams(eta_0=1.0, eta_inf=0.1, lam=3.0, a=2.0, n=0.5, rho=2.0)
+        for params in (SHEAR_THINNING, INVISCID, NEWTONIAN, strong):
+            want = kernel_before_squares(np.einsum("eac,eaj->ecj", u, asm.gx),
+                                         u.mean(axis=1), asm.tau_scales, params)
+            got = FomAssembler.element_fields(asm, u_full, params)
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g, w)
 
 
 def coo_operators(asm):
@@ -648,6 +683,20 @@ class TestCouette:
         assert "stalled" in caplog.text
 
 
+class CountingNumpy:
+    """numpy with its ``empty`` calls counted, a stand-in for fom's ``np``."""
+
+    def __init__(self):
+        self.empty_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        self.empty_calls += 1
+        return np.empty(*args, **kwargs)
+
+
 class TestPicardDriver:
     @staticmethod
     def step(x):
@@ -671,6 +720,17 @@ class TestPicardDriver:
                            "pinned": float(new[0])}
             prev = new
         assert records[-1]["rel_update"] <= 1e-12 < records[-2]["rel_update"]
+
+    def test_history_is_allocated_at_the_first_pair(self, monkeypatch):
+        counting = CountingNumpy()
+        monkeypatch.setattr(fom, "np", counting)
+        fixed = np.array([1.0, 2.0, 2.0])
+        _, records, _ = fom.picard(lambda x: (fixed, {}), fixed, 1e-12, 5, True,
+                                   SolverError, fom.logger, "test", skip=1)
+        assert len(records) == 1 and counting.empty_calls == 0     # no history
+        _, records, _ = fom.picard(self.step, np.array([1.0, 0.0, 0.0]), 1e-12, 100, True,
+                                   SolverError, fom.logger, "test", skip=1)
+        assert len(records) == 3 and counting.empty_calls == 2     # dF and dG, once
 
     def test_counted_entries_can_stall(self, monkeypatch):
         monkeypatch.setattr(fom, "MIXING_DEPTH", 0)

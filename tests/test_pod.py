@@ -114,6 +114,13 @@ class TestComputePod:
             with pytest.raises(PodError, match="rank cutoff"):
                 compute_pod(np.ones((2, 5)), rank_cutoff=cutoff)
 
+    @pytest.mark.parametrize("option, value", [
+        ("energy_threshold", "0.99"), ("energy_threshold", True), ("energy_threshold", [1.0]),
+        ("rank_cutoff", "1e-14"), ("rank_cutoff", False), ("rank_cutoff", None)])
+    def test_rejects_non_number_tolerances(self, option, value):
+        with pytest.raises(PodError, match="must lie in"):
+            compute_pod(np.ones((2, 5)), **{option: value})
+
     def test_deterministic_with_fixed_input(self):
         rng = np.random.default_rng(6)
         S = rng.standard_normal((6, 25))

@@ -13,7 +13,7 @@ from stmor.analysis import offline_build
 from stmor.constitutive import (SEMANTICS_BC_SCALE, BodyForce,
                                 CarreauYasudaParams, ParameterError,
                                 ParameterSpace, field_values, relative_box,
-                                tau_scales)
+                                shear_rate, shear_rate_squared, tau_scales)
 from stmor.eim import EimApproximation, FieldSampleSet, eim_greedy
 from stmor.fom import (DirichletSpec, FomAssembler, FomProblem, build_dof_map,
                        build_lifting, combine_liftings, fom_inner_products,
@@ -26,7 +26,7 @@ from stmor.rom import (MagicElementData, ReducedSolution, RomError,
                        read_rom, reconstruct, rom_info, solve_rom,
                        strain_operator, truncate, write_rom)
 
-from test_fom import coo_operators, plain_picard
+from test_fom import CountingNumpy, coo_operators, kernel_before_squares, plain_picard
 
 MAT = CarreauYasudaParams(eta_0=0.5, eta_inf=0.05, lam=1.0, a=2.0, n=0.5,
                           rho=1.3)
@@ -169,10 +169,25 @@ def magic_coefficients(pkg, v, params, eims):
                               (pkg.data_tau, eims["tau"], 2)):
         u = data.Z_rows @ v
         grad = np.einsum("eac,eaj->ecj", u, data.gx)
-        values = field_values(grad, u.mean(axis=1), tau_scales(data.h_t, data.h_s),
-                              params)
+        values = field_values(shear_rate_squared(grad), (u.mean(axis=1) ** 2).sum(-1),
+                              tau_scales(data.h_t, data.h_s), params)
         out.append(approx.coefficients(values[col]))
     return out
+
+
+def assemble_before_squares(pkg, v, terms):
+    """assemble_rom as it was before the kernel took squared invariants: the
+    magic elements' gradients and means, reshaped, into the old kernel."""
+    params, _, R_mu, theta = terms
+    d, qe = pkg.d, pkg.q_eta
+    y = (pkg.strain_op @ v).reshape(-1, d * (d + 1))
+    _, eta, tau = kernel_before_squares(y[:, :d * d].reshape(-1, d, d), y[:, d * d:],
+                                        pkg.tau_scales, params)
+    q_t = len(tau) - qe
+    theta = np.concatenate((theta[:2], eta[:qe], tau[qe:], tau[qe:] / params.rho))
+    assert theta.size == 2 + qe + 2 * q_t
+    q, n = pkg.K.shape[:2]
+    return (theta @ pkg.K.reshape(q, n * n)).reshape(n, n), theta @ R_mu
 
 
 def field_errors(basis, grams, reduced, u_ref_flat, p_ref):
@@ -404,6 +419,30 @@ class TestAssemble:
         np.testing.assert_allclose(rhs, want_r, rtol=0.0,
                                    atol=1e-13 * np.abs(want_r).max())
 
+    @pytest.mark.parametrize("name", ["duct", "coarse_artery_rom"])
+    def test_within_round_off_of_the_kernel_of_gradients(self, name, request):
+        pkg = request.getfixturevalue(name)
+        pkg = pkg.pkg if name == "duct" else pkg[1].pkg
+        rng = np.random.default_rng(5)
+        for cut in (pkg, truncate(pkg, pkg.n_lifts + 1, 1)):
+            for mu in query_mus(cut)[:8]:
+                v = solve_rom(cut, mu=mu).v_N
+                for it in (v, v * (1.0 + 0.2 * rng.standard_normal(v.size))):
+                    want = assemble_before_squares(cut, it, mu_terms(cut, mu))
+                    for got, w in zip(assemble_rom(cut, it, mu_terms(cut, mu)), want):
+                        np.testing.assert_allclose(got, w, rtol=0.0,
+                                                   atol=1e-13 * np.abs(w).max())
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_invariant_map_gives_the_squared_invariants(self, d):
+        rng = np.random.default_rng(d)
+        y = rng.standard_normal((30, d * d + d))
+        w = y @ rom.invariant_map(d)
+        grad, mean = y[:, :d * d].reshape(-1, d, d), y[:, d * d:]
+        np.testing.assert_allclose((w[:, :-d] ** 2).sum(1), shear_rate(grad) ** 2,
+                                   rtol=1e-14)
+        np.testing.assert_allclose((w[:, -d:] ** 2).sum(1), (mean ** 2).sum(1), rtol=1e-14)
+
     def test_bad_iterate_shape_rejected(self, duct):
         with pytest.raises(RomError, match="shape"):
             assemble_rom(duct.pkg, np.zeros(duct.pkg.n_u + 1),
@@ -411,6 +450,15 @@ class TestAssemble:
 
 
 class TestSolve:
+    def test_one_step_query_allocates_no_history(self, coarse_artery_rom, monkeypatch):
+        cfg, pipe = coarse_artery_rom
+        counting = CountingNumpy()
+        monkeypatch.setattr(fom, "np", counting)
+        for mu in query_mus(pipe.pkg):
+            red = solve_rom(pipe.pkg, mu=mu, **cfg.picard_options())
+            assert red.converged and len(red.iterations) == 1
+        assert counting.empty_calls == 0
+
     def test_reproduces_training_snapshots(self, duct):
         for sol, u_full, mu in zip(duct.sols, duct.u_fulls, TRAIN_MUS):
             red = solve_rom(duct.pkg, mu=mu, picard_tol=1e-10)
@@ -712,15 +760,18 @@ def coarse_artery_rom():
 def columnwise_stacks(mesh, problem, basis, eim_eta, eim_tau, dof_map, asm):
     """K and R over the interpolation coefficients, with their loads,
     projected one affine fill column of the FOM's SystemPattern at a time as
-    Y^T (Theta_q Y + Theta_q^lift [Z_v, 0]), Y = blockdiag(Z_v|free, Z_p)."""
+    Y^T (Theta_q Y + Theta_q^lift [Z_v, 0]), Y = blockdiag(Z_v|free, Z_p).
+    The operator slots are summed in long double: in double, this route's
+    own round-off reaches the 1e-13 of assert_slots_match on the coarse
+    artery's late interpolation vectors, whose slots cancel."""
     pattern = asm.system_pattern(dof_map)
     Z_v, Z_p, nl = basis.Z_v, basis.Z_p, basis.n_lifts
     n_u, n = Z_v.shape[1], Z_v.shape[1] + Z_p.shape[1]
     Zf = Z_v[dof_map.free_full]
-    Y = block_diag(Zf, Z_p)
-    columns = list(pattern.base.T.toarray())
+    Y = block_diag(Zf, Z_p).astype(np.longdouble)
+    columns = list(pattern.base.T.toarray().astype(np.longdouble))
     for W, basis_q in zip(pattern.weights, (eim_eta.basis, eim_tau.basis, eim_tau.basis)):
-        columns += [W @ b for b in basis_q.T]
+        columns += [W @ b for b in basis_q.T.astype(np.longdouble)]
     K = np.zeros((len(columns), n, n))
     R = np.zeros((len(columns), nl + 1, n))
     for q, values in enumerate(columns):

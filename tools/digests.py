@@ -14,10 +14,13 @@ The list:
         ``solve_fom`` v, p, convergence flag, iteration count and the
         iteration records without their timings, on couette, poiseuille-body
         and the 12x5x6 artery, with the case's solver options;
+    train/chain
+        the 16 training solutions of the 12x5x6 artery's offline build over
+        its 16-point training grid, one ``analysis.solve_chain``: v, p,
+        convergence flags and iteration records without their timings;
     rom/package, rom/<point>
-        the bytes of ``rom.write_rom`` of the 12x5x6 artery's offline build
-        over its 16-point training grid, and ``solve_rom`` (v_N, p_N, flag,
-        records without timings) at the box centre and corners;
+        the bytes of ``rom.write_rom`` of that build, and ``solve_rom`` (v_N,
+        p_N, flag, records without timings) at the box centre and corners;
     rom/cut-<n_u>x<n_p>
         for every cut ``rom.truncate(pkg, n_u, n_p)`` of that package, the
         cut's ``solve_rom`` at the box centre (as above) and the bytes of its
@@ -99,6 +102,8 @@ def compute():
             rom.write_rom(path, pkg)
             return path.read_bytes()
 
+    out["train/chain"] = sha(*[(sol.v.tobytes(), sol.p.tobytes(), sol.converged,
+                                records(sol.iterations)) for sol in pipe.solutions])
     out["rom/package"] = sha(rom_bytes(pipe.pkg))
     lo, hi = np.asarray(box.lower), np.asarray(box.upper)
     points = {"centre": 0.5 * (lo + hi)}

@@ -8,7 +8,11 @@ draws one mu from the package's box and runs the operation once on each
 side, alternating which side goes first, so both see the same machine state;
 a run-to-run drift of the machine's speed moves both alike.  The first
 WARMUP repetitions are not timed.  The two sides' results must be equal bit
-for bit.
+for bit, unless --max-gap G > 0 is given: then the largest relative gap
+between their v_N and p_N, max |head - base| / max |base| over each
+solution, is printed, and only a gap above G, or a different convergence
+flag or step count, stops the run.  A change that reorders the online
+arithmetic is measured that way on one package read by both sides.
 
 Operations:
     read_rom   rom.read_rom of the file
@@ -94,6 +98,19 @@ def fingerprint(out):
     return (out.v_N.tobytes(), out.p_N.tobytes(), out.converged, repr(out.iterations))
 
 
+def gap(base, head):
+    """The largest relative gap of the solutions' (v_N, p_N) and whether their
+    flags and step counts agree; a package (read_rom) gives 0 and its bytes."""
+    if isinstance(base, list):
+        pairs = [gap(b, h) for b, h in zip(base, head, strict=True)]
+        return max(g for g, _ in pairs), all(ok for _, ok in pairs)
+    if hasattr(base, "K"):
+        return 0.0, fingerprint(base) == fingerprint(head)
+    b, h = (np.concatenate((red.v_N, red.p_N)) for red in (base, head))
+    same = base.converged == head.converged and len(base.iterations) == len(head.iterations)
+    return float(np.abs(h - b).max() / np.abs(b).max()), same
+
+
 def summary(us):
     q1, med, q3 = np.percentile(us, [25, 50, 75])
     return "median %8.1f us  quartiles [%.1f, %.1f]  mean %.1f" % (med, q1, q3, np.mean(us))
@@ -105,15 +122,20 @@ def main(argv=None):
     parser.add_argument("--rom", required=True, help="rom package file")
     parser.add_argument("--op", choices=("read_rom", "warm", "cold", "sweep"), default="cold")
     parser.add_argument("--reps", type=int, default=2000)
+    parser.add_argument("--max-gap", type=float, default=0.0,
+                        help="largest relative gap of v_N/p_N allowed (default 0: bitwise)")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    if not args.max_gap >= 0.0:
+        parser.error("--max-gap must be at least 0")
 
     sides = {name: operation(load_rom_module("stmor_" + name, where), args.op, args.rom)
              for name, where in (("base", args.base), ("head", HEAD))}
     _, pkg = sys.modules["stmor_head.rom"].read_rom(args.rom)
     mus = draw_mus(pkg, WARMUP + args.reps, SEED)
     times = {"base": [], "head": []}
+    largest = 0.0
     for i, mu in enumerate(mus):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         out = {}
@@ -123,11 +145,20 @@ def main(argv=None):
             elapsed = time.perf_counter() - t0
             if i >= WARMUP:
                 times[name].append(1e6 * elapsed)
-        if fingerprint(out["base"]) != fingerprint(out["head"]):
-            raise SystemExit("results differ at repetition %d, mu=%s" % (i, mu))
+        if args.max_gap == 0.0:
+            if fingerprint(out["base"]) != fingerprint(out["head"]):
+                raise SystemExit("results differ at repetition %d, mu=%s" % (i, mu))
+            continue
+        rel, same = gap(out["base"], out["head"])
+        largest = max(largest, rel)
+        if rel > args.max_gap or not same:
+            raise SystemExit("results differ at repetition %d, mu=%s: relative gap %.3e, flags "
+                             "and step counts %s" % (i, mu, rel, "equal" if same else "differ"))
 
     base, head = (np.array(times[name]) for name in ("base", "head"))
-    print("%s on %s, %d repetitions, results bitwise equal" % (args.op, args.rom, args.reps))
+    print("%s on %s, %d repetitions, %s" % (
+        args.op, args.rom, args.reps, "results bitwise equal" if args.max_gap == 0.0 else
+        "largest relative gap of v_N/p_N %.3e (allowed %.1e)" % (largest, args.max_gap)))
     print("base  " + summary(base))
     print("head  " + summary(head))
     print("head/base: median %.3f, mean %.3f; head faster in %d of %d repetitions"
