@@ -177,16 +177,21 @@ def solve_chain(mesh, problem, mus, *, assembler, dof_map, picard_tol=1e-8,
                 picard_max=50, strict=True):
     """Natural-parameter continuation over mus, in order; (solutions, seconds).
 
-    The first solve is cold.  Each later one inherits the factor list of the
-    run (solve_fom's factor) and starts at its mu from the reduced start's
+    The first solve starts from x0 = 0, linearized at the lifting, and
+    factors that system into the factor list of the run (solve_fom's
+    factor).  It does not start at rest as a cold solve does: that saves a
+    chain no factorization, and it moved the valve's training snapshots
+    enough that their tau interpolation history no longer decayed
+    monotonically (acceptance criterion 4).  Each later solve inherits the
+    list and starts at its mu from the reduced start's
     fit (rom.fit_monomials in box coordinates) of the converged solves so
     far, or from its predecessor's solution without parameters and while the
     affine design of their mus is rank-deficient (fewer than two, or
     collinear as on one grid line).  This is the one training loop: a whole
     list, such as an ``ij`` grid (generate_samples), runs as one
     continuation.  A solve that did not converge hands nothing on: the next
-    starts cold with a fresh factor, which dies with the call.  Results agree
-    with cold solves at the picard_tol level and repeat bit for bit.
+    starts from zero with a fresh factor.  Results agree with cold solves at
+    the picard_tol level and repeat bit for bit.
     """
     box = problem.space and problem.space.box
     centre, half = box_frame(tuple(box.lower), tuple(box.upper)) if box else (None, None)
@@ -200,8 +205,9 @@ def solve_chain(mesh, problem, mus, *, assembler, dof_map, picard_tol=1e-8,
             _, degree, C = fit_monomials(np.array(T), np.array(X))
             x0 = evaluate_fit(t, monomial_exponents(len(t), degree), C)
         sol = solve_fom(mesh, problem, mu=mu, picard_tol=picard_tol,
-                        picard_max=picard_max, assembler=assembler,
-                        dof_map=dof_map, strict=strict, x0=x0, factor=factor)
+                        picard_max=picard_max, assembler=assembler, dof_map=dof_map,
+                        strict=strict, x0=np.zeros(dof_map.n_total) if x0 is None else x0,
+                        factor=factor)
         times.append(time.perf_counter() - t0)
         sols.append(sol)
         if sol.converged:

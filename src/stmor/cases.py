@@ -25,6 +25,7 @@ from .constitutive import (SEMANTICS_BC_SCALE, SEMANTICS_MATERIAL, BodyForce,
 from .fom import DirichletSpec, FomProblem
 
 SCHEMA_VERSION = 1
+MAX_NODES = 10 ** 7         # mesh nodes a geometry may ask for, counted before building
 
 
 class CaseError(Exception):
@@ -303,17 +304,33 @@ def _read_geometry(geometry):
     return read_section(geometry, dict(_GEOMETRY[kind], kind=(_text, _REQUIRED)), "geometry")
 
 
+def _check_size(n_nodes, keys):
+    if not n_nodes <= MAX_NODES:
+        raise CaseError("geometry keys %s ask for more than MAX_NODES = %d mesh nodes"
+                        % (keys, MAX_NODES))
+
+
 def build_mesh(config):
-    """Deformed space-time mesh of the configured geometry."""
+    """Deformed space-time mesh of the configured geometry.
+
+    A geometry asking for more than MAX_NODES nodes is refused before any
+    array is built.
+    """
     g = _read_geometry(config.geometry)
     if g["kind"] == "valve":
         dt, t_end = g["dt_s"], g["t_end_s"]
-        n = round(t_end / dt) if dt > 0 else 0
+        steps = t_end / dt if dt > 0 else 0.0
+        # an upper bound: the tensor grid of the breaks, before solid cells go
+        breaks = [1.0 + sum(max(1.0, float(np.round(c * g["refine"]))) for c in counts)
+                  for counts in (_VALVE_X_COUNTS, _VALVE_Y_COUNTS)]
+        _check_size(breaks[0] * breaks[1] * (steps + 1.0), "refine, dt_s and t_end_s")
+        n = round(steps)
         if n < 1 or abs(n * dt - t_end) > 1e-9 * t_end:
             raise CaseError("dt_s must divide t_end_s evenly")
         return msh.extrude(valve_spatial_mesh(g["refine"]), np.linspace(0.0, t_end, n + 1),
                            valve_deformation())
     if g["kind"] == "channel":
+        _check_size((g["n_x"] + 1) * (g["n_y"] + 1) * g["n_levels"], "n_x, n_y and n_levels")
         center, narrow_hw = g["narrow_center_m"], g["narrow_halfwidth_m"]
         if g["n_levels"] < 2:
             raise CaseError("channel geometry needs n_levels >= 2")
@@ -323,6 +340,8 @@ def build_mesh(config):
         return msh.extrude(channel_spatial_mesh(g["length_m"], g["halfwidth_m"],
                                                 g["n_x"], g["n_y"]),
                            np.linspace(0.0, g["t_end_s"], g["n_levels"]), narrowing)
+    _check_size(len(g["x_breaks_m"]) * len(g["y_breaks_m"]) * len(g["time_levels_s"]),
+                "x_breaks_m, y_breaks_m and time_levels_s")
     sp = msh.rectangle_mesh(np.asarray(g["x_breaks_m"]), np.asarray(g["y_breaks_m"]),
                             left="left", right="right", bottom="bottom", top="top")
     return msh.extrude(sp, np.asarray(g["time_levels_s"]))

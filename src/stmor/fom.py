@@ -30,29 +30,36 @@ and the lifting load comes from the entries in constrained columns.  No
 other sparse layout of the system exists; the offline projection
 (rom.project_offline) reduces the element blocks directly.
 
-Linear solves: one solve_fom call factors its first system and keeps that
-factor.  The factor is a sparse LU of the system in the pattern's
-fill-reducing order (SystemPattern.order): a geometric nested dissection of
-the mesh nodes (George 1973), each node's free velocity DOFs followed by its
-pressure DOF.  SuperLU factors it in symmetric mode, refining that order by
-minimum degree, with diagonal pivots: the largest entry of a column is taken
-only where its diagonal is zero (static pivoting, Li & Demmel 2003).  Two
-refinement steps follow.  Should that factor break down or its refined
-residual miss the contract, it is dropped and the system is factored again
-with column ordering and partial pivoting; a system is reported singular
-only if that factor fails too.  Each later system gets one cycle of a
-right-preconditioned GMRES (gmres) of at most KRYLOV_MAX_ITS iterations,
-preconditioned by the kept factor and started from the iterate it
-linearizes at.  The cycle stops early once its observed rate cannot meet the
-contract within KRYLOV_MAX_ITS.  Its result is accepted only if the true relative residual
-||rhs - K x|| / ||rhs|| meets LINEAR_RESIDUAL_TOL (1e-10), the same contract
-a direct solve must meet; otherwise the old factor is released and the
-system is factored afresh.  A call given neither x0 nor factor starts from
-zero with a factor of its own, which dies with the call, so its solution
-does not depend on what was solved before it.  A caller continuing over a
-sequence of mu (analysis.solve_chain) hands each call the previous solution
-as x0 and one factor list for the whole sequence; those results depend on
-the order of the mu at the picard_tol level.
+Linear solves: one solve_fom call solves its first system directly and keeps
+that factor for the later ones.  The factor is a sparse LU of the system in
+the pattern's fill-reducing order (SystemPattern.order): a geometric nested
+dissection of the mesh nodes (George 1973), each node's free velocity DOFs
+followed by its pressure DOF.  SuperLU factors it in symmetric mode,
+refining that order by minimum degree, with diagonal pivots: the largest
+entry of a column is taken only where its diagonal is zero (static pivoting,
+Li & Demmel 2003).  Two refinement steps follow.  Should that factor break
+down or its refined residual miss the contract, it is dropped and the system
+is factored again with column ordering and partial pivoting; a system is
+reported singular only if that factor fails too.  Each later system gets one
+cycle of a right-preconditioned GMRES (gmres) of at most KRYLOV_MAX_ITS
+iterations, preconditioned by the kept factor and started from the iterate
+it linearizes at.  The cycle stops early once its observed rate cannot meet
+the contract within KRYLOV_MAX_ITS.  Its result is accepted only if the true
+relative residual ||rhs - K x|| / ||rhs|| meets LINEAR_RESIDUAL_TOL (1e-10),
+the same contract a direct solve must meet; otherwise the old factor is
+released and the system is factored afresh.  A call without x0 is cold: its
+first system is the one at rest (u = 0, so eta = eta_0 and tau at zero
+speed), with the Dirichlet data in the right-hand side.  That system is the
+same for every mu of a material or amplitude parameter, and SystemPattern
+keeps its factor, keyed by the per-element eta and tau at rest and rho: the
+cold solves on one pattern factor it once, each then starting with a refined
+direct solve with it.  A pattern keeps no other factor, and releases this
+one before any system on it is factored anew.  A cold solve's result depends
+on its mu alone, not on what was solved before it or on which assembler ran
+it.  A caller continuing over a sequence of mu (analysis.solve_chain) hands
+each call the previous solution as x0 and one factor list for the whole
+sequence; those results depend on the order of the mu at the picard_tol
+level.
 
 Nonlinear iteration: picard() is the one driver; solve_fom and
 rom.solve_rom pass it a step, the linearized solve at a frozen iterate.  It
@@ -69,6 +76,7 @@ MIXING_DEPTH = 0 is the plain Picard iteration, bit for bit.
 import logging
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +102,11 @@ CONFLICT_TOL = 1e-10
 
 class SolverError(Exception):
     """Raised for singular systems, non-convergence, or non-finite data."""
+
+
+# the live FomAssembler of each mesh, by id(mesh) (assembler_for); weak, so it
+# keeps no assembler alive
+_LIVE = weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +294,20 @@ class FomAssembler:
         self.gx = np.ascontiguousarray(grads[:, :, :self.d])
         self.gt = np.ascontiguousarray(grads[:, :, self.d])
         self.elems = mesh.elements
-        x = mesh.nodes[self.elems]
-        self.h_t = x[:, :, -1].max(axis=1) - x[:, :, -1].min(axis=1)
-        a, b = np.triu_indices(self.D + 1, 1)              # each node pair once
-        diffs = x[:, a, :-1] - x[:, b, :-1]
-        self.h_s = np.sqrt((diffs ** 2).sum(-1)).max(axis=1)
+        # the times and a running maximum over node pairs, so that no
+        # (e, D+1, D) gather or (e, pairs, d) difference is formed
+        t = mesh.nodes[self.elems, -1]
+        self.h_t = t.max(axis=1) - t.min(axis=1)
+        side2 = np.zeros(len(self.elems))                  # largest squared side
+        for i, j in zip(*np.triu_indices(self.D + 1, 1)):  # each node pair once
+            diff = mesh.nodes[self.elems[:, i], :-1] - mesh.nodes[self.elems[:, j], :-1]
+            np.maximum(side2, np.square(diff).sum(-1), out=side2)
+        self.h_s = np.sqrt(side2)
         self.tau_scales = tau_scales(self.h_t, self.h_s)
         self.G = np.einsum("eaj,ebj->eab", self.gx, self.gx)
         self._cache = {}
         self._pattern = None        # (key, SystemPattern) of the last system
+        _LIVE[id(mesh)] = self
 
     def adjacency(self):
         """Node adjacency of the mesh as (start, nbr, rank), built on first use.
@@ -407,6 +425,12 @@ class FomAssembler:
             raise SolverError("non-finite viscosity or tau in element %d" % bad[0])
         return gd, eta, tau
 
+    def rest_fields(self, params):
+        """Per-element (viscosity, tau) at rest (u = 0), from zero invariants."""
+        zero = np.zeros(len(self.elems))
+        _, eta, tau = field_values(zero, zero, self.tau_scales, params)
+        return eta, tau
+
     def body_rhs(self, f_vec, rho):
         """int rho psi_i . f, accumulated on full velocity indices."""
         F = np.zeros((self.mesh.n_nodes, self.d))
@@ -506,7 +530,8 @@ class SystemPattern:
     the pressure blocks of unit element weight onto the slots.  The pressure
     gauge is decided with the pattern: pins holds the pinned pressure nodes
     (pressure_pins), and open_levels the time levels gauged by zero mean
-    instead (_open_levels).
+    instead (_open_levels).  rest holds the factor of the system at rest
+    (rest_solve), the one factor a pattern keeps.
 
     The build never forms the dof-level COO: the node adjacency
     (FomAssembler.adjacency) gives the unrestricted layout, in which every
@@ -568,6 +593,7 @@ class SystemPattern:
         # then pressure, for the factor order built on first use
         self._node_dofs = np.column_stack([dof_map.vdof, dof_map.n_velocity + np.arange(n)])
         self._order = None
+        self.rest = None            # (key, factor) of the system at rest
         n_total = dof_map.n_total
         self.shape = (n_total, n_total)
         self.indices = x_index[col[in_matrix]]
@@ -679,6 +705,28 @@ class SystemPattern:
             self._order = dofs[dofs >= 0]
         return self._order
 
+    def rest_solve(self, K, rhs, key, factor, order):
+        """direct_solve of the first system of a cold solve, the system at rest.
+
+        key is what that system depends on, the per-element eta and tau at
+        rest and rho; it is the same for every mu of a material or amplitude
+        parameter.  The factor of K is kept with its key, so the cold solves
+        on this pattern factor it once, and each is then a refined direct
+        solve with it.  Only a diagonal-pivot factor is kept: it depends on K
+        alone, while the fallback is chosen by the residual of one
+        right-hand side.  factor (a one-item list holding None) holds the
+        factor used on return, the lagged factor of the later steps.
+        """
+        if self.rest is not None and all(map(np.array_equal, self.rest[0], key)):
+            x, rel = _refined(K, rhs, self.rest[1])
+            if rel <= LINEAR_RESIDUAL_TOL:
+                factor[0] = self.rest[1]
+                return x, rel, False, 0, 0.0
+        out = direct_solve(K, rhs, factor, order=order, pattern=self)
+        if isinstance(factor[0], OrderedFactor):
+            self.rest = (key, factor[0])
+        return out
+
     def matrix(self, values):
         return sp.csr_matrix((values[:self.nnz], self.indices, self.indptr),
                              shape=self.shape)
@@ -715,13 +763,17 @@ def fixed_load(asm, dof_map, problem, rho):
 def assemble_fom(asm, pattern, u_iterate, params, lift, load):
     """One linearization of the space-time system at the iterate u_iterate.
 
-    u_iterate is the full nodal velocity (previous iterate including lifts);
-    viscosity and tau are evaluated from it per element, frozen and filled
-    into the pattern.  lift is the flat full lifting vector, which enters the
-    right-hand side through the entries in constrained columns, and load
-    the fixed rest of it (fixed_load).
+    u_iterate is the full nodal velocity (previous iterate including lifts),
+    or None for the state at rest (u = 0); viscosity and tau are evaluated
+    from it per element, frozen and filled into the pattern.  lift is the
+    flat full lifting vector, which enters the right-hand side through the
+    entries in constrained columns, and load the fixed rest of it
+    (fixed_load).
     """
-    _, eta, tau = asm.element_fields(u_iterate, params)
+    if u_iterate is None:
+        eta, tau = asm.rest_fields(params)
+    else:
+        _, eta, tau = asm.element_fields(u_iterate, params)
     values = pattern.fill(eta, tau, params.rho)
     rhs = load - pattern.lift_matrix(values) @ lift
     if not np.all(np.isfinite(rhs)):
@@ -767,7 +819,7 @@ def gmres(K, rhs, psolve, x0):
     norm_b = np.linalg.norm(rhs)
     r = rhs - K @ x0
     beta = np.linalg.norm(r)
-    if beta <= KRYLOV_RTOL * norm_b:
+    if beta <= KRYLOV_RTOL * norm_b or not m:
         return x0, 0
     V = np.empty((m + 1, rhs.size))     # orthonormal basis of the Krylov space
     Z = np.empty((m, rhs.size))         # its preconditioned images
@@ -827,7 +879,7 @@ def _refined(K, rhs, lu):
     return x, _relative_residual(K, rhs, x)
 
 
-def direct_solve(K, rhs, factor=None, x0=None, order=None):
+def direct_solve(K, rhs, factor=None, x0=None, order=None, pattern=None):
     """Solve K x = rhs to the residual contract.
 
     factor is an optional one-item list holding the sparse LU of an earlier
@@ -842,7 +894,9 @@ def direct_solve(K, rhs, factor=None, x0=None, order=None):
     minimum degree on K + K^T, with diagonal pivots wherever they are
     non-zero.  If that factor breaks down or misses the contract after
     refinement, K is factored with SuperLU's defaults (column ordering and
-    partial pivoting) instead.
+    partial pivoting) instead.  pattern, the SystemPattern of K if given,
+    releases the factor it keeps (SystemPattern.rest) before K is factored,
+    so that it never sits beside a second factor of its systems.
 
     Returns (x, rel, factorized, krylov_its, factor_s), where factor_s is
     the wall time of factorization and refinement.
@@ -857,6 +911,8 @@ def direct_solve(K, rhs, factor=None, x0=None, order=None):
         logger.debug("lagged factor missed the residual contract (%.3e after "
                      "%d GMRES iterations); refactoring", rel, its)
         factor[0] = None    # release the old factor before building the next
+    if pattern is not None:
+        pattern.rest = None
     t0 = time.perf_counter()
     order = np.arange(K.shape[0]) if order is None else order
     try:
@@ -994,13 +1050,17 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
 
 
 def assembler_for(mesh, assembler, error):
-    """assembler, or a new FomAssembler(mesh) if it is None.
+    """assembler; if it is None, the live FomAssembler of the mesh object,
+    or a new FomAssembler(mesh) if none lives.
 
-    An assembler built on another mesh, one of different content, raises
+    So a caller that holds an assembler shares its geometry, norm matrices,
+    pattern and kept factor with every call given the same mesh.  An
+    assembler built on another mesh, one of different content, raises
     error: its solution would carry mesh's hash while solving on its own.
     """
     if assembler is None:
-        return FomAssembler(mesh)
+        live = _LIVE.get(id(mesh))
+        return live if live is not None and live.mesh is mesh else FomAssembler(mesh)
     if assembler.mesh is not mesh and assembler.mesh.content_hash() != mesh.content_hash():
         raise error("assembler was built on mesh %s, not on mesh %s"
                     % (assembler.mesh.content_hash(), mesh.content_hash()))
@@ -1041,13 +1101,20 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     not converged.  The pressure of a time level that no equation gauges
     (SystemPattern.open_levels) has zero mean in every step.
 
+    Cold start: without x0 the first step linearizes at rest (u = 0, so
+    eta = eta_0 and tau at zero speed), with the Dirichlet data in the
+    right-hand side, and solves with the factor its pattern keeps of that
+    system (SystemPattern.rest_solve); the later steps take it as their
+    lagged factor.  The result depends on (mesh, DOF map, problem, mu)
+    alone, not on earlier calls or on which assembler ran them.
+
     Continuation: x0 is the first iterate, the free-DOF vector [v, p] of an
     earlier solution on the same DOF map (the Dirichlet values always come
     from this mu's liftings), and factor is a caller-owned one-item list
     (see direct_solve) whose factor preconditions the first system and which
-    holds the last factor on return.  Without them the solve starts from
-    zero with a factor list of its own, and its result does not depend on
-    earlier calls; with them it does, at the picard_tol level.
+    holds the last factor on return.  A cold call replaces the list's factor
+    by the one of its first step.  Results started from x0 depend on it at
+    the picard_tol level.
     """
     params, amps = problem.effective(mu)
     dof_map = dof_map if dof_map is not None else build_dof_map(mesh, problem.dirichlet)
@@ -1069,15 +1136,25 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     load = fixed_load(asm, dof_map, problem, params.rho)
     n_v = dof_map.n_velocity
     factor = [None] if factor is None else factor   # the lagged LU
+    # the key of the rest system while the first step of a cold solve is due
+    rest = (*asm.rest_fields(params), params.rho) if x0 is None else None
+    if rest is not None:
+        factor[0] = None
 
     def step(x):
+        nonlocal rest
         t0 = time.perf_counter()
-        u = l_full + dof_map.expand(x[:n_v])
+        u = None if rest is not None else l_full + dof_map.expand(x[:n_v])
         sys = assemble_fom(asm, pattern, u, params, lift, load)
         K, rhs = sys.matrix(), sys.rhs()
         t1 = time.perf_counter()
-        x_new, lin_res, factorized, its, factor_s = direct_solve(
-            K, rhs, factor, x0=x, order=pattern.order(asm))
+        if rest is not None:
+            key, rest = rest, None
+            x_new, lin_res, factorized, its, factor_s = pattern.rest_solve(
+                K, rhs, key, factor, pattern.order(asm))
+        else:
+            x_new, lin_res, factorized, its, factor_s = direct_solve(
+                K, rhs, factor, x0=x, order=pattern.order(asm), pattern=pattern)
         if open_levels.any():   # on a copy: a cycle that starts converged returns x
             x_new = x_new.copy()
             p = x_new[n_v:].reshape(open_levels.size, -1)

@@ -163,17 +163,20 @@ class SpaceTimeMesh:
     def all_element_geometry(self):
         """Vectorized geometry: (measures, grads) with grads (n_e, D+1, D), cached."""
         if self._geom is None:
-            D = self.dimension
-            x = self.nodes[self.elements]                  # (m, D+1, D)
-            M = np.swapaxes(x[:, 1:, :] - x[:, :1, :], 1, 2)   # columns = edge vectors
+            D, el = self.dimension, self.elements
+            x0 = self.nodes[el[:, 0]]
+            M = np.empty((len(el), D, D))                  # columns = edge vectors
+            for j in range(D):
+                M[:, :, j] = self.nodes[el[:, j + 1]] - x0
+            del x0
             det = np.linalg.det(M)
             bad = np.flatnonzero(np.abs(det) < 1e-300)
             if bad.size:
                 raise MeshError("element %d is degenerate" % bad[0])
-            Minv = np.linalg.inv(M)                        # rows = gradients of N_1..N_D
-            grads = np.empty((x.shape[0], D + 1, D))
-            grads[:, 1:, :] = Minv
-            grads[:, 0, :] = -Minv.sum(axis=1)
+            grads = np.empty((len(el), D + 1, D))
+            grads[:, 1:, :] = np.linalg.inv(M)             # rows = gradients of N_1..N_D
+            del M
+            grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
             self._geom = (det / _FACTORIAL[D], grads)
         return self._geom
 
@@ -223,7 +226,11 @@ class SpaceTimeMesh:
 def _boundary_facet_rows(elements, D):
     """Facets referenced once, as (n, D) sorted rows in lexicographic order (no id limit)."""
     ordered = np.sort(elements, axis=1)                     # so every face row is sorted
-    faces = np.concatenate([np.delete(ordered, i, axis=1) for i in range(D + 1)])
+    faces = np.empty((D + 1, len(ordered), D), dtype=ordered.dtype)
+    for i in range(D + 1):                                  # face i omits node i
+        faces[i] = np.delete(ordered, i, axis=1)
+    del ordered
+    faces = faces.reshape(-1, D)
     faces = faces[np.lexsort(faces.T[::-1])]
     start = np.ones(faces.shape[0] + 1, dtype=bool)     # a face differs from the one before
     start[1:-1] = (faces[1:] != faces[:-1]).any(axis=1)

@@ -286,18 +286,34 @@ class TestOfflineBuild:
         np.testing.assert_allclose(rebuilt.basis.spectrum_v,
                                    pipe.basis.spectrum_v, rtol=1e-12)
 
-    def test_build_from_solutions_builds_no_system_pattern(self, duct, monkeypatch):
-        # the projection works element by element; only a Picard loop needs
-        # the pattern
-        _, _, _, pipe = duct
+    @staticmethod
+    def build_from_solutions(pipe, mesh, monkeypatch):
+        """offline_build(solutions=...) on mesh, and the patterns it built."""
         built = []
         real = fom.SystemPattern
         monkeypatch.setattr(fom, "SystemPattern", lambda *a: built.append(a) or real(*a))
-        fresh = offline_build(pipe.mesh, pipe.problem, solutions=pipe.solutions,
-                              tol_eim_eta=1e-13, tol_eim_tau=1e-13,
-                              energy_threshold=1.0, rank_cutoff=1e-14)
+        return offline_build(mesh, pipe.problem, solutions=pipe.solutions,
+                             tol_eim_eta=1e-13, tol_eim_tau=1e-13,
+                             energy_threshold=1.0, rank_cutoff=1e-14), built
+
+    def test_build_from_solutions_builds_no_system_pattern(self, duct, monkeypatch):
+        # the projection works element by element; only a Picard loop needs
+        # the pattern.  No assembler lives on a rebuilt mesh object, so the
+        # build makes its own
+        cfg, _, _, pipe = duct
+        fresh, built = self.build_from_solutions(pipe, cases.build_mesh(cfg), monkeypatch)
         assert fresh.assembler is not pipe.assembler
-        assert built == []
+        assert fresh.assembler._pattern is None and built == []
+
+    def test_build_from_solutions_reuses_the_live_assembler(self, duct, monkeypatch):
+        # so no second geometry and Gram matrices are built beside its factor
+        cfg, _, _, pipe = duct
+        mesh = cases.build_mesh(cfg)
+        asm = fom.FomAssembler(mesh)
+        fresh, built = self.build_from_solutions(pipe, mesh, monkeypatch)
+        assert fresh.assembler is asm and asm._pattern is None and built == []
+        assert self.build_from_solutions(pipe, pipe.mesh, monkeypatch)[0].assembler \
+            is pipe.assembler
 
     def test_given_assembler_is_reused(self, duct, monkeypatch):
         _, _, _, pipe = duct

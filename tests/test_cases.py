@@ -2,13 +2,14 @@
 
 import copy
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stmor import mesh as msh
+from stmor import cases, mesh as msh
 from stmor.cases import (CaseConfig, CaseError, artery_analog_config,
                          build_mesh, build_problem, bundled_case,
                          bundled_case_ids, config_from_dict, couette_config,
@@ -557,3 +558,31 @@ class TestKeyTables:
         kept = leaf(config.to_dict(), path)
         assert kept == value or (kept != kept and value != value)
         assert type(kept) is not bool or type(value) is bool
+
+
+class TestMeshSize:
+    @pytest.mark.parametrize("config, match", [
+        (artery_analog_config(n_x=10 ** 9), "n_x, n_y and n_levels"),
+        (artery_analog_config(n_levels=10 ** 400), "n_x, n_y and n_levels"),
+        (valve_analog_config(refine=1e6), "refine, dt_s and t_end_s"),
+        (valve_analog_config(refine=1e300), "refine, dt_s and t_end_s"),
+        (valve_analog_config(dt_s=1e-300), "refine, dt_s and t_end_s"),
+    ])
+    def test_too_large_a_mesh_is_refused_before_it_is_built(self, config, match):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CaseError, match=match + ".*MAX_NODES"):
+                build_mesh(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_counts_at_the_bound_are_kept(self, monkeypatch):
+        # the 12x5x6 artery has 13 * 6 * 6 = 468 nodes
+        config = artery_analog_config(n_x=12, n_y=5, n_levels=6)
+        monkeypatch.setattr(cases, "MAX_NODES", 468)
+        assert build_mesh(config).n_nodes == 468
+        monkeypatch.setattr(cases, "MAX_NODES", 467)
+        with pytest.raises(CaseError, match="MAX_NODES = 467"):
+            build_mesh(config)

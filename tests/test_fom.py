@@ -1,6 +1,7 @@
 """Assembly, boundary data handling, and the nonlinear full-order solve."""
 
 import gc
+import itertools
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -850,8 +851,11 @@ class TestLaggedFactor:
     @pytest.mark.parametrize("case", ["couette", "artery"])
     def test_matches_factor_every_iteration(self, case, monkeypatch):
         if case == "couette":
-            mesh, opts = channel_mesh(n=3, levels=4), {}
+            # started at the lifting: from rest the Newtonian first step hits
+            # the linear shear, and the solve stops after two steps
+            mesh = channel_mesh(n=3, levels=4)
             prob = couette_problem(SHEAR_THINNING)
+            opts = {"x0": np.zeros(build_dof_map(mesh, prob.dirichlet).n_total)}
         else:
             cfg = artery_analog_config(n_x=12, n_y=5, n_levels=6)
             mesh, opts = build_mesh(cfg), cfg.picard_options()
@@ -875,7 +879,9 @@ class TestLaggedFactor:
 
     def test_wrong_krylov_result_refactors(self, monkeypatch):
         mesh, prob = channel_mesh(n=3, levels=4), couette_problem(SHEAR_THINNING)
-        reference = solve_fom(mesh, prob)
+        # started at the lifting, for more than two steps (see above)
+        x0 = np.zeros(build_dof_map(mesh, prob.dirichlet).n_total)
+        reference = solve_fom(mesh, prob, x0=x0)
         calls = []
 
         def first_call_wrong(K, rhs, psolve, x0):
@@ -884,7 +890,7 @@ class TestLaggedFactor:
             return (x + 1.0 if len(calls) == 1 else x), its
 
         monkeypatch.setattr(fom, "gmres", first_call_wrong)
-        sol = solve_fom(mesh, prob)
+        sol = solve_fom(mesh, prob, x0=x0)
         assert sol.converged
         assert [rec["factorized"] for rec in sol.iterations[:3]] == [True, True, False]
         assert sol.iterations[1]["krylov_its"] > 0
@@ -910,7 +916,9 @@ class TestLaggedFactor:
         assert all(0 < rec["krylov_its"] < KRYLOV_MAX_ITS for rec in recs[1:3])
 
     def test_records_carry_step_timings(self):
-        sol = solve_fom(channel_mesh(n=3, levels=4), couette_problem(SHEAR_THINNING))
+        mesh, prob = channel_mesh(n=3, levels=4), couette_problem(SHEAR_THINNING)
+        x0 = np.zeros(build_dof_map(mesh, prob.dirichlet).n_total)
+        sol = solve_fom(mesh, prob, x0=x0)
         assert len(sol.iterations) > 2
         for rec in sol.iterations:
             assert rec["assemble_s"] >= 0.0 and rec["solve_s"] >= 0.0
@@ -1067,6 +1075,8 @@ def block_assembly(mesh, problem, mu):
     pins = pressure_pins(mesh, dm)
 
     def assemble(asm, pattern, u, params, lift, load):
+        if u is None:       # the first step of a cold solve: at rest
+            u = np.zeros((mesh.n_nodes, mesh.d))
         K, rhs = reference_system(asm, dm, lifts, u, params, problem, pins)
         return SimpleNamespace(matrix=lambda: K, rhs=lambda: rhs)
 
@@ -1084,13 +1094,16 @@ class TestMatchesBlockSolver:
             opts = cfg.picard_options()
             lo, hi = np.asarray(cfg.space.box.lower), np.asarray(cfg.space.box.upper)
             mus = [lo, 0.5 * (lo + hi), hi]
-        for mu in mus:
-            new = solve_fom(mesh, prob, mu=mu, **opts)
+        # cold, from rest, and started at the lifting
+        starts = (None, np.zeros(build_dof_map(mesh, prob.dirichlet).n_total))
+        for mu, x0 in itertools.product(mus, starts):
+            new = solve_fom(mesh, prob, mu=mu, x0=x0, **opts)
             with monkeypatch.context() as m:
                 m.setattr(fom, "assemble_fom", block_assembly(mesh, prob, mu))
                 m.setattr(fom, "gmres", block_gmres)
-                old = solve_fom(mesh, prob, mu=mu, **opts)
-            assert len(new.iterations) == len(old.iterations) > 2
+                old = solve_fom(mesh, prob, mu=mu, x0=x0, **opts)
+            # couette from rest: a Newtonian step, then the converged one
+            assert len(new.iterations) == len(old.iterations) > (1 if x0 is None else 2)
             assert sum(r["factorized"] for r in new.iterations) \
                 <= sum(r["factorized"] for r in old.iterations)
             assert all(r["linear_residual"] <= LINEAR_RESIDUAL_TOL
@@ -1149,6 +1162,35 @@ class TestForeignAssembler:
         # an equal mesh built again is the same mesh
         assert fom_inner_products(build_mesh(cfg), FomAssembler(mesh))["M_p"].shape \
             == (mesh.n_nodes, mesh.n_nodes)
+
+
+class TestLiveAssembler:
+    def test_calls_without_assembler_share_the_live_one(self, monkeypatch):
+        mesh, prob = TestFixedPattern.case("pinned")
+        asm = FomAssembler(mesh)
+        built = []
+        monkeypatch.setattr(fom, "FomAssembler", lambda *a: built.append(a))
+        assert fom.assembler_for(mesh, None, SolverError) is asm
+        solve_fom(mesh, prob)
+        assert fom_inner_products(mesh)["M_p"] is asm.mass_pressure()
+        assert built == [] and asm._pattern is not None
+        # another mesh object of equal content has no live assembler
+        other, _ = TestFixedPattern.case("pinned")
+        assert fom.assembler_for(other, None, SolverError) is None and len(built) == 1
+
+    def test_registry_keeps_no_assembler_alive(self):
+        # without the cyclic collector: the registry holds weak references
+        mesh, prob = TestFixedPattern.case("pinned")
+        gc.disable()
+        try:
+            asm = FomAssembler(mesh)
+            solve_fom(mesh, prob)
+            ref = weakref.ref(asm)
+            del asm
+            assert ref() is None
+            assert fom.assembler_for(mesh, None, SolverError) is not None
+        finally:
+            gc.enable()
 
 
 class TestInnerProducts:

@@ -14,6 +14,12 @@ The list:
         ``solve_fom`` v, p, convergence flag, iteration count and the
         iteration records without their timings, on couette, poiseuille-body
         and the 12x5x6 artery, with the case's solver options;
+    fom/valve
+        the same of the valve's cold solve at its box centre;
+    fom/artery-after-others
+        the same of the 12x5x6 artery's cold solve at its box centre, run
+        after the solves at its lower and upper bounds on the same assembler;
+        the run stops unless it equals that solve on a fresh assembler;
     train/chain
         the 16 training solutions of the 12x5x6 artery's offline build over
         its 16-point training grid, one ``analysis.solve_chain``: v, p,
@@ -61,6 +67,11 @@ def records(log):
     return [{k: v for k, v in rec.items() if not k.endswith("_s")} for rec in log]
 
 
+def fom_digest(sol):
+    return sha(sol.v.tobytes(), sol.p.tobytes(), sol.converged, len(sol.iterations),
+               records(sol.iterations))
+
+
 def compute():
     """name -> hex digest for every entry of the list."""
     import numpy as np
@@ -85,11 +96,23 @@ def compute():
     for case_id, overrides in FOM_CASES:
         config, mesh, problem = built[(case_id, tuple(sorted(overrides.items())))]
         sol = fom.solve_fom(mesh, problem, **config.picard_options())
-        out["fom/" + case_id] = sha(sol.v.tobytes(), sol.p.tobytes(), sol.converged,
-                                    len(sol.iterations), records(sol.iterations))
+        out["fom/" + case_id] = fom_digest(sol)
+    config, mesh, problem = built[("valve-analog", ())]
+    sol = fom.solve_fom(mesh, problem, mu=config.space.box.center(), **config.picard_options())
+    out["fom/valve"] = fom_digest(sol)
 
     config, mesh, problem = built[("artery-analog", tuple(sorted(ARTERY_ROM.items())))]
     box = config.space.box
+    asm = fom.FomAssembler(mesh)
+    for mu in (box.lower, box.upper, box.center()):
+        sol = fom.solve_fom(mesh, problem, mu=np.asarray(mu), assembler=asm,
+                            **config.picard_options())
+    out["fom/artery-after-others"] = fom_digest(sol)
+    fresh = fom.solve_fom(mesh, problem, mu=box.center(), assembler=fom.FomAssembler(mesh),
+                          **config.picard_options())
+    if fom_digest(fresh) != out["fom/artery-after-others"]:
+        raise SystemExit("the artery's cold solve after others differs from a fresh one")
+
     counts = config.plan["train_counts"]
     axes = [np.linspace(box.lower[j], box.upper[j], int(c)) for j, c in enumerate(counts)]
     train = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])

@@ -1,6 +1,7 @@
-"""Same-process A/B timing of one online operation on two stmor checkouts.
+"""Same-process A/B timing of one operation on two stmor checkouts.
 
     python3 tools/inproc_ab.py --base ../parent --rom artery.rom --op cold
+    python3 tools/inproc_ab.py --base ../parent --op fom --case valve
 
 stmor is imported from the base checkout's ``src/`` as ``stmor_base`` and
 from the checkout holding this script as ``stmor_head``.  Each repetition
@@ -20,6 +21,12 @@ Operations:
     cold       rom.read_rom of the file, then rom.solve_rom
     sweep      rom.truncate, then rom.solve_rom, for every (N_u, N_p) cut of a
                package read once before timing, as the benchmark's sweep does
+    fom        a cold fom.solve_fom of --case (the bundled valve, or the
+               12x5x6 artery of the benchmark) on an assembler each side
+               holds; the first repetition is the warm-up.  --max-gap
+               defaults to the case's picard_tol, and only the convergence
+               flags must agree: a change of the FOM iteration may change
+               its step count.  Each side's mean step count is printed.
 
 The package comes from ``stmor build-rom`` (or ``rom.write_rom``).  BLAS is
 pinned to one thread, as in perfbench.  Both checkouts must read the same rom
@@ -45,11 +52,14 @@ import numpy as np  # noqa: E402  (after the BLAS thread pinning)
 
 HEAD = Path(__file__).resolve().parent.parent
 WARMUP = 100
+FOM_WARMUP = 1
 SEED = 1
+FOM_CASES = {"valve": ("valve-analog", {}),
+             "artery": ("artery-analog", {"n_x": 12, "n_y": 5, "n_levels": 6})}
 
 
-def load_rom_module(name, checkout):
-    """stmor.rom of checkout/src, imported under the package name ``name``."""
+def load_package(name, checkout):
+    """stmor of checkout/src, imported under the package name ``name``."""
     pkg_dir = Path(checkout).resolve() / "src" / "stmor"
     if not (pkg_dir / "__init__.py").is_file():
         raise SystemExit("%s holds no src/stmor package" % checkout)
@@ -58,21 +68,37 @@ def load_rom_module(name, checkout):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(name + ".rom")
+    return name
 
 
-def draw_mus(pkg, n, seed):
-    """n points uniform in the package's box, or n times None without one."""
-    if pkg.space is None:
+def draw_mus(space, n, seed):
+    """n points uniform in the box of space, or n times None without one."""
+    if space is None:
         return [None] * n
-    lo = np.asarray(pkg.space.box.lower, dtype=np.float64)
-    hi = np.asarray(pkg.space.box.upper, dtype=np.float64)
+    lo = np.asarray(space.box.lower, dtype=np.float64)
+    hi = np.asarray(space.box.upper, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(seed))
     return list(lo + (hi - lo) * rng.random((n, lo.size)))
 
 
-def operation(rom, op, path):
-    """f(mu) -> result of the timed operation on one side."""
+def fom_operation(stmor, case):
+    """(f(mu) -> a cold solve_fom on an assembler f holds, the case config)."""
+    cases = importlib.import_module(stmor + ".cases")
+    fom = importlib.import_module(stmor + ".fom")
+    case_id, overrides = FOM_CASES[case]
+    config = cases.bundled_case(case_id, **overrides)
+    mesh = cases.build_mesh(config)
+    problem = cases.build_problem(config, mesh)
+    asm = fom.FomAssembler(mesh)
+    dof_map = fom.build_dof_map(mesh, problem.dirichlet)
+    opts = config.picard_options()
+    return (lambda mu: fom.solve_fom(mesh, problem, mu=mu, strict=False, assembler=asm,
+                                     dof_map=dof_map, **opts)), config
+
+
+def operation(stmor, op, path):
+    """f(mu) -> result of the timed online operation on one side."""
+    rom = importlib.import_module(stmor + ".rom")
     if op == "read_rom":
         return lambda mu: rom.read_rom(path)[1]
     if op == "cold":
@@ -88,26 +114,35 @@ def operation(rom, op, path):
 
 def fingerprint(out):
     """Bytes that two equal results share: a package's arrays, its whole start
-    table with its shape, or a solution, or a list of solutions."""
+    table with its shape, or a solution (a FOM one without its timings), or a
+    list of solutions."""
     if isinstance(out, list):
         return [fingerprint(red) for red in out]
     if hasattr(out, "K"):
         arrays = [out.K, out.R, out.strain_op, out.start, *out.tau_scales]
         table = repr((out.start.shape, getattr(out, "start_degree", None))).encode()
         return b"".join(a.tobytes() for a in arrays) + table
-    return (out.v_N.tobytes(), out.p_N.tobytes(), out.converged, repr(out.iterations))
+    if hasattr(out, "v_N"):
+        return (out.v_N.tobytes(), out.p_N.tobytes(), out.converged, repr(out.iterations))
+    untimed = [{k: v for k, v in rec.items() if not k.endswith("_s")} for rec in out.iterations]
+    return (out.v.tobytes(), out.p.tobytes(), out.converged, repr(untimed))
 
 
 def gap(base, head):
-    """The largest relative gap of the solutions' (v_N, p_N) and whether their
-    flags and step counts agree; a package (read_rom) gives 0 and its bytes."""
+    """The largest relative gap of the solutions' (v_N, p_N), or (v, p) of a
+    FOM solution, and whether their flags agree, and for reduced solutions
+    their step counts; a package (read_rom) gives 0 and its bytes."""
     if isinstance(base, list):
         pairs = [gap(b, h) for b, h in zip(base, head, strict=True)]
         return max(g for g, _ in pairs), all(ok for _, ok in pairs)
     if hasattr(base, "K"):
         return 0.0, fingerprint(base) == fingerprint(head)
-    b, h = (np.concatenate((red.v_N, red.p_N)) for red in (base, head))
-    same = base.converged == head.converged and len(base.iterations) == len(head.iterations)
+    same = base.converged == head.converged
+    if hasattr(base, "v_N"):
+        b, h = (np.concatenate((red.v_N, red.p_N)) for red in (base, head))
+        same = same and len(base.iterations) == len(head.iterations)
+    else:
+        b, h = (np.concatenate((sol.v, sol.p)) for sol in (base, head))
     return float(np.abs(h - b).max() / np.abs(b).max()), same
 
 
@@ -119,22 +154,42 @@ def summary(us):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="checkout timed as the base")
-    parser.add_argument("--rom", required=True, help="rom package file")
-    parser.add_argument("--op", choices=("read_rom", "warm", "cold", "sweep"), default="cold")
-    parser.add_argument("--reps", type=int, default=2000)
-    parser.add_argument("--max-gap", type=float, default=0.0,
-                        help="largest relative gap of v_N/p_N allowed (default 0: bitwise)")
+    parser.add_argument("--rom", help="rom package file (every operation but fom)")
+    parser.add_argument("--op", choices=("read_rom", "warm", "cold", "sweep", "fom"),
+                        default="cold")
+    parser.add_argument("--case", choices=sorted(FOM_CASES), default="valve",
+                        help="the case of --op fom")
+    parser.add_argument("--reps", type=int,
+                        help="timed repetitions (default 2000, 10 for --op fom)")
+    parser.add_argument("--max-gap", type=float,
+                        help="largest relative gap of the solutions allowed (default 0: "
+                             "bitwise, and the case's picard_tol for --op fom)")
     args = parser.parse_args(argv)
+    fom = args.op == "fom"
+    if args.rom is None and not fom:
+        parser.error("--op %s needs --rom" % args.op)
+    args.reps = args.reps if args.reps is not None else 10 if fom else 2000
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+
+    stmors = {name: load_package("stmor_" + name, where)
+              for name, where in (("base", args.base), ("head", HEAD))}
+    if fom:
+        built = {name: fom_operation(stmor, args.case) for name, stmor in stmors.items()}
+        sides = {name: f for name, (f, _) in built.items()}
+        config = built["head"][1]
+        space, warmup, subject = config.space, FOM_WARMUP, args.case
+        default_gap = config.picard_options()["picard_tol"]
+    else:
+        sides = {name: operation(stmor, args.op, args.rom) for name, stmor in stmors.items()}
+        space = sys.modules["stmor_head.rom"].read_rom(args.rom)[1].space
+        warmup, subject, default_gap = WARMUP, args.rom, 0.0
+    args.max_gap = default_gap if args.max_gap is None else args.max_gap
     if not args.max_gap >= 0.0:
         parser.error("--max-gap must be at least 0")
-
-    sides = {name: operation(load_rom_module("stmor_" + name, where), args.op, args.rom)
-             for name, where in (("base", args.base), ("head", HEAD))}
-    _, pkg = sys.modules["stmor_head.rom"].read_rom(args.rom)
-    mus = draw_mus(pkg, WARMUP + args.reps, SEED)
+    mus = draw_mus(space, warmup + args.reps, SEED)
     times = {"base": [], "head": []}
+    steps = {"base": [], "head": []}
     largest = 0.0
     for i, mu in enumerate(mus):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -143,8 +198,9 @@ def main(argv=None):
             t0 = time.perf_counter()
             out[name] = sides[name](mu)
             elapsed = time.perf_counter() - t0
-            if i >= WARMUP:
+            if i >= warmup:
                 times[name].append(1e6 * elapsed)
+                steps[name].append(len(getattr(out[name], "iterations", ())))
         if args.max_gap == 0.0:
             if fingerprint(out["base"]) != fingerprint(out["head"]):
                 raise SystemExit("results differ at repetition %d, mu=%s" % (i, mu))
@@ -157,10 +213,13 @@ def main(argv=None):
 
     base, head = (np.array(times[name]) for name in ("base", "head"))
     print("%s on %s, %d repetitions, %s" % (
-        args.op, args.rom, args.reps, "results bitwise equal" if args.max_gap == 0.0 else
-        "largest relative gap of v_N/p_N %.3e (allowed %.1e)" % (largest, args.max_gap)))
+        args.op, subject, args.reps, "results bitwise equal" if args.max_gap == 0.0 else
+        "largest relative gap of the solutions %.3e (allowed %.1e)" % (largest, args.max_gap)))
     print("base  " + summary(base))
     print("head  " + summary(head))
+    if fom:
+        print("mean Picard steps: base %.2f, head %.2f"
+              % (np.mean(steps["base"]), np.mean(steps["head"])))
     print("head/base: median %.3f, mean %.3f; head faster in %d of %d repetitions"
           % (np.median(head) / np.median(base), head.mean() / base.mean(),
              int(np.sum(head < base)), args.reps))
