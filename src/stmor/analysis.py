@@ -26,6 +26,8 @@ from .constitutive import ParameterBox
 from .eim import FieldSampleSet, eim_greedy
 from .fom import (assembler_for, build_dof_map, build_lifting,
                   fom_inner_products, solve_fom)
+from .io import (REQUIRED, count, json_object, list_of, number, optional, read_section, refusal,
+                 section, text)
 from .pod import RANK_CUTOFF, assemble_basis, compute_pod
 from .rom import (box_frame, evaluate_fit, fit_monomials, fit_start, monomial_exponents,
                   project_offline, reconstruct, solve_rom, truncate)
@@ -251,10 +253,15 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     if solutions is not None:
         sols = list(solutions)
         mus = [np.asarray(s.mu, dtype=np.float64) for s in sols]
+        sizes = (dof_map.n_velocity,), (dof_map.n_pressure,)
         for s in sols:
             if not s.converged:
                 raise AnalysisError("training snapshot at mu=%s is flagged as "
                                     "not converged" % (np.asarray(s.mu),))
+            if (np.shape(s.v), np.shape(s.p)) != sizes:
+                raise AnalysisError("training snapshot at mu=%s has v and p of shapes %s and "
+                                    "%s, the DOF map %s and %s" % (np.asarray(s.mu), np.shape(s.v),
+                                                                   np.shape(s.p), *sizes))
     else:
         if train_mus is None:
             raise AnalysisError("offline_build needs train_mus or solutions")
@@ -469,22 +476,34 @@ def write_study_report(report, path):
         fh.write("\n")
 
 
-def _missing(obj, keys, where):
-    if not isinstance(obj, dict):
-        return [where.rstrip(".")]
-    return [where + k for k in keys if k not in obj]
+_CELL = dict({key: (count, REQUIRED) for key in ("n_u", "n_p")},
+             **{key: (optional(number), REQUIRED)
+                for key in ("max_eps_u", "max_eps_p", "mean_speedup")},
+             n_flagged=(count, REQUIRED), n_samples=(optional(count), None),
+             **{key: (optional(number), None)
+                for key in ("mean_eps_u", "mean_eps_p", "max_speedup")})
+_SPEEDUP = section({key: (optional(number), REQUIRED) for key in ("mean", "max")})
 
 
-def _int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+def _speedup(value):
+    """The speedup object, whose mean and max are both numbers or both null."""
+    speedup = _SPEEDUP(value)
+    if (speedup["mean"] is None) != (speedup["max"] is None):
+        raise refusal("max", speedup["max"], "a number exactly when mean is one")
+    return speedup
 
 
-def _number_or_null(v):
-    return v is None or (isinstance(v, (int, float)) and not isinstance(v, bool))
-
-
-def _ill_typed(obj, checks, where):
-    return [where + k for k, ok in checks if not ok(obj[k])]
+# the keys summarize_report reads are required, the others make_report writes optional
+_REPORT = {
+    "schema_version": (count, REQUIRED), "case_id": (text, REQUIRED),
+    "basis": (section({"n_u": (count, REQUIRED), "n_p": (count, REQUIRED),
+                       **{key: (optional(count), None) for key in ("n_lifts", "q_eta", "q_tau")}}),
+              REQUIRED),
+    "tests": (list_of(json_object), REQUIRED), "cells": (list_of(section(_CELL)), REQUIRED),
+    "speedup": (_speedup, REQUIRED), "sweep": (optional(list_of(list_of(count))), None),
+    **{key: (optional(text), None) for key in ("kind", "mesh_hash", "timing_convention")},
+    **{key: (optional(json_object), None)
+       for key in ("environment", "rng", "parameters", "training", "offline_timings")}}
 
 
 def read_study_report(path):
@@ -501,34 +520,7 @@ def read_study_report(path):
     if report.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise AnalysisError("unsupported report schema_version %r"
                             % report.get("schema_version"))
-    missing = _missing(report, ("case_id", "basis", "tests", "cells",
-                                "speedup"), "")
-    if not missing:
-        cells = report["cells"] if isinstance(report["cells"], list) else [None]
-        missing = (_missing(report["basis"], ("n_u", "n_p"), "basis.")
-                   + _missing(report["speedup"], ("mean", "max"), "speedup.")
-                   + [m for i, cell in enumerate(cells)
-                      for m in _missing(cell, ("n_u", "n_p", "max_eps_u",
-                                               "max_eps_p", "mean_speedup",
-                                               "n_flagged"), "cells[%d]." % i)])
-    if missing:
-        raise AnalysisError("study report %s lacks %s" % (path, ", ".join(missing)))
-    speedup = report["speedup"]
-    wrong = (([] if isinstance(report["tests"], list) else ["tests"])
-             + _ill_typed(report["basis"], (("n_u", _int), ("n_p", _int)), "basis.")
-             + _ill_typed(speedup, (("mean", _number_or_null), ("max", _number_or_null)),
-                          "speedup.")
-             + ([] if (speedup["mean"] is None) == (speedup["max"] is None)
-                else ["speedup.max"])
-             + [m for i, cell in enumerate(report["cells"]) for m in _ill_typed(
-                 cell, (("n_u", _int), ("n_p", _int), ("max_eps_u", _number_or_null),
-                        ("max_eps_p", _number_or_null), ("mean_speedup", _number_or_null),
-                        ("n_flagged", _int)), "cells[%d]." % i)])
-    if wrong:
-        raise AnalysisError("study report %s has values of the wrong type at %s (counts "
-                            "must be integers, errors and speedups numbers or null)"
-                            % (path, ", ".join(dict.fromkeys(wrong))))
-    return report
+    return read_section(report, _REPORT, "study report %s" % path, AnalysisError)
 
 
 def write_study_csv(report, path):

@@ -12,17 +12,17 @@ units cannot round-trip.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import mesh as msh
-from .constitutive import (SEMANTICS_BC_SCALE, SEMANTICS_MATERIAL, BodyForce,
+from .constitutive import (SEMANTICS_BC_SCALE, SEMANTICS_MATERIAL, SPACE_KEYS, BodyForce,
                            CarreauYasudaParams, ParameterError, ParameterSpace,
                            relative_box, space_from_dict, space_to_dict)
 from .fom import DirichletSpec, FomProblem
+from .io import (REQUIRED, count, finite, json_object, list_of, map_of, number, optional,
+                 read_section, section, text)
 
 SCHEMA_VERSION = 1
 MAX_NODES = 10 ** 7         # mesh nodes a geometry may ask for, counted before building
@@ -30,68 +30,6 @@ MAX_NODES = 10 ** 7         # mesh nodes a geometry may ask for, counted before 
 
 class CaseError(Exception):
     """Invalid case configuration or geometry request."""
-
-
-# ---------------------------------------------------------------------------
-# key tables: key -> (kind, default) per config section, read by read_section
-#
-# A kind converts one JSON value, or raises ValueError naming what the values
-# must be.  It leaves to the library the ranges that it checks with a typed
-# error (material, parameter box, Picard, EIM and POD tolerances).
-
-_REQUIRED = object()
-
-
-def _kind(noun, test, convert=lambda value: value):
-    """A kind that takes the values passing test, booleans never, and
-    converts them."""
-    def read(value):
-        if isinstance(value, bool) or not test(value):
-            raise ValueError(noun)
-        return convert(value)
-    return read
-
-
-def _list_of(kind):
-    return _kind("lists", lambda v: isinstance(v, (list, tuple)),
-                 lambda v: [kind(item) for item in v])
-
-
-def _optional(kind):
-    return lambda value: None if value is None else kind(value)
-
-
-_number = _kind("numbers", lambda v: isinstance(v, numbers.Real), float)
-_finite = _kind("finite numbers",
-                lambda v: isinstance(v, numbers.Real) and math.isfinite(v), float)
-_count = _kind("non-negative integers",
-               lambda v: isinstance(v, numbers.Integral) and v >= 0, int)
-_text = _kind("strings", lambda v: isinstance(v, str))
-_object = _kind("JSON objects", lambda v: isinstance(v, dict), dict)
-
-
-def read_section(given, table, where):
-    """The values of one config section, checked against its key table and
-    converted, with the defaults of absent keys filled in."""
-    if not isinstance(given, dict):
-        raise CaseError("%s must be a JSON object, got %r" % (where, given))
-    extra = set(given) - set(table)
-    if extra:
-        raise CaseError("unknown %s key %r (keys: %s; the unit suffix is part of the key)"
-                        % (where, sorted(extra)[0], ", ".join(table)))
-    out = {}
-    for key, (kind, default) in table.items():
-        value = given.get(key, default)
-        if value is _REQUIRED:
-            raise CaseError("%s key %r is missing" % (where, key))
-        try:
-            out[key] = kind(value)
-        except ValueError as exc:
-            raise CaseError("%s values must be %s: %r is %r"
-                            % (where, exc, key, value)) from None
-        except OverflowError:
-            raise CaseError("%s key %r is beyond the float range" % (where, key)) from None
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +114,18 @@ def _artery_wall(p, x, t):
 
 
 def _finite_keys(*keys):
-    return {key: (_finite, _REQUIRED) for key in keys}
+    return {key: (finite, REQUIRED) for key in keys}
 
 
 PROFILES = {
-    "noslip": ({"n_components": (_count, 2)}, _noslip),
+    "noslip": ({"n_components": (count, 2)}, _noslip),
     "parallel_outflow": ({}, _parallel_outflow),
-    "constant": ({"value_m_s": (_list_of(_finite), _REQUIRED)}, _constant),
-    "linear_shear": ({"rate_1_s": (_finite, 1.0)}, _linear_shear),
+    "constant": ({"value_m_s": (list_of(finite), REQUIRED)}, _constant),
+    "linear_shear": ({"rate_1_s": (finite, 1.0)}, _linear_shear),
     "channel_parabola": (_finite_keys("u_max_m_s", "y0_m", "y1_m"), _channel_parabola),
     "valve_inlet": (_finite_keys("x0_m", "width_m", "coeff_1_m_s", "t_end_s"), _valve_inlet),
     "gate_slide": (dict(_finite_keys("x_gate_rest_m", "x_wall_m", "speed_m_s"),
-                        schedule_s=(_list_of(_finite), _REQUIRED)), _gate_slide),
+                        schedule_s=(list_of(finite), REQUIRED)), _gate_slide),
     "artery_inlet": (_finite_keys("r0_m", "t_ramp_s"), _artery_inlet),
     "artery_wall": (_finite_keys("x_center_m", "x_halfwidth_m"), _artery_wall),
 }
@@ -200,7 +138,7 @@ def make_profile(name, params):
         raise CaseError("unknown boundary profile %r (available: %s)"
                         % (name, ", ".join(sorted(PROFILES))))
     table, f = PROFILES[name]
-    p = read_section(params or {}, table, "profile parameter")
+    p = read_section(params or {}, table, "profile parameter", CaseError)
     if name == "channel_parabola" and p["y1_m"] <= p["y0_m"]:
         raise CaseError("channel_parabola needs y1_m > y0_m")
     return lambda x, t: f(p, x, t)
@@ -287,12 +225,12 @@ def channel_spatial_mesh(length, halfwidth, n_x, n_y):
 
 
 _GEOMETRY = {
-    "valve": dict(refine=(_finite, 1.0), **_finite_keys("dt_s", "t_end_s")),
+    "valve": dict(refine=(finite, 1.0), **_finite_keys("dt_s", "t_end_s")),
     "channel": dict(_finite_keys("length_m", "halfwidth_m", "t_end_s"),
-                    narrow_center_m=(_optional(_finite), None),
-                    narrow_halfwidth_m=(_optional(_finite), None),
-                    **{key: (_count, _REQUIRED) for key in ("n_x", "n_y", "n_levels")}),
-    "rectangle": {key: (_list_of(_finite), _REQUIRED)
+                    narrow_center_m=(optional(finite), None),
+                    narrow_halfwidth_m=(optional(finite), None),
+                    **{key: (count, REQUIRED) for key in ("n_x", "n_y", "n_levels")}),
+    "rectangle": {key: (list_of(finite), REQUIRED)
                   for key in ("x_breaks_m", "y_breaks_m", "time_levels_s")},
 }
 
@@ -301,7 +239,8 @@ def _read_geometry(geometry):
     kind = geometry.get("kind") if isinstance(geometry, dict) else None
     if not isinstance(kind, str) or kind not in _GEOMETRY:
         raise CaseError("unknown geometry kind %r" % (kind,))
-    return read_section(geometry, dict(_GEOMETRY[kind], kind=(_text, _REQUIRED)), "geometry")
+    return read_section(geometry, dict(_GEOMETRY[kind], kind=(text, REQUIRED)), "geometry",
+                        CaseError)
 
 
 def _check_size(n_nodes, keys):
@@ -349,7 +288,7 @@ def build_mesh(config):
 
 def _read_boundary(given):
     """One boundary entry's checked values and its DirichletSpec."""
-    e = read_section(given, _BOUNDARY, "boundary")
+    e = read_section(given, _BOUNDARY, "boundary", CaseError)
     return e, DirichletSpec(tag=e["tag"], components=tuple(e["components"]),
                             profile=make_profile(e["profile"], e["params"]),
                             group=e["group"])
@@ -382,39 +321,30 @@ def _schema_version(value):
     return value
 
 
-def _section(table, where):
-    return lambda value: read_section(value, table, where)
-
-
-def _amplitudes(value):
-    return read_section(value, {key: (_finite, _REQUIRED) for key in _object(value)},
-                        "amplitudes")
-
-
 _MATERIAL_KEYS = (("rho_kg_m3", "rho"), ("eta0_pa_s", "eta_0"),
                   ("etainf_pa_s", "eta_inf"), ("lambda_s", "lam"),
                   ("a", "a"), ("n", "n"))
-_MATERIAL = {key: (_number, _REQUIRED) for key, _ in _MATERIAL_KEYS}
-_BOUNDARY = {"tag": (_text, _REQUIRED), "profile": (_text, _REQUIRED),
-             "components": (_list_of(_count), _REQUIRED),
-             "group": (_text, "fixed"), "params": (_object, {})}
-_SOLVER = {"picard_tol": (_number, 1e-8), "picard_max": (_count, 50)}
-_PLAN = {"train_counts": (_list_of(_count), (4, 4)), "n_test": (_count, 10),
-         "seed": (_count, 1234)}
-_ROM = {"tol_eim_eta": (_number, 1e-12), "tol_eim_tau": (_number, 1e-12),
-        "energy_threshold": (_number, 1.0), "rank_cutoff": (_optional(_number), None)}
+_MATERIAL = {key: (number, REQUIRED) for key, _ in _MATERIAL_KEYS}
+_BOUNDARY = {"tag": (text, REQUIRED), "profile": (text, REQUIRED),
+             "components": (list_of(count), REQUIRED),
+             "group": (text, "fixed"), "params": (json_object, {})}
+_SOLVER = {"picard_tol": (number, 1e-8), "picard_max": (count, 50)}
+_PLAN = {"train_counts": (list_of(count), (4, 4)), "n_test": (count, 10),
+         "seed": (count, 1234)}
+_ROM = {"tol_eim_eta": (number, 1e-12), "tol_eim_tau": (number, 1e-12),
+        "energy_threshold": (number, 1.0), "rank_cutoff": (optional(number), None)}
 _TOP = {
     "schema_version": (_schema_version, None),
-    "case_id": (_text, _REQUIRED),
-    "geometry": (_read_geometry, _REQUIRED),
-    "material": (_section(_MATERIAL, "material"), _REQUIRED),
-    "boundary": (_list_of(lambda e: _read_boundary(e)[0]), _REQUIRED),
-    "amplitudes": (_amplitudes, {}),
-    "parameters": (_optional(_object), None),      # space_from_dict reads it
-    "body_force_m_s2": (_optional(_list_of(_number)), None),
-    "solver": (_section(_SOLVER, "solver"), {}),
-    "plan": (_section(_PLAN, "plan"), {}),
-    "rom": (_section(_ROM, "rom"), {}),
+    "case_id": (text, REQUIRED),
+    "geometry": (_read_geometry, REQUIRED),
+    "material": (section(_MATERIAL), REQUIRED),
+    "boundary": (list_of(lambda e: _read_boundary(e)[0]), REQUIRED),
+    "amplitudes": (map_of(finite), {}),
+    "parameters": (optional(section(SPACE_KEYS)), None),
+    "body_force_m_s2": (optional(list_of(number)), None),
+    "solver": (section(_SOLVER), {}),
+    "plan": (section(_PLAN), {}),
+    "rom": (section(_ROM), {}),
 }
 
 
@@ -433,9 +363,9 @@ class CaseConfig:
     amplitudes: dict = field(default_factory=dict)
     space: ParameterSpace = None
     body_force: tuple = None
-    solver: dict = field(default_factory=lambda: read_section({}, _SOLVER, "solver"))
-    plan: dict = field(default_factory=lambda: read_section({}, _PLAN, "plan"))
-    rom: dict = field(default_factory=lambda: read_section({}, _ROM, "rom"))
+    solver: dict = field(default_factory=lambda: section(_SOLVER)({}))
+    plan: dict = field(default_factory=lambda: section(_PLAN)({}))
+    rom: dict = field(default_factory=lambda: section(_ROM)({}))
 
     def to_dict(self):
         return json.loads(json.dumps({
@@ -444,7 +374,8 @@ class CaseConfig:
             "geometry": self.geometry,
             "material": {key: float(getattr(self.material, attr))
                          for key, attr in _MATERIAL_KEYS},
-            "boundary": [read_section(e, _BOUNDARY, "boundary") for e in self.boundary],
+            "boundary": [read_section(e, _BOUNDARY, "boundary", CaseError)
+                         for e in self.boundary],
             "amplitudes": {k: float(v) for k, v in self.amplitudes.items()},
             "parameters": space_to_dict(self.space),
             "body_force_m_s2": None if self.body_force is None
@@ -456,14 +387,14 @@ class CaseConfig:
 
     def picard_options(self):
         """solve_fom / solve_rom keyword arguments of the solver section."""
-        return read_section(self.solver, _SOLVER, "solver")
+        return read_section(self.solver, _SOLVER, "solver", CaseError)
 
     def plan_options(self, **overrides):
         """Training grid counts, test count and seed of the plan section.
 
         Overrides (command-line flags) replace entries unless they are None.
         """
-        plan = read_section(dict(self.plan, **_given(overrides)), _PLAN, "plan")
+        plan = read_section(dict(self.plan, **_given(overrides)), _PLAN, "plan", CaseError)
         return dict(plan, train_counts=tuple(plan["train_counts"]))
 
     def offline_options(self, **overrides):
@@ -471,7 +402,7 @@ class CaseConfig:
 
         Overrides (command-line flags) replace entries unless they are None.
         """
-        return read_section(dict(self.rom, **_given(overrides)), _ROM, "rom")
+        return read_section(dict(self.rom, **_given(overrides)), _ROM, "rom", CaseError)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -480,12 +411,12 @@ class CaseConfig:
 
 
 def config_from_dict(data):
-    c = read_section(data, _TOP, "configuration")
+    c = read_section(data, _TOP, "configuration", CaseError)
     try:
         material = CarreauYasudaParams(**{attr: c["material"][key]
                                           for key, attr in _MATERIAL_KEYS})
         space = space_from_dict(c["parameters"])
-    except (TypeError, ValueError, ParameterError) as exc:
+    except ParameterError as exc:
         raise CaseError("malformed configuration (%s: %s)"
                         % (type(exc).__name__, exc)) from None
     body = c["body_force_m_s2"]

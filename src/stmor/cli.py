@@ -202,10 +202,10 @@ def _read_training(snap_dir, mesh_hash, case_id):
                             "first" % snap_dir)
     sols = []
     for path in paths:
-        header, sol = read_snapshot(path, mesh_hash=mesh_hash)
-        if header.get("case_id") != case_id:
+        _, sol = read_snapshot(path, mesh_hash=mesh_hash)
+        if sol.case_id != case_id:
             raise ArtifactError("%s belongs to case %r, expected %r"
-                                % (path, header.get("case_id"), case_id))
+                                % (path, sol.case_id, case_id))
         sols.append(sol)
     return sols
 

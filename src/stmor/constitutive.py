@@ -11,6 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .io import REQUIRED, list_of, number, text
+
 
 class ParameterError(Exception):
     """Raised for invalid material data or parameter vectors."""
@@ -176,7 +178,10 @@ class ParameterSpace:
             raise ParameterError("unknown parameter semantics %r" % self.semantics)
 
 
-_SPACE_KEYS = {"names", "lower", "upper", "semantics", "targets"}
+# the key table of a space's JSON form, read by io.read_section
+SPACE_KEYS = {"names": (list_of(text), REQUIRED), "lower": (list_of(number), REQUIRED),
+              "upper": (list_of(number), REQUIRED), "semantics": (text, REQUIRED),
+              "targets": (list_of(text), REQUIRED)}
 
 
 def space_to_dict(space):
@@ -191,20 +196,13 @@ def space_to_dict(space):
 
 
 def space_from_dict(d):
-    """Inverse of space_to_dict; unknown or missing keys are a ParameterError."""
+    """Inverse of space_to_dict, of a dict read against SPACE_KEYS (None
+    passes through); a box or semantics it refuses is a ParameterError."""
     if d is None:
         return None
-    keys = set(d)
-    if keys != _SPACE_KEYS:
-        extra = keys - _SPACE_KEYS
-        if extra:
-            raise ParameterError("unknown parameters key %r" % sorted(extra)[0])
-        raise ParameterError("parameters key %r is missing"
-                             % sorted(_SPACE_KEYS - keys)[0])
-    box = ParameterBox(names=tuple(d["names"]), lower=tuple(map(float, d["lower"])),
-                       upper=tuple(map(float, d["upper"])))
-    return ParameterSpace(box=box, semantics=str(d["semantics"]),
-                          targets=tuple(d["targets"]))
+    box = ParameterBox(names=tuple(d["names"]), lower=tuple(d["lower"]),
+                       upper=tuple(d["upper"]))
+    return ParameterSpace(box=box, semantics=d["semantics"], targets=tuple(d["targets"]))
 
 
 def apply_parameters(base, bc_amplitudes, mu, space):

@@ -86,7 +86,8 @@ from scipy.linalg.lapack import dgels
 from scipy.sparse.linalg import splu
 
 from .constitutive import apply_parameters, field_values, shear_rate_squared, tau_scales
-from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
+from .io import (ARTIFACT_KEYS, REQUIRED, ArtifactError, boolean, check_mesh_hash, count,
+                 list_of, number, optional, read_artifact, read_section, text, write_artifact)
 
 logger = logging.getLogger(__name__)
 
@@ -1194,24 +1195,25 @@ def write_snapshot(path, solution, extra_header=None):
     write_artifact(path, "snapshot", header, {"v": solution.v, "p": solution.p})
 
 
+_SNAPSHOT = dict(ARTIFACT_KEYS, case_id=(text, ""), mesh_hash=(text, ""),
+                 mu=(list_of(number), []), n_velocity=(count, REQUIRED),
+                 n_pressure=(count, REQUIRED), converged=(boolean, True),
+                 sample_index=(optional(count), None), wall_time_s=(optional(number), None))
+
+
 def read_snapshot(path, mesh_hash=None):
+    """(header, FieldSolution) of a snapshot file, its header read against
+    _SNAPSHOT and its v and p of the sizes the header gives."""
     header, arrays = read_artifact(path, expect_kind="snapshot")
+    header = read_section(header, _SNAPSHOT, "malformed snapshot %s" % path, ArtifactError)
     if mesh_hash is not None:
         check_mesh_hash(header, mesh_hash, path=str(path))
-    mu, converged = header.get("mu", []), header.get("converged", True)
-    if not isinstance(converged, bool):
-        raise ArtifactError("%s: malformed snapshot ('converged' is %r, not true or false)"
-                            % (path, converged))
-    if not isinstance(mu, list) or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                                       for v in mu):
-        raise ArtifactError("%s: malformed snapshot ('mu' is %r, not a list of numbers)"
-                            % (path, mu))
-    try:
-        sol = FieldSolution(v=arrays["v"], p=arrays["p"],
-                            mu=np.asarray(mu, dtype=np.float64), converged=converged,
-                            iterations=[], mesh_hash=header.get("mesh_hash", ""),
-                            case_id=header.get("case_id", ""))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError("%s: malformed snapshot (%s: %s)"
-                            % (path, type(exc).__name__, exc)) from None
-    return header, sol
+    want = {"v": (header["n_velocity"],), "p": (header["n_pressure"],)}
+    found = {name: getattr(arrays.get(name), "shape", None) for name in want}
+    if found != want:
+        raise ArtifactError("%s: malformed snapshot (array shapes %s, the header gives %s)"
+                            % (path, found, want))
+    return header, FieldSolution(v=arrays["v"], p=arrays["p"],
+                                 mu=np.asarray(header["mu"], dtype=np.float64),
+                                 converged=header["converged"], iterations=[],
+                                 mesh_hash=header["mesh_hash"], case_id=header["case_id"])

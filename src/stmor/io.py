@@ -1,14 +1,20 @@
-"""Binary artifact container used by every pipeline stage.
+"""Binary artifact container used by every pipeline stage, and the one
+checked reader of every JSON object stmor reads.
 
 Layout: magic ``STMOR``, a format version, a length-prefixed kind string,
 a length-prefixed JSON header, then named little-endian arrays and nothing
 after them.  The header always embeds the schema version and kind; every
 stage also stores its case id and mesh hash there, so a stage handed a file
 built on another mesh refuses it (check_mesh_hash).
+
+Artifact headers, case configs and study reports are read by read_section
+against key tables, key -> (kind, default); the arrays are not, since
+read_artifact already checks their dtypes.
 """
 
 import json
 import math
+import numbers
 import os
 import struct
 import uuid
@@ -118,3 +124,168 @@ def check_mesh_hash(header, mesh_hash, path="artifact"):
     if found != mesh_hash:
         raise ArtifactError("%s was built on mesh %s, current mesh is %s; "
                             "rebuild the stale stage" % (path, found, mesh_hash))
+
+
+# ---------------------------------------------------------------------------
+# key tables: key -> (kind, default) per JSON object, read by read_section
+#
+# A kind converts one JSON value, or raises ValueError naming what it must
+# be; section, map_of and list_of nest, and the keys refused at any depth are
+# reported together.  A kind may instead raise its caller's error, which ends
+# the read.  Kinds test the concrete JSON types before the numbers ABCs (a rom
+# header is read on every cold query) and take what a config built in Python
+# code holds, numpy scalars and tuples too.  They leave to the library the
+# ranges it checks with a typed error.
+
+REQUIRED = object()
+
+
+class _Refused(ValueError):
+    """args[0]: the faults of one JSON object, (fault, path, detail) with fault
+    "unknown" (detail: the keys there), "missing" or "wrong"."""
+
+    def under(self, head):
+        return [(fault, "%s%s%s" % (head, "" if str(path).startswith("[") else ".", path),
+                 detail) for fault, path, detail in self.args[0]]
+
+
+def refusal(key, value, noun):
+    """The error a kind raises to refuse one key of the object it reads."""
+    return _Refused([("wrong", key, "%r is %r, not %s" % (key, value, noun))])
+
+
+def _read(given, table):
+    if not isinstance(given, dict):
+        raise ValueError("a JSON object")
+    out, faults = {}, []
+    for key, value in given.items():
+        entry = table.get(key)
+        if entry is None:
+            faults.append(("unknown", key, ", ".join(table)))
+            continue
+        try:
+            out[key] = entry[0](value)
+        except _Refused as sub:
+            faults += sub.under(key)
+        except ValueError as exc:
+            faults += refusal(key, value, exc).args[0]
+    for key in table if len(out) < len(table) else ():
+        if key not in given:
+            kind, default = table[key]
+            if default is REQUIRED:
+                faults.append(("missing", key, None))
+            else:
+                out[key] = kind(default)
+    if faults:
+        raise _Refused(faults)
+    return out
+
+
+def read_section(given, table, where, error):
+    """The values of the JSON object given, checked against its key table and
+    converted, with the defaults of absent keys filled in.
+
+    where names the object in messages and error is the exception class of
+    the caller.  Unknown keys are refused first, then missing ones, then
+    values of the wrong type, each named by its path (``cells[0].n_u``); a
+    message names every missing or ill-typed key at any depth.
+    """
+    if not isinstance(given, dict):
+        raise error("%s must be a JSON object, got %r" % (where, given))
+    try:
+        return _read(given, table)
+    except _Refused as refused:
+        faults = {}
+        for fault, path, detail in refused.args[0]:
+            faults.setdefault(fault, []).append((path, detail))
+    if "unknown" in faults:
+        raise error("unknown %s key %r (keys: %s; the unit suffix is part of the key)"
+                    % ((where,) + faults["unknown"][0]))
+    paths, details = zip(*faults.get("missing", faults.get("wrong")))
+    if "missing" in faults:
+        raise error("%s lacks %s" % (where, ", ".join(paths)))
+    raise error("%s has values of the wrong type at %s (%s)"
+                % (where, ", ".join(paths), "; ".join(details)))
+
+
+def section(table):
+    """A kind taking a JSON object read against a key table of its own."""
+    return lambda value: _read(value, table)
+
+
+def map_of(kind):
+    """A kind taking a JSON object whose values, under any keys, read as kind."""
+    return lambda value: _read(value, dict.fromkeys(value if isinstance(value, dict) else (),
+                                                    (kind, REQUIRED)))
+
+
+def list_of(kind):
+    """A kind taking a JSON list (or a tuple) whose items read as kind."""
+    def read(value):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError("a list")
+        out, faults = [], []
+        for i, item in enumerate(value):
+            try:
+                out.append(kind(item))
+            except _Refused as sub:
+                faults += sub.under("[%d]" % i)
+            except ValueError as exc:
+                raise ValueError("a list of which each item is %s" % exc) from None
+        if faults:
+            raise _Refused(faults)
+        return out
+    return read
+
+
+def optional(kind):
+    """A kind taking null, read as None, or a value of kind."""
+    return lambda value: None if value is None else kind(value)
+
+
+def number(value):
+    """A JSON number, booleans never, as a float."""
+    if type(value) is float:
+        return value
+    if value is True or value is False or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError("a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a number within the float range") from None
+
+
+def finite(value):
+    """A finite JSON number, as a float."""
+    try:
+        if math.isfinite(value := number(value)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError("a finite number")
+
+
+def count(value):
+    """A non-negative JSON integer, booleans never, as an int."""
+    if type(value) is int and value >= 0:
+        return value
+    if value is True or value is False or not isinstance(value, (int, numbers.Integral)) \
+            or value < 0:
+        raise ValueError("a non-negative integer")
+    return int(value)
+
+
+def _kind(cls, noun, convert=None):
+    def read(value):
+        if isinstance(value, cls):
+            return value if convert is None else convert(value)
+        raise ValueError(noun)
+    return read
+
+
+boolean = _kind(bool, "true or false")
+text = _kind(str, "a string")
+json_object = _kind(dict, "a JSON object", dict)
+
+# the keys write_artifact adds to every header
+ARTIFACT_KEYS = {"schema_version": (count, REQUIRED), "kind": (text, REQUIRED)}

@@ -61,18 +61,20 @@ to that truncation's own solutions, and truncate keeps the sub-package's.
 import itertools
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
 
-from .constitutive import (CarreauYasudaParams, ParameterError, ParameterSpace,
+from .constitutive import (SPACE_KEYS, CarreauYasudaParams, ParameterError, ParameterSpace,
                            apply_parameters, field_values, space_from_dict,
                            space_to_dict, tau_scales)
 from .fom import (MAP_CHUNK, assembler_for, build_dof_map, build_lifting, picard,
                   pressure_pins)
-from .io import ArtifactError, check_mesh_hash, read_artifact, write_artifact
+from .io import (ARTIFACT_KEYS, REQUIRED, ArtifactError, check_mesh_hash, count, list_of,
+                 map_of, number, optional, read_artifact, read_section, section, text,
+                 write_artifact)
 
 logger = logging.getLogger(__name__)
 
@@ -645,14 +647,21 @@ def write_rom(path, pkg, extra_header=None):
     write_artifact(path, "rom", header, arrays)
 
 
+_HEADER = dict(ARTIFACT_KEYS, case_id=(text, ""), mesh_hash=(text, ""),
+               lift_groups=(list_of(text), REQUIRED),
+               material=(section({f.name: (number, REQUIRED)
+                                  for f in fields(CarreauYasudaParams)}), REQUIRED),
+               amplitudes=(map_of(number), REQUIRED), space=(optional(section(SPACE_KEYS)), None),
+               start_loo_error=(optional(number), None), n_training=(optional(count), None),
+               training_digest=(optional(text), None),
+               **{key: (count, REQUIRED)
+                  for key in ("d", "n_nodes", "n_fom_dofs", "n_u", "n_p", "start_degree")})
 _ROM_ARRAYS = {"K", "R", "start"} | {tag + part for tag in ("eta", "tau") for part in
                                      ("_magic", "_history", "_gx", "_ht", "_hs", "_Z")}
 
 
 def read_rom(path, mesh_hash=None):
     header, arrays = read_artifact(path, expect_kind="rom")
-    if mesh_hash is not None:
-        check_mesh_hash(header, mesh_hash, path=str(path))
     axes = np.ndim(arrays.get("start"))
     if arrays.keys() != _ROM_ARRAYS or "start_degree" not in header or axes != 4:
         # an earlier layout (coefficient stacks with the EIM T, separate
@@ -662,8 +671,11 @@ def read_rom(path, mesh_hash=None):
         raise ArtifactError("%s: malformed rom package (arrays %s unexpected, %s "
                             "missing, start has %d of 4 axes); rebuild it with build-rom"
                             % (path, sorted(set(arrays) - _ROM_ARRAYS), missing, axes))
+    header = read_section(header, _HEADER, "malformed rom package %s" % path, ArtifactError)
+    if mesh_hash is not None:
+        check_mesh_hash(header, mesh_hash, path=str(path))
+    d = header["d"]
     try:
-        d = int(header["d"])
         data = {tag: MagicElementData(magic=arrays[tag + "_magic"].astype(np.int64, copy=False),
                                       history=arrays[tag + "_history"],
                                       gx=arrays[tag + "_gx"], h_t=arrays[tag + "_ht"],
@@ -673,24 +685,21 @@ def read_rom(path, mesh_hash=None):
             strain_op = strain_operator(data["eta"], data["tau"])
         except ValueError:
             # records whose shapes do not fit: name the array that differs
+            Z = data["eta"].Z_rows
+            n_u = Z.shape[-1] if Z.ndim else 0
             for tag, record in data.items():
-                record.check(tag + " ", d, data["eta"].Z_rows.shape[-1])
+                record.check(tag + " ", d, n_u)
             raise
         pkg = RomPackage(
-            case_id=header.get("case_id", ""),
-            mesh_hash=header.get("mesh_hash", ""),
-            d=d, n_nodes=int(header["n_nodes"]),
-            n_fom_dofs=int(header["n_fom_dofs"]),
+            case_id=header["case_id"], mesh_hash=header["mesh_hash"], d=d,
+            n_nodes=header["n_nodes"], n_fom_dofs=header["n_fom_dofs"],
             lift_groups=tuple(header["lift_groups"]),
-            material=CarreauYasudaParams(**{k: float(v) for k, v
-                                            in header["material"].items()}),
-            amplitudes={k: float(v) for k, v in header["amplitudes"].items()},
-            space=space_from_dict(header.get("space")),
+            material=CarreauYasudaParams(**header["material"]),
+            amplitudes=header["amplitudes"], space=space_from_dict(header["space"]),
             K=arrays["K"], R=arrays["R"], data_eta=data["eta"], data_tau=data["tau"],
-            strain_op=strain_op, start=arrays["start"], start_degree=int(header["start_degree"]),
-            start_loo_error=header.get("start_loo_error") and float(header["start_loo_error"]))
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
-            ParameterError, RomError) as exc:
+            strain_op=strain_op, start=arrays["start"], start_degree=header["start_degree"],
+            start_loo_error=header["start_loo_error"])
+    except (RomError, ParameterError, ValueError) as exc:
         raise ArtifactError("%s: malformed rom package (%s: %s)"
                             % (path, type(exc).__name__, exc)) from None
     return header, pkg

@@ -10,9 +10,14 @@ exactly, so the match is to machine precision.
 
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stmor import analysis, cases, fom
 from stmor import mesh as msh
@@ -25,9 +30,10 @@ from stmor.analysis import (AnalysisError, SamplePlan, error_pressure,
 from stmor.constitutive import (SEMANTICS_BC_SCALE, CarreauYasudaParams,
                                 ParameterBox, ParameterSpace, relative_box)
 from stmor.eim import EimError
-from stmor.fom import fom_inner_products, solve_fom
+from stmor.fom import fom_inner_products, read_snapshot, solve_fom, write_snapshot
+from stmor.io import ArtifactError, read_artifact, write_artifact
 from stmor.pod import PodError
-from stmor.rom import solve_rom, truncate
+from stmor.rom import read_rom, rom_info, solve_rom, truncate, write_rom
 
 BOX_1D = ParameterBox(names=("a",), lower=(0.0,), upper=(1.0,))
 BOX_2D = ParameterBox(names=("a", "b"), lower=(0.0, 2.0), upper=(1.0, 3.0))
@@ -533,3 +539,66 @@ class TestReportFiles:
         assert "duct-study" in text
         assert "n_u" in text and "max_eps_u" in text
         assert "speedup" in text
+
+
+FUZZ_VALUES = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, True, False, None]),
+                        st.text(max_size=3), st.lists(st.floats(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.floats(), max_size=2))
+
+
+def header_paths(header):
+    """Paths to a header's values, one level into its objects, but for the
+    two keys write_artifact sets itself."""
+    for key, value in header.items():
+        if key not in ("schema_version", "kind"):
+            yield (key,)
+            yield from ((key, sub) for sub in (value if isinstance(value, dict) else ()))
+
+
+class TestReadBack:
+    def test_every_writer_reads_back(self, duct, duct_report, tmp_path):
+        cfg, _, _, pipe = duct
+        sol = pipe.solutions[0]
+        write_snapshot(tmp_path / "s.stm", sol)
+        _, back = read_snapshot(tmp_path / "s.stm", mesh_hash=sol.mesh_hash)
+        assert back.v.tobytes() == sol.v.tobytes() and back.p.tobytes() == sol.p.tobytes()
+        assert (back.mu.tolist(), back.converged) == (sol.mu.tolist(), sol.converged)
+        for pkg in (pipe.pkg, truncate(pipe.pkg, pipe.pkg.n_lifts + 1, 1)):
+            write_rom(tmp_path / "p.rom", pkg)
+            _, back = read_rom(tmp_path / "p.rom", mesh_hash=pkg.mesh_hash)
+            assert rom_info(back) == rom_info(pkg)
+            for name in ("K", "R", "strain_op", "start"):
+                assert np.array_equal(getattr(back, name), getattr(pkg, name))
+        _, report = duct_report
+        write_study_report(report, tmp_path / "r.json")
+        assert read_study_report(tmp_path / "r.json") == json.loads(json.dumps(report))
+        data = cfg.to_dict()
+        assert cases.config_from_dict(data).to_dict() == data
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_header_value_reads_back_or_is_an_artifact_error(self, duct, data):
+        """One header key of a snapshot or rom file set to another JSON value:
+        the read returns that value or raises ArtifactError, nothing else."""
+        pipe = duct[3]
+        kind = data.draw(st.sampled_from(["snapshot", "rom"]))
+        write, read = ((write_snapshot, read_snapshot) if kind == "snapshot"
+                       else (write_rom, read_rom))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file.stm"
+            write(path, pipe.solutions[0] if kind == "snapshot" else pipe.pkg)
+            header, arrays = read_artifact(path, expect_kind=kind)
+            at = data.draw(st.sampled_from(sorted(header_paths(header))))
+            value = data.draw(FUZZ_VALUES)
+            node = header
+            for key in at[:-1]:
+                node = node[key]
+            node[at[-1]] = value
+            write_artifact(path, kind, header, arrays)
+            try:
+                got, _ = read(path)
+            except ArtifactError:
+                return
+        for key in at:
+            got = got[key]
+        assert json.dumps(got, sort_keys=True) == json.dumps(value, sort_keys=True)

@@ -347,7 +347,7 @@ class TestFailureModes:
         assert err.count("\n") == 1
         payload = json.loads(err)
         assert payload["error"] == "CaseError"
-        assert re.search("material values|need finite", payload["message"])
+        assert re.search("at material.%s|need finite" % key, payload["message"])
 
     @pytest.mark.parametrize("bounds, message", [
         ({"lower": [0.95, 0.9], "upper": [1.05, 1.1]},
@@ -387,6 +387,29 @@ class TestFailureModes:
         payload = json.loads(err)
         assert payload["error"] == "ArtifactError"
         assert "malformed snapshot" in payload["message"]
+
+    @pytest.mark.parametrize("header_too, error, match", [
+        (False, "ArtifactError", "malformed snapshot"),
+        (True, "AnalysisError", "the DOF map")])
+    def test_short_snapshot_is_one_json_line(self, workdir, capsys, tmp_path, header_too,
+                                             error, match):
+        """A snapshot whose v is one entry short ended in a ValueError of
+        DofMap.expand; with its header's n_velocity cut too, it reads, and
+        offline_build refuses it."""
+        root, case = workdir
+        (tmp_path / "snapshots").mkdir()
+        for source in sorted((root / "snapshots").glob("snap_*.stm")):
+            header, arrays = read_artifact(source, expect_kind="snapshot")
+            del header["schema_version"], header["kind"]
+            if source.name == "snap_0000.stm":
+                arrays["v"] = arrays["v"][:-1]
+                header["n_velocity"] -= header_too
+            write_artifact(tmp_path / "snapshots" / source.name, "snapshot", header, arrays)
+        assert main(["build-rom", "--case", str(case), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == error and match in payload["message"]
 
     @pytest.mark.parametrize("bad, match", [("shape", "x0 has shape"),
                                             ("nan", "non-finite"),

@@ -1264,9 +1264,11 @@ class TestSnapshots:
 
     def test_missing_array_or_bad_header_is_artifact_error(self, tmp_path):
         path = tmp_path / "snap.bin"
-        head = {"case_id": "couette", "mesh_hash": "m", "mu": []}
+        head = {"case_id": "couette", "mesh_hash": "m", "mu": [], "n_velocity": 3,
+                "n_pressure": 3}
         for header, arrays in ((head, {"p": np.zeros(3)}),
                                (head, {"v": np.zeros(3)}),
+                               (head, {"v": np.zeros(2), "p": np.zeros(3)}),
                                (dict(head, mu=["fast"]),
                                 {"v": np.zeros(3), "p": np.zeros(3)})):
             write_artifact(path, "snapshot", header, arrays)

@@ -84,7 +84,7 @@ def test_snapshot_header_of_the_wrong_type_is_refused(tmp_path, key, value):
     header, arrays = read_artifact(path, expect_kind="snapshot")
     del header["schema_version"], header["kind"]
     write_artifact(path, "snapshot", dict(header, **{key: value}), arrays)
-    with pytest.raises(ArtifactError, match="malformed snapshot .'%s' is" % key):
+    with pytest.raises(ArtifactError, match="malformed snapshot .* at %s .'%s' is" % (key, key)):
         read_snapshot(path)
 
 

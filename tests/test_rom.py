@@ -1,6 +1,7 @@
 """Offline projection and online reduced solves, checked against the
 full-order solver on a small duct with a parabolic inflow."""
 
+import re
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -1190,6 +1191,26 @@ class TestPersistence:
             write_rom(path, duct.pkg, extra_header=bad)
             with pytest.raises(ArtifactError, match="malformed rom package"):
                 read_rom(path)
+
+    @pytest.mark.parametrize("path, value", [
+        (("amplitudes", "inflow"), True), (("material", "rho"), True), (("d",), 2.0),
+        (("start_loo_error",), "0.5"), (("n_u",), "five")])
+    def test_header_value_of_the_wrong_type_names_its_key(self, duct, tmp_path, path, value):
+        """Values that float() and int() read as 1.0, 1.0, 2 and 0.5, and an
+        n_u that was never read."""
+        file = tmp_path / "duct.rom"
+        write_rom(file, duct.pkg)
+        header, arrays = read_artifact(file, expect_kind="rom")
+        del header["schema_version"], header["kind"]
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        write_artifact(file, "rom", header, arrays)
+        match = "malformed rom package .* at %s \\(%s is %s" % tuple(
+            re.escape(text) for text in (".".join(path), repr(path[-1]), repr(value)))
+        with pytest.raises(ArtifactError, match=match):
+            read_rom(file)
 
     def rewritten(self, pkg, path, edit):
         """Write pkg to path, then write the file again with edit(arrays)."""

@@ -16,6 +16,9 @@ The list:
         and the 12x5x6 artery, with the case's solver options;
     fom/valve
         the same of the valve's cold solve at its box centre;
+    snapshot/<case>
+        the bytes of ``fom.write_snapshot`` of each of the four solutions
+        above (couette, poiseuille-body, artery-analog, valve);
     fom/artery-after-others
         the same of the 12x5x6 artery's cold solve at its box centre, run
         after the solves at its lower and upper bounds on the same assembler;
@@ -30,7 +33,12 @@ The list:
     rom/cut-<n_u>x<n_p>
         for every cut ``rom.truncate(pkg, n_u, n_p)`` of that package, the
         cut's ``solve_rom`` at the box centre (as above) and the bytes of its
-        ``rom.write_rom``.
+        ``rom.write_rom``;
+    rom/read-back
+        ``rom.read_rom`` of that package's file: its K, R, strain_op, start
+        and tau_scales, and its ``solve_rom`` at the box centre;
+    rom/info
+        ``json.dumps(rom.rom_info(pkg), sort_keys=True)`` of the package.
 
 With --base, the same list runs on both checkouts' ``src/``, each in a
 subprocess, side by side, and any differing or missing entry is printed;
@@ -93,13 +101,21 @@ def compute():
                                             for l in lifts])
         built[(case_id, tuple(sorted(overrides.items())))] = (config, mesh, problem)
 
+    def file_bytes(write, item):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file.stm"
+            write(path, item)
+            return path.read_bytes()
+
     for case_id, overrides in FOM_CASES:
         config, mesh, problem = built[(case_id, tuple(sorted(overrides.items())))]
         sol = fom.solve_fom(mesh, problem, **config.picard_options())
         out["fom/" + case_id] = fom_digest(sol)
+        out["snapshot/" + case_id] = sha(file_bytes(fom.write_snapshot, sol))
     config, mesh, problem = built[("valve-analog", ())]
     sol = fom.solve_fom(mesh, problem, mu=config.space.box.center(), **config.picard_options())
     out["fom/valve"] = fom_digest(sol)
+    out["snapshot/valve"] = sha(file_bytes(fom.write_snapshot, sol))
 
     config, mesh, problem = built[("artery-analog", tuple(sorted(ARTERY_ROM.items())))]
     box = config.space.box
@@ -119,15 +135,9 @@ def compute():
     pipe = analysis.offline_build(mesh, problem, train, **config.picard_options(),
                                   **config.offline_options())
 
-    def rom_bytes(pkg):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "artery.rom"
-            rom.write_rom(path, pkg)
-            return path.read_bytes()
-
     out["train/chain"] = sha(*[(sol.v.tobytes(), sol.p.tobytes(), sol.converged,
                                 records(sol.iterations)) for sol in pipe.solutions])
-    out["rom/package"] = sha(rom_bytes(pipe.pkg))
+    out["rom/package"] = sha(file_bytes(rom.write_rom, pipe.pkg))
     lo, hi = np.asarray(box.lower), np.asarray(box.upper)
     points = {"centre": 0.5 * (lo + hi)}
     for corner in np.ndindex(*(2,) * lo.size):
@@ -143,7 +153,16 @@ def compute():
             red = rom.solve_rom(cut, mu=points["centre"], **config.picard_options())
             out["rom/cut-%dx%d" % (n_u, n_p)] = sha(red.v_N.tobytes(), red.p_N.tobytes(),
                                                     red.converged, records(red.iterations),
-                                                    rom_bytes(cut))
+                                                    file_bytes(rom.write_rom, cut))
+    with tempfile.TemporaryDirectory() as tmp:
+        rom.write_rom(Path(tmp) / "artery.rom", pkg)
+        _, back = rom.read_rom(Path(tmp) / "artery.rom")
+    red = rom.solve_rom(back, mu=points["centre"], **config.picard_options())
+    out["rom/read-back"] = sha(*[a.tobytes() for a in (back.K, back.R, back.strain_op, back.start)
+                                 + tuple(back.tau_scales)],
+                               red.v_N.tobytes(), red.p_N.tobytes(), red.converged,
+                               records(red.iterations))
+    out["rom/info"] = sha(json.dumps(rom.rom_info(pkg), sort_keys=True).encode())
     return out
 
 
