@@ -199,7 +199,7 @@ def read_section(given, table, where, error):
         for fault, path, detail in refused.args[0]:
             faults.setdefault(fault, []).append((path, detail))
     if "unknown" in faults:
-        raise error("unknown %s key %r (keys: %s; the unit suffix is part of the key)"
+        raise error("%s has an unknown key %r (keys: %s; the unit suffix is part of the key)"
                     % ((where,) + faults["unknown"][0]))
     paths, details = zip(*faults.get("missing", faults.get("wrong")))
     if "missing" in faults:

@@ -145,7 +145,7 @@ class TestProfiles:
             make_profile("vortex", {})
         with pytest.raises(CaseError, match="lacks t_ramp_s"):
             make_profile("artery_inlet", {"r0_m": 0.005})
-        with pytest.raises(CaseError, match="unknown profile parameter"):
+        with pytest.raises(CaseError, match="profile parameter has an unknown key 'r0'"):
             make_profile("noslip", {"r0": 1.0})
 
 
@@ -247,7 +247,7 @@ class TestConfigFormat:
     def test_rejects_malformed_configs(self):
         good = valve_analog_config().to_dict()
         bad = dict(good, extra_section=1)
-        with pytest.raises(CaseError, match="unknown configuration key"):
+        with pytest.raises(CaseError, match="configuration has an unknown key 'extra_section'"):
             config_from_dict(bad)
         bad = dict(good, schema_version=99)
         with pytest.raises(CaseError, match="schema_version"):
@@ -261,10 +261,10 @@ class TestConfigFormat:
         with pytest.raises(CaseError, match="lacks material.lambda_s"):
             config_from_dict(bad)
         bad = dict(good, boundary=[dict(good["boundary"][0], orientation="up")])
-        with pytest.raises(CaseError, match="unknown boundary key"):
+        with pytest.raises(CaseError, match="boundary has an unknown key 'orientation'"):
             config_from_dict(bad)
         bad = dict(good, solver={"picard_tol": 1e-8, "newton": True})
-        with pytest.raises(CaseError, match="unknown configuration key 'solver.newton'"):
+        with pytest.raises(CaseError, match="configuration has an unknown key 'solver.newton'"):
             config_from_dict(bad)
 
     @pytest.mark.parametrize("key, value", [
