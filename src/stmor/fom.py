@@ -281,10 +281,13 @@ class FomAssembler:
 
     The element blocks (mass, viscous, divergence, stab_pv, stab_pp) are
     dense per-element arrays of unit element weight.  SystemPattern sums
-    them into the CSR pattern the Picard loop fills; rom.project_offline
-    reduces them element by element.  The norm matrices (grad_gram,
+    them into the CSR pattern the Picard loop fills.  rom.project_offline
+    forms the same products from the element geometry (V, gx, gt) and the
+    basis rows instead, without any block.  The norm matrices (grad_gram,
     mass_pressure) are summed on the node adjacency.  No assembly sorts COO
-    entries.
+    entries.  gx (E, D+1, d) and gt (E, D+1) are element-major, as the
+    block kernels read them fastest; element_fields sums over the nodes of
+    transposed views of gx and elems, for one velocity field or many.
     """
 
     def __init__(self, mesh):
@@ -417,13 +420,36 @@ class FomAssembler:
         return self._pattern[1]
 
     def element_fields(self, u_full, params):
-        """Per-element (shear rate, viscosity, tau) at a frozen velocity field."""
-        u = u_full[self.elems]
-        gd2 = shear_rate_squared(np.einsum("eac,eaj->ecj", u, self.gx))
-        gd, eta, tau = field_values(gd2, np.square(u.mean(1)).sum(-1), self.tau_scales, params)
+        """Per-element (shear rate, viscosity, tau) at a frozen velocity field
+        u_full (n_nodes, d).  Given S fields (S, n_nodes, d) and a sequence of
+        S materials, each of the three is (S, E), row k at field and material k."""
+        # node by node: the gradient einsum("eac,eaj->ecj") and the mean over
+        # the element's nodes, bit for bit, for any leading axes of u_full
+        u = u_full[..., self.elems.T, :]            # (..., D+1, E, d)
+        gx = self.gx.transpose(1, 0, 2)             # (D+1, E, d)
+        total = u[..., 0, :, :].copy()
+        for a in range(1, len(gx)):
+            total += u[..., a, :, :]
+        total /= len(gx)
+        if gx.shape[-1] == 1:
+            # for d = 1 the einsum's node axis is contiguous, which it sums in
+            # an order of its own, and in another one given leading axes
+            grad = np.array([np.einsum("eac,eaj->ecj", x[self.elems], self.gx) for x in
+                             u_full.reshape(-1, *u_full.shape[-2:])]).reshape(total.shape + (1,))
+        else:
+            grad = u[..., 0, :, :, None] * gx[0, :, None, :]
+            for a in range(1, len(gx)):
+                grad += u[..., a, :, :, None] * gx[a, :, None, :]
+        gd2, speed2 = shear_rate_squared(grad), np.square(total).sum(-1)
+        if u_full.ndim == 2:
+            gd, eta, tau = field_values(gd2, speed2, self.tau_scales, params)
+        else:
+            gd, eta, tau = np.array([field_values(*args, self.tau_scales, p) for *args, p
+                                     in zip(gd2, speed2, params, strict=True)]).swapaxes(0, 1)
         bad = np.flatnonzero(~(np.isfinite(eta) & np.isfinite(tau)))
         if bad.size:
-            raise SolverError("non-finite viscosity or tau in element %d" % bad[0])
+            raise SolverError("non-finite viscosity or tau in element %d"
+                              % (bad[0] % len(self.elems)))
         return gd, eta, tau
 
     def rest_fields(self, params):
@@ -1192,7 +1218,7 @@ def write_snapshot(path, solution, extra_header=None):
               "n_pressure": int(solution.p.size),
               "converged": bool(solution.converged)}
     header.update(extra_header or {})
-    write_artifact(path, "snapshot", header, {"v": solution.v, "p": solution.p})
+    write_artifact(path, "snapshot", header, {"v": solution.v, "p": solution.p}, _SNAPSHOT)
 
 
 _SNAPSHOT = dict(ARTIFACT_KEYS, case_id=(text, ""), mesh_hash=(text, ""),

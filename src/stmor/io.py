@@ -32,16 +32,21 @@ class ArtifactError(Exception):
     """Raised for malformed, mismatched, or truncated artifact files."""
 
 
-def write_artifact(path, kind, header, arrays):
+def write_artifact(path, kind, header, arrays, table=None):
     """Write named arrays with a JSON header to a versioned binary file.
 
     The bytes go to a temporary file in the target directory, which then
     replaces path in one step: a write that fails midway leaves an earlier
-    file at path as it was, and no partial file behind.
+    file at path as it was, and no partial file behind.  Given the key table
+    that its reader reads the header against, the header is read through it
+    first, so a header the reader would refuse raises ArtifactError and
+    nothing is written.
     """
     head = dict(header)
     head["schema_version"] = FORMAT_VERSION
     head["kind"] = kind
+    if table is not None:
+        read_section(head, table, "%s header for %s" % (kind, os.fspath(path)), ArtifactError)
     head["_arrays"] = []
     contents = []
     for name, arr in arrays.items():

@@ -9,10 +9,26 @@ by element, as reduced element contributions (ECSW; Farhat, Avery, Chapman
 the term's unit-weight element block (fom.FomAssembler), b_q 1 for the two
 constant terms and an interpolation basis vector otherwise, Ytr_e the
 element's rows of [Z_v, 0; 0, Z_p] and Yte_e those with the constrained
-velocity rows zeroed.  The lift vectors vanish on free rows, so the lifting
-columns of Yte are zero: the lifts drop out of the operators and reappear,
-through those of Ytr, as per-lift right-hand sides.  Slot q of the stacks
-holds
+velocity rows zeroed.  Every A_e is a product of element gradients, so
+no block is formed: P_q = sum_e w_q[e] X_e^T Y_e, summed over the rows of
+
+    block           w_q         X_e                     Y_e
+    A (viscous)     b_q V       strain(Yte_e)           strain(Ytr_e)
+    C (stab_pv)     b_q V       grad phi                -d_t psi
+    S (stab_pp)     b_q V       grad phi                grad phi
+    E (mass)        V / (D+1)   node sum of Yte_e       d_t psi
+    B (+B, -B^T)    V / (D+1)   node sum of phi         div psi
+
+with V the element volumes, phi the element's rows of Z_p, psi those of
+Ytr_e (of Yte_e for -B^T) and strain the d (d + 1) / 2 strain invariants of
+a velocity gradient (invariant_map), whose products sum to 2 eps : eps.
+One product of each element's geometry [gx | gt | 1] with its gathered
+basis rows gives every gradient, time derivative and node sum, and each
+group of slots is one product of its (Q, E) weights with the per-element
+outer products X_e^T Y_e.  The lift vectors vanish on free rows, so the
+lifting columns of Yte are zero: the lifts drop out of the operators and
+reappear, through those of Ytr, as per-lift right-hand sides.  Slot q of
+the stacks holds
 
     slot            K (Q, N, N), N = N_u + N_p     R (Q, n_lifts + 1, N)
     0               E                              H ; F_body
@@ -282,9 +298,10 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
                     dof_map=None, assembler=None):
     """Project the full-order system onto the basis, element by element.
 
-    Each slot P_q of the module docstring is summed over MAP_CHUNK elements
-    at a time, so no system matrix is formed and peak memory stays at one
-    chunk of element blocks.  The basis must carry the problem's lifting
+    Each slot P_q of the module docstring is summed from the basis gradients
+    of MAP_CHUNK elements at a time, so neither a system matrix nor an
+    element block is formed and peak memory stays at one chunk of gathered
+    basis rows and their gradients.  The basis must carry the problem's lifting
     vectors as leading columns; the projected operators then lose those
     columns exactly and the per-lift loads take over.
     """
@@ -329,39 +346,59 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
 
     Z_v, Z_p = basis.Z_v, basis.Z_p
     nl, d, (n_el, d1) = basis.n_lifts, mesh.d, asm.elems.shape
-    n_u, n = Z_v.shape[1], Z_v.shape[1] + Z_p.shape[1]
-    qe, qt = eim_eta.n_terms, eim_tau.n_terms
+    n_u, n_p = Z_v.shape[1], Z_p.shape[1]
+    n, qe, qt = n_u + n_p, eim_eta.n_terms, eim_tau.n_terms
     v, p, a, c, s = (slice(0, n_u), slice(n_u, n), slice(2, 2 + qe),
                      slice(2 + qe, 2 + qe + qt), slice(2 + qe + qt, None))
     # node-major trial rows, and test rows with constrained velocities zeroed
     trial_v = Z_v.reshape(-1, d, n_u)
     test_v = np.where(dof_map.constrained[..., None], 0.0, trial_v)
-    mass, div, eye = asm.mass(), asm.divergence(), np.eye(d)[:, None, :]
+    # each node's rows [trial (d, N_u), test (d, N_u), Z_p (N_p)], and each
+    # element's geometry [gx | gt | 1]: the product of its transpose with the
+    # rows of the element's nodes is the d spatial gradients, the time
+    # derivative and the node sum of every row
+    rows = np.hstack([trial_v.reshape(-1, d * n_u), test_v.reshape(-1, d * n_u), Z_p])
+    ones = np.ones((min(MAP_CHUNK, n_el), d1, 1))
+    strain = invariant_map(d)[:d * d, :d * (d + 1) // 2].T     # gradient -> strain invariants
+    # the element weights of each group of slots: V / (D+1) for the time
+    # derivative and divergence, b_q V for the slots of basis vector b_q
+    mean_V = asm.V / d1
+    eta_V, tau_V = (approx.basis * asm.V[:, None] for approx in (eim_eta, eim_tau))
 
-    def reduced(blk, test, trial):
-        # Yte_e^T A_e Ytr_e of each element of a chunk; a block given for one
-        # test node is the same for all of them
-        blk = np.broadcast_to(blk, (len(test), d1) + blk.shape[2:])
-        return test.transpose(0, 2, 1) @ (blk.reshape(len(test), test.shape[1], -1) @ trial)
+    def outer(w, X, Y):
+        # (q, i, j): sum_e w[e, q] X_e^T Y_e, for X (e, r, i) and Y (e, r, j)
+        P = w.T @ (X.transpose(0, 2, 1) @ Y).reshape(len(X), -1)
+        return P.reshape(-1, X.shape[2], Y.shape[2])
 
     K = np.zeros((2 + qe + 2 * qt, n, n))       # the slots P_q, lift columns included
     for lo in range(0, n_el, MAP_CHUNK):
         part = slice(lo, lo + MAP_CHUNK)
         nodes = asm.elems[part]
         e = len(nodes)
-        zv, zt = (z[nodes].reshape(e, -1, n_u) for z in (trial_v, test_v))
-        zp = Z_p[nodes]                             # (e, D+1, N_p)
+        geometry = np.concatenate([asm.gx[part], asm.gt[part, :, None], ones[:e]], axis=2)
+        g = geometry.transpose(0, 2, 1) @ rows[nodes]                   # (e, d + 2, W)
+        grad, dt, total = g[:, :d], g[:, d], g[:, d + 1]
+        # the trial and test velocity gradients (e, d^2, N_u), entry j d + c the
+        # d_j of component c, and their strain invariants, whose products sum
+        # to 2 eps : eps (the invariants of a gradient and its transpose agree)
+        grads = [grad[:, :, k * d * n_u:(k + 1) * d * n_u].reshape(e, d * d, n_u)
+                 for k in (0, 1)]
+        strain_trial, strain_test = (strain @ gv for gv in grads)
+        div_trial, div_test = (sum(gv[:, None, i * (d + 1)] for i in range(d)) for gv in grads)
+        dt_trial = dt[:, :d * n_u].reshape(e, d, n_u)
+        sum_test = total[:, d * n_u:2 * d * n_u].reshape(e, d, n_u)
+        grad_p, sum_p = grad[:, :, 2 * d * n_u:], total[:, None, 2 * d * n_u:]
+        mean = mean_V[part, None]
         # the constant slots: the time derivative per unit density, +B and -B^T
-        K[0, v, v] += reduced(mass[part, :, None] * eye, zt, zv).sum(axis=0)
-        K[1, p, v] += reduced(div[part], zp, zv).sum(axis=0)
-        K[1, v, p] -= reduced(div[part], zp, zt).sum(axis=0).T
-        # the weighted slots, one per interpolation basis vector b_q
-        for slots, b, kernel, test, trial in (
-                (K[a, v, v], eim_eta.basis[part], asm.viscous, zt, zv),
-                (K[c, p, v], eim_tau.basis[part], asm.stab_pv, zp, zv),
-                (K[s, p, p], eim_tau.basis[part], asm.stab_pp, zp, zp)):
-            red = reduced(kernel(part), test, trial)
-            slots += (b.T @ red.reshape(e, -1)).reshape(slots.shape)
+        K[0, v, v] += outer(mean, sum_test, dt_trial)[0]
+        K[1, p, v] += outer(mean, sum_p, div_trial)[0]
+        K[1, v, p] -= outer(mean, div_test, sum_p)[0]
+        # the weighted slots, one per interpolation basis vector b_q: viscous,
+        # then stab_pv and stab_pp from one product with the pressure gradients
+        K[a, v, v] += outer(eta_V[part], strain_test, strain_trial)
+        tau = outer(tau_V[part], grad_p, np.concatenate([-dt_trial, grad_p], axis=2))
+        K[c, p, v] += tau[:, :, :n_u]
+        K[s, p, p] += tau[:, :, n_u:]
     # the operator applied to the lifts becomes the per-lift loads
     R = np.zeros((len(K), nl + 1, n))
     R[:, :nl] = -K[:, :, :nl].transpose(0, 2, 1)
@@ -644,7 +681,7 @@ def write_rom(path, pkg, extra_header=None):
         arrays[tag + "_ht"] = data.h_t
         arrays[tag + "_hs"] = data.h_s
         arrays[tag + "_Z"] = data.Z_rows
-    write_artifact(path, "rom", header, arrays)
+    write_artifact(path, "rom", header, arrays, _HEADER)
 
 
 _HEADER = dict(ARTIFACT_KEYS, case_id=(text, ""), mesh_hash=(text, ""),

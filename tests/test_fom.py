@@ -314,6 +314,23 @@ class TestElementFields:
             for g, w in zip(got, want, strict=True):
                 assert np.array_equal(g, w)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_many_fields_at_their_own_materials(self, d):
+        # S fields in one call: row k is field k's own call, bit for bit
+        rng = np.random.default_rng(10 + d)
+        m, n_nodes = 60, 40
+        asm = SimpleNamespace(elems=rng.integers(0, n_nodes, (m, d + 2)),
+                              gx=rng.standard_normal((m, d + 2, d)),
+                              tau_scales=tau_scales(rng.uniform(0.01, 1.0, m),
+                                                    rng.uniform(0.01, 1.0, m)))
+        materials = (SHEAR_THINNING, INVISCID, NEWTONIAN)
+        fields = rng.standard_normal((len(materials), n_nodes, d))
+        got = FomAssembler.element_fields(asm, fields, materials)
+        for k, (u_full, params) in enumerate(zip(fields, materials)):
+            for g, w in zip(got, FomAssembler.element_fields(asm, u_full, params), strict=True):
+                assert g.shape == (len(materials), m)
+                assert np.array_equal(g[k], w)
+
 
 def coo_operators(asm):
     """Full-index operators summed from the element blocks through COO, with
@@ -1253,6 +1270,14 @@ class TestSnapshots:
         np.testing.assert_array_equal(back.p, sol.p)
         assert header["sample_index"] == 7
         assert back.case_id == "couette"
+
+    @pytest.mark.parametrize("extra", [{"note": "x"}, {"sample_index": -1},
+                                       {"converged": "false"}, {"mu": [True]}])
+    def test_header_that_read_snapshot_refuses_is_not_written(self, tmp_path, extra):
+        sol = solve_fom(channel_mesh(n=2, levels=3), couette_problem())
+        with pytest.raises(ArtifactError, match="snapshot header for .*snap.bin"):
+            write_snapshot(tmp_path / "snap.bin", sol, extra_header=extra)
+        assert list(tmp_path.iterdir()) == []
 
     def test_mesh_hash_mismatch_is_hard_error(self, tmp_path):
         mesh = channel_mesh(n=2, levels=3)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from stmor import cases, fom, rom
+from stmor import analysis, cases, fom, rom
 from stmor.analysis import offline_build
 from stmor.constitutive import (SEMANTICS_BC_SCALE, BodyForce,
                                 CarreauYasudaParams, ParameterError,
@@ -842,6 +842,52 @@ class TestElementwiseProjection:
             assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
 
+class TestChunkedProjection:
+    @pytest.mark.parametrize("name", ["duct", "coarse_artery_rom"])
+    def test_uneven_chunks_give_the_default_slots(self, name, request, monkeypatch):
+        """Chunks of 7 elements, the last one short, against the default
+        chunks: the slots before the fold agree to 1e-14 relative per slot."""
+        built = request.getfixturevalue(name)
+        pipe = built if name == "duct" else built[1]
+        args = (pipe.mesh, pipe.problem, pipe.basis, pipe.eims["eta"], pipe.eims["tau"])
+        kwargs = {"dof_map": pipe.dof_map}
+        assert pipe.mesh.n_elements % 7
+        monkeypatch.setattr(EimApproximation, "fold", lambda self, stack: stack)
+        want = project_offline(*args, **kwargs)
+        monkeypatch.setattr(rom, "MAP_CHUNK", 7)
+        got = project_offline(*args, **kwargs)
+        for stack in ("K", "R"):
+            for q, (g, w) in enumerate(zip(getattr(got, stack), getattr(want, stack),
+                                           strict=True)):
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-14 * np.abs(w).max(),
+                                           err_msg="%s slot %d" % (stack, q))
+
+
+class TestSnapshotFields:
+    @pytest.mark.parametrize("name", ["duct", "coarse_artery_rom"])
+    def test_one_call_equals_a_call_per_snapshot(self, name, request, monkeypatch):
+        """offline_build forms the fields of all its snapshots in one
+        element_fields call; each column is that snapshot's own call, bit for
+        bit."""
+        built = request.getfixturevalue(name)
+        pipe = built if name == "duct" else built[1]
+        sols = pipe.sols if name == "duct" else pipe.solutions
+        samples = {}
+
+        def capture(sample_set, tol, q_max):
+            samples[sample_set.tag] = sample_set.values
+            return eim_greedy(sample_set, tol=tol, q_max=q_max)
+
+        monkeypatch.setattr(analysis, "eim_greedy", capture)
+        asm = FomAssembler(pipe.mesh)
+        rebuilt = offline_build(pipe.mesh, pipe.problem, solutions=sols, assembler=asm)
+        assert samples["eta"].shape == (pipe.mesh.n_elements, len(sols))
+        for k, (u, sol) in enumerate(zip(rebuilt.u_fulls, sols, strict=True)):
+            _, eta, tau = asm.element_fields(u, pipe.problem.effective(sol.mu)[0])
+            assert np.array_equal(samples["eta"][:, k], eta)
+            assert np.array_equal(samples["tau"][:, k], tau)
+
+
 class TestAndersonMixing:
     @pytest.mark.parametrize("cut", [None, (3, 1)])
     def test_depth_zero_is_the_plain_loop(self, duct, cut, monkeypatch):
@@ -1186,11 +1232,22 @@ class TestPersistence:
 
     def test_malformed_header_rejected(self, duct, tmp_path):
         path = tmp_path / "bad.rom"
+        write_rom(path, duct.pkg)
+        header, arrays = read_artifact(path, expect_kind="rom")
+        del header["schema_version"], header["kind"]
         for bad in ({"space": {"names": ["u_in"]}},
                     {"material": {"rho": 1.0}}, {"lift_groups": 3}):
-            write_rom(path, duct.pkg, extra_header=bad)
+            write_artifact(path, "rom", dict(header, **bad), arrays)
             with pytest.raises(ArtifactError, match="malformed rom package"):
                 read_rom(path)
+
+    @pytest.mark.parametrize("bad", [{"note": "x"}, {"space": {"names": ["u_in"]}},
+                                     {"material": {"rho": 1.0}}, {"lift_groups": 3}])
+    def test_header_that_read_rom_refuses_is_not_written(self, duct, tmp_path, bad):
+        path = tmp_path / "bad.rom"
+        with pytest.raises(ArtifactError, match="rom header for .*bad.rom"):
+            write_rom(path, duct.pkg, extra_header=bad)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("path, value", [
         (("amplitudes", "inflow"), True), (("material", "rho"), True), (("d",), 2.0),

@@ -38,7 +38,15 @@ The list:
         ``rom.read_rom`` of that package's file: its K, R, strain_op, start
         and tau_scales, and its ``solve_rom`` at the box centre;
     rom/info
-        ``json.dumps(rom.rom_info(pkg), sort_keys=True)`` of the package.
+        ``json.dumps(rom.rom_info(pkg), sort_keys=True)`` of the package;
+    eim/artery-chain
+        the magic elements, greedy history and basis of both interpolations
+        (eta, tau) of that build;
+    eim/valve, rom/valve-package
+        the same of the valve's build from three cold solves at fixed
+        Latin-hypercube mu (seed 1), ``offline_build(solutions=...)`` as the
+        benchmark's ``valve-fom`` workload runs it, and the bytes of
+        ``rom.write_rom`` of its package.
 
 With --base, the same list runs on both checkouts' ``src/``, each in a
 subprocess, side by side, and any differing or missing entry is printed;
@@ -61,6 +69,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 HEAD = Path(__file__).resolve().parent.parent
 ARTERY_ROM = {"n_x": 12, "n_y": 5, "n_levels": 6}
 FOM_CASES = (("couette", {}), ("poiseuille-body", {}), ("artery-analog", ARTERY_ROM))
+VALVE_SOLVES = 3
 
 
 def sha(*parts):
@@ -78,6 +87,11 @@ def records(log):
 def fom_digest(sol):
     return sha(sol.v.tobytes(), sol.p.tobytes(), sol.converged, len(sol.iterations),
                records(sol.iterations))
+
+
+def eim_digest(eims):
+    return sha(*[(tag, a.magic.tobytes(), a.history.tobytes(), a.basis.tobytes())
+                 for tag, a in sorted(eims.items())])
 
 
 def compute():
@@ -163,6 +177,21 @@ def compute():
                                red.v_N.tobytes(), red.p_N.tobytes(), red.converged,
                                records(red.iterations))
     out["rom/info"] = sha(json.dumps(rom.rom_info(pkg), sort_keys=True).encode())
+    out["eim/artery-chain"] = eim_digest(pipe.eims)
+
+    config, mesh, problem = built[("valve-analog", ())]
+    box = config.space.box
+    lo, hi = np.asarray(box.lower), np.asarray(box.upper)
+    rng = np.random.default_rng(1)
+    strata = np.column_stack([(rng.permutation(VALVE_SOLVES) + rng.random(VALVE_SOLVES))
+                              / VALVE_SOLVES for _ in lo])
+    asm = fom.FomAssembler(mesh)
+    sols = [fom.solve_fom(mesh, problem, mu=mu, assembler=asm, **config.picard_options())
+            for mu in lo + (hi - lo) * strata]
+    pipe = analysis.offline_build(mesh, problem, solutions=sols, assembler=asm,
+                                  **config.picard_options(), **config.offline_options())
+    out["eim/valve"] = eim_digest(pipe.eims)
+    out["rom/valve-package"] = sha(file_bytes(rom.write_rom, pipe.pkg))
     return out
 
 

@@ -2,6 +2,7 @@
 
     python3 tools/inproc_ab.py --base ../parent --rom artery.rom --op cold
     python3 tools/inproc_ab.py --base ../parent --op fom --case valve
+    python3 tools/inproc_ab.py --base ../parent --op offline --case artery
 
 stmor is imported from the base checkout's ``src/`` as ``stmor_base`` and
 from the checkout holding this script as ``stmor_head``.  Each repetition
@@ -27,6 +28,18 @@ Operations:
                defaults to the case's picard_tol, and only the convergence
                flags must agree: a change of the FOM iteration may change
                its step count.  Each side's mean step count is printed.
+    offline    ``analysis.offline_build(solutions=...)`` of --case from
+               snapshots the base side solves once before timing: three cold
+               solves at fixed Latin-hypercube mu (seed 1) on the valve, as
+               the benchmark's valve-fom workload builds, and the case's
+               training grid (``analysis.solve_chain``) on the artery.  The
+               ratios head/base of the total and of the ``eim_s`` and
+               ``projection_s`` stages are printed with a bootstrap interval
+               over the repetitions.  The builds need not agree bit for bit:
+               the largest relative gap of a slot of the packages' K and R,
+               max |head - base| / max |base| over each slot, and of their
+               solve_rom at the box centre and corners are printed, and
+               --max-gap (default 1e-13) bounds the slot gap.
 
 The package comes from ``stmor build-rom`` (or ``rom.write_rom``).  BLAS is
 pinned to one thread, as in perfbench.  Both checkouts must read the same rom
@@ -54,6 +67,8 @@ HEAD = Path(__file__).resolve().parent.parent
 WARMUP = 100
 FOM_WARMUP = 1
 SEED = 1
+VALVE_SOLVES = 3
+BOOTSTRAP = 2000
 FOM_CASES = {"valve": ("valve-analog", {}),
              "artery": ("artery-analog", {"n_x": 12, "n_y": 5, "n_levels": 6})}
 
@@ -81,19 +96,71 @@ def draw_mus(space, n, seed):
     return list(lo + (hi - lo) * rng.random((n, lo.size)))
 
 
-def fom_operation(stmor, case):
-    """(f(mu) -> a cold solve_fom on an assembler f holds, the case config)."""
+def load_case(stmor, case):
+    """(config, mesh, problem) of --case on one side."""
     cases = importlib.import_module(stmor + ".cases")
-    fom = importlib.import_module(stmor + ".fom")
     case_id, overrides = FOM_CASES[case]
     config = cases.bundled_case(case_id, **overrides)
     mesh = cases.build_mesh(config)
-    problem = cases.build_problem(config, mesh)
+    return config, mesh, cases.build_problem(config, mesh)
+
+
+def fom_operation(stmor, case):
+    """(f(mu) -> a cold solve_fom on an assembler f holds, the case config)."""
+    fom = importlib.import_module(stmor + ".fom")
+    config, mesh, problem = load_case(stmor, case)
     asm = fom.FomAssembler(mesh)
     dof_map = fom.build_dof_map(mesh, problem.dirichlet)
     opts = config.picard_options()
     return (lambda mu: fom.solve_fom(mesh, problem, mu=mu, strict=False, assembler=asm,
                                      dof_map=dof_map, **opts)), config
+
+
+def offline_inputs(stmor, case):
+    """The snapshots offline_build starts from on --op offline."""
+    analysis = importlib.import_module(stmor + ".analysis")
+    fom = importlib.import_module(stmor + ".fom")
+    config, mesh, problem = load_case(stmor, case)
+    box, opts, asm = config.space.box, config.picard_options(), fom.FomAssembler(mesh)
+    lo, hi = np.asarray(box.lower), np.asarray(box.upper)
+    if case == "valve":
+        rng = np.random.default_rng(SEED)
+        strata = np.column_stack([(rng.permutation(VALVE_SOLVES) + rng.random(VALVE_SOLVES))
+                                  / VALVE_SOLVES for _ in lo])
+        return [fom.solve_fom(mesh, problem, mu=mu, assembler=asm, **opts)
+                for mu in lo + (hi - lo) * strata]
+    axes = [np.linspace(lo[j], hi[j], int(c)) for j, c in enumerate(config.plan["train_counts"])]
+    mus = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    return analysis.solve_chain(mesh, problem, mus, assembler=asm,
+                                dof_map=fom.build_dof_map(mesh, problem.dirichlet), **opts)[0]
+
+
+def offline_operation(stmor, case, solutions):
+    """(f(mu) -> offline_build(solutions=...) of case on one side, the case config)."""
+    analysis = importlib.import_module(stmor + ".analysis")
+    fom = importlib.import_module(stmor + ".fom")
+    config, mesh, problem = load_case(stmor, case)
+    sols = [fom.FieldSolution(**vars(sol)) for sol in solutions]
+    # a held assembler, as the benchmark's case holds one
+    opts = dict(config.picard_options(), **config.offline_options(),
+                assembler=fom.FomAssembler(mesh))
+    return (lambda mu: analysis.offline_build(mesh, problem, solutions=sols, **opts)), config
+
+
+def slot_gap(base, head):
+    """The largest relative gap of a slot of two packages' K and R."""
+    return max(float(np.abs(h - b).max() / max(np.abs(b).max(), 1e-300))
+               for stack in ("K", "R")
+               for b, h in zip(getattr(base, stack), getattr(head, stack), strict=True))
+
+
+def bootstrap(base, head):
+    """The ratio of the medians head/base and its 95% bootstrap interval over
+    the paired repetitions."""
+    rng = np.random.default_rng(SEED)
+    picks = rng.integers(0, len(base), (BOOTSTRAP, len(base)))
+    ratios = np.median(head[picks], axis=1) / np.median(base[picks], axis=1)
+    return np.median(head) / np.median(base), *np.percentile(ratios, [2.5, 97.5])
 
 
 def operation(stmor, op, path):
@@ -155,31 +222,38 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="checkout timed as the base")
     parser.add_argument("--rom", help="rom package file (every operation but fom)")
-    parser.add_argument("--op", choices=("read_rom", "warm", "cold", "sweep", "fom"),
-                        default="cold")
+    parser.add_argument("--op", choices=("read_rom", "warm", "cold", "sweep", "fom",
+                                         "offline"), default="cold")
     parser.add_argument("--case", choices=sorted(FOM_CASES), default="valve",
-                        help="the case of --op fom")
+                        help="the case of --op fom and --op offline")
     parser.add_argument("--reps", type=int,
-                        help="timed repetitions (default 2000, 10 for --op fom)")
+                        help="timed repetitions (default 2000, 10 for --op fom and 20 "
+                             "for --op offline)")
     parser.add_argument("--max-gap", type=float,
                         help="largest relative gap of the solutions allowed (default 0: "
-                             "bitwise, and the case's picard_tol for --op fom)")
+                             "bitwise, the case's picard_tol for --op fom, and 1e-13 of "
+                             "a slot for --op offline)")
     args = parser.parse_args(argv)
-    fom = args.op == "fom"
-    if args.rom is None and not fom:
+    fom, offline = args.op == "fom", args.op == "offline"
+    if args.rom is None and not (fom or offline):
         parser.error("--op %s needs --rom" % args.op)
-    args.reps = args.reps if args.reps is not None else 10 if fom else 2000
+    args.reps = args.reps if args.reps is not None else 10 if fom else 20 if offline else 2000
     if args.reps < 1:
         parser.error("--reps must be at least 1")
 
     stmors = {name: load_package("stmor_" + name, where)
               for name, where in (("base", args.base), ("head", HEAD))}
-    if fom:
-        built = {name: fom_operation(stmor, args.case) for name, stmor in stmors.items()}
+    if fom or offline:
+        if fom:
+            built = {name: fom_operation(stmor, args.case) for name, stmor in stmors.items()}
+        else:
+            sols = offline_inputs(stmors["base"], args.case)
+            built = {name: offline_operation(stmor, args.case, sols)
+                     for name, stmor in stmors.items()}
         sides = {name: f for name, (f, _) in built.items()}
         config = built["head"][1]
         space, warmup, subject = config.space, FOM_WARMUP, args.case
-        default_gap = config.picard_options()["picard_tol"]
+        default_gap = config.picard_options()["picard_tol"] if fom else 1e-13
     else:
         sides = {name: operation(stmor, args.op, args.rom) for name, stmor in stmors.items()}
         space = sys.modules["stmor_head.rom"].read_rom(args.rom)[1].space
@@ -190,6 +264,7 @@ def main(argv=None):
     mus = draw_mus(space, warmup + args.reps, SEED)
     times = {"base": [], "head": []}
     steps = {"base": [], "head": []}
+    stages = {"base": [], "head": []}
     largest = 0.0
     for i, mu in enumerate(mus):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -201,6 +276,14 @@ def main(argv=None):
             if i >= warmup:
                 times[name].append(1e6 * elapsed)
                 steps[name].append(len(getattr(out[name], "iterations", ())))
+                if offline:
+                    stages[name].append([out[name].timings[k] for k in ("eim_s", "projection_s")])
+        if offline:
+            largest = max(largest, slot_gap(out["base"].pkg, out["head"].pkg))
+            if largest > args.max_gap:
+                raise SystemExit("the packages' slots differ by %.3e at repetition %d"
+                                 % (largest, i))
+            continue
         if args.max_gap == 0.0:
             if fingerprint(out["base"]) != fingerprint(out["head"]):
                 raise SystemExit("results differ at repetition %d, mu=%s" % (i, mu))
@@ -212,6 +295,26 @@ def main(argv=None):
                              "and step counts %s" % (i, mu, rel, "equal" if same else "differ"))
 
     base, head = (np.array(times[name]) for name in ("base", "head"))
+    if offline:
+        # the last builds' packages, solved at the box centre and corners
+        rom = importlib.import_module(stmors["head"] + ".rom")
+        points = np.vstack([space.box.corners(), space.box.center()[None]])
+        solved = [gap(*(rom.solve_rom(out[name].pkg, mu=mu, **config.picard_options())
+                        for name in ("base", "head"))) for mu in points]
+        print("offline on %s, %d repetitions, largest relative gap of a slot of K and R "
+              "%.3e (allowed %.1e), of solve_rom at %d points %.3e%s"
+              % (subject, args.reps, largest, args.max_gap, len(points),
+                 max(g for g, _ in solved), "" if all(ok for _, ok in solved)
+                 else ", with differing flags or step counts"))
+        ratios = {"total": (base, head)}
+        for k, stage in enumerate(("eim_s", "projection_s")):
+            ratios[stage] = tuple(1e6 * np.array(stages[name])[:, k] for name in ("base", "head"))
+        for label, (b, h) in ratios.items():
+            print("%-13s base %s" % (label, summary(b)))
+            print("%-13s head %s" % ("", summary(h)))
+            print("%-13s head/base: median %.3f, 95%% bootstrap interval [%.3f, %.3f]; head "
+                  "faster in %d of %d" % (("",) + bootstrap(b, h) + (int(np.sum(h < b)), len(b))))
+        return
     print("%s on %s, %d repetitions, %s" % (
         args.op, subject, args.reps, "results bitwise equal" if args.max_gap == 0.0 else
         "largest relative gap of the solutions %.3e (allowed %.1e)" % (largest, args.max_gap)))
