@@ -303,8 +303,8 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
         lifts_mu = build_lifting(mesh, problem.dirichlet, amps)
         u_fulls.append(sol.velocity_field(dof_map, lifts_mu))
         materials.append(params)
-    # every snapshot's fields in one call, row k at snapshot k's material
-    _, etas, taus = asm.element_fields(np.stack(u_fulls), materials)
+    _, etas, taus = zip(*(asm.element_fields(u, params)
+                          for u, params in zip(u_fulls, materials)))
     eims = {}
     for tag, cols, tol in (("eta", etas, tol_eim_eta), ("tau", taus, tol_eim_tau)):
         approx = eim_greedy(FieldSampleSet(tag, np.column_stack(cols)),

@@ -27,8 +27,9 @@ assembler builds it once per DOF map (SystemPattern), with maps
 from element entries to its CSR slots; each iterate is then three sparse
 matrix-vector products of the element weights plus constant base vectors,
 and the lifting load comes from the entries in constrained columns.  No
-other sparse layout of the system exists; the offline projection
-(rom.project_offline) reduces the element blocks directly.
+other sparse layout of the system exists.  The offline projection
+(rom.project_offline) builds no element block: it forms the same products
+from the element geometry (V, gx, gt) and the basis rows.
 
 Linear solves: one solve_fom call solves its first system directly and keeps
 that factor for the later ones.  The factor is a sparse LU of the system in
@@ -287,7 +288,7 @@ class FomAssembler:
     mass_pressure) are summed on the node adjacency.  No assembly sorts COO
     entries.  gx (E, D+1, d) and gt (E, D+1) are element-major, as the
     block kernels read them fastest; element_fields sums over the nodes of
-    transposed views of gx and elems, for one velocity field or many.
+    transposed views of gx and elems.
     """
 
     def __init__(self, mesh):
@@ -355,7 +356,8 @@ class FomAssembler:
             raise SolverError("non-finite assembly data in element %d" % bad[0])
 
     # element blocks of unit element weight, which SystemPattern maps onto
-    # its slots and rom.project_offline reduces
+    # its slots; rom.project_offline forms the same products from V, gx, gt
+    # and the basis rows
 
     def mass(self):
         """(e, 1, b, 1): int psi_a d_t psi_b, the same for every a and component."""
@@ -420,36 +422,28 @@ class FomAssembler:
         return self._pattern[1]
 
     def element_fields(self, u_full, params):
-        """Per-element (shear rate, viscosity, tau) at a frozen velocity field
-        u_full (n_nodes, d).  Given S fields (S, n_nodes, d) and a sequence of
-        S materials, each of the three is (S, E), row k at field and material k."""
+        """Per-element (shear rate, viscosity, tau) at a frozen velocity field."""
         # node by node: the gradient einsum("eac,eaj->ecj") and the mean over
-        # the element's nodes, bit for bit, for any leading axes of u_full
-        u = u_full[..., self.elems.T, :]            # (..., D+1, E, d)
+        # the element's nodes, bit for bit
+        u = u_full[self.elems.T]                    # (D+1, E, d)
         gx = self.gx.transpose(1, 0, 2)             # (D+1, E, d)
-        total = u[..., 0, :, :].copy()
+        total = u[0].copy()
         for a in range(1, len(gx)):
-            total += u[..., a, :, :]
+            total += u[a]
         total /= len(gx)
         if gx.shape[-1] == 1:
             # for d = 1 the einsum's node axis is contiguous, which it sums in
-            # an order of its own, and in another one given leading axes
-            grad = np.array([np.einsum("eac,eaj->ecj", x[self.elems], self.gx) for x in
-                             u_full.reshape(-1, *u_full.shape[-2:])]).reshape(total.shape + (1,))
+            # an order of its own
+            grad = np.einsum("eac,eaj->ecj", u_full[self.elems], self.gx)
         else:
-            grad = u[..., 0, :, :, None] * gx[0, :, None, :]
+            grad = u[0, :, :, None] * gx[0, :, None, :]
             for a in range(1, len(gx)):
-                grad += u[..., a, :, :, None] * gx[a, :, None, :]
-        gd2, speed2 = shear_rate_squared(grad), np.square(total).sum(-1)
-        if u_full.ndim == 2:
-            gd, eta, tau = field_values(gd2, speed2, self.tau_scales, params)
-        else:
-            gd, eta, tau = np.array([field_values(*args, self.tau_scales, p) for *args, p
-                                     in zip(gd2, speed2, params, strict=True)]).swapaxes(0, 1)
+                grad += u[a, :, :, None] * gx[a, :, None, :]
+        gd, eta, tau = field_values(shear_rate_squared(grad), np.square(total).sum(-1),
+                                    self.tau_scales, params)
         bad = np.flatnonzero(~(np.isfinite(eta) & np.isfinite(tau)))
         if bad.size:
-            raise SolverError("non-finite viscosity or tau in element %d"
-                              % (bad[0] % len(self.elems)))
+            raise SolverError("non-finite viscosity or tau in element %d" % bad[0])
         return gd, eta, tau
 
     def rest_fields(self, params):

@@ -314,23 +314,6 @@ class TestElementFields:
             for g, w in zip(got, want, strict=True):
                 assert np.array_equal(g, w)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_many_fields_at_their_own_materials(self, d):
-        # S fields in one call: row k is field k's own call, bit for bit
-        rng = np.random.default_rng(10 + d)
-        m, n_nodes = 60, 40
-        asm = SimpleNamespace(elems=rng.integers(0, n_nodes, (m, d + 2)),
-                              gx=rng.standard_normal((m, d + 2, d)),
-                              tau_scales=tau_scales(rng.uniform(0.01, 1.0, m),
-                                                    rng.uniform(0.01, 1.0, m)))
-        materials = (SHEAR_THINNING, INVISCID, NEWTONIAN)
-        fields = rng.standard_normal((len(materials), n_nodes, d))
-        got = FomAssembler.element_fields(asm, fields, materials)
-        for k, (u_full, params) in enumerate(zip(fields, materials)):
-            for g, w in zip(got, FomAssembler.element_fields(asm, u_full, params), strict=True):
-                assert g.shape == (len(materials), m)
-                assert np.array_equal(g[k], w)
-
 
 def coo_operators(asm):
     """Full-index operators summed from the element blocks through COO, with

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from stmor import analysis, cases, fom, rom
+from stmor import cases, fom, rom
 from stmor.analysis import offline_build
 from stmor.constitutive import (SEMANTICS_BC_SCALE, BodyForce,
                                 CarreauYasudaParams, ParameterError,
@@ -861,31 +861,6 @@ class TestChunkedProjection:
                                            strict=True)):
                 np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-14 * np.abs(w).max(),
                                            err_msg="%s slot %d" % (stack, q))
-
-
-class TestSnapshotFields:
-    @pytest.mark.parametrize("name", ["duct", "coarse_artery_rom"])
-    def test_one_call_equals_a_call_per_snapshot(self, name, request, monkeypatch):
-        """offline_build forms the fields of all its snapshots in one
-        element_fields call; each column is that snapshot's own call, bit for
-        bit."""
-        built = request.getfixturevalue(name)
-        pipe = built if name == "duct" else built[1]
-        sols = pipe.sols if name == "duct" else pipe.solutions
-        samples = {}
-
-        def capture(sample_set, tol, q_max):
-            samples[sample_set.tag] = sample_set.values
-            return eim_greedy(sample_set, tol=tol, q_max=q_max)
-
-        monkeypatch.setattr(analysis, "eim_greedy", capture)
-        asm = FomAssembler(pipe.mesh)
-        rebuilt = offline_build(pipe.mesh, pipe.problem, solutions=sols, assembler=asm)
-        assert samples["eta"].shape == (pipe.mesh.n_elements, len(sols))
-        for k, (u, sol) in enumerate(zip(rebuilt.u_fulls, sols, strict=True)):
-            _, eta, tau = asm.element_fields(u, pipe.problem.effective(sol.mu)[0])
-            assert np.array_equal(samples["eta"][:, k], eta)
-            assert np.array_equal(samples["tau"][:, k], tau)
 
 
 class TestAndersonMixing:

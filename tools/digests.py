@@ -43,10 +43,11 @@ The list:
         the magic elements, greedy history and basis of both interpolations
         (eta, tau) of that build;
     eim/valve, rom/valve-package
-        the same of the valve's build from three cold solves at fixed
-        Latin-hypercube mu (seed 1), ``offline_build(solutions=...)`` as the
-        benchmark's ``valve-fom`` workload runs it, and the bytes of
-        ``rom.write_rom`` of its package.
+        the same of the valve's build from cold solves at the first block of
+        Latin-hypercube mu the benchmark's ``valve-fom`` workload draws at
+        seed 1 (``perfbench.workloads.latin_hypercube``), built by
+        ``offline_build(solutions=...)`` as that workload builds it, and the
+        bytes of ``rom.write_rom`` of its package.
 
 With --base, the same list runs on both checkouts' ``src/``, each in a
 subprocess, side by side, and any differing or missing entry is printed;
@@ -69,7 +70,6 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 HEAD = Path(__file__).resolve().parent.parent
 ARTERY_ROM = {"n_x": 12, "n_y": 5, "n_levels": 6}
 FOM_CASES = (("couette", {}), ("poiseuille-body", {}), ("artery-analog", ARTERY_ROM))
-VALVE_SOLVES = 3
 
 
 def sha(*parts):
@@ -87,6 +87,13 @@ def records(log):
 def fom_digest(sol):
     return sha(sol.v.tobytes(), sol.p.tobytes(), sol.converged, len(sol.iterations),
                records(sol.iterations))
+
+
+def valve_mus(box):
+    """The first block of Latin-hypercube mu that valve-fom draws at seed 1."""
+    import numpy as np
+    from perfbench.workloads import VALVE_BLOCK, latin_hypercube
+    return latin_hypercube(np.random.default_rng(1), box, VALVE_BLOCK)
 
 
 def eim_digest(eims):
@@ -143,10 +150,8 @@ def compute():
     if fom_digest(fresh) != out["fom/artery-after-others"]:
         raise SystemExit("the artery's cold solve after others differs from a fresh one")
 
-    counts = config.plan["train_counts"]
-    axes = [np.linspace(box.lower[j], box.upper[j], int(c)) for j, c in enumerate(counts)]
-    train = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    pipe = analysis.offline_build(mesh, problem, train, **config.picard_options(),
+    train = analysis.generate_samples(analysis.SamplePlan(box=box, **config.plan_options()))
+    pipe = analysis.offline_build(mesh, problem, train.training, **config.picard_options(),
                                   **config.offline_options())
 
     out["train/chain"] = sha(*[(sol.v.tobytes(), sol.p.tobytes(), sol.converged,
@@ -180,14 +185,9 @@ def compute():
     out["eim/artery-chain"] = eim_digest(pipe.eims)
 
     config, mesh, problem = built[("valve-analog", ())]
-    box = config.space.box
-    lo, hi = np.asarray(box.lower), np.asarray(box.upper)
-    rng = np.random.default_rng(1)
-    strata = np.column_stack([(rng.permutation(VALVE_SOLVES) + rng.random(VALVE_SOLVES))
-                              / VALVE_SOLVES for _ in lo])
     asm = fom.FomAssembler(mesh)
     sols = [fom.solve_fom(mesh, problem, mu=mu, assembler=asm, **config.picard_options())
-            for mu in lo + (hi - lo) * strata]
+            for mu in valve_mus(config.space.box)]
     pipe = analysis.offline_build(mesh, problem, solutions=sols, assembler=asm,
                                   **config.picard_options(), **config.offline_options())
     out["eim/valve"] = eim_digest(pipe.eims)
@@ -203,7 +203,7 @@ def main(argv=None):
                              "(default: this checkout's)")
     args = parser.parse_args(argv)
     if args.base is None:
-        sys.path.insert(0, args.src)
+        sys.path[:0] = [args.src, str(HEAD)]
         json.dump(compute(), sys.stdout, indent=1, sort_keys=True)
         sys.stdout.write("\n")
         return 0

@@ -29,10 +29,12 @@ Operations:
                flags must agree: a change of the FOM iteration may change
                its step count.  Each side's mean step count is printed.
     offline    ``analysis.offline_build(solutions=...)`` of --case from
-               snapshots the base side solves once before timing: three cold
-               solves at fixed Latin-hypercube mu (seed 1) on the valve, as
-               the benchmark's valve-fom workload builds, and the case's
-               training grid (``analysis.solve_chain``) on the artery.  The
+               snapshots the base side solves once before timing: cold
+               solves at the first block of Latin-hypercube mu the
+               benchmark's valve-fom workload draws at seed 1 on the valve
+               (``perfbench.workloads.latin_hypercube``, which imports this
+               checkout's stmor once more under its own name), and the
+               case's training grid (``analysis.solve_chain``) on the artery.  The
                ratios head/base of the total and of the ``eim_s`` and
                ``projection_s`` stages are printed with a bootstrap interval
                over the repetitions.  The builds need not agree bit for bit:
@@ -67,7 +69,6 @@ HEAD = Path(__file__).resolve().parent.parent
 WARMUP = 100
 FOM_WARMUP = 1
 SEED = 1
-VALVE_SOLVES = 3
 BOOTSTRAP = 2000
 FOM_CASES = {"valve": ("valve-analog", {}),
              "artery": ("artery-analog", {"n_x": 12, "n_y": 5, "n_levels": 6})}
@@ -122,17 +123,15 @@ def offline_inputs(stmor, case):
     fom = importlib.import_module(stmor + ".fom")
     config, mesh, problem = load_case(stmor, case)
     box, opts, asm = config.space.box, config.picard_options(), fom.FomAssembler(mesh)
-    lo, hi = np.asarray(box.lower), np.asarray(box.upper)
     if case == "valve":
-        rng = np.random.default_rng(SEED)
-        strata = np.column_stack([(rng.permutation(VALVE_SOLVES) + rng.random(VALVE_SOLVES))
-                                  / VALVE_SOLVES for _ in lo])
+        sys.path[:0] = [str(HEAD / "src"), str(HEAD)]
+        from perfbench.workloads import VALVE_BLOCK, latin_hypercube
         return [fom.solve_fom(mesh, problem, mu=mu, assembler=asm, **opts)
-                for mu in lo + (hi - lo) * strata]
-    axes = [np.linspace(lo[j], hi[j], int(c)) for j, c in enumerate(config.plan["train_counts"])]
-    mus = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    return analysis.solve_chain(mesh, problem, mus, assembler=asm,
-                                dof_map=fom.build_dof_map(mesh, problem.dirichlet), **opts)[0]
+                for mu in latin_hypercube(np.random.default_rng(SEED), box, VALVE_BLOCK)]
+    plan = analysis.SamplePlan(box=box, **config.plan_options())
+    dof_map = fom.build_dof_map(mesh, problem.dirichlet)
+    return analysis.solve_chain(mesh, problem, analysis.generate_samples(plan).training,
+                                assembler=asm, dof_map=dof_map, **opts)[0]
 
 
 def offline_operation(stmor, case, solutions):
