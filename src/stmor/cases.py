@@ -404,11 +404,6 @@ class CaseConfig:
         """
         return read_section(dict(self.rom, **_given(overrides)), _ROM, "rom", CaseError)
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def config_from_dict(data):
     c = read_section(data, _TOP, "configuration", CaseError)

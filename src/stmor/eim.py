@@ -87,10 +87,6 @@ class EimApproximation:
         flat = stack.reshape(self.n_terms, -1)
         return dtrtrs(self.T.T, flat, lower=0, trans=0, unitdiag=1)[0].reshape(stack.shape)
 
-    def interpolate(self, values_at_magic):
-        """Full per-element field from its magic-element values."""
-        return self.basis @ self.coefficients(values_at_magic)
-
 
 def eim_greedy(samples, tol, q_max):
     """Standard empirical-interpolation greedy over sample columns.

@@ -204,6 +204,15 @@ class LiftingFunction:
     coefficient: float
 
 
+def lift_coefficients(groups, amplitudes, error):
+    """The coefficient of each lifting group, as Python floats: 1 for
+    ``fixed``, else its amplitude; error for a group without one."""
+    try:
+        return [1.0 if g == "fixed" else float(amplitudes[g]) for g in groups]
+    except KeyError as exc:
+        raise error("no amplitude for lifting group %r" % exc.args[0]) from None
+
+
 def build_lifting(mesh, specs, amplitudes):
     """Nodal interpolation of the Dirichlet data, one lifting per group.
 
@@ -250,16 +259,8 @@ def build_lifting(mesh, specs, amplitudes):
             new = nodes[g0 < 0]
             owner[new, c] = gi
             owner_val[new, c] = vec[s.group][new, c] = val[g0 < 0]
-    out = []
-    for g in groups:
-        if g == "fixed":
-            coeff = 1.0
-        else:
-            try:
-                coeff = float(amplitudes[g])
-            except KeyError:
-                raise SolverError("no amplitude for lifting group %r" % g) from None
-        out.append(LiftingFunction(group=g, vector=vec[g], coefficient=coeff))
+    out = [LiftingFunction(group=g, vector=vec[g], coefficient=c)
+           for g, c in zip(groups, lift_coefficients(groups, amplitudes, SolverError))]
     if not out:
         out.append(LiftingFunction(group="fixed",
                                    vector=np.zeros((mesh.n_nodes, d)),

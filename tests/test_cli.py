@@ -22,6 +22,7 @@ from stmor.io import read_artifact, write_artifact
 from stmor.rom import read_rom, solve_rom
 
 from test_analysis import duct_config
+from test_rom import ROM_ARRAY_NAMES, WRONG_RANK
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,7 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     cfg = duct_config()
     case = root / "duct.json"
-    cfg.save(case)
+    case.write_text(json.dumps(cfg.to_dict()))
     for argv in (["mesh"], ["fom", "--mu", "1.02"],
                  ["snapshots", "--train-grid", "3"],
                  ["build-rom"]):
@@ -273,6 +274,23 @@ class TestFailureModes:
         payload = self.error_of(capsys)
         assert payload["error"] == "ArtifactError"
         assert "history" in payload["message"]
+
+    @pytest.mark.parametrize("edit", sorted(WRONG_RANK))
+    @pytest.mark.parametrize("key", sorted(ROM_ARRAY_NAMES))
+    def test_rom_info_on_array_of_wrong_rank(self, workdir, capsys, tmp_path, key, edit):
+        root, _ = workdir
+        header, arrays = read_artifact(root / "rom_package.stm", expect_kind="rom")
+        del header["schema_version"], header["kind"]
+        arrays[key] = WRONG_RANK[edit](arrays[key])
+        path = tmp_path / "bad.stm"
+        write_artifact(path, "rom", header, arrays)
+        capsys.readouterr()
+        assert main(["rom-info", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ArtifactError"
+        assert "%s has " % ROM_ARRAY_NAMES[key] in payload["message"]
 
     def test_stale_snapshots_are_refused(self, workdir, capsys):
         root, case = workdir

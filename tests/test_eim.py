@@ -72,7 +72,7 @@ class TestGreedy:
         approx = eim_greedy(samples, tol=1e-15, q_max=6)
         for j in range(samples.values.shape[1]):
             col = samples.values[:, j]
-            rec = approx.interpolate(col[approx.magic])
+            rec = approx.basis @ approx.coefficients(col[approx.magic])
             scale = np.abs(col).max()
             assert np.abs(rec[approx.magic] - col[approx.magic]).max() <= 1e-13 * scale
 
@@ -117,7 +117,7 @@ class TestCoefficients:
         approx = eim_greedy(FieldSampleSet(tag="eta", values=train),
                             tol=1e-15, q_max=4)
         assert approx.n_terms == 4
-        rec = approx.interpolate(held[approx.magic])
+        rec = approx.basis @ approx.coefficients(held[approx.magic])
         assert np.abs(rec - held).max() <= 1e-12 * np.abs(held).max()
 
     def test_wrong_length_rejected(self):

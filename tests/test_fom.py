@@ -32,6 +32,7 @@ from stmor.fom import (
     fixed_load,
     fom_inner_products,
     gmres,
+    lift_coefficients,
     pressure_pins,
     read_snapshot,
     solve_fom,
@@ -237,6 +238,17 @@ class TestLifting:
         assert inlet_lift and inlet_lift[0].coefficient == 3.0
         with pytest.raises(SolverError, match="amplitude"):
             build_lifting(mesh, specs, {})
+
+    def test_lift_coefficients_rule(self):
+        """fixed gets 1 and any other group its amplitude, as Python floats
+        whatever the amplitude's type; a group without one raises the error
+        class given."""
+        amps = {"inlet": np.float64(3.0), "wall": 2}
+        got = lift_coefficients(("fixed", "inlet", "wall"), amps, SolverError)
+        assert got == [1.0, 3.0, 2.0] and all(type(c) is float for c in got)
+        assert lift_coefficients((), {}, SolverError) == []
+        with pytest.raises(RomError, match="no amplitude for lifting group 'outlet'"):
+            lift_coefficients(("fixed", "outlet"), amps, RomError)
 
 
 def tau_of(mesh, u, params):

@@ -39,6 +39,10 @@ The list:
         and tau_scales, and its ``solve_rom`` at the box centre;
     rom/info
         ``json.dumps(rom.rom_info(pkg), sort_keys=True)`` of the package;
+    rom/random-<case>, rom/random-<case>-cut
+        ``solve_rom`` (as above) at 8 uniform random mu in the box, seed 7,
+        of that package and of its cut one velocity and one pressure column
+        short; for the valve, of the package below;
     eim/artery-chain
         the magic elements, greedy history and basis of both interpolations
         (eta, tau) of that build;
@@ -94,6 +98,21 @@ def valve_mus(box):
     import numpy as np
     from perfbench.workloads import VALVE_BLOCK, latin_hypercube
     return latin_hypercube(np.random.default_rng(1), box, VALVE_BLOCK)
+
+
+def rom_digest(red):
+    return sha(red.v_N.tobytes(), red.p_N.tobytes(), red.converged, records(red.iterations))
+
+
+def random_rom_digest(pkg, box, options):
+    """(full, cut): solve_rom of pkg and of one cut at 8 seeded mu in box."""
+    import numpy as np
+    from stmor import rom
+    lo, hi = np.asarray(box.lower), np.asarray(box.upper)
+    mus = lo + (hi - lo) * np.random.default_rng(7).random((8, lo.size))
+    cut = rom.truncate(pkg, max(pkg.n_lifts, pkg.n_u - 1), max(1, pkg.n_p - 1))
+    return [sha(*[rom_digest(rom.solve_rom(p, mu=mu, strict=False, **options)) for mu in mus])
+            for p in (pkg, cut)]
 
 
 def eim_digest(eims):
@@ -162,9 +181,8 @@ def compute():
     for corner in np.ndindex(*(2,) * lo.size):
         points["corner" + "".join(map(str, corner))] = np.where(np.array(corner) == 1, hi, lo)
     for label, mu in points.items():
-        red = rom.solve_rom(pipe.pkg, mu=mu, **config.picard_options())
-        out["rom/" + label] = sha(red.v_N.tobytes(), red.p_N.tobytes(), red.converged,
-                                  records(red.iterations))
+        out["rom/" + label] = rom_digest(rom.solve_rom(pipe.pkg, mu=mu,
+                                                       **config.picard_options()))
     pkg = pipe.pkg
     for n_u in range(pkg.n_lifts, pkg.n_u + 1):
         for n_p in range(1, pkg.n_p + 1):
@@ -182,6 +200,8 @@ def compute():
                                red.v_N.tobytes(), red.p_N.tobytes(), red.converged,
                                records(red.iterations))
     out["rom/info"] = sha(json.dumps(rom.rom_info(pkg), sort_keys=True).encode())
+    out["rom/random-artery"], out["rom/random-artery-cut"] = random_rom_digest(
+        pkg, box, config.picard_options())
     out["eim/artery-chain"] = eim_digest(pipe.eims)
 
     config, mesh, problem = built[("valve-analog", ())]
@@ -192,6 +212,8 @@ def compute():
                                   **config.picard_options(), **config.offline_options())
     out["eim/valve"] = eim_digest(pipe.eims)
     out["rom/valve-package"] = sha(file_bytes(rom.write_rom, pipe.pkg))
+    out["rom/random-valve"], out["rom/random-valve-cut"] = random_rom_digest(
+        pipe.pkg, config.space.box, config.picard_options())
     return out
 
 
