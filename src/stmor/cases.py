@@ -36,9 +36,9 @@ class CaseError(Exception):
 # named boundary-profile library
 #
 # Every profile is a key table and f(p, x, t) -> (n, k) of the read table p,
-# the reference spatial coordinates x of the boundary nodes and their times t.
-# Profiles are unit-amplitude shapes; parameter-dependent scaling happens
-# through the lifting amplitude of the group they are assigned to.
+# the reference coordinates x of the boundary nodes and their times t; p["motion"]
+# is the domain's deformation map.  Profiles are unit-amplitude shapes; parameter-
+# dependent scaling happens through the lifting amplitude of their group.
 
 def _in_component(x, k, values):
     """(n, 2) velocities at the n points x: values in component k, 0 in the other."""
@@ -80,21 +80,6 @@ def _valve_inlet(p, x, t):
     return _in_component(x, 1, p["coeff_1_m_s"] * xi * (xi - p["width_m"]) * ramp)
 
 
-def _gate_slide(p, x, t):
-    """Horizontal velocity of the sliding gate surface.
-
-    Matches the time derivative of the valve deformation map: full plug
-    velocity at the gate tip, tapering linearly to zero at the attached end
-    and across the slot toward the fixed block.
-    """
-    rest, wall = p["x_gate_rest_m"], p["x_wall_m"]
-    v = msh.plug_velocity(np.asarray(t, dtype=np.float64), p["speed_m_s"], p["schedule_s"])
-    xc = x[:, 0]
-    taper = np.where(xc <= rest, xc / rest,
-                     np.clip((wall - xc) / (wall - rest), 0.0, 1.0))
-    return _in_component(x, 0, taper * v)
-
-
 def _artery_inlet(p, x, t):
     """Unit-amplitude parabola 1 - (y/r0)^2 with a sqrt(t / t_ramp) ramp."""
     t_ramp = p["t_ramp_s"]
@@ -102,15 +87,11 @@ def _artery_inlet(p, x, t):
     return _in_component(x, 0, (1.0 - (x[:, 1] / p["r0_m"]) ** 2) * ramp)
 
 
-def _artery_wall(p, x, t):
-    """Wall-normal velocity of the narrowing channel walls.
-
-    Exactly the time derivative of the narrowing deformation at reference
-    height y, so the no-slip wall moves with the mesh.
-    """
-    g = msh.narrowing_blend(x[:, 0], p["x_center_m"], p["x_halfwidth_m"])
-    rate = msh.narrowing_rate(np.asarray(t, dtype=np.float64))
-    return _in_component(x, 1, x[:, 1] * g * rate)
+def _wall_motion(p, x, t):
+    """Velocity of the domain's deformation map at the reference points x, so
+    a no-slip wall moves with the mesh; zero on a fixed domain."""
+    motion = p["motion"]
+    return np.zeros_like(x) if motion is None else motion.velocity(x, t)
 
 
 def _finite_keys(*keys):
@@ -124,21 +105,19 @@ PROFILES = {
     "linear_shear": ({"rate_1_s": (finite, 1.0)}, _linear_shear),
     "channel_parabola": (_finite_keys("u_max_m_s", "y0_m", "y1_m"), _channel_parabola),
     "valve_inlet": (_finite_keys("x0_m", "width_m", "coeff_1_m_s", "t_end_s"), _valve_inlet),
-    "gate_slide": (dict(_finite_keys("x_gate_rest_m", "x_wall_m", "speed_m_s"),
-                        schedule_s=(list_of(finite), REQUIRED)), _gate_slide),
     "artery_inlet": (_finite_keys("r0_m", "t_ramp_s"), _artery_inlet),
-    "artery_wall": (_finite_keys("x_center_m", "x_halfwidth_m"), _artery_wall),
+    "wall_motion": ({}, _wall_motion),
 }
 
 
-def make_profile(name, params):
+def make_profile(name, params, motion=None):
     """Resolve a named profile to a callable profile(x, t); unknown names and
-    parameters are errors."""
+    parameters are errors.  motion is the domain's deformation map."""
     if name not in PROFILES:
         raise CaseError("unknown boundary profile %r (available: %s)"
                         % (name, ", ".join(sorted(PROFILES))))
     table, f = PROFILES[name]
-    p = read_section(params or {}, table, "profile parameter", CaseError)
+    p = dict(read_section(params or {}, table, "profile parameter", CaseError), motion=motion)
     if name == "channel_parabola" and p["y1_m"] <= p["y0_m"]:
         raise CaseError("channel_parabola needs y1_m > y0_m")
     return lambda x, t: f(p, x, t)
@@ -203,13 +182,6 @@ def valve_spatial_mesh(refine=1.0):
                            boundary_markers=markers)
 
 
-def valve_deformation():
-    v = _VALVE
-    return msh.valve_plug_map(v["gate_tip"], v["block_lo"], v["speed"],
-                              v["schedule"], v["band_lo"], v["band_hi"],
-                              v["blend_len"])
-
-
 def channel_spatial_mesh(length, halfwidth, n_x, n_y):
     """Straight channel with wall-clustered (cosine) transverse spacing.
 
@@ -243,6 +215,19 @@ def _read_geometry(geometry):
                         CaseError)
 
 
+def _motion(g):
+    """The deformation map of a read geometry section; None for a fixed domain."""
+    if g["kind"] == "valve":
+        v = _VALVE
+        return msh.valve_plug_map(v["gate_tip"], v["block_lo"], v["speed"], v["schedule"],
+                                  v["band_lo"], v["band_hi"], v["blend_len"])
+    if g.get("narrow_center_m") is None:
+        return None
+    if g["narrow_halfwidth_m"] is None:
+        raise CaseError("channel geometry with narrow_center_m needs narrow_halfwidth_m")
+    return msh.channel_narrowing_map(g["narrow_center_m"], g["narrow_halfwidth_m"])
+
+
 def _check_size(n_nodes, keys):
     if not n_nodes <= MAX_NODES:
         raise CaseError("geometry keys %s ask for more than MAX_NODES = %d mesh nodes"
@@ -267,18 +252,14 @@ def build_mesh(config):
         if n < 1 or abs(n * dt - t_end) > 1e-9 * t_end:
             raise CaseError("dt_s must divide t_end_s evenly")
         return msh.extrude(valve_spatial_mesh(g["refine"]), np.linspace(0.0, t_end, n + 1),
-                           valve_deformation())
+                           _motion(g))
     if g["kind"] == "channel":
         _check_size((g["n_x"] + 1) * (g["n_y"] + 1) * g["n_levels"], "n_x, n_y and n_levels")
-        center, narrow_hw = g["narrow_center_m"], g["narrow_halfwidth_m"]
         if g["n_levels"] < 2:
             raise CaseError("channel geometry needs n_levels >= 2")
-        if center is not None and narrow_hw is None:
-            raise CaseError("channel geometry with narrow_center_m needs narrow_halfwidth_m")
-        narrowing = None if center is None else msh.channel_narrowing_map(center, narrow_hw)
         return msh.extrude(channel_spatial_mesh(g["length_m"], g["halfwidth_m"],
                                                 g["n_x"], g["n_y"]),
-                           np.linspace(0.0, g["t_end_s"], g["n_levels"]), narrowing)
+                           np.linspace(0.0, g["t_end_s"], g["n_levels"]), _motion(g))
     _check_size(len(g["x_breaks_m"]) * len(g["y_breaks_m"]) * len(g["time_levels_s"]),
                 "x_breaks_m, y_breaks_m and time_levels_s")
     sp = msh.rectangle_mesh(np.asarray(g["x_breaks_m"]), np.asarray(g["y_breaks_m"]),
@@ -286,11 +267,11 @@ def build_mesh(config):
     return msh.extrude(sp, np.asarray(g["time_levels_s"]))
 
 
-def _read_boundary(given):
-    """One boundary entry's checked values and its DirichletSpec."""
+def _read_boundary(given, motion=None):
+    """One boundary entry's checked values and its DirichletSpec under motion."""
     e = read_section(given, _BOUNDARY, "boundary", CaseError)
     return e, DirichletSpec(tag=e["tag"], components=tuple(e["components"]),
-                            profile=make_profile(e["profile"], e["params"]),
+                            profile=make_profile(e["profile"], e["params"], motion),
                             group=e["group"])
 
 
@@ -299,7 +280,8 @@ def build_problem(config, mesh=None):
 
     With a mesh given, every referenced tag must exist on it.
     """
-    specs = tuple(_read_boundary(entry)[1] for entry in config.boundary)
+    motion = _motion(_read_geometry(config.geometry))
+    specs = tuple(_read_boundary(entry, motion)[1] for entry in config.boundary)
     known = {spec.tag for spec in specs} if mesh is None else set(mesh.tags())
     for spec in specs:
         if spec.tag not in known:
@@ -453,10 +435,8 @@ def valve_analog_config(refine=2.0, dt_s=0.1):
          "group": "fixed",
          "params": {"x0_m": v["inlet_lo"], "width_m": v["inlet_hi"] - v["inlet_lo"],
                     "coeff_1_m_s": 640.0, "t_end_s": 1.8}},
-        {"tag": "gate", "profile": "gate_slide", "components": [0, 1],
-         "group": "fixed",
-         "params": {"x_gate_rest_m": v["gate_tip"], "x_wall_m": v["block_lo"],
-                    "speed_m_s": v["speed"], "schedule_s": list(v["schedule"])}},
+        {"tag": "gate", "profile": "wall_motion", "components": [0, 1],
+         "group": "fixed", "params": {}},
         {"tag": "wall", "profile": "noslip", "components": [0, 1],
          "group": "fixed", "params": {}},
         {"tag": "outlet", "profile": "parallel_outflow", "components": [0],
@@ -488,9 +468,8 @@ def artery_analog_config(n_x=24, n_y=10, n_levels=11):
     boundary = (
         {"tag": "inlet", "profile": "artery_inlet", "components": [0, 1],
          "group": "inflow", "params": {"r0_m": r0, "t_ramp_s": 0.2}},
-        {"tag": "wall", "profile": "artery_wall", "components": [0, 1],
-         "group": "fixed",
-         "params": {"x_center_m": 30e-3, "x_halfwidth_m": 15e-3}},
+        {"tag": "wall", "profile": "wall_motion", "components": [0, 1],
+         "group": "fixed", "params": {}},
         {"tag": "outlet", "profile": "parallel_outflow", "components": [1],
          "group": "fixed", "params": {}},
         {"tag": "initial", "profile": "noslip", "components": [0, 1],

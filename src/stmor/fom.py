@@ -87,8 +87,9 @@ from scipy.linalg.lapack import dgels
 from scipy.sparse.linalg import splu
 
 from .constitutive import apply_parameters, field_values, shear_rate_squared, tau_scales
-from .io import (ARTIFACT_KEYS, REQUIRED, ArtifactError, boolean, check_mesh_hash, count,
-                 list_of, number, optional, read_artifact, read_section, text, write_artifact)
+from .io import (ARTIFACT_KEYS, REQUIRED, ArtifactError, boolean, check_dtypes,
+                 check_mesh_hash, count, list_of, number, optional, read_artifact,
+                 read_section, text, write_artifact)
 
 logger = logging.getLogger(__name__)
 
@@ -1234,6 +1235,7 @@ def read_snapshot(path, mesh_hash=None):
     if found != want:
         raise ArtifactError("%s: malformed snapshot (array shapes %s, the header gives %s)"
                             % (path, found, want))
+    check_dtypes(path, arrays)
     return header, FieldSolution(v=arrays["v"], p=arrays["p"],
                                  mu=np.asarray(header["mu"], dtype=np.float64),
                                  converged=header["converged"], iterations=[],

@@ -9,7 +9,8 @@ built on another mesh refuses it (check_mesh_hash).
 
 Artifact headers, case configs and study reports are read by read_section
 against key tables, key -> (kind, default); the arrays are not, since
-read_artifact already checks their dtypes.
+read_artifact takes only the two dtypes stmor writes and check_dtypes holds
+each array to the one of them its writer uses.
 """
 
 import json
@@ -73,6 +74,17 @@ def write_artifact(path, kind, header, arrays, table=None):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def check_dtypes(path, arrays, integer=()):
+    """ArtifactError naming the first array not stored at the dtype stmor
+    writes it at: int64 for the names in integer, float64 for the rest."""
+    f, i = _DTYPES["f"], _DTYPES["i"]
+    for name, arr in arrays.items():
+        want = i if name in integer else f
+        if arr.dtype != want:
+            raise ArtifactError("%s: array %r is stored as %s, stmor writes it as %s"
+                                % (path, name, arr.dtype, want))
 
 
 def read_artifact(path, expect_kind=None):

@@ -330,7 +330,8 @@ def plug_displacement(t, speed, schedule):
 
 
 def plug_velocity(t, speed, schedule):
-    """Plug velocity matching plug_displacement (right-continuous in t)."""
+    """Plug velocity matching plug_displacement, right-continuous in t: at a
+    schedule time the velocity is the one after it."""
     t = np.asarray(t, dtype=np.float64)
     t0, t1, t2, t3 = schedule
     v = np.zeros_like(t)
@@ -348,11 +349,16 @@ def valve_plug_map(x_gate_rest, x_wall, speed, schedule,
     [x_gate_rest, x_wall] to [x_tip(t), x_wall]; beyond x_wall the map is the
     identity.  The remap acts fully inside the band band_lo <= y <= band_hi
     and fades linearly to the identity over blend_len outside it, so distant
-    boundary portions (inlet, outlet) stay fixed.
+    boundary portions (inlet, outlet) stay fixed.  The map's velocity(x, t)
+    is its time derivative at the reference points x, right-continuous in t
+    like plug_velocity.
     """
+    def blend(y):
+        dist = np.maximum(band_lo - y, y - band_hi)
+        return np.clip(1.0 - np.maximum(dist, 0.0) / blend_len, 0.0, 1.0)
+
     def fn(x, t):
         xc = x[:, 0]
-        y = x[:, 1]
         tip = x_gate_rest + plug_displacement(t, speed, schedule)
         remap = np.where(
             xc <= x_gate_rest,
@@ -360,12 +366,19 @@ def valve_plug_map(x_gate_rest, x_wall, speed, schedule,
             np.where(xc <= x_wall,
                      x_wall + (xc - x_wall) * (x_wall - tip) / (x_wall - x_gate_rest),
                      xc))
-        dist = np.maximum(band_lo - y, y - band_hi)
-        beta = np.clip(1.0 - np.maximum(dist, 0.0) / blend_len, 0.0, 1.0)
         out = x.copy()
-        out[:, 0] = xc + beta * (remap - xc)
+        out[:, 0] = xc + blend(x[:, 1]) * (remap - xc)
         return out
 
+    def velocity(x, t):
+        xc = x[:, 0]
+        taper = np.where(xc <= x_gate_rest, xc / x_gate_rest,
+                         np.clip((x_wall - xc) / (x_wall - x_gate_rest), 0.0, 1.0))
+        out = np.zeros_like(x)
+        out[:, 0] = blend(x[:, 1]) * taper * plug_velocity(t, speed, schedule)
+        return out
+
+    fn.velocity = velocity
     return fn
 
 
@@ -395,7 +408,8 @@ def channel_narrowing_map(x_center=None, x_halfwidth=None):
 
     Interior nodes are blended linearly in y.  With x_center set, the
     narrowing is localized in a window of the given halfwidth; by default it
-    acts uniformly along the channel.
+    acts uniformly along the channel.  The map's velocity(x, t) is its time
+    derivative at the reference points x.
     """
     def fn(x, t):
         g = narrowing_blend(x[:, 0], x_center, x_halfwidth)
@@ -404,6 +418,12 @@ def channel_narrowing_map(x_center=None, x_halfwidth=None):
         out[:, 1] = x[:, 1] * scale
         return out
 
+    def velocity(x, t):
+        out = np.zeros_like(x)
+        out[:, 1] = x[:, 1] * narrowing_blend(x[:, 0], x_center, x_halfwidth) * narrowing_rate(t)
+        return out
+
+    fn.velocity = velocity
     return fn
 
 

@@ -87,9 +87,9 @@ from .constitutive import (SPACE_KEYS, CarreauYasudaParams, ParameterError, Para
                            space_to_dict, tau_scales)
 from .fom import (MAP_CHUNK, assembler_for, build_dof_map, build_lifting,
                   lift_coefficients, picard, pressure_pins)
-from .io import (ARTIFACT_KEYS, REQUIRED, ArtifactError, check_mesh_hash, count, list_of,
-                 map_of, number, optional, read_artifact, read_section, section, text,
-                 write_artifact)
+from .io import (ARTIFACT_KEYS, REQUIRED, ArtifactError, check_dtypes, check_mesh_hash, count,
+                 list_of, map_of, number, optional, read_artifact, read_section, section,
+                 text, write_artifact)
 
 logger = logging.getLogger(__name__)
 
@@ -114,21 +114,26 @@ class MagicElementData:
     Z_rows: np.ndarray          # (Q, D+1, d, N_u) rows of Z_v at the element nodes
 
     def check(self, tag, d, n_u):
-        """RomError unless the six arrays fit one Q, d and n_u.  Q is the median
-        of the lengths they give, so the message names the one that differs."""
+        """RomError unless magic holds element ids (int64, none negative) and
+        the six arrays fit one Q, d and n_u.  Q is the median of the lengths
+        they give, so the message names the one that differs."""
         shapes = [self.magic.shape, self.history.shape, self.gx.shape,
                   self.h_t.shape, self.h_s.shape, self.Z_rows.shape]
         lengths = [shape[0] if shape else -1 for shape in shapes]
         lengths[1] -= 1                     # the history holds Q + 1 entries
         q = sorted(lengths)[2]
         want = [(q,), (q + 1,), (q, d + 2, d), (q,), (q,), (q, d + 2, d, n_u)]
-        if shapes == want:
-            return
-        for name, got, exp in zip(("magic", "history", "gx", "h_t", "h_s", "Z_rows"),
-                                  shapes, want):
-            if got != exp:
-                raise RomError("dimension mismatch: %s%s has shape %s, expected %s"
-                               % (tag, name, got, exp))
+        if shapes != want:
+            for name, got, exp in zip(("magic", "history", "gx", "h_t", "h_s", "Z_rows"),
+                                      shapes, want):
+                if got != exp:
+                    raise RomError("dimension mismatch: %s%s has shape %s, expected %s"
+                                   % (tag, name, got, exp))
+        # the min of a list, not np.min: the ids are few, and a numpy
+        # reduction's fixed cost of about 2 us would show in read_rom
+        if self.magic.dtype != np.int64 or min(self.magic.tolist(), default=0) < 0:
+            raise RomError("%smagic must hold element ids, int64 and none negative "
+                           "(dtype %s)" % (tag, self.magic.dtype))
 
 
 def strain_operator(data_eta, data_tau):
@@ -699,11 +704,12 @@ def read_rom(path, mesh_hash=None):
         raise ArtifactError("%s: malformed rom package (arrays %s unexpected, %s "
                             "missing, start has %d of 4 axes); rebuild it with build-rom"
                             % (path, sorted(set(arrays) - _ROM_ARRAYS), missing, axes))
+    check_dtypes(path, arrays, integer=("eta_magic", "tau_magic"))
     header = read_section(header, _HEADER, "malformed rom package %s" % path, ArtifactError)
     if mesh_hash is not None:
         check_mesh_hash(header, mesh_hash, path=str(path))
     try:
-        data = {tag: MagicElementData(magic=arrays[tag + "_magic"].astype(np.int64, copy=False),
+        data = {tag: MagicElementData(magic=arrays[tag + "_magic"],
                                       history=arrays[tag + "_history"],
                                       gx=arrays[tag + "_gx"], h_t=arrays[tag + "_ht"],
                                       h_s=arrays[tag + "_hs"], Z_rows=arrays[tag + "_Z"])

@@ -91,10 +91,9 @@ class TestProfiles:
         assert vals[0, 0] == 0.0
         assert abs(vals[1, 1]) < 1e-15 and abs(vals[2, 1]) < 1e-15
 
-    def test_gate_slide_schedule_and_taper(self):
-        prof = make_profile("gate_slide", {"x_gate_rest_m": 0.0495, "x_wall_m": 0.05,
-                                           "speed_m_s": 0.0625,
-                                           "schedule_s": [0.3, 0.7, 1.1, 1.5]})
+    def test_wall_motion_gate_schedule_and_taper(self):
+        prof = make_profile("wall_motion", {}, msh.valve_plug_map(
+            0.0495, 0.05, 0.0625, (0.3, 0.7, 1.1, 1.5), 0.0375, 0.0625, 0.03))
         tip = np.array([[0.0495, 0.05]])
         assert prof(tip, np.array([0.5]))[0, 0] == pytest.approx(-0.0625)
         assert prof(tip, np.array([1.2]))[0, 0] == pytest.approx(+0.0625)
@@ -112,13 +111,25 @@ class TestProfiles:
         assert vals[1, 0] == pytest.approx(0.75)       # 1 - (1/2)^2, full ramp
         assert abs(vals[2, 0]) < 1e-15                 # wall
 
-    def test_artery_wall_rate(self):
-        prof = make_profile("artery_wall", {"x_center_m": 0.03, "x_halfwidth_m": 0.015})
+    def test_wall_motion_artery_rate(self):
+        prof = make_profile("wall_motion", {}, msh.channel_narrowing_map(0.03, 0.015))
         x = np.array([[0.03, 0.005], [0.0, 0.005], [0.03, 0.005]])
         vals = prof(x, np.array([0.5, 0.5, 0.0]))
         assert vals[0, 1] == pytest.approx(-0.005 * 0.2 * np.pi, abs=1e-15)
         assert vals[1, 1] == 0.0                       # outside the window
         assert abs(vals[2, 1]) < 1e-15                 # rate vanishes at t = 0
+
+    @pytest.mark.parametrize("geometry", [
+        {"kind": "rectangle", "x_breaks_m": [0.0, 1.0], "y_breaks_m": [0.0, 1.0],
+         "time_levels_s": [0.0, 1.0]},
+        dict(artery_analog_config().geometry, narrow_center_m=None)])
+    def test_wall_motion_is_zero_on_a_fixed_domain(self, geometry):
+        """A rectangle and a channel without narrowing do not move."""
+        cfg = replace(couette_config(n=1), geometry=geometry, boundary=(
+            {"tag": "wall", "profile": "wall_motion", "components": [0, 1]},))
+        x = np.array([[0.0, 0.3], [0.03, 0.005], [0.5, -0.005]])
+        (spec,) = build_problem(cfg).dirichlet
+        assert np.array_equal(spec.profile(x, np.array([0.0, 0.5, 0.7])), np.zeros((3, 2)))
 
     def test_channel_parabola(self):
         prof = make_profile("channel_parabola", {"u_max_m_s": 1.0, "y0_m": 0.0, "y1_m": 1.0})
@@ -217,7 +228,44 @@ class TestChannelGeometry:
             build_mesh(cfg)
 
 
+class TestWallKinematics:
+    """A moving wall's lifting values are the time derivative of the
+    geometry's own deformation map at the wall nodes' reference coordinates.
+
+    The derivative is taken as a forward difference, h = 1e-7 s.  At a kink
+    of the gate schedule both sides take the slope after it: the map's
+    velocity is right-continuous in t, and a forward difference looks ahead.
+    """
+
+    @pytest.mark.parametrize("case_id, tag, top_speed", [("valve-analog", "gate", 0.0625),
+                                                         ("artery-analog", "wall", 3e-3)])
+    def test_lifting_is_the_rate_of_the_map(self, case_id, tag, top_speed):
+        cfg = bundled_case(case_id)
+        mesh = build_mesh(cfg)
+        motion = cases._motion(cases._read_geometry(cfg.geometry))
+        ref = mesh.reference_nodes
+        assert np.array_equal(motion(ref[:, :2], ref[:, 2]), mesh.nodes[:, :2])
+        nodes = mesh.nodes_of_tag(tag)
+        x, t = ref[nodes, :2], ref[nodes, 2]
+        h = 1e-7
+        rate = (motion(x, t + h) - motion(x, t)) / h
+        assert np.abs(rate).max() >= top_speed
+        problem = build_problem(cfg, mesh)
+        (lift,) = [l for l in build_lifting(mesh, problem.dirichlet, problem.amplitudes)
+                   if l.group == "fixed"]
+        assert np.abs(lift.vector[nodes] - rate).max() <= 1e-8
+        if tag == "gate":
+            kinks = np.isclose(t[:, None], (0.3, 0.7, 1.1, 1.5), rtol=0.0, atol=1e-12)
+            assert np.abs(lift.vector[nodes[kinks.any(axis=1)], 0]).max() > 0.0
+
+
 class TestConfigFormat:
+    def test_moving_walls_carry_no_parameters(self):
+        """The gate and the artery walls follow the geometry's deformation."""
+        for cfg, tag in ((valve_analog_config(), "gate"), (artery_analog_config(), "wall")):
+            (entry,) = [e for e in cfg.to_dict()["boundary"] if e["tag"] == tag]
+            assert entry["profile"] == "wall_motion" and entry["params"] == {}
+
     def test_unit_suffixed_material_keys(self):
         d = valve_analog_config().to_dict()
         assert d["material"] == {"rho_kg_m3": 1200.0, "eta0_pa_s": 270.0,

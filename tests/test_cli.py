@@ -262,6 +262,43 @@ class TestFailureModes:
         assert payload["error"] == "CliError"
         assert "nosuchcase" in payload["message"]
 
+    @pytest.mark.parametrize("rewrite, match", [
+        (lambda magic: magic + 0.5, "'eta_magic' is stored as float64, stmor writes it as int64"),
+        (lambda magic: -magic - 1, "eta magic must hold element ids")],
+        ids=["fraction", "negative"])
+    def test_rom_info_on_magic_that_are_not_element_ids(self, workdir, capsys, tmp_path,
+                                                        rewrite, match):
+        root, _ = workdir
+        header, arrays = read_artifact(root / "rom_package.stm", expect_kind="rom")
+        del header["schema_version"], header["kind"]
+        arrays["eta_magic"] = rewrite(arrays["eta_magic"])
+        path = tmp_path / "bad_magic.stm"
+        write_artifact(path, "rom", header, arrays)
+        capsys.readouterr()
+        assert main(["rom-info", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ArtifactError" and match in payload["message"]
+
+    def test_removed_wall_profile_is_refused(self, capsys, tmp_path):
+        """A config from before wall_motion, whose gate names gate_slide and
+        repeats the geometry's motion in its parameters."""
+        cfg = cases.valve_analog_config().to_dict()
+        (gate,) = [e for e in cfg["boundary"] if e["tag"] == "gate"]
+        gate.update(profile="gate_slide", params={
+            "x_gate_rest_m": 0.0495, "x_wall_m": 0.05, "speed_m_s": 0.0625,
+            "schedule_s": [0.3, 0.7, 1.1, 1.5]})
+        path = tmp_path / "old_valve.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["fom", "--case", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "CaseError"
+        assert "unknown boundary profile 'gate_slide'" in payload["message"]
+        assert "wall_motion" in payload["message"]
+
     def test_rom_info_on_package_without_eim_history(self, workdir, capsys,
                                                       tmp_path):
         root, _ = workdir

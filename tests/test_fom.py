@@ -38,7 +38,7 @@ from stmor.fom import (
     solve_fom,
     write_snapshot,
 )
-from stmor.io import ArtifactError, write_artifact
+from stmor.io import ArtifactError, read_artifact, write_artifact
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
 from stmor.rom import RomError, project_offline
 
@@ -618,6 +618,46 @@ class TestPressureGauge:
         mesh = channel_mesh(n=2, levels=3)
         sol = solve_fom(mesh, couette_problem())
         assert np.abs(sol.p).max() <= 1e-9
+
+
+def bulge(x, t):
+    """Non-affine deformation of the unit square that moves its right and top
+    walls: (x, y) -> (x (1 + 0.2 t y), y (1 + 0.1 t x^2))."""
+    out = np.empty_like(x)
+    out[:, 0] = x[:, 0] * (1.0 + 0.2 * t * x[:, 1])
+    out[:, 1] = x[:, 1] * (1.0 + 0.1 * t * x[:, 0] ** 2)
+    return out
+
+
+LINEAR_FLOWS = {"couette": lambda x: np.column_stack([x[:, 1], np.zeros(len(x))]),
+                "strain": lambda x: np.column_stack([x[:, 0], -x[:, 1]])}
+
+
+class TestDeformingDomain:
+    """A linear, divergence-free velocity with zero pressure solves the
+    problem on any domain, and P1 holds it exactly on straight-sided
+    simplices, so the solve must reproduce it on a deforming mesh too.  Each
+    reference point's Dirichlet data is the exact field at its mapped point."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("flow", sorted(LINEAR_FLOWS))
+    @pytest.mark.parametrize("power", [1.0, 0.5])
+    def test_linear_flow_is_exact(self, n, flow, power):
+        exact = LINEAR_FLOWS[flow]
+        breaks = np.linspace(0.0, 1.0, n + 1)
+        mesh = extrude(rectangle_mesh(breaks, breaks, *WALLS), breaks, bulge)
+        specs = tuple(DirichletSpec(tag=tag, components=(0, 1),
+                                    profile=lambda x, t: exact(bulge(x, t)))
+                      for tag in WALLS + ("initial",))
+        material = CarreauYasudaParams(eta_0=1.0, eta_inf=0.0, lam=1.0, a=2.0, n=power,
+                                       rho=1.0)
+        problem = FomProblem(name="bulge", material=material, dirichlet=specs, amplitudes={})
+        sol = solve_fom(mesh, problem)
+        assert sol.converged and len(sol.iterations) == 2
+        u = sol.velocity_field(build_dof_map(mesh, specs), build_lifting(mesh, specs, {}))
+        want = exact(mesh.nodes[:, :2])
+        assert np.abs(u - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(sol.p).max() <= 1e-10
 
 
 class TestCouette:
@@ -1281,6 +1321,18 @@ class TestSnapshots:
         write_snapshot(path, sol)
         with pytest.raises(ArtifactError, match="mesh"):
             read_snapshot(path, mesh_hash="deadbeef")
+
+    @pytest.mark.parametrize("name", ["v", "p"])
+    def test_array_of_the_other_dtype_rejected(self, tmp_path, name):
+        """An int64 v or p, which stmor never writes, is refused by name."""
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, solve_fom(channel_mesh(n=2, levels=3), couette_problem()))
+        header, arrays = read_artifact(path, expect_kind="snapshot")
+        del header["schema_version"], header["kind"]
+        arrays[name] = arrays[name].astype(np.int64)
+        write_artifact(path, "snapshot", header, arrays)
+        with pytest.raises(ArtifactError, match="array '%s' is stored as int64" % name):
+            read_snapshot(path)
 
     def test_missing_array_or_bad_header_is_artifact_error(self, tmp_path):
         path = tmp_path / "snap.bin"

@@ -1345,6 +1345,37 @@ class TestPersistence:
             read_rom(path)
         assert "%s has " % ROM_ARRAY_NAMES[key] in str(info.value)
 
+    @pytest.mark.parametrize("key", sorted(ROM_ARRAY_NAMES))
+    def test_array_of_the_other_dtype_rejected(self, duct, tmp_path, key):
+        """Each array re-coded to the other dtype an artifact holds is refused
+        by name: int64 magic ids, float64 for the rest."""
+        def rewrite(arrays):
+            other = np.float64 if arrays[key].dtype == np.int64 else np.int64
+            arrays[key] = arrays[key].astype(other)
+
+        path = self.rewritten(duct.pkg, tmp_path / "duct.rom", rewrite)
+        with pytest.raises(ArtifactError, match="array '%s' is stored as" % key):
+            read_rom(path)
+
+    @pytest.mark.parametrize("rewrite, match", [
+        (lambda magic: magic + 0.5, "'eta_magic' is stored as float64, stmor writes it as int64"),
+        (lambda magic: -magic - 1, "RomError: eta magic must hold element ids")],
+        ids=["fraction", "negative"])
+    def test_magic_that_are_not_element_ids_rejected(self, coarse_artery_rom, tmp_path,
+                                                     rewrite, match):
+        """Read back, magic + 0.5 was truncated to ids and -magic - 1 kept as
+        negative ones; a package in memory is held to the same ids."""
+        pkg = coarse_artery_rom[1].pkg
+
+        def edit(arrays):
+            arrays["eta_magic"] = rewrite(arrays["eta_magic"])
+
+        path = self.rewritten(pkg, tmp_path / "artery.rom", edit)
+        with pytest.raises(ArtifactError, match=re.escape(match)):
+            read_rom(path)
+        with pytest.raises(RomError, match="eta magic must hold element ids"):
+            replace(pkg, data_eta=replace(pkg.data_eta, magic=rewrite(pkg.data_eta.magic)))
+
     @pytest.mark.parametrize("n_u, n_p", [(99, 42), (None, 1), (1, None)])
     def test_header_sizes_that_disagree_with_the_arrays_rejected(self, duct, tmp_path,
                                                                  n_u, n_p):
