@@ -24,8 +24,8 @@ import scipy
 
 from .constitutive import ParameterBox
 from .eim import FieldSampleSet, eim_greedy
-from .fom import (assembler_for, build_dof_map, build_lifting,
-                  fom_inner_products, solve_fom)
+from .fom import (assembler_for, build_dof_map, build_lifting, fom_inner_products,
+                  reweighted, solve_fom)
 from .io import (REQUIRED, count, json_object, list_of, number, optional, read_section, refusal,
                  section, text)
 from .pod import RANK_CUTOFF, assemble_basis, compute_pod
@@ -238,8 +238,8 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     level; the same list gives the snapshots ``stmor snapshots`` writes.
 
     Returns a namespace holding every intermediate: mesh, problem, dof_map,
-    assembler, grams, train_mus, solutions, u_fulls, basis, eims, pkg, and
-    stage timings: grams_s (assembler, DOF map and norm matrices),
+    assembler, grams, train_mus, solutions, u_fulls, liftings, basis, eims,
+    pkg, and stage timings: grams_s (assembler, DOF map and norm matrices),
     training_s, pod_s, eim_s (snapshot velocity fields included),
     projection_s and start_s (rom.fit_start over the training mus).
     """
@@ -300,8 +300,7 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
     u_fulls, materials = [], []
     for sol, mu in zip(sols, mus):
         params, amps = problem.effective(mu)
-        lifts_mu = build_lifting(mesh, problem.dirichlet, amps)
-        u_fulls.append(sol.velocity_field(dof_map, lifts_mu))
+        u_fulls.append(sol.velocity_field(dof_map, reweighted(liftings, amps)))
         materials.append(params)
     _, etas, taus = zip(*(asm.element_fields(u, params)
                           for u, params in zip(u_fulls, materials)))
@@ -324,8 +323,8 @@ def offline_build(mesh, problem, train_mus=None, *, solutions=None,
 
     return SimpleNamespace(mesh=mesh, problem=problem, dof_map=dof_map,
                            assembler=asm, grams=grams, train_mus=mus,
-                           solutions=sols, u_fulls=u_fulls, basis=basis,
-                           eims=eims, pkg=pkg, timings=timings)
+                           solutions=sols, u_fulls=u_fulls, liftings=liftings,
+                           basis=basis, eims=eims, pkg=pkg, timings=timings)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +368,7 @@ def evaluate_tests(pipeline, test_mus, pairs, *, picard_tol=1e-8,
                         dof_map=dof_map, strict=False)
         fom_time = time.perf_counter() - t0
         _, amps = problem.effective(mu)
-        lifts_mu = build_lifting(mesh, problem.dirichlet, amps)
-        u_ref = sol.velocity_field(dof_map, lifts_mu).ravel()
+        u_ref = sol.velocity_field(dof_map, reweighted(pipeline.liftings, amps)).ravel()
         record = {"mu": [float(v) for v in mu], "fom_time_s": fom_time,
                   "fom_iterations": len(sol.iterations),
                   "fom_converged": bool(sol.converged), "results": []}

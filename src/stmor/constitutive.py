@@ -116,10 +116,6 @@ def shear_rate_squared(grad_u):
     return 2.0 * np.einsum("...ij,...ij->...", eps, eps)
 
 
-def shear_rate(grad_u):
-    return np.sqrt(shear_rate_squared(grad_u))
-
-
 def viscosity(gamma_dot, params):
     """Carreau-Yasuda viscosity; vectorized over gamma_dot >= 0."""
     gd = np.asarray(gamma_dot, dtype=np.float64)

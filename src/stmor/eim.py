@@ -94,36 +94,36 @@ def eim_greedy(samples, tol, q_max):
     Errors are max-norms divided by the largest column max-norm (so the
     zero-term error is exactly 1).  At each step the worst column (lowest
     index on ties) donates its residual, normalized at the residual's own
-    argmax element.  Stops when the error drops to tol or q_max is reached.
+    argmax element (lowest index on ties).  Stops when the error drops to tol
+    or q_max is reached.  The residuals are held row-major, one contiguous
+    row per column, so that every reduction and update runs along the
+    elements; each is the same IEEE operation as on the columns.
     """
     if not isinstance(tol, (float, int, np.floating)) or not 0.0 < tol < 1.0:  # as fom.picard
         raise EimError("tolerance must lie in (0, 1), got %r" % (tol,))
     if q_max < 1:
         raise EimError("q_max must be at least 1")
-    S = samples.values
-    col_norms = np.abs(S).max(axis=0)
-    denom = col_norms.max()
+    R = samples.values.T.copy()                         # (N_train, n_elements)
+    denom = np.abs(R).max()
     if denom == 0.0:
         raise EimError("all sample columns are zero")
 
-    n, _ = S.shape
+    n = R.shape[1]
     basis_cols, magic, history = [], [], []
-    R = S.copy()
     for q in range(q_max + 1):
-        errs = np.abs(R).max(axis=0)
+        errs = np.abs(R).max(axis=1)
         history.append(errs.max() / denom)
         if history[-1] <= tol or q == q_max:
             break
-        j = int(np.argmax(errs))
-        r = R[:, j]
+        r = R[int(np.argmax(errs))]
         m = int(np.argmax(np.abs(r)))
         if r[m] == 0.0:
             break
         basis_cols.append(r / r[m])
         magic.append(m)
-        # deflate every column by its interpolant update: after this step all
-        # residuals vanish at the new magic element
-        R = R - np.outer(basis_cols[-1], R[m, :])
+        # deflate every residual by its interpolant update: after this step
+        # all of them vanish at the new magic element
+        R -= np.outer(R[:, m], basis_cols[-1])
 
     Q = len(basis_cols)
     basis = np.column_stack(basis_cols) if Q else np.zeros((n, 0))

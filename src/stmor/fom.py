@@ -78,7 +78,7 @@ import logging
 import math
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -214,6 +214,12 @@ def lift_coefficients(groups, amplitudes, error):
         raise error("no amplitude for lifting group %r" % exc.args[0]) from None
 
 
+def reweighted(liftings, amplitudes):
+    """liftings with the coefficients that amplitudes give their groups."""
+    coefs = lift_coefficients([lf.group for lf in liftings], amplitudes, SolverError)
+    return [replace(lf, coefficient=c) for lf, c in zip(liftings, coefs)]
+
+
 def build_lifting(mesh, specs, amplitudes):
     """Nodal interpolation of the Dirichlet data, one lifting per group.
 
@@ -260,13 +266,9 @@ def build_lifting(mesh, specs, amplitudes):
             new = nodes[g0 < 0]
             owner[new, c] = gi
             owner_val[new, c] = vec[s.group][new, c] = val[g0 < 0]
-    out = [LiftingFunction(group=g, vector=vec[g], coefficient=c)
-           for g, c in zip(groups, lift_coefficients(groups, amplitudes, SolverError))]
-    if not out:
-        out.append(LiftingFunction(group="fixed",
-                                   vector=np.zeros((mesh.n_nodes, d)),
-                                   coefficient=1.0))
-    return out
+    out = [LiftingFunction(group=g, vector=vec[g], coefficient=1.0) for g in groups]
+    return reweighted(out or [LiftingFunction("fixed", np.zeros((mesh.n_nodes, d)), 1.0)],
+                      amplitudes)
 
 
 def combine_liftings(liftings, n_nodes, d):
@@ -289,8 +291,11 @@ class FomAssembler:
     basis rows instead, without any block.  The norm matrices (grad_gram,
     mass_pressure) are summed on the node adjacency.  No assembly sorts COO
     entries.  gx (E, D+1, d) and gt (E, D+1) are element-major, as the
-    block kernels read them fastest; element_fields sums over the nodes of
-    transposed views of gx and elems.
+    block kernels read each element's (D+1, d) entries together.
+    element_fields instead runs along the elements: on first use it keeps
+    a component-major copy of gx, (D+1, d, E), and a contiguous elems.T,
+    so that each gather, product and node sum is one contiguous length-E
+    vector operation.
     """
 
     def __init__(self, mesh):
@@ -425,24 +430,31 @@ class FomAssembler:
 
     def element_fields(self, u_full, params):
         """Per-element (shear rate, viscosity, tau) at a frozen velocity field."""
-        # node by node: the gradient einsum("eac,eaj->ecj") and the mean over
-        # the element's nodes, bit for bit
-        u = u_full[self.elems.T]                    # (D+1, E, d)
-        gx = self.gx.transpose(1, 0, 2)             # (D+1, E, d)
-        total = u[0].copy()
-        for a in range(1, len(gx)):
-            total += u[a]
-        total /= len(gx)
-        if gx.shape[-1] == 1:
+        # node by node, on length-E vectors: the gradient einsum("eac,eaj->ecj"),
+        # the mean over the element's nodes and its squared norm, bit for bit
+        if "fields" not in self._cache:
+            self._cache["fields"] = (np.ascontiguousarray(self.elems.T),
+                                     np.ascontiguousarray(self.gx.transpose(1, 2, 0)))
+        elems_T, gx = self._cache["fields"]             # (D+1, E), (D+1, d, E)
+        D1, d, E = gx.shape
+        speed2, grad = np.zeros(E), np.empty((E, d, d))
+        for c in range(d):
+            u = np.take(u_full[:, c], elems_T)          # (D+1, E)
+            t = u[0].copy()
+            for a in range(1, D1):
+                t += u[a]
+            t /= D1
+            speed2 += t * t
+            for j in range(d):
+                g = u[0] * gx[0, j]
+                for a in range(1, D1):
+                    g += u[a] * gx[a, j]
+                grad[:, c, j] = g
+        if d == 1:
             # for d = 1 the einsum's node axis is contiguous, which it sums in
             # an order of its own
             grad = np.einsum("eac,eaj->ecj", u_full[self.elems], self.gx)
-        else:
-            grad = u[0, :, :, None] * gx[0, :, None, :]
-            for a in range(1, len(gx)):
-                grad += u[a, :, :, None] * gx[a, :, None, :]
-        gd, eta, tau = field_values(shear_rate_squared(grad), np.square(total).sum(-1),
-                                    self.tau_scales, params)
+        gd, eta, tau = field_values(shear_rate_squared(grad), speed2, self.tau_scales, params)
         bad = np.flatnonzero(~(np.isfinite(eta) & np.isfinite(tau)))
         if bad.size:
             raise SolverError("non-finite viscosity or tau in element %d" % bad[0])

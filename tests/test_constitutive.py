@@ -15,7 +15,6 @@ from stmor.constitutive import (
     apply_parameters,
     field_values,
     relative_box,
-    shear_rate,
     shear_rate_squared,
     tau_scales,
     viscosity,
@@ -29,6 +28,12 @@ BLOOD = CarreauYasudaParams(eta_0=0.056, eta_inf=0.00345, lam=1.902, a=1.25,
 # closed form evaluated independently (mpmath, 40 digits) and frozen:
 # 0.00345 + 0.05255*(1 + (1.902*100)**1.25)**((0.22-1)/1.25)
 BLOOD_ETA_AT_100 = 0.004325800368739063
+
+
+def shear_rate(grad_u):
+    """sqrt(2 eps:eps) of velocity gradients (..., d, d)."""
+    return np.sqrt(shear_rate_squared(grad_u))
+
 
 finite_grads = st.lists(st.floats(-10, 10), min_size=4, max_size=4).map(
     lambda v: np.array(v).reshape(2, 2))

@@ -101,6 +101,84 @@ class TestGreedy:
             FieldSampleSet(tag="pressure", values=np.ones((2, 2)))
 
 
+def column_greedy(S, tol, q_max):
+    """The greedy on the sample columns as it was first written, one (n, k)
+    residual at a time: (basis, magic, T, history)."""
+    denom = np.abs(S).max(axis=0).max()
+    basis_cols, magic, history = [], [], []
+    R = S.copy()
+    for q in range(q_max + 1):
+        errs = np.abs(R).max(axis=0)
+        history.append(errs.max() / denom)
+        if history[-1] <= tol or q == q_max:
+            break
+        r = R[:, int(np.argmax(errs))]
+        m = int(np.argmax(np.abs(r)))
+        if r[m] == 0.0:
+            break
+        basis_cols.append(r / r[m])
+        magic.append(m)
+        R = R - np.outer(basis_cols[-1], R[m, :])
+    Q = len(basis_cols)
+    basis = np.column_stack(basis_cols) if Q else np.zeros((S.shape[0], 0))
+    T = np.zeros((Q, Q))
+    for q in range(Q):
+        T[q:, q] = basis[magic[q:], q]
+    return basis, np.asarray(magic, dtype=np.int64), T, np.asarray(history)
+
+
+class TestColumnOracle:
+    """eim_greedy runs on row-major residuals; every output is bitwise that
+    of the column greedy, ties included."""
+
+    def assert_as_columns(self, S, tol, q_max):
+        approx = eim_greedy(FieldSampleSet(tag="eta", values=S), tol=tol, q_max=q_max)
+        want = column_greedy(S, tol, q_max)
+        for got, w in zip((approx.basis, approx.magic, approx.T, approx.history), want,
+                          strict=True):
+            assert got.dtype == w.dtype and np.array_equal(got, w)
+        return approx
+
+    @pytest.mark.parametrize("n, cols, k", [(80, 9, 3), (70, 10, 6), (40, 8, 1)])
+    def test_rank_k_samples(self, n, cols, k):
+        S = rank_k_samples(n, cols, k, seed=n).values
+        assert self.assert_as_columns(S, 1e-14, cols).n_terms == k
+
+    def test_tall_thin_samples(self):
+        S = np.random.default_rng(5).standard_normal((20000, 3))
+        assert self.assert_as_columns(S, 1e-12, 3).n_terms == 3
+
+    def test_identical_columns_lowest_index_wins(self):
+        rng = np.random.default_rng(6)
+        S = rng.standard_normal((50, 4))
+        S[:, 1] *= 3.0
+        S[:, 3] = S[:, 1]
+        approx = self.assert_as_columns(S, 1e-14, 4)
+        m = approx.magic[0]
+        assert np.array_equal(approx.basis[:, 0], S[:, 1] / S[m, 1])
+        assert approx.n_terms == 3          # the copy adds no term
+
+    def test_tied_absolute_maxima_lowest_element_wins(self):
+        S = np.zeros((12, 2))
+        S[[2, 5, 9], 0] = [-2.0, 2.0, 1.0]
+        S[:, 1] = np.linspace(0.0, 0.5, 12)
+        approx = self.assert_as_columns(S, 1e-14, 2)
+        assert approx.magic[0] == 2
+
+    def test_stopped_by_q_max(self):
+        S = rank_k_samples(60, 8, 5, seed=2).values
+        approx = self.assert_as_columns(S, 1e-15, 2)
+        assert approx.n_terms == 2 and approx.history.shape == (3,)
+        assert approx.history[-1] > 1e-15
+
+    def test_samples_left_unchanged(self):
+        # one sample column: its transposed residual must not alias the samples
+        samples = rank_k_samples(30, 1, 1, seed=8)
+        before = samples.values.copy()
+        eim_greedy(samples, tol=1e-14, q_max=1)
+        assert np.array_equal(samples.values, before)
+
+
 class TestCoefficients:
     def test_unit_response(self):
         samples = rank_k_samples(50, 8, 4, seed=5)

@@ -315,16 +315,37 @@ class TestElementFields:
         asm = SimpleNamespace(elems=rng.integers(0, n_nodes, (m, d + 2)),
                               gx=rng.standard_normal((m, d + 2, d)),
                               tau_scales=tau_scales(rng.uniform(0.01, 1.0, m),
-                                                    rng.uniform(0.01, 1.0, m)))
-        u_full = rng.standard_normal((n_nodes, d))
-        u = u_full[asm.elems]
-        strong = CarreauYasudaParams(eta_0=1.0, eta_inf=0.1, lam=3.0, a=2.0, n=0.5, rho=2.0)
-        for params in (SHEAR_THINNING, INVISCID, NEWTONIAN, strong):
-            want = kernel_before_squares(np.einsum("eac,eaj->ecj", u, asm.gx),
-                                         u.mean(axis=1), asm.tau_scales, params)
-            got = FomAssembler.element_fields(asm, u_full, params)
-            for g, w in zip(got, want, strict=True):
-                assert np.array_equal(g, w)
+                                                    rng.uniform(0.01, 1.0, m)),
+                              _cache={})
+        assert_kernel(lambda u_full, params: FomAssembler.element_fields(asm, u_full, params),
+                      asm, rng.standard_normal((n_nodes, d)))
+
+    @pytest.mark.parametrize("geometry", ["artery", "interval"])
+    def test_bitwise_the_kernel_on_an_assembler(self, geometry):
+        # the benchmark's 12x5x6 artery (d = 2), and an interval (d = 1),
+        # whose gradients take the einsum path; the second call reads the
+        # component-major copies the first one built
+        if geometry == "artery":
+            mesh = coarse_artery()[1]
+        else:
+            mesh = extrude(interval_mesh(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5))
+        asm = FomAssembler(mesh)
+        rng = np.random.default_rng(7)
+        for _ in range(2):
+            assert_kernel(asm.element_fields, asm, rng.standard_normal((mesh.n_nodes, mesh.d)))
+        assert "fields" in asm._cache
+
+
+def assert_kernel(element_fields, asm, u_full):
+    """element_fields(u_full, params) equals, bit for bit, the kernel from
+    einsum gradients and node means of asm's elements, for four materials."""
+    u = u_full[asm.elems]
+    strong = CarreauYasudaParams(eta_0=1.0, eta_inf=0.1, lam=3.0, a=2.0, n=0.5, rho=2.0)
+    for params in (SHEAR_THINNING, INVISCID, NEWTONIAN, strong):
+        want = kernel_before_squares(np.einsum("eac,eaj->ecj", u, asm.gx),
+                                     u.mean(axis=1), asm.tau_scales, params)
+        for g, w in zip(element_fields(u_full, params), want, strict=True):
+            assert np.array_equal(g, w)
 
 
 def coo_operators(asm):

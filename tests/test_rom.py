@@ -14,7 +14,7 @@ from stmor.analysis import offline_build
 from stmor.constitutive import (SEMANTICS_BC_SCALE, BodyForce,
                                 CarreauYasudaParams, ParameterError,
                                 ParameterSpace, field_values, relative_box,
-                                shear_rate, shear_rate_squared, tau_scales)
+                                shear_rate_squared, tau_scales)
 from stmor.eim import EimApproximation, FieldSampleSet, eim_greedy
 from stmor.fom import (DirichletSpec, FomAssembler, FomProblem, build_dof_map,
                        build_lifting, combine_liftings, fom_inner_products,
@@ -27,6 +27,7 @@ from stmor.rom import (MagicElementData, ReducedSolution, RomError,
                        read_rom, reconstruct, rom_info, solve_rom,
                        strain_operator, truncate, write_rom)
 
+from test_constitutive import shear_rate
 from test_fom import CountingNumpy, coo_operators, kernel_before_squares, plain_picard
 
 MAT = CarreauYasudaParams(eta_0=0.5, eta_inf=0.05, lam=1.0, a=2.0, n=0.5,

@@ -35,9 +35,10 @@ Operations:
                (``perfbench.workloads.latin_hypercube``, which imports this
                checkout's stmor once more under its own name), and the
                case's training grid (``analysis.solve_chain``) on the artery.  The
-               ratios head/base of the total and of the ``eim_s`` and
-               ``projection_s`` stages are printed with a bootstrap interval
-               over the repetitions.  The builds need not agree bit for bit:
+               ratios head/base of the total and of every stage of
+               ``timings`` that both sides record (``grams_s``, ``training_s``,
+               ``pod_s``, ``eim_s``, ``projection_s``, ``start_s``) are printed
+               with a bootstrap interval over the repetitions.  The builds need not agree bit for bit:
                the largest relative gap of a slot of the packages' K and R,
                max |head - base| / max |base| over each slot, and of their
                solve_rom at the box centre and corners are printed, and
@@ -276,7 +277,7 @@ def main(argv=None):
                 times[name].append(1e6 * elapsed)
                 steps[name].append(len(getattr(out[name], "iterations", ())))
                 if offline:
-                    stages[name].append([out[name].timings[k] for k in ("eim_s", "projection_s")])
+                    stages[name].append(out[name].timings)
         if offline:
             largest = max(largest, slot_gap(out["base"].pkg, out["head"].pkg))
             if largest > args.max_gap:
@@ -306,8 +307,9 @@ def main(argv=None):
                  max(g for g, _ in solved), "" if all(ok for _, ok in solved)
                  else ", with differing flags or step counts"))
         ratios = {"total": (base, head)}
-        for k, stage in enumerate(("eim_s", "projection_s")):
-            ratios[stage] = tuple(1e6 * np.array(stages[name])[:, k] for name in ("base", "head"))
+        for stage in (k for k in stages["head"][0] if k in stages["base"][0]):
+            ratios[stage] = tuple(1e6 * np.array([t[stage] for t in stages[name]])
+                                  for name in ("base", "head"))
         for label, (b, h) in ratios.items():
             print("%-13s base %s" % (label, summary(b)))
             print("%-13s head %s" % ("", summary(h)))
