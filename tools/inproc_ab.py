@@ -38,11 +38,13 @@ Operations:
                ratios head/base of the total and of every stage of
                ``timings`` that both sides record (``grams_s``, ``training_s``,
                ``pod_s``, ``eim_s``, ``projection_s``, ``start_s``) are printed
-               with a bootstrap interval over the repetitions.  The builds need not agree bit for bit:
-               the largest relative gap of a slot of the packages' K and R,
-               max |head - base| / max |base| over each slot, and of their
-               solve_rom at the box centre and corners are printed, and
-               --max-gap (default 1e-13) bounds the slot gap.
+               with a bootstrap interval over the repetitions; ``training_s``
+               times only the check of the given snapshots there.  The
+               builds need not agree bit for bit: the largest relative gap
+               of a slot of the packages' K and R, max |head - base| /
+               max |base| over each slot, and of their solve_rom at the box
+               centre and corners are printed, and --max-gap (default 1e-13)
+               bounds the slot gap.
 
 The package comes from ``stmor build-rom`` (or ``rom.write_rom``).  BLAS is
 pinned to one thread, as in perfbench.  Both checkouts must read the same rom
