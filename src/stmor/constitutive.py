@@ -207,9 +207,12 @@ def apply_parameters(base, bc_amplitudes, mu, space):
     bc_amplitudes maps boundary-profile names to scalar amplitudes.  Material
     semantics override the named fields of ``base``; bc_scale semantics set
     the amplitude of every profile listed in space.targets to the single
-    component of mu.  Without mu or space the base data is returned as is.
+    component of mu.  Without mu the base data is returned as is, and so it
+    is without space, where a mu with any component raises ParameterError.
     """
     amps = dict(bc_amplitudes)
+    if space is None and mu is not None and np.size(mu):
+        raise ParameterError("the case has no parameters, got mu = %s" % (mu,))
     if mu is None or space is None:
         return base, amps
     mu = space.box.validate(mu)

@@ -416,7 +416,7 @@ class FomAssembler:
         return self._cache["mass_pressure"]
 
     def system_pattern(self, dof_map):
-        """The SystemPattern of dof_map's system, with its pressure gauge.
+        """The SystemPattern of dof_map's system, with its pressure pins.
 
         It is built on first use and kept until a call with other
         constraints, so the Picard iterates of one solve, and the solves
@@ -562,11 +562,10 @@ class SystemPattern:
     where the columns of base are the time-derivative block per unit density
     and the constant entries (+-B and the unit diagonals of pinned pressure
     rows), and the weights W map the viscous, the tau-weighted coupling and
-    the pressure blocks of unit element weight onto the slots.  The pressure
-    gauge is decided with the pattern: pins holds the pinned pressure nodes
-    (pressure_pins), and open_levels the time levels gauged by zero mean
-    instead (_open_levels).  rest holds the factor of the system at rest
-    (rest_solve), the one factor a pattern keeps.
+    the pressure blocks of unit element weight onto the slots.  pins holds
+    the pinned pressure nodes (pressure_pins), decided with the pattern.
+    rest holds the factor of the system at rest (rest_solve), the one factor
+    a pattern keeps.
 
     The build never forms the dof-level COO: the node adjacency
     (FomAssembler.adjacency) gives the unrestricted layout, in which every
@@ -576,8 +575,6 @@ class SystemPattern:
     """
 
     def __init__(self, asm, dof_map):
-        # the pressure gauge: pinned nodes where no velocity datum sets one,
-        # else the time levels no equation fixes, which each step centres
         self.pins = pins = pressure_pins(asm.mesh, dof_map)
         n, d = asm.mesh.n_nodes, asm.d
         nvf = n * d
@@ -686,36 +683,12 @@ class SystemPattern:
         const = summed("pv", div)
         const -= summed("vp", div)
         const[pin_slots] = 1.0
-        self.open_levels = (self._open_levels(asm.mesh, dof_map.n_velocity, const)
-                            if not pins.size else np.zeros(0, dtype=bool))
         self.base = sp.csc_matrix(np.column_stack([summed("vv_diag", asm.mass()),
                                                    const]))
         del const
         self.weights = (element_map("vv_full", asm.viscous),
                         element_map("pv", asm.stab_pv),
                         element_map("pp", asm.stab_pp))
-
-    def _open_levels(self, mesh, n_velocity, const):
-        """Time levels whose pressure level no equation fixes: (n_levels,) bool.
-
-        A pressure constant on one time level has no spatial gradient, so it
-        reaches the momentum rows only through the boundary term of -B^T, at
-        lateral nodes with a free velocity component.  That term vanishes
-        when each such component is tangential to the walls its node sits on
-        (a free slip velocity, say), and the level is then undetermined
-        although pressure_pins pins nothing.  A level is open when -B^T (the
-        free velocity rows and pressure columns of the constant slot values
-        const) times its indicator is at most 1e-8 of |-B^T| times it in
-        every row.  Meshes without level structure report none.
-        """
-        if not mesh.n_spatial:
-            return np.zeros(0, dtype=bool)
-        bt = self.matrix(const)[:n_velocity, n_velocity:].tocoo()
-        n_levels = mesh.time_levels.size
-        at = bt.row * n_levels + bt.col // mesh.n_spatial
-        force = np.bincount(at, bt.data, minlength=n_velocity * n_levels)
-        size = np.bincount(at, np.abs(bt.data), minlength=n_velocity * n_levels)
-        return ~(np.abs(force) > 1e-8 * size).reshape(n_velocity, n_levels).any(axis=0)
 
     def fill(self, eta, tau, rho):
         """Slot values at per-element eta and tau and density rho."""
@@ -817,20 +790,36 @@ def assemble_fom(asm, pattern, u_iterate, params, lift, load):
 
 
 def pressure_pins(mesh, dof_map):
-    """Pressure nodes to pin when the velocity data leaves no natural gauge.
+    """The first pressure node of each time level whose pressure level no
+    equation fixes, to be pinned to zero.
 
-    With every lateral (spatially oriented) boundary component Dirichlet, the
-    discrete pressure is defined only up to a function of time; one pressure
-    node per time level is then fixed to zero.
+    A pressure constant on one level has no spatial gradient, so it reaches
+    the equations only through the lateral boundary term of -B^T.  A level is
+    pinned when -B^T times its indicator is at most 1e-8 of |-B^T| times it
+    in every free velocity row (the other rows vanish identically, so only
+    lateral ones are summed): when no lateral component is free, or only
+    tangential ones (free slip).  Element e puts -V_e gx[e, a, c] / (D+1) in
+    row (node a, component c) for each of its pressure nodes, so both
+    products are bincounts over (row, level of that node), the constant
+    factor left out.  A mesh without level structure counts as one level.
     """
-    if np.any(dof_map.vdof[mesh.lateral_nodes()] >= 0):
-        return np.empty(0, dtype=np.int64)
-    if mesh.n_spatial:
-        levels = np.arange(mesh.time_levels.size, dtype=np.int64)
-        return levels * mesh.n_spatial
-    logger.warning("pinning a single pressure node on a mesh without level "
-                   "structure; fully Dirichlet imported meshes may stay singular")
-    return np.array([0], dtype=np.int64)
+    V, grads = mesh.all_element_geometry()
+    per_level = mesh.n_spatial or mesh.n_nodes          # nodes are level-major
+    levels = mesh.n_nodes // per_level
+    lateral = np.zeros((mesh.n_nodes, 1), dtype=bool)
+    lateral[mesh.lateral_nodes()] = True
+    rows = np.where(lateral, dof_map.vdof, -1)[mesh.elements]      # (E, D+1, d)
+    e, a, c = np.nonzero(rows >= 0)
+    rows, at = np.unique(rows[e, a, c], return_inverse=True)
+    at = (at * levels + mesh.elements[e].T // per_level).ravel()    # per pressure node
+    w = np.tile(V[e] * grads[e, a, c], mesh.dimension + 1)
+    force = np.bincount(at, w, minlength=rows.size * levels)
+    size = np.bincount(at, np.abs(w), minlength=rows.size * levels)
+    unfixed = ~(np.abs(force) > 1e-8 * size).reshape(-1, levels).any(axis=0)
+    if not mesh.n_spatial and unfixed.any():
+        logger.warning("pinning a single pressure node on a mesh without level "
+                       "structure; the system may stay singular")
+    return np.flatnonzero(unfixed) * per_level
 
 
 def _relative_residual(K, rhs, x):
@@ -1034,7 +1023,7 @@ def picard(step, x0, tol, max_it, strict, error, logger, what, skip=0):
     iterate is then g.  Entries on which every step agrees stay exact, since
     dG vanishes there.  Every judged entry must be fixed by the equations: a
     free pressure level would steer both the test and gamma by round-off,
-    which is why solve_fom gauges such levels.  Each record's ``mixing`` is
+    which is why pressure_pins pins such levels.  Each record's ``mixing`` is
     the number of history pairs that formed the iterate its step was
     evaluated at.  MIXING_DEPTH = 0 is the plain iteration x <- g.
     """
@@ -1133,8 +1122,8 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     Viscosity and tau are re-evaluated from the full velocity field of each
     (Anderson-mixed, see picard) iterate, until ||dx||/||x|| <= picard_tol.
     With strict=False a stalled iteration returns the last iterate flagged as
-    not converged.  The pressure of a time level that no equation gauges
-    (SystemPattern.open_levels) has zero mean in every step.
+    not converged.  The pressure of a time level that no equation gauges is
+    zero at the level's first node (pressure_pins).
 
     Cold start: without x0 the first step linearizes at rest (u = 0, so
     eta = eta_0 and tau at zero speed), with the Dirichlet data in the
@@ -1159,12 +1148,6 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
     pattern = asm.system_pattern(dof_map)
     if pattern.pins.size:
         logger.info("pinning %d pressure nodes (no natural gauge)", pattern.pins.size)
-    # levels no equation gauges get zero mean, so each step's pressure, and
-    # with it the update test, carries no arbitrary level
-    open_levels = pattern.open_levels
-    if open_levels.any():
-        logger.info("fixing the mean pressure of %d time levels (no natural gauge)",
-                    np.count_nonzero(open_levels))
 
     l_full = combine_liftings(liftings, mesh.n_nodes, asm.d)
     lift = l_full.ravel()
@@ -1190,10 +1173,6 @@ def solve_fom(mesh, problem, mu=None, picard_tol=1e-8, picard_max=50,
         else:
             x_new, lin_res, factorized, its, factor_s = direct_solve(
                 K, rhs, factor, x0=x, order=pattern.order(asm), pattern=pattern)
-        if open_levels.any():   # on a copy: a cycle that starts converged returns x
-            x_new = x_new.copy()
-            p = x_new[n_v:].reshape(open_levels.size, -1)
-            p[open_levels] -= p[open_levels].mean(axis=1, keepdims=True)
         return x_new, {"linear_residual": float(lin_res),
                        "factorized": factorized, "krylov_its": its,
                        "assemble_s": t1 - t0, "factor_s": factor_s,

@@ -86,7 +86,7 @@ from .constitutive import (SPACE_KEYS, CarreauYasudaParams, ParameterError, Para
                            apply_parameters, field_values, space_from_dict,
                            space_to_dict, tau_scales)
 from .fom import (MAP_CHUNK, assembler_for, build_dof_map, build_lifting,
-                  lift_coefficients, picard, pressure_pins)
+                  lift_coefficients, picard)
 from .io import (ARTIFACT_KEYS, REQUIRED, ArtifactError, check_dtypes, check_mesh_hash, count,
                  list_of, map_of, number, optional, read_artifact, read_section, section,
                  text, write_artifact)
@@ -326,9 +326,6 @@ def project_offline(mesh, problem, basis, eim_eta, eim_tau,
         if np.any((approx.magic < 0) | (approx.magic >= mesh.n_elements)):
             raise RomError("%s interpolation has a magic element outside "
                            "[0, %d)" % (approx.tag, mesh.n_elements))
-    if pressure_pins(mesh, dof_map).size:
-        raise RomError("case leaves no natural pressure gauge; the reduced "
-                       "solver carries no pressure pinning")
 
     liftings = build_lifting(mesh, problem.dirichlet, problem.amplitudes)
     if len(liftings) != basis.n_lifts:

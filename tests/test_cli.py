@@ -499,6 +499,16 @@ class TestFailureModes:
         payload = self.error_of(capsys)
         assert "parameter space" in payload["message"]
 
+    def test_mu_for_a_case_without_parameters(self, capsys, tmp_path):
+        assert main(["fom", "--case", "couette", "--mu", "1",
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert "no parameters" in payload["message"]
+        assert not (tmp_path / "fom_solution.stm").exists()
+
     def test_build_rom_without_snapshots(self, workdir, capsys, tmp_path):
         _, case = workdir
         assert main(["build-rom", "--case", str(case),

@@ -16,7 +16,8 @@ from stmor import fom
 from stmor.analysis import AnalysisError, offline_build
 from stmor.cases import (artery_analog_config, build_mesh, build_problem, bundled_case,
                          bundled_case_ids)
-from stmor.constitutive import BodyForce, CarreauYasudaParams, tau_scales, viscosity
+from stmor.constitutive import (BodyForce, CarreauYasudaParams, ParameterError, tau_scales,
+                                viscosity)
 from stmor.fom import (
     KRYLOV_MAX_ITS,
     LINEAR_RESIDUAL_TOL,
@@ -39,7 +40,7 @@ from stmor.fom import (
     write_snapshot,
 )
 from stmor.io import ArtifactError, read_artifact, write_artifact
-from stmor.mesh import extrude, interval_mesh, rectangle_mesh
+from stmor.mesh import SpaceTimeMesh, extrude, interval_mesh, rectangle_mesh
 from stmor.rom import RomError, project_offline
 
 NEWTONIAN = CarreauYasudaParams(eta_0=270.0, eta_inf=0.0, lam=1.2e-3, a=1.0,
@@ -475,7 +476,8 @@ class TestAssembly:
 
 
 def open_couette_problem(material=SHEAR_THINNING):
-    """Couette data with the y-velocity left free on the right wall: no pins."""
+    """Couette data with the y-velocity left free on the right wall, a free
+    slip that fixes no pressure level: every level is pinned."""
     specs = list(couette_specs())
     specs[1] = DirichletSpec(tag="dirichlet:right", components=(0,),
                              profile=lambda x, t: x[:, 1:2])
@@ -533,7 +535,7 @@ class TestFixedPattern:
         pins = pressure_pins(mesh, dm)
         load = fixed_load(asm, dm, prob, prob.material.rho)
         # each case covers what its name says
-        assert {"couette": pins.size == 0,
+        assert {"couette": pins.size == 4 and np.any(dm.vdof[mesh.lateral_nodes()] >= 0),
                 "artery": pins.size == 0 and np.any(load != 0.0),
                 "pinned": pins.size > 0,
                 "forced": pins.size > 0 and np.any(load != 0.0)}[name]
@@ -569,6 +571,10 @@ class TestFixedPattern:
 
 
 class TestPressureGauge:
+    """One rule: a time level whose pressure level no velocity row fixes (no
+    free lateral component, or only tangential ones) is pinned at its first
+    node; a free normal component or an outflow pins none."""
+
     def test_all_dirichlet_pins_one_per_level(self):
         mesh = channel_mesh(n=2, levels=4)
         dm = build_dof_map(mesh, couette_specs())
@@ -577,15 +583,16 @@ class TestPressureGauge:
         np.testing.assert_array_equal(pins, np.arange(4) * 9)
 
     def test_partially_free_boundary_needs_no_pin(self):
+        # the top wall is y = const: its free y-velocity is normal to it
         mesh = channel_mesh(n=2, levels=3)
         specs = list(couette_specs())
-        specs[1] = DirichletSpec(tag="dirichlet:right", components=(0,),
-                                 profile=lambda x, t: np.zeros((len(x), 1)))
+        specs[3] = DirichletSpec(tag="dirichlet:top", components=(0,),
+                                 profile=lambda x, t: np.ones((len(x), 1)))
         dm = build_dof_map(mesh, specs)
         assert pressure_pins(mesh, dm).size == 0
 
-    @pytest.mark.parametrize("free_comp, free", [(1, True), (0, False)])
-    def test_only_a_free_normal_component_gauges_the_levels(self, free_comp, free):
+    @pytest.mark.parametrize("free_comp, pinned", [(1, True), (0, False)])
+    def test_only_a_free_normal_component_gauges_the_levels(self, free_comp, pinned):
         # the right wall is x = const: its free y-velocity is tangential and
         # leaves every level's pressure undetermined, a free x-velocity not
         mesh = channel_mesh(n=3, levels=4)
@@ -593,40 +600,62 @@ class TestPressureGauge:
         specs[1] = DirichletSpec(tag="dirichlet:right", components=(1 - free_comp,),
                                  profile=lambda x, t: np.zeros((len(x), 1)))
         dm = build_dof_map(mesh, specs)
-        assert pressure_pins(mesh, dm).size == 0
-        np.testing.assert_array_equal(FomAssembler(mesh).system_pattern(dm).open_levels,
-                                      [free] * 4)
+        np.testing.assert_array_equal(pressure_pins(mesh, dm),
+                                      np.arange(4) * 16 if pinned else [])
 
     def test_gauge_is_decided_once_per_dof_map(self, monkeypatch):
         mesh = channel_mesh(n=3, levels=4)
         asm, calls = FomAssembler(mesh), []
-        monkeypatch.setattr(fom, "SystemPattern", lambda *a, f=fom.SystemPattern:
-                            calls.append("pattern") or f(*a))
+        monkeypatch.setattr(fom, "pressure_pins", lambda *a, f=fom.pressure_pins:
+                            calls.append("pins") or f(*a))
         for prob in (open_couette_problem(), open_couette_problem(), couette_problem()):
             dm = build_dof_map(mesh, prob.dirichlet)
             assert solve_fom(mesh, prob, assembler=asm, dof_map=dm).converged
-            pattern = asm.system_pattern(dm)
-            pinned = prob.name == "couette"
-            assert pattern.pins.size == (4 if pinned else 0)
-            assert pattern.open_levels.tolist() == ([] if pinned else [True] * 4)
-        # the second open solve reuses the first one's pattern and gauge
-        assert calls == ["pattern", "pattern"]
+            np.testing.assert_array_equal(asm.system_pattern(dm).pins, np.arange(4) * 16)
+        # the second open solve reuses the first one's pattern and pins
+        assert calls == ["pins", "pins"]
 
     def test_outflow_gauges_every_level(self):
         _, mesh, prob = coarse_artery()
         dm = build_dof_map(mesh, prob.dirichlet)
-        assert not FomAssembler(mesh).system_pattern(dm).open_levels.any()
+        assert pressure_pins(mesh, dm).size == 0
 
-    def test_free_levels_are_solved_at_zero_mean(self):
-        # a level left to each factor and GMRES cycle would jump between
-        # steps, so the update test would end only on a cycle that returns
-        # its start unchanged (rel update 0); gauged, it ends on a real update
+    def test_free_slip_system_is_nonsingular(self):
+        # every level pinned, the free-slip system has full rank
         mesh = channel_mesh(n=3, levels=4)
-        sol = solve_fom(mesh, open_couette_problem())
-        p = sol.p.reshape(4, -1)
+        prob = open_couette_problem()
+        dm = build_dof_map(mesh, prob.dirichlet)
+        asm = FomAssembler(mesh)
+        pattern = asm.system_pattern(dm)
+        np.testing.assert_array_equal(pattern.pins, [0, 16, 32, 48])
+        params, amps = prob.effective(None)
+        lift = combine_liftings(build_lifting(mesh, prob.dirichlet, amps),
+                                mesh.n_nodes, mesh.d).ravel()
+        K = assemble_fom(asm, pattern, None, params, lift,
+                         fixed_load(asm, dm, prob, params.rho)).matrix()
+        s = np.linalg.svd(K.toarray(), compute_uv=False)
+        assert s[-1] >= 1e-10 * s[0]
+        sol = solve_fom(mesh, prob, assembler=asm, dof_map=dm)
         assert sol.converged and len(sol.iterations) <= 6
-        assert 0.0 < sol.iterations[-1]["rel_update"] <= 1e-8
-        assert np.abs(p.mean(axis=1)).max() <= 1e-12 * np.abs(p).max()
+        np.testing.assert_array_equal(sol.p[pattern.pins], 0.0)
+
+    @pytest.mark.parametrize("case, pinned", [("couette", True), ("open", True),
+                                              ("artery", False)])
+    def test_mesh_without_levels_counts_as_one_level(self, case, pinned, caplog):
+        # the same meshes without time_levels or n_spatial: one level, pinned
+        # at node 0 with a warning, unless an outflow fixes it
+        if case == "artery":
+            _, mesh, prob = coarse_artery()
+        else:
+            mesh = channel_mesh(n=3, levels=4)
+            prob = couette_problem() if case == "couette" else open_couette_problem()
+        bare = SpaceTimeMesh(mesh.dimension, mesh.nodes, mesh.elements,
+                             mesh.boundary_facets)
+        assert bare.time_levels.size == 0 and not bare.n_spatial
+        with caplog.at_level("WARNING", logger="stmor.fom"):
+            pins = pressure_pins(bare, build_dof_map(bare, prob.dirichlet))
+        np.testing.assert_array_equal(pins, [0] if pinned else [])
+        assert any("without level structure" in m for m in caplog.messages) == pinned
 
     def test_singular_factorization_reports_constraint_hint(self):
         import scipy.sparse as sp
@@ -696,6 +725,15 @@ class TestCouette:
         assert err / ref <= 1e-9
         p_norm = np.sqrt(sol.p @ (ips["M_p"] @ sol.p))
         assert p_norm <= 1e-8 * NEWTONIAN.rho
+
+    def test_mu_without_parameters_is_refused(self):
+        # a case without parameters has no mu to solve at or to record; an
+        # empty mu, as a snapshot without parameters reads back, is none
+        mesh = channel_mesh(n=2, levels=3)
+        with pytest.raises(ParameterError, match="no parameters"):
+            solve_fom(mesh, couette_problem(), mu=[5.0, 7.0])
+        sol = solve_fom(mesh, couette_problem(), mu=np.array([]))
+        assert sol.converged and sol.mu.size == 0
 
     def test_newtonian_picard_takes_exactly_two_iterations(self):
         mesh = channel_mesh(n=3, levels=4)

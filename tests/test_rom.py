@@ -10,8 +10,8 @@ import pytest
 from scipy.linalg import block_diag
 
 from stmor import cases, fom, rom
-from stmor.analysis import offline_build
-from stmor.constitutive import (SEMANTICS_BC_SCALE, BodyForce,
+from stmor.analysis import error_pressure, error_velocity, offline_build
+from stmor.constitutive import (SEMANTICS_BC_SCALE, SEMANTICS_MATERIAL, BodyForce,
                                 CarreauYasudaParams, ParameterError,
                                 ParameterSpace, field_values, relative_box,
                                 shear_rate_squared, tau_scales)
@@ -349,28 +349,30 @@ class TestProjection:
                                 eta, duct.eims["tau"],
                                 dof_map=duct.dof_map, assembler=duct.asm)
 
-    def test_rejects_cases_without_natural_gauge(self):
-        spatial = rectangle_mesh(np.linspace(0.0, 1.0, 3),
-                                 np.linspace(0.0, 1.0, 3),
-                                 "dirichlet:left", "dirichlet:right",
-                                 "dirichlet:bottom", "dirichlet:top")
-        mesh = extrude(spatial, np.array([0.0, 0.5, 1.0]))
-        specs = tuple(DirichletSpec(tag, (0, 1), _zero2) for tag in
-                      ("dirichlet:left", "dirichlet:right", "dirichlet:bottom",
-                       "dirichlet:top", "initial"))
-        problem = FomProblem(name="closed", material=MAT, dirichlet=specs,
-                             amplitudes={})
-        liftings = build_lifting(mesh, specs, {})
-        Z_p = np.zeros((mesh.n_nodes, 1))
-        Z_p[0, 0] = 1.0
-        basis = assemble_basis(np.zeros((mesh.n_nodes * 2, 0)), Z_p, liftings,
-                               mesh_hash=mesh.content_hash())
-        eim = EimApproximation(tag="eta", basis=np.ones((mesh.n_elements, 1)),
-                               magic=np.array([0]), T=np.array([[1.0]]),
-                               history=np.array([1.0, 0.0]),
-                               mesh_hash=mesh.content_hash())
-        with pytest.raises(RomError, match="gauge"):
-            project_offline(mesh, problem, basis, eim, replace(eim, tag="tau"))
+    def test_serves_a_pinned_case(self):
+        # all-Dirichlet walls leave each level's pressure to a pin; the
+        # reduced pressure basis holds the pinned zeros, so the projection
+        # needs no gauge of its own
+        cfg = cases.bundled_case("poiseuille-body", n=6)
+        mesh = cases.build_mesh(cfg)
+        space = ParameterSpace(box=relative_box(("n",), (0.6,), 0.1),
+                               semantics=SEMANTICS_MATERIAL)
+        problem = replace(cases.build_problem(cfg, mesh), space=space,
+                          material=replace(cfg.material, n=0.6))
+        mus = [np.array([v]) for v in np.linspace(0.54, 0.66, 5)]
+        build = offline_build(mesh, problem, mus, picard_tol=1e-12)
+        assert build.assembler.system_pattern(build.dof_map).pins.size == 7
+        unseen = np.array([0.615])
+        refs = build.solutions + [solve_fom(mesh, problem, mu=unseen, picard_tol=1e-12,
+                                            assembler=build.assembler)]
+        for mu, ref in zip(mus + [unseen], refs):
+            red = solve_rom(build.pkg, mu=mu, picard_tol=1e-12)
+            u_rom, p_rom = reconstruct(build.pkg, red)
+            lifts = build_lifting(mesh, problem.dirichlet, problem.effective(mu)[1])
+            u_ref = ref.velocity_field(build.dof_map, lifts).ravel()
+            assert red.converged
+            assert error_velocity(u_ref, u_rom, build.grams["K_u"]) <= 1e-6
+            assert error_pressure(ref.p, p_rom, build.grams["M_p"]) <= 1e-5
 
 
 class TestAssemble:
@@ -553,6 +555,12 @@ class TestSolve:
     def test_mu_outside_box_rejected(self, duct):
         with pytest.raises(ParameterError, match="outside"):
             solve_rom(duct.pkg, mu=np.array([2.0]))
+
+    def test_mu_for_a_package_without_parameters_rejected(self, duct):
+        free = replace(duct.pkg, space=None, start=duct.pkg.start[..., -1:, :])
+        with pytest.raises(ParameterError, match="no parameters"):
+            solve_rom(free, mu=TRAIN_MUS[0])
+        assert solve_rom(free, mu=np.array([])).converged
 
     def test_missing_lift_amplitude_rejected(self, duct):
         with pytest.raises(RomError, match="amplitude"):
@@ -1117,7 +1125,7 @@ class TestFittedStart:
         assert fitted.start.shape == free.start.shape[:2] + (1, free.n_reduced)
         np.testing.assert_allclose(fitted.start[-1, -1, 0], np.concatenate([want.v_N, want.p_N]),
                                    rtol=1e-14, atol=1e-14)
-        got = solve_rom(fitted, mu=TRAIN_MUS[0])
+        got = solve_rom(fitted)
         assert len(got.iterations) == 1
         x, y = (np.concatenate([s.v_N, s.p_N]) for s in (got, want))
         assert np.linalg.norm(x - y) <= 1e-8 * np.linalg.norm(y)
