@@ -810,11 +810,11 @@ def pressure_pins(mesh, dof_map):
     lateral[mesh.lateral_nodes()] = True
     rows = np.where(lateral, dof_map.vdof, -1)[mesh.elements]      # (E, D+1, d)
     e, a, c = np.nonzero(rows >= 0)
-    rows, at = np.unique(rows[e, a, c], return_inverse=True)
+    lateral_rows, at = np.unique(rows[e, a, c], return_inverse=True)
     at = (at * levels + mesh.elements[e].T // per_level).ravel()    # per pressure node
     w = np.tile(V[e] * grads[e, a, c], mesh.dimension + 1)
-    force = np.bincount(at, w, minlength=rows.size * levels)
-    size = np.bincount(at, np.abs(w), minlength=rows.size * levels)
+    force = np.bincount(at, w, minlength=lateral_rows.size * levels)
+    size = np.bincount(at, np.abs(w), minlength=lateral_rows.size * levels)
     unfixed = ~(np.abs(force) > 1e-8 * size).reshape(-1, levels).any(axis=0)
     if not mesh.n_spatial and unfixed.any():
         logger.warning("pinning a single pressure node on a mesh without level "
