@@ -186,8 +186,9 @@ def channel_spatial_mesh(length, halfwidth, n_x, n_y):
     """Straight channel with wall-clustered (cosine) transverse spacing.
 
     The nonuniform spacing is deliberate: on a uniform grid the outlet
-    coupling rows of the pressure block become mutually proportional and the
-    system picks up an exactly singular per-level pressure mode.
+    coupling rows of the pressure block become mutually proportional, and
+    a pressure mode that mixes the time levels is fixed only by the pin
+    fom.pressure_pins gives it.
     """
     xb = np.linspace(0.0, length, int(n_x) + 1)
     yb = -halfwidth * np.cos(np.linspace(0.0, np.pi, int(n_y) + 1))

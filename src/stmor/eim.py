@@ -88,16 +88,27 @@ class EimApproximation:
         return dtrtrs(self.T.T, flat, lower=0, trans=0, unitdiag=1)[0].reshape(stack.shape)
 
 
+def _first_near_max(values, tie):
+    """The lowest index whose value lies within tie of the largest (within
+    half of it, if that is less)."""
+    top = values.max()
+    return int(np.argmax(values >= top - min(tie, 0.5 * top)))
+
+
 def eim_greedy(samples, tol, q_max):
     """Standard empirical-interpolation greedy over sample columns.
 
     Errors are max-norms divided by the largest column max-norm (so the
     zero-term error is exactly 1).  At each step the worst column (lowest
     index on ties) donates its residual, normalized at the residual's own
-    argmax element (lowest index on ties).  Stops when the error drops to tol
-    or q_max is reached.  The residuals are held row-major, one contiguous
-    row per column, so that every reduction and update runs along the
-    elements; each is the same IEEE operation as on the columns.
+    argmax element (lowest index on ties).  Values within 1e-13 of the
+    samples' largest entry, the round-off of the deflation, count as tied,
+    so that a near tie is decided by index, not by round-off: twin elements
+    (mirrored simplices of adjacent slabs) tie this way.  Stops when the
+    error drops to tol or q_max is reached.  The residuals are held
+    row-major, one contiguous row per column, so that every reduction and
+    update runs along the elements; each is the same IEEE operation as on
+    the columns.
     """
     if not isinstance(tol, (float, int, np.floating)) or not 0.0 < tol < 1.0:  # as fom.picard
         raise EimError("tolerance must lie in (0, 1), got %r" % (tol,))
@@ -115,8 +126,8 @@ def eim_greedy(samples, tol, q_max):
         history.append(errs.max() / denom)
         if history[-1] <= tol or q == q_max:
             break
-        r = R[int(np.argmax(errs))]
-        m = int(np.argmax(np.abs(r)))
+        r = R[_first_near_max(errs, 1e-13 * denom)]
+        m = _first_near_max(np.abs(r), 1e-13 * denom)
         if r[m] == 0.0:
             break
         basis_cols.append(r / r[m])

@@ -82,7 +82,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 from scipy.linalg.lapack import dgels
 from scipy.sparse.linalg import splu
 
@@ -90,6 +90,7 @@ from .constitutive import apply_parameters, field_values, shear_rate_squared, ta
 from .io import (ARTIFACT_KEYS, REQUIRED, ArtifactError, boolean, check_dtypes,
                  check_mesh_hash, count, list_of, number, optional, read_artifact,
                  read_section, text, write_artifact)
+from .mesh import element_coordinates
 
 logger = logging.getLogger(__name__)
 
@@ -306,17 +307,29 @@ class FomAssembler:
         self.gx = np.ascontiguousarray(grads[:, :, :self.d])
         self.gt = np.ascontiguousarray(grads[:, :, self.d])
         self.elems = mesh.elements
-        # the times and a running maximum over node pairs, so that no
-        # (e, D+1, D) gather or (e, pairs, d) difference is formed
-        t = mesh.nodes[self.elems, -1]
-        self.h_t = t.max(axis=1) - t.min(axis=1)
-        side2 = np.zeros(len(self.elems))                  # largest squared side
-        for i, j in zip(*np.triu_indices(self.D + 1, 1)):  # each node pair once
-            diff = mesh.nodes[self.elems[:, i], :-1] - mesh.nodes[self.elems[:, j], :-1]
-            np.maximum(side2, np.square(diff).sum(-1), out=side2)
-        self.h_s = np.sqrt(side2)
+        # on length-E vectors: each node's coordinates gathered once, h_t the
+        # span of their times and h_s the largest spatial side (|x_i - x_j|^2
+        # summed per component), bit for bit the node-array maxima and sums;
+        # G[a, b] the per-component sum of gx[a] gx[b], the einsum's values
+        # but for the sign of exact zeros
+        E, D1, d = len(self.elems), self.D + 1, self.d
+        x = element_coordinates(mesh.nodes, self.elems)    # x[c, i]: component c of node i
+        self.h_t = x[-1].max(axis=0) - x[-1].min(axis=0)
+        side2, s, t = np.zeros(E), np.empty(E), np.empty(E)
+        for i, j in zip(*np.triu_indices(D1, 1)):          # each node pair once
+            np.square(np.subtract(x[0, i], x[0, j], out=s), out=s)
+            for c in range(1, d):
+                s += np.square(np.subtract(x[c, i], x[c, j], out=t), out=t)
+            np.maximum(side2, s, out=side2)
+        del x, s, t
+        self.h_s = np.sqrt(side2, out=side2)
         self.tau_scales = tau_scales(self.h_t, self.h_s)
-        self.G = np.einsum("eaj,ebj->eab", self.gx, self.gx)
+        self.G = np.empty((E, D1, D1))
+        t = np.empty((E, D1))
+        for a in range(D1):
+            np.multiply(self.gx[:, a, None, 0], self.gx[:, :, 0], out=self.G[:, a])
+            for c in range(1, d):
+                self.G[:, a] += np.multiply(self.gx[:, a, None, c], self.gx[:, :, c], out=t)
         self._cache = {}
         self._pattern = None        # (key, SystemPattern) of the last system
         _LIVE[id(mesh)] = self
@@ -790,36 +803,38 @@ def assemble_fom(asm, pattern, u_iterate, params, lift, load):
 
 
 def pressure_pins(mesh, dof_map):
-    """The first pressure node of each time level whose pressure level no
-    equation fixes, to be pinned to zero.
+    """One pressure node per pressure null vector that is constant on each
+    time level, to be pinned to zero: the first node of a level.
 
-    A pressure constant on one level has no spatial gradient, so it reaches
-    the equations only through the lateral boundary term of -B^T.  A level is
-    pinned when -B^T times its indicator is at most 1e-8 of |-B^T| times it
-    in every free velocity row (the other rows vanish identically, so only
-    lateral ones are summed): when no lateral component is free, or only
-    tangential ones (free slip).  Element e puts -V_e gx[e, a, c] / (D+1) in
-    row (node a, component c) for each of its pressure nodes, so both
-    products are bincounts over (row, level of that node), the constant
-    factor left out.  A mesh without level structure counts as one level.
+    A pressure constant on each level has no spatial gradient, so it reaches
+    the equations only through the lateral boundary term of -B^T, and only
+    in free lateral velocity rows (the others vanish identically).  Element
+    e puts -V_e gx[e, a, c] / (D+1) in row (node a, component c) for each of
+    its pressure nodes, so F = -B^T applied to each level's indicator is a
+    bincount over (row, level of that node), the constant factor left out.
+    Its columns are scaled by the sums of the absolute terms they add up, so
+    a singular value of at most 1e-8 marks a null vector of F, as a level
+    no row fixes (no free lateral component, or only tangential ones) or a
+    mix of levels does.  A column-pivoted QR of the null basis picks one
+    level per null vector.  The levels are the distinct node times.
     """
     V, grads = mesh.all_element_geometry()
-    per_level = mesh.n_spatial or mesh.n_nodes          # nodes are level-major
-    levels = mesh.n_nodes // per_level
+    _, first, level = np.unique(mesh.nodes[:, -1], return_index=True, return_inverse=True)
+    levels = first.size
     lateral = np.zeros((mesh.n_nodes, 1), dtype=bool)
     lateral[mesh.lateral_nodes()] = True
     rows = np.where(lateral, dof_map.vdof, -1)[mesh.elements]      # (E, D+1, d)
     e, a, c = np.nonzero(rows >= 0)
     lateral_rows, at = np.unique(rows[e, a, c], return_inverse=True)
-    at = (at * levels + mesh.elements[e].T // per_level).ravel()    # per pressure node
+    at = (at * levels + level[mesh.elements[e]].T).ravel()         # per pressure node
     w = np.tile(V[e] * grads[e, a, c], mesh.dimension + 1)
-    force = np.bincount(at, w, minlength=lateral_rows.size * levels)
-    size = np.bincount(at, np.abs(w), minlength=lateral_rows.size * levels)
-    unfixed = ~(np.abs(force) > 1e-8 * size).reshape(-1, levels).any(axis=0)
-    if not mesh.n_spatial and unfixed.any():
-        logger.warning("pinning a single pressure node on a mesh without level "
-                       "structure; the system may stay singular")
-    return np.flatnonzero(unfixed) * per_level
+    F = np.bincount(at, w, minlength=lateral_rows.size * levels).reshape(-1, levels)
+    size = np.bincount(at, np.abs(w), minlength=F.size).reshape(-1, levels).sum(axis=0)
+    # with a zero block below, the right singular vectors span every level
+    _, s, basis = np.linalg.svd(np.vstack([F / np.where(size > 0, size, 1.0),
+                                           np.zeros((levels, levels))]), full_matrices=False)
+    null = basis[np.count_nonzero(s > 1e-8):]
+    return np.sort(first[qr(null, pivoting=True, mode="r")[1][:len(null)]])
 
 
 def _relative_residual(K, rhs, x):
@@ -1221,11 +1236,11 @@ def read_snapshot(path, mesh_hash=None):
     header = read_section(header, _SNAPSHOT, "malformed snapshot %s" % path, ArtifactError)
     if mesh_hash is not None:
         check_mesh_hash(header, mesh_hash, path=str(path))
-    want = {"v": (header["n_velocity"],), "p": (header["n_pressure"],)}
-    found = {name: getattr(arrays.get(name), "shape", None) for name in want}
-    if found != want:
-        raise ArtifactError("%s: malformed snapshot (array shapes %s, the header gives %s)"
-                            % (path, found, want))
+    for name, want in (("v", (header["n_velocity"],)), ("p", (header["n_pressure"],))):
+        found = getattr(arrays.get(name), "shape", None)
+        if found != want:
+            raise ArtifactError("%s: malformed snapshot (%s has shape %s, the header gives %s)"
+                                % (path, name, found, want))
     check_dtypes(path, arrays)
     return header, FieldSolution(v=arrays["v"], p=arrays["p"],
                                  mu=np.asarray(header["mu"], dtype=np.float64),

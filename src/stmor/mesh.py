@@ -43,6 +43,8 @@ class SpatialMesh:
     boundary_markers: dict
 
     def __post_init__(self):
+        if self.dimension not in (1, 2):
+            raise MeshError("a spatial mesh has dimension 1 or 2, got %r" % (self.dimension,))
         self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
         self.elements = np.ascontiguousarray(self.elements, dtype=np.int64)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != self.dimension:
@@ -74,14 +76,7 @@ class SpatialMesh:
         return self.elements.shape[0]
 
     def element_measures(self):
-        d = self.dimension
-        x = self.nodes[self.elements]                      # (m, d+1, d)
-        edges = x[:, 1:, :] - x[:, :1, :]                  # (m, d, d)
-        if d == 1:
-            det = edges[:, 0, 0]
-        else:
-            det = np.linalg.det(edges)
-        return np.abs(det) / _FACTORIAL[d]
+        return np.abs(_edge_det(self.nodes, self.elements)) / _FACTORIAL[self.dimension]
 
 
 @dataclass
@@ -114,6 +109,8 @@ class SpaceTimeMesh:
         self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
         self.elements = np.ascontiguousarray(self.elements, dtype=np.int64)
         D = self.dimension
+        if D not in (2, 3):
+            raise MeshError("a space-time mesh has dimension 2 or 3, got %r" % (D,))
         if self.nodes.ndim != 2 or self.nodes.shape[1] != D \
                 or self.elements.ndim != 2 or self.elements.shape[1] != D + 1:
             raise MeshError("space-time nodes must be (n, %d) and elements (m, %d)" % (D, D + 1))
@@ -128,7 +125,7 @@ class SpaceTimeMesh:
         self.boundary_facets = dict(zip(map(tuple, rows.tolist()), tags))
         if len(self.boundary_facets) < len(keys):
             raise MeshError("a boundary facet is listed twice, in two node orders")
-        order = np.lexsort(rows.T[::-1])
+        order = np.argsort(_packed(rows.T, self.n_nodes))
         self._facets = rows[order]  # (n, D), in tuple order
         self._tag_code = {t: i for i, t in enumerate(sorted(set(tags)))}
         self._tag_of = np.fromiter(map(self._tag_code.get, tags), np.int64, len(tags))[order]
@@ -161,31 +158,52 @@ class SpaceTimeMesh:
         return self.elements.shape[0]
 
     def all_element_geometry(self):
-        """Vectorized geometry: (measures, grads) with grads (n_e, D+1, D), cached."""
+        """Vectorized geometry: (measures, grads) with grads (n_e, D+1, D), cached.
+
+        Closed forms on length-E vectors.  With the edges e_j = x_j - x_0 as
+        the columns of M, the gradients of N_1..N_D are the rows of
+        M^-1 = adj M / det M (for D = 3 the cross products e_2 x e_3,
+        e_3 x e_1 and e_1 x e_2), det M is e_1 dotted with the first row of
+        adj M, and the measure is det M / D!.  N_0's gradient is minus the
+        sum of the others.
+        """
         if self._geom is None:
-            D, el = self.dimension, self.elements
-            x0 = self.nodes[el[:, 0]]
-            M = np.empty((len(el), D, D))                  # columns = edge vectors
-            for j in range(D):
-                M[:, :, j] = self.nodes[el[:, j + 1]] - x0
-            del x0
-            det = np.linalg.det(M)
-            bad = np.flatnonzero(np.abs(det) < 1e-300)
-            if bad.size:
-                raise MeshError("element %d is degenerate" % bad[0])
-            grads = np.empty((len(el), D + 1, D))
-            grads[:, 1:, :] = np.linalg.inv(M)             # rows = gradients of N_1..N_D
-            del M
-            grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-            self._geom = (det / _FACTORIAL[D], grads)
+            D, E = self.dimension, self.n_elements
+            # the outputs first, so that the temporaries' heap is freed whole
+            det, grads = np.empty(E), np.empty((E, D + 1, D))
+            # nodes 1..D less node 0, (D, D, E): freeing a block as large as
+            # FomAssembler's (D, D+1, E) one would lift glibc's mmap threshold
+            # so that that one stays in the heap (3 MB on the valve)
+            x = element_coordinates(self.nodes, self.elements[:, 1:])
+            for c, col in enumerate(x):
+                col -= np.take(self.nodes[:, c], self.elements[:, 0])
+            edge = x.transpose(1, 0, 2)                    # edge[j, c]: component c of e_(j+1)
+            row, t = np.empty((D, E)), np.empty(E)         # one row of adj M at a time
+            for r in range(D):
+                _adjugate_row(edge, r, row, t)
+                if r == 0:
+                    np.multiply(edge[0, 0], row[0], out=det)
+                    for c in range(1, D):
+                        det += np.multiply(edge[0, c], row[c], out=t)
+                    bad = np.flatnonzero(np.abs(det) < 1e-300)
+                    if bad.size:
+                        raise MeshError("element %d is degenerate" % bad[0])
+                np.divide(row, det, out=grads[:, r + 1, :].T)
+            del x, edge, row
+            g0 = np.negative(grads[:, 1, :], out=grads[:, 0, :])
+            for r in range(2, D + 1):
+                g0 -= grads[:, r, :]
+            det /= _FACTORIAL[D]
+            self._geom = (det, grads)
         return self._geom
 
     def facet_measure(self, facet):
         """(D-1)-measure of a facet given by node ids."""
         x = self.nodes[list(facet)]
         v = x[1:] - x[:1]
-        gram = v @ v.T
-        return float(np.sqrt(max(np.linalg.det(gram), 0.0)) / _FACTORIAL[len(facet) - 1])
+        g = v @ v.T
+        det = g[0, 0] if len(g) == 1 else _det2(g[0, 0], g[0, 1], g[1, 0], g[1, 1])
+        return float(np.sqrt(max(det, 0.0)) / _FACTORIAL[len(facet) - 1])
 
     def _nodes_of_facets(self, chosen):
         hit = np.zeros(self.n_nodes, dtype=bool)
@@ -223,18 +241,83 @@ class SpaceTimeMesh:
         return self._hash
 
 
+def _adjugate_row(edge, r, out, t):
+    """Row r of adj M, M's columns the edges edge[j] (D = 2 or 3), into out;
+    t is a scratch vector."""
+    D = len(edge)
+    if D == 2:
+        other = edge[1 - r]
+        sign = 1.0 if r == 0 else -1.0
+        np.multiply(other[1], sign, out=out[0])
+        np.multiply(other[0], -sign, out=out[1])
+        return
+    u, v = edge[(r + 1) % 3], edge[(r + 2) % 3]
+    for k in range(3):
+        k1, k2 = (k + 1) % 3, (k + 2) % 3
+        _det2(u[k1], u[k2], v[k1], v[k2], out=out[k], t=t)
+
+
+def _det2(a, b, c, d, out=None, t=None):
+    """a d - b c, the determinant of rows (a, b) and (c, d), elementwise;
+    into out, with t as scratch, when given."""
+    out = np.multiply(a, d, out=out)
+    out -= np.multiply(b, c, out=t)
+    return out
+
+
+def element_coordinates(nodes, elements):
+    """The node coordinates of each element as contiguous length-E vectors:
+    a (dim, nodes per element, E) block, x[c, i] component c of node i."""
+    idx = np.ascontiguousarray(elements.T)
+    x = np.empty((nodes.shape[1],) + idx.shape)
+    for c, col in enumerate(np.ascontiguousarray(nodes.T)):
+        for i, ids in enumerate(idx):
+            np.take(col, ids, out=x[c, i])
+    return x
+
+
+def _edge_det(nodes, elements):
+    """det[x_1 - x_0, .., x_d - x_0] of each spatial simplex (d = 1 or 2), closed form."""
+    x = element_coordinates(nodes, elements)
+    x[:, 1:] -= x[:, :1]
+    return x[0, 1] if len(x) == 1 else _det2(x[0, 1], x[0, 2], x[1, 1], x[1, 2])
+
+
+def _packed(columns, n, out=None):
+    """One int64 key per row of node ids below n, given as its D columns:
+    f_0 n^(D-1) + ... + f_(D-1), so the keys order sorted rows as tuples."""
+    if n ** len(columns) >= 2 ** 63:
+        raise MeshError("a mesh of %d nodes is too large: facet keys need n^%d < 2^63"
+                        % (n, len(columns)))
+    key = np.empty(len(columns[0]), dtype=np.int64) if out is None else out
+    key[...] = columns[0]
+    for col in columns[1:]:
+        key *= n
+        key += col
+    return key
+
+
 def _boundary_facet_rows(elements, D):
-    """Facets referenced once, as (n, D) sorted rows in lexicographic order (no id limit)."""
-    ordered = np.sort(elements, axis=1)                     # so every face row is sorted
-    faces = np.empty((D + 1, len(ordered), D), dtype=ordered.dtype)
+    """Facets referenced once, as (n, D) sorted rows in lexicographic order.
+
+    Each face is one packed key (_packed, n the largest node id + 1), so the
+    search is one sort of (D+1) E integers.
+    """
+    ordered = np.sort(elements, axis=1).T                   # so every face row is sorted
+    n = int(ordered[-1].max()) + 1 if ordered.size else 1
+    keys = np.empty((D + 1, ordered.shape[1]), dtype=np.int64)
     for i in range(D + 1):                                  # face i omits node i
-        faces[i] = np.delete(ordered, i, axis=1)
+        _packed([ordered[j] for j in range(D + 1) if j != i], n, out=keys[i])
     del ordered
-    faces = faces.reshape(-1, D)
-    faces = faces[np.lexsort(faces.T[::-1])]
-    start = np.ones(faces.shape[0] + 1, dtype=bool)     # a face differs from the one before
-    start[1:-1] = (faces[1:] != faces[:-1]).any(axis=1)
-    return faces[start[:-1] & start[1:]]
+    keys = keys.ravel()
+    keys.sort()
+    start = np.ones(keys.size + 1, dtype=bool)              # a key differs from the one before
+    np.not_equal(keys[1:], keys[:-1], out=start[1:-1])
+    keys = keys[start[:-1] & start[1:]]
+    rows = np.empty((keys.size, D), dtype=np.int64)         # the keys unpacked, last id first
+    for j in range(D - 1, -1, -1):
+        keys, rows[:, j] = np.divmod(keys, n)
+    return rows
 
 
 def _boundary_facets_of(elements, D):
@@ -287,8 +370,7 @@ def extrude(spatial, time_levels, deformation=None):
         nodes[:, :d] = deformation(reference[:, :d], reference[:, d])
 
     vsort = np.sort(spatial.elements, axis=1)              # consistent global ordering
-    x = spatial.nodes[vsort]
-    spatial_sign = np.sign(np.linalg.det(x[:, 1:] - x[:, :1]))
+    spatial_sign = np.sign(_edge_det(spatial.nodes, vsort))
     prism = np.empty((d + 1, spatial.n_elements, D + 1), dtype=np.int64)
     for j in range(d + 1):
         # simplex j of the prism: bottom copies of v_0..v_j, top copies of v_j..v_d.
@@ -307,7 +389,7 @@ def extrude(spatial, time_levels, deformation=None):
     facets = np.concatenate([vsort, vsort + (L - 1) * ns] + [f.reshape(-1, D) for f in sides])
     tags = np.array([TAG_INITIAL] * len(vsort) + [TAG_TERMINAL] * len(vsort)
                     + list(spatial.boundary_markers.values()) * (d * (L - 1)))
-    order = np.lexsort(facets.T[::-1])
+    order = np.argsort(_packed(facets.T, ns * L))
     boundary = dict(zip(map(tuple, facets[order].tolist()), tags[order].tolist()))
 
     mesh = SpaceTimeMesh(dimension=D, nodes=nodes, elements=elements,

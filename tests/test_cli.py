@@ -22,6 +22,7 @@ from stmor.io import read_artifact, write_artifact
 from stmor.rom import read_rom, solve_rom
 
 from test_analysis import duct_config
+from test_fom import SNAPSHOT_WRONG_RANK
 from test_rom import ROM_ARRAY_NAMES, WRONG_RANK
 
 
@@ -180,6 +181,25 @@ class TestStages:
         text = (root / "solution.vtk").read_text()
         assert "VECTORS velocity" in text
         assert "pressure" in text
+
+    @pytest.mark.parametrize("edit", sorted(SNAPSHOT_WRONG_RANK))
+    @pytest.mark.parametrize("name", ["v", "p"])
+    def test_export_vtk_refuses_solution_of_wrong_rank(self, workdir, capsys, tmp_path,
+                                                       name, edit):
+        root, case = workdir
+        header, arrays = read_artifact(root / "fom_solution.stm", expect_kind="snapshot")
+        del header["schema_version"], header["kind"]
+        arrays[name] = SNAPSHOT_WRONG_RANK[edit](arrays[name])
+        write_artifact(tmp_path / "fom_solution.stm", "snapshot", header, arrays)
+        capsys.readouterr()
+        assert main(["export-vtk", "--case", str(case), "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ArtifactError"
+        assert "malformed snapshot (%s has shape %s" % (name, arrays[name].shape) \
+            in payload["message"]
+        assert not (tmp_path / "solution.vtk").exists()
 
     def test_export_vtk_without_solution_writes_mesh_only(self, workdir,
                                                           tmp_path):

@@ -67,6 +67,18 @@ class TestGreedy:
         approx = eim_greedy(FieldSampleSet(tag="tau", values=S), tol=1e-14, q_max=4)
         assert approx.magic[0] == 3
 
+    @pytest.mark.parametrize("gap, column, element", [(1e-15, 0, 3), (1e-12, 1, 5)])
+    def test_round_off_ties_go_to_the_lowest_index(self, gap, column, element):
+        # column 0 peaks at twin elements 3 and 7 that differ by 1e-15,
+        # column 1 at element 5, above them by gap: within 1e-13 of the
+        # largest entry both choices are ties and go to the lowest index
+        S = np.zeros((10, 2))
+        S[[3, 7], 0] = [1.0, 1.0 + 1e-15]
+        S[[5, 8], 1] = [1.0 + gap, 0.5]
+        approx = eim_greedy(FieldSampleSet(tag="eta", values=S), tol=1e-14, q_max=1)
+        assert approx.magic[0] == element
+        np.testing.assert_array_equal(approx.basis[:, 0], S[:, column] / S[element, column])
+
     def test_interpolation_exact_at_magic_elements(self):
         samples = rank_k_samples(70, 10, 6, seed=3)
         approx = eim_greedy(samples, tol=1e-15, q_max=6)

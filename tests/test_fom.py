@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -51,6 +52,11 @@ INVISCID = CarreauYasudaParams(eta_0=0.0, eta_inf=0.0, lam=1.0, a=1.0,
                                n=0.5, rho=1.0)
 
 WALLS = ("dirichlet:left", "dirichlet:right", "dirichlet:bottom", "dirichlet:top")
+
+
+# edits that leave a snapshot's v or p of rank 0 or 2
+SNAPSHOT_WRONG_RANK = {"0-d": lambda a: a[:1].reshape(()), "row": lambda a: a[None, :],
+                       "column": lambda a: a[:, None]}
 
 
 def channel_mesh(n=3, levels=4, T=1.0):
@@ -570,10 +576,49 @@ class TestFixedPattern:
                     assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
+def uneven_channel_mesh():
+    """A 3x3 channel on uneven breaks and levels: no two of its wall rows
+    of -B^T are proportional, so a free normal component fixes every level."""
+    spatial = rectangle_mesh(np.array([0.0, 0.35, 0.62, 1.0]), np.array([0.0, 0.42, 0.71, 1.0]),
+                             *WALLS)
+    return extrude(spatial, np.array([0.0, 0.28, 0.61, 1.0]))
+
+
+def first_system_sv_ratio(mesh, prob, monkeypatch=None):
+    """Smallest over largest singular value of the first Picard system of
+    prob; with monkeypatch, of the system without pressure pins."""
+    if monkeypatch is not None:
+        monkeypatch.setattr(fom, "pressure_pins", lambda *a: np.empty(0, dtype=np.int64))
+    dm = build_dof_map(mesh, prob.dirichlet)
+    asm = FomAssembler(mesh)
+    pattern = asm.system_pattern(dm)
+    params, amps = prob.effective(None)
+    lift = combine_liftings(build_lifting(mesh, prob.dirichlet, amps),
+                            mesh.n_nodes, mesh.d).ravel()
+    K = assemble_fom(asm, pattern, None, params, lift,
+                     fixed_load(asm, dm, prob, params.rho)).matrix()
+    if monkeypatch is not None:
+        monkeypatch.undo()
+    s = np.linalg.svd(K.toarray(), compute_uv=False)
+    return s[-1] / s[0]
+
+
+def couette_with(index, free_comp):
+    """couette_problem with wall index of WALLS prescribing only the other
+    component than free_comp, to its Couette value."""
+    specs = list(couette_specs())
+    specs[index] = DirichletSpec(tag=WALLS[index], components=(1 - free_comp,),
+                                 profile=lambda x, t: x[:, 1:2] if free_comp else 0.0 * x[:, :1])
+    return FomProblem(name="couette-free", material=NEWTONIAN, dirichlet=tuple(specs),
+                      amplitudes={})
+
+
 class TestPressureGauge:
-    """One rule: a time level whose pressure level no velocity row fixes (no
-    free lateral component, or only tangential ones) is pinned at its first
-    node; a free normal component or an outflow pins none."""
+    """One rule: one level is pinned, at its first node, per pressure null
+    vector that is constant on each level, from the null space of -B^T on the
+    level indicators over the free lateral rows.  A level no row fixes (no
+    free lateral component, or only tangential ones) is such a vector, and
+    so is a mix of levels whose wall rows cancel, as on uniform breaks."""
 
     def test_all_dirichlet_pins_one_per_level(self):
         mesh = channel_mesh(n=2, levels=4)
@@ -584,7 +629,7 @@ class TestPressureGauge:
 
     def test_partially_free_boundary_needs_no_pin(self):
         # the top wall is y = const: its free y-velocity is normal to it
-        mesh = channel_mesh(n=2, levels=3)
+        mesh = uneven_channel_mesh()
         specs = list(couette_specs())
         specs[3] = DirichletSpec(tag="dirichlet:top", components=(0,),
                                  profile=lambda x, t: np.ones((len(x), 1)))
@@ -595,7 +640,7 @@ class TestPressureGauge:
     def test_only_a_free_normal_component_gauges_the_levels(self, free_comp, pinned):
         # the right wall is x = const: its free y-velocity is tangential and
         # leaves every level's pressure undetermined, a free x-velocity not
-        mesh = channel_mesh(n=3, levels=4)
+        mesh = uneven_channel_mesh()
         specs = list(couette_specs())
         specs[1] = DirichletSpec(tag="dirichlet:right", components=(1 - free_comp,),
                                  profile=lambda x, t: np.zeros((len(x), 1)))
@@ -628,22 +673,30 @@ class TestPressureGauge:
         asm = FomAssembler(mesh)
         pattern = asm.system_pattern(dm)
         np.testing.assert_array_equal(pattern.pins, [0, 16, 32, 48])
-        params, amps = prob.effective(None)
-        lift = combine_liftings(build_lifting(mesh, prob.dirichlet, amps),
-                                mesh.n_nodes, mesh.d).ravel()
-        K = assemble_fom(asm, pattern, None, params, lift,
-                         fixed_load(asm, dm, prob, params.rho)).matrix()
-        s = np.linalg.svd(K.toarray(), compute_uv=False)
-        assert s[-1] >= 1e-10 * s[0]
+        assert first_system_sv_ratio(mesh, prob) >= 1e-10
         sol = solve_fom(mesh, prob, assembler=asm, dof_map=dm)
         assert sol.converged and len(sol.iterations) <= 6
         np.testing.assert_array_equal(sol.p[pattern.pins], 0.0)
 
-    @pytest.mark.parametrize("case, pinned", [("couette", True), ("open", True),
-                                              ("artery", False)])
-    def test_mesh_without_levels_counts_as_one_level(self, case, pinned, caplog):
-        # the same meshes without time_levels or n_spatial: one level, pinned
-        # at node 0 with a warning, unless an outflow fixes it
+    @pytest.mark.parametrize("n, index, free_comp, pins", [(2, 3, 1, [9]), (3, 1, 0, [16])])
+    def test_uniform_breaks_pin_one_mixed_level(self, monkeypatch, n, index, free_comp, pins):
+        # a free normal component on one wall of a uniform channel: the wall
+        # rows of every level are proportional, so one mix of the levels no
+        # row fixes, and the system without a pin is singular
+        mesh = channel_mesh(n=n, levels=n + 1)
+        prob = couette_with(index, free_comp)
+        np.testing.assert_array_equal(
+            pressure_pins(mesh, build_dof_map(mesh, prob.dirichlet)), pins)
+        assert first_system_sv_ratio(mesh, prob, monkeypatch) <= 1e-18
+        assert first_system_sv_ratio(mesh, prob) >= 1e-12
+        sol = solve_fom(mesh, prob)
+        assert sol.converged and len(sol.iterations) <= 2
+        np.testing.assert_array_equal(sol.p[pins], 0.0)
+
+    @pytest.mark.parametrize("case", ["couette", "open", "artery"])
+    def test_mesh_without_levels_takes_them_from_node_times(self, case, caplog):
+        # the same meshes without time_levels or n_spatial: the levels are
+        # the distinct node times, so the pins are the leveled mesh's
         if case == "artery":
             _, mesh, prob = coarse_artery()
         else:
@@ -654,8 +707,10 @@ class TestPressureGauge:
         assert bare.time_levels.size == 0 and not bare.n_spatial
         with caplog.at_level("WARNING", logger="stmor.fom"):
             pins = pressure_pins(bare, build_dof_map(bare, prob.dirichlet))
-        np.testing.assert_array_equal(pins, [0] if pinned else [])
-        assert any("without level structure" in m for m in caplog.messages) == pinned
+        np.testing.assert_array_equal(pins, [] if case == "artery" else [0, 16, 32, 48])
+        np.testing.assert_array_equal(pins, pressure_pins(mesh, build_dof_map(mesh,
+                                                                              prob.dirichlet)))
+        assert caplog.messages == []
 
     def test_singular_factorization_reports_constraint_hint(self):
         import scipy.sparse as sp
@@ -1380,6 +1435,22 @@ class TestSnapshots:
         write_snapshot(path, sol)
         with pytest.raises(ArtifactError, match="mesh"):
             read_snapshot(path, mesh_hash="deadbeef")
+
+    @pytest.mark.parametrize("edit", sorted(SNAPSHOT_WRONG_RANK))
+    @pytest.mark.parametrize("name", ["v", "p"])
+    def test_array_of_wrong_rank_rejected(self, tmp_path, name, edit):
+        """A v or p of rank 0 or 2 is refused with an ArtifactError that
+        names it."""
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, solve_fom(channel_mesh(n=2, levels=3), couette_problem()))
+        header, arrays = read_artifact(path, expect_kind="snapshot")
+        del header["schema_version"], header["kind"]
+        arrays[name] = SNAPSHOT_WRONG_RANK[edit](arrays[name])
+        write_artifact(path, "snapshot", header, arrays)
+        with pytest.raises(ArtifactError, match=r"malformed snapshot \(%s has shape %s, the "
+                                                r"header gives" % (name, re.escape(
+                                                    str(arrays[name].shape)))):
+            read_snapshot(path)
 
     @pytest.mark.parametrize("name", ["v", "p"])
     def test_array_of_the_other_dtype_rejected(self, tmp_path, name):

@@ -366,6 +366,145 @@ class TestGeometry:
         np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-13)
 
 
+
+def lapack_geometry(st_mesh):
+    """(measures, grads) by LAPACK det and inv of the edge matrices, the
+    reference for the closed forms."""
+    x = st_mesh.nodes[st_mesh.elements]
+    M = np.transpose(x[:, 1:] - x[:, :1], (0, 2, 1))         # columns = edges
+    inv = np.linalg.inv(M)
+    grads = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+    return np.linalg.det(M) / mesh_module._FACTORIAL[st_mesh.dimension], grads
+
+
+def exact_geometry(st_mesh):
+    """(measures, grads) of each element in exact rational arithmetic on its
+    float node coordinates, by cofactor expansion."""
+    from fractions import Fraction
+
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        return sum((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1:] for r in rows[1:]])
+                   for j in range(len(rows)))
+
+    D, out_V, out_g = st_mesh.dimension, [], []
+    for elem in st_mesh.elements:
+        x = [[Fraction(float(c)) for c in st_mesh.nodes[i]] for i in elem]
+        M = [[x[j + 1][c] - x[0][c] for j in range(D)] for c in range(D)]
+        dM = det(M)
+        # inv[r][c] = cofactor(c, r) / det
+        inv = [[(-1) ** (r + c) * det([row[:r] + row[r + 1:] for k, row in enumerate(M) if k != c])
+                / dM for c in range(D)] for r in range(D)]
+        out_V.append(float(dM / mesh_module._FACTORIAL[D]))
+        out_g.append([[float(-sum(inv[r][c] for r in range(D))) for c in range(D)]]
+                     + [[float(v) for v in row] for row in inv])
+    return np.array(out_V), np.array(out_g)
+
+
+def relative_gaps(got, ref):
+    """(largest relative gap of the measures, largest gap of the gradients
+    relative to each element's largest gradient entry)."""
+    (V, g), (V_ref, g_ref) = got, ref
+    scale = np.abs(g_ref).max(axis=(1, 2))
+    return (np.abs(V - V_ref) / np.abs(V_ref)).max(), \
+        (np.abs(g - g_ref).max(axis=(1, 2)) / scale).max()
+
+
+def single_simplex(nodes):
+    """A one-element SpaceTimeMesh on the given D+1 nodes, every facet tagged."""
+    D = nodes.shape[1]
+    facets = {tuple(sorted(set(range(D + 1)) - {i})): "dirichlet:side" for i in range(D + 1)}
+    return SpaceTimeMesh(dimension=D, nodes=nodes, elements=np.arange(D + 1)[None, :],
+                         boundary_facets=facets)
+
+
+class TestClosedFormKernels:
+    """The element geometry by adjugates over determinants and the facet
+    search by packed int64 keys, against LAPACK, exact arithmetic and the
+    row-wise oracle."""
+
+    @pytest.mark.parametrize("case_id", sorted(BUNDLED_HASHES) + ["interval"])
+    def test_geometry_matches_lapack(self, case_id):
+        if case_id == "interval":
+            st_mesh = extrude(interval_mesh(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5) ** 2)
+        else:
+            st_mesh = build_mesh(bundled_case(case_id))
+        got = st_mesh.all_element_geometry()
+        assert got[1].shape == (st_mesh.n_elements, st_mesh.dimension + 1, st_mesh.dimension)
+        assert max(relative_gaps(got, lapack_geometry(st_mesh))) <= 1e-13
+        assert st_mesh.all_element_geometry() is got
+
+    @pytest.mark.parametrize("D", [2, 3])
+    def test_near_degenerate_element_within_its_condition(self, D):
+        # a slot closed to 1e-5 of its width: the simplex spans 1e-5 in x
+        # (D = 2) or in y (D = 3), nodes perturbed so that round-off shows
+        def simplex(width):
+            base = {2: [[0.0, 0.0], [width, 0.0], [0.0, 1.0]],
+                    3: [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, width, 0.0], [0.0, 0.0, 1.0]]}
+            return np.array(base[D]) + 1e-8 * np.random.default_rng(D).random((D + 1, D))
+
+        st_mesh = single_simplex(simplex(1e-5))
+        ratio = st_mesh.all_element_geometry()[0][0] / single_simplex(
+            simplex(1.0)).all_element_geometry()[0][0]
+        assert 0.9e-5 < ratio < 1.1e-5
+        cond = np.linalg.cond(st_mesh.nodes[1:] - st_mesh.nodes[0])
+        assert cond > 1e4
+        V_gap, g_gap = relative_gaps(st_mesh.all_element_geometry(), exact_geometry(st_mesh))
+        assert max(V_gap, g_gap) <= cond * 1e-15
+
+    def test_degenerate_and_inverted_triangles_are_rejected(self):
+        right = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        measures, grads = single_simplex(right).all_element_geometry()
+        np.testing.assert_array_equal(measures, [0.5])
+        np.testing.assert_array_equal(grads[0], [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(MeshError, match="element 0 is degenerate"):
+            single_simplex(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+        with pytest.raises(MeshError, match="element 0 has non-positive measure -5.000e-01"):
+            single_simplex(right[[1, 0, 2]])
+        with pytest.raises(MeshError, match="spatial element 0 has non-positive measure"):
+            SpatialMesh(dimension=2, nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+                        elements=np.array([[0, 1, 2]]),
+                        boundary_markers={(0, 1): "a", (1, 2): "a", (0, 2): "a"})
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case_id", ["artery-analog", "couette"])
+    def test_packed_search_on_relabelled_meshes(self, case_id, seed):
+        # node ids permuted and spread out, elements shuffled: the packed
+        # keys still find the oracle's facets, in its order
+        elements = build_mesh(bundled_case(case_id)).elements
+        rng = np.random.default_rng(seed)
+        ids = np.sort(rng.choice(50 * elements.max(), elements.max() + 1, replace=False))
+        relabelled = rng.permutation(ids)[elements][rng.permutation(len(elements))]
+        relabelled = rng.permuted(relabelled, axis=1)
+        np.testing.assert_array_equal(mesh_module._boundary_facet_rows(relabelled, 3),
+                                      oracle_boundary_facets(relabelled, 3))
+
+    def test_node_count_limit(self):
+        # facet keys of 3 nodes need n^3 < 2^63: at most 2^21 - 1 nodes
+        top = 2 ** 21 - 2
+        rows = mesh_module._boundary_facet_rows(np.array([[0, 1, 2, top]]), 3)
+        np.testing.assert_array_equal(rows, [[0, 1, 2], [0, 1, top], [0, 2, top], [1, 2, top]])
+        with pytest.raises(MeshError, match="2097152 nodes is too large: facet keys need "
+                                            r"n\^3 < 2\^63"):
+            mesh_module._boundary_facet_rows(np.array([[0, 1, 2, top + 1]]), 3)
+        mesh_module._packed([np.array([top])] * 3, top + 1)
+        with pytest.raises(MeshError, match="too large"):
+            mesh_module._packed([np.array([top])] * 3, top + 2)
+
+    @pytest.mark.parametrize("D", [1, 4])
+    def test_space_time_dimension_is_2_or_3(self, D):
+        # the closed forms cover D = 2 and 3 only
+        with pytest.raises(MeshError, match="dimension 2 or 3, got %d" % D):
+            single_simplex(np.vstack([np.zeros(D), np.eye(D)]))
+
+    @pytest.mark.parametrize("d", [0, 3])
+    def test_spatial_dimension_is_1_or_2(self, d):
+        with pytest.raises(MeshError, match="dimension 1 or 2, got %d" % d):
+            SpatialMesh(dimension=d, nodes=np.vstack([np.zeros(d), np.eye(d)]),
+                        elements=np.arange(d + 1)[None, :], boundary_markers={})
+
+
 class TestDeform:
     def test_identity_bit_identical(self):
         st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])

@@ -18,7 +18,7 @@ from stmor.constitutive import (SEMANTICS_BC_SCALE, SEMANTICS_MATERIAL, BodyForc
 from stmor.eim import EimApproximation, FieldSampleSet, eim_greedy
 from stmor.fom import (DirichletSpec, FomAssembler, FomProblem, build_dof_map,
                        build_lifting, combine_liftings, fom_inner_products,
-                       lift_coefficients, solve_fom)
+                       lift_coefficients, pressure_pins, solve_fom)
 from stmor.io import ArtifactError, read_artifact, write_artifact
 from stmor.mesh import extrude, interval_mesh, rectangle_mesh
 from stmor.pod import assemble_basis, compute_pod, project_coefficients
@@ -28,7 +28,8 @@ from stmor.rom import (MagicElementData, ReducedSolution, RomError,
                        strain_operator, truncate, write_rom)
 
 from test_constitutive import shear_rate
-from test_fom import CountingNumpy, coo_operators, kernel_before_squares, plain_picard
+from test_fom import (CountingNumpy, coo_operators, first_system_sv_ratio,
+                      kernel_before_squares, plain_picard)
 
 MAT = CarreauYasudaParams(eta_0=0.5, eta_inf=0.05, lam=1.0, a=2.0, n=0.5,
                           rho=1.3)
@@ -71,24 +72,45 @@ def gram_norm(M, x):
     return float(np.sqrt(abs(x @ (M @ x))))
 
 
+def duct_mesh(x_breaks, y_breaks, levels):
+    spatial = rectangle_mesh(np.array(x_breaks), np.array(y_breaks),
+                             "dirichlet:left", "dirichlet:right",
+                             "dirichlet:bottom", "dirichlet:top")
+    return extrude(spatial, np.array(levels))
+
+
+def duct_problem():
+    space = ParameterSpace(box=relative_box(("u_in",), (1.0,), 0.05),
+                           semantics=SEMANTICS_BC_SCALE, targets=("inflow",))
+    return FomProblem(name="mini-duct", material=MAT, dirichlet=duct_specs(),
+                      amplitudes={"inflow": 1.0}, space=space)
+
+
+def test_uniform_duct_pins_its_mixed_level():
+    """On uniform breaks the duct's outlet rows of -B^T are proportional on
+    every level, so one mix of the levels is no equation's: it gets one pin,
+    and its first system and its solve are those of a gauged system."""
+    mesh = duct_mesh(*[np.linspace(0.0, 1.0, 4)] * 3)
+    problem = duct_problem()
+    np.testing.assert_array_equal(pressure_pins(mesh, build_dof_map(mesh, problem.dirichlet)),
+                                  [16])
+    assert first_system_sv_ratio(mesh, problem) >= 1e-10
+    sol = solve_fom(mesh, problem, mu=TRAIN_MUS[1], picard_tol=1e-8, picard_max=60)
+    assert sol.converged and len(sol.iterations) <= 8
+
+
 @pytest.fixture(scope="module")
 def duct():
     """Small flow case, its training snapshots, basis, and projected package.
 
-    Break spacings are deliberately uneven: on a perfectly uniform grid the
-    per-level outlet couplings become proportional and a decaying-in-time
-    spatially constant pressure mode turns the system exactly singular.
+    Break spacings are deliberately uneven: on a uniform grid the per-level
+    outlet couplings become proportional, and a spatially constant pressure
+    mode that mixes the time levels is left for a pin to fix
+    (test_uniform_duct_pins_its_mixed_level).
     """
-    spatial = rectangle_mesh(np.array([0.0, 0.35, 0.62, 1.0]),
-                             np.array([0.0, 0.42, 0.71, 1.0]),
-                             "dirichlet:left", "dirichlet:right",
-                             "dirichlet:bottom", "dirichlet:top")
-    mesh = extrude(spatial, np.array([0.0, 0.28, 0.61, 1.0]))
+    mesh = duct_mesh([0.0, 0.35, 0.62, 1.0], [0.0, 0.42, 0.71, 1.0], [0.0, 0.28, 0.61, 1.0])
     specs = duct_specs()
-    space = ParameterSpace(box=relative_box(("u_in",), (1.0,), 0.05),
-                           semantics=SEMANTICS_BC_SCALE, targets=("inflow",))
-    problem = FomProblem(name="mini-duct", material=MAT, dirichlet=specs,
-                         amplitudes={"inflow": 1.0}, space=space)
+    problem = duct_problem()
     asm = FomAssembler(mesh)
     dof_map = build_dof_map(mesh, specs)
     grams = fom_inner_products(mesh, asm)

@@ -3,6 +3,7 @@
     python3 tools/inproc_ab.py --base ../parent --rom artery.rom --op cold
     python3 tools/inproc_ab.py --base ../parent --op fom --case valve
     python3 tools/inproc_ab.py --base ../parent --op offline --case artery
+    python3 tools/inproc_ab.py --base ../parent --op setup --case valve
 
 stmor is imported from the base checkout's ``src/`` as ``stmor_base`` and
 from the checkout holding this script as ``stmor_head``.  Each repetition
@@ -45,6 +46,15 @@ Operations:
                max |base| over each slot, and of their solve_rom at the box
                centre and corners are printed, and --max-gap (default 1e-13)
                bounds the slot gap.
+    setup      one full set-up of --case, as the benchmark's ``setup_s`` times
+               it: ``cases.bundled_case``, ``build_mesh``, ``build_problem``,
+               ``fom.FomAssembler`` and ``fom.build_dof_map``; the first
+               repetition is the warm-up.  The ratio head/base is printed with
+               a bootstrap interval.  The meshes' ``content_hash`` must be
+               equal, and the largest relative gap of the assemblers' V,
+               shape-function gradients, G, h_t and h_s, max |head - base| /
+               max |base| over each array, is printed and bounded by
+               --max-gap (default 1e-13).
 
 The package comes from ``stmor build-rom`` (or ``rom.write_rom``).  BLAS is
 pinned to one thread, as in perfbench.  Both checkouts must read the same rom
@@ -149,6 +159,33 @@ def offline_operation(stmor, case, solutions):
     return (lambda mu: analysis.offline_build(mesh, problem, solutions=sols, **opts)), config
 
 
+def setup_operation(stmor, case):
+    """(f(mu) -> the FomAssembler of one full set-up of case on one side, the
+    case config); mu is not used."""
+    cases = importlib.import_module(stmor + ".cases")
+    fom = importlib.import_module(stmor + ".fom")
+    case_id, overrides = FOM_CASES[case]
+
+    def setup(mu):
+        config = cases.bundled_case(case_id, **overrides)
+        mesh = cases.build_mesh(config)
+        problem = cases.build_problem(config, mesh)
+        asm = fom.FomAssembler(mesh)
+        fom.build_dof_map(mesh, problem.dirichlet)
+        return asm
+    return setup, cases.bundled_case(case_id, **overrides)
+
+
+def setup_gaps(base, head):
+    """name -> the relative gap max |head - base| / max |base| of the two
+    assemblers' geometry, G and scales."""
+    def arrays(asm):
+        return {"V": asm.V, "gradients": asm.mesh.all_element_geometry()[1], "G": asm.G,
+                "h_t": asm.h_t, "h_s": asm.h_s}
+    return {name: float(np.abs(h - b).max() / max(np.abs(b).max(), 1e-300))
+            for (name, b), h in zip(arrays(base).items(), arrays(head).values(), strict=True)}
+
+
 def slot_gap(base, head):
     """The largest relative gap of a slot of two packages' K and R."""
     return max(float(np.abs(h - b).max() / max(np.abs(b).max(), 1e-300))
@@ -225,29 +262,31 @@ def main(argv=None):
     parser.add_argument("--base", required=True, help="checkout timed as the base")
     parser.add_argument("--rom", help="rom package file (every operation but fom)")
     parser.add_argument("--op", choices=("read_rom", "warm", "cold", "sweep", "fom",
-                                         "offline"), default="cold")
+                                         "offline", "setup"), default="cold")
     parser.add_argument("--case", choices=sorted(FOM_CASES), default="valve",
-                        help="the case of --op fom and --op offline")
+                        help="the case of --op fom, --op offline and --op setup")
     parser.add_argument("--reps", type=int,
-                        help="timed repetitions (default 2000, 10 for --op fom and 20 "
-                             "for --op offline)")
+                        help="timed repetitions (default 2000, 10 for --op fom, 20 "
+                             "for --op offline and 60 for --op setup)")
     parser.add_argument("--max-gap", type=float,
                         help="largest relative gap of the solutions allowed (default 0: "
                              "bitwise, the case's picard_tol for --op fom, and 1e-13 of "
-                             "a slot for --op offline)")
+                             "a slot for --op offline and of an array for --op setup)")
     args = parser.parse_args(argv)
-    fom, offline = args.op == "fom", args.op == "offline"
-    if args.rom is None and not (fom or offline):
+    fom, offline, setup = args.op == "fom", args.op == "offline", args.op == "setup"
+    if args.rom is None and not (fom or offline or setup):
         parser.error("--op %s needs --rom" % args.op)
-    args.reps = args.reps if args.reps is not None else 10 if fom else 20 if offline else 2000
+    if args.reps is None:
+        args.reps = 10 if fom else 20 if offline else 60 if setup else 2000
     if args.reps < 1:
         parser.error("--reps must be at least 1")
 
     stmors = {name: load_package("stmor_" + name, where)
               for name, where in (("base", args.base), ("head", HEAD))}
-    if fom or offline:
-        if fom:
-            built = {name: fom_operation(stmor, args.case) for name, stmor in stmors.items()}
+    if fom or offline or setup:
+        if fom or setup:
+            make = fom_operation if fom else setup_operation
+            built = {name: make(stmor, args.case) for name, stmor in stmors.items()}
         else:
             sols = offline_inputs(stmors["base"], args.case)
             built = {name: offline_operation(stmor, args.case, sols)
@@ -268,6 +307,7 @@ def main(argv=None):
     steps = {"base": [], "head": []}
     stages = {"base": [], "head": []}
     largest = 0.0
+    largest_of = {}
     for i, mu in enumerate(mus):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         out = {}
@@ -280,6 +320,15 @@ def main(argv=None):
                 steps[name].append(len(getattr(out[name], "iterations", ())))
                 if offline:
                     stages[name].append(out[name].timings)
+        if setup:
+            if out["base"].mesh.content_hash() != out["head"].mesh.content_hash():
+                raise SystemExit("the meshes' content hashes differ at repetition %d" % i)
+            for name, g in setup_gaps(out["base"], out["head"]).items():
+                largest_of[name] = max(largest_of.get(name, 0.0), g)
+            if max(largest_of.values()) > args.max_gap:
+                raise SystemExit("the assemblers' arrays differ at repetition %d: %s"
+                                 % (i, largest_of))
+            continue
         if offline:
             largest = max(largest, slot_gap(out["base"].pkg, out["head"].pkg))
             if largest > args.max_gap:
@@ -297,6 +346,16 @@ def main(argv=None):
                              "and step counts %s" % (i, mu, rel, "equal" if same else "differ"))
 
     base, head = (np.array(times[name]) for name in ("base", "head"))
+    if setup:
+        print("setup of %s, %d repetitions, content hashes equal, largest relative gaps "
+              "(allowed %.1e): %s" % (subject, args.reps, args.max_gap, ", ".join(
+                  "%s %.3e" % item for item in largest_of.items())))
+        print("base  " + summary(base))
+        print("head  " + summary(head))
+        print("head/base: median %.3f, 95%% bootstrap interval [%.3f, %.3f]; head faster "
+              "in %d of %d repetitions" % (bootstrap(base, head) + (int(np.sum(head < base)),
+                                                                    args.reps)))
+        return
     if offline:
         # the last builds' packages, solved at the box centre and corners
         rom = importlib.import_module(stmors["head"] + ".rom")
