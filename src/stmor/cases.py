@@ -176,10 +176,10 @@ def valve_spatial_mesh(refine=1.0):
     xb = _graded_breaks(_VALVE_X_ANCHORS, _VALVE_X_COUNTS, refine)
     yb = _graded_breaks(_VALVE_Y_ANCHORS, _VALVE_Y_COUNTS, refine)
     nodes, tris = msh.triangulate_tensor_grid(xb, yb, keep=_valve_keep)
-    markers = msh.tag_boundary_by_midpoint(nodes, msh._boundary_facets_of(tris, 2),
-                                           _valve_classify)
-    return msh.SpatialMesh(dimension=2, nodes=nodes, elements=tris,
-                           boundary_markers=markers)
+    facets = msh._boundary_facet_rows(tris, 2)
+    tags = msh.tag_boundary_by_midpoint(nodes, facets, _valve_classify)
+    return msh.SpatialMesh(dimension=2, nodes=nodes, elements=tris, facets=facets,
+                           facet_tags=tags)
 
 
 def channel_spatial_mesh(length, halfwidth, n_x, n_y):

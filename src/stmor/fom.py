@@ -90,7 +90,7 @@ from .constitutive import apply_parameters, field_values, shear_rate_squared, ta
 from .io import (ARTIFACT_KEYS, REQUIRED, ArtifactError, boolean, check_dtypes,
                  check_mesh_hash, count, list_of, number, optional, read_artifact,
                  read_section, text, write_artifact)
-from .mesh import element_coordinates
+from .mesh import _det2, element_coordinates
 
 logger = logging.getLogger(__name__)
 
@@ -490,17 +490,28 @@ class FomAssembler:
         return F.ravel()
 
     def traction_rhs(self, neumann_data):
-        """int_{P_N} psi_i . h for constant tractions per tag."""
-        F = np.zeros((self.mesh.n_nodes, self.d))
-        if neumann_data:
-            for facet, tag in self.mesh.boundary_facets.items():
-                h = neumann_data.get(tag)
-                if h is None:
-                    continue
-                w = self.mesh.facet_measure(facet) / self.D
-                for node in facet:
-                    F[node, :] += w * np.asarray(h)[:self.d]
-        return F.ravel()
+        """int_{P_N} psi_i . h for a constant traction h (d finite entries)
+        per tag of the mesh: each facet gives its nodes |facet| / D, |facet|
+        the norm of its edges' cross product (D = 2: its edge) over (D-1)!."""
+        mesh, D = self.mesh, self.D
+        F = np.zeros((self.d, mesh.n_nodes))
+        for tag, h in neumann_data.items():
+            h = np.asarray(h, dtype=np.float64)
+            if h.shape != (self.d,):
+                raise SolverError("traction on %r has shape %s, not (%d,)" % (tag, h.shape, self.d))
+            if not np.all(np.isfinite(h)):
+                raise SolverError("traction on %r is not finite: %s" % (tag, h))
+            facets = mesh.facets[mesh.facet_tags == tag]
+            if not facets.size:
+                raise SolverError("traction on %r, a tag the mesh does not carry" % (tag,))
+            x = element_coordinates(mesh.nodes, facets)    # x[c, i]: component c of node i
+            x[:, 1:] -= x[:, :1]
+            normal = x[:, 1] if D == 2 else [_det2(x[k, 1], x[k, 2], x[m, 1], x[m, 2])
+                                             for k, m in ((1, 2), (2, 0), (0, 1))]
+            w = np.repeat(np.sqrt(sum(np.square(c) for c in normal)) / math.factorial(D - 1) / D, D)
+            for c in range(self.d):
+                F[c] += np.bincount(facets.ravel(), weights=w * h[c], minlength=mesh.n_nodes)
+        return F.T.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ conforming facets.  A prescribed domain deformation is applied by extrude
 to the nodes it lays out, so the element topology never changes.
 
 Both mesh classes check themselves once, at construction: node ids in
-range, positive element measures, and boundary tags that cover exactly the
-topological boundary.  A mesh that exists is valid.
+range, finite positive element measures, and boundary tags that cover
+exactly the topological boundary.  A mesh that exists is valid.
 """
 
 import hashlib
@@ -30,17 +30,69 @@ class MeshError(Exception):
 
 
 @dataclass
-class SpatialMesh:
-    """Simplex mesh of the spatial domain Omega (d = 1: intervals, d = 2: triangles).
-
-    boundary_markers maps each boundary facet (sorted node tuple, d nodes) to a
-    tag string such as ``dirichlet:wall`` or ``neumann:outlet``.
-    """
+class _Simplices:
+    """Nodes, simplices of dimension dimension and the boundary: the facet
+    rows (n, dimension) of node ids, in any order within a row, and one tag
+    string per row, such as ``dirichlet:wall`` or ``neumann:outlet``."""
 
     dimension: int
-    nodes: np.ndarray           # (n_nodes, d)
-    elements: np.ndarray        # (n_elements, d+1), global node ids
-    boundary_markers: dict
+    nodes: np.ndarray           # (n_nodes, dimension)
+    elements: np.ndarray        # (n_elements, dimension+1), global node ids
+    facets: np.ndarray          # (n_facets, dimension), boundary facet node ids
+    facet_tags: np.ndarray      # (n_facets,) tag strings
+
+    @property
+    def n_nodes(self):
+        return self.nodes.shape[0]
+
+    @property
+    def n_elements(self):
+        return self.elements.shape[0]
+
+    def _check(self, measures, what):
+        """Check the node ids, then each element's measure (measures(),
+        finite and positive), then the boundary; (untagged, inner).
+
+        The facet rows are sorted and ordered by their tuples (their _packed
+        keys), with their tags as a str array, and compared with the facets
+        the elements reference once: untagged is the first of those without
+        a row and inner the first row that is not one of them, as tuples, or
+        None.  Rows of another width, a tag count other than the row count
+        and a facet listed twice are refused.
+        """
+        if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
+            raise MeshError("element references a node id out of range")
+        meas = measures()
+        bad = np.flatnonzero(~((meas > 0.0) & (meas < np.inf)))
+        if bad.size:
+            i = bad[0]
+            raise MeshError("%s %d has %s measure %.3e"
+                            % (what, i, "non-positive" if meas[i] <= 0.0 else "non-finite", meas[i]))
+        width = self.dimension
+        try:
+            rows = np.asarray(self.facets, dtype=np.int64).reshape(len(self.facets), width)
+        except ValueError:
+            raise MeshError("each boundary facet must list %d node ids" % width) from None
+        tags = np.asarray(self.facet_tags, dtype=str)
+        if tags.shape != (len(rows),):
+            raise MeshError("%d boundary facets but %d tags" % (len(rows), tags.size))
+        rows = np.sort(rows, axis=1)
+        order = np.argsort(_packed(rows.T, self.n_nodes))
+        self.facets, self.facet_tags = rows[order], tags[order]
+        boundary = _boundary_facet_rows(self.elements, width)
+        if np.array_equal(self.facets, boundary):
+            return None, None
+        tagged = list(map(tuple, self.facets.tolist()))
+        if len(set(tagged)) < len(tagged):
+            raise MeshError("a boundary facet is listed twice")
+        boundary = set(map(tuple, boundary.tolist()))
+        return min(boundary.difference(tagged), default=None), \
+            min(set(tagged) - boundary, default=None)
+
+
+@dataclass
+class SpatialMesh(_Simplices):
+    """Simplex mesh of the spatial domain Omega (d = 1: intervals, d = 2: triangles)."""
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -51,55 +103,30 @@ class SpatialMesh:
             raise MeshError("spatial node array must be (n, %d)" % self.dimension)
         if self.elements.ndim != 2 or self.elements.shape[1] != self.dimension + 1:
             raise MeshError("spatial elements must have %d nodes" % (self.dimension + 1))
-        self.boundary_markers = {tuple(sorted(map(int, f))): str(t)
-                                 for f, t in self.boundary_markers.items()}
-        if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
-            raise MeshError("element references a node id out of range")
-        bad = np.flatnonzero(self.element_measures() <= 0.0)
-        if bad.size:
-            raise MeshError("spatial element %d has non-positive measure" % bad[0])
-        boundary = set(_boundary_facets_of(self.elements, self.dimension))
-        marked = set(self.boundary_markers)
-        if marked - boundary:
-            raise MeshError("boundary marker on a non-boundary facet: %s"
-                            % (min(marked - boundary),))
-        if boundary - marked:
-            raise MeshError("spatial boundary facet %s carries no marker"
-                            % (min(boundary - marked),))
-
-    @property
-    def n_nodes(self):
-        return self.nodes.shape[0]
-
-    @property
-    def n_elements(self):
-        return self.elements.shape[0]
+        untagged, inner = self._check(self.element_measures, "spatial element")
+        if inner is not None:
+            raise MeshError("boundary marker on a non-boundary facet: %s" % (inner,))
+        if untagged is not None:
+            raise MeshError("spatial boundary facet %s carries no marker" % (untagged,))
 
     def element_measures(self):
         return np.abs(_edge_det(self.nodes, self.elements)) / _FACTORIAL[self.dimension]
 
 
 @dataclass
-class SpaceTimeMesh:
+class SpaceTimeMesh(_Simplices):
     """Simplex mesh of Q; the last node coordinate is time.
 
-    boundary_facets maps each boundary facet (sorted node tuple, D nodes) to a
-    tag: ``dirichlet:<name>``, ``neumann:<name>``, ``initial`` or ``terminal``.
-    time_levels holds the extrusion levels (empty for imported meshes).
-    reference_nodes are the undeformed extrusion coordinates; boundary profiles
-    and deformation maps are evaluated on them.
+    The facet tags are ``dirichlet:<name>``, ``neumann:<name>``, ``initial``
+    or ``terminal``.  time_levels holds the extrusion levels (empty for
+    imported meshes).  reference_nodes are the undeformed extrusion
+    coordinates; boundary profiles and deformation maps are evaluated on them.
 
-    The arrays and the facet dict are read-only after construction: the
-    geometry, the hash and the facet rows with their tag index (which answer
-    nodes_of_tag, lateral_nodes and tags) are derived from them once.  The
-    constructor checks node ids, element orientation and that the tagged
-    facets are exactly the topological boundary, by one facet search.
+    The arrays are read-only after construction: the geometry and the hash
+    are derived from them once.  The constructor checks the mesh (_check),
+    by one facet search for the boundary.
     """
 
-    dimension: int
-    nodes: np.ndarray           # (n_nodes, D)
-    elements: np.ndarray        # (n_elements, D+1)
-    boundary_facets: dict
     time_levels: np.ndarray = field(default_factory=lambda: np.empty(0))
     reference_nodes: np.ndarray = None
     n_spatial: int = None       # spatial nodes per level for extruded meshes
@@ -117,45 +144,18 @@ class SpaceTimeMesh:
         self.time_levels = np.asarray(self.time_levels, dtype=np.float64)
         if self.reference_nodes is None:
             self.reference_nodes = self.nodes
-        keys, tags = list(self.boundary_facets), list(map(str, self.boundary_facets.values()))
-        try:
-            rows = np.sort(np.array(keys, dtype=np.int64).reshape(len(keys), D), axis=1)
-        except ValueError:
-            raise MeshError("each boundary facet must list %d node ids" % D) from None
-        self.boundary_facets = dict(zip(map(tuple, rows.tolist()), tags))
-        if len(self.boundary_facets) < len(keys):
-            raise MeshError("a boundary facet is listed twice, in two node orders")
-        order = np.argsort(_packed(rows.T, self.n_nodes))
-        self._facets = rows[order]  # (n, D), in tuple order
-        self._tag_code = {t: i for i, t in enumerate(sorted(set(tags)))}
-        self._tag_of = np.fromiter(map(self._tag_code.get, tags), np.int64, len(tags))[order]
         self._geom = None
         self._hash = None
-        if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
-            raise MeshError("element references a node id out of range")
-        meas = self.all_element_geometry()[0]
-        bad = np.flatnonzero(meas <= 0.0)
-        if bad.size:
-            raise MeshError("element %d has non-positive measure %.3e" % (bad[0], meas[bad[0]]))
-        boundary = _boundary_facet_rows(self.elements, D)
-        if not np.array_equal(boundary, self._facets):
-            boundary, tagged = set(map(tuple, boundary.tolist())), set(self.boundary_facets)
-            first = min(boundary ^ tagged)
+        untagged, inner = self._check(lambda: self.all_element_geometry()[0], "element")
+        if untagged is not None or inner is not None:
+            first = min(f for f in (untagged, inner) if f is not None)
             raise MeshError("boundary tags do not cover the topological boundary: facet %s %s"
-                            % (first, "has no tag" if first in boundary else "is tagged but inner"))
+                            % (first, "has no tag" if first == untagged else "is tagged but inner"))
 
     @property
     def d(self):
         """Spatial dimension."""
         return self.dimension - 1
-
-    @property
-    def n_nodes(self):
-        return self.nodes.shape[0]
-
-    @property
-    def n_elements(self):
-        return self.elements.shape[0]
 
     def all_element_geometry(self):
         """Vectorized geometry: (measures, grads) with grads (n_e, D+1, D), cached.
@@ -197,30 +197,22 @@ class SpaceTimeMesh:
             self._geom = (det, grads)
         return self._geom
 
-    def facet_measure(self, facet):
-        """(D-1)-measure of a facet given by node ids."""
-        x = self.nodes[list(facet)]
-        v = x[1:] - x[:1]
-        g = v @ v.T
-        det = g[0, 0] if len(g) == 1 else _det2(g[0, 0], g[0, 1], g[1, 0], g[1, 1])
-        return float(np.sqrt(max(det, 0.0)) / _FACTORIAL[len(facet) - 1])
-
     def _nodes_of_facets(self, chosen):
         hit = np.zeros(self.n_nodes, dtype=bool)
-        hit[self._facets[chosen]] = True
+        hit[self.facets[chosen]] = True
         return np.flatnonzero(hit)
 
     def nodes_of_tag(self, tag):
         """Sorted unique node ids lying on facets with the given tag."""
-        return self._nodes_of_facets(self._tag_of == self._tag_code.get(tag, -1))
+        return self._nodes_of_facets(self.facet_tags == tag)
 
     def lateral_nodes(self):
         """Sorted unique node ids on facets tagged neither initial nor terminal."""
-        caps = [self._tag_code.get(t, -1) for t in (TAG_INITIAL, TAG_TERMINAL)]
-        return self._nodes_of_facets(~np.isin(self._tag_of, caps))
+        return self._nodes_of_facets((self.facet_tags != TAG_INITIAL)
+                                     & (self.facet_tags != TAG_TERMINAL))
 
     def tags(self):
-        return list(self._tag_code)
+        return np.unique(self.facet_tags).tolist()
 
     def content_hash(self):
         """Hex digest identifying the mesh (geometry, topology, tags, levels)."""
@@ -231,8 +223,8 @@ class SpaceTimeMesh:
             h.update(np.ascontiguousarray(self.nodes).tobytes())
             h.update(np.ascontiguousarray(self.elements).tobytes())
             # the facets in tuple order, each its int64 node ids then its tag
-            tags = np.array(list(map(str.encode, self._tag_code)), dtype=bytes)[self._tag_of]
-            rec = np.hstack([self._facets.view(np.uint8),
+            tags = np.char.encode(self.facet_tags, "utf-8")
+            rec = np.hstack([self.facets.view(np.uint8),
                              tags.view(np.uint8).reshape(tags.size, tags.itemsize)])
             h.update(rec[np.arange(rec.shape[1]) < 8 * self.dimension
                          + np.char.str_len(tags)[:, None]])
@@ -320,11 +312,6 @@ def _boundary_facet_rows(elements, D):
     return rows
 
 
-def _boundary_facets_of(elements, D):
-    """Facets referenced by exactly one element, as sorted tuples of ints."""
-    return list(map(tuple, _boundary_facet_rows(elements, D).tolist()))
-
-
 def extrude(spatial, time_levels, deformation=None):
     """Extrude a spatial simplex mesh over the given time levels.
 
@@ -383,17 +370,14 @@ def extrude(spatial, time_levels, deformation=None):
     slab = ns * np.arange(L - 1)[:, None, None]
     elements = (prism + slab[..., None]).reshape(-1, D + 1)
 
-    marked = np.array(list(spatial.boundary_markers), dtype=np.int64).reshape(-1, d)
+    marked = spatial.facets                                # sorted rows
     sides = [np.concatenate([marked[:, :i + 1], marked[:, i:] + ns], axis=1) + slab
              for i in range(d)]
     facets = np.concatenate([vsort, vsort + (L - 1) * ns] + [f.reshape(-1, D) for f in sides])
-    tags = np.array([TAG_INITIAL] * len(vsort) + [TAG_TERMINAL] * len(vsort)
-                    + list(spatial.boundary_markers.values()) * (d * (L - 1)))
-    order = np.argsort(_packed(facets.T, ns * L))
-    boundary = dict(zip(map(tuple, facets[order].tolist()), tags[order].tolist()))
-
-    mesh = SpaceTimeMesh(dimension=D, nodes=nodes, elements=elements,
-                         boundary_facets=boundary, time_levels=levels,
+    tags = np.concatenate([np.full(len(vsort), TAG_INITIAL), np.full(len(vsort), TAG_TERMINAL),
+                           np.tile(spatial.facet_tags, d * (L - 1))])
+    mesh = SpaceTimeMesh(dimension=D, nodes=nodes, elements=elements, facets=facets,
+                         facet_tags=tags, time_levels=levels,
                          reference_nodes=reference, n_spatial=ns, spatial=spatial)
     logger.info("extruded mesh: %d nodes, %d elements, %d levels",
                 mesh.n_nodes, mesh.n_elements, L)
@@ -518,9 +502,8 @@ def interval_mesh(x0, x1, n, left_tag="dirichlet:left", right_tag="dirichlet:rig
         raise MeshError("interval mesh needs n >= 1 and x1 > x0")
     nodes = np.linspace(x0, x1, n + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    markers = {(0,): left_tag, (n,): right_tag}
     return SpatialMesh(dimension=1, nodes=nodes, elements=elements,
-                       boundary_markers=markers)
+                       facets=[[0], [n]], facet_tags=[left_tag, right_tag])
 
 
 def triangulate_tensor_grid(x_breaks, y_breaks, keep=None):
@@ -558,20 +541,16 @@ def triangulate_tensor_grid(x_breaks, y_breaks, keep=None):
 
 
 def tag_boundary_by_midpoint(nodes, facets, classify):
-    """Build a boundary-marker dict by classifying facet midpoints.
+    """The tags of the facet rows, by classifying their midpoints.
 
-    facets are sorted node tuples, as _boundary_facets_of lists them.
     classify(x, y) must return a tag string for every midpoint; returning
     None raises, so untagged boundary cannot slip through.
     """
-    markers = {}
-    for f in facets:
-        mid = nodes[list(f)].mean(axis=0)
-        tag = classify(*mid)
-        if tag is None:
-            raise MeshError("no tag for boundary facet at %s" % (mid,))
-        markers[f] = tag
-    return markers
+    tags = [classify(*mid) for mid in nodes[facets].mean(axis=1)]
+    if None in tags:
+        raise MeshError("no tag for boundary facet at %s"
+                        % (nodes[facets[tags.index(None)]].mean(axis=0),))
+    return tags
 
 
 def rectangle_mesh(x_breaks, y_breaks, left, right, bottom, top):
@@ -592,8 +571,9 @@ def rectangle_mesh(x_breaks, y_breaks, left, right, bottom, top):
             return top
         return None
 
-    markers = tag_boundary_by_midpoint(nodes, _boundary_facets_of(tris, 2), classify)
-    return SpatialMesh(dimension=2, nodes=nodes, elements=tris, boundary_markers=markers)
+    facets = _boundary_facet_rows(tris, 2)
+    return SpatialMesh(dimension=2, nodes=nodes, elements=tris, facets=facets,
+                       facet_tags=tag_boundary_by_midpoint(nodes, facets, classify))
 
 
 # ---------------------------------------------------------------------------

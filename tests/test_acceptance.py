@@ -329,7 +329,7 @@ def test_criterion_9_invariant_suites(valve):
     # is the base planform over 1.8 s plus the gate sweep volume; the
     # constructor checks the orientation and the boundary tags again
     SpaceTimeMesh(dimension=mesh.dimension, nodes=mesh.nodes, elements=mesh.elements,
-                  boundary_facets=mesh.boundary_facets, time_levels=mesh.time_levels)
+                  facets=mesh.facets, facet_tags=mesh.facet_tags, time_levels=mesh.time_levels)
     measures, _ = mesh.all_element_geometry()
     volume = float(measures.sum())
     want = 0.0081375 * 1.8 + 0.0005

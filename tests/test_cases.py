@@ -28,7 +28,7 @@ GATE_SOURCE = 0.0625 * 0.025      # swept area rate while the gate slides
 
 def tag_lengths(spatial):
     out = {}
-    for facet, tag in spatial.boundary_markers.items():
+    for facet, tag in zip(spatial.facets, spatial.facet_tags):
         a, b = facet
         out[tag] = out.get(tag, 0.0) + float(np.linalg.norm(spatial.nodes[a] - spatial.nodes[b]))
     return out

@@ -31,8 +31,13 @@ def unit_triangle():
         dimension=2,
         nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         elements=np.array([[0, 1, 2]]),
-        boundary_markers={(0, 1): "dirichlet:a", (1, 2): "dirichlet:b", (0, 2): "dirichlet:c"},
+        facets=[[0, 1], [1, 2], [0, 2]], facet_tags=["dirichlet:a", "dirichlet:b", "dirichlet:c"],
     )
+
+
+def boundary_items(mesh):
+    """The (facet tuple, tag) pairs of a mesh's boundary, in its row order."""
+    return list(zip(map(tuple, mesh.facets.tolist()), mesh.facet_tags.tolist()))
 
 
 def facet_counts(mesh):
@@ -80,8 +85,7 @@ def relabel(spatial, seed):
     nodes = np.empty_like(spatial.nodes)
     nodes[new] = spatial.nodes
     return SpatialMesh(dimension=spatial.dimension, nodes=nodes, elements=new[spatial.elements],
-                       boundary_markers={tuple(new[list(f)]): t
-                                         for f, t in spatial.boundary_markers.items()})
+                       facets=new[spatial.facets], facet_tags=spatial.facet_tags)
 
 
 def oracle_content_hash(st_mesh):
@@ -91,9 +95,9 @@ def oracle_content_hash(st_mesh):
     h.update(np.int64(st_mesh.dimension).tobytes())
     h.update(st_mesh.nodes.tobytes())
     h.update(st_mesh.elements.tobytes())
-    for f in sorted(st_mesh.boundary_facets):
+    for f, tag in sorted(boundary_items(st_mesh)):
         h.update(np.asarray(f, dtype=np.int64).tobytes())
-        h.update(st_mesh.boundary_facets[f].encode())
+        h.update(tag.encode())
     h.update(st_mesh.time_levels.tobytes())
     return h.hexdigest()[:16]
 
@@ -102,6 +106,7 @@ def oracle_extrusion_tags(st_mesh):
     """Tags of an extruded (possibly deformed) mesh, found facet by facet."""
     ns, t = st_mesh.n_spatial, st_mesh.nodes[:, -1]
     t0, T = st_mesh.time_levels[0], st_mesh.time_levels[-1]
+    markers = dict(boundary_items(st_mesh.spatial))
     boundary = {}
     for f in oracle_boundary_facets(st_mesh.elements, st_mesh.dimension):
         if np.all(t[list(f)] == t0):
@@ -110,7 +115,7 @@ def oracle_extrusion_tags(st_mesh):
             boundary[f] = "terminal"
         else:
             key = tuple(sorted(set(int(i) % ns for i in f)))
-            boundary[f] = st_mesh.spatial.boundary_markers[key]
+            boundary[f] = markers[key]
     return boundary
 
 
@@ -118,10 +123,10 @@ def assert_matches_oracle(st_mesh):
     D = st_mesh.dimension
     np.testing.assert_array_equal(
         st_mesh.elements, oracle_extruded_elements(st_mesh.spatial, st_mesh.time_levels.size))
-    assert mesh_module._boundary_facets_of(st_mesh.elements, D) == \
-        oracle_boundary_facets(st_mesh.elements, D)
+    assert list(map(tuple, mesh_module._boundary_facet_rows(st_mesh.elements, D).tolist())) \
+        == oracle_boundary_facets(st_mesh.elements, D)
     expected = oracle_extrusion_tags(st_mesh)
-    assert list(st_mesh.boundary_facets.items()) == list(expected.items())
+    assert boundary_items(st_mesh) == list(expected.items())
     assert st_mesh.tags() == sorted(set(expected.values()))
     for tag in st_mesh.tags() + ["dirichlet:none"]:
         ids = sorted({i for f, t in expected.items() if t == tag for i in f})
@@ -149,8 +154,8 @@ class TestFacetSearch:
         spatial = relabel(rectangle_mesh(np.linspace(0, 2, nx + 1), np.linspace(-1, 1, ny + 1),
                                          "dirichlet:l", "dirichlet:r", "dirichlet:b",
                                          "neumann:t"), seed)
-        assert mesh_module._boundary_facets_of(spatial.elements, 2) == \
-            oracle_boundary_facets(spatial.elements, 2)
+        assert list(map(tuple, mesh_module._boundary_facet_rows(spatial.elements, 2).tolist())) \
+            == oracle_boundary_facets(spatial.elements, 2)
         assert_matches_oracle(extrude(spatial, np.linspace(0.0, 1.0, nl)))
 
     @pytest.mark.parametrize("case_id", sorted(BUNDLED_HASHES))
@@ -161,34 +166,48 @@ class TestFacetSearch:
         assert_matches_oracle(st_mesh)
 
     def test_non_canonical_facets_are_canonicalized(self):
+        # each row reversed and the rows in reverse order, as int32
         st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])
-        shuffled = {tuple(np.int32(i) for i in f[::-1]): t
-                    for f, t in st_mesh.boundary_facets.items()}
         again = SpaceTimeMesh(dimension=3, nodes=st_mesh.nodes, elements=st_mesh.elements,
-                              boundary_facets=shuffled, time_levels=st_mesh.time_levels)
-        assert list(again.boundary_facets.items()) == list(st_mesh.boundary_facets.items())
-        assert all(type(i) is int for f in again.boundary_facets for i in f)
+                              facets=st_mesh.facets[::-1, ::-1].astype(np.int32),
+                              facet_tags=st_mesh.facet_tags[::-1],
+                              time_levels=st_mesh.time_levels)
+        assert boundary_items(again) == boundary_items(st_mesh)
+        assert again.facets.dtype == np.int64
         assert again.content_hash() == st_mesh.content_hash()
 
     def test_sorted_numpy_facets_become_plain(self):
+        # rows of numpy integers and tags of numpy strings, as lists
         st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])
-        numpy_keys = {tuple(np.int64(i) for i in f): np.str_(t)
-                      for f, t in st_mesh.boundary_facets.items()}
         again = SpaceTimeMesh(dimension=3, nodes=st_mesh.nodes, elements=st_mesh.elements,
-                              boundary_facets=numpy_keys, time_levels=st_mesh.time_levels)
-        assert list(again.boundary_facets.items()) == list(st_mesh.boundary_facets.items())
-        assert all(type(i) is int for f in again.boundary_facets for i in f)
-        assert all(type(t) is str for t in again.boundary_facets.values())
+                              facets=[tuple(np.uint16(i) for i in f) for f in st_mesh.facets],
+                              facet_tags=[np.str_(t) for t in st_mesh.facet_tags],
+                              time_levels=st_mesh.time_levels)
+        assert boundary_items(again) == boundary_items(st_mesh)
+        assert again.facets.dtype == np.int64 and again.facet_tags.dtype.kind == "U"
+        assert all(type(t) is str for t in again.tags())
+        assert again.content_hash() == st_mesh.content_hash()
 
     def test_malformed_facet_keys_are_rejected(self):
         nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        for facets, match in (({(0, 1): "a"}, "3 node ids"),
-                              ({(0, 1, 2): "a", (0, 1): "b"}, "3 node ids"),
-                              ({(0, 1, 2): "a", (2, 1, 0): "b"}, "listed twice")):
+        for facets, match in (([(0, 1)], "3 node ids"),
+                              ([(0, 1, 2), (0, 1)], "3 node ids"),
+                              ([(0, 1, 2), (2, 1, 0)], "listed twice"),
+                              ([(0, 1, 2), (0, 1, 2)], "listed twice")):
             with pytest.raises(MeshError, match=match):
                 SpaceTimeMesh(dimension=3, nodes=nodes, elements=np.array([[0, 1, 2, 3]]),
-                              boundary_facets=facets)
+                              facets=facets, facet_tags=["a"] * len(facets))
+
+    def test_tag_count_must_match_row_count(self):
+        st_mesh = extrude(unit_triangle(), [0.0, 1.0])
+        for tags in (st_mesh.facet_tags[1:], list(st_mesh.facet_tags) + ["initial"], "initial"):
+            with pytest.raises(MeshError, match="%d boundary facets but" % len(st_mesh.facets)):
+                SpaceTimeMesh(dimension=3, nodes=st_mesh.nodes, elements=st_mesh.elements,
+                              facets=st_mesh.facets, facet_tags=tags)
+        with pytest.raises(MeshError, match="3 boundary facets but 2 tags"):
+            SpatialMesh(dimension=2, nodes=unit_triangle().nodes, elements=[[0, 1, 2]],
+                        facets=[[0, 1], [1, 2], [0, 2]], facet_tags=["a", "b"])
 
 
 class TestExtrude:
@@ -213,15 +232,15 @@ class TestExtrude:
                                  "dirichlet:l", "dirichlet:r", "dirichlet:b", "dirichlet:t")
         st_mesh = extrude(spatial, [0.0, 0.25, 1.0])
         ns = spatial.n_nodes
-        initial = {f for f, t in st_mesh.boundary_facets.items() if t == "initial"}
-        terminal = {f for f, t in st_mesh.boundary_facets.items() if t == "terminal"}
+        initial = {f for f, t in boundary_items(st_mesh) if t == "initial"}
+        terminal = {f for f, t in boundary_items(st_mesh) if t == "terminal"}
         spat = {tuple(sorted(e)) for e in spatial.elements}
         assert initial == spat
         assert terminal == {tuple(sorted(e + 2 * ns)) for e in spatial.elements}
 
     def test_initial_terminal_lie_on_caps(self):
         st_mesh = extrude(unit_triangle(), [0.25, 0.5, 2.0])
-        for f, tag in st_mesh.boundary_facets.items():
+        for f, tag in boundary_items(st_mesh):
             tvals = st_mesh.nodes[list(f), -1]
             if tag == "initial":
                 assert np.all(tvals == 0.25)
@@ -233,9 +252,9 @@ class TestExtrude:
     def test_lateral_tags_propagate(self):
         st_mesh = extrude(interval_mesh(0.0, 2.0, 3, "dirichlet:in", "neumann:out"),
                           [0.0, 1.0, 2.0])
-        tags = set(st_mesh.boundary_facets.values())
+        tags = set(st_mesh.facet_tags)
         assert tags == {"dirichlet:in", "neumann:out", "initial", "terminal"}
-        for f, tag in st_mesh.boundary_facets.items():
+        for f, tag in boundary_items(st_mesh):
             if tag == "dirichlet:in":
                 np.testing.assert_array_equal(st_mesh.nodes[list(f), 0], 0.0)
             if tag == "neumann:out":
@@ -251,13 +270,12 @@ class TestExtrude:
 
     def test_rejects_unmarked_spatial_boundary(self):
         tri = unit_triangle()
-        markers = dict(tri.boundary_markers)
-        del markers[(0, 1)]
+        assert boundary_items(tri)[0] == ((0, 1), "dirichlet:a")
         with pytest.raises(MeshError, match=r"spatial boundary facet \(0, 1\) carries no marker"):
             SpatialMesh(dimension=2, nodes=tri.nodes, elements=tri.elements,
-                        boundary_markers=markers)
+                        facets=tri.facets[1:], facet_tags=tri.facet_tags[1:])
         # a marker dropped after construction leaves the sides of its facet untagged
-        del tri.boundary_markers[(0, 1)]
+        tri.facets, tri.facet_tags = tri.facets[1:], tri.facet_tags[1:]
         with pytest.raises(MeshError, match=r"facet \(0, 1, 4\) has no tag"):
             extrude(tri, [0.0, 1.0])
 
@@ -271,7 +289,7 @@ class TestExtrude:
         counts = facet_counts(st_mesh)
         assert set(counts.values()) <= {1, 2}
         boundary = {f for f, c in counts.items() if c == 1}
-        assert boundary == set(st_mesh.boundary_facets)
+        assert boundary == set(map(tuple, st_mesh.facets.tolist()))
         np.testing.assert_allclose(st_mesh.all_element_geometry()[0].sum(), 4.0 * T, rtol=1e-12)
         assert st_mesh.n_nodes == spatial.n_nodes * nl
         assert st_mesh.n_elements == spatial.n_elements * (nl - 1) * 3
@@ -286,14 +304,15 @@ class TestValidate:
         with pytest.raises(MeshError, match=r"boundary tags do not cover the topological "
                                             r"boundary: facet \(0, 1, 2\) has no tag"):
             SpaceTimeMesh(dimension=3, nodes=nodes, elements=np.array([[0, 1, 2, 3]]),
-                          boundary_facets={})
+                          facets=[], facet_tags=[])
 
     def retagged(self, change):
         st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])
-        facets = dict(st_mesh.boundary_facets)
+        facets = dict(boundary_items(st_mesh))
         change(facets)
         return SpaceTimeMesh(dimension=3, nodes=st_mesh.nodes, elements=st_mesh.elements,
-                             boundary_facets=facets, time_levels=st_mesh.time_levels)
+                             facets=list(facets), facet_tags=list(facets.values()),
+                             time_levels=st_mesh.time_levels)
 
     def test_names_the_first_untagged_facet(self):
         untagged = [(0, 1, 4), (3, 6, 7)]
@@ -312,7 +331,7 @@ class TestValidate:
                          [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
         with pytest.raises(MeshError, match="element 0 is degenerate"):
             SpaceTimeMesh(dimension=3, nodes=flat, elements=np.array([[0, 1, 2, 3]]),
-                          boundary_facets={})
+                          facets=[], facet_tags=[])
 
     def test_inverted_element_and_bad_ids_are_rejected(self):
         st_mesh = extrude(unit_triangle(), [0.0, 1.0])
@@ -321,7 +340,35 @@ class TestValidate:
                                 (st_mesh.elements[:, :3], r"elements \(m, 4\)")):
             with pytest.raises(MeshError, match=match):
                 SpaceTimeMesh(dimension=3, nodes=st_mesh.nodes, elements=elements,
-                              boundary_facets=st_mesh.boundary_facets)
+                              facets=st_mesh.facets, facet_tags=st_mesh.facet_tags)
+
+    def test_non_finite_measures_are_rejected(self):
+        # an infinite time level, a deformation that returns NaN at one node
+        # and a NaN or infinite node given to either constructor
+        with pytest.raises(MeshError, match="element 0 has non-finite measure nan"):
+            extrude(interval_mesh(0.0, 1.0, 3), [0.0, np.inf])
+        st_mesh = extrude(unit_triangle(), [0.0, 0.5, 1.0])
+        first = np.flatnonzero((st_mesh.elements == 4).any(axis=1))[0]
+
+        def nan_at_4(x, t):
+            out = x.copy()
+            out[4] = np.nan
+            return out
+
+        with pytest.raises(MeshError, match="element %d has non-finite measure nan" % first):
+            extrude(unit_triangle(), [0.0, 0.5, 1.0], nan_at_4)
+        nodes = st_mesh.nodes.copy()
+        nodes[4, 0] = np.nan
+        with pytest.raises(MeshError, match="element %d has non-finite measure nan" % first):
+            SpaceTimeMesh(dimension=3, nodes=nodes, elements=st_mesh.elements,
+                          facets=st_mesh.facets, facet_tags=st_mesh.facet_tags)
+        for bad, shown in ((np.nan, "nan"), (np.inf, "inf")):
+            tri = unit_triangle()
+            tri.nodes[1, 0] = bad
+            with pytest.raises(MeshError, match="spatial element 0 has non-finite measure %s"
+                                                % shown):
+                SpatialMesh(dimension=2, nodes=tri.nodes, elements=tri.elements,
+                            facets=tri.facets, facet_tags=tri.facet_tags)
 
     def test_mesh_build_scans_boundary_once(self, monkeypatch):
         scanned = []
@@ -348,10 +395,10 @@ class TestGeometry:
     def test_reference_tetrahedron(self):
         nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                           [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        facets = {(0, 1, 2): "initial", (0, 1, 3): "dirichlet:y", (0, 2, 3): "dirichlet:x",
-                  (1, 2, 3): "neumann:slant"}
-        mesh = SpaceTimeMesh(dimension=3, nodes=nodes,
-                             elements=np.array([[0, 1, 2, 3]]), boundary_facets=facets)
+        mesh = SpaceTimeMesh(dimension=3, nodes=nodes, elements=np.array([[0, 1, 2, 3]]),
+                             facets=[(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+                             facet_tags=["initial", "dirichlet:y", "dirichlet:x",
+                                         "neumann:slant"])
         measures, grads = mesh.all_element_geometry()
         np.testing.assert_allclose(measures[0], 1.0 / 6.0, rtol=1e-14)
         # spatial parts are the leading columns, time the last one
@@ -414,9 +461,9 @@ def relative_gaps(got, ref):
 def single_simplex(nodes):
     """A one-element SpaceTimeMesh on the given D+1 nodes, every facet tagged."""
     D = nodes.shape[1]
-    facets = {tuple(sorted(set(range(D + 1)) - {i})): "dirichlet:side" for i in range(D + 1)}
+    facets = [sorted(set(range(D + 1)) - {i}) for i in range(D + 1)]
     return SpaceTimeMesh(dimension=D, nodes=nodes, elements=np.arange(D + 1)[None, :],
-                         boundary_facets=facets)
+                         facets=facets, facet_tags=["dirichlet:side"] * (D + 1))
 
 
 class TestClosedFormKernels:
@@ -465,7 +512,7 @@ class TestClosedFormKernels:
         with pytest.raises(MeshError, match="spatial element 0 has non-positive measure"):
             SpatialMesh(dimension=2, nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
                         elements=np.array([[0, 1, 2]]),
-                        boundary_markers={(0, 1): "a", (1, 2): "a", (0, 2): "a"})
+                        facets=[(0, 1), (1, 2), (0, 2)], facet_tags=["a"] * 3)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("case_id", ["artery-analog", "couette"])
@@ -502,7 +549,7 @@ class TestClosedFormKernels:
     def test_spatial_dimension_is_1_or_2(self, d):
         with pytest.raises(MeshError, match="dimension 1 or 2, got %d" % d):
             SpatialMesh(dimension=d, nodes=np.vstack([np.zeros(d), np.eye(d)]),
-                        elements=np.arange(d + 1)[None, :], boundary_markers={})
+                        elements=np.arange(d + 1)[None, :], facets=[], facet_tags=[])
 
 
 class TestDeform:
@@ -512,7 +559,7 @@ class TestDeform:
         assert np.array_equal(out.nodes, st_mesh.nodes)
         assert np.array_equal(out.reference_nodes, st_mesh.reference_nodes)
         assert np.array_equal(out.elements, st_mesh.elements)
-        assert list(out.boundary_facets.items()) == list(st_mesh.boundary_facets.items())
+        assert boundary_items(out) == boundary_items(st_mesh)
         assert out.content_hash() == st_mesh.content_hash()
 
     def test_narrowing_wall_node(self):
@@ -614,16 +661,17 @@ class TestGenerators:
         assert tris.min() == 0 and tris.max() == nodes.shape[0] - 1
         assert tris.shape[0] == 2 * 8
         # hole adds an inner boundary loop of 4 edges; outer loop has 12
-        assert len(mesh_module._boundary_facets_of(tris, 2)) == 16
+        assert len(mesh_module._boundary_facet_rows(tris, 2)) == 16
 
     def test_marker_on_an_inner_edge_is_rejected(self):
         nodes, tris = triangulate_tensor_grid([0, 1], [0, 1])
         inner = tuple(sorted(set(tris[0]) & set(tris[1])))
         with pytest.raises(MeshError, match=r"non-boundary facet: \(0, 3\)"):
             SpatialMesh(dimension=2, nodes=nodes, elements=tris,
-                        boundary_markers={inner: "dirichlet:a"})
+                        facets=[inner], facet_tags=["dirichlet:a"])
 
     def test_interval_tags(self):
         m = interval_mesh(0.0, 3.0, 3, "dirichlet:a", "neumann:b")
-        assert m.boundary_markers == {(0,): "dirichlet:a", (3,): "neumann:b"}
+        assert boundary_items(m) == [((0,), "dirichlet:a"), ((3,), "neumann:b")]
+        assert m.facets.dtype == np.int64
         np.testing.assert_allclose(m.element_measures(), 1.0, rtol=1e-15)

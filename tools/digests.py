@@ -10,6 +10,10 @@ The list:
         benchmark's ``artery-rom`` workload runs, each built both from the
         factory and from the factory's ``to_dict`` read back by
         ``config_from_dict`` (``<case>@json``);
+    load/valve-traction, load/artery-traction
+        ``fom.fixed_load`` of the valve and of the 12x5x6 artery with a
+        constant outlet traction, (2, -1) and (1.5, -0.5), the problem built
+        by ``dataclasses.replace(problem, neumann=...)``;
     fom/<case>
         ``solve_fom`` v, p, convergence flag, iteration count and the
         iteration records without their timings, on couette, poiseuille-body
@@ -64,6 +68,7 @@ that both sides sum in the same order.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -182,6 +187,15 @@ def compute():
             out["lifting/" + label] = sha(*[x for l in lifts
                                             for x in (l.group, l.coefficient, l.vector)])
         built[(case_id, tuple(sorted(overrides.items())))] = (config, mesh, problem)
+
+    for name, key, traction in (("valve", ("valve-analog", ()), (2.0, -1.0)),
+                                ("artery", ("artery-analog", tuple(sorted(ARTERY_ROM.items()))),
+                                 (1.5, -0.5))):
+        _, mesh, problem = built[key]
+        loaded = dataclasses.replace(problem, neumann={"outlet": traction})
+        out["load/%s-traction" % name] = sha(fom.fixed_load(
+            fom.FomAssembler(mesh), fom.build_dof_map(mesh, loaded.dirichlet), loaded,
+            loaded.material.rho))
 
     def file_bytes(write, item):
         with tempfile.TemporaryDirectory() as tmp:
