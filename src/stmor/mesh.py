@@ -62,12 +62,13 @@ class _Simplices:
         """
         if self.elements.size and (self.elements.min() < 0 or self.elements.max() >= self.n_nodes):
             raise MeshError("element references a node id out of range")
-        meas = measures()
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite measure is refused
+            meas = measures()
         bad = np.flatnonzero(~((meas > 0.0) & (meas < np.inf)))
         if bad.size:
             i = bad[0]
-            raise MeshError("%s %d has %s measure %.3e"
-                            % (what, i, "non-positive" if meas[i] <= 0.0 else "non-finite", meas[i]))
+            kind = "non-positive" if meas[i] <= 0.0 else "non-finite"
+            raise MeshError("%s %d has %s measure %.3e" % (what, i, kind, meas[i]))
         width = self.dimension
         try:
             rows = np.asarray(self.facets, dtype=np.int64).reshape(len(self.facets), width)
@@ -223,7 +224,8 @@ class SpaceTimeMesh(_Simplices):
             h.update(np.ascontiguousarray(self.nodes).tobytes())
             h.update(np.ascontiguousarray(self.elements).tobytes())
             # the facets in tuple order, each its int64 node ids then its tag
-            tags = np.char.encode(self.facet_tags, "utf-8")
+            names, codes = np.unique(self.facet_tags, return_inverse=True)
+            tags = np.array(list(map(str.encode, names)), dtype=bytes)[codes]
             rec = np.hstack([self.facets.view(np.uint8),
                              tags.view(np.uint8).reshape(tags.size, tags.itemsize)])
             h.update(rec[np.arange(rec.shape[1]) < 8 * self.dimension
