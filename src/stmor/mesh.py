@@ -50,8 +50,8 @@ class _Simplices:
         return self.elements.shape[0]
 
     def _check(self, measures, what):
-        """Check the node ids, then each element's measure (measures(),
-        finite and positive), then the boundary; (untagged, inner).
+        """Check the node ids, each element's measure (measures(), finite
+        and positive) and the boundary, in that order; return (untagged, inner).
 
         The facet rows are sorted and ordered by their tuples (their _packed
         keys), with their tags as a str array, and compared with the facets
@@ -123,8 +123,8 @@ class SpaceTimeMesh(_Simplices):
     imported meshes).  reference_nodes are the undeformed extrusion
     coordinates; boundary profiles and deformation maps are evaluated on them.
 
-    The arrays are read-only after construction: the geometry and the hash
-    are derived from them once.  The constructor checks the mesh (_check),
+    The arrays are read-only after construction: the geometry, the hash and
+    the tags are derived from them once.  The constructor checks the mesh (_check),
     by one facet search for the boundary.
     """
 
@@ -145,8 +145,7 @@ class SpaceTimeMesh(_Simplices):
         self.time_levels = np.asarray(self.time_levels, dtype=np.float64)
         if self.reference_nodes is None:
             self.reference_nodes = self.nodes
-        self._geom = None
-        self._hash = None
+        self._geom = self._hash = self._tags = None
         untagged, inner = self._check(lambda: self.all_element_geometry()[0], "element")
         if untagged is not None or inner is not None:
             first = min(f for f in (untagged, inner) if f is not None)
@@ -213,7 +212,9 @@ class SpaceTimeMesh(_Simplices):
                                      & (self.facet_tags != TAG_TERMINAL))
 
     def tags(self):
-        return np.unique(self.facet_tags).tolist()
+        if self._tags is None:
+            self._tags = np.unique(self.facet_tags).tolist()
+        return list(self._tags)
 
     def content_hash(self):
         """Hex digest identifying the mesh (geometry, topology, tags, levels)."""
