@@ -124,8 +124,8 @@ class SpaceTimeMesh(_Simplices):
     coordinates; boundary profiles and deformation maps are evaluated on them.
 
     The arrays are read-only after construction: the geometry, the hash and
-    the tags are derived from them once.  The constructor checks the mesh (_check),
-    by one facet search for the boundary.
+    the tags are derived from them once.  The constructor checks the mesh
+    (_check), by one facet search for the boundary.
     """
 
     time_levels: np.ndarray = field(default_factory=lambda: np.empty(0))
